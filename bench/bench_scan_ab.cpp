@@ -1,25 +1,18 @@
-// A/B benchmark for the CIF scan: the same rows are written three times —
-// CIF v1 (plain blocks, eager decode), CIF v2 (zone maps + late
-// materialization), and CIF v3 (v2 plus per-block lightweight encodings:
-// RLE / bit-pack / frame-of-reference integers, dictionary + RLE-of-codes
-// strings) — then scanned several ways.
-//
-// The v1-vs-v2 cases measure late materialization: full (every column),
-// projected (a narrow column subset), and predicate (a ~5%-selectivity
-// clustered range). The v2-vs-v3 cases measure compressed execution on
-// SSB-shaped columns (orderdate in chronological runs -> RLE, quantity and
-// discount in small domains -> bit-pack, revenue incompressible -> plain):
-// an encoded full scan, and an SSB Q1.1-shaped predicate (orderdate range
-// AND discount BETWEEN 1 AND 3 AND quantity < 25) evaluated in the
-// compressed domain. A final pass re-runs the v3 predicate scan with the
-// double-buffered block prefetcher and asserts byte-identical survivors.
-// Every predicate case filters engine-side with the bound predicates after
-// the scan, matching the engine's belt-and-braces re-check.
+// CIF scan benchmark: SSB-shaped columns (orderdate in chronological runs ->
+// RLE, quantity and discount in small domains -> bit-pack, revenue
+// incompressible -> plain, ship mode -> dictionary strings) written once and
+// scanned three ways: a full scan of every column, an SSB Q1.1-shaped
+// predicate (orderdate range AND discount BETWEEN 1 AND 3 AND quantity < 25)
+// evaluated in the compressed domain, and the date dimension pushed into
+// the scan as a semi-join key filter. The predicate case re-filters
+// engine-side with the bound predicates after the scan, matching the
+// engine's belt-and-braces re-check, and is checked against a row-by-row
+// count of the written rows.
 //
 // With CLY_SCAN_JSON set, writes the results (rows/s, per-pass wall
-// seconds, speedups, pruning stats, compression ratio, per-encoding block
-// counts) as JSON; run_benches.sh publishes it as BENCH_scan.json and
-// fails if the encoded fields are missing.
+// seconds, pruning stats, compression ratio, per-encoding block counts) as
+// JSON; run_benches.sh publishes it as BENCH_scan.json and fails if a field
+// is missing.
 
 #include <cstdio>
 #include <cstdlib>
@@ -51,7 +44,7 @@ SchemaPtr FactSchema() {
 }
 
 // Rows per distinct orderdate: long chronological runs, the shape a
-// rolled-in fact table has, so v3 stores orderdate blocks as RLE.
+// rolled-in fact table has, so orderdate blocks are stored as RLE.
 constexpr int64_t kRowsPerDate = 4000;
 
 Row MakeRow(int64_t i) {
@@ -67,14 +60,12 @@ Row MakeRow(int64_t i) {
 }
 
 storage::TableDesc WriteTable(hdfs::MiniDfs* dfs, const std::string& path,
-                              int64_t rows, int64_t rows_per_split,
-                              int cif_version) {
+                              int64_t rows, int64_t rows_per_split) {
   storage::TableDesc desc;
   desc.path = path;
   desc.format = storage::kFormatCif;
   desc.schema = FactSchema();
   desc.rows_per_split = static_cast<uint64_t>(rows_per_split);
-  desc.cif_version = cif_version;
   auto writer = storage::OpenTableWriter(dfs, desc);
   CLY_CHECK(writer.ok());
   for (int64_t i = 0; i < rows; ++i) {
@@ -88,7 +79,7 @@ storage::TableDesc WriteTable(hdfs::MiniDfs* dfs, const std::string& path,
 
 /// One full pass over the table; returns the number of surviving rows.
 /// `engine_preds`, when non-empty, are applied batch-wise after the scan —
-/// the engine-side re-check every version pays.
+/// the engine-side re-check.
 int64_t ScanPass(const hdfs::MiniDfs& dfs, const storage::TableDesc& desc,
                  const std::vector<storage::StorageSplit>& splits,
                  const storage::ScanOptions& base,
@@ -149,7 +140,7 @@ struct CaseResult {
   double wall_seconds = 0;   // per pass
   double rows_per_sec = 0;   // table rows scanned per second
   int64_t rows_out = 0;
-  storage::ScanStats stats;  // last pass (late path only)
+  storage::ScanStats stats;  // last pass
 };
 
 CaseResult TimeCase(const hdfs::MiniDfs& dfs, const storage::TableDesc& desc,
@@ -173,31 +164,23 @@ CaseResult TimeCase(const hdfs::MiniDfs& dfs, const storage::TableDesc& desc,
   return result;
 }
 
-void PrintCase(const char* name, const char* a_tag, const CaseResult& a,
-               const char* b_tag, const CaseResult& b) {
-  std::printf("%-20s %s %10.2f Mrows/s   %s %10.2f Mrows/s   %s/%s %5.2fx\n",
-              name, a_tag, a.rows_per_sec / 1e6, b_tag, b.rows_per_sec / 1e6,
-              b_tag, a_tag, b.rows_per_sec / a.rows_per_sec);
+void PrintCase(const char* name, const CaseResult& r) {
+  std::printf("%-16s %10.2f Mrows/s  %10lld rows out  %6llu blocks skipped  "
+              "%10llu rows pruned\n",
+              name, r.rows_per_sec / 1e6, static_cast<long long>(r.rows_out),
+              static_cast<unsigned long long>(r.stats.blocks_skipped),
+              static_cast<unsigned long long>(r.stats.rows_pruned));
 }
 
-void EmitCase(std::FILE* out, const char* name, const char* a_tag,
-              const CaseResult& a, const char* b_tag, const CaseResult& b,
-              const char* speedup_key) {
+void EmitCase(std::FILE* out, const char* name, const CaseResult& r) {
   std::fprintf(out,
-               "  \"%s\": {\n"
-               "    \"%s\": {\"rows_per_sec\": %.1f, \"wall_seconds\": %.6f, "
-               "\"rows_out\": %lld},\n"
-               "    \"%s\": {\"rows_per_sec\": %.1f, \"wall_seconds\": %.6f, "
+               "  \"%s\": {\"rows_per_sec\": %.1f, \"wall_seconds\": %.6f, "
                "\"rows_out\": %lld, \"blocks_skipped\": %llu, "
-               "\"rows_pruned\": %llu},\n"
-               "    \"%s\": %.3f\n"
-               "  },\n",
-               name, a_tag, a.rows_per_sec, a.wall_seconds,
-               static_cast<long long>(a.rows_out), b_tag, b.rows_per_sec,
-               b.wall_seconds, static_cast<long long>(b.rows_out),
-               static_cast<unsigned long long>(b.stats.blocks_skipped),
-               static_cast<unsigned long long>(b.stats.rows_pruned),
-               speedup_key, b.rows_per_sec / a.rows_per_sec);
+               "\"rows_pruned\": %llu},\n",
+               name, r.rows_per_sec, r.wall_seconds,
+               static_cast<long long>(r.rows_out),
+               static_cast<unsigned long long>(r.stats.blocks_skipped),
+               static_cast<unsigned long long>(r.stats.rows_pruned));
 }
 
 }  // namespace
@@ -220,30 +203,13 @@ int main() {
   dfs_options.replication = 1;
   hdfs::MiniDfs dfs(dfs_options);
 
-  const storage::TableDesc v1 =
-      WriteTable(&dfs, "/scan_ab_v1", rows, rows_per_split, /*cif_version=*/1);
-  const storage::TableDesc v2 =
-      WriteTable(&dfs, "/scan_ab_v2", rows, rows_per_split, /*cif_version=*/2);
-  const storage::TableDesc v3 =
-      WriteTable(&dfs, "/scan_ab_v3", rows, rows_per_split, /*cif_version=*/3);
-  auto v1_splits = storage::ListTableSplits(dfs, v1);
-  auto v2_splits = storage::ListTableSplits(dfs, v2);
-  auto v3_splits = storage::ListTableSplits(dfs, v3);
-  CLY_CHECK(v1_splits.ok());
-  CLY_CHECK(v2_splits.ok());
-  CLY_CHECK(v3_splits.ok());
+  const storage::TableDesc desc =
+      WriteTable(&dfs, "/scan_ab", rows, rows_per_split);
+  auto splits = storage::ListTableSplits(dfs, desc);
+  CLY_CHECK(splits.ok());
 
-  // ~5% selectivity, clustered on the sequential id column — the shape a
-  // date-range predicate over a chronologically rolled-in fact table has.
-  const int64_t cutoff = rows / 20 - 1;
-  Predicate::Ptr id_leaf =
-      Predicate::Le("id", Value(static_cast<int32_t>(cutoff)));
-  auto id_spec = std::make_shared<storage::ScanSpec>();
-  id_spec->conjuncts.push_back(id_leaf);
-
-  // SSB Q1.1 shape: a half-table orderdate range (zone-refutable in v2 and
-  // v3 alike — the encoded win must come from elsewhere) AND two
-  // small-domain leaves evaluated per packed code / per run in v3.
+  // SSB Q1.1 shape: a half-table orderdate range (zone-refutable) AND two
+  // small-domain leaves evaluated per packed code / per run.
   const int64_t date_hi = INT64_C(19920101) + (rows / 2) / kRowsPerDate;
   std::vector<Predicate::Ptr> q11 = {
       Predicate::Le("orderdate", Value(date_hi)),
@@ -254,23 +220,15 @@ int main() {
   for (const auto& leaf : q11) q11_spec->conjuncts.push_back(leaf);
 
   storage::ScanOptions full;
-  storage::ScanOptions projected;
-  projected.projection = {"revenue", "mode"};
-  storage::ScanOptions predicate;
-  predicate.projection = {"id", "revenue"};
-  storage::ScanOptions predicate_pushed = predicate;
-  predicate_pushed.scan_spec = id_spec;
   storage::ScanOptions q11_pushed;
   q11_pushed.projection = {"orderdate", "quantity", "discount", "revenue"};
   q11_pushed.scan_spec = q11_spec;
-  storage::ScanOptions q11_prefetch = q11_pushed;
-  q11_prefetch.prefetch = true;
 
   // SSB's date filter as the engine really executes it: the date-dimension
   // hash table pushed into the scan as a semi-join key filter on the fact's
   // orderdate FK. Every other date is a member, so zone maps cannot refute
-  // whole blocks and the probing granularity is what's measured — per row
-  // on v2's plain blocks, per run on v3's RLE blocks.
+  // whole blocks and the probing granularity is what's measured — one probe
+  // per run on the RLE orderdate blocks.
   const int64_t num_dates = (rows + kRowsPerDate - 1) / kRowsPerDate;
   std::unordered_set<int64_t> member_dates;
   for (int64_t d = 0; d < num_dates; d += 2) {
@@ -288,9 +246,6 @@ int main() {
     CLY_CHECK(bound.ok());
     return std::move(*bound);
   };
-  const auto pred_schema = Schema::Make(
-      {{"id", TypeKind::kInt32, 4}, {"revenue", TypeKind::kInt64, 8}});
-  const auto id_bound = bound_one(id_leaf, pred_schema);
   const auto q11_schema = Schema::Make({{"orderdate", TypeKind::kInt64, 8},
                                         {"quantity", TypeKind::kInt32, 4},
                                         {"discount", TypeKind::kInt32, 4},
@@ -302,74 +257,47 @@ int main() {
     q11_bound.push_back(q11_bound_storage.back().get());
   }
 
-  std::printf("CIF scan A/B: %lld rows, %zu splits, id-predicate "
-              "selectivity %.1f%%\n\n",
-              static_cast<long long>(rows), v2_splits->size(),
-              100.0 * static_cast<double>(cutoff + 1) /
-                  static_cast<double>(rows));
+  // The oracle for the predicate case: the written rows the Q1.1 leaves
+  // accept, counted row by row.
+  std::vector<std::shared_ptr<const BoundPredicate>> q11_row_bound;
+  for (const auto& leaf : q11) {
+    q11_row_bound.push_back(bound_one(leaf, desc.schema));
+  }
+  int64_t q11_expected = 0;
+  for (int64_t i = 0; i < rows; ++i) {
+    const Row row = MakeRow(i);
+    bool keep = true;
+    for (const auto& pred : q11_row_bound) keep = keep && pred->Eval(row);
+    q11_expected += keep;
+  }
+
+  std::printf("CIF scan: %lld rows, %zu splits\n\n",
+              static_cast<long long>(rows), splits->size());
 
   const std::vector<const BoundPredicate*> no_preds;
-  // --- late materialization: v1 vs v2 ---------------------------------------
-  const CaseResult full_v1 =
-      TimeCase(dfs, v1, *v1_splits, rows, full, no_preds);
-  const CaseResult full_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, full, no_preds);
-  const CaseResult proj_v1 =
-      TimeCase(dfs, v1, *v1_splits, rows, projected, no_preds);
-  const CaseResult proj_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, projected, no_preds);
-  const CaseResult pred_v1 =
-      TimeCase(dfs, v1, *v1_splits, rows, predicate, {id_bound.get()});
-  const CaseResult pred_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, predicate_pushed, {id_bound.get()});
+  const CaseResult scan_full =
+      TimeCase(dfs, desc, *splits, rows, full, no_preds);
+  const CaseResult scan_pred =
+      TimeCase(dfs, desc, *splits, rows, q11_pushed, q11_bound);
+  const CaseResult scan_key =
+      TimeCase(dfs, desc, *splits, rows, keyfilter_pushed, no_preds);
 
-  // --- compressed execution: v2 vs v3 ---------------------------------------
-  const CaseResult enc_full_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, full, no_preds);
-  const CaseResult enc_full_v3 =
-      TimeCase(dfs, v3, *v3_splits, rows, full, no_preds);
-  const CaseResult enc_pred_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, q11_pushed, q11_bound);
-  const CaseResult enc_pred_v3 =
-      TimeCase(dfs, v3, *v3_splits, rows, q11_pushed, q11_bound);
-  const CaseResult enc_pref_v3 =
-      TimeCase(dfs, v3, *v3_splits, rows, q11_prefetch, q11_bound);
-  const CaseResult enc_key_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, keyfilter_pushed, no_preds);
-  const CaseResult enc_key_v3 =
-      TimeCase(dfs, v3, *v3_splits, rows, keyfilter_pushed, no_preds);
+  // The pushed-down scans must surface exactly the rows the written data
+  // holds; anything else is a correctness bug, not a speedup.
+  CLY_CHECK(scan_full.rows_out == rows);
+  CLY_CHECK(scan_pred.rows_out == q11_expected && q11_expected > 0);
+  CLY_CHECK(scan_key.rows_out > 0 && scan_key.rows_out < rows);
 
-  // The pushed-down scans must surface exactly the rows the engine-side
-  // filter keeps — across versions AND across the prefetch knob; anything
-  // else is a correctness bug, not a speedup.
-  CLY_CHECK(pred_v1.rows_out == pred_v2.rows_out);
-  CLY_CHECK(pred_v1.rows_out == cutoff + 1);
-  CLY_CHECK(full_v1.rows_out == rows && full_v2.rows_out == rows);
-  CLY_CHECK(enc_full_v3.rows_out == rows);
-  CLY_CHECK(enc_pred_v2.rows_out == enc_pred_v3.rows_out);
-  CLY_CHECK(enc_pref_v3.rows_out == enc_pred_v3.rows_out);
-  CLY_CHECK(enc_pred_v3.rows_out > 0);
-  CLY_CHECK(enc_key_v2.rows_out == enc_key_v3.rows_out);
-  CLY_CHECK(enc_key_v3.rows_out > 0 && enc_key_v3.rows_out < rows);
-
-  // Observed compression of the full v3 scan (every block loaded).
-  const storage::ScanStats& enc = enc_full_v3.stats;
+  // Observed compression of the full scan (every block loaded).
+  const storage::ScanStats& enc = scan_full.stats;
   CLY_CHECK(enc.bytes_encoded > 0);
   const double ratio = static_cast<double>(enc.bytes_raw) /
                        static_cast<double>(enc.bytes_encoded);
 
-  PrintCase("full scan", "v1", full_v1, "v2", full_v2);
-  PrintCase("projected", "v1", proj_v1, "v2", proj_v2);
-  PrintCase("predicate 5%", "v1", pred_v1, "v2", pred_v2);
-  PrintCase("encoded full", "v2", enc_full_v2, "v3", enc_full_v3);
-  PrintCase("encoded Q1.1", "v2", enc_pred_v2, "v3", enc_pred_v3);
-  PrintCase("encoded keyfilter", "v2", enc_key_v2, "v3", enc_key_v3);
-  PrintCase("Q1.1 prefetch", "v3", enc_pred_v3, "v3+pf", enc_pref_v3);
-  std::printf("\nid-predicate pruning: %llu blocks skipped, %llu rows "
-              "pruned before decode\n",
-              static_cast<unsigned long long>(pred_v2.stats.blocks_skipped),
-              static_cast<unsigned long long>(pred_v2.stats.rows_pruned));
-  std::printf("v3 compression: %.2fx (%llu encoded / %llu raw bytes); "
+  PrintCase("full scan", scan_full);
+  PrintCase("Q1.1 predicate", scan_pred);
+  PrintCase("keyfilter", scan_key);
+  std::printf("\ncompression: %.2fx (%llu encoded / %llu raw bytes); "
               "blocks:",
               ratio, static_cast<unsigned long long>(enc.bytes_encoded),
               static_cast<unsigned long long>(enc.bytes_raw));
@@ -383,28 +311,11 @@ int main() {
   if (json_path != nullptr && json_path[0] != '\0') {
     std::FILE* out = std::fopen(json_path, "w");
     CLY_CHECK(out != nullptr);
-    std::fprintf(out,
-                 "{\n  \"rows\": %lld,\n  \"splits\": %zu,\n"
-                 "  \"predicate_selectivity\": %.4f,\n",
-                 static_cast<long long>(rows), v2_splits->size(),
-                 static_cast<double>(cutoff + 1) / static_cast<double>(rows));
-    EmitCase(out, "scan_full", "v1", full_v1, "v2", full_v2, "v2_speedup");
-    EmitCase(out, "scan_projected", "v1", proj_v1, "v2", proj_v2,
-             "v2_speedup");
-    EmitCase(out, "scan_predicate", "v1", pred_v1, "v2", pred_v2,
-             "v2_speedup");
-    EmitCase(out, "scan_encoded_full", "v2", enc_full_v2, "v3", enc_full_v3,
-             "v3_speedup");
-    EmitCase(out, "scan_encoded_predicate", "v2", enc_pred_v2, "v3",
-             enc_pred_v3, "v3_speedup");
-    EmitCase(out, "scan_encoded_keyfilter", "v2", enc_key_v2, "v3",
-             enc_key_v3, "v3_speedup");
-    std::fprintf(out,
-                 "  \"prefetch\": {\"off_rows_per_sec\": %.1f, "
-                 "\"on_rows_per_sec\": %.1f, \"speedup\": %.3f, "
-                 "\"rows_out_identical\": true},\n",
-                 enc_pred_v3.rows_per_sec, enc_pref_v3.rows_per_sec,
-                 enc_pref_v3.rows_per_sec / enc_pred_v3.rows_per_sec);
+    std::fprintf(out, "{\n  \"rows\": %lld,\n  \"splits\": %zu,\n",
+                 static_cast<long long>(rows), splits->size());
+    EmitCase(out, "scan_encoded_full", scan_full);
+    EmitCase(out, "scan_encoded_predicate", scan_pred);
+    EmitCase(out, "scan_encoded_keyfilter", scan_key);
     std::fprintf(out, "  \"compression_ratio\": %.3f,\n  \"encodings\": {",
                  ratio);
     for (int e = 0; e < storage::kEncCount; ++e) {

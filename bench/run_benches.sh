@@ -74,10 +74,10 @@ out_path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 print(f"wrote {out_path} ({len(merged)} benchmarks)")
 EOF
 
-# CIF scan A/B: v1 vs v2 (late materialization, DESIGN.md §11) and v2 vs v3
-# (compressed execution, DESIGN.md §12) across full / projected / predicate
-# scans. Publishes rows/s, per-pass wall seconds, speedups, zone-map pruning
-# stats, the observed compression ratio, and per-encoding block counts.
+# CIF scan (late materialization and compressed execution, DESIGN.md §11-12)
+# over full / predicate / key-filter scans. Publishes rows/s, per-pass wall
+# seconds, zone-map pruning stats, the observed compression ratio, and
+# per-encoding block counts.
 SCAN_BIN="${BENCH_DIR}/bench_scan_ab"
 if [ -x "${SCAN_BIN}" ]; then
   echo "== bench_scan_ab (CLY_BENCH_SF=${CLY_BENCH_SF})"
@@ -88,7 +88,7 @@ if [ -x "${SCAN_BIN}" ]; then
     exit 1
   fi
   # The encoded-scan fields are part of the published contract: fail loudly
-  # if the A/B regressed to the v1/v2-only shape.
+  # if any case or the compression summary goes missing.
   python3 - "${SCAN_JSON}" <<'EOF'
 import json
 import sys
@@ -97,22 +97,21 @@ path = sys.argv[1]
 data = json.loads(open(path).read())
 required = [
     "scan_encoded_full", "scan_encoded_predicate", "scan_encoded_keyfilter",
-    "prefetch", "compression_ratio", "encodings", "bytes_encoded",
-    "bytes_raw",
+    "compression_ratio", "encodings", "bytes_encoded", "bytes_raw",
 ]
 missing = [k for k in required if k not in data]
 for case in ("scan_encoded_full", "scan_encoded_predicate",
              "scan_encoded_keyfilter"):
-    for sub in ("v2", "v3", "v3_speedup"):
+    for sub in ("rows_per_sec", "rows_out", "blocks_skipped", "rows_pruned"):
         if case in data and sub not in data[case]:
             missing.append(f"{case}.{sub}")
 if missing:
     sys.exit(f"error: {path} lacks encoded-scan fields: {', '.join(missing)}")
 print(f"{path}: compression {data['compression_ratio']:.2f}x, "
-      f"encoded-predicate speedup "
-      f"{data['scan_encoded_predicate']['v3_speedup']:.2f}x")
+      f"encoded-predicate "
+      f"{data['scan_encoded_predicate']['rows_per_sec'] / 1e6:.2f} Mrows/s")
 EOF
-  echo "wrote ${SCAN_JSON} (late-materialization + compressed scan A/B)"
+  echo "wrote ${SCAN_JSON} (compressed CIF scan)"
 fi
 
 # Resident serving mode (DESIGN.md §15): N zipfian clients replay the 13 SSB
@@ -263,8 +262,7 @@ missing = [k for k in ("wall_seconds", "profiled_span_seconds",
 node_fields = ("name", "kind", "rows_in", "rows_out", "selectivity",
                "batches", "wall_ns", "wall_max_ns", "cpu_ns", "bytes_decoded",
                "bytes_raw", "blocks_skipped", "rows_pruned",
-               "blocks_by_encoding", "prefetch_hits", "prefetch_misses",
-               "prefetch_wait_ns", "mem_current_bytes", "mem_peak_bytes",
+               "blocks_by_encoding", "mem_current_bytes", "mem_peak_bytes",
                "tasks", "children")
 kinds = set()
 

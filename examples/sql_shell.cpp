@@ -1,9 +1,11 @@
 // A miniature SQL shell over a loaded SSB deployment: type star-join SQL,
 // get rows. Reads queries from argv or stdin (one per line); exits at EOF.
 //
-//   ./build/examples/sql_shell "SELECT d_year, SUM(lo_revenue) AS revenue \
-//       FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year \
+//   ./build/examples/sql_shell "SELECT d_year, SUM(lo_revenue) AS revenue
+//       FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year
 //       ORDER BY d_year"
+//
+// (one argument: the query above is wrapped here for width only)
 
 #include <cstdio>
 #include <iostream>

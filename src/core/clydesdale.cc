@@ -71,16 +71,12 @@ Result<QueryResult> ClydesdaleEngine::Execute(const StarQuerySpec& spec) {
   }
   conf.SetList(mr::kConfInputProjection, projection);
   conf.SetInt(mr::kConfMultiSplitSize, options_.multisplit_size);
-  conf.SetBool(mr::kConfCifLateMaterialize, options_.late_materialize);
-  conf.SetBool(mr::kConfCifPrefetch, options_.scan_prefetch);
-  if (options_.late_materialize) {
-    // Fact-predicate pushdown for the generic reader path (the
-    // single-threaded ablation); the MT runner builds a richer spec with
-    // dimension key filters once its hash tables exist.
-    auto scan = std::make_shared<storage::ScanSpec>();
-    scan->conjuncts = CollectScanConjuncts(spec.fact_predicate);
-    if (!scan->empty()) conf.scan_spec = std::move(scan);
-  }
+  // Fact-predicate pushdown for the generic reader path (the
+  // single-threaded ablation); the MT runner builds a richer spec with
+  // dimension key filters once its hash tables exist.
+  auto scan = std::make_shared<storage::ScanSpec>();
+  scan->conjuncts = CollectScanConjuncts(spec.fact_predicate);
+  if (!scan->empty()) conf.scan_spec = std::move(scan);
 
   const std::shared_ptr<const StarSchema> star = star_;
   const ClydesdaleOptions options = options_;

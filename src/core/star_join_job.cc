@@ -401,11 +401,11 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
       static_cast<size_t>(std::max(context->allowed_threads(), 1)),
       std::max<size_t>(constituents.size(), 1)));
 
-  // Late materialization: hand the scan the fact conjuncts and the filtered
-  // dimensions' key sets so v2 CIF blocks can be pruned before decode. The
-  // probe re-evaluates the full predicate, so results don't depend on it.
+  // Hand the scan the fact conjuncts and the filtered dimensions' key sets
+  // so CIF blocks can be pruned before decode. The probe re-evaluates the
+  // full predicate, so results don't depend on it.
   const std::shared_ptr<const storage::ScanSpec> scan_spec =
-      options_.late_materialize ? BuildScanSpec(spec_, *tables) : nullptr;
+      BuildScanSpec(spec_, *tables);
 
   std::atomic<size_t> next{0};
   std::vector<Status> statuses(static_cast<size_t>(num_threads));
@@ -421,7 +421,8 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
   }
 
   // Per-thread profiler cells (filled only when profiling is on): the CIF
-  // open is the scan (eager load/decode), the Process* loop is the probe.
+  // open is the scan (the split loads and decodes at open), the Process*
+  // loop is the probe.
   const bool profiled = context->profile_enabled();
   struct ThreadProfile {
     uint64_t scan_wall_ns = 0, scan_cpu_ns = 0, scan_opens = 0;
@@ -451,9 +452,6 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
       scan.reader_node = context->node();
       scan.stats = &io[static_cast<size_t>(t)];
       scan.scan_spec = scan_spec;
-      scan.late_materialize = options_.late_materialize;
-      scan.prefetch = options_.scan_prefetch;
-      scan.expose_runs = options_.expose_runs;
       scan.scan_stats = &scan_stats[static_cast<size_t>(t)];
       scan.mem_reporter = context->mem_tracker();
       Status st;

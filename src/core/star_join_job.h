@@ -63,21 +63,6 @@ struct ClydesdaleOptions {
   /// nodes accumulated per task attempt, merged into JobReport::profile and
   /// rendered as EXPLAIN ANALYZE. Off = zero instrumentation overhead.
   bool profile = false;
-  /// Late-materialization CIF scan (cif.scan.late_materialize): evaluate
-  /// pushed-down predicates and dimension-key filters on encoded column
-  /// blocks, consult zone maps to skip whole blocks, and decode strings
-  /// zero-copy. Only affects v2+ CIF tables; results are byte-identical
-  /// either way — the knob exists for A/B measurement.
-  bool late_materialize = true;
-  /// Double-buffered async block read-ahead in the CIF scan
-  /// (cif.scan.prefetch): a worker thread fetches the next column block
-  /// while the current one decodes. Off by default; byte-identical results.
-  bool scan_prefetch = false;
-  /// Carry RLE run metadata from CIF v3 blocks into the probe loop so
-  /// foreign-key probes and COUNT-style aggregates work per run instead of
-  /// per row. On by default (the vectorized probe is run-aware); the knob
-  /// exists for A/B measurement — results are byte-identical either way.
-  bool expose_runs = true;
   /// Hierarchical memory accounting (obs.mem.enabled): the MemTracker tree
   /// charges dim hash tables, scan arenas, aggregation tables and shuffle
   /// runs, surfacing per-operator bytes in EXPLAIN ANALYZE and MEM_*

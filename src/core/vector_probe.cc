@@ -42,7 +42,7 @@ int64_t VectorizedProbe::FilterAndProbe(const RowBatch& batch) {
   // Per-dimension: gather the FK column over the selection, batch-probe with
   // prefetch, then compact away the misses (early-out, one dimension at a
   // time instead of one row at a time). An FK column carrying an RLE run
-  // overlay (CIF v3 scan with expose_runs) pays one hash probe per touched
+  // overlay (from an RLE-encoded CIF block) pays one hash probe per touched
   // run instead: every row of a run shares its key, and the selection and
   // runs are both ascending, so a single cursor walks them in tandem.
   for (size_t d = 0; d < tables_.size() && m > 0; ++d) {
@@ -144,8 +144,8 @@ void VectorizedProbe::EncodeSource(const GroupSource& src,
       group_key::AppendValue(Value(col.f64()[i]), out);
       return;
     case TypeKind::kString: {
-      // StringViewAt covers both owned strings and the late-materialized
-      // scan's arena-backed views without a copy in either case.
+      // StringViewAt covers both owned strings and the CIF scan's
+      // arena-backed views without a copy in either case.
       const std::string_view s = col.StringViewAt(static_cast<int64_t>(i));
       out->push_back(static_cast<uint8_t>(TypeKind::kString));
       const uint32_t len = static_cast<uint32_t>(s.size());

@@ -38,9 +38,6 @@ std::vector<std::string> SituationalCounterNames() {
       kCounterCifBlocksFor,
       kCounterCifBlocksDict,
       kCounterCifBlocksDictRle,
-      kCounterCifPrefetchHits,
-      kCounterCifPrefetchMisses,
-      kCounterCifPrefetchWaitNs,
       kCounterProfOperators,
       kCounterProfTasksProfiled,
       kCounterMemJobPeakBytes,
@@ -104,9 +101,6 @@ void AddCifScanCounters(const storage::ScanStats& stats, Counters* counters) {
   for (int e = 0; e < 6; ++e) {
     add(kBlockCounters[e], stats.blocks_by_encoding[e]);
   }
-  add(kCounterCifPrefetchHits, stats.prefetch_hits);
-  add(kCounterCifPrefetchMisses, stats.prefetch_misses);
-  add(kCounterCifPrefetchWaitNs, stats.prefetch_wait_ns);
 }
 
 void AddQueryProfileCounters(const obs::QueryProfile& profile,
@@ -162,10 +156,7 @@ obs::OperatorProfile ScanProfileNode(const std::string& name,
   for (int i = 0; i < 6; ++i) {
     scan.blocks_by_encoding[i] = stats.blocks_by_encoding[i];
   }
-  scan.prefetch_hits = stats.prefetch_hits;
-  scan.prefetch_misses = stats.prefetch_misses;
-  scan.prefetch_wait_ns = stats.prefetch_wait_ns;
-  // Arena bytes the late path delivered downstream: for a finished scan the
+  // Arena bytes the scan delivered downstream: for a finished scan the
   // arenas are this operator's whole footprint, so current == peak here and
   // the profile merge (max) keeps the largest single-task value.
   scan.mem_current_bytes = stats.arena_bytes;

@@ -35,11 +35,11 @@ inline constexpr const char kCounterHdfsReadOps[] = "HDFS_READ_OPS";
 inline constexpr const char kCounterHdfsReadMicros[] = "HDFS_READ_MICROS";
 inline constexpr const char kCounterSchedPulls[] = "SCHED_PULLS";
 inline constexpr const char kCounterStragglerAttempts[] = "STRAGGLER_ATTEMPTS";
-// Late-materialization CIF scan: v2+ column blocks skipped whole via zone
-// maps, and rows pruned by pushed-down predicates/key filters before decode.
+// CIF scan pruning: column blocks skipped whole via zone maps, and rows
+// pruned by pushed-down predicates/key filters before decode.
 inline constexpr const char kCounterCifBlocksSkipped[] = "CIF_BLOCKS_SKIPPED";
 inline constexpr const char kCounterCifRowsPruned[] = "CIF_ROWS_PRUNED";
-// CIF v3 compressed-scan accounting: on-disk vs plain-equivalent bytes of
+// CIF compressed-scan accounting: on-disk vs plain-equivalent bytes of
 // the column blocks a scan actually loaded (their ratio is the observed
 // compression), plus loaded-block counts per encoding tag.
 inline constexpr const char kCounterCifBytesEncoded[] = "CIF_BYTES_ENCODED";
@@ -50,13 +50,6 @@ inline constexpr const char kCounterCifBlocksBitpack[] = "CIF_BLOCKS_BITPACK";
 inline constexpr const char kCounterCifBlocksFor[] = "CIF_BLOCKS_FOR";
 inline constexpr const char kCounterCifBlocksDict[] = "CIF_BLOCKS_DICT";
 inline constexpr const char kCounterCifBlocksDictRle[] = "CIF_BLOCKS_DICT_RLE";
-// Block-prefetcher effectiveness (cif.scan.prefetch runs only): Take() calls
-// that found the block ready vs ones that blocked, and the blocked time.
-inline constexpr const char kCounterCifPrefetchHits[] = "CIF_PREFETCH_HITS";
-inline constexpr const char kCounterCifPrefetchMisses[] =
-    "CIF_PREFETCH_MISSES";
-inline constexpr const char kCounterCifPrefetchWaitNs[] =
-    "CIF_PREFETCH_WAIT_NS";
 // Per-operator profiler (obs.profile.enabled runs only): merged operator
 // nodes in the job's QueryProfile and task attempts that contributed.
 inline constexpr const char kCounterProfOperators[] = "PROF_OPERATORS";
@@ -151,10 +144,10 @@ class MemTracker;
 namespace mr {
 
 /// Folds one scan's CIF pruning/compression stats into `counters`: the
-/// zone-map skip and row-prune counts, the encoded/raw byte totals, one
-/// CIF_BLOCKS_<encoding> count per loaded block, and the prefetcher
-/// hit/miss/wait accounting. Zero values are not added, so situational
-/// counters stay absent from jobs that never trip them.
+/// zone-map skip and row-prune counts, the encoded/raw byte totals, and
+/// one CIF_BLOCKS_<encoding> count per loaded block. Zero values are not
+/// added, so situational counters stay absent from jobs that never trip
+/// them.
 void AddCifScanCounters(const storage::ScanStats& stats, Counters* counters);
 
 /// Folds a job's merged per-operator profile into `counters`
@@ -182,7 +175,7 @@ void AddDimCacheCounters(int64_t hits, int64_t misses, int64_t evictions,
 
 /// Builds one "scan" OperatorProfile node (tasks=1) from a completed scan's
 /// stats: rows out, decoded/raw bytes, skip/prune counts, per-encoding block
-/// histogram and prefetch accounting, plus the caller-measured timings.
+/// histogram, plus the caller-measured timings.
 obs::OperatorProfile ScanProfileNode(const std::string& name,
                                      const storage::ScanStats& stats,
                                      uint64_t wall_ns, uint64_t cpu_ns);

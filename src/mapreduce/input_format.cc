@@ -84,11 +84,9 @@ Result<std::unique_ptr<RecordReader>> ReaderForStorageSplit(
   options.reader_node = context->node();
   options.stats = context->io_stats();
   options.scan_spec = conf.scan_spec;
-  options.late_materialize = conf.GetBool(kConfCifLateMaterialize, true);
-  options.prefetch = conf.GetBool(kConfCifPrefetch, false);
   // Charge decode arenas to the attempt's tracker; the shared_ptr-deleter
   // wrapper keeps the charge alive exactly as long as the arena itself, even
-  // when a prefetched block outlives this reader.
+  // when a block's string views outlive this reader.
   options.mem_reporter = context->mem_tracker();
   // CIF splits load eagerly at open, so the stack-local stats are complete
   // (and safe to drop) as soon as the reader exists.
@@ -102,9 +100,10 @@ Result<std::unique_ptr<RecordReader>> ReaderForStorageSplit(
       storage::OpenSplitRowReader(*cluster->dfs(), desc, split, options));
   AddCifScanCounters(scan_stats, context->counters());
   if (profiled) {
-    // The open-time window covers the whole CIF load (eager decode); for
-    // row-format tables that stream through Next(), the node still pins the
-    // scan in the plan tree even though its timings stay near zero.
+    // The open-time window covers the whole CIF load (a split decodes at
+    // open); for row-format tables that stream through Next(), the node
+    // still pins the scan in the plan tree even though its timings stay
+    // near zero.
     context->AddProfileOperator(ScanProfileNode(
         StrCat("scan:", split.table_path), scan_stats,
         static_cast<uint64_t>(open_timer.ElapsedNanos()),

@@ -70,14 +70,6 @@ inline constexpr const char kConfMultiSplitSize[] = "multicif.splits.per.multisp
 /// For MultiTableInputFormat: comma-separated list of table paths. Values are
 /// tagged with an int32 table ordinal as field 0.
 inline constexpr const char kConfInputTables[] = "input.tables";
-/// Late-materialization scan of v2 CIF tables (zone-map block skipping,
-/// predicate/key-filter pushdown, zero-copy string decode). Default on;
-/// results are byte-identical either way — the knob is the A/B switch.
-inline constexpr const char kConfCifLateMaterialize[] = "cif.scan.late_materialize";
-/// Double-buffered async block read-ahead in the CIF late-materialization
-/// scan: a worker thread fetches the next column block while the current one
-/// decodes. Off by default; results are byte-identical either way.
-inline constexpr const char kConfCifPrefetch[] = "cif.scan.prefetch";
 
 /// Scans one stored table (any format); value = (projected) row, key = {}.
 class TableInputFormat : public InputFormat {

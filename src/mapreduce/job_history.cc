@@ -283,10 +283,7 @@ void JobHistoryRecorder::RecordJobFinished(const Status& status,
       for (int i = 0; i < 6; ++i) {
         line += StrCat(",\"enc", i, "\":", n.blocks_by_encoding[i]);
       }
-      line += StrCat(",\"prefetch_hits\":", n.prefetch_hits,
-                     ",\"prefetch_misses\":", n.prefetch_misses,
-                     ",\"prefetch_wait_ns\":", n.prefetch_wait_ns,
-                     ",\"mem_current_bytes\":", n.mem_current_bytes,
+      line += StrCat(",\"mem_current_bytes\":", n.mem_current_bytes,
                      ",\"mem_peak_bytes\":", n.mem_peak_bytes,
                      ",\"tasks\":", n.tasks, "}");
       Append(std::move(line));
@@ -426,11 +423,6 @@ Result<JobReport> ReconstructJobReport(std::string_view jsonl) {
         node->blocks_by_encoding[i] =
             static_cast<uint64_t>(event.Int(StrCat("enc", i)));
       }
-      node->prefetch_hits = static_cast<uint64_t>(event.Int("prefetch_hits"));
-      node->prefetch_misses =
-          static_cast<uint64_t>(event.Int("prefetch_misses"));
-      node->prefetch_wait_ns =
-          static_cast<uint64_t>(event.Int("prefetch_wait_ns"));
       node->mem_current_bytes =
           static_cast<uint64_t>(event.Int("mem_current_bytes"));
       node->mem_peak_bytes =

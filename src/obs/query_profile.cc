@@ -44,9 +44,6 @@ void OperatorProfile::MergeFrom(const OperatorProfile& other) {
   blocks_skipped += other.blocks_skipped;
   rows_pruned += other.rows_pruned;
   for (int i = 0; i < 6; ++i) blocks_by_encoding[i] += other.blocks_by_encoding[i];
-  prefetch_hits += other.prefetch_hits;
-  prefetch_misses += other.prefetch_misses;
-  prefetch_wait_ns += other.prefetch_wait_ns;
   mem_current_bytes = std::max(mem_current_bytes, other.mem_current_bytes);
   mem_peak_bytes = std::max(mem_peak_bytes, other.mem_peak_bytes);
   tasks += other.tasks;
@@ -128,11 +125,6 @@ void RenderNodeText(const OperatorProfile& node, const std::string& indent,
             StrCat(kEncodingNames[i], ":", node.blocks_by_encoding[i]));
       }
     }
-    if (node.prefetch_hits + node.prefetch_misses > 0) {
-      out->append(StrCat(" prefetch=", node.prefetch_hits, "h/",
-                         node.prefetch_misses, "m wait=",
-                         Millis(node.prefetch_wait_ns)));
-    }
   }
   if (node.mem_current_bytes > 0 || node.mem_peak_bytes > 0) {
     out->append(StrCat("\n", indent, is_child ? "   " : "",
@@ -167,10 +159,7 @@ void RenderNodeJson(const OperatorProfile& node, std::string* out) {
     out->append(StrCat(node.blocks_by_encoding[i]));
   }
   out->push_back(']');
-  out->append(StrCat(",\"prefetch_hits\":", node.prefetch_hits,
-                     ",\"prefetch_misses\":", node.prefetch_misses,
-                     ",\"prefetch_wait_ns\":", node.prefetch_wait_ns,
-                     ",\"mem_current_bytes\":", node.mem_current_bytes,
+  out->append(StrCat(",\"mem_current_bytes\":", node.mem_current_bytes,
                      ",\"mem_peak_bytes\":", node.mem_peak_bytes,
                      ",\"tasks\":", node.tasks));
   out->append(",\"children\":[");

@@ -35,9 +35,6 @@ struct OperatorProfile {
   uint64_t blocks_skipped = 0;
   uint64_t rows_pruned = 0;
   uint64_t blocks_by_encoding[6] = {0, 0, 0, 0, 0, 0};
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_misses = 0;
-  uint64_t prefetch_wait_ns = 0;
 
   // Memory accounting (obs::MemTracker attribution). Gauges, not counters:
   // MergeFrom takes the max across attempts rather than summing, so a node
@@ -99,7 +96,7 @@ struct QueryProfile {
 uint64_t NumProfileOperators(const QueryProfile& profile);
 
 /// Human-readable annotated plan tree ("EXPLAIN ANALYZE ..."); one line per
-/// operator with rows/selectivity/time, plus scan byte/block/prefetch detail
+/// operator with rows/selectivity/time, plus scan byte/block detail
 /// where present. Estimates-vs-actuals columns appear once a planner
 /// produces estimates; today every column is an actual.
 std::string ExplainAnalyzeText(const QueryProfile& profile);

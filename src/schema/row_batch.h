@@ -78,7 +78,7 @@ class ColumnVector {
   /// Key column view: value at i widened to int64 (numeric columns only).
   int64_t KeyAt(int64_t i) const;
 
-  // --- Run metadata (compressed-domain scan, CIF v3 RLE blocks) ---
+  // --- Run metadata (compressed-domain scan, CIF RLE blocks) ---
   // Optional overlay on an integer column whose source block was
   // run-length encoded: run k covers rows [run_starts()[k],
   // run_starts()[k+1]) and they all equal run_values()[k]. The typed value

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "storage/stats_catalog.h"
 
 namespace clydesdale {
 namespace ssb {
@@ -153,26 +152,6 @@ Result<SsbDataset> LoadSsb(mr::MrCluster* cluster,
                 << dataset.lineorder_rows << " lineorder rows, "
                 << cards.customers << " customers, " << cards.suppliers
                 << " suppliers, " << cards.parts << " parts";
-
-  // --- ANALYZE ----------------------------------------------------------------
-  // Fact + every dimension through the StatsCatalog, so a freshly loaded
-  // deployment already carries the per-column statistics the planner reads.
-  if (options.analyze) {
-    storage::StatsCatalog catalog(cluster->dfs(), options.stats_root);
-    CLY_ASSIGN_OR_RETURN(storage::TableStats fact_stats,
-                         catalog.Analyze(dataset.star.fact()));
-    for (const auto& [name, dim] : dataset.star.dims()) {
-      CLY_RETURN_IF_ERROR(catalog.Analyze(dim.desc).status());
-    }
-    const storage::ColumnStats* orderkey = fact_stats.Column("lo_orderkey");
-    CLY_LOG(Info) << "ANALYZE persisted " << 1 + dataset.star.dims().size()
-                  << " table(s) under " << options.stats_root << ": lineorder "
-                  << fact_stats.num_rows << " rows"
-                  << (orderkey != nullptr
-                          ? StrCat(", lo_orderkey ndv~",
-                                   static_cast<uint64_t>(orderkey->ndv))
-                          : std::string());
-  }
   return dataset;
 }
 

@@ -21,12 +21,6 @@ struct SsbLoadOptions {
   bool with_rcfile = true;
   /// Also write the fact table as dbgen-style text (size comparisons only).
   bool with_text = false;
-  /// Run ANALYZE over the loaded tables and persist the per-column
-  /// statistics (row count, min/max, NDV sketch, equi-depth histogram) in a
-  /// StatsCatalog under `stats_root` — the cost-model input surface
-  /// (ROADMAP item 3). Off by default: loading stays write-only.
-  bool analyze = false;
-  std::string stats_root = "/stats";
 };
 
 /// A loaded SSB deployment.

@@ -10,7 +10,6 @@
 
 #include "common/hash.h"
 #include "common/strings.h"
-#include "storage/block_prefetch.h"
 #include "storage/byte_io.h"
 #include "storage/column_codec.h"
 #include "storage/split_util.h"
@@ -36,25 +35,17 @@ std::string ColocationGroup(const TableDesc& desc, int segment) {
 constexpr uint8_t kStringPlain = 0;
 constexpr uint8_t kStringDictionary = 1;
 
-// --- CIF v2 block framing ----------------------------------------------------
-// v1: [u32 nrows][payload]
-// v2: [u32 magic][u32 nrows][payload][zone map][u32 zone_len][u32 footer magic]
-// The payload bytes are identical across versions; v2 adds a leading magic
-// (so a v2 reader rejects v1 bytes instead of misparsing them) and a
-// trailing zone-map footer the reader can use to skip the whole block. The
-// payload starts at offset 8, so fixed-width value arrays are 8-byte aligned
-// in the read buffer and can be scanned in place without a copy.
-constexpr uint32_t kCifV2Magic = 0x32464943u;        // "CIF2"
-constexpr uint32_t kCifV2FooterMagic = 0x544F4F46u;  // "FOOT"
-
-// v3 keeps the v2 framing byte for byte but changes the magic and prepends
-// one encoding-tag byte to the footer section:
+// --- Column block framing ---------------------------------------------------
+// Every column block of a split is framed as
 //   [u32 "CIF3"][u32 nrows][payload][u8 enc][u8 zone kind][zone data]
 //   [u32 zone_len]["FOOT"]
-// The payload layout depends on the tag (storage/column_codec.h). A v2
-// reader rejects v3 bytes on the magic (and vice versa), so cross-version
-// reads stay IoError instead of misparsing.
-constexpr uint32_t kCifV3Magic = 0x33464943u;  // "CIF3"
+// where zone_len covers the encoding tag and the zone map. The payload
+// layout depends on the encoding tag (storage/column_codec.h). The leading
+// magic rejects bytes that are not a CIF block instead of misparsing them;
+// the payload starts at offset 8, so fixed-width value arrays are 8-byte
+// aligned in the read buffer and can be scanned in place without a copy.
+constexpr uint32_t kCifMagic = 0x33464943u;        // "CIF3"
+constexpr uint32_t kCifFooterMagic = 0x544F4F46u;  // "FOOT"
 
 // Zone map kinds (first byte of the zone section).
 constexpr uint8_t kZoneNone = 0;
@@ -77,33 +68,25 @@ struct ZoneMap {
   uint64_t fingerprint = 0;
 };
 
-/// Serializes one column's buffered values (everything after the row count)
-/// and computes the block's zone map as a by-product of the same pass.
-void EncodeColumnPayload(const ColumnVector& col, ByteWriter* out,
-                         ZoneMap* zone) {
+/// Serializes one column's buffered values (everything after the row count):
+/// integers go through the codec's stats-driven encoding choice, strings
+/// use a dictionary when <= 256 distinct values fit and then consider
+/// RLE-of-codes on top of it, doubles stay plain. Returns the encoding tag
+/// for the footer and fills the zone map from the same pass.
+uint8_t EncodeColumnPayload(const ColumnVector& col, ByteWriter* out,
+                            ZoneMap* zone) {
   const auto nrows = static_cast<uint32_t>(col.size());
   switch (col.type()) {
-    case TypeKind::kInt32: {
-      out->PutBytes(col.i32().data(), col.i32().size() * sizeof(int32_t));
-      if (nrows > 0) {
-        const auto [mn, mx] =
-            std::minmax_element(col.i32().begin(), col.i32().end());
-        zone->kind = kZoneInt;
-        zone->min_i64 = *mn;
-        zone->max_i64 = *mx;
-      }
-      break;
-    }
+    case TypeKind::kInt32:
     case TypeKind::kInt64: {
-      out->PutBytes(col.i64().data(), col.i64().size() * sizeof(int64_t));
+      IntBlockStats stats;
+      const uint8_t tag = EncodeIntPayload(col, out, &stats);
       if (nrows > 0) {
-        const auto [mn, mx] =
-            std::minmax_element(col.i64().begin(), col.i64().end());
         zone->kind = kZoneInt;
-        zone->min_i64 = *mn;
-        zone->max_i64 = *mx;
+        zone->min_i64 = stats.min;
+        zone->max_i64 = stats.max;
       }
-      break;
+      return tag;
     }
     case TypeKind::kDouble: {
       out->PutBytes(col.f64().data(), col.f64().size() * sizeof(double));
@@ -125,82 +108,13 @@ void EncodeColumnPayload(const ColumnVector& col, ByteWriter* out,
         zone->min_f64 = mn;
         zone->max_f64 = mx;
       }
-      break;
-    }
-    case TypeKind::kString: {
-      // Try dictionary encoding: pays off whenever <=256 distinct values.
-      std::unordered_map<std::string_view, uint8_t> dict;
-      std::vector<std::string_view> order;
-      bool dictionary_ok = true;
-      for (uint32_t i = 0; i < nrows; ++i) {
-        const std::string_view s = col.StringViewAt(i);
-        auto it = dict.find(s);
-        if (it != dict.end()) continue;
-        if (dict.size() == 256 || s.size() > 255) {
-          dictionary_ok = false;
-          break;
-        }
-        dict.emplace(s, static_cast<uint8_t>(dict.size()));
-        order.push_back(s);
-      }
-      if (dictionary_ok && nrows > 0) {
-        out->PutU8(kStringDictionary);
-        out->PutU16(static_cast<uint16_t>(order.size()));
-        for (std::string_view s : order) {
-          out->PutU8(static_cast<uint8_t>(s.size()));
-          out->PutBytes(s.data(), s.size());
-        }
-        for (uint32_t i = 0; i < nrows; ++i) {
-          out->PutU8(dict.find(col.StringViewAt(i))->second);
-        }
-        zone->kind = kZoneDict;
-        for (std::string_view s : order) {
-          zone->fingerprint |= DictFingerprintBit(s);
-        }
-        break;
-      }
-      out->PutU8(kStringPlain);
-      uint32_t offset = 0;
-      for (uint32_t i = 0; i < nrows; ++i) {
-        offset += static_cast<uint32_t>(col.StringViewAt(i).size());
-        out->PutU32(offset);
-      }
-      for (uint32_t i = 0; i < nrows; ++i) {
-        const std::string_view s = col.StringViewAt(i);
-        out->PutBytes(s.data(), s.size());
-      }
-      break;
-    }
-  }
-}
-
-/// Serializes one column's values for a v3 block: integers go through the
-/// codec's stats-driven encoding choice, strings additionally consider
-/// RLE-of-codes on top of the dictionary, doubles stay plain. Returns the
-/// encoding tag for the footer and fills the zone map from the same pass.
-uint8_t EncodeColumnPayloadV3(const ColumnVector& col, ByteWriter* out,
-                              ZoneMap* zone) {
-  const auto nrows = static_cast<uint32_t>(col.size());
-  switch (col.type()) {
-    case TypeKind::kInt32:
-    case TypeKind::kInt64: {
-      IntBlockStats stats;
-      const uint8_t tag = EncodeIntPayload(col, out, &stats);
-      if (nrows > 0) {
-        zone->kind = kZoneInt;
-        zone->min_i64 = stats.min;
-        zone->max_i64 = stats.max;
-      }
-      return tag;
-    }
-    case TypeKind::kDouble:
-      EncodeColumnPayload(col, out, zone);
       return kEncPlain;
+    }
     case TypeKind::kString:
       break;
   }
-  // Strings: try the dictionary exactly as v2 does, then let RLE-of-codes
-  // compete with one-code-per-row on estimated size.
+  // Strings: try the dictionary, then let RLE-of-codes compete with
+  // one-code-per-row on estimated size.
   std::unordered_map<std::string_view, uint8_t> dict;
   std::vector<std::string_view> order;
   bool dictionary_ok = nrows > 0;
@@ -218,8 +132,7 @@ uint8_t EncodeColumnPayloadV3(const ColumnVector& col, ByteWriter* out,
     dict_section += 1 + s.size();
   }
   if (!dictionary_ok) {
-    // Plain payload, identical to v2 (including the sub-format byte, so the
-    // v2 string parser reads it unchanged).
+    // Plain payload: the sub-format byte, nrows u32 end offsets, the bytes.
     out->PutU8(kStringPlain);
     uint32_t offset = 0;
     for (uint32_t i = 0; i < nrows; ++i) {
@@ -273,29 +186,14 @@ uint8_t EncodeColumnPayloadV3(const ColumnVector& col, ByteWriter* out,
   return kEncDictRle;
 }
 
-/// Serializes one column's buffered values for a split, framed per the
-/// table's on-disk version.
-void EncodeColumnBlock(const ColumnVector& col, int cif_version,
-                       ByteWriter* out) {
-  const auto nrows = static_cast<uint32_t>(col.size());
+/// Serializes one column's buffered values for a split as a framed block.
+void EncodeColumnBlock(const ColumnVector& col, ByteWriter* out) {
   ZoneMap zone;
-  if (cif_version < 2) {
-    out->PutU32(nrows);
-    EncodeColumnPayload(col, out, &zone);
-    return;
-  }
-  uint8_t encoding = kEncPlain;
-  if (cif_version >= 3) {
-    out->PutU32(kCifV3Magic);
-    out->PutU32(nrows);
-    encoding = EncodeColumnPayloadV3(col, out, &zone);
-  } else {
-    out->PutU32(kCifV2Magic);
-    out->PutU32(nrows);
-    EncodeColumnPayload(col, out, &zone);
-  }
+  out->PutU32(kCifMagic);
+  out->PutU32(static_cast<uint32_t>(col.size()));
+  const uint8_t encoding = EncodeColumnPayload(col, out, &zone);
   const size_t zone_begin = out->size();
-  if (cif_version >= 3) out->PutU8(encoding);
+  out->PutU8(encoding);
   out->PutU8(zone.kind);
   switch (zone.kind) {
     case kZoneInt:
@@ -313,56 +211,49 @@ void EncodeColumnBlock(const ColumnVector& col, int cif_version,
       break;
   }
   out->PutU32(static_cast<uint32_t>(out->size() - zone_begin));
-  out->PutU32(kCifV2FooterMagic);
+  out->PutU32(kCifFooterMagic);
 }
 
-/// A v2/v3 block's parts, borrowed from the raw block bytes.
+/// A block's parts, borrowed from the raw block bytes.
 struct BlockView {
   uint32_t nrows = 0;
   const uint8_t* payload = nullptr;
   size_t payload_len = 0;
-  /// v3 footer encoding tag; v2 blocks report kEncPlain here and string
-  /// payloads carry their own sub-format byte instead.
+  /// Footer encoding tag (storage/column_codec.h).
   uint8_t encoding = kEncPlain;
   ZoneMap zone;
 };
 
-/// Parses the shared v2/v3 framing; `version` selects the expected magic
-/// (so a v2 table desc reading v3 bytes — or vice versa — fails cleanly)
-/// and whether the footer leads with an encoding tag.
-Status ParseFramedBlock(const std::vector<uint8_t>& data, int version,
-                        BlockView* out) {
-  const bool v3 = version >= 3;
-  // Minimum block: header (8) + footer (zone kind, plus the v3 encoding
-  // tag, plus zone_len + magic).
-  if (data.size() < (v3 ? 18u : 17u)) {
+/// Parses a block's framing and footer.
+Status ParseFramedBlock(const std::vector<uint8_t>& data, BlockView* out) {
+  // Minimum block: header (8) + footer (encoding tag, zone kind, zone_len,
+  // magic).
+  if (data.size() < 18u) {
     return Status::IoError("truncated CIF column block");
   }
   uint32_t magic = 0;
   std::memcpy(&magic, data.data(), sizeof(magic));
-  if (magic != (v3 ? kCifV3Magic : kCifV2Magic)) {
-    return Status::IoError("CIF block magic mismatch (wrong format version)");
+  if (magic != kCifMagic) {
+    return Status::IoError("CIF block magic mismatch");
   }
   std::memcpy(&out->nrows, data.data() + 4, sizeof(uint32_t));
   uint32_t footer_magic = 0;
   uint32_t zone_len = 0;
   std::memcpy(&footer_magic, data.data() + data.size() - 4, sizeof(uint32_t));
   std::memcpy(&zone_len, data.data() + data.size() - 8, sizeof(uint32_t));
-  if (footer_magic != kCifV2FooterMagic) {
+  if (footer_magic != kCifFooterMagic) {
     return Status::IoError("bad CIF footer magic");
   }
-  if (zone_len < (v3 ? 2u : 1u) || zone_len > data.size() - 16) {
+  if (zone_len < 2u || zone_len > data.size() - 16) {
     return Status::IoError("truncated CIF zone-map footer");
   }
   const size_t zone_begin = data.size() - 8 - zone_len;
   out->payload = data.data() + 8;
   out->payload_len = zone_begin - 8;
   ByteReader zone(data.data() + zone_begin, zone_len);
-  if (v3) {
-    CLY_RETURN_IF_ERROR(zone.GetU8(&out->encoding));
-    if (out->encoding >= kEncCount) {
-      return Status::IoError("unknown CIF v3 block encoding tag");
-    }
+  CLY_RETURN_IF_ERROR(zone.GetU8(&out->encoding));
+  if (out->encoding >= kEncCount) {
+    return Status::IoError("unknown CIF block encoding tag");
   }
   uint8_t kind = 0;
   CLY_RETURN_IF_ERROR(zone.GetU8(&kind));
@@ -390,108 +281,7 @@ Status ParseFramedBlock(const std::vector<uint8_t>& data, int version,
   return Status::OK();
 }
 
-/// Eagerly decodes a column payload (the shared v1/v2 value bytes) into an
-/// owned column.
-Status DecodeColumnPayload(const uint8_t* payload, size_t len, uint32_t nrows,
-                           TypeKind type, ColumnVector* out) {
-  ByteReader reader(payload, len);
-  out->Clear();
-  out->Reserve(nrows);
-  switch (type) {
-    case TypeKind::kInt32: {
-      auto* v = out->mutable_i32();
-      if (reader.remaining() < nrows * sizeof(int32_t)) {
-        return Status::IoError("truncated int32 column block");
-      }
-      v->resize(nrows);
-      std::memcpy(v->data(), payload, nrows * sizeof(int32_t));
-      break;
-    }
-    case TypeKind::kInt64: {
-      auto* v = out->mutable_i64();
-      if (reader.remaining() < nrows * sizeof(int64_t)) {
-        return Status::IoError("truncated int64 column block");
-      }
-      v->resize(nrows);
-      std::memcpy(v->data(), payload, nrows * sizeof(int64_t));
-      break;
-    }
-    case TypeKind::kDouble: {
-      auto* v = out->mutable_f64();
-      if (reader.remaining() < nrows * sizeof(double)) {
-        return Status::IoError("truncated double column block");
-      }
-      v->resize(nrows);
-      std::memcpy(v->data(), payload, nrows * sizeof(double));
-      break;
-    }
-    case TypeKind::kString: {
-      if (nrows == 0) break;
-      uint8_t encoding = 0;
-      CLY_RETURN_IF_ERROR(reader.GetU8(&encoding));
-      auto* v = out->mutable_str();
-      v->reserve(nrows);
-      if (encoding == kStringDictionary) {
-        uint16_t dict_size = 0;
-        CLY_RETURN_IF_ERROR(reader.GetU16(&dict_size));
-        std::vector<std::string> dict;
-        dict.reserve(dict_size);
-        for (uint16_t d = 0; d < dict_size; ++d) {
-          uint8_t len8 = 0;
-          CLY_RETURN_IF_ERROR(reader.GetU8(&len8));
-          if (reader.remaining() < len8) {
-            return Status::IoError("truncated dictionary entry");
-          }
-          dict.emplace_back(
-              reinterpret_cast<const char*>(payload) + reader.position(),
-              len8);
-          CLY_RETURN_IF_ERROR(reader.Skip(len8));
-        }
-        if (reader.remaining() < nrows) {
-          return Status::IoError("truncated dictionary codes");
-        }
-        for (uint32_t i = 0; i < nrows; ++i) {
-          const uint8_t code = payload[reader.position() + i];
-          if (code >= dict.size()) {
-            return Status::IoError("dictionary code out of range");
-          }
-          v->push_back(dict[code]);
-        }
-        CLY_RETURN_IF_ERROR(reader.Skip(nrows));
-        break;
-      }
-      if (encoding != kStringPlain) {
-        return Status::IoError("unknown string column encoding");
-      }
-      if (reader.remaining() < nrows * sizeof(uint32_t)) {
-        return Status::IoError("truncated string offsets");
-      }
-      std::vector<uint32_t> offsets(nrows);
-      std::memcpy(offsets.data(), payload + reader.position(),
-                  nrows * sizeof(uint32_t));
-      CLY_RETURN_IF_ERROR(reader.Skip(nrows * sizeof(uint32_t)));
-      const size_t base = reader.position();
-      const uint32_t total = offsets.back();
-      if (reader.remaining() < total) {
-        return Status::IoError("truncated string bytes");
-      }
-      uint32_t prev = 0;
-      for (uint32_t i = 0; i < nrows; ++i) {
-        if (offsets[i] < prev || offsets[i] > total) {
-          return Status::IoError("corrupt string offsets in column block");
-        }
-        v->emplace_back(
-            reinterpret_cast<const char*>(payload) + base + prev,
-            offsets[i] - prev);
-        prev = offsets[i];
-      }
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-/// Parses a v3 dict-RLE string payload in place: dictionary entries as
+/// Parses a dict-RLE string payload in place: dictionary entries as
 /// views over the payload, then the run arrays. Validates codes and run
 /// totals so every later access is in range.
 Status ParseDictRlePayload(const uint8_t* payload, size_t len, uint32_t nrows,
@@ -537,9 +327,8 @@ Status ParseDictRlePayload(const uint8_t* payload, size_t len, uint32_t nrows,
   return Status::OK();
 }
 
-/// v3 string payloads reuse the v2 layout for plain/dict (sub-format byte
-/// included); the footer tag must agree with that byte or the block is
-/// corrupt.
+/// Plain and dictionary string payloads lead with a sub-format byte; the
+/// footer tag must agree with that byte or the block is corrupt.
 Status CheckStringSubFormat(const uint8_t* payload, size_t len, uint32_t nrows,
                             uint8_t encoding) {
   if (nrows == 0) return Status::OK();
@@ -552,74 +341,7 @@ Status CheckStringSubFormat(const uint8_t* payload, size_t len, uint32_t nrows,
   return Status::OK();
 }
 
-/// Eagerly decodes one v3 payload per its footer encoding tag.
-Status DecodeColumnPayloadV3(const uint8_t* payload, size_t len,
-                             uint32_t nrows, TypeKind type, uint8_t encoding,
-                             ColumnVector* out) {
-  switch (type) {
-    case TypeKind::kInt32:
-    case TypeKind::kInt64: {
-      IntBlockView view;
-      CLY_RETURN_IF_ERROR(
-          ParseIntPayload(payload, len, nrows, type, encoding, &view));
-      out->Clear();
-      DecodeIntView(view, type, out);
-      return Status::OK();
-    }
-    case TypeKind::kDouble:
-      if (encoding != kEncPlain) {
-        return Status::IoError("double column block with non-plain encoding");
-      }
-      return DecodeColumnPayload(payload, len, nrows, type, out);
-    case TypeKind::kString:
-      break;
-  }
-  if (encoding == kEncPlain || encoding == kEncDict) {
-    CLY_RETURN_IF_ERROR(CheckStringSubFormat(payload, len, nrows, encoding));
-    return DecodeColumnPayload(payload, len, nrows, type, out);
-  }
-  if (encoding != kEncDictRle) {
-    return Status::IoError("unknown CIF v3 string column encoding");
-  }
-  out->Clear();
-  if (nrows == 0) return Status::OK();
-  std::vector<std::string_view> dict;
-  const uint8_t* run_codes = nullptr;
-  const uint32_t* run_lengths = nullptr;
-  uint32_t nruns = 0;
-  CLY_RETURN_IF_ERROR(ParseDictRlePayload(payload, len, nrows, &dict,
-                                          &run_codes, &run_lengths, &nruns));
-  auto* v = out->mutable_str();
-  v->reserve(nrows);
-  for (uint32_t r = 0; r < nruns; ++r) {
-    const std::string_view s = dict[run_codes[r]];
-    for (uint32_t k = 0; k < run_lengths[r]; ++k) v->emplace_back(s);
-  }
-  return Status::OK();
-}
-
-/// Eagerly decodes a whole column block per the table's on-disk version.
-Status DecodeColumnBlock(const std::vector<uint8_t>& data, TypeKind type,
-                         int cif_version, ColumnVector* out) {
-  if (cif_version < 2) {
-    ByteReader reader(data);
-    uint32_t nrows = 0;
-    CLY_RETURN_IF_ERROR(reader.GetU32(&nrows));
-    return DecodeColumnPayload(data.data() + sizeof(uint32_t),
-                               data.size() - sizeof(uint32_t), nrows, type,
-                               out);
-  }
-  BlockView view;
-  CLY_RETURN_IF_ERROR(ParseFramedBlock(data, cif_version, &view));
-  if (cif_version >= 3) {
-    return DecodeColumnPayloadV3(view.payload, view.payload_len, view.nrows,
-                                 type, view.encoding, out);
-  }
-  return DecodeColumnPayload(view.payload, view.payload_len, view.nrows, type,
-                             out);
-}
-
-// --- Predicate pushdown (CIF v2 late materialization) ------------------------
+// --- Predicate pushdown -----------------------------------------------------
 // The scan only understands single-column leaf comparisons from the query's
 // top-level conjunction. Everything it prunes would also be pruned by the
 // engine's own predicate, and anything it does not understand it leaves in
@@ -980,27 +702,25 @@ bool PackedRangeZone(const IntBlockView& v, ZoneMap* zone) {
   return true;
 }
 
-// --- Late-materialization loader ---------------------------------------------
+// --- Split loader -----------------------------------------------------------
 
-// LateColumn string representations (the int representations live in the
-// codec's IntBlockView). Plain and dictionary are shared with v2; dict-RLE
-// is v3-only.
+// SplitColumn string representations (the int representations live in the
+// codec's IntBlockView).
 constexpr uint8_t kStrRepPlain = 0;
 constexpr uint8_t kStrRepDict = 1;
 constexpr uint8_t kStrRepDictRle = 2;
 
-/// One column of a v2/v3 split: raw block bytes plus borrowed typed views.
+/// One column of a split: raw block bytes plus borrowed typed views.
 /// Fixed-width arrays are read in place (the payload starts 8-aligned);
 /// strings and encoded integers stay compressed until gather time — the
 /// selection phases below work per run / per packed code, so a filtered-out
 /// row is never decoded at all.
-struct LateColumn {
+struct SplitColumn {
   bool loaded = false;
   const Field* field = nullptr;
   std::shared_ptr<const std::vector<uint8_t>> arena;
   BlockView view;
-  /// Validated integer payload view; v2 int/double payloads parse as
-  /// kEncPlain so every phase handles both versions uniformly.
+  /// Validated integer payload view.
   IntBlockView iview;
   std::vector<int32_t> run_starts;  // RLE row prefix: nruns + 1 entries
   /// Plain-encoding equivalent byte size (compression accounting).
@@ -1057,7 +777,7 @@ void BuildRunStarts(const LenT* lengths, uint32_t nruns,
 ///   FoR       packed codes against it; the values never materialize. Wide
 ///             codes (> 12 bits, where the table stops paying) decode into a
 ///             reused scratch buffer and run the plain vector kernel.
-void ApplyIntLeafEncoded(const Predicate& p, const LateColumn& c,
+void ApplyIntLeafEncoded(const Predicate& p, const SplitColumn& c,
                          uint32_t nrows, uint8_t* sel,
                          std::vector<int64_t>* scratch) {
   const IntBlockView& v = c.iview;
@@ -1110,12 +830,12 @@ void ApplyIntLeafEncoded(const Predicate& p, const LateColumn& c,
 
 /// Gathers the selected rows of a non-plain integer column through `push`
 /// (ascending sel_idx; values widened to int64). For RLE the run cursor
-/// advances in tandem with the selection, and with `want_runs` it also
-/// rebuilds run metadata over the gathered rows — one output run per touched
-/// source run, which is valid (though not maximal) run coverage.
+/// advances in tandem with the selection and also rebuilds run metadata over
+/// the gathered rows — one output run per touched source run, which is valid
+/// (though not maximal) run coverage.
 template <typename Push>
-void GatherIntEncoded(const LateColumn& c, const std::vector<int32_t>& sel_idx,
-                      bool want_runs, std::vector<int64_t>* run_values,
+void GatherIntEncoded(const SplitColumn& c, const std::vector<int32_t>& sel_idx,
+                      std::vector<int64_t>* run_values,
                       std::vector<int32_t>* run_starts, Push push) {
   const IntBlockView& v = c.iview;
   if (v.encoding == kEncRle) {
@@ -1124,7 +844,7 @@ void GatherIntEncoded(const LateColumn& c, const std::vector<int32_t>& sel_idx,
     int32_t out_row = 0;
     for (int32_t idx : sel_idx) {
       while (c.run_starts[r + 1] <= idx) ++r;
-      if (want_runs && static_cast<int64_t>(r) != last_run) {
+      if (static_cast<int64_t>(r) != last_run) {
         last_run = static_cast<int64_t>(r);
         run_values->push_back(v.run_values[r]);
         run_starts->push_back(out_row);
@@ -1132,7 +852,7 @@ void GatherIntEncoded(const LateColumn& c, const std::vector<int32_t>& sel_idx,
       push(v.run_values[r]);
       ++out_row;
     }
-    if (want_runs) run_starts->push_back(out_row);
+    run_starts->push_back(out_row);
     return;
   }
   for (int32_t idx : sel_idx) push(v.PackedAt(static_cast<uint64_t>(idx)));
@@ -1140,13 +860,12 @@ void GatherIntEncoded(const LateColumn& c, const std::vector<int32_t>& sel_idx,
 
 /// Validates the payload framing for in-place access and, for strings,
 /// parses the dictionary/offset/run structure (validating every code up
-/// front so later gathers cannot index out of range). `version` selects
-/// whether the footer encoding tag governs the payload (v3) or the legacy
-/// v2 layouts apply.
-Status ParseLatePayload(int version, LateColumn* c) {
+/// front so later gathers cannot index out of range). The footer encoding
+/// tag governs the payload layout.
+Status ParseColumnPayload(SplitColumn* c) {
   const uint8_t* payload = c->view.payload;
   const uint32_t nrows = c->view.nrows;
-  const uint8_t block_enc = version >= 3 ? c->view.encoding : kEncPlain;
+  const uint8_t block_enc = c->view.encoding;
   ByteReader reader(payload, c->view.payload_len);
   switch (c->field->type) {
     case TypeKind::kInt32:
@@ -1188,10 +907,11 @@ Status ParseLatePayload(int version, LateColumn* c) {
     }
     return Status::OK();
   }
-  if (version >= 3) {
-    CLY_RETURN_IF_ERROR(CheckStringSubFormat(payload, c->view.payload_len,
-                                             nrows, block_enc));
+  if (block_enc != kEncPlain && block_enc != kEncDict) {
+    return Status::IoError("string column block with integer encoding");
   }
+  CLY_RETURN_IF_ERROR(
+      CheckStringSubFormat(payload, c->view.payload_len, nrows, block_enc));
   uint8_t encoding = 0;
   CLY_RETURN_IF_ERROR(reader.GetU8(&encoding));
   if (encoding == kStringDictionary) {
@@ -1266,15 +986,15 @@ Result<std::shared_ptr<const std::vector<uint8_t>>> ReadColumnBlockBytes(
   return std::shared_ptr<const std::vector<uint8_t>>(std::move(data));
 }
 
-/// The CIF v2 scan: decodes the filter columns first, derives a selection
+/// Loads the projected columns of one split into a columnar batch (late
+/// materialization): decodes the filter columns first, derives a selection
 /// vector on encoded/raw data, and only then materializes the projection for
 /// the surviving rows — strings as arena-backed views, never per-row copies.
-Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
-                                  const TableDesc& desc,
-                                  const StorageSplit& split,
-                                  const std::vector<int>& projection,
-                                  const SchemaPtr& out_schema,
-                                  const ScanOptions& options) {
+Result<RowBatch> LoadCifSplit(const hdfs::MiniDfs& dfs, const TableDesc& desc,
+                              const StorageSplit& split,
+                              const std::vector<int>& projection,
+                              const SchemaPtr& out_schema,
+                              const ScanOptions& options) {
   const ScanSpec* spec = options.scan_spec.get();
   ScanStats local_stats;
   ScanStats* stats =
@@ -1309,9 +1029,8 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
     }
   }
 
-  // The fixed column load order: filter columns first (phases 1-2, in field
-  // order), then the remaining projected columns (phase 3). The prefetch
-  // worker walks the same order, so Take() indexes line up with load calls.
+  // Filter columns load first (phases 1-2, in field order), then the
+  // remaining projected columns (phase 3).
   std::vector<int> filter_fields;
   for (const BoundLeaf& l : leaves) filter_fields.push_back(l.field);
   for (const BoundKeyFilter& kf : key_filters) {
@@ -1321,65 +1040,22 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
   filter_fields.erase(
       std::unique(filter_fields.begin(), filter_fields.end()),
       filter_fields.end());
-  std::vector<int> fetch_order = filter_fields;
-  for (int f : projection) {
-    if (std::find(fetch_order.begin(), fetch_order.end(), f) ==
-        fetch_order.end()) {
-      fetch_order.push_back(f);
-    }
-  }
 
-  std::vector<LateColumn> cols(static_cast<size_t>(desc.schema->num_fields()));
-  std::vector<size_t> fetch_pos(cols.size(), 0);
-  std::unique_ptr<BlockPrefetcher> prefetcher;
-  if (options.prefetch && !fetch_order.empty()) {
-    std::vector<std::string> paths;
-    paths.reserve(fetch_order.size());
-    for (size_t i = 0; i < fetch_order.size(); ++i) {
-      const int f = fetch_order[i];
-      fetch_pos[static_cast<size_t>(f)] = i;
-      paths.push_back(
-          ColumnFilePath(desc, desc.schema->field(f).name, split.segment));
-    }
-    prefetcher = std::make_unique<BlockPrefetcher>(
-        &dfs, options.reader_node, std::move(paths), split.block_in_segment);
-  }
-  // The worker thread tracked its I/O privately; fold it into the caller's
-  // accounting only after the join inside Finish(). Hit/miss/wait stats are
-  // scan-thread-owned and safe to read once no more Take() calls follow.
-  auto finish_prefetch = [&]() {
-    if (prefetcher == nullptr) return;
-    const hdfs::IoStats& worker_io = prefetcher->Finish();
-    if (options.stats != nullptr) options.stats->Add(worker_io);
-    const PrefetchStats& ps = prefetcher->prefetch_stats();
-    stats->prefetch_hits += ps.hits;
-    stats->prefetch_misses += ps.misses;
-    stats->prefetch_wait_ns += ps.wait_ns;
-  };
-
+  std::vector<SplitColumn> cols(static_cast<size_t>(desc.schema->num_fields()));
   uint32_t nrows = 0;
   bool nrows_known = false;
   auto load_column = [&](int field_index) -> Status {
-    LateColumn& c = cols[static_cast<size_t>(field_index)];
+    SplitColumn& c = cols[static_cast<size_t>(field_index)];
     if (c.loaded) return Status::OK();
     c.field = &desc.schema->field(field_index);
-    if (prefetcher != nullptr) {
-      CLY_ASSIGN_OR_RETURN(
-          c.arena,
-          prefetcher->Take(fetch_pos[static_cast<size_t>(field_index)]));
-    } else {
-      CLY_ASSIGN_OR_RETURN(c.arena, ReadColumnBlockBytes(dfs, desc, split,
-                                                         c.field->name,
-                                                         options));
-    }
-    if (c.arena != nullptr) {
-      stats->arena_bytes += c.arena->size();
-      // Charge the arena to the scan's tracker for exactly as long as any
-      // reference lives — string columns hand it to the output batch, which
-      // outlives this reader (the bytes EXPLAIN ANALYZE must still account).
-      c.arena = TrackSharedArena(std::move(c.arena), options.mem_reporter);
-    }
-    CLY_RETURN_IF_ERROR(ParseFramedBlock(*c.arena, desc.cif_version, &c.view));
+    CLY_ASSIGN_OR_RETURN(c.arena, ReadColumnBlockBytes(dfs, desc, split,
+                                                       c.field->name, options));
+    stats->arena_bytes += c.arena->size();
+    // Charge the arena to the scan's tracker for exactly as long as any
+    // reference lives — string columns hand it to the output batch, which
+    // outlives this reader (the bytes EXPLAIN ANALYZE must still account).
+    c.arena = TrackSharedArena(std::move(c.arena), options.mem_reporter);
+    CLY_RETURN_IF_ERROR(ParseFramedBlock(*c.arena, &c.view));
     if (nrows_known && c.view.nrows != nrows) {
       return Status::IoError(
           StrCat("CIF split columns disagree on row count: ", c.view.nrows,
@@ -1387,15 +1063,11 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
     }
     nrows = c.view.nrows;
     nrows_known = true;
-    CLY_RETURN_IF_ERROR(ParseLatePayload(desc.cif_version, &c));
+    CLY_RETURN_IF_ERROR(ParseColumnPayload(&c));
     c.loaded = true;
     stats->bytes_encoded += c.view.payload_len;
     stats->bytes_raw += c.raw_bytes;
-    // v2 blocks carry no footer tag; classify dictionary strings by their
-    // parsed representation so compression accounting works there too.
-    uint8_t tag = c.view.encoding;
-    if (desc.cif_version < 3 && c.str_rep == kStrRepDict) tag = kEncDict;
-    stats->blocks_by_encoding[tag] += 1;
+    stats->blocks_by_encoding[c.view.encoding] += 1;
     return Status::OK();
   };
 
@@ -1406,7 +1078,7 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
 
   bool skip_block = false;
   for (const BoundLeaf& l : leaves) {
-    const LateColumn& c = cols[static_cast<size_t>(l.field)];
+    const SplitColumn& c = cols[static_cast<size_t>(l.field)];
     ZoneMap packed;
     if (ZoneRefutesLeaf(c.view.zone, c.field->type, *l.pred) ||
         (PackedRangeZone(c.iview, &packed) &&
@@ -1417,7 +1089,7 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
   }
   if (!skip_block) {
     for (const BoundKeyFilter& kf : key_filters) {
-      const LateColumn& c = cols[static_cast<size_t>(kf.field)];
+      const SplitColumn& c = cols[static_cast<size_t>(kf.field)];
       const ZoneMap& zone = c.view.zone;
       ZoneMap packed;
       if ((zone.kind == kZoneInt &&
@@ -1433,7 +1105,6 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
   if (skip_block) {
     stats->blocks_skipped += 1;
     stats->rows_pruned += nrows;
-    finish_prefetch();
     CLY_RETURN_IF_ERROR(batch.SealRowCount());
     return batch;
   }
@@ -1451,7 +1122,7 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
   if (any_filter) {
     sel.assign(nrows, 1);
     for (const BoundLeaf& l : leaves) {
-      const LateColumn& c = cols[static_cast<size_t>(l.field)];
+      const SplitColumn& c = cols[static_cast<size_t>(l.field)];
       switch (c.field->type) {
         case TypeKind::kInt32:
         case TypeKind::kInt64:
@@ -1500,7 +1171,7 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
       if (sel[i] != 0) sel_idx.push_back(static_cast<int32_t>(i));
     }
     for (const BoundKeyFilter& kf : key_filters) {
-      const LateColumn& c = cols[static_cast<size_t>(kf.field)];
+      const SplitColumn& c = cols[static_cast<size_t>(kf.field)];
       const IntBlockView& v = c.iview;
       size_t kept = 0;
       if (v.encoding == kEncRle) {
@@ -1534,11 +1205,11 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
   }
 
   // Phase 3: materialize the projection for the surviving rows. RLE columns
-  // optionally carry their run structure into the batch (expose_runs) so the
-  // probe/aggregate layer can keep working per run.
+  // carry their run structure into the batch so the probe layer can keep
+  // working per run.
   for (size_t p = 0; p < projection.size(); ++p) {
     CLY_RETURN_IF_ERROR(load_column(projection[p]));
-    const LateColumn& c = cols[static_cast<size_t>(projection[p])];
+    const SplitColumn& c = cols[static_cast<size_t>(projection[p])];
     const IntBlockView& iv = c.iview;
     ColumnVector* out = batch.mutable_column(static_cast<int>(p));
     const bool is_int = c.field->type == TypeKind::kInt32 ||
@@ -1548,7 +1219,7 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
         case TypeKind::kInt32:
         case TypeKind::kInt64:
           DecodeIntView(iv, c.field->type, out);
-          if (options.expose_runs && iv.encoding == kEncRle) {
+          if (iv.encoding == kEncRle) {
             out->SetRuns(
                 std::vector<int64_t>(iv.run_values, iv.run_values + iv.nruns),
                 c.run_starts);
@@ -1583,23 +1254,22 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
     }
     const size_t selected = sel_idx.size();
     if (is_int && iv.encoding != kEncPlain) {
-      const bool want_runs = options.expose_runs && iv.encoding == kEncRle;
       std::vector<int64_t> run_values;
       std::vector<int32_t> run_starts;
       if (c.field->type == TypeKind::kInt32) {
         auto* v = out->mutable_i32();
         v->reserve(selected);
-        GatherIntEncoded(c, sel_idx, want_runs, &run_values, &run_starts,
+        GatherIntEncoded(c, sel_idx, &run_values, &run_starts,
                          [&](int64_t x) {
                            v->push_back(static_cast<int32_t>(x));
                          });
       } else {
         auto* v = out->mutable_i64();
         v->reserve(selected);
-        GatherIntEncoded(c, sel_idx, want_runs, &run_values, &run_starts,
+        GatherIntEncoded(c, sel_idx, &run_values, &run_starts,
                          [&](int64_t x) { v->push_back(x); });
       }
-      if (want_runs) {
+      if (iv.encoding == kEncRle) {
         out->SetRuns(std::move(run_values), std::move(run_starts));
       }
       continue;
@@ -1645,7 +1315,6 @@ Result<RowBatch> LoadCifSplitLate(const hdfs::MiniDfs& dfs,
       }
     }
   }
-  finish_prefetch();
   CLY_RETURN_IF_ERROR(batch.SealRowCount());
   stats->rows_read += static_cast<uint64_t>(batch.num_rows());
   return batch;
@@ -1695,7 +1364,7 @@ class CifTableWriter final : public TableWriter {
     ByteWriter encoded;
     for (int c = 0; c < buffer_.num_columns(); ++c) {
       encoded.Clear();
-      EncodeColumnBlock(buffer_.column(c), desc_.cif_version, &encoded);
+      EncodeColumnBlock(buffer_.column(c), &encoded);
       if (encoded.size() > dfs_->block_size()) {
         return Status::InvalidArgument(StrCat(
             "CIF split of column '", desc_.schema->field(c).name, "' is ",
@@ -1717,63 +1386,6 @@ class CifTableWriter final : public TableWriter {
   RowBatch buffer_;
   uint64_t rows_ = 0;
 };
-
-/// Loads the projected columns of one split into a columnar batch. v2 tables
-/// take the late-materialization path unless the A/B knob turned it off.
-Result<RowBatch> LoadCifSplit(const hdfs::MiniDfs& dfs, const TableDesc& desc,
-                              const StorageSplit& split,
-                              const std::vector<int>& projection,
-                              const SchemaPtr& out_schema,
-                              const ScanOptions& options) {
-  if (desc.cif_version >= 2 && options.late_materialize) {
-    return LoadCifSplitLate(dfs, desc, split, projection, out_schema, options);
-  }
-  // Decoded in-memory bytes of a column, the eager path's bytes_raw
-  // equivalent (fixed widths plus string payload + offset array).
-  auto raw_column_bytes = [](const ColumnVector& col) -> uint64_t {
-    const uint64_t n = static_cast<uint64_t>(col.size());
-    switch (col.type()) {
-      case TypeKind::kInt32:
-        return 4 * n;
-      case TypeKind::kInt64:
-      case TypeKind::kDouble:
-        return 8 * n;
-      case TypeKind::kString: {
-        uint64_t bytes = 4 * n;
-        for (int64_t i = 0; i < col.size(); ++i) {
-          bytes += col.StringViewAt(i).size();
-        }
-        return bytes;
-      }
-    }
-    return 0;
-  };
-  ScanStats* stats = options.scan_stats;
-  RowBatch batch(out_schema);
-  for (size_t p = 0; p < projection.size(); ++p) {
-    const Field& field = desc.schema->field(projection[p]);
-    CLY_ASSIGN_OR_RETURN(
-        std::shared_ptr<const std::vector<uint8_t>> data,
-        ReadColumnBlockBytes(dfs, desc, split, field.name, options));
-    CLY_RETURN_IF_ERROR(
-        DecodeColumnBlock(*data, field.type, desc.cif_version,
-                          batch.mutable_column(static_cast<int>(p))));
-    // The eager path (v1 files, or the late_materialize=false A/B arm)
-    // still accounts what it read vs what it decoded, so per-operator
-    // profiles cover every CIF version, not just the newest read path.
-    if (stats != nullptr) {
-      stats->bytes_encoded += data->size();
-      stats->bytes_raw +=
-          raw_column_bytes(batch.column(static_cast<int>(p)));
-      if (desc.cif_version == 1) stats->blocks_by_encoding[0] += 1;
-    }
-  }
-  CLY_RETURN_IF_ERROR(batch.SealRowCount());
-  if (stats != nullptr) {
-    stats->rows_read += static_cast<uint64_t>(batch.num_rows());
-  }
-  return batch;
-}
 
 class CifSplitRowReader final : public RowReader {
  public:

@@ -17,39 +17,27 @@ namespace storage {
 /// of every column on the same replica set. A map task scheduled where its
 /// split is local therefore finds **all** columns locally.
 ///
-/// Column block layout (v1): [u32 nrows][values]; fixed-width types store
-/// raw little-endian arrays, strings store nrows u32 end-offsets then the
-/// bytes (or a dictionary when <=256 distinct values fit).
+/// Column block layout: split i of a column file is one framed block,
+///   [u32 "CIF3"][u32 nrows][encoded payload][u8 encoding tag][zone map]
+///   [u32 zone_len][u32 "FOOT"]
+/// The tag (column_codec.h) selects plain, RLE, bit-packing or
+/// frame-of-reference for integer blocks, and a dictionary (<= 256 distinct
+/// values) or RLE of dictionary codes for strings; doubles stay plain. The
+/// writer picks the smallest exact encoding from single-pass block stats.
+/// The zone map (per-block min/max for numeric columns, a 64-bit dictionary
+/// fingerprint for dictionary-coded strings) lets the reader skip whole
+/// blocks against a ScanOptions::scan_spec, and the 8-byte header leaves
+/// fixed-width payloads aligned for in-place scanning. The table's `_meta`
+/// records the layout version; LoadTableDesc refuses any other.
 ///
-/// v2 (TableDesc::cif_version >= 2, the default for new tables) wraps the
-/// same payload as [u32 magic][u32 nrows][payload][zone map][u32 zone_len]
-/// [u32 footer magic]. The zone map (per-block min/max for numeric columns,
-/// a 64-bit dictionary fingerprint for dictionary-coded strings) lets the
-/// reader skip whole blocks against a ScanOptions::scan_spec, and the
-/// 8-byte header leaves fixed-width payloads aligned for in-place scanning.
-/// v2 readers take a late-materialization path: filter columns are decoded
-/// first, predicates and semi-join key filters run on encoded/raw data to
-/// form a selection vector, and only surviving rows of the remaining
-/// projection are materialized — strings as arena-backed views
-/// (ColumnVector view mode), never per-row copies. v1 files keep decoding
-/// through the original eager path; `ScanOptions::late_materialize = false`
-/// forces it for v2 too (the `cif.scan.late_materialize` A/B knob).
-///
-/// v3 (the default for new tables) adds per-block lightweight encodings
-/// under the same footer discipline: the layout becomes [u32 magic]
-/// [u32 nrows][encoded payload][u8 encoding tag][zone map][u32 zone_len]
-/// [u32 footer magic], where the tag (column_codec.h) selects plain, RLE,
-/// bit-packing, or frame-of-reference for integer blocks and RLE-of-codes
-/// for dictionary strings. The writer picks the smallest exact encoding
-/// from single-pass block stats; the reader evaluates predicates and
-/// semi-join key filters in the compressed domain (once per RLE run, via
-/// code-set tests on packed codes) and can expose run structure to the
-/// engine (`ScanOptions::expose_runs`) for run-weighted aggregation. A
-/// double-buffered background prefetcher (`ScanOptions::prefetch`, the
-/// `cif.scan.prefetch` knob, off by default) overlaps block fetch with
-/// decode; prefetched arenas are shared_ptr-owned so handed-out string
-/// views outlive the reader. Reading any version's file through another
-/// version's desc is an IoError.
+/// Readers late-materialize: filter columns are read first, predicates and
+/// semi-join key filters run in the compressed domain (once per RLE run, via
+/// code-set tests on packed codes) to form a selection vector, and only
+/// surviving rows of the remaining projection are materialized — strings as
+/// arena-backed views (ColumnVector view mode), never per-row copies.
+/// Integer columns read from RLE blocks carry their run structure
+/// (ColumnVector runs) so the probe can work per run. Corrupt blocks are an
+/// IoError.
 Result<std::unique_ptr<TableWriter>> OpenCifTableWriter(hdfs::MiniDfs* dfs,
                                                         const TableDesc& desc);
 Result<std::vector<StorageSplit>> ListCifSplits(const hdfs::MiniDfs& dfs,

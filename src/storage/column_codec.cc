@@ -271,7 +271,7 @@ Status ParseIntPayload(const uint8_t* payload, size_t len, uint32_t nrows,
       return Status::OK();
     }
     default:
-      return Status::IoError("unknown CIF v3 integer column encoding");
+      return Status::IoError("unknown CIF integer column encoding");
   }
 }
 

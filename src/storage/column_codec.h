@@ -11,26 +11,27 @@
 namespace clydesdale {
 namespace storage {
 
-// --- CIF v3 per-block encodings ----------------------------------------------
-// A v3 column block records one encoding tag in its footer; the payload
+// --- CIF per-block encodings -------------------------------------------------
+// A CIF column block records one encoding tag in its footer; the payload
 // layout depends on the tag. Integer payloads keep 8-byte alignment of the
-// packed-word / value lanes (the v3 header is 8 bytes, so payload offsets
+// packed-word / value lanes (the block header is 8 bytes, so payload offsets
 // below are relative to an 8-aligned base):
 //
-//   kEncPlain    raw little-endian value array (identical to v1/v2)
+//   kEncPlain    raw little-endian value array; plain strings are
+//                [u8 sub-format 0][nrows x u32 end offset][bytes]
 //   kEncRle      [u32 nruns][u32 pad][nruns x i64 value][nruns x u32 length]
 //   kEncBitPack  [u8 width][7 pad][ceil(n*width/64) x u64 words]
 //                values are non-negative, LSB-first within each word
 //   kEncFor      [i64 base][u8 width][7 pad][words]  (frame of reference:
 //                value = base + packed delta)
-//   kEncDict     v2 dictionary string payload, byte for byte (the leading
-//                sub-format byte stays, so v2 string code reads it)
+//   kEncDict     [u8 sub-format 1][u16 dict_size][entries: u8 len + bytes]
+//                [nrows x u8 code]
 //   kEncDictRle  [u16 dict_size][entries: u8 len + bytes]
 //                [u32 nruns][nruns x u8 code][nruns x u32 length]
 //
 // The writer picks the smallest estimated payload per block, and only ever
 // prefers an encoding that is strictly smaller than plain, so pathological
-// data degrades to exactly the v2 byte cost.
+// data degrades to exactly the plain byte cost.
 constexpr uint8_t kEncPlain = 0;
 constexpr uint8_t kEncRle = 1;
 constexpr uint8_t kEncBitPack = 2;
@@ -109,7 +110,7 @@ Status ParseIntPayload(const uint8_t* payload, size_t len, uint32_t nrows,
                        TypeKind type, uint8_t encoding, IntBlockView* view);
 
 /// Fully decodes a validated view into `out` (values in block order).
-/// Works for kEncPlain too, so eager readers have one entry point.
+/// Works for kEncPlain too, so readers have one entry point.
 void DecodeIntView(const IntBlockView& view, TypeKind type, ColumnVector* out);
 
 // --- Writer-side encoding selection ------------------------------------------

@@ -46,16 +46,16 @@ struct ScanSpec {
   bool empty() const { return conjuncts.empty() && key_filters.empty(); }
 };
 
-/// Pruning effectiveness of one scan, reported by the CIF v2+ reader.
-/// blocks_skipped counts column-block row-groups eliminated by zone maps
-/// alone; rows_pruned counts rows eliminated before materialization (both
-/// zone-map skips and per-row predicate/key-filter drops).
+/// Pruning effectiveness of one CIF scan. blocks_skipped counts column-block
+/// row-groups eliminated by zone maps alone; rows_pruned counts rows
+/// eliminated before materialization (both zone-map skips and per-row
+/// predicate/key-filter drops).
 ///
-/// The byte and per-encoding members describe compression on the v3 read
-/// path: bytes_encoded is what the loaded column blocks occupy on disk,
-/// bytes_raw their plain-encoding equivalent (so bytes_raw / bytes_encoded
-/// is the observed compression ratio), and blocks_by_encoding[tag] counts
-/// loaded blocks per encoding tag (storage/column_codec.h).
+/// The byte and per-encoding members describe compression: bytes_encoded is
+/// what the loaded column blocks occupy on disk, bytes_raw their
+/// plain-encoding equivalent (so bytes_raw / bytes_encoded is the observed
+/// compression ratio), and blocks_by_encoding[tag] counts loaded blocks per
+/// encoding tag (storage/column_codec.h).
 struct ScanStats {
   uint64_t blocks_skipped = 0;
   uint64_t rows_pruned = 0;
@@ -63,20 +63,13 @@ struct ScanStats {
   uint64_t bytes_raw = 0;
   uint64_t blocks_by_encoding[6] = {0, 0, 0, 0, 0, 0};
   /// Rows actually materialized by the reader (post zone-skip, post
-  /// pushdown selection). Every CIF version's read path fills this, so the
-  /// per-operator profiler sees v1 eager scans too.
+  /// pushdown selection).
   uint64_t rows_read = 0;
-  /// Block-prefetcher effectiveness (cif.scan.prefetch runs only): a hit is
-  /// a Take() that found the block already fetched, a miss one that had to
-  /// wait `prefetch_wait_ns` for the worker.
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_misses = 0;
-  uint64_t prefetch_wait_ns = 0;
-  /// Bytes of shared column-block arenas the late path delivered to this
-  /// scan (prefetched or read inline). String columns keep these arenas
-  /// alive past the reader via RowBatch::string_arena, so this — not
-  /// bytes_encoded — is what the scan operator's memory attribution and the
-  /// MemTracker charge (ScanOptions::mem_reporter) must agree on.
+  /// Bytes of shared column-block arenas delivered to this scan. String
+  /// columns keep these arenas alive past the reader via
+  /// RowBatch::string_arena, so this — not bytes_encoded — is what the scan
+  /// operator's memory attribution and the MemTracker charge
+  /// (ScanOptions::mem_reporter) must agree on.
   uint64_t arena_bytes = 0;
 
   /// Adds every counter of `other` into this — the one fold point, so a new
@@ -90,9 +83,6 @@ struct ScanStats {
       blocks_by_encoding[i] += other.blocks_by_encoding[i];
     }
     rows_read += other.rows_read;
-    prefetch_hits += other.prefetch_hits;
-    prefetch_misses += other.prefetch_misses;
-    prefetch_wait_ns += other.prefetch_wait_ns;
     arena_bytes += other.arena_bytes;
   }
 };

@@ -1,5 +1,7 @@
 #include "storage/table_format.h"
 
+#include <charconv>
+
 #include "common/strings.h"
 #include "storage/binary_row_format.h"
 #include "storage/cif.h"
@@ -17,6 +19,23 @@ Result<TypeKind> ParseTypeKind(const std::string& s) {
   if (s == "string") return TypeKind::kString;
   return Status::IoError(StrCat("bad type in meta: '", s, "'"));
 }
+
+/// Parses the whole of `s` as a number; anything else is an IoError naming
+/// the offending meta key.
+template <typename T>
+Result<T> ParseMetaNumber(const std::string& key, const std::string& s) {
+  T value{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::IoError(StrCat("bad ", key, " in meta: '", s, "'"));
+  }
+  return value;
+}
+
+// The only CIF on-disk layout (storage/cif.h). Recorded in every CIF table's
+// meta so files written in any other layout are refused, not misparsed.
+constexpr uint64_t kCifVersion = 3;
 }  // namespace
 
 Status SaveTableDesc(hdfs::MiniDfs* dfs, const TableDesc& desc) {
@@ -25,7 +44,7 @@ Status SaveTableDesc(hdfs::MiniDfs* dfs, const TableDesc& desc) {
   meta += StrCat("rows=", desc.num_rows, "\n");
   meta += StrCat("rows_per_split=", desc.rows_per_split, "\n");
   if (desc.format == kFormatCif) {
-    meta += StrCat("cif_version=", desc.cif_version, "\n");
+    meta += StrCat("cif_version=", kCifVersion, "\n");
   }
   if (!desc.segment_rows.empty()) {
     std::vector<std::string> counts;
@@ -49,8 +68,7 @@ Result<TableDesc> LoadTableDesc(const hdfs::MiniDfs& dfs,
                        dfs.ReadFileToString(path + "/_meta"));
   TableDesc desc;
   desc.path = path;
-  // Tables written before the version key existed are v1 on disk.
-  desc.cif_version = 1;
+  uint64_t cif_version = 0;
   for (const std::string& line : StrSplit(meta, '\n')) {
     if (line.empty()) continue;
     const size_t eq = line.find('=');
@@ -62,14 +80,17 @@ Result<TableDesc> LoadTableDesc(const hdfs::MiniDfs& dfs,
     if (key == "format") {
       desc.format = value;
     } else if (key == "rows") {
-      desc.num_rows = static_cast<uint64_t>(std::stoull(value));
+      CLY_ASSIGN_OR_RETURN(desc.num_rows,
+                           ParseMetaNumber<uint64_t>(key, value));
     } else if (key == "rows_per_split") {
-      desc.rows_per_split = static_cast<uint64_t>(std::stoull(value));
+      CLY_ASSIGN_OR_RETURN(desc.rows_per_split,
+                           ParseMetaNumber<uint64_t>(key, value));
     } else if (key == "cif_version") {
-      desc.cif_version = static_cast<int>(std::stoul(value));
+      CLY_ASSIGN_OR_RETURN(cif_version, ParseMetaNumber<uint64_t>(key, value));
     } else if (key == "segment_rows") {
       for (const std::string& r : StrSplit(value, ',')) {
-        desc.segment_rows.push_back(static_cast<uint64_t>(std::stoull(r)));
+        CLY_ASSIGN_OR_RETURN(uint64_t rows, ParseMetaNumber<uint64_t>(key, r));
+        desc.segment_rows.push_back(rows);
       }
     } else if (key == "columns") {
       std::vector<Field> fields;
@@ -79,13 +100,20 @@ Result<TableDesc> LoadTableDesc(const hdfs::MiniDfs& dfs,
           return Status::IoError(StrCat("bad column in meta: '", col, "'"));
         }
         CLY_ASSIGN_OR_RETURN(TypeKind type, ParseTypeKind(parts[1]));
-        fields.push_back(Field{parts[0], type, std::stod(parts[2])});
+        CLY_ASSIGN_OR_RETURN(double width,
+                             ParseMetaNumber<double>("column width", parts[2]));
+        fields.push_back(Field{parts[0], type, width});
       }
       desc.schema = Schema::Make(std::move(fields));
     }
   }
   if (desc.schema == nullptr || desc.format.empty()) {
     return Status::IoError(StrCat("incomplete meta for ", path));
+  }
+  if (desc.format == kFormatCif && cif_version != kCifVersion) {
+    return Status::IoError(StrCat("unsupported CIF layout version ",
+                                  cif_version, " for ", path, " (expected ",
+                                  kCifVersion, ")"));
   }
   return desc;
 }

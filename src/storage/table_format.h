@@ -37,12 +37,6 @@ struct TableDesc {
   /// means a single segment of num_rows. segment_rows[k] == 0 marks a
   /// rolled-out segment.
   std::vector<uint64_t> segment_rows;
-  /// On-disk CIF block layout version. New tables write v3 (per-block zone
-  /// maps + footer + lightweight block encodings); LoadTableDesc defaults
-  /// absent metadata to 1 so every pre-existing table keeps decoding
-  /// through the v1 path, and explicitly versioned v2 tables keep the v2
-  /// writer/reader pair.
-  int cif_version = 3;
 
   int num_segments() const {
     return segment_rows.empty() ? 1 : static_cast<int>(segment_rows.size());
@@ -76,30 +70,16 @@ struct ScanOptions {
   hdfs::NodeId reader_node = hdfs::kNoNode;
   hdfs::IoStats* stats = nullptr;
   /// Predicates + semi-join key filters to evaluate below decode. Only the
-  /// CIF v2 late-materialization path acts on it; all other paths ignore it
-  /// (callers must re-check predicates, so ignoring is always correct).
+  /// CIF scan acts on it; all other formats ignore it (callers must re-check
+  /// predicates, so ignoring is always correct).
   std::shared_ptr<const ScanSpec> scan_spec;
-  /// A/B knob (`cif.scan.late_materialize`): when false, CIF v2 splits use
-  /// the eager v1-style decode (scan_spec ignored) for apples-to-apples
-  /// comparison. v1 files always decode eagerly regardless.
-  bool late_materialize = true;
-  /// Double-buffered async block read-ahead (`cif.scan.prefetch`): a worker
-  /// thread fetches the next column block while the current one decodes.
-  /// CIF v2+ late path only; off by default (results are byte-identical
-  /// either way — the knob trades a thread for I/O/decode overlap).
-  bool prefetch = false;
-  /// Attach RLE run metadata to materialized integer columns (ColumnVector
-  /// runs) so downstream operators can probe/aggregate per run instead of
-  /// per row. CIF v3 late path only; off by default because consumers that
-  /// mutate columns in place would not know to invalidate the runs.
-  bool expose_runs = false;
-  /// Optional pruning-effectiveness output (CIF v2+ late path only).
+  /// Optional pruning-effectiveness output (CIF only).
   ScanStats* scan_stats = nullptr;
-  /// Memory attribution for column-block arenas (CIF v2+ late path only):
-  /// every delivered arena is charged here and released when its last
-  /// reference drops — which for string columns is when the consuming
-  /// RowBatch dies, not when the reader does. Typically the task attempt's
-  /// obs::MemTracker; null disables tracking.
+  /// Memory attribution for column-block arenas (CIF only): every delivered
+  /// arena is charged here and released when its last reference drops —
+  /// which for string columns is when the consuming RowBatch dies, not when
+  /// the reader does. Typically the task attempt's obs::MemTracker; null
+  /// disables tracking.
   std::shared_ptr<MemReporter> mem_reporter;
 };
 

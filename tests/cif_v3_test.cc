@@ -1,14 +1,16 @@
-// CIF v3 compressed-scan tests: per-block encoding selection end to end,
-// predicate/key-filter pushdown evaluated in the compressed domain,
-// compression accounting, run-metadata exposure, the async block prefetcher
-// (byte-identical results; arena lifetime under the tsan preset), version
-// cross-checks, and the corruption cases the v3 reader must reject with
-// IoError (never undefined behaviour — the asan preset runs this suite).
+// CIF scan tests: per-block encoding selection end to end, zone-map block
+// skipping, predicate/key-filter pushdown evaluated in the compressed domain,
+// compression accounting, run-metadata exposure, zero-copy string views and
+// their arena lifetime, roll-in segments, and the corruption cases the
+// reader must reject with IoError (never undefined behaviour — the asan
+// preset runs this suite). Every scan is checked against the rows the test
+// wrote.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <string>
@@ -26,10 +28,17 @@ namespace clydesdale {
 namespace storage {
 namespace {
 
-// Column shapes chosen so every block encoding appears: "id" is sequential
-// (bit-pack / FoR), "date" is a large base plus a small cyclic offset (FoR),
-// "qty" has long runs (RLE), "price" is incompressible doubles (plain), and
-// "mode" is low-cardinality strings in runs (dictionary + RLE of codes).
+/// A table shape the fixture can write: a schema plus the row at ordinal i.
+struct Shape {
+  SchemaPtr (*schema)();
+  Row (*row)(int32_t i);
+};
+
+// The run-heavy shape, chosen so every block encoding appears: "id" is
+// sequential (bit-pack / FoR), "date" is a large base plus a small cyclic
+// offset (FoR), "qty" has long runs (RLE), "price" is incompressible doubles
+// (plain), and "mode" is low-cardinality strings in runs (dictionary + RLE
+// of codes).
 SchemaPtr FactSchema() {
   return Schema::Make({{"id", TypeKind::kInt32, 4},
                        {"date", TypeKind::kInt64, 8},
@@ -45,6 +54,39 @@ Row MakeRow(int32_t i) {
               Value(modes[(i / 50) % 4])});
 }
 
+// The run-free shape: every column changes on every row, so integers pack
+// (bit-pack / FoR) but never run-length encode, and strings cycle through a
+// 4-entry dictionary with one code per row (plain dictionary, never RLE).
+SchemaPtr CyclicSchema() {
+  return Schema::Make({{"id", TypeKind::kInt32, 4},
+                       {"big", TypeKind::kInt64, 8},
+                       {"ratio", TypeKind::kDouble, 8},
+                       {"mode", TypeKind::kString, 6}});
+}
+
+Row MakeCyclicRow(int32_t id) {
+  const char* modes[] = {"AIR", "RAIL", "SHIP", "TRUCK"};
+  return Row({Value(id), Value(static_cast<int64_t>(id) * 1000),
+              Value(id * 0.25), Value(modes[id % 4])});
+}
+
+constexpr Shape kRuns{FactSchema, MakeRow};
+constexpr Shape kCyclic{CyclicSchema, MakeCyclicRow};
+
+/// The rows [0, n) of `shape` that `leaf` accepts — the oracle for every
+/// pushdown test.
+std::vector<Row> WrittenRowsMatching(const Shape& shape, int n,
+                                     const Predicate::Ptr& leaf) {
+  auto bound = leaf->Bind(*shape.schema());
+  CLY_CHECK(bound.ok());
+  std::vector<Row> rows;
+  for (int32_t i = 0; i < n; ++i) {
+    Row row = shape.row(i);
+    if ((*bound)->Eval(row)) rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
 class CifV3Test : public ::testing::Test {
  protected:
   CifV3Test() : dfs_(MakeOptions()) {}
@@ -57,17 +99,17 @@ class CifV3Test : public ::testing::Test {
     return options;
   }
 
+  /// Writes rows [0, n) of `shape`, returns the reloaded desc.
   TableDesc WriteTable(const std::string& path, int n, int64_t rows_per_split,
-                       int cif_version = 3) {
+                       const Shape& shape = kRuns) {
     TableDesc desc;
     desc.path = path;
     desc.format = kFormatCif;
-    desc.schema = FactSchema();
+    desc.schema = shape.schema();
     desc.rows_per_split = rows_per_split;
-    desc.cif_version = cif_version;
     auto writer = OpenTableWriter(&dfs_, desc);
     CLY_CHECK(writer.ok());
-    for (int i = 0; i < n; ++i) CLY_CHECK_OK((*writer)->Append(MakeRow(i)));
+    for (int i = 0; i < n; ++i) CLY_CHECK_OK((*writer)->Append(shape.row(i)));
     CLY_CHECK_OK((*writer)->Close());
     auto loaded = LoadTableDesc(dfs_, path);
     CLY_CHECK(loaded.ok());
@@ -78,18 +120,36 @@ class CifV3Test : public ::testing::Test {
     return ScanTableToVector(dfs_, desc, scan);
   }
 
+  /// Pushes each leaf into a scan and compares against the written rows the
+  /// leaf accepts, exactly and in order.
+  void ExpectPushdownMatchesWrittenRows(
+      const TableDesc& desc, const Shape& shape, int n,
+      std::initializer_list<Predicate::Ptr> leaves) {
+    for (const Predicate::Ptr& leaf : leaves) {
+      SCOPED_TRACE(leaf->ToString());
+      ScanOptions pushed;
+      pushed.scan_spec = SpecWith(leaf);
+      auto got = Scan(desc, pushed);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::vector<Row> expected = WrittenRowsMatching(shape, n, leaf);
+      ASSERT_EQ(got->size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ((*got)[i], expected[i]);
+      }
+    }
+  }
+
+  static std::shared_ptr<const ScanSpec> SpecWith(Predicate::Ptr leaf) {
+    auto spec = std::make_shared<ScanSpec>();
+    spec->conjuncts.push_back(std::move(leaf));
+    return spec;
+  }
+
   hdfs::MiniDfs dfs_;
 };
 
-std::shared_ptr<const ScanSpec> SpecWith(Predicate::Ptr leaf) {
-  auto spec = std::make_shared<ScanSpec>();
-  spec->conjuncts.push_back(std::move(leaf));
-  return spec;
-}
-
 TEST_F(CifV3Test, NewTablesDefaultToV3AndRoundTrip) {
   const TableDesc desc = WriteTable("/v3", 1024, 256);
-  EXPECT_EQ(desc.cif_version, 3);
   auto rows = Scan(desc, ScanOptions{});
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 1024u);
@@ -127,7 +187,7 @@ TEST_F(CifV3Test, PushdownOnEncodedBlocksMatchesEngineSideFilterExactly) {
   const TableDesc desc = WriteTable("/pushdown", 1024, 256);
   // One leaf per encoding family: bit-pack/FoR id, FoR date, RLE qty,
   // plain-double price, dict-RLE mode.
-  const auto leaves = {
+  ExpectPushdownMatchesWrittenRows(desc, kRuns, 1024, {
       Predicate::Between("id", Value(int32_t{100}), Value(int32_t{700})),
       Predicate::Gt("date", Value(int64_t{19920150})),
       Predicate::Eq("qty", Value(int32_t{3})),
@@ -137,26 +197,7 @@ TEST_F(CifV3Test, PushdownOnEncodedBlocksMatchesEngineSideFilterExactly) {
       Predicate::Ne("mode", Value("AIR")),
       Predicate::In("id", {Value(int32_t{3}), Value(int32_t{511}),
                            Value(int32_t{1023})}),
-  };
-  auto all = Scan(desc, ScanOptions{});
-  ASSERT_TRUE(all.ok());
-  for (const Predicate::Ptr& leaf : leaves) {
-    ScanOptions pushed;
-    pushed.scan_spec = SpecWith(leaf);
-    auto got = Scan(desc, pushed);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-
-    auto bound = leaf->Bind(*desc.schema);
-    ASSERT_TRUE(bound.ok());
-    std::vector<Row> expected;
-    for (const Row& row : *all) {
-      if ((*bound)->Eval(row)) expected.push_back(row);
-    }
-    ASSERT_EQ(got->size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ((*got)[i], expected[i]);
-    }
-  }
+  });
 }
 
 TEST_F(CifV3Test, PackedZoneSkipsDisjointBlocks) {
@@ -226,44 +267,6 @@ TEST_F(CifV3Test, KeyFiltersProbeCompressedBlocks) {
   }
 }
 
-TEST_F(CifV3Test, EveryKnobCombinationIsByteIdentical) {
-  const TableDesc desc = WriteTable("/knobs", 1024, 256);
-  ScanOptions base;
-  base.scan_spec = SpecWith(
-      Predicate::Between("id", Value(int32_t{30}), Value(int32_t{900})));
-  auto reference = Scan(desc, base);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_FALSE(reference->empty());
-
-  for (const bool prefetch : {false, true}) {
-    for (const bool expose_runs : {false, true}) {
-      ScanOptions scan = base;
-      scan.prefetch = prefetch;
-      scan.expose_runs = expose_runs;
-      auto rows = Scan(desc, scan);
-      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-      ASSERT_EQ(rows->size(), reference->size())
-          << "prefetch=" << prefetch << " expose_runs=" << expose_runs;
-      for (size_t i = 0; i < rows->size(); ++i) {
-        ASSERT_EQ((*rows)[i], (*reference)[i]);
-      }
-    }
-  }
-
-  // Late vs eager (spec must be dropped for the comparison: the eager path
-  // ignores it by contract).
-  auto late = Scan(desc, ScanOptions{});
-  ScanOptions eager;
-  eager.late_materialize = false;
-  auto eager_rows = Scan(desc, eager);
-  ASSERT_TRUE(late.ok());
-  ASSERT_TRUE(eager_rows.ok());
-  ASSERT_EQ(late->size(), eager_rows->size());
-  for (size_t i = 0; i < late->size(); ++i) {
-    ASSERT_EQ((*late)[i], (*eager_rows)[i]);
-  }
-}
-
 TEST_F(CifV3Test, ExposedRunsSurviveBatchSlicing) {
   const TableDesc desc = WriteTable("/runs", 512, 512);
   auto splits = ListTableSplits(dfs_, desc);
@@ -271,7 +274,6 @@ TEST_F(CifV3Test, ExposedRunsSurviveBatchSlicing) {
   ASSERT_EQ(splits->size(), 1u);
   ScanOptions scan;
   scan.projection = {"qty", "id"};
-  scan.expose_runs = true;
   auto reader = OpenSplitBatchReader(dfs_, desc, (*splits)[0], scan);
   ASSERT_TRUE(reader.ok());
   RowBatch batch((*reader)->output_schema());
@@ -305,13 +307,12 @@ TEST_F(CifV3Test, ExposedRunsSurviveBatchSlicing) {
   EXPECT_TRUE(saw_runs) << "RLE qty blocks should surface run metadata";
 }
 
-TEST_F(CifV3Test, PrefetchedArenasOutliveHandedOutStringViews) {
-  // The prefetcher's worker thread fetches block k+1 while block k decodes;
-  // the string views a batch hands out must stay valid for as long as the
+TEST_F(CifV3Test, ArenasOutliveHandedOutStringViews) {
+  // The string views a batch hands out must stay valid for as long as the
   // consumer holds the batch's arena — exactly what an aggregator does with
   // group keys. Collect every view plus its pinning arena across the whole
-  // scan, then read them all back after the reader (and its worker) is
-  // gone. The tsan preset checks the handoff, asan the lifetime.
+  // scan, then read them all back after the readers are gone (the asan
+  // preset checks the lifetime).
   const TableDesc desc = WriteTable("/arena", 1024, 128);
   std::vector<std::pair<std::shared_ptr<const std::vector<uint8_t>>,
                         std::vector<std::string_view>>>
@@ -321,7 +322,6 @@ TEST_F(CifV3Test, PrefetchedArenasOutliveHandedOutStringViews) {
     ASSERT_TRUE(splits.ok());
     ScanOptions scan;
     scan.projection = {"mode", "qty"};
-    scan.prefetch = true;
     for (const StorageSplit& split : *splits) {
       auto reader = OpenSplitBatchReader(dfs_, desc, split, scan);
       ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -336,7 +336,7 @@ TEST_F(CifV3Test, PrefetchedArenasOutliveHandedOutStringViews) {
         held.push_back({mode.string_arena(), mode.str_views()});
       }
     }
-  }  // readers and their prefetch threads destroyed here
+  }  // readers destroyed here
   int32_t i = 0;
   const char* modes[] = {"AIR", "RAIL", "SHIP", "TRUCK"};
   for (const auto& [arena, views] : held) {
@@ -348,49 +348,138 @@ TEST_F(CifV3Test, PrefetchedArenasOutliveHandedOutStringViews) {
   EXPECT_EQ(i, 1024);
 }
 
-TEST_F(CifV3Test, PrefetchReportsIoStats) {
-  const TableDesc desc = WriteTable("/iostats", 512, 128);
-  hdfs::IoStats with, without;
-  ScanOptions scan;
-  scan.stats = &without;
-  ASSERT_TRUE(Scan(desc, scan).ok());
-  scan.stats = &with;
-  scan.prefetch = true;
-  ASSERT_TRUE(Scan(desc, scan).ok());
-  // The worker's reads are merged back after join; both modes must account
-  // the same bytes.
-  EXPECT_EQ(with.TotalRead(), without.TotalRead());
+// --- run-free blocks --------------------------------------------------------
+// The same scan paths over the cyclic shape, where no column has runs:
+// explicit zone maps, plain dictionary codes and per-row key probes do the
+// pruning instead of run and packed-range shortcuts.
+
+TEST_F(CifV3Test, CyclicTableRoundTrips) {
+  const TableDesc desc = WriteTable("/cyclic", 300, 64, kCyclic);
+  auto rows = Scan(desc, ScanOptions{});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 300u);
+  for (size_t i = 0; i < rows->size(); ++i) {
+    ASSERT_EQ((*rows)[i], MakeCyclicRow(static_cast<int32_t>(i)));
+  }
 }
 
-TEST_F(CifV3Test, V2TablesStillWriteAndReadAsV2) {
-  const TableDesc desc = WriteTable("/v2compat", 512, 256, /*cif_version=*/2);
-  ASSERT_EQ(desc.cif_version, 2);
+TEST_F(CifV3Test, ZoneMapsSkipDisjointBlocks) {
+  // 256 sequential ids over 4 splits of 64: ids >= 64 never match, so three
+  // of the four blocks must be refuted by their zone maps alone.
+  const TableDesc desc = WriteTable("/zones_cyclic", 256, 64, kCyclic);
   ScanStats stats;
   ScanOptions scan;
+  scan.scan_spec = SpecWith(Predicate::Le("id", Value(int32_t{50})));
   scan.scan_stats = &stats;
   auto rows = Scan(desc, scan);
   ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 512u);
-  // v2 blocks carry no encoding tags: everything loads as plain except
-  // dictionary strings, which are classified from their sub-format byte so
-  // compression accounting stays meaningful.
-  EXPECT_EQ(stats.blocks_by_encoding[kEncRle], 0u);
-  EXPECT_EQ(stats.blocks_by_encoding[kEncBitPack], 0u);
-  EXPECT_EQ(stats.blocks_by_encoding[kEncFor], 0u);
-  EXPECT_EQ(stats.blocks_by_encoding[kEncDictRle], 0u);
-  EXPECT_GT(stats.blocks_by_encoding[kEncPlain], 0u);
-  EXPECT_GT(stats.blocks_by_encoding[kEncDict], 0u);
+  ASSERT_EQ(rows->size(), 51u);
+  for (size_t i = 0; i < rows->size(); ++i) {
+    EXPECT_EQ((*rows)[i], MakeCyclicRow(static_cast<int32_t>(i)));
+  }
+  EXPECT_EQ(stats.blocks_skipped, 3u);
+  // 3 skipped blocks (192 rows) + 13 rows pruned inside the first block.
+  EXPECT_EQ(stats.rows_pruned, 205u);
+}
+
+TEST_F(CifV3Test, PushdownMatchesEngineSideFilterExactly) {
+  const TableDesc desc = WriteTable("/pushdown_cyclic", 300, 64, kCyclic);
+  ExpectPushdownMatchesWrittenRows(desc, kCyclic, 300, {
+      Predicate::Between("id", Value(int32_t{40}), Value(int32_t{200})),
+      Predicate::Gt("big", Value(int64_t{150000})),
+      Predicate::Le("ratio", Value(12.5)),
+      Predicate::Eq("mode", Value("SHIP")),
+      Predicate::In("id", {Value(int32_t{3}), Value(int32_t{77}),
+                           Value(int32_t{290})}),
+      Predicate::Ne("mode", Value("AIR")),
+  });
+}
+
+TEST_F(CifV3Test, DictionaryZoneRefutesAbsentString) {
+  const TableDesc desc = WriteTable("/dictzone", 128, 64, kCyclic);
+  ScanStats stats;
+  ScanOptions scan;
+  scan.scan_spec = SpecWith(Predicate::Eq("mode", Value("CANAL")));
+  scan.scan_stats = &stats;
+  auto rows = Scan(desc, scan);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_TRUE(rows->empty());
+  EXPECT_EQ(stats.rows_pruned, 128u);  // every row, by zone or by code test
+}
+
+TEST_F(CifV3Test, KeyFiltersPruneRowsAndSkipBlocks) {
+  const TableDesc desc = WriteTable("/keys_cyclic", 256, 64, kCyclic);
+  auto spec = std::make_shared<ScanSpec>();
+  spec->key_filters.push_back(
+      {"id", std::make_shared<SetKeyFilter>(std::set<int64_t>{5, 60, 61})});
+  ScanStats stats;
+  ScanOptions scan;
+  scan.scan_spec = spec;
+  scan.scan_stats = &stats;
+  auto rows = Scan(desc, scan);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 3u);
+  EXPECT_EQ((*rows)[0], MakeCyclicRow(5));
+  EXPECT_EQ((*rows)[1], MakeCyclicRow(60));
+  EXPECT_EQ((*rows)[2], MakeCyclicRow(61));
+  // Splits [64,128), [128,192), [192,256) are outside [5, 61].
+  EXPECT_EQ(stats.blocks_skipped, 3u);
+}
+
+TEST_F(CifV3Test, BatchReaderSlicesStringViews) {
+  const TableDesc desc = WriteTable("/views", 200, 200, kCyclic);
+  auto splits = ListTableSplits(dfs_, desc);
+  ASSERT_TRUE(splits.ok());
+  ASSERT_EQ(splits->size(), 1u);
+  ScanOptions scan;
+  auto reader = OpenSplitBatchReader(dfs_, desc, (*splits)[0], scan);
+  ASSERT_TRUE(reader.ok());
+  RowBatch batch((*reader)->output_schema());
+  int32_t next_id = 0;
+  while (true) {
+    auto more = (*reader)->NextBatch(&batch, 33);  // uneven slice boundaries
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    // The string column must arrive as arena-backed views (zero-copy), and
+    // every accessor must agree with the written values.
+    EXPECT_TRUE(batch.column(3).is_string_view());
+    for (int64_t i = 0; i < batch.num_rows(); ++i, ++next_id) {
+      EXPECT_EQ(batch.GetRow(i), MakeCyclicRow(next_id));
+    }
+  }
+  EXPECT_EQ(next_id, 200);
+}
+
+TEST_F(CifV3Test, AppendedSegmentKeepsVersionAndScans) {
+  TableDesc desc = WriteTable("/seg", 100, 64, kCyclic);
+  auto appender = AppendCifSegment(&dfs_, desc);
+  ASSERT_TRUE(appender.ok());
+  for (int i = 100; i < 150; ++i) {
+    ASSERT_TRUE((*appender)->Append(MakeCyclicRow(i)).ok());
+  }
+  ASSERT_TRUE((*appender)->Close().ok());
+  // The rewritten metadata must still carry the layout version: reloading
+  // refuses any table that does not.
+  auto reloaded = LoadTableDesc(dfs_, "/seg");
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  auto rows = Scan(*reloaded, ScanOptions{});
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 150u);
+  for (size_t i = 0; i < rows->size(); ++i) {
+    EXPECT_EQ((*rows)[i], MakeCyclicRow(static_cast<int32_t>(i)));
+  }
 }
 
 // --- corruption --------------------------------------------------------------
 
-/// Byte-level corruption of v3 blocks: one split, one DFS block per column
-/// file, so rewriting a file preserves the reader's block math. The "date"
-/// column encodes as FoR, "id" as bit-pack at this size.
+/// Byte-level corruption of column blocks: one split, one DFS block per
+/// column file, so rewriting a file preserves the reader's block math. In
+/// the run-heavy shape the "date" column encodes as FoR and "id" as bit-pack
+/// at this size; the cyclic shape's "mode" is a plain dictionary.
 class CifV3CorruptionTest : public CifV3Test {
  protected:
-  TableDesc WriteSmall(const std::string& path) {
-    return WriteTable(path, 64, 64);
+  TableDesc WriteSmall(const std::string& path, const Shape& shape = kRuns) {
+    return WriteTable(path, 64, 64, shape);
   }
 
   std::string ColumnFile(const std::string& table, const std::string& col) {
@@ -409,7 +498,7 @@ class CifV3CorruptionTest : public CifV3Test {
   }
 
   /// Footer layout: [..][u32 zone_len][u32 "FOOT"]; the zone region starts
-  /// with the v3 encoding-tag byte at size - 8 - zone_len.
+  /// with the encoding-tag byte at size - 8 - zone_len.
   static size_t EncTagOffset(const std::string& block) {
     CLY_CHECK(block.size() >= 16);
     uint32_t zone_len = 0;
@@ -418,17 +507,13 @@ class CifV3CorruptionTest : public CifV3Test {
     return block.size() - 8 - zone_len;
   }
 
-  /// Both decode paths must reject the table with IoError (asan verifies
-  /// the rejection involves no out-of-bounds access).
-  void ExpectIoErrorBothPaths(const TableDesc& desc) {
-    for (const bool late : {true, false}) {
-      ScanOptions scan;
-      scan.late_materialize = late;
-      auto rows = Scan(desc, scan);
-      ASSERT_FALSE(rows.ok()) << "late_materialize=" << late;
-      EXPECT_EQ(rows.status().code(), StatusCode::kIoError)
-          << "late_materialize=" << late << ": " << rows.status().ToString();
-    }
+  /// The scan must reject the table with IoError (asan verifies the
+  /// rejection involves no out-of-bounds access).
+  void ExpectIoError(const TableDesc& desc) {
+    auto rows = Scan(desc, ScanOptions{});
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kIoError)
+        << rows.status().ToString();
   }
 };
 
@@ -438,7 +523,7 @@ TEST_F(CifV3CorruptionTest, UnknownEncodingTagIsRejected) {
   std::string block = ReadFile(file);
   block[EncTagOffset(block)] = static_cast<char>(0xC8);
   Rewrite(file, std::move(block));
-  ExpectIoErrorBothPaths(desc);
+  ExpectIoError(desc);
 }
 
 TEST_F(CifV3CorruptionTest, IntegerTagOnStringColumnIsRejected) {
@@ -447,7 +532,7 @@ TEST_F(CifV3CorruptionTest, IntegerTagOnStringColumnIsRejected) {
   std::string block = ReadFile(file);
   block[EncTagOffset(block)] = static_cast<char>(kEncRle);
   Rewrite(file, std::move(block));
-  ExpectIoErrorBothPaths(desc);
+  ExpectIoError(desc);
 }
 
 TEST_F(CifV3CorruptionTest, TruncatedPackedWordsAreRejected) {
@@ -460,7 +545,7 @@ TEST_F(CifV3CorruptionTest, TruncatedPackedWordsAreRejected) {
   ASSERT_GE(payload_end, 8u + 8u);
   block.erase(payload_end - 8, 8);
   Rewrite(file, std::move(block));
-  ExpectIoErrorBothPaths(desc);
+  ExpectIoError(desc);
 }
 
 TEST_F(CifV3CorruptionTest, OutOfRangeForDeltasAreRejected) {
@@ -474,17 +559,41 @@ TEST_F(CifV3CorruptionTest, OutOfRangeForDeltasAreRejected) {
   for (size_t i = 8; i < 15; ++i) block[i] = static_cast<char>(0xFF);
   block[15] = 0x7F;
   Rewrite(file, std::move(block));
-  ExpectIoErrorBothPaths(desc);
+  ExpectIoError(desc);
 }
 
-TEST_F(CifV3CorruptionTest, VersionCrossReadsAreRejected) {
-  TableDesc v3 = WriteSmall("/v3file");
-  v3.cif_version = 2;  // a stale v2 reader's view of a v3 file
-  ExpectIoErrorBothPaths(v3);
+TEST_F(CifV3CorruptionTest, TruncatedZoneMapFooterIsRejected) {
+  const TableDesc desc = WriteSmall("/trunc", kCyclic);
+  const std::string file = ColumnFile("/trunc", "id");
+  const std::string block = ReadFile(file);
+  Rewrite(file, block.substr(0, block.size() - 5));
+  ExpectIoError(desc);
+}
 
-  TableDesc v2 = WriteTable("/v2file", 64, 64, /*cif_version=*/2);
-  v2.cif_version = 3;  // metadata claims v3, files are v2
-  ExpectIoErrorBothPaths(v2);
+TEST_F(CifV3CorruptionTest, OversizedZoneLengthIsRejected) {
+  const TableDesc desc = WriteSmall("/zlen", kCyclic);
+  const std::string file = ColumnFile("/zlen", "big");
+  std::string block = ReadFile(file);
+  // The u32 before the trailing footer magic is the zone-map length; claim
+  // it covers more bytes than the whole block.
+  ASSERT_GE(block.size(), 8u);
+  for (size_t i = block.size() - 8; i < block.size() - 4; ++i) {
+    block[i] = static_cast<char>(0xFF);
+  }
+  Rewrite(file, std::move(block));
+  ExpectIoError(desc);
+}
+
+TEST_F(CifV3CorruptionTest, OutOfRangeDictionaryCodeIsRejected) {
+  const TableDesc desc = WriteSmall("/dictcode", kCyclic);
+  const std::string file = ColumnFile("/dictcode", "mode");
+  std::string block = ReadFile(file);
+  ASSERT_EQ(static_cast<uint8_t>(block[EncTagOffset(block)]), kEncDict);
+  // Flip the last dictionary code (the byte just before the footer's
+  // encoding tag) far out of range of the 4-entry dictionary.
+  block[EncTagOffset(block) - 1] = static_cast<char>(0xFB);
+  Rewrite(file, std::move(block));
+  ExpectIoError(desc);
 }
 
 }  // namespace

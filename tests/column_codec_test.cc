@@ -1,4 +1,4 @@
-// CIF v3 block-encoding tests: bit-packing kernels, writer-side encoding
+// CIF block-encoding tests: bit-packing kernels, writer-side encoding
 // selection, encode/parse/decode round-trips across value distributions, and
 // the payload validation that must turn every malformed input into an
 // IoError (the asan preset runs this suite — rejection must involve no
@@ -157,7 +157,7 @@ TEST(EncodingSelectionTest, NegativeBaseUsesForNotBitPack) {
 
 TEST(EncodingSelectionTest, IncompressibleBlockStaysPlain) {
   // Full-range values: packing can't strictly beat plain and negatives rule
-  // out bit-pack, so the writer must degrade to the v2 byte cost.
+  // out bit-pack, so the writer must degrade to the plain byte cost.
   Rng rng(23);
   std::vector<int64_t> w32(1024), w64(1024);
   for (auto& v : w32) v = static_cast<int32_t>(rng.Next());

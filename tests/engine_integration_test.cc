@@ -125,12 +125,11 @@ TEST_F(EngineIntegrationTest, AblationTogglesPreserveResults) {
   ASSERT_TRUE(spec.ok());
   const std::vector<Row> expected = Reference(*spec);
 
-  for (int mask = 0; mask < 16; ++mask) {
+  for (int mask = 0; mask < 8; ++mask) {
     core::ClydesdaleOptions options;
     options.block_iteration = (mask & 1) != 0;
     options.columnar = (mask & 2) != 0;
     options.multithreaded = (mask & 4) != 0;
-    options.late_materialize = (mask & 8) != 0;
     core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
     auto result = engine.Execute(*spec);
     ASSERT_TRUE(result.ok()) << result.status().ToString() << " mask " << mask;
@@ -143,23 +142,16 @@ TEST_F(EngineIntegrationTest, LateMaterializationPrunesAndMatches) {
   auto spec = ssb::QueryById("Q2.1");
   ASSERT_TRUE(spec.ok());
 
-  core::ClydesdaleOptions eager;
-  eager.late_materialize = false;
-  core::ClydesdaleEngine eager_engine(cluster_, dataset_->star, eager);
-  auto eager_result = eager_engine.Execute(*spec);
-  ASSERT_TRUE(eager_result.ok()) << eager_result.status().ToString();
-  EXPECT_EQ(eager_result->Counter(mr::kCounterCifRowsPruned), 0);
-
-  core::ClydesdaleEngine late_engine(cluster_, dataset_->star, {});
-  auto late_result = late_engine.Execute(*spec);
-  ASSERT_TRUE(late_result.ok()) << late_result.status().ToString();
-  ExpectRowsEqual(eager_result->rows, late_result->rows, "late-mat A/B");
+  core::ClydesdaleEngine engine(cluster_, dataset_->star, {});
+  auto result = engine.Execute(*spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectRowsEqual(Reference(*spec), result->rows, "late-mat");
 
   // Q2.1 joins a filtered dimension (p_category = MFGR#12), so the pushed
   // key filter must prune fact rows before the probe ever sees them.
-  EXPECT_GT(late_result->Counter(mr::kCounterCifRowsPruned), 0);
-  EXPECT_LT(late_result->Counter(core::kCounterProbeRows),
-            eager_result->Counter(core::kCounterProbeRows));
+  EXPECT_GT(result->Counter(mr::kCounterCifRowsPruned), 0);
+  EXPECT_LT(result->Counter(core::kCounterProbeRows),
+            static_cast<int64_t>(dataset_->lineorder_rows));
 }
 
 TEST_F(EngineIntegrationTest, NonColumnarReadsMoreBytes) {

@@ -324,9 +324,9 @@ TEST(ShuffleTest, MapOutputBufferSortsAndCombines) {
 
 TEST(ShuffleTest, ReducePartitionMergesRunsInKeyOrder) {
   ShuffleRun run1{0, 0, {{Row({Value("a")}), Row({Value(int64_t{1})})},
-                         {Row({Value("c")}), Row({Value(int64_t{1})})}}, 0};
+                         {Row({Value("c")}), Row({Value(int64_t{1})})}}, 0, ""};
   ShuffleRun run2{1, 1, {{Row({Value("b")}), Row({Value(int64_t{1})})},
-                         {Row({Value("c")}), Row({Value(int64_t{2})})}}, 0};
+                         {Row({Value("c")}), Row({Value(int64_t{2})})}}, 0, ""};
   JobConf conf;
   Counters counters;
   MrCluster cluster(SmallCluster());

@@ -309,7 +309,6 @@ storage::TableDesc WriteCifStrings(MrCluster* cluster, const std::string& path,
   desc.schema = Schema::Make(
       {{"id", TypeKind::kInt32, 4}, {"mode", TypeKind::kString, 6}});
   desc.rows_per_split = 256;
-  desc.cif_version = 3;
   auto writer = storage::OpenTableWriter(cluster->dfs(), desc);
   CLY_CHECK(writer.ok());
   const char* modes[] = {"AIR", "RAIL", "SHIP", "TRUCK"};
@@ -336,7 +335,6 @@ TEST(ScanArenaMemTest, TrackedBytesAgreeWithScanStatsArenaBytes) {
   // (zero-copy string views), so the live charge must equal arena_bytes
   // exactly. Numeric arenas are dropped once decoded and release early.
   options.projection = {"mode"};
-  options.late_materialize = true;
   options.scan_stats = &stats;
   options.mem_reporter = tracker;
   {

@@ -2,8 +2,7 @@
 // counters, wall maxima, children matched by name), the EXPLAIN ANALYZE
 // text/JSON renderers, the flatten/rebuild round trip job history relies
 // on, ScanStats folding, and end-to-end profiles of map-only CIF scan jobs
-// at every on-disk version (v1/v2/v3) proving the scan counters survive the
-// per-task -> job merge loss-free.
+// proving the scan counters survive the per-task -> job merge loss-free.
 
 #include <gtest/gtest.h>
 
@@ -53,9 +52,6 @@ TEST(OperatorProfileTest, MergeAddsCountersAndTracksWallMax) {
   a.blocks_skipped = 3;
   a.rows_pruned = 17;
   a.blocks_by_encoding[1] = 5;
-  a.prefetch_hits = 7;
-  a.prefetch_misses = 2;
-  a.prefetch_wait_ns = 11;
 
   OperatorProfile b = Node("scan", "scan", 0, 200);
   b.wall_ns = 80;
@@ -68,9 +64,6 @@ TEST(OperatorProfileTest, MergeAddsCountersAndTracksWallMax) {
   b.rows_pruned = 3;
   b.blocks_by_encoding[1] = 2;
   b.blocks_by_encoding[4] = 9;
-  b.prefetch_hits = 1;
-  b.prefetch_misses = 4;
-  b.prefetch_wait_ns = 6;
 
   a.MergeFrom(b);
   EXPECT_EQ(a.rows_out, 300u);
@@ -84,9 +77,6 @@ TEST(OperatorProfileTest, MergeAddsCountersAndTracksWallMax) {
   EXPECT_EQ(a.rows_pruned, 20u);
   EXPECT_EQ(a.blocks_by_encoding[1], 7u);
   EXPECT_EQ(a.blocks_by_encoding[4], 9u);
-  EXPECT_EQ(a.prefetch_hits, 8u);
-  EXPECT_EQ(a.prefetch_misses, 6u);
-  EXPECT_EQ(a.prefetch_wait_ns, 17u);
   EXPECT_EQ(a.tasks, 2u);
 }
 
@@ -153,8 +143,6 @@ QueryProfile SampleProfile() {
   scan.rows_pruned = 99;
   scan.blocks_by_encoding[0] = 1;
   scan.blocks_by_encoding[3] = 4;
-  scan.prefetch_hits = 3;
-  scan.prefetch_misses = 1;
   probe.children.push_back(std::move(scan));
   agg.children.push_back(std::move(probe));
   map.children.push_back(std::move(agg));
@@ -182,7 +170,7 @@ TEST(ExplainAnalyzeTest, JsonIsBalancedAndMarksSourcesNullSelectivity) {
   const std::string json = ExplainAnalyzeJson(profile);
   EXPECT_NE(json.find("\"selectivity\":null"), std::string::npos) << json;
   EXPECT_NE(json.find("\"name\":\"scan:/ssb/lineorder\""), std::string::npos);
-  EXPECT_NE(json.find("\"prefetch_hits\":3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"rows_pruned\":99"), std::string::npos) << json;
   int braces = 0, brackets = 0;
   for (char c : json) {
     braces += c == '{';
@@ -247,9 +235,7 @@ TEST(ScanStatsTest, MergeFromFoldsEveryCounter) {
   a.bytes_encoded = 30;
   a.bytes_raw = 120;
   a.blocks_by_encoding[2] = 4;
-  a.prefetch_hits = 5;
-  a.prefetch_misses = 6;
-  a.prefetch_wait_ns = 7;
+  a.arena_bytes = 64;
 
   ScanStats b = a;
   b.blocks_by_encoding[5] = 9;
@@ -262,9 +248,7 @@ TEST(ScanStatsTest, MergeFromFoldsEveryCounter) {
   EXPECT_EQ(a.bytes_raw, 240u);
   EXPECT_EQ(a.blocks_by_encoding[2], 8u);
   EXPECT_EQ(a.blocks_by_encoding[5], 9u);
-  EXPECT_EQ(a.prefetch_hits, 10u);
-  EXPECT_EQ(a.prefetch_misses, 12u);
-  EXPECT_EQ(a.prefetch_wait_ns, 14u);
+  EXPECT_EQ(a.arena_bytes, 128u);
 }
 
 }  // namespace
@@ -287,13 +271,12 @@ SchemaPtr ScanSchema() {
 }
 
 storage::TableDesc WriteCifTable(MrCluster* cluster, const std::string& path,
-                                 int rows, int cif_version) {
+                                 int rows) {
   storage::TableDesc desc;
   desc.path = path;
   desc.format = storage::kFormatCif;
   desc.schema = ScanSchema();
   desc.rows_per_split = 256;
-  desc.cif_version = cif_version;
   auto writer = storage::OpenTableWriter(cluster->dfs(), desc);
   CLY_CHECK(writer.ok());
   const char* modes[] = {"AIR", "RAIL", "SHIP"};
@@ -333,49 +316,41 @@ obs::QueryProfile ProfiledScan(MrCluster* cluster, const std::string& table) {
   return result->report.profile;
 }
 
-/// The scan counters of every CIF generation must survive the per-task ->
-/// job merge loss-free: rows add up exactly, decoded bytes are non-zero,
-/// and (v3) per-encoding block tags are preserved.
-TEST(ProfiledScanTest, CifV1V2V3ScanStatsMergeLossFree) {
-  for (int version : {1, 2, 3}) {
-    SCOPED_TRACE(StrCat("cif v", version));
-    MrCluster cluster(ScanCluster());
-    const std::string table = StrCat("/scan_v", version);
-    const storage::TableDesc desc =
-        WriteCifTable(&cluster, table, 1000, version);
-    ASSERT_EQ(desc.cif_version, version);
+/// CIF scan counters must survive the per-task -> job merge loss-free: rows
+/// add up exactly, decoded bytes are non-zero, and per-encoding block tags
+/// are preserved.
+TEST(ProfiledScanTest, CifScanStatsMergeLossFree) {
+  MrCluster cluster(ScanCluster());
+  const std::string table = "/scan";
+  WriteCifTable(&cluster, table, 1000);
 
-    const obs::QueryProfile profile = ProfiledScan(&cluster, table);
-    ASSERT_FALSE(profile.empty());
-    ASSERT_EQ(profile.roots.size(), 1u);
-    const obs::OperatorProfile& map = profile.roots[0];
-    EXPECT_EQ(map.name, "map");
-    // Several splits, each a task attempt whose scan node merges into one
-    // per-table node.
-    EXPECT_GE(map.tasks, 2u);
-    ASSERT_EQ(map.children.size(), 1u);
-    const obs::OperatorProfile& scan = map.children[0];
-    EXPECT_EQ(scan.name, StrCat("scan:", table));
-    EXPECT_EQ(scan.kind, "scan");
-    EXPECT_EQ(scan.rows_out, 1000u) << "merged rows must add up exactly";
-    EXPECT_GT(scan.bytes_decoded, 0u);
-    EXPECT_GT(scan.wall_ns, 0u);
-    EXPECT_GE(scan.wall_ns, scan.wall_max_ns);
-    if (version == 3) {
-      uint64_t tagged = 0;
-      for (uint64_t n : scan.blocks_by_encoding) tagged += n;
-      EXPECT_GT(tagged, 0u) << "v3 blocks carry encoding tags";
-      EXPECT_GE(scan.bytes_raw, scan.bytes_decoded)
-          << "v3 raw >= encoded bytes";
-    }
-    // Job-level derived counters agree with the tree.
-    EXPECT_EQ(profile.ProfiledSpanSeconds() > 0, true);
-  }
+  const obs::QueryProfile profile = ProfiledScan(&cluster, table);
+  ASSERT_FALSE(profile.empty());
+  ASSERT_EQ(profile.roots.size(), 1u);
+  const obs::OperatorProfile& map = profile.roots[0];
+  EXPECT_EQ(map.name, "map");
+  // Several splits, each a task attempt whose scan node merges into one
+  // per-table node.
+  EXPECT_GE(map.tasks, 2u);
+  ASSERT_EQ(map.children.size(), 1u);
+  const obs::OperatorProfile& scan = map.children[0];
+  EXPECT_EQ(scan.name, StrCat("scan:", table));
+  EXPECT_EQ(scan.kind, "scan");
+  EXPECT_EQ(scan.rows_out, 1000u) << "merged rows must add up exactly";
+  EXPECT_GT(scan.bytes_decoded, 0u);
+  EXPECT_GT(scan.wall_ns, 0u);
+  EXPECT_GE(scan.wall_ns, scan.wall_max_ns);
+  uint64_t tagged = 0;
+  for (uint64_t n : scan.blocks_by_encoding) tagged += n;
+  EXPECT_GT(tagged, 0u) << "blocks carry encoding tags";
+  EXPECT_GE(scan.bytes_raw, scan.bytes_decoded) << "raw >= encoded bytes";
+  // Job-level derived counters agree with the tree.
+  EXPECT_EQ(profile.ProfiledSpanSeconds() > 0, true);
 }
 
 TEST(ProfiledScanTest, ProfileOffLeavesReportEmpty) {
   MrCluster cluster(ScanCluster());
-  WriteCifTable(&cluster, "/scan_off", 300, 3);
+  WriteCifTable(&cluster, "/scan_off", 300);
   JobConf conf;
   conf.job_name = "unprofiled-scan";
   conf.num_reduce_tasks = 0;
@@ -396,7 +371,7 @@ TEST(ProfiledScanTest, ProfileOffLeavesReportEmpty) {
 
 TEST(ProfiledScanTest, ProfileCountersMatchTree) {
   MrCluster cluster(ScanCluster());
-  WriteCifTable(&cluster, "/scan_counts", 512, 3);
+  WriteCifTable(&cluster, "/scan_counts", 512);
   JobConf conf;
   conf.job_name = "counted-scan";
   conf.num_reduce_tasks = 0;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "common/strings.h"
 #include "core/clydesdale.h"
@@ -141,6 +145,57 @@ TEST(RobustnessTest, GarbageMetaFileIsIoError) {
   hdfs::MiniDfs dfs(hdfs::DfsOptions{});
   ASSERT_TRUE(dfs.WriteFile("/t/_meta", "not=even\nclose").ok());
   EXPECT_EQ(storage::LoadTableDesc(dfs, "/t").status().code(),
+            StatusCode::kIoError);
+}
+
+/// Loads a well-formed CIF `_meta` in which `key`'s line is replaced by
+/// `key=value`, or dropped when `value` is null.
+Status LoadCifMetaWith(const std::string& key, const char* value) {
+  const std::vector<std::pair<std::string, std::string>> lines = {
+      {"format", "cif"},      {"rows", "20"},
+      {"rows_per_split", "8"}, {"cif_version", "3"},
+      {"segment_rows", "12,8"}, {"columns", "k:int32:4.00,s:string:6.50"}};
+  std::string meta;
+  for (const auto& [k, v] : lines) {
+    if (k != key) {
+      meta += StrCat(k, "=", v, "\n");
+    } else if (value != nullptr) {
+      meta += StrCat(k, "=", value, "\n");
+    }
+  }
+  hdfs::MiniDfs dfs(hdfs::DfsOptions{});
+  CLY_CHECK_OK(dfs.WriteFile("/t/_meta", meta));
+  return storage::LoadTableDesc(dfs, "/t").status();
+}
+
+TEST(RobustnessTest, NonNumericRowsInMetaIsIoError) {
+  EXPECT_EQ(LoadCifMetaWith("rows", "abc").code(), StatusCode::kIoError);
+  EXPECT_EQ(LoadCifMetaWith("rows", "").code(), StatusCode::kIoError);
+  EXPECT_EQ(LoadCifMetaWith("rows", "-1").code(), StatusCode::kIoError);
+}
+
+TEST(RobustnessTest, NonNumericRowsPerSplitInMetaIsIoError) {
+  EXPECT_EQ(LoadCifMetaWith("rows_per_split", "8x").code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(LoadCifMetaWith("rows_per_split", "99999999999999999999").code(),
+            StatusCode::kIoError);
+}
+
+TEST(RobustnessTest, NonNumericSegmentRowsInMetaIsIoError) {
+  EXPECT_EQ(LoadCifMetaWith("segment_rows", "12,zz").code(),
+            StatusCode::kIoError);
+}
+
+TEST(RobustnessTest, NonNumericColumnWidthInMetaIsIoError) {
+  EXPECT_EQ(LoadCifMetaWith("columns", "k:int32:wide").code(),
+            StatusCode::kIoError);
+}
+
+TEST(RobustnessTest, CifMetaWithoutLayoutVersion3IsIoError) {
+  EXPECT_TRUE(LoadCifMetaWith("cif_version", "3").ok());
+  EXPECT_EQ(LoadCifMetaWith("cif_version", "1").code(), StatusCode::kIoError);
+  EXPECT_EQ(LoadCifMetaWith("cif_version", "2").code(), StatusCode::kIoError);
+  EXPECT_EQ(LoadCifMetaWith("cif_version", nullptr).code(),
             StatusCode::kIoError);
 }
 

@@ -4,7 +4,6 @@
 
 #include "ssb/dbgen.h"
 #include "ssb/loader.h"
-#include "storage/stats_catalog.h"
 #include "ssb/queries.h"
 #include "ssb/ssb_schema.h"
 
@@ -297,39 +296,6 @@ TEST(LoaderTest, LoadsAllTablesAndReplicas) {
     text_bytes = info->length;
   }
   EXPECT_LT(cif_bytes, text_bytes);
-}
-
-TEST(LoaderTest, AnalyzeOptionPersistsCatalogStats) {
-  mr::ClusterOptions copts;
-  copts.num_nodes = 2;
-  copts.dfs_block_size = 256 * 1024;
-  mr::MrCluster cluster(copts);
-
-  SsbLoadOptions options;
-  options.scale_factor = 0.002;
-  options.with_rcfile = false;
-  options.analyze = true;
-  auto dataset = LoadSsb(&cluster, options);
-  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
-
-  // A catalog constructed later (fresh process state) sees the persisted
-  // entries for the fact and every dimension.
-  storage::StatsCatalog catalog(cluster.dfs(), options.stats_root);
-  auto fact_stats = catalog.Load(dataset->star.fact());
-  ASSERT_TRUE(fact_stats.ok()) << fact_stats.status().ToString();
-  EXPECT_EQ(fact_stats->num_rows, dataset->lineorder_rows);
-
-  // lo_orderkey repeats per line within an order; ANALYZE's NDV should land
-  // within the sketch's 2% acceptance bound of the true order count.
-  const storage::ColumnStats* orderkey = fact_stats->Column("lo_orderkey");
-  ASSERT_NE(orderkey, nullptr);
-  EXPECT_EQ(orderkey->row_count, dataset->lineorder_rows);
-  const double truth = static_cast<double>(dataset->cards.orders);
-  EXPECT_NEAR(orderkey->ndv, truth, 0.02 * truth);
-
-  for (const auto& [name, dim] : dataset->star.dims()) {
-    EXPECT_TRUE(catalog.Has(dim.desc)) << name;
-  }
 }
 
 }  // namespace

@@ -163,7 +163,9 @@ TEST_P(StagedQueriesTest, MatchesReferenceWithOneDimPerStage) {
   auto groups = PlanDimGroups(dataset_->star, *spec, max_single);
   ASSERT_TRUE(groups.ok());
   EXPECT_EQ(result->stage_reports.size(), groups->size());
-  if (spec->dims.size() > 1) EXPECT_GE(result->stage_reports.size(), 2u);
+  if (spec->dims.size() > 1) {
+    EXPECT_GE(result->stage_reports.size(), 2u);
+  }
   // Intermediates were cleaned up.
   EXPECT_TRUE(cluster_->dfs()
                   ->List(StrCat("/tmp/clydesdale/", spec->id, "/"))
