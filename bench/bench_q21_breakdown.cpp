@@ -96,20 +96,16 @@ int main() {
               mj->seconds / cly->seconds, rp->seconds / cly->seconds);
 
   // With CLY_TRACE_DIR set, re-run Q2.1 through the functional engine with
-  // the full observability stack on: span tracing drops a Chrome trace
-  // (chrome://tracing / Perfetto) + plain-text timeline there, and the live
-  // metrics/history layer adds the Prometheus snapshot (.prom), sampled
-  // metrics time series (.metrics.json), text cluster dashboard
-  // (.dashboard.txt), and the JSONL job history (.history.jsonl) — the
-  // measured counterpart of the modeled breakdown above. run_benches.sh
+  // tracing and profiling on: span tracing drops a Chrome trace
+  // (chrome://tracing / Perfetto) + plain-text timeline there, and the
+  // profiler adds the EXPLAIN ANALYZE report (.profile.json/.profile.txt) —
+  // the measured counterpart of the modeled breakdown above. run_benches.sh
   // publishes the artifacts.
   const char* trace_dir = std::getenv("CLY_TRACE_DIR");
   if (trace_dir != nullptr && trace_dir[0] != '\0') {
     core::ClydesdaleOptions copts;
     copts.trace = true;
     copts.trace_dir = trace_dir;
-    copts.metrics = true;
-    copts.history = true;
     copts.profile = true;
     core::ClydesdaleEngine engine(env.cluster.get(), env.dataset.star, copts);
     auto traced = engine.Execute(*query);
@@ -118,10 +114,6 @@ int main() {
     std::printf("\ntraced functional run (SF%g): %s\n",
                 MeasurementScaleFactor(),
                 mr::CriticalPath(report).ToString().c_str());
-    std::printf("live metrics: %zu samples, %lld straggler flag(s)\n",
-                report.metrics_series.samples.size(),
-                static_cast<long long>(
-                    report.counters.Get(mr::kCounterStragglerAttempts)));
 
     // EXPLAIN ANALYZE acceptance invariants on the merged profile: the fact
     // scan feeds the probe row-for-row, every selectivity is a real
@@ -147,8 +139,7 @@ int main() {
     CLY_CHECK(span_s >= 0.95 * report.wall_seconds - 0.002);
 
     std::printf("\n%s\n", obs::ExplainAnalyzeText(profile).c_str());
-    std::printf("trace + metrics + history + profile artifacts written to "
-                "%s\n", trace_dir);
+    std::printf("trace + profile artifacts written to %s\n", trace_dir);
 
     // Profiler overhead A/B (acceptance: <=3% with the knob on at bench
     // scale, exactly zero instrumentation when off). Min-of-3 untraced runs
@@ -176,8 +167,8 @@ int main() {
   // With CLY_MEMORY_JSON set, measure the hierarchical memory accounting on
   // the functional engine: a profiled Q2.1 reports each operator's peak
   // resident bytes (dim tables, scan arenas, partial aggregates, shuffle
-  // runs), and a min-of-3 A/B with obs.mem.enabled off vs on bounds the
-  // tracking overhead. Both land in BENCH_memory.json via run_benches.sh.
+  // runs) and the job's peak, which land in BENCH_memory.json via
+  // run_benches.sh.
   const char* memory_json = std::getenv("CLY_MEMORY_JSON");
   if (memory_json != nullptr && memory_json[0] != '\0') {
     core::ClydesdaleOptions mopts;
@@ -213,31 +204,6 @@ int main() {
     std::printf("  job peak (sum of per-node trackers): %.1f KiB\n",
                 job_peak / 1024.0);
 
-    // Tracking overhead A/B: min-of-3 per arm, tracker off first. The
-    // acceptance bound is 2% relative with a 50 ms absolute floor so
-    // sub-smoke runs (total wall well under a second) don't fail on
-    // scheduler jitter that has nothing to do with the atomics.
-    double wall_off = 0, wall_on = 0;
-    for (int arm = 0; arm < 2; ++arm) {
-      double best = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        core::ClydesdaleOptions ab_opts;
-        ab_opts.mem_tracking = (arm == 1);
-        core::ClydesdaleEngine ab(env.cluster.get(), env.dataset.star,
-                                  ab_opts);
-        Stopwatch timer;
-        auto ab_run = ab.Execute(*query);
-        const double secs = timer.ElapsedSeconds();
-        CLY_CHECK(ab_run.ok());
-        if (rep == 0 || secs < best) best = secs;
-      }
-      (arm == 0 ? wall_off : wall_on) = best;
-    }
-    const double overhead_pct = 100.0 * (wall_on - wall_off) / wall_off;
-    std::printf("memory tracking overhead: off=%.3fs on=%.3fs (%+.2f%%)\n",
-                wall_off, wall_on, overhead_pct);
-    CLY_CHECK(wall_on <= 1.02 * wall_off + 0.050);
-
     std::FILE* out = std::fopen(memory_json, "w");
     CLY_CHECK(out != nullptr);
     std::fprintf(out, "{\n  \"operator_peak_bytes\": {\n");
@@ -246,13 +212,8 @@ int main() {
                    static_cast<unsigned long long>(peaks[i]),
                    i < 3 ? "," : "");
     }
-    std::fprintf(out,
-                 "  },\n  \"job_peak_bytes\": %lld,\n"
-                 "  \"wall_seconds_tracking_off\": %.6f,\n"
-                 "  \"wall_seconds_tracking_on\": %.6f,\n"
-                 "  \"overhead_pct\": %.4f\n}\n",
-                 static_cast<long long>(job_peak), wall_off, wall_on,
-                 overhead_pct);
+    std::fprintf(out, "  },\n  \"job_peak_bytes\": %lld\n}\n",
+                 static_cast<long long>(job_peak));
     std::fclose(out);
     std::printf("wrote %s\n", memory_json);
   }

@@ -161,9 +161,8 @@ fi
 
 # Traced Q2.1 breakdown: publish the artifacts the observability layer
 # emits — Chrome trace + timeline (load the .trace.json in chrome://tracing
-# or https://ui.perfetto.dev for the per-stage drill-down), the Prometheus
-# metrics snapshot, the sampled metrics time series, the text cluster
-# dashboard, and the JSONL job history.
+# or https://ui.perfetto.dev for the per-stage drill-down) and the EXPLAIN
+# ANALYZE profile.
 Q21_BIN="${BENCH_DIR}/bench_q21_breakdown"
 if [ -x "${Q21_BIN}" ]; then
   TRACE_DIR="${TMP_DIR}/q21_trace"
@@ -180,9 +179,8 @@ if [ -x "${Q21_BIN}" ]; then
   if [ -n "${Q21_JSON}" ] && [ -e "${Q21_JSON}" ]; then
     echo "wrote ${Q21_JSON} (barrier vs pipelined shuffle A/B)"
   fi
-  # Hierarchical memory accounting: per-operator peaks + the tracker-on vs
-  # tracker-off overhead A/B. The bench itself CLY_CHECKs the <=2% overhead
-  # bound; here we fail loudly if the published shape loses fields.
+  # Hierarchical memory accounting: per-operator peaks and the job peak.
+  # Fail loudly if the published shape loses fields.
   if [ ! -e "${MEMORY_JSON}" ]; then
     echo "error: bench_q21_breakdown did not write ${MEMORY_JSON}" >&2
     exit 1
@@ -193,9 +191,7 @@ import sys
 
 path = sys.argv[1]
 data = json.loads(open(path).read())
-missing = [k for k in ("operator_peak_bytes", "job_peak_bytes",
-                       "wall_seconds_tracking_off",
-                       "wall_seconds_tracking_on", "overhead_pct")
+missing = [k for k in ("operator_peak_bytes", "job_peak_bytes")
            if k not in data]
 ops = data.get("operator_peak_bytes", {})
 for op in ("scan", "probe", "aggregate", "shuffle"):
@@ -207,10 +203,9 @@ if missing:
     sys.exit(f"error: {path} lacks memory fields: {', '.join(missing)}")
 if data["job_peak_bytes"] <= 0:
     sys.exit(f"error: {path}: job_peak_bytes must be positive")
-print(f"{path}: job peak {data['job_peak_bytes'] / 1024:.1f} KiB, "
-      f"tracking overhead {data['overhead_pct']:+.2f}%")
+print(f"{path}: job peak {data['job_peak_bytes'] / 1024:.1f} KiB")
 EOF
-  echo "wrote ${MEMORY_JSON} (per-operator peaks + tracking overhead A/B)"
+  echo "wrote ${MEMORY_JSON} (per-operator and job memory peaks)"
   for f in "${TRACE_DIR}"/*.trace.json; do
     [ -e "${f}" ] || continue
     cp "${f}" "${OUT_DIR}/BENCH_q21.trace.json"
@@ -220,16 +215,6 @@ EOF
     [ -e "${f}" ] || continue
     cp "${f}" "${OUT_DIR}/BENCH_q21.timeline.txt"
     echo "wrote ${OUT_DIR}/BENCH_q21.timeline.txt"
-  done
-  # Live-metrics + history artifacts (the traced run enables obs.metrics /
-  # obs.history, so one of each lands per stage job; the star-join job is
-  # the first and only stage for Q2.1).
-  for ext in prom metrics.json dashboard.txt history.jsonl; do
-    for f in "${TRACE_DIR}"/*."${ext}"; do
-      [ -e "${f}" ] || continue
-      cp "${f}" "${OUT_DIR}/BENCH_q21.${ext}"
-      echo "wrote ${OUT_DIR}/BENCH_q21.${ext}"
-    done
   done
   # EXPLAIN ANALYZE: the traced run profiles every operator, so the engine
   # drops <job>-<n>.profile.{json,txt} next to the trace. Publish them and

@@ -2,20 +2,18 @@
 # Guards the exposition contracts against silent drift:
 #   1. every kCounter* name in counters.h is returned by either
 #      StandardCounterNames() or SituationalCounterNames() in counters.cc;
-#   2. every kMetric* family name in cluster_metrics.h is returned by
-#      StandardMetricFamilyNames() in cluster_metrics.cc;
-#   3. every kCounter* name in star_join_job.h is returned by
+#   2. every kCounter* name in star_join_job.h is returned by
 #      ClydesdaleCounterNames() in star_join_job.cc;
-#   4. every kCounterCif* name in counters.h is actually flushed by
+#   3. every kCounterCif* name in counters.h is actually flushed by
 #      AddCifScanCounters() in counters.cc (so a scan-stat counter can
 #      never be declared + listed yet silently never populated);
-#   5. every kCounterProf* name in counters.h is actually surfaced by
+#   4. every kCounterProf* name in counters.h is actually surfaced by
 #      AddQueryProfileCounters() in counters.cc (the only place the merged
 #      query profile becomes headline counters);
-#   6. every kCounterMem* name in counters.h is actually flushed by
+#   5. every kCounterMem* name in counters.h is actually flushed by
 #      AddMemTrackerCounters() in counters.cc (the only place the job's
 #      memory-tracker peaks become MEM_* counters);
-#   7. every kCounterCache* name in counters.h is actually flushed by
+#   6. every kCounterCache* name in counters.h is actually flushed by
 #      AddDimCacheCounters() in counters.cc (the only place the serving-mode
 #      dim-cache activity becomes CACHE_* counters).
 # Registered as a ctest (tests/CMakeLists.txt) and runnable standalone:
@@ -25,13 +23,10 @@ set -u
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 counters_h="$root/src/mapreduce/counters.h"
 counters_cc="$root/src/mapreduce/counters.cc"
-metrics_h="$root/src/mapreduce/cluster_metrics.h"
-metrics_cc="$root/src/mapreduce/cluster_metrics.cc"
 star_h="$root/src/core/star_join_job.h"
 star_cc="$root/src/core/star_join_job.cc"
 
-for f in "$counters_h" "$counters_cc" "$metrics_h" "$metrics_cc" \
-         "$star_h" "$star_cc"; do
+for f in "$counters_h" "$counters_cc" "$star_h" "$star_cc"; do
   if [ ! -f "$f" ]; then
     echo "check_counters: missing $f" >&2
     exit 2
@@ -59,27 +54,6 @@ for name in $cc_counters; do
   if ! printf '%s\n' "$header_counters" | grep -qx "$name"; then
     echo "check_counters: $name listed in counters.cc but not declared" \
          "in counters.h" >&2
-    fail=1
-  fi
-done
-
-# --- metric families: header constants vs StandardMetricFamilyNames
-header_metrics=$(grep -o 'kMetric[A-Za-z0-9]*\[\]' "$metrics_h" \
-  | sed 's/\[\]//' | sort -u)
-cc_metrics=$(sed -n '/StandardMetricFamilyNames/,/^}/p' "$metrics_cc" \
-  | grep -o 'kMetric[A-Za-z0-9]*' | sort -u)
-
-for name in $header_metrics; do
-  if ! printf '%s\n' "$cc_metrics" | grep -qx "$name"; then
-    echo "check_counters: $name declared in cluster_metrics.h but missing" \
-         "from StandardMetricFamilyNames()" >&2
-    fail=1
-  fi
-done
-for name in $cc_metrics; do
-  if ! printf '%s\n' "$header_metrics" | grep -qx "$name"; then
-    echo "check_counters: $name listed in StandardMetricFamilyNames() but" \
-         "not declared in cluster_metrics.h" >&2
     fail=1
   fi
 done
@@ -164,4 +138,4 @@ done
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "check_counters: counter and metric family names are in sync"
+echo "check_counters: counter names are in sync"

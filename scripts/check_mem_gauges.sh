@@ -1,29 +1,19 @@
 #!/usr/bin/env bash
-# Guards the memory-observability exposition against silent drift:
-#   1. every cly_mem_* gauge family declared in cluster_metrics.h is
-#      registered by the ClusterMetrics constructor in cluster_metrics.cc
-#      (a declared family that is never registered would expose nothing);
-#   2. every registered family has a per-node accessor that the engine's
-#      MetricsPoller probe actually samples in engine.cc — a gauge nobody
-#      Sets would read 0 forever;
-#   3. the tracker naming helpers (NodeTrackerName / JobTrackerName in
-#      mem_tracker.cc) are the ones used to create the trackers the gauges
-#      sample (engine.cc / job_runner.cc) — renaming a tracker level
-#      without renaming its gauge family must fail here, not in a dashboard.
+# Guards the MemTracker tree's naming against silent drift: the fixed tree
+# levels are created through the canonical naming helpers (NodeTrackerName /
+# JobTrackerName, defined in mem_tracker.cc) — node trackers in engine.cc,
+# per-(job, node) trackers in job_runner.cc — so every reader of a tracker
+# name (EXPLAIN ANALYZE, ResourceExhausted messages, tests) sees one scheme.
 # Registered as a ctest (tests/CMakeLists.txt) and runnable standalone:
 #   scripts/check_mem_gauges.sh [repo-root]
 set -u
 
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
-metrics_h="$root/src/mapreduce/cluster_metrics.h"
-metrics_cc="$root/src/mapreduce/cluster_metrics.cc"
 engine_cc="$root/src/mapreduce/engine.cc"
 runner_cc="$root/src/mapreduce/job_runner.cc"
-tracker_h="$root/src/obs/mem_tracker.h"
 tracker_cc="$root/src/obs/mem_tracker.cc"
 
-for f in "$metrics_h" "$metrics_cc" "$engine_cc" "$runner_cc" \
-         "$tracker_h" "$tracker_cc"; do
+for f in "$engine_cc" "$runner_cc" "$tracker_cc"; do
   if [ ! -f "$f" ]; then
     echo "check_mem_gauges: missing $f" >&2
     exit 2
@@ -32,38 +22,6 @@ done
 
 fail=0
 
-# --- 1. declared kMetricMem* constants vs GaugeFamily registrations
-mem_families=$(grep -o 'kMetricMem[A-Za-z0-9]*\[\]' "$metrics_h" \
-  | sed 's/\[\]//' | sort -u)
-if [ -z "$mem_families" ]; then
-  echo "check_mem_gauges: no kMetricMem* families declared in" \
-       "cluster_metrics.h" >&2
-  fail=1
-fi
-registered=$(grep -o 'kMetricMem[A-Za-z0-9]*' "$metrics_cc" | sort -u)
-for name in $mem_families; do
-  if ! printf '%s\n' "$registered" | grep -qx "$name"; then
-    echo "check_mem_gauges: $name declared in cluster_metrics.h but never" \
-         "registered in cluster_metrics.cc" >&2
-    fail=1
-  fi
-done
-
-# --- 2. every family's accessor is sampled by the engine's poller probe.
-# The accessor name is the snake_case of the constant: kMetricMemNodeBytes
-# <-> mem_node_bytes(...). Derive it and require a ->Set( call in engine.cc.
-for name in $mem_families; do
-  accessor=$(printf '%s' "$name" | sed 's/^kMetric//' \
-    | sed 's/\([A-Z]\)/_\L\1/g' | sed 's/^_//')
-  if ! grep -q "${accessor}(.*)->Set(" "$engine_cc"; then
-    echo "check_mem_gauges: gauge family $name has no ${accessor}(n)->Set()" \
-         "sample in engine.cc's metrics poller" >&2
-    fail=1
-  fi
-done
-
-# --- 3. tracker levels are created through the canonical naming helpers,
-# so the gauges sample trackers whose names match the exposition.
 if ! grep -q 'NodeTrackerName' "$engine_cc"; then
   echo "check_mem_gauges: engine.cc does not create node trackers via" \
        "obs::NodeTrackerName()" >&2
@@ -84,5 +42,4 @@ done
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "check_mem_gauges: memory gauge families, samplers and tracker names" \
-     "are in sync"
+echo "check_mem_gauges: tracker levels are named through the canonical helpers"

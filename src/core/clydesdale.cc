@@ -4,7 +4,6 @@
 #include "common/strings.h"
 #include "core/aggregation.h"
 #include "core/staged_join.h"
-#include "mapreduce/cluster_metrics.h"
 #include "mapreduce/input_format.h"
 #include "storage/scan_spec.h"
 

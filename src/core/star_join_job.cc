@@ -9,7 +9,6 @@
 #include "common/strings.h"
 #include "core/aggregation.h"
 #include "core/vector_probe.h"
-#include "mapreduce/cluster_metrics.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/input_format.h"
 #include "mapreduce/job_trace.h"
@@ -262,14 +261,7 @@ void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf) {
   if (!options.trace_dir.empty()) {
     conf->Set(mr::kConfTraceDir, options.trace_dir);
   }
-  if (options.metrics) {
-    conf->SetBool(mr::kConfMetricsEnabled, true);
-    conf->SetInt(mr::kConfMetricsIntervalMs, options.metrics_interval_ms);
-  }
-  if (options.history) conf->SetBool(mr::kConfHistoryEnabled, true);
   if (options.profile) conf->SetBool(mr::kConfProfileEnabled, true);
-  // Tracking defaults on; only an explicit off needs recording in the conf.
-  if (!options.mem_tracking) conf->SetBool(mr::kConfMemTrackingEnabled, false);
   if (options.mem_budget_bytes > 0) {
     conf->mem_budget_bytes = options.mem_budget_bytes;
   }

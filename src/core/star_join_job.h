@@ -50,25 +50,13 @@ struct ClydesdaleOptions {
   /// When tracing, write <job>-<instance>.trace.json/.timeline.txt into
   /// this directory (obs.trace.dir). Empty = keep spans in-memory only.
   std::string trace_dir;
-  /// Live cluster metrics + online straggler detection for every stage job
-  /// (obs.metrics.enabled): the MetricsPoller samples the registry on
-  /// `metrics_interval_ms` and, when trace_dir is set, RunJob writes
-  /// .prom/.metrics.json/.dashboard.txt artifacts next to the trace.
-  bool metrics = false;
-  int64_t metrics_interval_ms = 5;
-  /// Structured JSONL job-history log (obs.history.enabled), persisted to
-  /// node 0's LocalStore and (with trace_dir) as <job>-<n>.history.jsonl.
-  bool history = false;
   /// Per-operator query profiler (obs.profile.enabled): scan/probe/aggregate
   /// nodes accumulated per task attempt, merged into JobReport::profile and
-  /// rendered as EXPLAIN ANALYZE. Off = zero instrumentation overhead.
+  /// rendered as EXPLAIN ANALYZE (written as <job>-<instance>.profile.json/
+  /// .profile.txt into trace_dir when that is set). Off = zero
+  /// instrumentation overhead. Memory accounting (the obs::MemTracker tree
+  /// behind the MEM_* counters) needs no switch: it is always on.
   bool profile = false;
-  /// Hierarchical memory accounting (obs.mem.enabled): the MemTracker tree
-  /// charges dim hash tables, scan arenas, aggregation tables and shuffle
-  /// runs, surfacing per-operator bytes in EXPLAIN ANALYZE and MEM_*
-  /// counters. On by default; off removes all tracking for A/B overhead
-  /// measurement.
-  bool mem_tracking = true;
   /// Per-job memory budget (JobConf::mem_budget_bytes): admission control
   /// rejects a query whose estimated dimension tables exceed it, and a
   /// runtime breach fails the attempt with ResourceExhausted. 0 = unlimited.

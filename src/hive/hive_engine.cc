@@ -6,7 +6,6 @@
 #include "hive/agg_stages.h"
 #include "hive/map_join.h"
 #include "hive/repartition_join.h"
-#include "mapreduce/cluster_metrics.h"
 #include "mapreduce/job_trace.h"
 
 namespace clydesdale {
@@ -23,11 +22,6 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
     if (!options_.trace_dir.empty()) {
       conf->Set(mr::kConfTraceDir, options_.trace_dir);
     }
-    if (options_.metrics) {
-      conf->SetBool(mr::kConfMetricsEnabled, true);
-      conf->SetInt(mr::kConfMetricsIntervalMs, options_.metrics_interval_ms);
-    }
-    if (options_.history) conf->SetBool(mr::kConfHistoryEnabled, true);
     if (options_.profile) conf->SetBool(mr::kConfProfileEnabled, true);
   };
   const std::string scratch =

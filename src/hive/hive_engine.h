@@ -22,14 +22,9 @@ struct HiveOptions {
   /// a traced Hive run and a traced Clydesdale run of the same query yield
   /// directly comparable Chrome traces.
   bool trace = false;
-  /// When tracing, write per-stage trace/timeline files here.
+  /// When tracing, write per-stage trace/timeline files here; when
+  /// profiling, the per-stage EXPLAIN ANALYZE files as well.
   std::string trace_dir;
-  /// Live cluster metrics + straggler detection per stage job, mirroring
-  /// ClydesdaleOptions::metrics.
-  bool metrics = false;
-  int64_t metrics_interval_ms = 5;
-  /// JSONL job-history logging per stage job (obs.history.enabled).
-  bool history = false;
   /// Per-operator query profiling per stage job (obs.profile.enabled),
   /// mirroring ClydesdaleOptions::profile. Off = zero instrumentation cost.
   bool profile = false;

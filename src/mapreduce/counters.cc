@@ -27,7 +27,6 @@ std::vector<std::string> StandardCounterNames() {
 
 std::vector<std::string> SituationalCounterNames() {
   return {
-      kCounterStragglerAttempts,
       kCounterCifBlocksSkipped,
       kCounterCifRowsPruned,
       kCounterCifBytesEncoded,

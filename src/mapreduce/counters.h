@@ -34,7 +34,6 @@ inline constexpr const char kCounterDistCacheBytes[] = "DISTRIBUTED_CACHE_BYTES"
 inline constexpr const char kCounterHdfsReadOps[] = "HDFS_READ_OPS";
 inline constexpr const char kCounterHdfsReadMicros[] = "HDFS_READ_MICROS";
 inline constexpr const char kCounterSchedPulls[] = "SCHED_PULLS";
-inline constexpr const char kCounterStragglerAttempts[] = "STRAGGLER_ATTEMPTS";
 // CIF scan pruning: column blocks skipped whole via zone maps, and rows
 // pruned by pushed-down predicates/key filters before decode.
 inline constexpr const char kCounterCifBlocksSkipped[] = "CIF_BLOCKS_SKIPPED";
@@ -55,7 +54,7 @@ inline constexpr const char kCounterCifBlocksDictRle[] = "CIF_BLOCKS_DICT_RLE";
 inline constexpr const char kCounterProfOperators[] = "PROF_OPERATORS";
 inline constexpr const char kCounterProfTasksProfiled[] =
     "PROF_TASKS_PROFILED";
-// Hierarchical memory accounting (obs.mem.enabled runs only): the job's
+// Hierarchical memory accounting (obs::MemTracker, always on): the job's
 // high-water tracked bytes summed across its per-node trackers, the highest
 // single-node high-water mark, and the configured budget (set only when
 // JobConf::mem_budget_bytes > 0).
@@ -78,7 +77,7 @@ inline constexpr const char kCounterCacheBytes[] = "CACHE_BYTES";
 std::vector<std::string> StandardCounterNames();
 
 /// Engine-maintained counters that only fire in specific situations (e.g.
-/// STRAGGLER_ATTEMPTS needs a slow task), so the all-populated audit skips
+/// CIF_BLOCKS_SKIPPED needs a zone-map hit), so the all-populated audit skips
 /// them. Standard + situational must cover every kCounter* above —
 /// scripts/check_counters.sh enforces it.
 std::vector<std::string> SituationalCounterNames();
@@ -158,15 +157,15 @@ void AddQueryProfileCounters(const obs::QueryProfile& profile,
 /// Folds the job's MemTracker high-water marks into `counters` at job end:
 /// MEM_JOB_PEAK_BYTES (sum of the job's per-node tracker peaks),
 /// MEM_NODE_PEAK_BYTES (largest single per-node peak) and MEM_BUDGET_BYTES
-/// (the configured limit). Zero values are not added, so untracked jobs
-/// carry no MEM_* counters.
+/// (the configured limit). Zero values are not added, so jobs that never
+/// charged a tracker carry no MEM_* counters.
 void AddMemTrackerCounters(
     const std::vector<std::shared_ptr<obs::MemTracker>>& job_trackers,
     uint64_t budget_bytes, Counters* counters);
 
 /// Folds serving-mode dim-table cache activity into `counters` — the only
 /// place the CACHE_* counters are populated (scripts/check_counters.sh
-/// audit #7). Hits/misses/evictions are summed deltas; `resident_bytes` is
+/// audit #6). Hits/misses/evictions are summed deltas; `resident_bytes` is
 /// the cache's current footprint and overwrites (Set) rather than sums.
 /// Zero deltas and negative bytes are not recorded, so cache-less jobs carry
 /// no CACHE_* counters.

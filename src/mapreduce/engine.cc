@@ -7,11 +7,9 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "mapreduce/input_format.h"
-#include "mapreduce/job_history.h"
 #include "mapreduce/job_runner.h"
 #include "mapreduce/job_trace.h"
 #include "mapreduce/shuffle.h"
-#include "obs/metrics_poller.h"
 #include "obs/trace.h"
 
 namespace clydesdale {
@@ -31,8 +29,6 @@ MrCluster::MrCluster(ClusterOptions options)
   for (int n = 0; n < options_.num_nodes; ++n) {
     local_stores_.push_back(std::make_unique<hdfs::LocalStore>(n));
   }
-  metrics_ =
-      std::make_unique<ClusterMetrics>(&metrics_registry_, options_.num_nodes);
   mem_tracker_ = obs::MemTracker::Create("cluster");
   node_mem_trackers_.reserve(static_cast<size_t>(options_.num_nodes));
   for (int n = 0; n < options_.num_nodes; ++n) {
@@ -84,16 +80,6 @@ int64_t MrCluster::table_version(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = table_versions_.find(path);
   return it == table_versions_.end() ? 1 : it->second;
-}
-
-void MrCluster::SetCacheStatsProbe(CacheStatsProbe probe) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_stats_probe_ = std::move(probe);
-}
-
-MrCluster::CacheStatsProbe MrCluster::cache_stats_probe() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_stats_probe_;
 }
 
 std::shared_ptr<SharedJvmState> MrCluster::SharedStateFor(int64_t job_instance,
@@ -203,7 +189,7 @@ void AppendShuffleOverlapSpan(std::vector<obs::SpanRecord>* spans) {
                    });
 }
 
-/// Writes `contents` to a real-filesystem path (trace/metrics artifacts).
+/// Writes `contents` to a real-filesystem path (profile artifacts).
 Status WriteTextFile(const std::string& path, const std::string& contents) {
   std::ofstream file(path, std::ios::trunc);
   if (!file) return Status::IoError("cannot open " + path);
@@ -213,39 +199,12 @@ Status WriteTextFile(const std::string& path, const std::string& contents) {
   return Status::OK();
 }
 
-/// Text cluster dashboard over a sampled series: per-node slot occupancy
-/// plus the cluster-wide queue/straggler rows.
-std::string RenderClusterDashboard(const obs::MetricsTimeSeries& series,
-                                   int num_nodes) {
-  std::vector<obs::DashboardRow> rows;
-  for (int n = 0; n < num_nodes; ++n) {
-    rows.push_back({StrCat("maps@node", n),
-                    StrCat(kMetricRunningMaps, "{node=\"", n, "\"}")});
-  }
-  for (int n = 0; n < num_nodes; ++n) {
-    rows.push_back({StrCat("reduces@node", n),
-                    StrCat(kMetricRunningReduces, "{node=\"", n, "\"}")});
-  }
-  for (int n = 0; n < num_nodes; ++n) {
-    rows.push_back({StrCat("mem@node", n),
-                    StrCat(kMetricMemNodeBytes, "{node=\"", n, "\"}")});
-  }
-  for (int n = 0; n < num_nodes; ++n) {
-    rows.push_back({StrCat("jobmem@node", n),
-                    StrCat(kMetricMemJobBytes, "{node=\"", n, "\"}")});
-  }
-  rows.push_back({"queued maps", kMetricQueuedMaps});
-  rows.push_back({"queued reduces", kMetricQueuedReduces});
-  rows.push_back({"stragglers", kMetricStragglersRunning});
-  return obs::RenderDashboard(series, rows);
-}
+}  // namespace
 
-/// The job body shared by every exit path of RunJob. `report` stays owned by
-/// the caller so an error return still leaves the partial counters/tasks
-/// visible to the history recorder.
-Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
-                             int64_t instance, JobReport* report_out,
-                             JobHistoryRecorder* history) {
+Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
+  JobConf conf = user_conf;
+  const int64_t instance = cluster->NextJobInstance();
+  conf.SetInt("mr.job.instance", instance);
   Stopwatch job_timer;
 
   if (!conf.input_format_factory) {
@@ -276,19 +235,16 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
 
   ScratchGcGuard scratch_gc{cluster, instance};
 
-  JobReport& report = *report_out;
+  JobReport report;
   report.job_name = conf.job_name;
   report.num_nodes = cluster->num_nodes();
   const uint64_t dfs_written_before = cluster->dfs()->TotalIo().bytes_written;
 
   // A null recorder pointer is how "tracing off" reaches every Span below:
-  // spans constructed against nullptr cost two stores. Metrics follow the
-  // same pattern: a null ClusterMetrics* through the runner means off.
+  // spans constructed against nullptr cost two stores.
   obs::TraceRecorder trace_recorder;
   obs::TraceRecorder* trace =
       conf.GetBool(kConfTraceEnabled) ? &trace_recorder : nullptr;
-  ClusterMetrics* metrics =
-      conf.GetBool(kConfMetricsEnabled) ? cluster->metrics() : nullptr;
   ScopedLogContext job_log_context(conf.job_name);
   obs::Span job_span(trace, conf.job_name, "job");
   obs::Span setup_span(trace, "setup", "phase");
@@ -300,11 +256,6 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
 
   CLY_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<InputSplit>> splits,
                        input_format->GetSplits(cluster, conf));
-  if (history != nullptr) {
-    history->RecordJobSubmitted(cluster->num_nodes(),
-                                static_cast<int>(splits.size()),
-                                std::max(conf.num_reduce_tasks, 0));
-  }
 
   // Map and reduce phases both run inside the runner: trackers pull attempts
   // (late-binding locality), maps publish shuffle runs as they finish, and
@@ -314,44 +265,7 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
   // Construction (attempt table, scheduling policy) is still setup time.
   auto runner = std::make_shared<JobRunner>(
       cluster, &conf, instance, std::move(splits), input_format.get(),
-      output_format.get(), &report, trace, metrics, history);
-  // The poller samples the whole registry on its interval and sweeps the
-  // runner's straggler probe first each tick. Declared after `runner` and
-  // holding its own shared_ptr, so an early error return tears it down
-  // (join) while the runner is still alive.
-  std::unique_ptr<obs::MetricsPoller> poller;
-  if (metrics != nullptr) {
-    poller = std::make_unique<obs::MetricsPoller>(
-        cluster->metrics_registry(),
-        conf.GetInt(kConfMetricsIntervalMs, 5));
-    poller->AddProbe([runner, cluster, metrics] {
-      runner->PollLiveMetrics();
-      // Sample the MemTracker tree into the labeled gauge families: node
-      // totals straight off the per-node trackers, job totals off this
-      // runner's per-(job, node) trackers (empty when obs.mem.enabled is
-      // off, leaving the gauges at their last value — zero).
-      const auto& job_trackers = runner->job_mem_trackers();
-      for (int n = 0; n < cluster->num_nodes(); ++n) {
-        const auto& node_tracker = cluster->node_mem_tracker(n);
-        metrics->mem_node_bytes(n)->Set(node_tracker->consumed());
-        metrics->mem_node_peak_bytes(n)->Set(node_tracker->peak());
-        if (static_cast<size_t>(n) < job_trackers.size() &&
-            job_trackers[static_cast<size_t>(n)] != nullptr) {
-          const auto& job_tracker = job_trackers[static_cast<size_t>(n)];
-          metrics->mem_job_bytes(n)->Set(job_tracker->consumed());
-          metrics->mem_job_peak_bytes(n)->Set(job_tracker->peak());
-        }
-      }
-      // Serving mode: sample the cross-query dim-table cache through the
-      // cluster's type-erased probe. No server attached → gauges stay 0.
-      if (MrCluster::CacheStatsProbe probe = cluster->cache_stats_probe()) {
-        const auto [cache_bytes, cache_entries] = probe();
-        metrics->cache_bytes()->Set(cache_bytes);
-        metrics->cache_entries()->Set(cache_entries);
-      }
-    });
-    poller->Start();
-  }
+      output_format.get(), &report, trace);
   setup_span.End();
   CLY_RETURN_IF_ERROR(runner->Execute(runner));
 
@@ -376,27 +290,11 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
     AddQueryProfileCounters(report.profile, &report.counters);
   }
 
-  if (poller != nullptr) {
-    report.metrics_series = poller->Stop();
-    report.metrics_prom = cluster->metrics_registry()->PrometheusText();
-  }
-
+  const std::string trace_dir = conf.Get(kConfTraceDir);
   if (trace != nullptr) {
     job_span.End();
     report.spans = trace_recorder.Drain();
     AppendShuffleOverlapSpan(&report.spans);
-    // Mirror job-level phase timings into the history, copied from the
-    // drained spans so a history-only reader reconstructs the same critical
-    // path, to the microsecond.
-    if (history != nullptr) {
-      for (const obs::SpanRecord& span : report.spans) {
-        if (span.task != -1) continue;
-        const std::string category = span.category;
-        if (category != "phase" && category != "overlap") continue;
-        history->RecordPhase(span.name, category, span.start_us, span.dur_us);
-      }
-    }
-    const std::string trace_dir = conf.Get(kConfTraceDir);
     if (!trace_dir.empty()) {
       CLY_RETURN_IF_ERROR(WriteJobTrace(report, trace_dir, instance));
       CLY_LOG(Debug) << "wrote trace to " << trace_dir << "/" << conf.job_name
@@ -404,28 +302,11 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
     }
   }
 
-  // Metrics artifacts land next to the Chrome trace (kConfMetricsDir
-  // defaults to the trace dir): Prometheus-text snapshot, sampled time
-  // series, and the text cluster dashboard.
-  const std::string metrics_dir =
-      conf.Get(kConfMetricsDir, conf.Get(kConfTraceDir));
-  if (metrics != nullptr && !metrics_dir.empty()) {
+  // EXPLAIN ANALYZE artifacts for profiled runs, next to the trace files
+  // (run_benches.sh exports the .json as BENCH_profile.json).
+  if (!report.profile.empty() && !trace_dir.empty()) {
     const std::string base =
-        StrCat(metrics_dir, "/", conf.job_name, "-", instance);
-    CLY_RETURN_IF_ERROR(WriteTextFile(base + ".prom", report.metrics_prom));
-    CLY_RETURN_IF_ERROR(
-        WriteTextFile(base + ".metrics.json", report.metrics_series.ToJson()));
-    CLY_RETURN_IF_ERROR(WriteTextFile(
-        base + ".dashboard.txt",
-        RenderClusterDashboard(report.metrics_series, cluster->num_nodes())));
-    CLY_LOG(Debug) << "wrote metrics snapshot to " << base << ".prom";
-  }
-
-  // EXPLAIN ANALYZE artifacts for profiled runs, next to the trace/metrics
-  // files (run_benches.sh exports the .json as BENCH_profile.json).
-  if (!report.profile.empty() && !metrics_dir.empty()) {
-    const std::string base =
-        StrCat(metrics_dir, "/", conf.job_name, "-", instance);
+        StrCat(trace_dir, "/", conf.job_name, "-", instance);
     CLY_RETURN_IF_ERROR(WriteTextFile(
         base + ".profile.json", obs::ExplainAnalyzeJson(report.profile)));
     CLY_RETURN_IF_ERROR(WriteTextFile(
@@ -436,53 +317,6 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
   JobResult result;
   result.output_rows = output_format->TakeRows();
   result.report = std::move(report);
-  return result;
-}
-
-}  // namespace
-
-Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
-  JobConf conf = user_conf;
-  const int64_t instance = cluster->NextJobInstance();
-  conf.SetInt("mr.job.instance", instance);
-
-  std::unique_ptr<JobHistoryRecorder> history;
-  if (conf.GetBool(kConfHistoryEnabled)) {
-    history = std::make_unique<JobHistoryRecorder>(conf.job_name, instance);
-  }
-  const bool metrics_on = conf.GetBool(kConfMetricsEnabled);
-  if (metrics_on) cluster->metrics()->jobs_running()->Add(1);
-  JobReport live_report;
-  Result<JobResult> result =
-      ExecuteJob(cluster, conf, instance, &live_report, history.get());
-  if (metrics_on) cluster->metrics()->jobs_running()->Add(-1);
-
-  // The history log is finalized and persisted on every exit path —
-  // success, validation error, task failure — like the Hadoop
-  // JobHistoryServer's done-dir. On success the live report was moved into
-  // the result, so read it back from there.
-  if (history != nullptr) {
-    const JobReport& final_report = result.ok() ? result->report : live_report;
-    history->RecordJobFinished(result.ok() ? Status::OK() : result.status(),
-                               final_report);
-    const Status write_status =
-        WriteJobHistory(cluster->local_store(0), *history);
-    if (!write_status.ok()) {
-      CLY_LOG(Warning) << "failed to persist job history: "
-                       << write_status.ToString();
-    }
-    const std::string metrics_dir =
-        conf.Get(kConfMetricsDir, conf.Get(kConfTraceDir));
-    if (!metrics_dir.empty()) {
-      const std::string path = StrCat(metrics_dir, "/", conf.job_name, "-",
-                                      instance, ".history.jsonl");
-      const Status dump_status = WriteTextFile(path, history->Serialize());
-      if (!dump_status.ok()) {
-        CLY_LOG(Warning) << "failed to dump job history: "
-                         << dump_status.ToString();
-      }
-    }
-  }
   return result;
 }
 

@@ -1,7 +1,6 @@
 #ifndef CLYDESDALE_MAPREDUCE_ENGINE_H_
 #define CLYDESDALE_MAPREDUCE_ENGINE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,14 +12,12 @@
 #include "common/status.h"
 #include "hdfs/dfs.h"
 #include "hdfs/local_store.h"
-#include "mapreduce/cluster_metrics.h"
 #include "mapreduce/job_conf.h"
 #include "mapreduce/job_report.h"
 #include "mapreduce/output_format.h"
 #include "mapreduce/task_context.h"
 #include "mapreduce/task_tracker.h"
 #include "obs/mem_tracker.h"
-#include "obs/metrics.h"
 #include "storage/table_format.h"
 
 namespace clydesdale {
@@ -61,18 +58,12 @@ class MrCluster {
   /// transition, abort). Callers must not hold a JobRunner lock.
   void WakeAllTrackers();
 
-  /// Cluster-lifetime metrics: the registry (for exposition / the poller)
-  /// and the pre-resolved handle bundle (for the executor hot path). Always
-  /// present; jobs only *update* them when kConfMetricsEnabled is set.
-  obs::MetricsRegistry* metrics_registry() { return &metrics_registry_; }
-  ClusterMetrics* metrics() { return metrics_.get(); }
-
   /// Root of the cluster's MemTracker tree ("cluster"); always present.
   const std::shared_ptr<obs::MemTracker>& mem_tracker() {
     return mem_tracker_;
   }
-  /// Per-node tracker ("node<N>"), child of the cluster root. Jobs parent
-  /// their per-(job, node) trackers here when kConfMemTrackingEnabled is on.
+  /// Per-node tracker ("node<N>"), child of the cluster root. Every job
+  /// parents its per-(job, node) trackers here.
   const std::shared_ptr<obs::MemTracker>& node_mem_tracker(hdfs::NodeId node) {
     return node_mem_trackers_[static_cast<size_t>(node)];
   }
@@ -87,15 +78,6 @@ class MrCluster {
   /// invalidated. Every (re)load path funnels through InvalidateTable, which
   /// bumps this.
   int64_t table_version(const std::string& path);
-
-  /// Serving-layer hook: lets a resident query server expose its dim-table
-  /// cache footprint to the per-job MetricsPoller without this layer
-  /// depending on the serving layer. The probe returns (resident bytes,
-  /// resident entries); sampled into the cly_cache_* gauges each poll tick.
-  /// Pass nullptr to clear.
-  using CacheStatsProbe = std::function<std::pair<int64_t, int64_t>()>;
-  void SetCacheStatsProbe(CacheStatsProbe probe);
-  CacheStatsProbe cache_stats_probe();
 
   /// JVM-reuse registry: per-(job instance, node) shared state. The engine
   /// hands these to tasks when the job enables jvm_reuse.
@@ -114,10 +96,6 @@ class MrCluster {
   hdfs::MiniDfs dfs_;
   std::vector<std::unique_ptr<hdfs::LocalStore>> local_stores_;
 
-  /// Declared before trackers_: tracker workers update metric cells through
-  /// their JobRunner until their pools drain.
-  obs::MetricsRegistry metrics_registry_;
-  std::unique_ptr<ClusterMetrics> metrics_;
   /// MemTracker tree root and per-node children. shared_ptr-owned so a
   /// consumer outliving the cluster (late scratch GC) keeps its chain alive.
   std::shared_ptr<obs::MemTracker> mem_tracker_;
@@ -126,7 +104,6 @@ class MrCluster {
   std::mutex mu_;
   std::unordered_map<std::string, storage::TableDesc> table_cache_;
   std::unordered_map<std::string, int64_t> table_versions_;
-  CacheStatsProbe cache_stats_probe_;
   std::map<std::pair<int64_t, hdfs::NodeId>, std::shared_ptr<SharedJvmState>>
       shared_states_;
   int64_t next_job_instance_ = 1;

@@ -22,6 +22,10 @@ class InputFormat;
 class OutputFormat;
 class MapRunner;
 
+/// Engine-computed estimate of the job's dimension hash-table footprint
+/// (bytes), consulted by admission control against JobConf::mem_budget_bytes.
+inline constexpr const char kConfMemEstimateBytes[] = "obs.mem.estimate_bytes";
+
 /// Job configuration: string properties plus typed component factories (the
 /// C++ stand-in for Hadoop's reflective class-name configuration). Factories
 /// are invoked once per task, so user components may keep per-task state.

@@ -8,7 +8,6 @@
 #include "hdfs/block.h"
 #include "mapreduce/counters.h"
 #include "obs/histogram.h"
-#include "obs/metrics_poller.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
 
@@ -54,10 +53,6 @@ struct JobReport {
   /// Spans drained from the job's TraceRecorder, sorted by start time.
   /// Empty unless the job ran with kConfTraceEnabled.
   std::vector<obs::SpanRecord> spans;
-  /// Live-metrics trajectory sampled by the MetricsPoller and the final
-  /// Prometheus-text snapshot. Empty unless kConfMetricsEnabled.
-  obs::MetricsTimeSeries metrics_series;
-  std::string metrics_prom;
   /// Per-operator execution profile merged tree-structurally across task
   /// attempts (obs/query_profile.h). Empty unless kConfProfileEnabled.
   obs::QueryProfile profile;

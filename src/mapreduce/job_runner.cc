@@ -6,10 +6,8 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "mapreduce/cluster_metrics.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/engine.h"
-#include "mapreduce/job_history.h"
 #include "mapreduce/job_trace.h"
 #include "mapreduce/map_runner.h"
 #include "mapreduce/task_context.h"
@@ -33,8 +31,7 @@ std::string ShuffleRunPath(int64_t instance, int map_task, int partition) {
 JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
                      std::vector<std::shared_ptr<InputSplit>> splits,
                      InputFormat* input_format, OutputFormat* output_format,
-                     JobReport* report, obs::TraceRecorder* trace,
-                     ClusterMetrics* metrics, JobHistoryRecorder* history)
+                     JobReport* report, obs::TraceRecorder* trace)
     : cluster_(cluster),
       conf_(conf),
       instance_(instance),
@@ -43,8 +40,6 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
       output_format_(output_format),
       report_(report),
       trace_(trace),
-      metrics_(metrics),
-      history_(history),
       num_reduces_(std::max(conf->num_reduce_tasks, 0)),
       map_only_(num_reduces_ == 0),
       pipelined_(conf->pipelined_shuffle),
@@ -54,16 +49,8 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
       task_threads_(conf->single_task_per_node
                         ? cluster->options().map_slots_per_node
                         : 1),
-      shuffle_(std::max(num_reduces_, 1), metrics),
+      shuffle_(std::max(num_reduces_, 1)),
       direct_out_(output_format),
-      straggler_([conf] {
-        StragglerPolicy policy;
-        policy.threshold =
-            conf->GetDouble(kConfStragglerThreshold, policy.threshold);
-        policy.min_completed = static_cast<int>(
-            conf->GetInt(kConfStragglerMinCompleted, policy.min_completed));
-        return policy;
-      }()),
       policy_(splits_, cluster->num_nodes()),
       running_maps_(static_cast<size_t>(cluster->num_nodes()), 0),
       maps_unfinished_(static_cast<int>(splits_.size())),
@@ -82,22 +69,13 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
   // the cluster's node trackers, carrying the job's budget as its limit.
   // Everything a task charges (dim tables, scan arenas, shuffle runs)
   // propagates node -> cluster through these.
-  if (conf->GetBool(kConfMemTrackingEnabled, true)) {
-    job_mem_trackers_.reserve(static_cast<size_t>(cluster->num_nodes()));
-    for (int n = 0; n < cluster->num_nodes(); ++n) {
-      job_mem_trackers_.push_back(obs::MemTracker::Create(
-          obs::JobTrackerName(instance, n), cluster->node_mem_tracker(n),
-          static_cast<int64_t>(conf->mem_budget_bytes)));
-    }
-    shuffle_.set_mem_trackers(job_mem_trackers_);
+  job_mem_trackers_.reserve(static_cast<size_t>(cluster->num_nodes()));
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    job_mem_trackers_.push_back(obs::MemTracker::Create(
+        obs::JobTrackerName(instance, n), cluster->node_mem_tracker(n),
+        static_cast<int64_t>(conf->mem_budget_bytes)));
   }
-  // Queue-depth gauges go up by the full attempt count here and come back
-  // down one claim (or one abort-kill) at a time — net zero by job end.
-  if (metrics_ != nullptr) {
-    metrics_->queued_maps()->Add(static_cast<int64_t>(map_attempts_.size()));
-    metrics_->queued_reduces()->Add(
-        static_cast<int64_t>(reduce_attempts_.size()));
-  }
+  shuffle_.set_mem_trackers(job_mem_trackers_);
   if (maps_unfinished_ == 0) shuffle_.CloseProducers();
 }
 
@@ -136,18 +114,8 @@ TaskAttempt* JobRunner::ClaimLocked(hdfs::NodeId node, bool reduce_slot) {
       // asked for it first (reduce input comes over the simulated network
       // either way; shuffle locality is accounted per fetched run).
       attempt->node = node;
-      attempt->start_us = clock_.ElapsedMicros();
       (void)attempt->Transition(AttemptState::kRunning);
       report_->counters.Add(kCounterSchedPulls, 1);
-      if (metrics_ != nullptr) {
-        metrics_->queued_reduces()->Add(-1);
-        metrics_->running_reduces(node)->Add(1);
-      }
-      if (history_ != nullptr) {
-        history_->RecordAttemptRunning(/*is_map=*/false,
-                                       attempt->task_index(),
-                                       attempt->attempt(), node);
-      }
       return attempt.get();
     }
     return nullptr;
@@ -163,21 +131,12 @@ TaskAttempt* JobRunner::ClaimLocked(hdfs::NodeId node, bool reduce_slot) {
   attempt->node = node;
   attempt->data_local = choice.data_local;
   attempt->split = splits_[static_cast<size_t>(choice.task_index)];
-  attempt->start_us = clock_.ElapsedMicros();
   (void)attempt->Transition(AttemptState::kRunning);
   ++running_maps_[static_cast<size_t>(node)];
   report_->counters.Add(kCounterSchedPulls, 1);
   // Locality is recorded from the actual pull-time decision, not a plan.
   report_->counters.Add(
       choice.data_local ? kCounterDataLocalMaps : kCounterRackRemoteMaps, 1);
-  if (metrics_ != nullptr) {
-    metrics_->queued_maps()->Add(-1);
-    metrics_->running_maps(node)->Add(1);
-  }
-  if (history_ != nullptr) {
-    history_->RecordAttemptRunning(/*is_map=*/true, attempt->task_index(),
-                                   attempt->attempt(), node);
-  }
   return attempt;
 }
 
@@ -208,26 +167,6 @@ void JobRunner::FinishAttempt(TaskAttempt* attempt, Status status) {
     attempt->status = status;
     (void)attempt->Transition(status.ok() ? AttemptState::kSucceeded
                                           : AttemptState::kFailed);
-    const int64_t elapsed_us =
-        attempt->start_us >= 0 ? clock_.ElapsedMicros() - attempt->start_us
-                               : 0;
-    straggler_.RecordCompletion(attempt->is_map(), elapsed_us);
-    if (metrics_ != nullptr) {
-      (attempt->is_map() ? metrics_->running_maps(attempt->node)
-                         : metrics_->running_reduces(attempt->node))
-          ->Add(-1);
-      metrics_->attempts_finished(attempt->is_map(),
-                                  status.ok() ? "succeeded" : "failed")
-          ->Inc();
-      metrics_->attempt_duration(attempt->is_map())->Record(elapsed_us);
-      // A flagged straggler leaving keeps the live gauge net-zero.
-      if (attempt->straggler_flagged) metrics_->stragglers_running()->Add(-1);
-    }
-    if (history_ != nullptr) {
-      history_->RecordAttemptFinished(attempt->report,
-                                      status.ok() ? "succeeded" : "failed",
-                                      status.ok() ? "" : status.ToString());
-    }
     if (attempt->is_map()) {
       --running_maps_[static_cast<size_t>(attempt->node)];
       --maps_unfinished_;
@@ -251,67 +190,22 @@ void JobRunner::FinishAttempt(TaskAttempt* attempt, Status status) {
         const Status killed = Status::Internal("attempt killed: job aborted");
         auto kill_queued = [&](std::vector<std::unique_ptr<TaskAttempt>>&
                                    attempts,
-                               bool is_map, int* unfinished) {
+                               int* unfinished) {
           for (auto& a : attempts) {
             if (a->state() != AttemptState::kQueued) continue;
             a->status = killed;
             (void)a->Transition(AttemptState::kFailed);
             --(*unfinished);
-            if (metrics_ != nullptr) {
-              (is_map ? metrics_->queued_maps() : metrics_->queued_reduces())
-                  ->Add(-1);
-              metrics_->attempts_finished(is_map, "killed")->Inc();
-            }
-            if (history_ != nullptr) {
-              TaskReport& tr = a->report;
-              tr.index = a->task_index();
-              tr.attempt = a->attempt();
-              tr.is_map = is_map;
-              tr.node = a->node;
-              history_->RecordAttemptFinished(tr, "killed", killed.ToString());
-            }
           }
         };
-        kill_queued(map_attempts_, /*is_map=*/true, &maps_unfinished_);
-        kill_queued(reduce_attempts_, /*is_map=*/false, &reduces_unfinished_);
+        kill_queued(map_attempts_, &maps_unfinished_);
+        kill_queued(reduce_attempts_, &reduces_unfinished_);
         shuffle_.CloseProducers();
       }
     }
   }
   cluster_->WakeAllTrackers();
   done_cv_.notify_all();
-}
-
-void JobRunner::PollLiveMetrics() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const int64_t now_us = clock_.ElapsedMicros();
-  auto sweep = [&](std::vector<std::unique_ptr<TaskAttempt>>& attempts) {
-    for (auto& a : attempts) {
-      if (a->state() != AttemptState::kRunning || a->straggler_flagged ||
-          a->start_us < 0) {
-        continue;
-      }
-      const int64_t elapsed_us = now_us - a->start_us;
-      if (!straggler_.IsStraggler(a->is_map(), elapsed_us)) continue;
-      a->straggler_flagged = true;
-      report_->counters.Add(kCounterStragglerAttempts, 1);
-      const int64_t median_us = straggler_.RunningMedianMicros(a->is_map());
-      if (metrics_ != nullptr) {
-        metrics_->stragglers_running()->Add(1);
-        metrics_->stragglers_total()->Inc();
-      }
-      if (history_ != nullptr) {
-        history_->RecordStraggler(StragglerFlag{a->is_map(), a->task_index(),
-                                                a->attempt(), a->node,
-                                                elapsed_us, median_us});
-      }
-      CLY_LOG(Debug) << "straggler flagged: " << a->Label() << "@node"
-                     << a->node << " elapsed " << elapsed_us
-                     << "us vs median " << median_us << "us";
-    }
-  };
-  sweep(map_attempts_);
-  sweep(reduce_attempts_);
 }
 
 Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
@@ -328,14 +222,11 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
   TaskContext context(conf_, cluster_, index, node, task_threads_, shared,
                       &report_->counters, trace_, &report_->histograms,
                       attempt->attempt());
-  std::shared_ptr<obs::MemTracker> attempt_tracker;
-  if (!job_mem_trackers_.empty()) {
-    attempt_tracker = obs::MemTracker::Create(
-        StrCat("m-", index, ".", attempt->attempt()),
-        job_mem_trackers_[static_cast<size_t>(node)]);
-    context.set_mem_trackers(attempt_tracker,
-                             job_mem_trackers_[static_cast<size_t>(node)]);
-  }
+  const std::shared_ptr<obs::MemTracker>& job_tracker =
+      job_mem_trackers_[static_cast<size_t>(node)];
+  std::shared_ptr<obs::MemTracker> attempt_tracker = obs::MemTracker::Create(
+      StrCat("m-", index, ".", attempt->attempt()), job_tracker);
+  context.set_mem_trackers(attempt_tracker, job_tracker);
   ScopedLogContext task_log_context(context.DebugLabel(/*is_map=*/true));
   obs::Span task_span(trace_, "map-task", "task", index, node);
 
@@ -449,12 +340,10 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
     root.wall_max_ns = attempt_ns;
     root.cpu_ns = static_cast<uint64_t>(obs::ThreadCpuNanos() - prof_cpu0);
     root.tasks = 1;
-    if (attempt_tracker != nullptr) {
-      root.mem_current_bytes =
-          static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
-      root.mem_peak_bytes =
-          static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
-    }
+    root.mem_current_bytes =
+        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
+    root.mem_peak_bytes =
+        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
     root.children = context.TakeProfileOperators();
     std::lock_guard<std::mutex> lock(mu_);
     report_->profile.MergeAttempt(root, prof_start_us, clock_.ElapsedMicros());
@@ -472,14 +361,11 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
   TaskContext context(conf_, cluster_, r, node, /*allowed_threads=*/1,
                       std::make_shared<SharedJvmState>(), &report_->counters,
                       trace_, &report_->histograms, attempt->attempt());
-  std::shared_ptr<obs::MemTracker> attempt_tracker;
-  if (!job_mem_trackers_.empty()) {
-    attempt_tracker = obs::MemTracker::Create(
-        StrCat("r-", r, ".", attempt->attempt()),
-        job_mem_trackers_[static_cast<size_t>(node)]);
-    context.set_mem_trackers(attempt_tracker,
-                             job_mem_trackers_[static_cast<size_t>(node)]);
-  }
+  const std::shared_ptr<obs::MemTracker>& job_tracker =
+      job_mem_trackers_[static_cast<size_t>(node)];
+  std::shared_ptr<obs::MemTracker> attempt_tracker = obs::MemTracker::Create(
+      StrCat("r-", r, ".", attempt->attempt()), job_tracker);
+  context.set_mem_trackers(attempt_tracker, job_tracker);
   ScopedLogContext task_log_context(context.DebugLabel(/*is_map=*/false));
   obs::Span task_span(trace_, "reduce-task", "task", r, node);
 
@@ -590,12 +476,10 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
     root.wall_max_ns = attempt_ns;
     root.cpu_ns = static_cast<uint64_t>(obs::ThreadCpuNanos() - prof_cpu0);
     root.tasks = 1;
-    if (attempt_tracker != nullptr) {
-      root.mem_current_bytes =
-          static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
-      root.mem_peak_bytes =
-          static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
-    }
+    root.mem_current_bytes =
+        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
+    root.mem_peak_bytes =
+        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
     obs::OperatorProfile shuffle;
     shuffle.name = "shuffle";
     shuffle.kind = "shuffle";
@@ -636,11 +520,6 @@ Status JobRunner::Execute(const std::shared_ptr<JobRunner>& self) {
     {
       std::unique_lock<std::mutex> lock(mu_);
       done_cv_.wait(lock, [this] { return maps_unfinished_ == 0; });
-    }
-    // History checkpoint at the map barrier: the counters a JobTracker UI
-    // would show when the map progress bar hits 100%.
-    if (history_ != nullptr) {
-      history_->RecordCountersSnapshot("map-end", report_->counters);
     }
     if (map_only_) {
       for (int n = 0; n < cluster_->num_nodes(); ++n) {

@@ -15,7 +15,6 @@
 #include "mapreduce/output_format.h"
 #include "mapreduce/scheduler.h"
 #include "mapreduce/shuffle.h"
-#include "mapreduce/straggler.h"
 #include "mapreduce/task_attempt.h"
 #include "obs/mem_tracker.h"
 #include "obs/trace.h"
@@ -23,8 +22,6 @@
 namespace clydesdale {
 namespace mr {
 
-class ClusterMetrics;
-class JobHistoryRecorder;
 class MrCluster;
 
 /// Thread-safe counting collector for records that go straight to the job's
@@ -61,15 +58,10 @@ class OutputFormatCollector final : public OutputCollector {
 /// attempts is in flight, even after Execute returned the job's result.
 class JobRunner {
  public:
-  /// `metrics` (optional) receives live slot/queue/outcome updates;
-  /// `history` (optional) receives every attempt state transition. Both may
-  /// be null independently of each other.
   JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
             std::vector<std::shared_ptr<InputSplit>> splits,
             InputFormat* input_format, OutputFormat* output_format,
-            JobReport* report, obs::TraceRecorder* trace,
-            ClusterMetrics* metrics = nullptr,
-            JobHistoryRecorder* history = nullptr);
+            JobReport* report, obs::TraceRecorder* trace);
 
   // --- tracker pull API -----------------------------------------------------
   /// Would TryRunWork from this (node, slot kind) claim an attempt now?
@@ -89,20 +81,9 @@ class JobRunner {
   /// (with "<job> map task N" context) or OK.
   Status Execute(const std::shared_ptr<JobRunner>& self);
 
-  /// MetricsPoller probe: sweeps running attempts through the online
-  /// straggler detector, flagging (once, edge-triggered) any attempt whose
-  /// elapsed time exceeds the policy threshold times the running median of
-  /// completed same-phase attempts. Updates the straggler gauge/counter,
-  /// the STRAGGLER_ATTEMPTS job counter, and the history log.
-  void PollLiveMetrics();
-
-  const StragglerDetector& straggler_detector() const { return straggler_; }
-
   /// The job's per-node MemTrackers ("job<I>@node<N>", children of the
   /// cluster's node trackers, limited by JobConf::mem_budget_bytes), indexed
-  /// by NodeId. Empty when obs.mem.enabled is off. The engine's poller
-  /// samples these into the cly_mem_job_* gauges and its counter flush reads
-  /// their peaks at job end.
+  /// by NodeId. The engine's counter flush reads their peaks at job end.
   const std::vector<std::shared_ptr<obs::MemTracker>>& job_mem_trackers()
       const {
     return job_mem_trackers_;
@@ -124,10 +105,7 @@ class JobRunner {
   OutputFormat* const output_format_;
   JobReport* const report_;
   obs::TraceRecorder* const trace_;
-  ClusterMetrics* const metrics_;
-  JobHistoryRecorder* const history_;
-  /// The runner's own clock: attempt start/elapsed times for the straggler
-  /// probe (same timebase for claim and poll).
+  /// The runner's own clock: the timebase of profiled attempt envelopes.
   const Stopwatch clock_;
 
   const int num_reduces_;
@@ -138,15 +116,13 @@ class JobRunner {
   const int map_cap_per_node_;
   const int task_threads_;
 
-  /// Per-node job trackers; populated in the ctor body (obs.mem.enabled),
-  /// and handed to shuffle_ as shared_ptr copies, so declaration order
-  /// relative to shuffle_ does not matter.
+  /// Per-node job trackers; populated in the ctor body and handed to
+  /// shuffle_ as shared_ptr copies, so declaration order relative to
+  /// shuffle_ does not matter.
   std::vector<std::shared_ptr<obs::MemTracker>> job_mem_trackers_;
 
   ShuffleStore shuffle_;
   OutputFormatCollector direct_out_;
-
-  StragglerDetector straggler_;
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;

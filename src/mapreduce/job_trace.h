@@ -18,6 +18,10 @@ inline constexpr const char kConfTraceEnabled[] = "obs.trace.enabled";
 /// `<dir>/<job_name>-<instance>.trace.json` (Chrome trace_event format) and
 /// `<dir>/<job_name>-<instance>.timeline.txt` next to the job's output.
 inline constexpr const char kConfTraceDir[] = "obs.trace.dir";
+/// "true" turns the per-operator profiler on (JobReport::profile). When
+/// kConfTraceDir is also set, the engine writes the EXPLAIN ANALYZE report
+/// as `<dir>/<job_name>-<instance>.profile.{json,txt}`.
+inline constexpr const char kConfProfileEnabled[] = "obs.profile.enabled";
 
 // Standard histogram names maintained by the engine (JobReport::histograms).
 inline constexpr const char kHistMapTaskMicros[] = "MAP_TASK_MICROS";

@@ -5,7 +5,6 @@
 #include <cstddef>
 
 #include "common/logging.h"
-#include "mapreduce/cluster_metrics.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/job_trace.h"
 #include "storage/row_codec.h"
@@ -165,18 +164,13 @@ Result<std::vector<std::vector<KeyValue>>> ShardedCollector::Finish(
   return merged;
 }
 
-ShuffleStore::ShuffleStore(int num_partitions, ClusterMetrics* metrics)
-    : metrics_(metrics),
-      partitions_(static_cast<size_t>(std::max(num_partitions, 1))),
+ShuffleStore::ShuffleStore(int num_partitions)
+    : partitions_(static_cast<size_t>(std::max(num_partitions, 1))),
       consumed_(static_cast<size_t>(std::max(num_partitions, 1)), 0) {}
 
 ShuffleStore::~ShuffleStore() {
-  // Aborted jobs leave published runs unfetched; settle the in-flight gauge
-  // (and release their tracker charges) so both stay net-zero across jobs.
-  if (metrics_ != nullptr && unfetched_bytes_ > 0) {
-    metrics_->shuffle_bytes_inflight()->Add(
-        -static_cast<int64_t>(unfetched_bytes_));
-  }
+  // Aborted jobs leave published runs unfetched; release their tracker
+  // charges so the trackers stay net-zero across jobs.
   for (size_t p = 0; p < partitions_.size(); ++p) {
     for (size_t i = consumed_[p]; i < partitions_[p].size(); ++i) {
       ReleaseRunLocked(partitions_[p][i]);
@@ -208,13 +202,7 @@ void ShuffleStore::PublishRun(int partition, ShuffleRun run) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     total_bytes_ += run.encoded_bytes;
-    unfetched_bytes_ += run.encoded_bytes;
     ChargeRunLocked(run);
-    if (metrics_ != nullptr) {
-      metrics_->shuffle_runs_published()->Inc();
-      metrics_->shuffle_bytes_inflight()->Add(
-          static_cast<int64_t>(run.encoded_bytes));
-    }
     partitions_[static_cast<size_t>(partition)].push_back(std::move(run));
   }
   cv_.notify_all();
@@ -236,17 +224,7 @@ std::vector<ShuffleRun> ShuffleStore::TakePartition(int partition) {
   // the rest counts as fetched now.
   const size_t already = consumed_[static_cast<size_t>(partition)];
   consumed_[static_cast<size_t>(partition)] = 0;
-  uint64_t bytes = 0;
-  for (size_t i = already; i < runs.size(); ++i) {
-    bytes += runs[i].encoded_bytes;
-    ReleaseRunLocked(runs[i]);
-  }
-  unfetched_bytes_ -= bytes;
-  if (metrics_ != nullptr && runs.size() > already) {
-    metrics_->shuffle_runs_fetched()->Add(
-        static_cast<int64_t>(runs.size() - already));
-    metrics_->shuffle_bytes_inflight()->Add(-static_cast<int64_t>(bytes));
-  }
+  for (size_t i = already; i < runs.size(); ++i) ReleaseRunLocked(runs[i]);
   std::sort(runs.begin(), runs.end(),
             [](const ShuffleRun& a, const ShuffleRun& b) {
               return a.map_task < b.map_task;
@@ -260,17 +238,9 @@ bool ShuffleStore::AwaitNewRuns(int partition, std::vector<ShuffleRun>* out) {
   size_t& consumed = consumed_[static_cast<size_t>(partition)];
   cv_.wait(lock, [&] { return closed_ || consumed < runs.size(); });
   if (consumed >= runs.size()) return false;  // closed and drained
-  uint64_t bytes = 0;
   for (size_t i = consumed; i < runs.size(); ++i) {
-    bytes += runs[i].encoded_bytes;
     ReleaseRunLocked(runs[i]);
     out->push_back(std::move(runs[i]));
-  }
-  unfetched_bytes_ -= bytes;
-  if (metrics_ != nullptr) {
-    metrics_->shuffle_runs_fetched()->Add(
-        static_cast<int64_t>(runs.size() - consumed));
-    metrics_->shuffle_bytes_inflight()->Add(-static_cast<int64_t>(bytes));
   }
   consumed = runs.size();
   return true;

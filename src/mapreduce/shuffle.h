@@ -16,7 +16,6 @@
 namespace clydesdale {
 namespace mr {
 
-class ClusterMetrics;
 
 /// Map-side output buffer: partitions records, sorts each partition by key
 /// at task end, and optionally applies a combiner — Hadoop's spill path,
@@ -95,10 +94,8 @@ struct ShuffleRun {
 /// good once CloseProducers marks the map side done.
 class ShuffleStore {
  public:
-  /// `metrics` (optional) receives live publish/fetch counts and the
-  /// bytes-in-flight gauge; the destructor rebalances the gauge for runs
-  /// never fetched (aborted jobs), keeping it net-zero across jobs.
-  explicit ShuffleStore(int num_partitions, ClusterMetrics* metrics = nullptr);
+  explicit ShuffleStore(int num_partitions);
+  /// Releases the tracker charges of runs never fetched (aborted jobs).
   ~ShuffleStore();
 
   /// Attributes published-but-unfetched run bytes to the publishing map
@@ -133,7 +130,6 @@ class ShuffleStore {
   void ChargeRunLocked(const ShuffleRun& run);
   void ReleaseRunLocked(const ShuffleRun& run);
 
-  ClusterMetrics* const metrics_;
   std::vector<std::shared_ptr<obs::MemTracker>> mem_trackers_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -141,8 +137,6 @@ class ShuffleStore {
   /// Per partition: how many runs the consumer already drained.
   std::vector<size_t> consumed_;
   uint64_t total_bytes_ = 0;
-  /// Published-but-not-yet-fetched bytes (mirrors the in-flight gauge).
-  uint64_t unfetched_bytes_ = 0;
   bool closed_ = false;
 };
 

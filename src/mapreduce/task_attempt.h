@@ -56,13 +56,6 @@ class TaskAttempt {
   bool data_local = false;
   /// Map attempts only: the split to process.
   std::shared_ptr<InputSplit> split;
-  /// JobRunner-clock start time (set on claim; -1 while queued). The live
-  /// straggler probe compares running attempts' elapsed time against the
-  /// completed-attempt median.
-  int64_t start_us = -1;
-  /// Set (under the runner lock) when the straggler detector flags the
-  /// attempt; keeps the gauge/counter/history event edge-triggered.
-  bool straggler_flagged = false;
 
   // --- execution outcome ---------------------------------------------------
   Status status = Status::OK();

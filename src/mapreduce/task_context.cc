@@ -1,7 +1,7 @@
 #include "mapreduce/task_context.h"
 
 #include "common/strings.h"
-#include "mapreduce/cluster_metrics.h"
+#include "mapreduce/job_trace.h"
 #include "mapreduce/engine.h"
 
 namespace clydesdale {

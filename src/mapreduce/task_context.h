@@ -130,13 +130,13 @@ class TaskContext {
   /// runs): `attempt` is the attempt-scoped tracker (freed when the attempt
   /// ends), `job` the per-(job, node) tracker that outlives attempts —
   /// allocations that survive the attempt (shared dim hash tables) charge
-  /// the job tracker instead. Both null when obs.mem.enabled is off.
+  /// the job tracker instead. Both stay null outside an engine run.
   void set_mem_trackers(std::shared_ptr<obs::MemTracker> attempt,
                         std::shared_ptr<obs::MemTracker> job) {
     mem_tracker_ = std::move(attempt);
     job_mem_tracker_ = std::move(job);
   }
-  /// Attempt-scoped tracker (null = tracking off).
+  /// Attempt-scoped tracker (null outside an engine run).
   const std::shared_ptr<obs::MemTracker>& mem_tracker() const {
     return mem_tracker_;
   }

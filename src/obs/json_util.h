@@ -10,16 +10,14 @@ namespace obs {
 /// Appends the JSON string-literal escape of `s` to `out`, without the
 /// surrounding quotes: quotes and backslashes become \" and \\, and control
 /// characters become \n / \t / \uXXXX. Shared by every hand-rolled JSON
-/// writer in the repo (Chrome traces, metric exposition, job history) so
-/// a span or metric name with a quote can't corrupt any of them.
+/// writer in the repo (Chrome traces, EXPLAIN ANALYZE JSON) so a span or
+/// operator name with a quote can't corrupt either of them.
 void AppendJsonEscaped(std::string* out, std::string_view s);
 
 /// `s` as a quoted JSON string literal.
 std::string JsonQuote(std::string_view s);
 
 /// `v` formatted so the exact double round-trips through strtod ("%.17g").
-/// History files use it for wall-clock seconds, which must reload
-/// byte-equivalent to the live report.
 std::string JsonDouble(double v);
 
 }  // namespace obs

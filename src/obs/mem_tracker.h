@@ -69,17 +69,16 @@ class MemTracker final : public MemReporter {
   std::atomic<int64_t> peak_{0};
 };
 
-/// Canonical tracker names for the fixed levels of the tree. The per-node
-/// memory gauges (cluster_metrics.h kMetricMem*) sample trackers created
-/// with exactly these names; scripts/check_mem_gauges.sh asserts the two
-/// stay in sync.
+/// Canonical tracker names for the fixed levels of the tree;
+/// scripts/check_mem_gauges.sh asserts the engine creates those levels
+/// through these helpers.
 std::string NodeTrackerName(int node);
 std::string JobTrackerName(int64_t instance, int node);
 
 /// RAII consumer against one tracker: releases exactly what it consumed on
 /// destruction (or ReleaseAll), so no error path can leak tracked bytes.
 /// Null-tracker consumers are no-ops everywhere — consumers stay oblivious
-/// to whether tracking is enabled.
+/// to whether a tracker is attached.
 class ScopedMemConsumer {
  public:
   ScopedMemConsumer() = default;

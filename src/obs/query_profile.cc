@@ -170,16 +170,6 @@ void RenderNodeJson(const OperatorProfile& node, std::string* out) {
   out->append("]}");
 }
 
-void FlattenNode(const OperatorProfile& node, const std::string& prefix,
-                 std::vector<FlatProfileNode>* out) {
-  const std::string path =
-      prefix.empty() ? node.name : StrCat(prefix, ">", node.name);
-  out->push_back({path, &node});
-  for (const OperatorProfile& child : node.children) {
-    FlattenNode(child, path, out);
-  }
-}
-
 }  // namespace
 
 uint64_t NumProfileOperators(const QueryProfile& profile) {
@@ -220,29 +210,6 @@ std::string ExplainAnalyzeJson(const QueryProfile& profile) {
   }
   out.append("]}");
   return out;
-}
-
-std::vector<FlatProfileNode> FlattenProfile(const QueryProfile& profile) {
-  std::vector<FlatProfileNode> flat;
-  for (const OperatorProfile& root : profile.roots) {
-    FlattenNode(root, "", &flat);
-  }
-  return flat;
-}
-
-OperatorProfile* EnsureProfilePath(QueryProfile* profile,
-                                   std::string_view path) {
-  size_t start = 0;
-  OperatorProfile* node = nullptr;
-  while (start <= path.size()) {
-    size_t sep = path.find('>', start);
-    if (sep == std::string_view::npos) sep = path.size();
-    const std::string_view segment = path.substr(start, sep - start);
-    node = node == nullptr ? profile->Root(segment) : node->Child(segment);
-    start = sep + 1;
-    if (sep == path.size()) break;
-  }
-  return node;
 }
 
 int64_t ThreadCpuNanos() {

@@ -105,19 +105,6 @@ std::string ExplainAnalyzeText(const QueryProfile& profile);
 /// %.17g) — the payload run_benches.sh exports as BENCH_profile.json.
 std::string ExplainAnalyzeJson(const QueryProfile& profile);
 
-/// Flattened view for line-oriented serialization (job history JSONL): every
-/// node paired with its '>'-joined root-to-node path, pre-order, so
-/// rebuilding in order recreates the exact tree shape.
-struct FlatProfileNode {
-  std::string path;
-  const OperatorProfile* node;
-};
-std::vector<FlatProfileNode> FlattenProfile(const QueryProfile& profile);
-
-/// Node at `path` ('>'-separated), creating every missing node on the way.
-OperatorProfile* EnsureProfilePath(QueryProfile* profile,
-                                   std::string_view path);
-
 /// Calling thread's CPU time (user + system) in nanoseconds.
 int64_t ThreadCpuNanos();
 

@@ -28,12 +28,6 @@ QueryServer::QueryServer(mr::MrCluster* cluster, core::StarSchema star,
           cluster->mem_tracker())),
       engine_(cluster, std::move(star),
               WithCache(options_.engine, dim_cache_)) {
-  // Expose the cache footprint to every job's MetricsPoller (cly_cache_*
-  // gauges) without the mapreduce layer knowing this layer exists.
-  cluster_->SetCacheStatsProbe([cache = dim_cache_] {
-    const core::DimTableCacheStats s = cache->stats();
-    return std::make_pair(s.resident_bytes, s.entries);
-  });
   const int threads = std::max(1, options_.worker_threads);
   workers_.reserve(static_cast<size_t>(threads));
   for (int i = 0; i < threads; ++i) {
@@ -48,7 +42,6 @@ QueryServer::~QueryServer() {
   }
   queue_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  cluster_->SetCacheStatsProbe(nullptr);
 }
 
 uint64_t QueryServer::ResultCacheKey(const core::StarQuerySpec& spec) {
@@ -111,7 +104,7 @@ Result<core::QueryResult> QueryServer::Execute(
   // Surface the cache activity the build path can't see from inside a task:
   // evictions (which happen on *other* queries' inserts) as a once-each
   // delta, and the post-query resident footprint. Rides the standard flush
-  // helper so check_counters.sh audit #7 covers it.
+  // helper so check_counters.sh audit #6 covers it.
   const int64_t evict_delta = cache_stats.evictions - evictions_flushed_;
   evictions_flushed_ = cache_stats.evictions;
   if (!result.stage_reports.empty()) {

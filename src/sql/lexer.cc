@@ -1,6 +1,8 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "common/strings.h"
 
@@ -45,7 +47,13 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       token.kind = TokenKind::kNumber;
       token.raw = sql.substr(i, j - i);
       token.text = token.raw;
-      token.number = std::stoll(token.raw);
+      // The run is all digits, so the only possible failure is overflow.
+      const char* begin = token.raw.data();
+      if (std::from_chars(begin, begin + token.raw.size(), token.number).ec !=
+          std::errc()) {
+        return Status::InvalidArgument(
+            StrCat("integer literal out of range at offset ", i));
+      }
       i = j;
     } else if (c == '\'') {
       std::string value;

@@ -2,8 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/strings.h"
 #include "core/clydesdale.h"
@@ -454,6 +457,72 @@ TEST_F(EngineIntegrationTest, ProfiledRunSurfacesPerOperatorMemory) {
   EXPECT_GT(result->Counter(mr::kCounterMemJobPeakBytes), 0);
   // With the query done, nothing is left charged against the cluster.
   EXPECT_EQ(cluster_->mem_tracker()->consumed(), 0);
+}
+
+/// Reads a whole real-filesystem file (the engine's profile artifacts).
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST_F(EngineIntegrationTest, ProfiledTracedRunWritesProfileNextToTrace) {
+  auto spec = ssb::QueryById("Q2.1");
+  ASSERT_TRUE(spec.ok());
+  const std::string trace_dir = ::testing::TempDir() + "/cly_profiled_q21";
+  std::filesystem::remove_all(trace_dir);  // stale files from earlier runs
+  std::filesystem::create_directories(trace_dir);
+
+  core::ClydesdaleOptions options;
+  options.trace = true;
+  options.profile = true;
+  options.trace_dir = trace_dir;
+  core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
+  auto result = engine.Execute(*spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectRowsEqual(Reference(*spec), result->rows, "profiled traced Q2.1");
+  ASSERT_EQ(result->stage_reports.size(), 1u);
+  const mr::JobReport& report = result->stage_reports[0];
+  ASSERT_FALSE(report.profile.empty());
+
+  // The reduce root carries the shuffle child with its fetched batches.
+  const obs::OperatorProfile* reduce = nullptr;
+  for (const obs::OperatorProfile& root : report.profile.roots) {
+    if (root.name == "reduce") reduce = &root;
+  }
+  ASSERT_NE(reduce, nullptr);
+  ASSERT_FALSE(reduce->children.empty());
+  EXPECT_EQ(reduce->children[0].name, "shuffle");
+  EXPECT_GT(reduce->children[0].batches, 0u);
+
+  // Exactly one <job>-<n>.profile.json, with its .profile.txt beside it,
+  // holding the report's own EXPLAIN ANALYZE renderings.
+  const std::string suffix = ".profile.json";
+  std::vector<std::filesystem::path> profiles;
+  for (const auto& entry : std::filesystem::directory_iterator(trace_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      profiles.push_back(entry.path());
+    }
+  }
+  ASSERT_EQ(profiles.size(), 1u);
+  const std::string json_name = profiles[0].filename().string();
+  const std::string prefix = report.job_name + "-";
+  ASSERT_EQ(json_name.rfind(prefix, 0), 0u) << json_name;
+  const std::string instance = json_name.substr(
+      prefix.size(), json_name.size() - prefix.size() - suffix.size());
+  ASSERT_FALSE(instance.empty()) << json_name;
+  EXPECT_EQ(instance.find_first_not_of("0123456789"), std::string::npos)
+      << json_name;
+  EXPECT_TRUE(std::filesystem::exists(
+      std::filesystem::path(trace_dir) / (prefix + instance + ".trace.json")));
+  const std::filesystem::path text_path =
+      std::filesystem::path(trace_dir) / (prefix + instance + ".profile.txt");
+  ASSERT_TRUE(std::filesystem::exists(text_path)) << text_path;
+  EXPECT_EQ(ReadFile(profiles[0]), obs::ExplainAnalyzeJson(report.profile));
+  EXPECT_EQ(ReadFile(text_path), obs::ExplainAnalyzeText(report.profile));
 }
 
 TEST_F(EngineIntegrationTest, MemBudgetRejectsOversizedQueryAtAdmission) {

@@ -568,6 +568,20 @@ TEST(MapReduceTest, StandardCountersAllPopulated) {
   EXPECT_EQ(ToCounts(*rows).at("ant"), 500);
 }
 
+/// Mirrors scripts/check_counters.sh: no counter is both always populated
+/// and situational, so the all-populated audit above never skips a standard
+/// counter.
+TEST(MetricNamesTest, SituationalCountersDisjointFromStandard) {
+  const std::vector<std::string> standard = StandardCounterNames();
+  const std::vector<std::string> situational = SituationalCounterNames();
+  ASSERT_FALSE(situational.empty());
+  for (const std::string& name : situational) {
+    EXPECT_EQ(std::find(standard.begin(), standard.end(), name),
+              standard.end())
+        << name << " is both standard and situational";
+  }
+}
+
 TEST(MultiTableInputTest, TagsRecordsByTableOrdinal) {
   MrCluster cluster(SmallCluster());
   WriteWordTable(&cluster, 30);

@@ -14,7 +14,6 @@
 #include "common/strings.h"
 #include "core/aggregation.h"
 #include "core/dim_hash_table.h"
-#include "mapreduce/cluster_metrics.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/input_format.h"
 #include "obs/mem_tracker.h"
@@ -449,20 +448,9 @@ TEST(MemBudgetTest, MidJobBreachFailsCleanlyAndClusterRecovers) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(cluster.mem_tracker()->consumed(), 0);
   EXPECT_GT(cluster.mem_tracker()->peak(), 0);
-  // Job counters surface the peaks the gauges sampled live.
+  // Job counters surface the job trackers' peaks.
   EXPECT_GT(ok->report.counters.Get(kCounterMemJobPeakBytes), 0);
   EXPECT_GT(ok->report.counters.Get(kCounterMemNodePeakBytes), 0);
-}
-
-TEST(MemBudgetTest, TrackingDisabledRunsWithoutTrackersOrCounters) {
-  MrCluster cluster(TinyCluster());
-  WriteTinyFact(&cluster);
-  JobConf conf = HashBuildJob();
-  conf.SetBool(kConfMemTrackingEnabled, false);
-  auto result = RunJob(&cluster, conf);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(cluster.mem_tracker()->consumed(), 0);
-  EXPECT_EQ(result->report.counters.Get(kCounterMemJobPeakBytes), 0);
 }
 
 }  // namespace

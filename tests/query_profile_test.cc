@@ -1,8 +1,8 @@
 // Per-operator query-profiler tests: tree merge semantics (additive
 // counters, wall maxima, children matched by name), the EXPLAIN ANALYZE
-// text/JSON renderers, the flatten/rebuild round trip job history relies
-// on, ScanStats folding, and end-to-end profiles of map-only CIF scan jobs
-// proving the scan counters survive the per-task -> job merge loss-free.
+// text/JSON renderers, ScanStats folding, and end-to-end profiles of
+// map-only CIF scan jobs proving the scan counters survive the per-task ->
+// job merge loss-free.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "mapreduce/cluster_metrics.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/input_format.h"
+#include "mapreduce/job_trace.h"
 #include "obs/query_profile.h"
 #include "storage/scan_spec.h"
 #include "storage/table_format.h"
@@ -180,31 +180,6 @@ TEST(ExplainAnalyzeTest, JsonIsBalancedAndMarksSourcesNullSelectivity) {
   }
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
-}
-
-TEST(FlattenProfileTest, RebuildFromFlattenedPathsIsLossless) {
-  const QueryProfile original = SampleProfile();
-  const std::vector<FlatProfileNode> flat = FlattenProfile(original);
-  ASSERT_EQ(flat.size(), NumProfileOperators(original));
-  EXPECT_EQ(flat[0].path, "map");
-  // Paths are '>'-joined root-to-node, pre-order.
-  EXPECT_EQ(flat[1].path, "map>aggregate");
-  EXPECT_EQ(flat[3].path, "map>aggregate>probe>scan:/ssb/lineorder");
-
-  QueryProfile rebuilt;
-  rebuilt.wall_seconds = original.wall_seconds;
-  rebuilt.first_start_us = original.first_start_us;
-  rebuilt.last_end_us = original.last_end_us;
-  for (const FlatProfileNode& entry : flat) {
-    OperatorProfile* node = EnsureProfilePath(&rebuilt, entry.path);
-    ASSERT_NE(node, nullptr);
-    const std::string name = node->name;  // path-derived; keep it
-    *node = *entry.node;
-    node->name = name;
-    node->children.clear();  // children arrive via their own paths
-  }
-  EXPECT_EQ(ExplainAnalyzeJson(rebuilt), ExplainAnalyzeJson(original))
-      << "flatten -> EnsureProfilePath round trip must be byte-lossless";
 }
 
 TEST(ThreadCpuNanosTest, AdvancesWithWork) {

@@ -435,20 +435,7 @@ TEST_F(ServingTest, ConcurrentClientsShareOneCache) {
   EXPECT_EQ(stats.queries, static_cast<int64_t>(std::size(ids)));
   EXPECT_GT(stats.dim_cache.hits, 0) << "repeats must share built tables";
   EXPECT_GT(stats.dim_cache.resident_bytes, 0);
-}
-
-TEST_F(ServingTest, PollerSamplesCacheGauges) {
-  auto spec = ssb::QueryById("Q2.1");
-  ASSERT_TRUE(spec.ok());
-  serving::QueryServerOptions options;
-  options.engine.metrics = true;
-  options.engine.metrics_interval_ms = 1;
-  serving::QueryServer server(cluster_, dataset_->star, options);
-  ASSERT_TRUE(server.Execute(*spec).ok());
-  ASSERT_TRUE(server.Execute(*spec).ok());  // gauges observed mid-query
-
-  EXPECT_GT(cluster_->metrics()->cache_bytes()->Value(), 0);
-  EXPECT_GT(cluster_->metrics()->cache_entries()->Value(), 0);
+  EXPECT_GT(stats.dim_cache.entries, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -170,6 +170,17 @@ TEST(LexerTest, TwoCharOperators) {
 TEST(LexerTest, Errors) {
   EXPECT_FALSE(Tokenize("x = 'unterminated").ok());
   EXPECT_FALSE(Tokenize("x ? y").ok());
+  // An integer literal past int64 is an error naming its offset, not a
+  // crash.
+  auto overflow = Tokenize("select 99999999999999999999999");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().message().find("offset 7"), std::string::npos)
+      << overflow.status().ToString();
+  // The largest int64 still lexes.
+  auto max = Tokenize("9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ((*max)[0].number, INT64_MAX);
 }
 
 TEST_F(SqlTest, AllSsbQueriesParseAndMatchTheCatalogue) {
@@ -262,6 +273,9 @@ TEST_F(SqlTest, RejectsBadQueries) {
       // trailing garbage
       "SELECT SUM(lo_revenue) FROM lineorder, date "
       "WHERE lo_orderdate = d_datekey LIMIT 5",
+      // integer literal past int64
+      "SELECT SUM(lo_revenue) FROM lineorder, date "
+      "WHERE lo_orderdate = d_datekey AND d_year = 99999999999999999999999",
   };
   for (const char* sql : bad) {
     EXPECT_FALSE(ParseStarQuery(sql, dataset_->star).ok()) << sql;
