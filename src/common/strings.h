@@ -1,6 +1,7 @@
 #ifndef CLYDESDALE_COMMON_STRINGS_H_
 #define CLYDESDALE_COMMON_STRINGS_H_
 
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -22,6 +23,16 @@ std::string StrCat(const Args&... args) {
   std::ostringstream os;
   (os << ... << args);
   return os.str();
+}
+
+/// Parses the whole of `s` as one number of type T (integral or floating
+/// point). False on empty input, trailing characters, or a value outside
+/// T's range.
+template <typename T>
+bool ParseWholeNumber(std::string_view s, T* value) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *value);
+  return ec == std::errc() && ptr == end;
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix);

@@ -157,15 +157,18 @@ Status JoinAndAggregateRow(const BoundPlan& plan, const QueryHashTables& tables,
   return Status::OK();
 }
 
+/// Rows per B-CIF block handed to the probe loop.
+constexpr int64_t kProbeBatchRows = 4096;
+
 /// Block-iteration probe (B-CIF): the whole filter→probe→aggregate pipeline
 /// stays columnar inside VectorizedProbe; this loop just pulls batches and
 /// routes them to the sink mode the plan asked for.
 Status ProcessBatches(const BoundPlan& plan, storage::BatchReader* reader,
-                      int64_t batch_rows, ProbeSink* sink,
-                      VectorizedProbe* probe) {
+                      ProbeSink* sink, VectorizedProbe* probe) {
   RowBatch batch(plan.fact_schema);
   while (true) {
-    CLY_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch, batch_rows));
+    CLY_ASSIGN_OR_RETURN(bool more,
+                         reader->NextBatch(&batch, kProbeBatchRows));
     if (!more) break;
     if (plan.emit_joined_rows) {
       CLY_RETURN_IF_ERROR(probe->ProcessBatchEmitJoined(
@@ -265,7 +268,6 @@ void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf) {
   if (options.mem_budget_bytes > 0) {
     conf->mem_budget_bytes = options.mem_budget_bytes;
   }
-  conf->pipelined_shuffle = options.pipelined_shuffle;
 }
 
 Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
@@ -462,9 +464,9 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
         auto reader = storage::OpenSplitBatchReader(
             *context->cluster()->dfs(), fact_desc, *constituents[mine], scan);
         mark_scan_done();
-        st = reader.ok() ? ProcessBatches(plan, reader->get(),
-                                          options_.batch_rows, sink, vec.get())
-                         : reader.status();
+        st = reader.ok()
+                 ? ProcessBatches(plan, reader->get(), sink, vec.get())
+                 : reader.status();
       } else {
         auto reader = storage::OpenSplitRowReader(
             *context->cluster()->dfs(), fact_desc, *constituents[mine], scan);

@@ -36,14 +36,8 @@ struct ClydesdaleOptions {
   /// When the query's estimated tables exceed it, the engine falls back to
   /// the staged multi-pass join of paper §5.1 ("Discussion").
   uint64_t max_hash_memory_bytes = 0;
-  /// Rows per B-CIF block handed to the probe loop.
-  int64_t batch_rows = 4096;
   /// CIF splits packed per multi-split; 0 = all of a node's splits at once.
   int64_t multisplit_size = 0;
-  /// Overlap reduce-side shuffle fetch with the map phase (JobConf::
-  /// pipelined_shuffle). Off = classic map→reduce barrier; output is
-  /// byte-identical either way, the knob exists for A/B measurement.
-  bool pipelined_shuffle = true;
   /// Span tracing for every stage job (obs.trace.enabled). Counters and
   /// histograms are always maintained; only span recording is gated.
   bool trace = false;
@@ -72,9 +66,10 @@ struct ClydesdaleOptions {
   std::shared_ptr<DimTableCache> dim_cache;
 };
 
-/// Forwards the options' engine knobs (trace, pipelined shuffle) into a
-/// stage job's conf; every Clydesdale stage job (single-job, staged
-/// fallback) goes through this so traces stay comparable across plans.
+/// Forwards the options' observability knobs (trace, profile) and memory
+/// budget into a stage job's conf; every Clydesdale stage job (single-job,
+/// staged fallback) goes through this so traces stay comparable across
+/// plans.
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf);
 
 /// Conf key: comma-separated output columns for staged-join stages. When

@@ -259,9 +259,9 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
 
   // Map and reduce phases both run inside the runner: trackers pull attempts
   // (late-binding locality), maps publish shuffle runs as they finish, and
-  // reducers fetch + merge those runs while the map phase is still going
-  // (unless conf.pipelined_shuffle is off). The shared_ptr keeps the runner
-  // alive for any tracker worker still unwinding after the job completes.
+  // reducers fetch + merge those runs while the map phase is still going.
+  // The shared_ptr keeps the runner alive for any tracker worker still
+  // unwinding after the job completes.
   // Construction (attempt table, scheduling policy) is still setup time.
   auto runner = std::make_shared<JobRunner>(
       cluster, &conf, instance, std::move(splits), input_format.get(),
@@ -303,7 +303,7 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
   }
 
   // EXPLAIN ANALYZE artifacts for profiled runs, next to the trace files
-  // (run_benches.sh exports the .json as BENCH_profile.json).
+  // (ExplainAnalyzeJson / ExplainAnalyzeText of report.profile).
   if (!report.profile.empty() && !trace_dir.empty()) {
     const std::string base =
         StrCat(trace_dir, "/", conf.job_name, "-", instance);

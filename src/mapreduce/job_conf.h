@@ -58,11 +58,6 @@ class JobConf {
   /// Capacity-scheduler memory hint: at most one concurrent map task of this
   /// job per node (paper §5.2, requirement 1).
   bool single_task_per_node = false;
-  /// Overlap reduce-side shuffle fetch with the map phase (Hadoop's default
-  /// behaviour): reducers fetch and merge runs as map tasks publish them.
-  /// Off = classic barrier (reducers start only after the last map). Output
-  /// is byte-identical either way; the knob exists for A/B measurement.
-  bool pipelined_shuffle = true;
   /// DFS paths broadcast to every node's local disk before the job starts
   /// (Hive's mapjoin hash-table dissemination path, paper §6.1).
   std::vector<std::string> distributed_cache;

@@ -42,7 +42,6 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
       trace_(trace),
       num_reduces_(std::max(conf->num_reduce_tasks, 0)),
       map_only_(num_reduces_ == 0),
-      pipelined_(conf->pipelined_shuffle),
       map_cap_per_node_(conf->single_task_per_node
                             ? 1
                             : cluster->options().map_slots_per_node),
@@ -92,7 +91,6 @@ bool JobRunner::HasRunnableWork(hdfs::NodeId node, bool reduce_slot) const {
   if (aborted_) return false;
   if (reduce_slot) {
     if (map_only_) return false;
-    if (!pipelined_ && maps_unfinished_ > 0) return false;
     for (const auto& attempt : reduce_attempts_) {
       if (attempt->state() == AttemptState::kQueued) return true;
     }
@@ -107,7 +105,7 @@ bool JobRunner::HasRunnableWork(hdfs::NodeId node, bool reduce_slot) const {
 TaskAttempt* JobRunner::ClaimLocked(hdfs::NodeId node, bool reduce_slot) {
   if (aborted_) return nullptr;
   if (reduce_slot) {
-    if (map_only_ || (!pipelined_ && maps_unfinished_ > 0)) return nullptr;
+    if (map_only_) return nullptr;
     for (auto& attempt : reduce_attempts_) {
       if (attempt->state() != AttemptState::kQueued) continue;
       // Late-binding reduce placement: the task runs wherever a reduce slot
@@ -184,8 +182,8 @@ void JobRunner::FinishAttempt(TaskAttempt* attempt, Status status) {
       }
       if (!aborted_) {
         // Kill everything still queued; running attempts finish on their
-        // own (pipelined reducers bail at their next abort check, or drain
-        // once CloseProducers unblocks their fetch wait).
+        // own (reducers bail at their next abort check, or drain once
+        // CloseProducers unblocks their fetch wait).
         aborted_ = true;
         const Status killed = Status::Internal("attempt killed: job aborted");
         auto kill_queued = [&](std::vector<std::unique_ptr<TaskAttempt>>&
@@ -401,32 +399,22 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
     return Status::OK();
   };
 
-  if (pipelined_) {
-    // Fetch-as-published: drain run batches while the map phase is still
-    // producing them. Merge order stays identical to the barrier path (see
-    // ShuffleMerger), so the interleaving never shows in the output.
-    while (true) {
-      std::vector<ShuffleRun> batch;
-      if (!shuffle_.AwaitNewRuns(r, &batch)) break;
-      if (aborted()) return Status::Internal("job aborted");
-      const size_t batch_runs = batch.size();
-      Stopwatch fetch_timer;
-      obs::Span fetch_span(trace_, "shuffle-fetch", "stage", r, node);
-      CLY_RETURN_IF_ERROR(fetch_batch(std::move(batch)));
-      fetch_span.End();
-      // Tagged by the ambient ScopedLogContext above: "[job/r-N@nodeM] ...".
-      CLY_LOG(Debug) << "fetched " << batch_runs << " shuffle run(s), "
-                     << merger.input_records() << " records merged";
-      report_->histograms.Get(kHistShuffleFetchMicros)
-          ->Record(fetch_timer.ElapsedMicros());
-      ++shuffle_batches;
-      shuffle_wall_ns += static_cast<uint64_t>(fetch_timer.ElapsedNanos());
-    }
-  } else {
+  // Fetch-as-published: drain run batches while the map phase is still
+  // producing them. ShuffleMerger's (key, map task) order makes the merged
+  // sequence independent of arrival order, so the interleaving never shows
+  // in the output.
+  while (true) {
+    std::vector<ShuffleRun> batch;
+    if (!shuffle_.AwaitNewRuns(r, &batch)) break;
+    if (aborted()) return Status::Internal("job aborted");
+    const size_t batch_runs = batch.size();
     Stopwatch fetch_timer;
     obs::Span fetch_span(trace_, "shuffle-fetch", "stage", r, node);
-    CLY_RETURN_IF_ERROR(fetch_batch(shuffle_.TakePartition(r)));
+    CLY_RETURN_IF_ERROR(fetch_batch(std::move(batch)));
     fetch_span.End();
+    // Tagged by the ambient ScopedLogContext above: "[job/r-N@nodeM] ...".
+    CLY_LOG(Debug) << "fetched " << batch_runs << " shuffle run(s), "
+                   << merger.input_records() << " records merged";
     report_->histograms.Get(kHistShuffleFetchMicros)
         ->Record(fetch_timer.ElapsedMicros());
     ++shuffle_batches;
@@ -510,9 +498,9 @@ Status JobRunner::Execute(const std::shared_ptr<JobRunner>& self) {
   // lock handoff there would punch a hole in the phase accounting (the
   // integration suite asserts phase spans tile the job's wall clock).
   {
-    // The map phase span covers submission to last map completion; with the
-    // pipelined shuffle, reduce attempts are already fetching inside this
-    // window (the derived shuffle-overlap span measures by how much).
+    // The map phase span covers submission to last map completion; reduce
+    // attempts are already fetching inside this window (the derived
+    // shuffle-overlap span measures by how much).
     obs::Span map_phase_span(trace_, "map-phase", "phase");
     for (int n = 0; n < cluster_->num_nodes(); ++n) {
       cluster_->tracker(n)->Attach(self);

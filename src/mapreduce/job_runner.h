@@ -51,8 +51,8 @@ class OutputFormatCollector final : public OutputCollector {
 /// pull API: a tracker slot that frees up asks "anything runnable for me?"
 /// and the scheduling policy answers with a late-binding locality-aware
 /// choice. Map completions publish shuffle runs immediately, so reducers
-/// (claimed by reduce slots from the start when pipelined_shuffle is on)
-/// fetch and merge completed runs while the remaining maps run.
+/// (claimed by reduce slots from the start) fetch and merge completed runs
+/// while the remaining maps run.
 ///
 /// Held as shared_ptr: trackers keep the runner alive while any of its
 /// attempts is in flight, even after Execute returned the job's result.
@@ -110,7 +110,6 @@ class JobRunner {
 
   const int num_reduces_;
   const bool map_only_;
-  const bool pipelined_;
   /// Concurrent map attempts allowed per node (1 for single_task_per_node
   /// jobs, which hand all slots to the one task as threads).
   const int map_cap_per_node_;

@@ -216,22 +216,6 @@ void ShuffleStore::CloseProducers() {
   cv_.notify_all();
 }
 
-std::vector<ShuffleRun> ShuffleStore::TakePartition(int partition) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto runs = std::move(partitions_[static_cast<size_t>(partition)]);
-  partitions_[static_cast<size_t>(partition)].clear();
-  // The consumer may have drained a prefix via AwaitNewRuns already; only
-  // the rest counts as fetched now.
-  const size_t already = consumed_[static_cast<size_t>(partition)];
-  consumed_[static_cast<size_t>(partition)] = 0;
-  for (size_t i = already; i < runs.size(); ++i) ReleaseRunLocked(runs[i]);
-  std::sort(runs.begin(), runs.end(),
-            [](const ShuffleRun& a, const ShuffleRun& b) {
-              return a.map_task < b.map_task;
-            });
-  return runs;
-}
-
 bool ShuffleStore::AwaitNewRuns(int partition, std::vector<ShuffleRun>* out) {
   std::unique_lock<std::mutex> lock(mu_);
   auto& runs = partitions_[static_cast<size_t>(partition)];
@@ -312,16 +296,6 @@ Status ReduceMergedRecords(std::vector<MergedRecord> records, Reducer* reducer,
     context->histograms()->Get(kHistReduceGroupSize)->MergeFrom(group_sizes);
   }
   return reducer->Cleanup(context, out);
-}
-
-Status ReducePartition(std::vector<ShuffleRun> runs, Reducer* reducer,
-                       TaskContext* context, OutputCollector* out,
-                       uint64_t* input_records, uint64_t* input_groups) {
-  ShuffleMerger merger;
-  merger.Add(std::move(runs));
-  *input_records = merger.input_records();
-  return ReduceMergedRecords(merger.Take(), reducer, context, out,
-                             input_groups);
 }
 
 }  // namespace mr

@@ -88,10 +88,9 @@ struct ShuffleRun {
 /// In-memory stand-in for the map-output files + HTTP fetch path. Thread-safe
 /// producers (map tasks) / single consumer per partition (its reducer).
 ///
-/// Two consumption modes: the barrier path takes a whole partition at once
-/// after every producer finished (TakePartition); the pipelined path drains
-/// runs incrementally as maps publish them (AwaitNewRuns), unblocking for
-/// good once CloseProducers marks the map side done.
+/// The consumer drains runs incrementally as maps publish them
+/// (AwaitNewRuns), unblocking for good once CloseProducers marks the map
+/// side done.
 class ShuffleStore {
  public:
   explicit ShuffleStore(int num_partitions);
@@ -106,16 +105,13 @@ class ShuffleStore {
   void set_mem_trackers(
       std::vector<std::shared_ptr<obs::MemTracker>> trackers);
 
-  /// Makes one map task's run visible to the partition's reducer. In the
-  /// pipelined engine this happens the moment the map attempt succeeds —
-  /// there is no job-wide barrier between publish and fetch.
+  /// Makes one map task's run visible to the partition's reducer. The engine
+  /// publishes the moment the map attempt succeeds — there is no job-wide
+  /// barrier between publish and fetch.
   void PublishRun(int partition, ShuffleRun run);
 
   /// No further PublishRun calls will happen; wakes blocked reducers.
   void CloseProducers();
-
-  /// All runs for a partition, ordered by map task index (determinism).
-  std::vector<ShuffleRun> TakePartition(int partition);
 
   /// Blocks until the partition has unconsumed runs or producers are closed.
   /// Moves the new runs (arrival order) into `out` and returns true; returns
@@ -141,17 +137,16 @@ class ShuffleStore {
 };
 
 /// One record in merge order, tagged with its producing map task — the
-/// tie-break that keeps incremental merging byte-identical to the barrier
-/// k-way merge.
+/// tie-break that makes the merge independent of run arrival order.
 struct MergedRecord {
   KeyValue kv;
   int map_task = 0;
 };
 
 /// Incrementally merges sorted runs as they arrive. Total order is (key,
-/// map task, in-run position): exactly what the barrier path's k-way heap
-/// pops, so a reducer fed run-by-run produces byte-identical output no
-/// matter how publish and fetch interleave.
+/// map task, in-run position): the order a stable sort over the by-task
+/// concatenation would produce, so a reducer fed run-by-run produces
+/// byte-identical output no matter how publish and fetch interleave.
 class ShuffleMerger {
  public:
   /// Folds a batch of runs into the merged sequence (any arrival order).
@@ -172,14 +167,6 @@ class ShuffleMerger {
 Status ReduceMergedRecords(std::vector<MergedRecord> records, Reducer* reducer,
                            TaskContext* context, OutputCollector* out,
                            uint64_t* input_groups);
-
-/// Merges the sorted runs and streams key groups to `reducer`. Ties between
-/// runs break by map task index, matching the order a stable sort over the
-/// by-task concatenation would produce. Barrier-mode convenience over
-/// ShuffleMerger + ReduceMergedRecords.
-Status ReducePartition(std::vector<ShuffleRun> runs, Reducer* reducer,
-                       TaskContext* context, OutputCollector* out,
-                       uint64_t* input_records, uint64_t* input_groups);
 
 /// Sum of encoded key+value bytes of a record (shuffle accounting unit).
 uint64_t EncodedKeyValueBytes(const Row& key, const Row& value);

@@ -102,7 +102,7 @@ uint64_t NumProfileOperators(const QueryProfile& profile);
 std::string ExplainAnalyzeText(const QueryProfile& profile);
 
 /// The same tree as one JSON object (stable field order, ints exact, doubles
-/// %.17g) — the payload run_benches.sh exports as BENCH_profile.json.
+/// %.17g) — the payload of a profiled, traced job's <job>-<n>.profile.json.
 std::string ExplainAnalyzeJson(const QueryProfile& profile);
 
 /// Calling thread's CPU time (user + system) in nanoseconds.

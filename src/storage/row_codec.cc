@@ -1,6 +1,6 @@
 #include "storage/row_codec.h"
 
-#include <cstdlib>
+#include <string>
 
 #include "common/strings.h"
 
@@ -68,37 +68,39 @@ size_t EncodedRowSize(const Row& row) {
 
 std::string FormatRowText(const Row& row) { return row.ToString(); }
 
+namespace {
+/// Parses the whole of `field` as a T; a malformed, partial or out-of-range
+/// field is an IoError naming it.
+template <typename T>
+Status ParseNumber(const char* type_name, std::string_view field, T* value) {
+  if (ParseWholeNumber(field, value)) return Status::OK();
+  return Status::IoError(
+      StrCat("bad ", type_name, " field: '", std::string(field), "'"));
+}
+}  // namespace
+
 Status ParseValueText(TypeKind type, std::string_view field, Value* out) {
-  // SSB data contains no embedded delimiters, so plain strtol/strtod is safe.
-  const std::string buf(field);
-  char* end = nullptr;
   switch (type) {
     case TypeKind::kInt32: {
-      const long v = std::strtol(buf.c_str(), &end, 10);
-      if (end == buf.c_str()) {
-        return Status::IoError(StrCat("bad int32 field: '", buf, "'"));
-      }
-      *out = Value(static_cast<int32_t>(v));
+      int32_t v = 0;
+      CLY_RETURN_IF_ERROR(ParseNumber("int32", field, &v));
+      *out = Value(v);
       return Status::OK();
     }
     case TypeKind::kInt64: {
-      const long long v = std::strtoll(buf.c_str(), &end, 10);
-      if (end == buf.c_str()) {
-        return Status::IoError(StrCat("bad int64 field: '", buf, "'"));
-      }
-      *out = Value(static_cast<int64_t>(v));
+      int64_t v = 0;
+      CLY_RETURN_IF_ERROR(ParseNumber("int64", field, &v));
+      *out = Value(v);
       return Status::OK();
     }
     case TypeKind::kDouble: {
-      const double v = std::strtod(buf.c_str(), &end);
-      if (end == buf.c_str()) {
-        return Status::IoError(StrCat("bad double field: '", buf, "'"));
-      }
+      double v = 0;
+      CLY_RETURN_IF_ERROR(ParseNumber("double", field, &v));
       *out = Value(v);
       return Status::OK();
     }
     case TypeKind::kString:
-      *out = Value(buf);
+      *out = Value(std::string(field));
       return Status::OK();
   }
   return Status::Internal("unreachable type kind");

@@ -24,7 +24,8 @@ size_t EncodedRowSize(const Row& row);
 std::string FormatRowText(const Row& row);
 Status ParseRowText(const Schema& schema, std::string_view line, Row* out);
 
-/// Parses a single textual field into a typed Value.
+/// Parses a single textual field into a typed Value. The whole field must
+/// be one number in the type's range; anything else is an IoError.
 Status ParseValueText(TypeKind type, std::string_view field, Value* out);
 
 }  // namespace storage

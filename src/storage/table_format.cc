@@ -1,7 +1,5 @@
 #include "storage/table_format.h"
 
-#include <charconv>
-
 #include "common/strings.h"
 #include "storage/binary_row_format.h"
 #include "storage/cif.h"
@@ -25,9 +23,7 @@ Result<TypeKind> ParseTypeKind(const std::string& s) {
 template <typename T>
 Result<T> ParseMetaNumber(const std::string& key, const std::string& s) {
   T value{};
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
+  if (!ParseWholeNumber(s, &value)) {
     return Status::IoError(StrCat("bad ", key, " in meta: '", s, "'"));
   }
   return value;

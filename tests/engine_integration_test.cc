@@ -449,6 +449,39 @@ TEST_F(EngineIntegrationTest, ProfiledRunSurfacesPerOperatorMemory) {
     EXPECT_GE(found->mem_peak_bytes, found->mem_current_bytes) << op;
   }
 
+  // EXPLAIN ANALYZE invariants: every selectivity is a real fraction,
+  // wall(sum) bounds wall(max) on every node, the fact scan feeds the probe
+  // row for row, and the profiled attempt envelope fits in the job's wall
+  // clock.
+  std::vector<const obs::OperatorProfile*> pending;
+  for (const obs::OperatorProfile& root : profile.roots) {
+    pending.push_back(&root);
+  }
+  while (!pending.empty()) {
+    const obs::OperatorProfile* node = pending.back();
+    pending.pop_back();
+    if (node->rows_in > 0) {
+      EXPECT_GE(node->selectivity(), 0.0) << node->name;
+      EXPECT_LE(node->selectivity(), 1.0) << node->name;
+    }
+    EXPECT_GE(node->wall_ns, node->wall_max_ns) << node->name;
+    for (const obs::OperatorProfile& child : node->children) {
+      pending.push_back(&child);
+    }
+  }
+  const obs::OperatorProfile* map_root = nullptr;
+  for (const obs::OperatorProfile& root : profile.roots) {
+    if (root.name == "map") map_root = &root;
+  }
+  ASSERT_NE(map_root, nullptr);
+  const obs::OperatorProfile* scan = FindOperator(*map_root, "scan:");
+  const obs::OperatorProfile* probe = FindOperator(*map_root, "probe");
+  ASSERT_NE(scan, nullptr);
+  ASSERT_NE(probe, nullptr);
+  EXPECT_EQ(scan->rows_out, probe->rows_in);
+  EXPECT_LE(profile.ProfiledSpanSeconds(),
+            result->stage_reports[0].wall_seconds + 1e-6);
+
   // The task roots carry the attempt trackers' totals, and the rendered
   // EXPLAIN ANALYZE surfaces the per-operator line.
   const std::string text = obs::ExplainAnalyzeText(profile);

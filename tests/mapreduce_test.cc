@@ -322,7 +322,7 @@ TEST(ShuffleTest, MapOutputBufferSortsAndCombines) {
   EXPECT_EQ(p0[1].value.Get(0).i64(), 4);
 }
 
-TEST(ShuffleTest, ReducePartitionMergesRunsInKeyOrder) {
+TEST(ShuffleTest, MergedRunsReduceInKeyOrder) {
   ShuffleRun run1{0, 0, {{Row({Value("a")}), Row({Value(int64_t{1})})},
                          {Row({Value("c")}), Row({Value(int64_t{1})})}}, 0, ""};
   ShuffleRun run2{1, 1, {{Row({Value("b")}), Row({Value(int64_t{1})})},
@@ -344,16 +344,87 @@ TEST(ShuffleTest, ReducePartitionMergesRunsInKeyOrder) {
     std::vector<KeyValue>* out_;
   } collector(&out_records);
 
-  uint64_t records = 0, groups = 0;
-  ASSERT_TRUE(ReducePartition({run1, run2}, &reducer, &context, &collector,
-                              &records, &groups)
+  ShuffleMerger merger;
+  merger.Add({run1, run2});
+  EXPECT_EQ(merger.input_records(), 4u);
+  uint64_t groups = 0;
+  ASSERT_TRUE(ReduceMergedRecords(merger.Take(), &reducer, &context,
+                                  &collector, &groups)
                   .ok());
-  EXPECT_EQ(records, 4u);
   EXPECT_EQ(groups, 3u);
   ASSERT_EQ(out_records.size(), 3u);
   EXPECT_EQ(out_records[0].key.Get(0).str(), "a");
   EXPECT_EQ(out_records[2].key.Get(0).str(), "c");
   EXPECT_EQ(out_records[2].value.Get(0).i64(), 3);
+}
+
+// The reducer folds runs in whatever order maps publish them. The merged
+// sequence must not depend on that order: ties on a key break by map task,
+// and equal keys inside one run keep their run order.
+TEST(ShuffleTest, MergeIsIndependentOfRunArrivalOrder) {
+  constexpr int kMaps = 5;
+  constexpr int kRunLength = 12;
+  std::vector<ShuffleRun> runs;
+  for (int m = 0; m < kMaps; ++m) {
+    ShuffleRun run;
+    run.map_task = m;
+    run.map_node = m % 3;
+    // Keys overlap across runs and repeat within a run; the value tags
+    // (map task, in-run position) so any reordering shows.
+    for (int i = 0; i < kRunLength; ++i) {
+      run.records.push_back({Row({Value(int64_t{(i + m) / 2})}),
+                             Row({Value(int64_t{m * 100 + i})})});
+    }
+    std::stable_sort(run.records.begin(), run.records.end(),
+                     [](const KeyValue& a, const KeyValue& b) {
+                       return a.key.Compare(b.key) < 0;
+                     });
+    runs.push_back(std::move(run));
+  }
+
+  auto merge = [&](const std::vector<std::vector<int>>& batches) {
+    ShuffleMerger merger;
+    for (const std::vector<int>& batch : batches) {
+      std::vector<ShuffleRun> add;
+      for (int m : batch) add.push_back(runs[static_cast<size_t>(m)]);
+      merger.Add(std::move(add));
+    }
+    EXPECT_EQ(merger.input_records(), uint64_t{kMaps * kRunLength});
+    return merger.Take();
+  };
+
+  const std::vector<MergedRecord> expected = merge({{0, 1, 2, 3, 4}});
+  ASSERT_EQ(expected.size(), size_t{kMaps * kRunLength});
+  for (size_t i = 1; i < expected.size(); ++i) {
+    const int c = expected[i - 1].kv.key.Compare(expected[i].kv.key);
+    ASSERT_LE(c, 0) << "record " << i << " out of key order";
+    if (c == 0) {
+      ASSERT_LE(expected[i - 1].map_task, expected[i].map_task) << i;
+      if (expected[i - 1].map_task == expected[i].map_task) {
+        ASSERT_LT(expected[i - 1].kv.value.Get(0).i64(),
+                  expected[i].kv.value.Get(0).i64())
+            << "in-run order lost at record " << i;
+      }
+    }
+  }
+
+  const std::vector<std::vector<std::vector<int>>> arrivals = {
+      {{4}, {3}, {2}, {1}, {0}},  // one run per Add, reverse map order
+      {{4, 3, 2, 1, 0}},          // one batch, reverse map order
+      {{2, 0}, {4}, {1, 3}},      // mixed batches
+      {{1}, {3, 4, 0}, {2}},
+  };
+  for (size_t a = 0; a < arrivals.size(); ++a) {
+    const std::vector<MergedRecord> got = merge(arrivals[a]);
+    ASSERT_EQ(got.size(), expected.size()) << "arrival " << a;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].map_task, expected[i].map_task)
+          << "arrival " << a << " record " << i;
+      EXPECT_TRUE(got[i].kv.key == expected[i].kv.key &&
+                  got[i].kv.value == expected[i].kv.value)
+          << "arrival " << a << " record " << i;
+    }
+  }
 }
 
 TEST(MultiCifTest, PacksSplitsByNode) {

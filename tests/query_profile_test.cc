@@ -171,6 +171,32 @@ TEST(ExplainAnalyzeTest, JsonIsBalancedAndMarksSourcesNullSelectivity) {
   EXPECT_NE(json.find("\"selectivity\":null"), std::string::npos) << json;
   EXPECT_NE(json.find("\"name\":\"scan:/ssb/lineorder\""), std::string::npos);
   EXPECT_NE(json.find("\"rows_pruned\":99"), std::string::npos) << json;
+
+  // The published shape: six top-level keys once each, and every node
+  // carries all eighteen fields.
+  auto count = [&json](const std::string& key) {
+    size_t n = 0;
+    for (size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  for (const char* key : {"wall_seconds", "profiled_span_seconds",
+                          "first_start_us", "last_end_us", "operators",
+                          "roots"}) {
+    EXPECT_EQ(count(StrCat("\"", key, "\":")), 1u) << key;
+  }
+  const size_t nodes = NumProfileOperators(profile);
+  ASSERT_GT(nodes, 1u);
+  for (const char* field :
+       {"name", "kind", "rows_in", "rows_out", "selectivity", "batches",
+        "wall_ns", "wall_max_ns", "cpu_ns", "bytes_decoded", "bytes_raw",
+        "blocks_skipped", "rows_pruned", "blocks_by_encoding",
+        "mem_current_bytes", "mem_peak_bytes", "tasks", "children"}) {
+    EXPECT_EQ(count(StrCat("\"", field, "\":")), nodes) << field;
+  }
+
   int braces = 0, brackets = 0;
   for (char c : json) {
     braces += c == '{';

@@ -247,6 +247,25 @@ TEST(RowCodecTest, TextParseRejectsBadInt) {
   Row parsed;
   auto schema = Schema::Make({{"n", TypeKind::kInt32, 0}});
   EXPECT_FALSE(ParseRowText(*schema, "abc", &parsed).ok());
+
+  // Out-of-range and partially numeric fields are errors, not a wrapped,
+  // saturated or truncated value.
+  const struct {
+    TypeKind type;
+    const char* text;
+  } bad[] = {
+      {TypeKind::kInt32, "4294967297"},
+      {TypeKind::kInt32, "12abc"},
+      {TypeKind::kInt64, "99999999999999999999"},
+      {TypeKind::kDouble, "1.5xyz"},
+  };
+  for (const auto& c : bad) {
+    auto one = Schema::Make({{"f", c.type, 0}});
+    const Status status = ParseRowText(*one, c.text, &parsed);
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << c.text;
+    EXPECT_NE(status.ToString().find(c.text), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(RowStreamTest, EncodeDecodeRoundTrip) {

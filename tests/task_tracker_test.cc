@@ -149,30 +149,6 @@ TEST(TaskAttemptTest, InvalidTransitionsRejected) {
 // Pull-based executor end to end
 // ---------------------------------------------------------------------------
 
-TEST(TaskTrackerTest, PipelinedOutputIsByteIdenticalToBarrier) {
-  MrCluster cluster(SmallCluster());
-  WriteWordTable(&cluster, 600);
-
-  // One reducer: output order is fully determined by the merge order, so
-  // equality here asserts byte-identical output, not just equal multisets.
-  JobConf pipelined = WordCountJob("/words", 1);
-  pipelined.pipelined_shuffle = true;
-  JobConf barrier = WordCountJob("/words", 1);
-  barrier.pipelined_shuffle = false;
-
-  auto with = RunJob(&cluster, pipelined);
-  auto without = RunJob(&cluster, barrier);
-  ASSERT_TRUE(with.ok()) << with.status().ToString();
-  ASSERT_TRUE(without.ok()) << without.status().ToString();
-
-  ASSERT_EQ(with->output_rows.size(), without->output_rows.size());
-  for (size_t i = 0; i < with->output_rows.size(); ++i) {
-    EXPECT_TRUE(with->output_rows[i] == without->output_rows[i])
-        << "row " << i << " differs between pipelined and barrier modes";
-  }
-  EXPECT_GT(with->report.map_tasks.size(), 1u);
-}
-
 TEST(TaskTrackerTest, SchedPullsAndLocalityCountersCoverEveryAttempt) {
   MrCluster cluster(SmallCluster());
   WriteWordTable(&cluster, 400);
@@ -212,7 +188,6 @@ TEST(TaskTrackerTest, FailingMapAbortsPipelinedJobWithoutHanging) {
   MrCluster cluster(SmallCluster());
   WriteWordTable(&cluster, 300);
   JobConf conf = WordCountJob("/words", 2);
-  conf.pipelined_shuffle = true;
   conf.mapper_factory = [] {
     class FailingMapper final : public Mapper {
      public:
@@ -263,7 +238,6 @@ TEST(TaskTrackerTest, PipelinedReducersFetchWhileMapsStillRun) {
   MrCluster cluster(SmallCluster());
   WriteWordTable(&cluster, 600);
   JobConf conf = WordCountJob("/words", 2);
-  conf.pipelined_shuffle = true;
   conf.SetBool(kConfTraceEnabled, true);
   // Slow maps in several waves: early runs are published (and fetched) while
   // later waves are still occupying the map slots.
@@ -306,7 +280,6 @@ TEST(TaskTrackerTest, ReduceCodeRunsUnderTaskLogContext) {
   MrCluster cluster(SmallCluster());
   WriteWordTable(&cluster, 300);
   JobConf conf = WordCountJob("/words", 2);
-  conf.pipelined_shuffle = true;
   auto contexts = std::make_shared<std::vector<std::string>>();
   auto mu = std::make_shared<std::mutex>();
   conf.reducer_factory = [contexts, mu] {
