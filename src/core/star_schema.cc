@@ -45,10 +45,15 @@ Status ReplicateDimensionToAllNodes(mr::MrCluster* cluster,
   CLY_ASSIGN_OR_RETURN(
       std::vector<uint8_t> bytes,
       FetchDimensionMaster(cluster, dim, &stats, hdfs::kNoNode));
-  const hdfs::BlockBuffer shared = hdfs::MakeBlockBuffer(std::move(bytes));
+  return InstallDimensionReplicas(cluster, dim,
+                                  hdfs::MakeBlockBuffer(std::move(bytes)));
+}
+
+Status InstallDimensionReplicas(mr::MrCluster* cluster, const DimTableInfo& dim,
+                                const hdfs::BlockBuffer& bytes) {
   for (int n = 0; n < cluster->num_nodes(); ++n) {
     CLY_RETURN_IF_ERROR(
-        cluster->local_store(n)->WriteShared(dim.local_path, shared));
+        cluster->local_store(n)->WriteShared(dim.local_path, bytes));
   }
   return Status::OK();
 }

@@ -49,6 +49,11 @@ class StarSchema {
 Status ReplicateDimensionToAllNodes(mr::MrCluster* cluster,
                                     const DimTableInfo& dim);
 
+/// Installs `bytes` — the dimension's row stream, byte-identical to its
+/// master's data file — as the local replica on every node.
+Status InstallDimensionReplicas(mr::MrCluster* cluster, const DimTableInfo& dim,
+                                const hdfs::BlockBuffer& bytes);
+
 /// Task-side access to a dimension replica: reads the node-local copy, or —
 /// if this node lost it — re-fetches from HDFS and restores the local copy.
 /// Returns the raw row-stream bytes and accounts the local read to `context`.

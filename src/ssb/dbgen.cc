@@ -39,6 +39,31 @@ const char* const kTypes[6] = {"STANDARD POLISHED TIN", "SMALL PLATED COPPER",
 const char* const kContainers[8] = {"SM CASE", "SM BOX", "MED BAG", "MED BOX",
                                     "LG CASE", "LG BOX", "WRAP JAR", "JUMBO PKG"};
 
+// LineorderSchema() column positions.
+enum LineorderColumn : int {
+  kLoOrderkey,
+  kLoLinenumber,
+  kLoCustkey,
+  kLoPartkey,
+  kLoSuppkey,
+  kLoOrderdate,
+  kLoOrderpriority,
+  kLoShippriority,
+  kLoQuantity,
+  kLoExtendedprice,
+  kLoOrdtotalprice,
+  kLoDiscount,
+  kLoRevenue,
+  kLoSupplycost,
+  kLoTax,
+  kLoCommitdate,
+  kLoShipmode,
+};
+
+/// An order's line count: the first draw of its RNG, so the row index can
+/// be built without drawing anything else.
+int LinesInOrder(Random* rng) { return static_cast<int>(rng->Uniform(1, 7)); }
+
 bool IsLeapYear(int year) {
   return (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
 }
@@ -184,82 +209,132 @@ Row SsbGenerator::DateRow(int64_t day_index) const {
   return row;
 }
 
-SsbGenerator::LineorderStream::LineorderStream(const SsbGenerator* gen,
-                                               uint64_t first_order,
-                                               uint64_t order_limit)
-    : gen_(gen), next_order_(first_order), order_limit_(order_limit) {}
-
-bool SsbGenerator::LineorderStream::Next(Row* out) {
+SsbGenerator::OrderDraws SsbGenerator::DrawOrder(uint64_t orderkey,
+                                                 Random* rng) const {
   // The paper's orderdate range follows TPC-H: orders span 1992-01-01 to
   // 1998-08-02 (commitdate may run past it).
   static constexpr int64_t kOrderableDays = 2406;
 
-  if (line_ >= lines_in_order_) {
-    if (next_order_ > order_limit_) return false;
-    const uint64_t orderkey = next_order_++;
-    line_rng_ = gen_->RngFor(kTableOrder, static_cast<int64_t>(orderkey));
-    lines_in_order_ = static_cast<int>(line_rng_.Uniform(1, 7));
-    line_ = 0;
-    custkey_ = static_cast<int32_t>(
-        line_rng_.Uniform(1, static_cast<int64_t>(gen_->card_.customers)));
-    const int64_t day = line_rng_.Uniform(0, kOrderableDays - 1);
-    orderdate_ = gen_->DateKeyForIndex(day);
-    orderpriority_ = kPriorities[line_rng_.Uniform(0, 4)];
-    // Order total is drawn up front (dbgen derives it from the lines; a draw
-    // keeps the stream single-pass and it is never aggregated in SSB).
-    ordtotalprice_ = static_cast<int32_t>(line_rng_.Uniform(20000, 40000000));
-    // Re-anchor the date index for commitdate computation below.
-    commit_base_day_ = day;
-  }
+  *rng = RngFor(kTableOrder, static_cast<int64_t>(orderkey));
+  OrderDraws order;
+  order.lines = LinesInOrder(rng);
+  order.custkey = static_cast<int32_t>(
+      rng->Uniform(1, static_cast<int64_t>(card_.customers)));
+  order.day = rng->Uniform(0, kOrderableDays - 1);
+  order.orderdate = DateKeyForIndex(order.day);
+  order.priority = kPriorities[rng->Uniform(0, 4)];
+  // Order total is drawn up front (dbgen derives it from the lines; a draw
+  // keeps the stream single-pass and it is never aggregated in SSB).
+  order.ordtotalprice = static_cast<int32_t>(rng->Uniform(20000, 40000000));
+  return order;
+}
 
-  const int32_t linenumber = static_cast<int32_t>(++line_);
+void SsbGenerator::EmitLine(uint64_t orderkey, const OrderDraws& order,
+                            int linenumber, Random* rng,
+                            const LineorderSink& out, size_t at) const {
   const int32_t partkey = static_cast<int32_t>(
-      line_rng_.Uniform(1, static_cast<int64_t>(gen_->card_.parts)));
+      rng->Uniform(1, static_cast<int64_t>(card_.parts)));
   const int32_t suppkey = static_cast<int32_t>(
-      line_rng_.Uniform(1, static_cast<int64_t>(gen_->card_.suppliers)));
-  const int32_t quantity = static_cast<int32_t>(line_rng_.Uniform(1, 50));
-  const int32_t unit_price = static_cast<int32_t>(line_rng_.Uniform(900, 110000));
+      rng->Uniform(1, static_cast<int64_t>(card_.suppliers)));
+  const int32_t quantity = static_cast<int32_t>(rng->Uniform(1, 50));
+  const int32_t unit_price = static_cast<int32_t>(rng->Uniform(900, 110000));
   int64_t extended = static_cast<int64_t>(quantity) * unit_price;
   extended = std::min<int64_t>(extended, 5545050);  // dbgen's MAX_LO_PRICE cap
-  const int32_t discount = static_cast<int32_t>(line_rng_.Uniform(0, 10));
+  const int32_t discount = static_cast<int32_t>(rng->Uniform(0, 10));
   const int32_t revenue =
       static_cast<int32_t>(extended * (100 - discount) / 100);
-  const int32_t supplycost = static_cast<int32_t>(line_rng_.Uniform(100, 60000));
-  const int32_t tax = static_cast<int32_t>(line_rng_.Uniform(0, 8));
-  const int64_t commit_day =
-      std::min<int64_t>(commit_base_day_ + line_rng_.Uniform(30, 90),
-                        gen_->num_dates() - 1);
+  const int32_t supplycost = static_cast<int32_t>(rng->Uniform(100, 60000));
+  const int32_t tax = static_cast<int32_t>(rng->Uniform(0, 8));
+  const int64_t commit_day = std::min<int64_t>(
+      order.day + rng->Uniform(30, 90), num_dates() - 1);
 
+  // Order keys fit int32: LoadSsb rejects scales with more orders.
+  out.i32[kLoOrderkey][at] = static_cast<int32_t>(orderkey);
+  out.i32[kLoLinenumber][at] = linenumber;
+  out.i32[kLoCustkey][at] = order.custkey;
+  out.i32[kLoPartkey][at] = partkey;
+  out.i32[kLoSuppkey][at] = suppkey;
+  out.i32[kLoOrderdate][at] = order.orderdate;
+  out.str[kLoOrderpriority][at] = order.priority;
+  out.i32[kLoShippriority][at] = 0;
+  out.i32[kLoQuantity][at] = quantity;
+  out.i32[kLoExtendedprice][at] = static_cast<int32_t>(extended);
+  out.i32[kLoOrdtotalprice][at] = order.ordtotalprice;
+  out.i32[kLoDiscount][at] = discount;
+  out.i32[kLoRevenue][at] = revenue;
+  out.i32[kLoSupplycost][at] = supplycost;
+  out.i32[kLoTax][at] = tax;
+  out.i32[kLoCommitdate][at] = DateKeyForIndex(commit_day);
+  out.str[kLoShipmode][at] = kShipModes[rng->Uniform(0, 6)];
+}
+
+bool SsbGenerator::LineorderStream::Next(Row* out) {
+  if (line_ >= order_.lines) {
+    if (next_order_ > gen_->card_.orders) return false;
+    order_ = gen_->DrawOrder(next_order_++, &line_rng_);
+    line_ = 0;
+  }
+  int32_t ints[17] = {};
+  std::string_view strs[17];
+  LineorderSink sink;
+  for (int c = 0; c < 17; ++c) {
+    sink.i32[c] = &ints[c];
+    sink.str[c] = &strs[c];
+  }
+  gen_->EmitLine(next_order_ - 1, order_, ++line_, &line_rng_, sink, 0);
+
+  const SchemaPtr schema = LineorderSchema();
   out->Clear();
   out->Reserve(17);
-  out->Append(Value(static_cast<int32_t>(next_order_ - 1)));
-  out->Append(Value(linenumber));
-  out->Append(Value(custkey_));
-  out->Append(Value(partkey));
-  out->Append(Value(suppkey));
-  out->Append(Value(orderdate_));
-  out->Append(Value(orderpriority_));
-  out->Append(Value(static_cast<int32_t>(0)));
-  out->Append(Value(quantity));
-  out->Append(Value(static_cast<int32_t>(extended)));
-  out->Append(Value(ordtotalprice_));
-  out->Append(Value(discount));
-  out->Append(Value(revenue));
-  out->Append(Value(supplycost));
-  out->Append(Value(tax));
-  out->Append(Value(gen_->DateKeyForIndex(commit_day)));
-  out->Append(Value(kShipModes[line_rng_.Uniform(0, 6)]));
-  ++rows_emitted_;
+  for (int c = 0; c < 17; ++c) {
+    out->Append(schema->field(c).type == TypeKind::kString
+                    ? Value(std::string(strs[c]))
+                    : Value(ints[c]));
+  }
   return true;
 }
 
 SsbGenerator::LineorderStream SsbGenerator::Lineorders() const {
-  return LineorderStream(this, 1, card_.orders);
+  return LineorderStream(this);
 }
 
-SsbGenerator::LineorderStream SsbGenerator::LineorderRange(
-    uint64_t first_order, uint64_t order_limit) const {
-  return LineorderStream(this, first_order, order_limit);
+SsbGenerator::LineorderIndex::LineorderIndex(const SsbGenerator* gen)
+    : gen_(gen), order_first_row_(gen->card_.orders + 1) {
+  uint64_t row = 0;
+  for (uint64_t o = 0; o < gen->card_.orders; ++o) {
+    order_first_row_[o] = row;
+    Random rng = gen->RngFor(kTableOrder, static_cast<int64_t>(o + 1));
+    row += static_cast<uint64_t>(LinesInOrder(&rng));
+  }
+  order_first_row_.back() = row;
+}
+
+void SsbGenerator::LineorderIndex::Fill(uint64_t first_row, uint64_t n,
+                                        const LineorderSink& out,
+                                        size_t at) const {
+  CLY_DCHECK(first_row + n <= num_rows());
+  if (n == 0) return;
+  // Index of the order holding first_row (orderkey = index + 1).
+  uint64_t o = static_cast<uint64_t>(
+      std::upper_bound(order_first_row_.begin(), order_first_row_.end(),
+                       first_row) -
+      order_first_row_.begin() - 1);
+  int skip = static_cast<int>(first_row - order_first_row_[o]);
+  Random rng(0);
+  const size_t end = at + static_cast<size_t>(n);
+  for (; at < end; ++o) {
+    const OrderDraws order = gen_->DrawOrder(o + 1, &rng);
+    for (int line = 1; line <= order.lines && at < end; ++line) {
+      // Lines before first_row are drawn to advance the RNG; they land on
+      // position `at`, which the first wanted row then overwrites.
+      gen_->EmitLine(o + 1, order, line, &rng, out, at);
+      if (skip > 0) {
+        --skip;
+      } else {
+        ++at;
+      }
+    }
+  }
 }
 
 }  // namespace ssb

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -17,6 +18,18 @@ namespace ssb {
 /// seed and scale produce identical data, and dimension keys referenced by
 /// lineorder always exist.
 class SsbGenerator {
+ private:
+  /// The draws an order shares with its lines; the order's RNG is left
+  /// positioned at its first line.
+  struct OrderDraws {
+    int lines = 0;
+    int32_t custkey = 0;
+    int32_t orderdate = 0;
+    int64_t day = 0;
+    int32_t ordtotalprice = 0;
+    std::string_view priority;
+  };
+
  public:
   explicit SsbGenerator(double scale_factor, uint64_t seed = 19920101);
 
@@ -30,37 +43,54 @@ class SsbGenerator {
   /// Date rows by day index (0-based, 0 = 1992-01-01).
   Row DateRow(int64_t day_index) const;
 
+  /// Typed destinations for lineorder rows, indexed like
+  /// LineorderSchema(): integer column c writes to i32[c], string column c
+  /// to str[c] (views into static tables, so no string is allocated); the
+  /// other entry is null. Each array needs room for the rows written.
+  struct LineorderSink {
+    int32_t* i32[17] = {};
+    std::string_view* str[17] = {};
+  };
+
   /// Sequential lineorder stream; one instance per scan.
   class LineorderStream {
    public:
     /// Returns false when all orders are exhausted.
     bool Next(Row* out);
-    uint64_t rows_emitted() const { return rows_emitted_; }
 
    private:
     friend class SsbGenerator;
-    LineorderStream(const SsbGenerator* gen, uint64_t first_order,
-                    uint64_t order_limit);
+    explicit LineorderStream(const SsbGenerator* gen) : gen_(gen) {}
 
     const SsbGenerator* gen_;
-    uint64_t next_order_;
-    uint64_t order_limit_;
+    uint64_t next_order_ = 1;
     int line_ = 0;
-    int lines_in_order_ = 0;
-    // Order-level attributes shared by its lines.
-    int32_t custkey_ = 0;
-    int32_t orderdate_ = 0;
-    int64_t commit_base_day_ = 0;
-    int32_t ordtotalprice_ = 0;
-    std::string orderpriority_;
+    OrderDraws order_;
     Random line_rng_{0};
-    uint64_t rows_emitted_ = 0;
   };
 
-  /// Stream over all orders, or a sub-range for parallel generation.
+  /// Stream over all orders.
   LineorderStream Lineorders() const;
-  LineorderStream LineorderRange(uint64_t first_order,
-                                 uint64_t order_limit) const;
+
+  /// Row-addressable lineorder generation: row r is the r-th row that
+  /// Lineorders() emits. Building the index draws only each order's line
+  /// count (the first draw of its RNG); Fill is const, so disjoint row
+  /// ranges may be filled from different threads.
+  class LineorderIndex {
+   public:
+    explicit LineorderIndex(const SsbGenerator* gen);
+
+    uint64_t num_rows() const { return order_first_row_.back(); }
+    /// Writes rows [first_row, first_row + n) to positions
+    /// [at, at + n) of `out`'s arrays.
+    void Fill(uint64_t first_row, uint64_t n, const LineorderSink& out,
+              size_t at) const;
+
+   private:
+    const SsbGenerator* gen_;
+    /// [o] is the first row of order o + 1; back() is the row count.
+    std::vector<uint64_t> order_first_row_;
+  };
 
   /// Total days in the date dimension.
   int64_t num_dates() const { return static_cast<int64_t>(card_.dates); }
@@ -70,6 +100,12 @@ class SsbGenerator {
 
  private:
   Random RngFor(uint32_t table, int64_t index) const;
+  /// Seeds `rng` for the order and draws its header.
+  OrderDraws DrawOrder(uint64_t orderkey, Random* rng) const;
+  /// Draws one line of `order` and writes it to position `at` of `out`.
+  /// The one per-line routine behind both Next() and LineorderIndex::Fill.
+  void EmitLine(uint64_t orderkey, const OrderDraws& order, int linenumber,
+                Random* rng, const LineorderSink& out, size_t at) const;
 
   double sf_;
   uint64_t seed_;

@@ -19,8 +19,6 @@ struct SsbLoadOptions {
   uint64_t rows_per_split = 0;
   /// Also write the fact table in RCFile (the Hive baseline's format).
   bool with_rcfile = true;
-  /// Also write the fact table as dbgen-style text (size comparisons only).
-  bool with_text = false;
 };
 
 /// A loaded SSB deployment.
@@ -30,16 +28,17 @@ struct SsbDataset {
   core::StarSchema star;
   /// Fact copy in RCFile for the Hive baseline (empty path when disabled).
   storage::TableDesc fact_rcfile;
-  /// Fact copy in text (empty path when disabled).
-  storage::TableDesc fact_text;
   SsbCardinalities cards;
   uint64_t lineorder_rows = 0;
   double scale_factor = 0;
 };
 
 /// Generates SSB data at the given scale and loads it into the cluster:
-/// CIF (+ optional RCFile/text) fact copies in HDFS, dimensions as binary
-/// tables in HDFS with replicas on every node's local disk.
+/// the CIF fact table (+ optional RCFile copy) in HDFS, dimensions as binary
+/// tables in HDFS with replicas on every node's local disk. Generation and
+/// encoding run on all cores; the files are byte-identical whatever the
+/// thread count. A scale factor that is not positive, or whose order count
+/// passes INT32_MAX (above ~1431), is InvalidArgument.
 Result<SsbDataset> LoadSsb(mr::MrCluster* cluster,
                            const SsbLoadOptions& options);
 

@@ -11,6 +11,17 @@ namespace {
 
 constexpr const char kDataFile[] = "/data.bin";
 
+/// Appends one framed row, ending the current block first when the row
+/// would overflow it (blocks end at row boundaries).
+Status AppendFramedRow(hdfs::DfsWriter* writer, uint64_t block_size,
+                       const uint8_t* framed, size_t len) {
+  const uint64_t used = writer->buffered_bytes();
+  if (used != 0 && used + len > block_size) {
+    CLY_RETURN_IF_ERROR(writer->CloseBlock());
+  }
+  return writer->Append(framed, len);
+}
+
 class BinaryRowTableWriter final : public TableWriter {
  public:
   BinaryRowTableWriter(hdfs::MiniDfs* dfs, TableDesc desc,
@@ -23,12 +34,9 @@ class BinaryRowTableWriter final : public TableWriter {
     EncodeRow(row, &scratch_);
     scratch_.PatchU32(0, static_cast<uint32_t>(scratch_.size() - 4));
 
-    const uint64_t block_size = dfs_->block_size();
-    const uint64_t used = writer_->buffered_bytes();
-    if (used != 0 && used + scratch_.size() > block_size) {
-      CLY_RETURN_IF_ERROR(writer_->CloseBlock());
-    }
-    CLY_RETURN_IF_ERROR(writer_->Append(scratch_.bytes()));
+    CLY_RETURN_IF_ERROR(AppendFramedRow(writer_.get(), dfs_->block_size(),
+                                        scratch_.bytes().data(),
+                                        scratch_.size()));
     ++rows_;
     return Status::OK();
   }
@@ -118,6 +126,27 @@ Result<std::unique_ptr<RowReader>> OpenBinaryRowSplitReader(
   return std::unique_ptr<RowReader>(
       new BinaryRowSplitReader(desc.schema, std::move(out_schema),
                                std::move(projection), std::move(data)));
+}
+
+Status WriteBinaryRowTable(hdfs::MiniDfs* dfs, const TableDesc& desc,
+                           const std::vector<uint8_t>& stream) {
+  CLY_ASSIGN_OR_RETURN(std::unique_ptr<hdfs::DfsWriter> writer,
+                       dfs->Create(desc.path + kDataFile));
+  ByteReader reader(stream);
+  uint64_t rows = 0;
+  while (!reader.AtEnd()) {
+    const size_t at = reader.position();
+    uint32_t len = 0;
+    CLY_RETURN_IF_ERROR(reader.GetU32(&len));
+    CLY_RETURN_IF_ERROR(reader.Skip(len));
+    CLY_RETURN_IF_ERROR(AppendFramedRow(writer.get(), dfs->block_size(),
+                                        stream.data() + at, 4 + size_t{len}));
+    ++rows;
+  }
+  CLY_RETURN_IF_ERROR(writer->Close());
+  TableDesc written = desc;
+  written.num_rows = rows;
+  return SaveTableDesc(dfs, written);
 }
 
 std::vector<uint8_t> EncodeRowStream(const std::vector<Row>& rows) {

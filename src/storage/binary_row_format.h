@@ -26,6 +26,12 @@ Result<std::unique_ptr<RowReader>> OpenBinaryRowSplitReader(
 /// distributed cache.
 std::vector<uint8_t> EncodeRowStream(const std::vector<Row>& rows);
 
+/// Writes a whole binary-row table from a row stream (EncodeRowStream
+/// layout): the same data.bin bytes, blocks and `_meta` as appending its
+/// rows one by one through OpenBinaryRowTableWriter.
+Status WriteBinaryRowTable(hdfs::MiniDfs* dfs, const TableDesc& desc,
+                           const std::vector<uint8_t>& stream);
+
 /// Decodes a full row stream produced by EncodeRowStream (or a data block).
 Result<std::vector<Row>> DecodeRowStream(const Schema& schema,
                                          const uint8_t* data, size_t len);

@@ -1320,71 +1320,59 @@ Result<RowBatch> LoadCifSplit(const hdfs::MiniDfs& dfs, const TableDesc& desc,
   return batch;
 }
 
-class CifTableWriter final : public TableWriter {
+class CifTableWriter final : public SplitTableWriter {
  public:
   CifTableWriter(hdfs::MiniDfs* dfs, TableDesc desc, int segment,
                  std::vector<std::unique_ptr<hdfs::DfsWriter>> writers)
-      : dfs_(dfs),
-        desc_(std::move(desc)),
+      : SplitTableWriter(dfs, std::move(desc)),
         segment_(segment),
-        writers_(std::move(writers)),
-        buffer_(desc_.schema) {}
+        writers_(std::move(writers)) {}
 
-  Status Append(const Row& row) override {
-    buffer_.AppendRow(row);
-    ++rows_;
-    if (static_cast<uint64_t>(buffer_.num_rows()) == desc_.rows_per_split) {
-      return FlushSplit();
+  Status EncodeColumn(const RowBatch& split, int c,
+                      std::vector<uint8_t>* out) const override {
+    ByteWriter encoded;
+    EncodeColumnBlock(split.column(c), &encoded);
+    if (encoded.size() > dfs_->block_size()) {
+      return Status::InvalidArgument(StrCat(
+          "CIF split of column '", desc_.schema->field(c).name, "' is ",
+          encoded.size(), " bytes but the HDFS block size is ",
+          dfs_->block_size(), "; lower rows_per_split"));
+    }
+    *out = encoded.Release();
+    return Status::OK();
+  }
+
+ protected:
+  // Split i of every column is block i of its file.
+  Status WriteSplit(uint64_t /*rows*/,
+                    const std::vector<std::vector<uint8_t>>& columns) override {
+    for (size_t c = 0; c < writers_.size(); ++c) {
+      CLY_RETURN_IF_ERROR(writers_[c]->Append(columns[c]));
+      CLY_RETURN_IF_ERROR(writers_[c]->CloseBlock());
     }
     return Status::OK();
   }
 
-  Status Close() override {
-    if (buffer_.num_rows() > 0) CLY_RETURN_IF_ERROR(FlushSplit());
+  Status Finish(uint64_t rows) override {
     for (auto& w : writers_) CLY_RETURN_IF_ERROR(w->Close());
     if (segment_ == 0) {
-      desc_.num_rows = rows_;
-      if (!desc_.segment_rows.empty()) desc_.segment_rows = {rows_};
+      desc_.num_rows = rows;
+      if (!desc_.segment_rows.empty()) desc_.segment_rows = {rows};
     } else {
       // Roll-in: merge this segment into the table's metadata.
       if (desc_.segment_rows.empty()) {
         desc_.segment_rows.push_back(desc_.num_rows);
       }
       desc_.segment_rows.resize(static_cast<size_t>(segment_), 0);
-      desc_.segment_rows.push_back(rows_);
-      desc_.num_rows += rows_;
+      desc_.segment_rows.push_back(rows);
+      desc_.num_rows += rows;
     }
     return SaveTableDesc(dfs_, desc_);
   }
 
-  uint64_t rows_written() const override { return rows_; }
-
  private:
-  Status FlushSplit() {
-    ByteWriter encoded;
-    for (int c = 0; c < buffer_.num_columns(); ++c) {
-      encoded.Clear();
-      EncodeColumnBlock(buffer_.column(c), &encoded);
-      if (encoded.size() > dfs_->block_size()) {
-        return Status::InvalidArgument(StrCat(
-            "CIF split of column '", desc_.schema->field(c).name, "' is ",
-            encoded.size(), " bytes but the HDFS block size is ",
-            dfs_->block_size(), "; lower rows_per_split"));
-      }
-      auto& writer = writers_[static_cast<size_t>(c)];
-      CLY_RETURN_IF_ERROR(writer->Append(encoded.bytes()));
-      CLY_RETURN_IF_ERROR(writer->CloseBlock());
-    }
-    buffer_.Clear();
-    return Status::OK();
-  }
-
-  hdfs::MiniDfs* dfs_;
-  TableDesc desc_;
   const int segment_;
   std::vector<std::unique_ptr<hdfs::DfsWriter>> writers_;
-  RowBatch buffer_;
-  uint64_t rows_ = 0;
 };
 
 class CifSplitRowReader final : public RowReader {
@@ -1490,9 +1478,8 @@ class CifSplitBatchReader final : public BatchReader {
 }  // namespace
 
 namespace {
-Result<std::unique_ptr<TableWriter>> OpenCifSegmentWriter(hdfs::MiniDfs* dfs,
-                                                          const TableDesc& desc,
-                                                          int segment) {
+Result<std::unique_ptr<SplitTableWriter>> OpenCifSegmentWriter(
+    hdfs::MiniDfs* dfs, const TableDesc& desc, int segment) {
   if (desc.rows_per_split == 0) {
     return Status::InvalidArgument("CIF tables need rows_per_split > 0");
   }
@@ -1505,13 +1492,13 @@ Result<std::unique_ptr<TableWriter>> OpenCifSegmentWriter(hdfs::MiniDfs* dfs,
                                      ColocationGroup(desc, segment)));
     writers.push_back(std::move(w));
   }
-  return std::unique_ptr<TableWriter>(
+  return std::unique_ptr<SplitTableWriter>(
       new CifTableWriter(dfs, desc, segment, std::move(writers)));
 }
 }  // namespace
 
-Result<std::unique_ptr<TableWriter>> OpenCifTableWriter(hdfs::MiniDfs* dfs,
-                                                        const TableDesc& desc) {
+Result<std::unique_ptr<SplitTableWriter>> OpenCifTableWriter(
+    hdfs::MiniDfs* dfs, const TableDesc& desc) {
   return OpenCifSegmentWriter(dfs, desc, /*segment=*/0);
 }
 
@@ -1520,7 +1507,10 @@ Result<std::unique_ptr<TableWriter>> AppendCifSegment(hdfs::MiniDfs* dfs,
   if (desc.format != kFormatCif) {
     return Status::InvalidArgument("roll-in requires a CIF table");
   }
-  return OpenCifSegmentWriter(dfs, desc, desc.num_segments());
+  CLY_ASSIGN_OR_RETURN(
+      std::unique_ptr<SplitTableWriter> writer,
+      OpenCifSegmentWriter(dfs, desc, desc.num_segments()));
+  return std::unique_ptr<TableWriter>(std::move(writer));
 }
 
 Status RollOutCifSegment(hdfs::MiniDfs* dfs, const TableDesc& desc,

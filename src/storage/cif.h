@@ -38,8 +38,8 @@ namespace storage {
 /// Integer columns read from RLE blocks carry their run structure
 /// (ColumnVector runs) so the probe can work per run. Corrupt blocks are an
 /// IoError.
-Result<std::unique_ptr<TableWriter>> OpenCifTableWriter(hdfs::MiniDfs* dfs,
-                                                        const TableDesc& desc);
+Result<std::unique_ptr<SplitTableWriter>> OpenCifTableWriter(
+    hdfs::MiniDfs* dfs, const TableDesc& desc);
 Result<std::vector<StorageSplit>> ListCifSplits(const hdfs::MiniDfs& dfs,
                                                 const TableDesc& desc);
 

@@ -1,5 +1,9 @@
 #include "storage/rcfile.h"
 
+#include <charconv>
+#include <cstdio>
+#include <string_view>
+
 #include "common/strings.h"
 #include "storage/byte_io.h"
 #include "storage/row_codec.h"
@@ -13,72 +17,100 @@ namespace {
 constexpr const char kDataFile[] = "/data.rc";
 constexpr uint32_t kMagic = 0x52434631;  // "RCF1"
 
-class RcFileTableWriter final : public TableWriter {
+/// Appends one cell: a u8 length, then the text.
+Status PutCell(std::string_view text, std::vector<uint8_t>* chunk) {
+  if (text.size() > 255) {
+    return Status::InvalidArgument(
+        StrCat("rcfile value too long (", text.size(), " chars)"));
+  }
+  chunk->push_back(static_cast<uint8_t>(text.size()));
+  chunk->insert(chunk->end(), text.begin(), text.end());
+  return Status::OK();
+}
+
+template <typename Int>
+void PutIntCells(const std::vector<Int>& values, std::vector<uint8_t>* chunk) {
+  char buf[24];
+  for (const Int v : values) {
+    const char* const end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    chunk->push_back(static_cast<uint8_t>(end - buf));
+    chunk->insert(chunk->end(), static_cast<const char*>(buf), end);
+  }
+}
+
+/// Serializes a column as one chunk of text cells, each exactly the text
+/// Value::ToString() gives (Hive's serde keeps fields textual).
+Status EncodeTextChunk(const ColumnVector& col, std::vector<uint8_t>* chunk) {
+  switch (col.type()) {
+    case TypeKind::kInt32:
+      PutIntCells(col.i32(), chunk);
+      return Status::OK();
+    case TypeKind::kInt64:
+      PutIntCells(col.i64(), chunk);
+      return Status::OK();
+    case TypeKind::kDouble:
+      for (const double v : col.f64()) {
+        // The same bounded "%.4f" as Value::ToString, truncation included.
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.4f", v);
+        CLY_RETURN_IF_ERROR(PutCell(buf, chunk));
+      }
+      return Status::OK();
+    case TypeKind::kString:
+      for (int64_t i = 0; i < col.size(); ++i) {
+        CLY_RETURN_IF_ERROR(PutCell(col.StringViewAt(i), chunk));
+      }
+      return Status::OK();
+  }
+  return Status::Internal("unknown column type");
+}
+
+class RcFileTableWriter final : public SplitTableWriter {
  public:
   RcFileTableWriter(hdfs::MiniDfs* dfs, TableDesc desc,
                     std::unique_ptr<hdfs::DfsWriter> writer)
-      : dfs_(dfs),
-        desc_(std::move(desc)),
-        writer_(std::move(writer)),
-        chunks_(static_cast<size_t>(desc_.schema->num_fields())) {}
+      : SplitTableWriter(dfs, std::move(desc)), writer_(std::move(writer)) {}
 
-  Status Append(const Row& row) override {
-    for (int c = 0; c < row.size(); ++c) {
-      const std::string text = row.Get(c).ToString();
-      if (text.size() > 255) {
-        return Status::InvalidArgument(
-            StrCat("rcfile value too long (", text.size(), " chars)"));
-      }
-      auto& chunk = chunks_[static_cast<size_t>(c)];
-      chunk.push_back(static_cast<uint8_t>(text.size()));
-      chunk.insert(chunk.end(), text.begin(), text.end());
-    }
-    ++buffered_;
-    ++rows_;
-    if (buffered_ == desc_.rows_per_split) return FlushGroup();
-    return Status::OK();
+  Status EncodeColumn(const RowBatch& split, int c,
+                      std::vector<uint8_t>* out) const override {
+    out->clear();
+    return EncodeTextChunk(split.column(c), out);
   }
 
-  Status Close() override {
-    if (buffered_ > 0) CLY_RETURN_IF_ERROR(FlushGroup());
-    CLY_RETURN_IF_ERROR(writer_->Close());
-    desc_.num_rows = rows_;
-    return SaveTableDesc(dfs_, desc_);
-  }
-
-  uint64_t rows_written() const override { return rows_; }
-
- private:
-  Status FlushGroup() {
-    ByteWriter group;
-    group.PutU32(kMagic);
-    group.PutU32(static_cast<uint32_t>(buffered_));
-    group.PutU32(static_cast<uint32_t>(chunks_.size()));
-    for (const auto& chunk : chunks_) {
-      group.PutU32(static_cast<uint32_t>(chunk.size()));
+ protected:
+  // One row group per block: the header, then the chunks in column order.
+  Status WriteSplit(uint64_t rows,
+                    const std::vector<std::vector<uint8_t>>& columns) override {
+    ByteWriter header;
+    header.PutU32(kMagic);
+    header.PutU32(static_cast<uint32_t>(rows));
+    header.PutU32(static_cast<uint32_t>(columns.size()));
+    uint64_t group_size = header.size() + 4 * columns.size();
+    for (const auto& chunk : columns) {
+      header.PutU32(static_cast<uint32_t>(chunk.size()));
+      group_size += chunk.size();
     }
-    for (const auto& chunk : chunks_) {
-      group.PutBytes(chunk.data(), chunk.size());
-    }
-    if (group.size() > dfs_->block_size()) {
+    if (group_size > dfs_->block_size()) {
       return Status::InvalidArgument(
-          StrCat("rcfile row group is ", group.size(),
+          StrCat("rcfile row group is ", group_size,
                  " bytes but the HDFS block size is ", dfs_->block_size(),
                  "; lower rows_per_split"));
     }
-    CLY_RETURN_IF_ERROR(writer_->Append(group.bytes()));
-    CLY_RETURN_IF_ERROR(writer_->CloseBlock());
-    for (auto& chunk : chunks_) chunk.clear();
-    buffered_ = 0;
-    return Status::OK();
+    CLY_RETURN_IF_ERROR(writer_->Append(header.bytes()));
+    for (const auto& chunk : columns) {
+      CLY_RETURN_IF_ERROR(writer_->Append(chunk));
+    }
+    return writer_->CloseBlock();
   }
 
-  hdfs::MiniDfs* dfs_;
-  TableDesc desc_;
+  Status Finish(uint64_t rows) override {
+    CLY_RETURN_IF_ERROR(writer_->Close());
+    desc_.num_rows = rows;
+    return SaveTableDesc(dfs_, desc_);
+  }
+
+ private:
   std::unique_ptr<hdfs::DfsWriter> writer_;
-  std::vector<std::vector<uint8_t>> chunks_;
-  uint64_t buffered_ = 0;
-  uint64_t rows_ = 0;
 };
 
 class RcFileSplitReader final : public RowReader {
@@ -131,14 +163,14 @@ Status DecodeTextChunk(const std::vector<uint8_t>& chunk, TypeKind type,
 
 }  // namespace
 
-Result<std::unique_ptr<TableWriter>> OpenRcFileTableWriter(
+Result<std::unique_ptr<SplitTableWriter>> OpenRcFileTableWriter(
     hdfs::MiniDfs* dfs, const TableDesc& desc) {
   if (desc.rows_per_split == 0) {
     return Status::InvalidArgument("rcfile tables need rows_per_split > 0");
   }
   CLY_ASSIGN_OR_RETURN(std::unique_ptr<hdfs::DfsWriter> writer,
                        dfs->Create(desc.path + kDataFile));
-  return std::unique_ptr<TableWriter>(
+  return std::unique_ptr<SplitTableWriter>(
       new RcFileTableWriter(dfs, desc, std::move(writer)));
 }
 

@@ -19,7 +19,7 @@ namespace storage {
 ///
 /// Group layout: [u32 magic][u32 nrows][u32 ncols][ncols x u32 chunk bytes]
 /// then per column chunk: per value u8 length + text bytes.
-Result<std::unique_ptr<TableWriter>> OpenRcFileTableWriter(
+Result<std::unique_ptr<SplitTableWriter>> OpenRcFileTableWriter(
     hdfs::MiniDfs* dfs, const TableDesc& desc);
 Result<std::vector<StorageSplit>> ListRcFileSplits(const hdfs::MiniDfs& dfs,
                                                    const TableDesc& desc);

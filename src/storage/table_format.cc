@@ -114,6 +114,47 @@ Result<TableDesc> LoadTableDesc(const hdfs::MiniDfs& dfs,
   return desc;
 }
 
+SplitTableWriter::SplitTableWriter(hdfs::MiniDfs* dfs, TableDesc desc)
+    : dfs_(dfs), desc_(std::move(desc)), buffer_(desc_.schema) {}
+
+Status SplitTableWriter::Append(const Row& row) {
+  buffer_.AppendRow(row);
+  if (static_cast<uint64_t>(buffer_.num_rows()) == desc_.rows_per_split) {
+    return FlushBuffer();
+  }
+  return Status::OK();
+}
+
+Status SplitTableWriter::Close() {
+  if (buffer_.num_rows() > 0) CLY_RETURN_IF_ERROR(FlushBuffer());
+  return Finish(rows_);
+}
+
+Status SplitTableWriter::AppendEncodedSplit(
+    uint64_t rows, const std::vector<std::vector<uint8_t>>& columns) {
+  if (buffer_.num_rows() > 0) {
+    return Status::FailedPrecondition(
+        "encoded split appended while rows are buffered");
+  }
+  CLY_RETURN_IF_ERROR(WriteSplit(rows, columns));
+  rows_ += rows;
+  return Status::OK();
+}
+
+Status SplitTableWriter::FlushBuffer() {
+  const auto rows = static_cast<uint64_t>(buffer_.num_rows());
+  std::vector<std::vector<uint8_t>> columns(
+      static_cast<size_t>(buffer_.num_columns()));
+  for (int c = 0; c < buffer_.num_columns(); ++c) {
+    CLY_RETURN_IF_ERROR(
+        EncodeColumn(buffer_, c, &columns[static_cast<size_t>(c)]));
+  }
+  buffer_.Clear();
+  CLY_RETURN_IF_ERROR(WriteSplit(rows, columns));
+  rows_ += rows;
+  return Status::OK();
+}
+
 Result<std::unique_ptr<TableWriter>> OpenTableWriter(hdfs::MiniDfs* dfs,
                                                      const TableDesc& desc) {
   if (desc.schema == nullptr || desc.schema->num_fields() == 0) {
@@ -123,9 +164,16 @@ Result<std::unique_ptr<TableWriter>> OpenTableWriter(hdfs::MiniDfs* dfs,
   if (desc.format == kFormatBinaryRow) {
     return OpenBinaryRowTableWriter(dfs, desc);
   }
-  if (desc.format == kFormatCif) return OpenCifTableWriter(dfs, desc);
-  if (desc.format == kFormatRcFile) return OpenRcFileTableWriter(dfs, desc);
-  return Status::InvalidArgument(StrCat("unknown format '", desc.format, "'"));
+  std::unique_ptr<SplitTableWriter> writer;
+  if (desc.format == kFormatCif) {
+    CLY_ASSIGN_OR_RETURN(writer, OpenCifTableWriter(dfs, desc));
+  } else if (desc.format == kFormatRcFile) {
+    CLY_ASSIGN_OR_RETURN(writer, OpenRcFileTableWriter(dfs, desc));
+  } else {
+    return Status::InvalidArgument(
+        StrCat("unknown format '", desc.format, "'"));
+  }
+  return std::unique_ptr<TableWriter>(std::move(writer));
 }
 
 Result<std::vector<StorageSplit>> ListTableSplits(const hdfs::MiniDfs& dfs,

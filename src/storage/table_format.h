@@ -112,6 +112,49 @@ class TableWriter {
   virtual uint64_t rows_written() const = 0;
 };
 
+/// Writer for the split-aligned formats (CIF, RCFile): rows are buffered
+/// into a RowBatch and every rows_per_split rows become one split, encoded
+/// column by column. The encoding is exposed so a bulk loader can run it
+/// off the writer thread: EncodeColumn is const and may run concurrently
+/// for any columns, and AppendEncodedSplit then writes the split exactly
+/// as Append() would have.
+class SplitTableWriter : public TableWriter {
+ public:
+  SplitTableWriter(hdfs::MiniDfs* dfs, TableDesc desc);
+
+  Status Append(const Row& row) final;
+  Status Close() final;
+  uint64_t rows_written() const final {
+    return rows_ + static_cast<uint64_t>(buffer_.num_rows());
+  }
+
+  /// Encodes column `c` of one split (rows_per_split rows, fewer only for
+  /// the last split). Fails with InvalidArgument when the encoded column
+  /// cannot fit the format's block.
+  virtual Status EncodeColumn(const RowBatch& split, int c,
+                              std::vector<uint8_t>* out) const = 0;
+  /// Writes one split of `rows` rows from its EncodeColumn outputs, in
+  /// column order. Requires that no Append()ed rows are pending.
+  Status AppendEncodedSplit(uint64_t rows,
+                            const std::vector<std::vector<uint8_t>>& columns);
+
+ protected:
+  /// Writes one encoded split to the DFS.
+  virtual Status WriteSplit(
+      uint64_t rows, const std::vector<std::vector<uint8_t>>& columns) = 0;
+  /// Closes the files and persists `_meta` for `rows` rows in total.
+  virtual Status Finish(uint64_t rows) = 0;
+
+  hdfs::MiniDfs* const dfs_;
+  TableDesc desc_;
+
+ private:
+  Status FlushBuffer();
+
+  RowBatch buffer_;
+  uint64_t rows_ = 0;
+};
+
 // --- Metadata ---------------------------------------------------------------
 
 Status SaveTableDesc(hdfs::MiniDfs* dfs, const TableDesc& desc);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string_view>
 
 #include "ssb/dbgen.h"
 #include "ssb/loader.h"
@@ -156,22 +158,70 @@ TEST(DbgenTest, LinesShareOrderAttributes) {
 
 TEST(DbgenTest, RangeGenerationMatchesFullStream) {
   SsbGenerator gen(0.01);
-  // Generate orders [1, N] in one stream vs two ranges; rows must agree.
   std::vector<Row> full;
   {
     auto stream = gen.Lineorders();
     Row row;
     while (stream.Next(&row)) full.push_back(row);
   }
-  std::vector<Row> split;
-  const uint64_t mid = gen.cardinalities().orders / 2;
-  for (auto range : {gen.LineorderRange(1, mid),
-                     gen.LineorderRange(mid + 1, gen.cardinalities().orders)}) {
-    Row row;
-    while (range.Next(&row)) split.push_back(row);
+
+  // The row-addressable fill reproduces the stream from any start row.
+  const SsbGenerator::LineorderIndex index(&gen);
+  ASSERT_EQ(index.num_rows(), full.size());
+  const SchemaPtr schema_ptr = LineorderSchema();
+  const Schema& schema = *schema_ptr;
+  // Fills rows [first, first + n) at an offset into the arrays, so that
+  // writing at `at` is covered too, and checks them against the stream.
+  auto check_fill = [&](uint64_t first, uint64_t n) {
+    constexpr size_t kAt = 3;
+    std::vector<int32_t> ints(17 * (kAt + n), -1);
+    std::vector<std::string_view> strs(17 * (kAt + n));
+    SsbGenerator::LineorderSink sink;
+    for (int c = 0; c < 17; ++c) {
+      const size_t base = static_cast<size_t>(c) * (kAt + n);
+      if (schema.field(c).type == TypeKind::kString) {
+        sink.str[c] = &strs[base];
+      } else {
+        sink.i32[c] = &ints[base];
+      }
+    }
+    index.Fill(first, n, sink, kAt);
+    for (uint64_t i = 0; i < n; ++i) {
+      Row row;
+      for (int c = 0; c < 17; ++c) {
+        const size_t at = static_cast<size_t>(c) * (kAt + n) + kAt + i;
+        row.Append(schema.field(c).type == TypeKind::kString
+                       ? Value(std::string(strs[at]))
+                       : Value(ints[at]));
+      }
+      ASSERT_EQ(row, full[first + i]) << "fill from row " << first;
+    }
+  };
+  // Every start offset 0..7 around several order boundaries: the first,
+  // two in the middle and the last.
+  const int orderkey = schema.IndexOf("lo_orderkey");
+  std::vector<uint64_t> boundaries;
+  for (size_t r = 1; r < full.size(); ++r) {
+    if (full[r].Get(orderkey) != full[r - 1].Get(orderkey)) {
+      boundaries.push_back(r);
+    }
   }
-  ASSERT_EQ(full.size(), split.size());
-  for (size_t i = 0; i < full.size(); ++i) EXPECT_EQ(full[i], split[i]);
+  ASSERT_GT(boundaries.size(), 10u);
+  for (const uint64_t b :
+       {boundaries.front(), boundaries[boundaries.size() / 3],
+        boundaries[boundaries.size() / 2], boundaries.back()}) {
+    for (uint64_t offset = 0; offset < 8; ++offset) {
+      const uint64_t first = b - 4 + offset;
+      check_fill(first, std::min<uint64_t>(20, full.size() - first));
+    }
+  }
+  // Split boundaries: the whole table in the loader's split sizes, the
+  // last split partial.
+  for (const uint64_t rows_per_split : {512u, 2048u, 2500u}) {
+    for (uint64_t first = 0; first < full.size(); first += rows_per_split) {
+      check_fill(first, std::min<uint64_t>(rows_per_split, full.size() - first));
+    }
+  }
 }
 
 TEST(DbgenTest, DimensionValueDistributions) {
@@ -256,7 +306,6 @@ TEST(LoaderTest, LoadsAllTablesAndReplicas) {
   SsbLoadOptions options;
   options.scale_factor = 0.002;
   options.with_rcfile = true;
-  options.with_text = true;
   auto dataset = LoadSsb(&cluster, options);
   ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
 
@@ -281,21 +330,128 @@ TEST(LoaderTest, LoadsAllTablesAndReplicas) {
   EXPECT_EQ(cif->num_rows, dataset->lineorder_rows);
   EXPECT_EQ(rc->num_rows, dataset->lineorder_rows);
 
-  // The binary CIF copy is smaller than the text copy (paper: 334 GB vs
-  // 600 GB at SF1000).
-  uint64_t cif_bytes = 0, text_bytes = 0;
-  for (const std::string& path :
-       cluster.dfs()->List(dataset->star.fact().path + "/")) {
-    auto info = cluster.dfs()->Stat(path);
-    ASSERT_TRUE(info.ok());
-    cif_bytes += info->length;
+  // The binary CIF copy is smaller than the textual RCFile copy (paper:
+  // 334 GB of binary against 600 GB of text at SF1000).
+  auto table_bytes = [&cluster](const std::string& dir) {
+    uint64_t bytes = 0;
+    for (const std::string& path : cluster.dfs()->List(dir + "/")) {
+      auto info = cluster.dfs()->Stat(path);
+      EXPECT_TRUE(info.ok()) << path;
+      if (info.ok()) bytes += info->length;
+    }
+    return bytes;
+  };
+  const uint64_t cif_bytes = table_bytes(dataset->star.fact().path);
+  const uint64_t rc_bytes = table_bytes(dataset->fact_rcfile.path);
+  EXPECT_GT(cif_bytes, 0u);
+  EXPECT_LT(cif_bytes, rc_bytes);
+}
+
+TEST(LoaderTest, RejectsBadScaleFactors) {
+  mr::ClusterOptions copts;
+  copts.num_nodes = 2;
+  mr::MrCluster cluster(copts);
+  // SF 1432 numbers more than INT32_MAX orders; int32 lo_orderkey would wrap.
+  for (const double sf : {0.0, -1.0, std::nan(""), 1432.0}) {
+    SsbLoadOptions options;
+    options.scale_factor = sf;
+    auto dataset = LoadSsb(&cluster, options);
+    EXPECT_EQ(dataset.status().code(), StatusCode::kInvalidArgument)
+        << "sf " << sf;
   }
-  {
-    auto info = cluster.dfs()->Stat(dataset->fact_text.path + "/data.txt");
-    ASSERT_TRUE(info.ok());
-    text_bytes = info->length;
+  EXPECT_TRUE(cluster.dfs()->List("/").empty());
+}
+
+/// FNV-1a over everything a load leaves behind: every DFS file under the load
+/// root (path, bytes, then each block's id, length and replica list, in
+/// file order) and every node's local replica of every dimension.
+class LoadHasher {
+ public:
+  void Bytes(const void* data, size_t len) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001b3ull;
+    }
   }
-  EXPECT_LT(cif_bytes, text_bytes);
+  void Str(std::string_view s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+uint64_t HashLoad(mr::MrCluster* cluster, const SsbDataset& dataset,
+                  const std::string& root, int* files) {
+  LoadHasher h;
+  *files = 0;
+  for (const std::string& path : cluster->dfs()->List(root + "/")) {
+    auto bytes = cluster->dfs()->ReadFileToString(path);
+    auto info = cluster->dfs()->Stat(path);
+    EXPECT_TRUE(bytes.ok() && info.ok()) << path;
+    if (!bytes.ok() || !info.ok()) return 0;
+    h.Str(path);
+    h.Str(*bytes);
+    for (const hdfs::BlockInfo& block : info->blocks) {
+      h.U64(block.id);
+      h.U64(block.length);
+      h.U64(block.replicas.size());
+      for (hdfs::NodeId n : block.replicas) h.U64(static_cast<uint64_t>(n));
+    }
+    ++*files;
+  }
+  for (const auto& [name, dim] : dataset.star.dims()) {
+    for (int n = 0; n < cluster->num_nodes(); ++n) {
+      auto replica = cluster->local_store(n)->Read(dim.local_path);
+      EXPECT_TRUE(replica.ok()) << name << " on node " << n;
+      if (!replica.ok()) return 0;
+      h.Str(dim.local_path);
+      h.Bytes((*replica)->data(), (*replica)->size());
+    }
+  }
+  return h.value();
+}
+
+// The loader's output is pinned byte for byte: the hashes below were taken
+// from the serial row-at-a-time loader, so any change to generation,
+// encoding, DFS write order (the shared placement RNG) or the dimension
+// replicas shows up here. Each shape is loaded twice on fresh clusters so a
+// scheduling-dependent result cannot pass by luck.
+TEST(LoaderTest, GoldenBytesOnTwoClusterShapes) {
+  struct Shape {
+    uint64_t block_size;
+    uint64_t golden;
+  };
+  const Shape shapes[] = {
+      {64ull << 20, 0x73d7476cb1cc40aaull},
+      {256ull << 10, 0x5ae557d998e86bceull},
+  };
+  for (const Shape& shape : shapes) {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      mr::ClusterOptions copts;
+      copts.dfs_block_size = shape.block_size;
+      mr::MrCluster cluster(copts);
+      SsbLoadOptions options;
+      options.scale_factor = 0.01;
+      options.seed = 7;
+      options.with_rcfile = true;
+      auto dataset = LoadSsb(&cluster, options);
+      ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+      // Both shapes end in a partial split.
+      EXPECT_NE(dataset->lineorder_rows % dataset->star.fact().rows_per_split,
+                0u);
+      int files = 0;
+      const uint64_t hash = HashLoad(&cluster, *dataset, options.root, &files);
+      // 17 CIF columns + _meta, data.rc + _meta, 4 x (data.bin + _meta).
+      EXPECT_EQ(files, 28);
+      EXPECT_EQ(hash, shape.golden)
+          << "block size " << shape.block_size << ", attempt " << attempt
+          << ": 0x" << std::hex << hash;
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/random.h"
 #include "hdfs/dfs.h"
 #include "storage/binary_row_format.h"
 #include "storage/byte_io.h"
+#include "storage/rcfile.h"
 #include "storage/row_codec.h"
 #include "storage/table_format.h"
 
@@ -424,6 +427,63 @@ TEST(TableMetaTest, UnknownFormatRejected) {
   desc.format = "parquet";
   desc.schema = TestSchema();
   EXPECT_FALSE(OpenTableWriter(&dfs, desc).ok());
+}
+
+// RCFile cells are encoded from typed columns. Each must be exactly the
+// text Value::ToString() gives (the reader parses that text back), and the
+// 255-char cell limit still holds.
+TEST(RcFileCodecTest, TypedCellsMatchValueToString) {
+  hdfs::MiniDfs dfs(hdfs::DfsOptions{});
+  TableDesc desc;
+  desc.path = "/rc";
+  desc.format = kFormatRcFile;
+  desc.schema = TestSchema();
+  desc.rows_per_split = 8;
+  auto writer = OpenRcFileTableWriter(&dfs, desc);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+
+  const std::vector<Row> rows = {
+      Row({Value(INT32_MIN), Value(INT64_MIN), Value(-0.5),
+           Value(std::string())}),
+      Row({Value(int32_t{-1}), Value(int64_t{-1}), Value(1e300),
+           Value(std::string(255, 'x'))}),
+      Row({Value(int32_t{0}), Value(INT64_MAX), Value(0.00005), Value("a")}),
+      Row({Value(INT32_MAX), Value(int64_t{0}), Value(3.14159), Value("|")}),
+  };
+  RowBatch batch(desc.schema);
+  for (const Row& row : rows) batch.AppendRow(row);
+  for (int c = 0; c < desc.schema->num_fields(); ++c) {
+    std::vector<uint8_t> chunk;
+    ASSERT_TRUE((*writer)->EncodeColumn(batch, c, &chunk).ok());
+    size_t pos = 0;
+    for (const Row& row : rows) {
+      ASSERT_LT(pos, chunk.size());
+      const size_t len = chunk[pos++];
+      ASSERT_LE(pos + len, chunk.size());
+      EXPECT_EQ(std::string(chunk.begin() + static_cast<long>(pos),
+                            chunk.begin() + static_cast<long>(pos + len)),
+                row.Get(c).ToString())
+          << "column " << c;
+      pos += len;
+    }
+    EXPECT_EQ(pos, chunk.size());
+  }
+
+  const Row too_long({Value(int32_t{1}), Value(int64_t{1}), Value(1.0),
+                      Value(std::string(256, 'x'))});
+  RowBatch bad(desc.schema);
+  bad.AppendRow(too_long);
+  std::vector<uint8_t> chunk;
+  EXPECT_EQ((*writer)->EncodeColumn(bad, 3, &chunk).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE((*writer)->Close().ok());
+
+  // The row-at-a-time path shares the encoder and the limit.
+  desc.path = "/rc2";
+  auto row_writer = OpenTableWriter(&dfs, desc);
+  ASSERT_TRUE(row_writer.ok());
+  ASSERT_TRUE((*row_writer)->Append(too_long).ok());
+  EXPECT_EQ((*row_writer)->Close().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
