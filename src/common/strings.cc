@@ -1,5 +1,7 @@
 #include "common/strings.h"
 
+#include <algorithm>
+
 #include <cmath>
 #include <cstdio>
 
@@ -27,6 +29,12 @@ std::string StrJoin(const std::vector<std::string>& parts,
     out.append(parts[i]);
   }
   return out;
+}
+
+void AddUnique(std::vector<std::string>* list, const std::string& name) {
+  if (std::find(list->begin(), list->end(), name) == list->end()) {
+    list->push_back(name);
+  }
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

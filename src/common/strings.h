@@ -35,6 +35,9 @@ bool ParseWholeNumber(std::string_view s, T* value) {
   return ec == std::errc() && ptr == end;
 }
 
+/// Appends `name` to `list` unless it is already there (ordered set insert).
+void AddUnique(std::vector<std::string>* list, const std::string& name);
+
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 

@@ -255,8 +255,10 @@ int64_t* HashAggregator::FindOrCreate(const uint8_t* key, size_t len,
       }
       return accs;
     }
+    // An empty key (no GROUP BY) may be a null pointer: compare no bytes.
     if (s.hash == hash && s.key_len == len &&
-        std::memcmp(key_arena_.data() + s.key_offset, key, len) == 0) {
+        (len == 0 ||
+         std::memcmp(key_arena_.data() + s.key_offset, key, len) == 0)) {
       return accs_.data() + slot * num_accs_;
     }
     slot = (slot + 1) & (capacity_ - 1);

@@ -31,7 +31,8 @@ struct QueryResult {
 /// a single MapReduce job — the map side builds per-node shared dimension
 /// hash tables and probes them while scanning the fact table columnar; the
 /// reduce side finishes the aggregation; the ORDER BY is a client-side sort
-/// (paper §4.2, Figure 3).
+/// (paper §4.2, Figure 3). Under ClydesdaleOptions::max_hash_memory_bytes
+/// the job becomes a chain of such jobs (ExecuteStagedStarJoin).
 class ClydesdaleEngine {
  public:
   ClydesdaleEngine(mr::MrCluster* cluster, StarSchema star,

@@ -1,39 +1,20 @@
 #include "core/staged_join.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/aggregation.h"
+#include "core/repartition_join.h"
 #include "core/star_join_job.h"
 #include "mapreduce/input_format.h"
+#include "storage/scan_spec.h"
 
 namespace clydesdale {
 namespace core {
 
 namespace {
-
-void AddUnique(std::vector<std::string>* list, const std::string& name) {
-  if (std::find(list->begin(), list->end(), name) == list->end()) {
-    list->push_back(name);
-  }
-}
-
-/// Fact columns that must survive every stage: aggregate inputs plus
-/// group-by columns that come from the fact table itself.
-std::vector<std::string> KeptFactColumns(const StarSchema& star,
-                                         const StarQuerySpec& spec) {
-  std::vector<std::string> keep;
-  std::vector<std::string> agg_cols;
-  for (const AggSpec& agg : spec.aggregates) {
-    if (agg.expr != nullptr) agg.expr->CollectColumns(&agg_cols);
-  }
-  for (const std::string& c : agg_cols) AddUnique(&keep, c);
-  for (const std::string& g : spec.group_by) {
-    if (star.fact().schema->IndexOf(g) >= 0) AddUnique(&keep, g);
-  }
-  return keep;
-}
 
 /// True when `column` is an aux column of spec.dims[d].
 bool IsAuxOf(const StarQuerySpec& spec, int d, const std::string& column) {
@@ -41,130 +22,101 @@ bool IsAuxOf(const StarQuerySpec& spec, int d, const std::string& column) {
   return std::find(aux.begin(), aux.end(), column) != aux.end();
 }
 
-// ---------------------------------------------------------------------------
-// Repartition join stage for one oversized dimension (paper §5.1: "For the
-// case of a single large dimension, we expect to resort to a repartition
-// join strategy"). A compact sort-merge join: the map side tags records from
-// the working table and the dimension master, keys them by the join column,
-// and the reducer joins per key group.
-// ---------------------------------------------------------------------------
-
-constexpr int32_t kFactTag = 0;
-constexpr int32_t kDimTag = 1;
-
-/// Everything one repartition stage needs, captured into the job factories.
-struct RepartitionStage {
-  DimJoinSpec join;
-  Predicate::Ptr fact_predicate;       // residual filter (stage 1 only)
-  SchemaPtr fact_schema;               // projected working-table rows
-  std::vector<std::string> fact_out;   // carried into the output
-  SchemaPtr dim_schema;                // projected dimension rows
-  std::vector<std::string> dim_carry;  // this dimension's carried aux
+/// The CIF intermediate table a join-only stage writes for the next stage.
+struct StageOutput {
+  std::string table;
+  /// Output columns in row order, and their "name:type" declarations.
+  std::vector<std::string> columns;
+  std::vector<std::string> decl;
+  uint64_t rows_per_split = 0;
 };
 
-class StagedRepartitionMapper final : public mr::Mapper {
- public:
-  explicit StagedRepartitionMapper(RepartitionStage stage)
-      : stage_(std::move(stage)) {}
-
-  Status Setup(mr::TaskContext*) override {
-    CLY_ASSIGN_OR_RETURN(fact_pred_,
-                         stage_.fact_predicate->Bind(*stage_.fact_schema));
-    CLY_ASSIGN_OR_RETURN(dim_pred_,
-                         stage_.join.predicate->Bind(*stage_.dim_schema));
-    CLY_ASSIGN_OR_RETURN(fk_index_,
-                         stage_.fact_schema->Require(stage_.join.fact_fk));
-    CLY_ASSIGN_OR_RETURN(pk_index_,
-                         stage_.dim_schema->Require(stage_.join.dim_pk));
-    for (const std::string& c : stage_.fact_out) {
-      CLY_ASSIGN_OR_RETURN(int i, stage_.fact_schema->Require(c));
-      fact_out_idx_.push_back(i);
-    }
-    for (const std::string& c : stage_.dim_carry) {
-      CLY_ASSIGN_OR_RETURN(int i, stage_.dim_schema->Require(c));
-      carry_idx_.push_back(i);
-    }
-    return Status::OK();
-  }
-
-  Status Map(const Row& key, const Row& value, mr::TaskContext*,
-             mr::OutputCollector* out) override {
-    (void)key;
-    const int32_t tag = value.Get(0).i32();
-    Row row;
-    row.Reserve(value.size() - 1);
-    for (int i = 1; i < value.size(); ++i) row.Append(value.Get(i));
-
-    if (tag == kFactTag) {
-      if (!fact_pred_->Eval(row)) return Status::OK();
-      Row out_key({row.Get(fk_index_)});
-      Row out_value;
-      out_value.Reserve(1 + static_cast<int>(fact_out_idx_.size()));
-      out_value.Append(Value(kFactTag));
-      for (int i : fact_out_idx_) out_value.Append(row.Get(i));
-      return out->Collect(out_key, out_value);
-    }
-    if (!dim_pred_->Eval(row)) return Status::OK();
-    Row out_key({row.Get(pk_index_)});
-    Row out_value;
-    out_value.Reserve(1 + static_cast<int>(carry_idx_.size()));
-    out_value.Append(Value(kDimTag));
-    for (int i : carry_idx_) out_value.Append(row.Get(i));
-    return out->Collect(out_key, out_value);
-  }
-
- private:
-  RepartitionStage stage_;
-  BoundPredicatePtr fact_pred_;
-  BoundPredicatePtr dim_pred_;
-  int fk_index_ = -1;
-  int pk_index_ = -1;
-  std::vector<int> fact_out_idx_;
-  std::vector<int> carry_idx_;
-};
-
-class StagedRepartitionReducer final : public mr::Reducer {
- public:
-  Status Reduce(const Row& key, const std::vector<Row>& values,
-                mr::TaskContext*, mr::OutputCollector* out) override {
-    (void)key;
-    const Row* dim_row = nullptr;
-    for (const Row& v : values) {
-      if (v.Get(0).i32() == kDimTag) {
-        if (dim_row != nullptr) {
-          return Status::Internal("duplicate dimension key in staged join");
-        }
-        dim_row = &v;
-      }
-    }
-    if (dim_row == nullptr) return Status::OK();
-    Row empty_key;
-    for (const Row& v : values) {
-      if (v.Get(0).i32() != kFactTag) continue;
-      Row joined;
-      joined.Reserve(v.size() - 1 + dim_row->size() - 1);
-      for (int i = 1; i < v.size(); ++i) joined.Append(v.Get(i));
-      for (int i = 1; i < dim_row->size(); ++i) joined.Append(dim_row->Get(i));
-      CLY_RETURN_IF_ERROR(out->Collect(empty_key, joined));
-    }
-    return Status::OK();
-  }
-};
-
-/// Configures the CIF intermediate output of a join-only stage and records
-/// the table for cleanup. `decl` entries are "name:type".
-void ConfigureIntermediateOutput(mr::JobConf* conf,
-                                 const std::string& output_table,
-                                 const std::vector<std::string>& decl,
-                                 uint64_t rows_per_split) {
-  conf->Set(mr::kConfOutputTable, output_table);
-  conf->Set(mr::kConfOutputColumns, StrJoin(decl, ","));
+void ConfigureIntermediateOutput(const StageOutput& output,
+                                 mr::JobConf* conf) {
+  conf->Set(mr::kConfOutputTable, output.table);
+  conf->Set(mr::kConfOutputColumns, StrJoin(output.decl, ","));
   conf->Set(mr::kConfOutputFormat, storage::kFormatCif);
   conf->SetInt("output.rows_per_split",
-               static_cast<int64_t>(std::max<uint64_t>(rows_per_split, 1024)));
+               static_cast<int64_t>(
+                   std::max<uint64_t>(output.rows_per_split, 1024)));
   conf->output_format_factory = [] {
     return std::make_unique<mr::TableOutputFormat>();
   };
+}
+
+/// The job of one hash-join stage: `sub` joins its dimensions against
+/// `star->fact()`, the stage's input table, reading `projection`. With no
+/// `output` the stage aggregates and its rows come back in memory;
+/// otherwise it is map-only and writes the joined rows to `output`.
+Result<mr::JobConf> MakeHashJoinStage(std::shared_ptr<const StarSchema> star,
+                                      const StarQuerySpec& sub,
+                                      const ClydesdaleOptions& options,
+                                      const std::vector<std::string>& projection,
+                                      const StageOutput* output) {
+  mr::JobConf conf;
+  conf.job_name = StrCat("clydesdale-", sub.id);
+  conf.num_reduce_tasks = options.reduce_tasks;
+  conf.jvm_reuse = options.jvm_reuse;
+  conf.single_task_per_node = options.multithreaded;
+  ApplyTraceConf(options, &conf);
+  if (options.mem_budget_bytes > 0) {
+    // Admission control: hand the engine the same dimension-table estimate
+    // the staged planner uses, so RunJob can reject the query up front
+    // instead of failing mid-build on the job tracker's limit.
+    uint64_t estimate = 0;
+    for (const DimJoinSpec& join : sub.dims) {
+      CLY_ASSIGN_OR_RETURN(const DimTableInfo* dim, star->dim(join.dimension));
+      estimate += EstimateDimHashBytes(*dim, join);
+    }
+    conf.SetInt(mr::kConfMemEstimateBytes, static_cast<int64_t>(estimate));
+  }
+
+  conf.Set(mr::kConfInputTable, star->fact().path);
+  conf.SetList(mr::kConfInputProjection, projection);
+  conf.SetInt(mr::kConfMultiSplitSize, options.multisplit_size);
+  // Fact-predicate pushdown for the generic reader path (the
+  // single-threaded ablation); the MT runner builds a richer spec with
+  // dimension key filters once its hash tables exist.
+  auto scan = std::make_shared<storage::ScanSpec>();
+  scan->conjuncts = CollectScanConjuncts(sub.fact_predicate);
+  if (!scan->empty()) conf.scan_spec = std::move(scan);
+
+  if (options.multithreaded) {
+    conf.input_format_factory = [] {
+      return std::make_unique<mr::MultiCifInputFormat>();
+    };
+    conf.map_runner_factory = [star, sub, options] {
+      return std::make_unique<StarJoinMapRunner>(star, sub, options);
+    };
+  } else {
+    conf.input_format_factory = [] {
+      return std::make_unique<mr::TableInputFormat>();
+    };
+    conf.mapper_factory = [star, sub, options] {
+      return std::make_unique<StarJoinMapper>(star, sub, options);
+    };
+  }
+
+  if (output != nullptr) {
+    conf.SetList(kConfJoinEmitColumns, output->columns);
+    conf.num_reduce_tasks = 0;
+    ConfigureIntermediateOutput(*output, &conf);
+    return conf;
+  }
+  const AggLayout layout = AggLayout::For(sub.aggregates);
+  conf.reducer_factory = [layout] {
+    return std::make_unique<AggReducer>(layout);
+  };
+  if (!options.map_side_agg) {
+    // Per-row emission: combine before the shuffle instead (paper §4.2).
+    conf.combiner_factory = [layout] {
+      return std::make_unique<AggReducer>(layout, "combine");
+    };
+  }
+  conf.output_format_factory = [] {
+    return std::make_unique<mr::MemoryOutputFormat>();
+  };
+  return conf;
 }
 
 }  // namespace
@@ -188,6 +140,8 @@ uint64_t EstimateDimHashBytes(const DimTableInfo& dim,
 Result<std::vector<StagedGroup>> PlanDimGroups(const StarSchema& star,
                                                const StarQuerySpec& spec,
                                                uint64_t budget_bytes) {
+  // 0 means unlimited: every dimension fits, so one hash group.
+  if (budget_bytes == 0) budget_bytes = std::numeric_limits<uint64_t>::max();
   std::vector<StagedGroup> groups;
   StagedGroup current;
   uint64_t current_bytes = 0;
@@ -211,7 +165,9 @@ Result<std::vector<StagedGroup>> PlanDimGroups(const StarSchema& star,
       groups.push_back(std::move(big));
       continue;
     }
-    if (!current.dims.empty() && current_bytes + bytes > budget_bytes) flush();
+    if (!current.dims.empty() && bytes > budget_bytes - current_bytes) {
+      flush();
+    }
     current.dims.push_back(static_cast<int>(d));
     current_bytes += bytes;
   }
@@ -226,17 +182,16 @@ Result<QueryResult> ExecuteStagedStarJoin(
   Stopwatch timer;
   CLY_ASSIGN_OR_RETURN(std::vector<StagedGroup> groups,
                        PlanDimGroups(*star, spec, budget_bytes));
-  const std::vector<std::string> keep = KeptFactColumns(*star, spec);
-
-  // The final group aggregates in place only if it is a hash-join group;
-  // after a trailing repartition group a dimension-less aggregation job runs.
-  const bool needs_final_agg_stage = groups.empty() || groups.back().repartition;
+  // The last stage aggregates, so it must be a hash-join group: after a
+  // trailing repartition group (or with no dimension at all) a
+  // zero-dimension group aggregates the fully joined intermediate.
+  if (groups.empty() || groups.back().repartition) groups.emplace_back();
+  const std::vector<std::string> keep = KeptFactColumns(spec);
 
   QueryResult result;
-  std::string current_table = star->fact().path;
   std::vector<std::string> intermediates;
 
-  // Columns every later stage still needs, given groups >= j are unjoined.
+  // Columns stage j > 0 reads, given groups >= j are still unjoined.
   auto projection_for = [&](size_t j, const Schema& input_schema) {
     std::vector<std::string> projection;
     for (size_t e = j; e < groups.size(); ++e) {
@@ -244,16 +199,10 @@ Result<QueryResult> ExecuteStagedStarJoin(
         AddUnique(&projection, spec.dims[static_cast<size_t>(d)].fact_fk);
       }
     }
-    if (j == 0) {
-      std::vector<std::string> pred_cols;
-      spec.fact_predicate->CollectColumns(&pred_cols);
-      for (const std::string& c : pred_cols) AddUnique(&projection, c);
-    }
     for (const std::string& c : keep) AddUnique(&projection, c);
     for (const std::string& g : spec.group_by) {
-      if (input_schema.IndexOf(g) >= 0 && star->fact().schema->IndexOf(g) < 0) {
-        AddUnique(&projection, g);  // aux carried from an earlier stage
-      }
+      // Aux carried from an earlier stage.
+      if (input_schema.IndexOf(g) >= 0) AddUnique(&projection, g);
     }
     return projection;
   };
@@ -269,30 +218,28 @@ Result<QueryResult> ExecuteStagedStarJoin(
     for (const std::string& c : keep) AddUnique(&emit, c);
     for (const std::string& g : spec.group_by) {
       // Carried from earlier stages or joined by this one.
-      if (star->fact().schema->IndexOf(g) < 0) {
-        bool relevant = false;
-        for (size_t e = 0; e <= j; ++e) {
-          for (int d : groups[e].dims) {
-            relevant = relevant || IsAuxOf(spec, d, g);
-          }
+      for (size_t e = 0; e <= j; ++e) {
+        for (int d : groups[e].dims) {
+          if (IsAuxOf(spec, d, g)) AddUnique(&emit, g);
         }
-        if (relevant) AddUnique(&emit, g);
       }
     }
     return emit;
   };
 
-  auto type_decl = [&](const std::vector<std::string>& columns,
-                       const Schema& input_schema,
-                       const std::vector<int>& group_dims)
-      -> Result<std::vector<std::string>> {
-    std::vector<std::string> decl;
+  auto stage_output = [&](size_t j, const std::vector<std::string>& columns,
+                          const Schema& input_schema)
+      -> Result<StageOutput> {
+    StageOutput output;
+    output.table = StrCat("/tmp/clydesdale/", spec.id, "/stage", j + 1);
+    output.columns = columns;
+    output.rows_per_split = star->fact().rows_per_split;
     for (const std::string& c : columns) {
       const Field* field = nullptr;
       if (int i = input_schema.IndexOf(c); i >= 0) {
         field = &input_schema.field(i);
       } else {
-        for (int d : group_dims) {
+        for (int d : groups[j].dims) {
           CLY_ASSIGN_OR_RETURN(
               const DimTableInfo* dim,
               star->dim(spec.dims[static_cast<size_t>(d)].dimension));
@@ -306,242 +253,117 @@ Result<QueryResult> ExecuteStagedStarJoin(
         return Status::Internal(
             StrCat("staged join cannot type output column '", c, "'"));
       }
-      decl.push_back(StrCat(c, ":", TypeKindToString(field->type)));
+      output.decl.push_back(StrCat(c, ":", TypeKindToString(field->type)));
     }
-    return decl;
+    CLY_RETURN_IF_ERROR(cluster->DropTable(output.table));
+    intermediates.push_back(output.table);
+    return output;
   };
 
-  auto next_intermediate = [&](size_t j) {
-    const std::string table =
-        StrCat("/tmp/clydesdale/", spec.id, "/stage", j + 1);
-    intermediates.push_back(table);
-    return table;
-  };
-
-  auto fresh_output = [&](const std::string& table) -> Status {
-    if (cluster->dfs()->Exists(table + "/_meta")) {
-      CLY_ASSIGN_OR_RETURN(int removed, cluster->dfs()->DeleteRecursive(table));
-      (void)removed;
-      cluster->InvalidateTable(table);
-    }
-    return Status::OK();
-  };
-
+  // Stage 1 reads the fact table itself; later stages read the previous
+  // stage's output.
+  std::shared_ptr<const StarSchema> stage_star = star;
   for (size_t j = 0; j < groups.size(); ++j) {
     const StagedGroup& group = groups[j];
-    const bool aggregate_here = !needs_final_agg_stage && j + 1 == groups.size();
-
-    CLY_ASSIGN_OR_RETURN(storage::TableDesc input_desc,
-                         cluster->GetTable(current_table));
-    const std::vector<std::string> projection =
-        projection_for(j, *input_desc.schema);
+    const bool last = j + 1 == groups.size();
+    const Schema& input_schema = *stage_star->fact().schema;
+    std::vector<std::string> projection;
+    if (j > 0) {
+      projection = projection_for(j, input_schema);
+    } else if (options.columnar) {
+      projection = FactColumnsFor(spec);
+    } else {
+      projection = input_schema.FieldNames();  // the §6.5 ablation
+    }
+    const std::string stage_id =
+        groups.size() == 1 ? spec.id : StrCat(spec.id, "#stage", j + 1);
+    const Predicate::Ptr fact_predicate =
+        j == 0 ? spec.fact_predicate : Predicate::True();
 
     mr::JobConf conf;
-    conf.job_name = StrCat("clydesdale-", spec.id, "#stage", j + 1);
-    ApplyTraceConf(options, &conf);
-
+    std::string output_table;
     if (group.repartition) {
-      // --- oversized dimension: sort-merge join stage --------------------------
+      // --- oversized dimension: tagged repartition join ------------------------
       const int d = group.dims[0];
       const DimJoinSpec& dj = spec.dims[static_cast<size_t>(d)];
       CLY_ASSIGN_OR_RETURN(const DimTableInfo* dim, star->dim(dj.dimension));
 
-      const std::vector<std::string> emit = emit_for(j);
-      RepartitionStage stage;
-      stage.join = dj;
-      stage.fact_predicate =
-          j == 0 ? spec.fact_predicate : Predicate::True();
-      {
-        std::vector<int> idx;
-        for (const std::string& c : projection) {
-          CLY_ASSIGN_OR_RETURN(int i, input_desc.schema->Require(c));
-          idx.push_back(i);
-        }
-        stage.fact_schema = input_desc.schema->Project(idx);
-      }
+      RepartitionJoinSpec join;
+      CLY_ASSIGN_OR_RETURN(join.fact_schema,
+                           input_schema.ProjectByName(projection));
+      join.fact_predicate = fact_predicate;
+      join.fact_fk = dj.fact_fk;
+      join.dim_predicate = dj.predicate;
+      join.dim_pk = dj.dim_pk;
       std::vector<std::string> dim_cols;
       AddUnique(&dim_cols, dj.dim_pk);
-      {
-        std::vector<std::string> pred_cols;
-        dj.predicate->CollectColumns(&pred_cols);
-        for (const std::string& c : pred_cols) AddUnique(&dim_cols, c);
-      }
-      for (const std::string& c : emit) {
+      std::vector<std::string> pred_cols;
+      dj.predicate->CollectColumns(&pred_cols);
+      for (const std::string& c : pred_cols) AddUnique(&dim_cols, c);
+      for (const std::string& c : emit_for(j)) {
         if (IsAuxOf(spec, d, c)) {
           AddUnique(&dim_cols, c);
-          stage.dim_carry.push_back(c);
+          join.aux_cols.push_back(c);
         } else {
-          stage.fact_out.push_back(c);
+          join.fact_out_cols.push_back(c);
         }
       }
-      {
-        std::vector<int> idx;
-        for (const std::string& c : dim_cols) {
-          CLY_ASSIGN_OR_RETURN(int i, dim->desc.schema->Require(c));
-          idx.push_back(i);
-        }
-        stage.dim_schema = dim->desc.schema->Project(idx);
-      }
+      CLY_ASSIGN_OR_RETURN(join.dim_schema,
+                           dim->desc.schema->ProjectByName(dim_cols));
 
-      conf.num_reduce_tasks = std::max(options.reduce_tasks,
-                                       cluster->num_nodes());
-      conf.SetList(mr::kConfInputTables, {current_table, dim->desc.path});
-      conf.SetList(StrCat(mr::kConfInputProjection, ".0"), projection);
-      conf.SetList(StrCat(mr::kConfInputProjection, ".1"), dim_cols);
-      conf.input_format_factory = [] {
-        return std::make_unique<mr::MultiTableInputFormat>();
-      };
-      const RepartitionStage captured = stage;
-      conf.mapper_factory = [captured] {
-        return std::make_unique<StagedRepartitionMapper>(captured);
-      };
-      conf.reducer_factory = [] {
-        return std::make_unique<StagedRepartitionReducer>();
-      };
-
-      // Output order mirrors the reducer: fact_out then dim_carry.
-      std::vector<std::string> ordered = stage.fact_out;
-      for (const std::string& c : stage.dim_carry) ordered.push_back(c);
-      CLY_ASSIGN_OR_RETURN(
-          std::vector<std::string> decl,
-          type_decl(ordered, *input_desc.schema, group.dims));
-      const std::string output_table = next_intermediate(j);
-      CLY_RETURN_IF_ERROR(fresh_output(output_table));
-      ConfigureIntermediateOutput(&conf, output_table, decl,
-                                  star->fact().rows_per_split);
-      current_table = output_table;
+      conf = MakeRepartitionJoinJob(
+          join, stage_star->fact().path, dim->desc.path,
+          std::max(options.reduce_tasks, cluster->num_nodes()));
+      conf.job_name = StrCat("clydesdale-", stage_id);
+      ApplyTraceConf(options, &conf);
+      // Output order mirrors the reducer: fact_out_cols then aux_cols.
+      std::vector<std::string> ordered = join.fact_out_cols;
+      for (const std::string& c : join.aux_cols) ordered.push_back(c);
+      CLY_ASSIGN_OR_RETURN(StageOutput output,
+                           stage_output(j, ordered, input_schema));
+      ConfigureIntermediateOutput(output, &conf);
+      output_table = output.table;
     } else {
-      // --- hash-join stage (possibly aggregating) ------------------------------
+      // --- hash-join stage; the last one aggregates ------------------------------
       StarQuerySpec sub;
-      sub.id = StrCat(spec.id, "#stage", j + 1);
-      sub.fact_predicate = j == 0 ? spec.fact_predicate : Predicate::True();
+      sub.id = stage_id;
+      sub.fact_predicate = fact_predicate;
       for (int d : group.dims) {
         sub.dims.push_back(spec.dims[static_cast<size_t>(d)]);
       }
-      if (aggregate_here) {
+      if (last) {
         sub.aggregates = spec.aggregates;
         sub.group_by = spec.group_by;
         sub.order_by = spec.order_by;
-      }
-      auto stage_star = std::make_shared<StarSchema>(*star);
-      *stage_star->mutable_fact() = input_desc;
-
-      conf.jvm_reuse = options.jvm_reuse;
-      conf.single_task_per_node = options.multithreaded;
-      conf.Set(mr::kConfInputTable, current_table);
-      conf.SetList(mr::kConfInputProjection, projection);
-      conf.SetInt(mr::kConfMultiSplitSize, options.multisplit_size);
-
-      const ClydesdaleOptions stage_options = options;
-      if (options.multithreaded &&
-          input_desc.format == storage::kFormatCif) {
-        conf.input_format_factory = [] {
-          return std::make_unique<mr::MultiCifInputFormat>();
-        };
-        conf.map_runner_factory = [stage_star, sub, stage_options] {
-          return std::make_unique<StarJoinMapRunner>(stage_star, sub,
-                                                     stage_options);
-        };
+        CLY_ASSIGN_OR_RETURN(conf, MakeHashJoinStage(stage_star, sub, options,
+                                                     projection, nullptr));
       } else {
-        conf.input_format_factory = [] {
-          return std::make_unique<mr::TableInputFormat>();
-        };
-        conf.mapper_factory = [stage_star, sub, stage_options] {
-          return std::make_unique<StarJoinMapper>(stage_star, sub,
-                                                  stage_options);
-        };
-        conf.single_task_per_node = false;
-      }
-
-      if (aggregate_here) {
-        conf.num_reduce_tasks = options.reduce_tasks;
-        const AggLayout layout = AggLayout::For(spec.aggregates);
-        conf.reducer_factory = [layout] {
-          return std::make_unique<AggReducer>(layout);
-        };
-        conf.output_format_factory = [] {
-          return std::make_unique<mr::MemoryOutputFormat>();
-        };
-      } else {
-        const std::vector<std::string> emit = emit_for(j);
-        conf.SetList(kConfJoinEmitColumns, emit);
-        conf.num_reduce_tasks = 0;
-        CLY_ASSIGN_OR_RETURN(std::vector<std::string> decl,
-                             type_decl(emit, *input_desc.schema, group.dims));
-        const std::string output_table = next_intermediate(j);
-        CLY_RETURN_IF_ERROR(fresh_output(output_table));
-        ConfigureIntermediateOutput(&conf, output_table, decl,
-                                    star->fact().rows_per_split);
-        current_table = output_table;
+        CLY_ASSIGN_OR_RETURN(StageOutput output,
+                             stage_output(j, emit_for(j), input_schema));
+        CLY_ASSIGN_OR_RETURN(conf, MakeHashJoinStage(stage_star, sub, options,
+                                                     projection, &output));
+        output_table = output.table;
       }
     }
 
     CLY_ASSIGN_OR_RETURN(mr::JobResult job, mr::RunJob(cluster, conf));
-    if (aggregate_here) result.rows = std::move(job.output_rows);
+    if (last) result.rows = std::move(job.output_rows);
     result.stage_reports.push_back(std::move(job.report));
-  }
-
-  if (needs_final_agg_stage) {
-    // Aggregation-only job over the fully joined intermediate (no probes).
-    CLY_ASSIGN_OR_RETURN(storage::TableDesc input_desc,
-                         cluster->GetTable(current_table));
-    StarQuerySpec sub;
-    sub.id = StrCat(spec.id, "#agg");
-    sub.aggregates = spec.aggregates;
-    sub.group_by = spec.group_by;
-    sub.order_by = spec.order_by;
-    auto stage_star = std::make_shared<StarSchema>(*star);
-    *stage_star->mutable_fact() = input_desc;
-
-    std::vector<std::string> projection = keep;
-    for (const std::string& g : spec.group_by) AddUnique(&projection, g);
-
-    mr::JobConf conf;
-    conf.job_name = StrCat("clydesdale-", spec.id, "#agg");
-    ApplyTraceConf(options, &conf);
-    conf.jvm_reuse = options.jvm_reuse;
-    conf.single_task_per_node = options.multithreaded;
-    conf.Set(mr::kConfInputTable, current_table);
-    conf.SetList(mr::kConfInputProjection, projection);
-    conf.SetInt(mr::kConfMultiSplitSize, options.multisplit_size);
-    const ClydesdaleOptions stage_options = options;
-    if (options.multithreaded && input_desc.format == storage::kFormatCif) {
-      conf.input_format_factory = [] {
-        return std::make_unique<mr::MultiCifInputFormat>();
-      };
-      conf.map_runner_factory = [stage_star, sub, stage_options] {
-        return std::make_unique<StarJoinMapRunner>(stage_star, sub,
-                                                   stage_options);
-      };
-    } else {
-      conf.input_format_factory = [] {
-        return std::make_unique<mr::TableInputFormat>();
-      };
-      conf.mapper_factory = [stage_star, sub, stage_options] {
-        return std::make_unique<StarJoinMapper>(stage_star, sub,
-                                                stage_options);
-      };
-      conf.single_task_per_node = false;
+    if (!last) {
+      CLY_ASSIGN_OR_RETURN(storage::TableDesc next,
+                           cluster->GetTable(output_table));
+      auto next_star = std::make_shared<StarSchema>(*star);
+      *next_star->mutable_fact() = std::move(next);
+      stage_star = std::move(next_star);
     }
-    conf.num_reduce_tasks = options.reduce_tasks;
-    const AggLayout layout = AggLayout::For(spec.aggregates);
-    conf.reducer_factory = [layout] {
-      return std::make_unique<AggReducer>(layout);
-    };
-    conf.output_format_factory = [] {
-      return std::make_unique<mr::MemoryOutputFormat>();
-    };
-    CLY_ASSIGN_OR_RETURN(mr::JobResult job, mr::RunJob(cluster, conf));
-    result.rows = std::move(job.output_rows);
-    result.stage_reports.push_back(std::move(job.report));
   }
 
+  // Finalize accumulators (AVG -> sum/count), then sortResult(): the final
+  // ORDER BY is a single-process sort (Figure 4, line 33).
   CLY_RETURN_IF_ERROR(FinalizeAggRows(spec, &result.rows));
   CLY_RETURN_IF_ERROR(SortResultRows(spec, &result.rows));
   for (const std::string& table : intermediates) {
-    CLY_ASSIGN_OR_RETURN(int removed, cluster->dfs()->DeleteRecursive(table));
-    (void)removed;
-    cluster->InvalidateTable(table);
+    CLY_RETURN_IF_ERROR(cluster->DropTable(table));
   }
   result.wall_seconds = timer.ElapsedSeconds();
   return result;

@@ -11,14 +11,16 @@
 namespace clydesdale {
 namespace core {
 
-/// The memory-constrained fallback of paper §5.1 ("Discussion"): when the
-/// query's dimension hash tables do not all fit in a node's memory together,
-/// join with a *group* of tables at a time — each group small enough for the
-/// budget — passing the intermediate joined result through HDFS between
-/// stages. The final stage also aggregates; earlier stages are map-only.
-/// A dimension whose hash table does not fit by itself is joined with a
-/// repartition (sort-merge) join instead — the paper's answer "for the case
-/// of a single large dimension".
+/// The one Clydesdale plan path. A star query runs as a chain of star-join
+/// jobs, one per group of dimensions. With an unlimited budget the chain has
+/// one stage: the single job of paper §4.2. When the query's dimension hash
+/// tables do not all fit in a node's memory together (paper §5.1,
+/// "Discussion"), each group is small enough for the budget and the joined
+/// intermediate passes through HDFS between stages; the last stage also
+/// aggregates, earlier stages are map-only. A dimension whose hash table does
+/// not fit by itself is joined with the tagged repartition join instead
+/// (core/repartition_join.h) — the paper's answer "for the case of a single
+/// large dimension".
 
 /// Rough per-node memory the hash table of `dim` filtered by `join` needs
 /// (upper bound: assumes every row qualifies).
@@ -35,13 +37,15 @@ struct StagedGroup {
 
 /// Partitions the query's dimensions (by spec order) into consecutive groups
 /// whose estimated combined hash memory stays within `budget_bytes`; an
-/// oversized dimension becomes its own repartition group.
+/// oversized dimension becomes its own repartition group. A budget of 0 is
+/// unlimited: one hash group holding every dimension.
 Result<std::vector<StagedGroup>> PlanDimGroups(const StarSchema& star,
                                                const StarQuerySpec& spec,
                                                uint64_t budget_bytes);
 
-/// Executes `spec` as a chain of star-join jobs, one per dimension group.
-/// Produces exactly the same rows as the single-job plan.
+/// Executes `spec` as a chain of star-join jobs, one per dimension group
+/// (plus a zero-dimension aggregating stage after a trailing repartition
+/// group). Every budget produces the same rows.
 Result<QueryResult> ExecuteStagedStarJoin(
     mr::MrCluster* cluster, std::shared_ptr<const StarSchema> star,
     const StarQuerySpec& spec, const ClydesdaleOptions& options,

@@ -260,11 +260,7 @@ std::vector<std::string> ClydesdaleCounterNames() {
 }
 
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf) {
-  if (options.trace) conf->SetBool(mr::kConfTraceEnabled, true);
-  if (!options.trace_dir.empty()) {
-    conf->Set(mr::kConfTraceDir, options.trace_dir);
-  }
-  if (options.profile) conf->SetBool(mr::kConfProfileEnabled, true);
+  mr::ApplyObsConf(options.trace, options.trace_dir, options.profile, conf);
   if (options.mem_budget_bytes > 0) {
     conf->mem_budget_bytes = options.mem_budget_bytes;
   }
@@ -376,16 +372,11 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
                        context->cluster()->GetTable(star_->fact().path));
   CLY_ASSIGN_OR_RETURN(std::vector<std::string> projection,
                        ProjectionFromConf(conf));
-  std::vector<int> projection_idx;
-  for (const std::string& c : projection) {
-    CLY_ASSIGN_OR_RETURN(int i, fact_desc.schema->Require(c));
-    projection_idx.push_back(i);
-  }
-  const std::vector<std::string> emit_columns =
-      conf.GetList(kConfJoinEmitColumns);
+  CLY_ASSIGN_OR_RETURN(SchemaPtr projected,
+                       fact_desc.schema->ProjectByName(projection));
   CLY_ASSIGN_OR_RETURN(
       BoundPlan plan,
-      BindPlan(spec_, fact_desc.schema->Project(projection_idx), emit_columns));
+      BindPlan(spec_, projected, conf.GetList(kConfJoinEmitColumns)));
 
   // input.getMultipleReaders(): every thread pulls constituents off a queue
   // and opens its own reader — no shared RecordReader bottleneck (§5.1).
@@ -643,14 +634,11 @@ Status StarJoinMapper::Setup(mr::TaskContext* context) {
                        context->cluster()->GetTable(star_->fact().path));
   CLY_ASSIGN_OR_RETURN(std::vector<std::string> projection,
                        ProjectionFromConf(context->conf()));
-  std::vector<int> projection_idx;
-  for (const std::string& c : projection) {
-    CLY_ASSIGN_OR_RETURN(int i, fact_desc.schema->Require(c));
-    projection_idx.push_back(i);
-  }
+  CLY_ASSIGN_OR_RETURN(SchemaPtr projected,
+                       fact_desc.schema->ProjectByName(projection));
   CLY_ASSIGN_OR_RETURN(
       state_->plan,
-      BindPlan(spec_, fact_desc.schema->Project(projection_idx),
+      BindPlan(spec_, projected,
                context->conf().GetList(kConfJoinEmitColumns)));
   state_->matched.resize(spec_.dims.size());
   return Status::OK();

@@ -66,10 +66,9 @@ struct ClydesdaleOptions {
   std::shared_ptr<DimTableCache> dim_cache;
 };
 
-/// Forwards the options' observability knobs (trace, profile) and memory
-/// budget into a stage job's conf; every Clydesdale stage job (single-job,
-/// staged fallback) goes through this so traces stay comparable across
-/// plans.
+/// Forwards the options' observability knobs (mr::ApplyObsConf) and memory
+/// budget into a stage job's conf; every Clydesdale stage job goes through
+/// this so traces stay comparable across plans.
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf);
 
 /// Conf key: comma-separated output columns for staged-join stages. When

@@ -23,20 +23,32 @@ const char* AggKindToString(AggKind kind) {
   return "?";
 }
 
+std::vector<std::string> KeptFactColumns(const StarQuerySpec& spec) {
+  std::vector<std::string> agg_cols;
+  for (const AggSpec& agg : spec.aggregates) {
+    if (agg.expr != nullptr) agg.expr->CollectColumns(&agg_cols);
+  }
+  std::vector<std::string> keep;
+  for (const std::string& c : agg_cols) AddUnique(&keep, c);
+  for (const std::string& g : spec.group_by) {
+    bool is_aux = false;
+    for (const DimJoinSpec& dim : spec.dims) {
+      is_aux = is_aux || std::find(dim.aux_columns.begin(),
+                                   dim.aux_columns.end(),
+                                   g) != dim.aux_columns.end();
+    }
+    if (!is_aux) AddUnique(&keep, g);
+  }
+  return keep;
+}
+
 std::vector<std::string> FactColumnsFor(const StarQuerySpec& spec) {
   std::vector<std::string> columns;
-  auto add = [&columns](const std::string& name) {
-    if (std::find(columns.begin(), columns.end(), name) == columns.end()) {
-      columns.push_back(name);
-    }
-  };
-  for (const DimJoinSpec& dim : spec.dims) add(dim.fact_fk);
-  std::vector<std::string> referenced;
-  spec.fact_predicate->CollectColumns(&referenced);
-  for (const AggSpec& agg : spec.aggregates) {
-    if (agg.expr != nullptr) agg.expr->CollectColumns(&referenced);
-  }
-  for (const std::string& name : referenced) add(name);
+  for (const DimJoinSpec& dim : spec.dims) AddUnique(&columns, dim.fact_fk);
+  std::vector<std::string> pred_cols;
+  spec.fact_predicate->CollectColumns(&pred_cols);
+  for (const std::string& c : pred_cols) AddUnique(&columns, c);
+  for (const std::string& c : KeptFactColumns(spec)) AddUnique(&columns, c);
   return columns;
 }
 

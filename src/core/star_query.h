@@ -60,7 +60,7 @@ struct StarQuerySpec {
   Predicate::Ptr fact_predicate = Predicate::True();
   std::vector<DimJoinSpec> dims;
   std::vector<AggSpec> aggregates;
-  /// Group-by columns; each must appear among some dimension's aux_columns.
+  /// Group-by columns: a dimension's aux column, or else a fact column.
   std::vector<std::string> group_by;
   std::vector<OrderBySpec> order_by;
 };
@@ -79,8 +79,14 @@ struct GroupSource {
 Result<std::vector<GroupSource>> ResolveGroupSources(const StarQuerySpec& spec,
                                                      const Schema& fact_schema);
 
+/// Fact columns a star join carries to its aggregation: aggregate inputs,
+/// then group-by columns that are no dimension's aux column (the ones
+/// ResolveGroupSources reads from the fact row). Deduplicated, in first-use
+/// order. Every plan (single job, staged, Hive) keeps exactly these.
+std::vector<std::string> KeptFactColumns(const StarQuerySpec& spec);
+
 /// Fact-table columns the query touches: foreign keys of every joined
-/// dimension, fact-predicate columns, and aggregate inputs (deduplicated, in
+/// dimension, fact-predicate columns, then KeptFactColumns (deduplicated, in
 /// first-use order). This is the projection Clydesdale pushes into CIF.
 std::vector<std::string> FactColumnsFor(const StarQuerySpec& spec);
 

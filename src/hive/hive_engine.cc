@@ -3,9 +3,9 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/aggregation.h"
+#include "core/repartition_join.h"
 #include "hive/agg_stages.h"
 #include "hive/map_join.h"
-#include "hive/repartition_join.h"
 #include "mapreduce/job_trace.h"
 
 namespace clydesdale {
@@ -17,13 +17,6 @@ HiveEngine::HiveEngine(mr::MrCluster* cluster, core::StarSchema star,
 
 Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
   Stopwatch timer;
-  auto apply_trace = [this](mr::JobConf* conf) {
-    if (options_.trace) conf->SetBool(mr::kConfTraceEnabled, true);
-    if (!options_.trace_dir.empty()) {
-      conf->Set(mr::kConfTraceDir, options_.trace_dir);
-    }
-    if (options_.profile) conf->SetBool(mr::kConfProfileEnabled, true);
-  };
   const std::string scratch =
       StrCat(options_.scratch_root, "/", JoinStrategyName(options_.strategy));
   CLY_ASSIGN_OR_RETURN(HivePlan plan, CompileHivePlan(star_, spec, scratch));
@@ -32,16 +25,13 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
 
   // --- join stages, one MapReduce job per dimension ---------------------------
   for (const JoinStageSpec& stage : plan.joins) {
-    if (cluster_->dfs()->Exists(stage.output_table + "/_meta")) {
-      CLY_ASSIGN_OR_RETURN(int removed,
-                           cluster_->dfs()->DeleteRecursive(stage.output_table));
-      (void)removed;
-      cluster_->InvalidateTable(stage.output_table);
-    }
+    CLY_RETURN_IF_ERROR(cluster_->DropTable(stage.output_table));
     mr::JobConf conf;
     if (options_.strategy == JoinStrategy::kRepartition) {
-      CLY_ASSIGN_OR_RETURN(conf,
-                           MakeRepartitionJoinJob(stage, options_.reduce_tasks));
+      conf = core::MakeRepartitionJoinJob(stage, stage.fact_table,
+                                          stage.dim_table,
+                                          options_.reduce_tasks);
+      conf.job_name = StrCat("hive-repartition-join", stage.stage_index + 1);
     } else {
       uint64_t hash_bytes = 0;
       CLY_ASSIGN_OR_RETURN(
@@ -52,23 +42,28 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
                            MakeMapJoinJob(stage, hash_file, options_.dim_cache));
     }
     conf.job_name = StrCat("hive-", spec.id, "-", conf.job_name);
-    apply_trace(&conf);
+    conf.Set(mr::kConfOutputTable, stage.output_table);
+    conf.Set(mr::kConfOutputColumns, stage.output_columns_decl);
+    // Hive serializes intermediate tables as delimited text (its default
+    // serde) — one of the overheads the paper charges to the baseline.
+    conf.Set(mr::kConfOutputFormat, storage::kFormatText);
+    conf.output_format_factory = [] {
+      return std::make_unique<mr::TableOutputFormat>();
+    };
+    mr::ApplyObsConf(options_.trace, options_.trace_dir, options_.profile,
+                     &conf);
     CLY_ASSIGN_OR_RETURN(mr::JobResult job, mr::RunJob(cluster_, conf));
     result.stage_reports.push_back(std::move(job.report));
   }
 
   // --- group-by stage ----------------------------------------------------------
-  if (cluster_->dfs()->Exists(plan.agg.output_table + "/_meta")) {
-    CLY_ASSIGN_OR_RETURN(int removed,
-                         cluster_->dfs()->DeleteRecursive(plan.agg.output_table));
-    (void)removed;
-    cluster_->InvalidateTable(plan.agg.output_table);
-  }
+  CLY_RETURN_IF_ERROR(cluster_->DropTable(plan.agg.output_table));
   {
     CLY_ASSIGN_OR_RETURN(mr::JobConf conf,
                          MakeGroupByJob(plan.agg, options_.reduce_tasks));
     conf.job_name = StrCat("hive-", spec.id, "-groupby");
-    apply_trace(&conf);
+    mr::ApplyObsConf(options_.trace, options_.trace_dir, options_.profile,
+                     &conf);
     CLY_ASSIGN_OR_RETURN(mr::JobResult job, mr::RunJob(cluster_, conf));
     result.stage_reports.push_back(std::move(job.report));
   }
@@ -77,7 +72,8 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
   {
     CLY_ASSIGN_OR_RETURN(mr::JobConf conf, MakeOrderByJob(plan.agg));
     conf.job_name = StrCat("hive-", spec.id, "-orderby");
-    apply_trace(&conf);
+    mr::ApplyObsConf(options_.trace, options_.trace_dir, options_.profile,
+                     &conf);
     CLY_ASSIGN_OR_RETURN(mr::JobResult job, mr::RunJob(cluster_, conf));
     result.rows = std::move(job.output_rows);
     result.stage_reports.push_back(std::move(job.report));
@@ -88,15 +84,9 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
   // --- cleanup -------------------------------------------------------------------
   if (options_.cleanup_intermediates) {
     for (const JoinStageSpec& stage : plan.joins) {
-      CLY_ASSIGN_OR_RETURN(int removed,
-                           cluster_->dfs()->DeleteRecursive(stage.output_table));
-      (void)removed;
-      cluster_->InvalidateTable(stage.output_table);
+      CLY_RETURN_IF_ERROR(cluster_->DropTable(stage.output_table));
     }
-    CLY_ASSIGN_OR_RETURN(int removed,
-                         cluster_->dfs()->DeleteRecursive(plan.agg.output_table));
-    (void)removed;
-    cluster_->InvalidateTable(plan.agg.output_table);
+    CLY_RETURN_IF_ERROR(cluster_->DropTable(plan.agg.output_table));
   }
 
   result.wall_seconds = timer.ElapsedSeconds();

@@ -14,23 +14,6 @@ const char* JoinStrategyName(JoinStrategy strategy) {
 
 namespace {
 
-void AddUnique(std::vector<std::string>* list, const std::string& name) {
-  if (std::find(list->begin(), list->end(), name) == list->end()) {
-    list->push_back(name);
-  }
-}
-
-Result<SchemaPtr> ProjectByName(const SchemaPtr& schema,
-                                const std::vector<std::string>& names) {
-  std::vector<int> idx;
-  idx.reserve(names.size());
-  for (const std::string& n : names) {
-    CLY_ASSIGN_OR_RETURN(int i, schema->Require(n));
-    idx.push_back(i);
-  }
-  return schema->Project(idx);
-}
-
 std::string DeclOf(const Schema& schema) {
   std::vector<std::string> parts;
   for (const Field& f : schema.fields()) {
@@ -47,25 +30,13 @@ Result<HivePlan> CompileHivePlan(const core::StarSchema& star,
   HivePlan plan;
   const SchemaPtr fact_schema = star.fact().schema;
 
-  // Fact columns that must survive the whole join chain: aggregate inputs
-  // and group-by columns that come from the fact table. Predicate-only
+  // Fact columns that must survive the whole join chain. Predicate-only
   // columns are read in stage 1 and dropped right after the filter.
-  std::vector<std::string> keep;
-  {
-    std::vector<std::string> agg_cols;
-    for (const core::AggSpec& agg : spec.aggregates) {
-      if (agg.expr != nullptr) agg.expr->CollectColumns(&agg_cols);
-    }
-    for (const std::string& c : agg_cols) AddUnique(&keep, c);
-    for (const std::string& g : spec.group_by) {
-      if (fact_schema->IndexOf(g) >= 0) AddUnique(&keep, g);
-    }
-  }
+  const std::vector<std::string> keep = core::KeptFactColumns(spec);
 
   // Working-set bookkeeping across stages.
   std::string current_table = star.fact().path;
   SchemaPtr current_schema;  // set per stage from the projections
-  std::vector<std::string> current_cols;  // columns in the working table
 
   for (size_t d = 0; d < spec.dims.size(); ++d) {
     const core::DimJoinSpec& join = spec.dims[d];
@@ -89,17 +60,15 @@ Result<HivePlan> CompileHivePlan(const core::StarSchema& star,
       spec.fact_predicate->CollectColumns(&pred_cols);
       for (const std::string& c : pred_cols) AddUnique(&cols, c);
       for (const std::string& c : keep) AddUnique(&cols, c);
-      stage.fact_cols = cols;
       CLY_ASSIGN_OR_RETURN(stage.fact_schema,
-                           ProjectByName(fact_schema, cols));
+                           fact_schema->ProjectByName(cols));
     } else {
-      stage.fact_cols = current_cols;
       stage.fact_schema = current_schema;
     }
 
     // Output fact columns: everything except this stage's fk and (after
     // stage 1) predicate-only columns.
-    for (const std::string& c : stage.fact_cols) {
+    for (const std::string& c : stage.fact_schema->FieldNames()) {
       if (c == stage.fact_fk) continue;
       const bool is_later_fk = [&] {
         for (size_t e = d + 1; e < spec.dims.size(); ++e) {
@@ -129,9 +98,8 @@ Result<HivePlan> CompileHivePlan(const core::StarSchema& star,
       join.predicate->CollectColumns(&pred_cols);
       for (const std::string& c : pred_cols) AddUnique(&cols, c);
       for (const std::string& c : join.aux_columns) AddUnique(&cols, c);
-      stage.dim_cols = cols;
       CLY_ASSIGN_OR_RETURN(stage.dim_schema,
-                           ProjectByName(dim->desc.schema, cols));
+                           dim->desc.schema->ProjectByName(cols));
     }
 
     // Output schema: fact_out_cols (types from the fact-side schema) then
@@ -154,10 +122,6 @@ Result<HivePlan> CompileHivePlan(const core::StarSchema& star,
 
     current_table = stage.output_table;
     current_schema = stage.output_schema;
-    current_cols.clear();
-    for (const Field& f : current_schema->fields()) {
-      current_cols.push_back(f.name);
-    }
     plan.joins.push_back(std::move(stage));
   }
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/repartition_join.h"
 #include "core/star_query.h"
 #include "core/star_schema.h"
 
@@ -18,28 +19,14 @@ const char* JoinStrategyName(JoinStrategy strategy);
 
 /// One fact-with-one-dimension join stage of the Hive plan. Hive joins the
 /// dimensions one at a time, each stage a full MapReduce job whose output is
-/// round-tripped through HDFS (paper §6.3).
-struct JoinStageSpec {
+/// round-tripped through HDFS (paper §6.3). The inherited fields describe the
+/// join itself; both strategies (repartition and mapjoin) execute it.
+struct JoinStageSpec : core::RepartitionJoinSpec {
   int stage_index = 0;
-  // Fact side (the current working table: the base fact table for stage 1,
-  // the previous stage's output afterwards).
+  /// The current working table: the base fact table for stage 1, the
+  /// previous stage's output afterwards.
   std::string fact_table;
-  /// Projection read from the fact-side table, in row order.
-  std::vector<std::string> fact_cols;
-  SchemaPtr fact_schema;  // schema of the projected fact-side rows
-  /// Residual fact filter (stage 1 only; True afterwards).
-  Predicate::Ptr fact_predicate = Predicate::True();
-  std::string fact_fk;
-  /// Fact columns carried into the output (fk dropped).
-  std::vector<std::string> fact_out_cols;
-
-  // Dimension side.
   std::string dim_table;
-  std::vector<std::string> dim_cols;  // projection: pk + predicate cols + aux
-  SchemaPtr dim_schema;               // schema of the projected dim rows
-  Predicate::Ptr dim_predicate = Predicate::True();
-  std::string dim_pk;
-  std::vector<std::string> aux_cols;
 
   // Output.
   std::string output_table;

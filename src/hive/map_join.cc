@@ -199,7 +199,7 @@ Result<mr::JobConf> MakeMapJoinJob(const JoinStageSpec& spec,
   conf.distributed_cache = {hash_file};
 
   conf.Set(mr::kConfInputTable, spec.fact_table);
-  conf.SetList(mr::kConfInputProjection, spec.fact_cols);
+  conf.SetList(mr::kConfInputProjection, spec.fact_schema->FieldNames());
   conf.input_format_factory = [] {
     return std::make_unique<mr::TableInputFormat>();
   };
@@ -207,14 +207,6 @@ Result<mr::JobConf> MakeMapJoinJob(const JoinStageSpec& spec,
   const std::string captured_hash = hash_file;
   conf.mapper_factory = [captured, captured_hash, cache] {
     return std::make_unique<MapJoinMapper>(captured, captured_hash, cache);
-  };
-  conf.Set(mr::kConfOutputTable, spec.output_table);
-  conf.Set(mr::kConfOutputColumns, spec.output_columns_decl);
-  // Hive serializes intermediate tables as delimited text (its default
-  // serde) — one of the overheads the paper charges to the baseline.
-  conf.Set(mr::kConfOutputFormat, storage::kFormatText);
-  conf.output_format_factory = [] {
-    return std::make_unique<mr::TableOutputFormat>();
   };
   return conf;
 }

@@ -64,9 +64,10 @@ class MapJoinMapper final : public mr::Mapper {
   uint64_t hash_load_cpu_ns_ = 0;
 };
 
-/// Configures the map-only MapReduce job for one mapjoin stage. The hash
-/// file must have been produced by BuildMapJoinHashFile first. `cache`
-/// (optional) is the serving-mode cross-query dim-table cache.
+/// Configures the map-only MapReduce job for one mapjoin stage; the output
+/// is the caller's. The hash file must have been produced by
+/// BuildMapJoinHashFile first. `cache` (optional) is the serving-mode
+/// cross-query dim-table cache.
 Result<mr::JobConf> MakeMapJoinJob(
     const JoinStageSpec& spec, const std::string& hash_file,
     std::shared_ptr<core::DimTableCache> cache = nullptr);

@@ -76,6 +76,12 @@ void MrCluster::InvalidateTable(const std::string& path) {
   ++table_versions_.try_emplace(path, 1).first->second;
 }
 
+Status MrCluster::DropTable(const std::string& path) {
+  CLY_ASSIGN_OR_RETURN(int removed, dfs_.DeleteRecursive(path + "/"));
+  if (removed > 0) InvalidateTable(path);
+  return Status::OK();
+}
+
 int64_t MrCluster::table_version(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = table_versions_.find(path);
@@ -178,15 +184,11 @@ void AppendShuffleOverlapSpan(std::vector<obs::SpanRecord>* spans) {
   overlap.start_us = first_fetch;
   overlap.dur_us = last_map_end - first_fetch;
   overlap.depth = 1;
+  // Derived after the fact: it sorts after every recorded span that starts
+  // in the same microsecond.
+  overlap.seq = ~uint64_t{0};
   spans->push_back(std::move(overlap));
-  std::stable_sort(spans->begin(), spans->end(),
-                   [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
-                     if (a.start_us != b.start_us) {
-                       return a.start_us < b.start_us;
-                     }
-                     if (a.dur_us != b.dur_us) return a.dur_us > b.dur_us;
-                     return a.depth < b.depth;
-                   });
+  obs::SortByStart(spans);
 }
 
 /// Writes `contents` to a real-filesystem path (profile artifacts).

@@ -78,6 +78,9 @@ class MrCluster {
   /// invalidated. Every (re)load path funnels through InvalidateTable, which
   /// bumps this.
   int64_t table_version(const std::string& path);
+  /// Deletes every file of the table at `path` and, if there was any,
+  /// invalidates it (scratch tables between and after multi-job plans).
+  Status DropTable(const std::string& path);
 
   /// JVM-reuse registry: per-(job instance, node) shared state. The engine
   /// hands these to tasks when the job enables jvm_reuse.

@@ -76,11 +76,12 @@ Result<std::vector<std::shared_ptr<InputSplit>>> SplitsForTable(
 
 Result<std::unique_ptr<RecordReader>> ReaderForStorageSplit(
     MrCluster* cluster, const JobConf& conf,
-    const storage::StorageSplit& split, TaskContext* context, int32_t tag) {
+    std::vector<std::string> projection, const storage::StorageSplit& split,
+    TaskContext* context, int32_t tag) {
   CLY_ASSIGN_OR_RETURN(storage::TableDesc desc,
                        cluster->GetTable(split.table_path));
   storage::ScanOptions options;
-  options.projection = conf.GetList(kConfInputProjection);
+  options.projection = std::move(projection);
   options.reader_node = context->node();
   options.stats = context->io_stats();
   options.scan_spec = conf.scan_spec;
@@ -131,9 +132,8 @@ Result<std::unique_ptr<RecordReader>> TableInputFormat::CreateReader(
     TaskContext* context) {
   std::vector<std::unique_ptr<RecordReader>> readers;
   for (const storage::StorageSplit* s : split.Constituents()) {
-    CLY_ASSIGN_OR_RETURN(
-        std::unique_ptr<RecordReader> r,
-        ReaderForStorageSplit(cluster, conf, *s, context, /*tag=*/-1));
+    CLY_ASSIGN_OR_RETURN(std::unique_ptr<RecordReader> r,
+                         CreateConstituentReader(cluster, conf, *s, context));
     readers.push_back(std::move(r));
   }
   return std::unique_ptr<RecordReader>(
@@ -143,7 +143,8 @@ Result<std::unique_ptr<RecordReader>> TableInputFormat::CreateReader(
 Result<std::unique_ptr<RecordReader>> TableInputFormat::CreateConstituentReader(
     MrCluster* cluster, const JobConf& conf,
     const storage::StorageSplit& split, TaskContext* context) {
-  return ReaderForStorageSplit(cluster, conf, split, context, /*tag=*/-1);
+  return ReaderForStorageSplit(cluster, conf, conf.GetList(kConfInputProjection),
+                               split, context, /*tag=*/-1);
 }
 
 // --- MultiCifInputFormat -----------------------------------------------------
@@ -189,28 +190,6 @@ Result<std::vector<std::shared_ptr<InputSplit>>> MultiCifInputFormat::GetSplits(
   return out;
 }
 
-Result<std::unique_ptr<RecordReader>> MultiCifInputFormat::CreateReader(
-    MrCluster* cluster, const JobConf& conf, const InputSplit& split,
-    TaskContext* context) {
-  std::vector<std::unique_ptr<RecordReader>> readers;
-  for (const storage::StorageSplit* s : split.Constituents()) {
-    CLY_ASSIGN_OR_RETURN(
-        std::unique_ptr<RecordReader> r,
-        ReaderForStorageSplit(cluster, conf, *s, context, /*tag=*/-1));
-    readers.push_back(std::move(r));
-  }
-  return std::unique_ptr<RecordReader>(
-      new ConcatRecordReader(std::move(readers)));
-}
-
-Result<std::unique_ptr<RecordReader>>
-MultiCifInputFormat::CreateConstituentReader(MrCluster* cluster,
-                                             const JobConf& conf,
-                                             const storage::StorageSplit& split,
-                                             TaskContext* context) {
-  return ReaderForStorageSplit(cluster, conf, split, context, /*tag=*/-1);
-}
-
 // --- MultiTableInputFormat ---------------------------------------------------
 
 Result<std::vector<std::shared_ptr<InputSplit>>>
@@ -226,20 +205,6 @@ MultiTableInputFormat::GetSplits(MrCluster* cluster, const JobConf& conf) {
     out.insert(out.end(), splits.begin(), splits.end());
   }
   return out;
-}
-
-Result<std::unique_ptr<RecordReader>> MultiTableInputFormat::CreateReader(
-    MrCluster* cluster, const JobConf& conf, const InputSplit& split,
-    TaskContext* context) {
-  std::vector<std::unique_ptr<RecordReader>> readers;
-  for (const storage::StorageSplit* s : split.Constituents()) {
-    CLY_ASSIGN_OR_RETURN(
-        std::unique_ptr<RecordReader> r,
-        CreateConstituentReader(cluster, conf, *s, context));
-    readers.push_back(std::move(r));
-  }
-  return std::unique_ptr<RecordReader>(
-      new ConcatRecordReader(std::move(readers)));
 }
 
 Result<std::unique_ptr<RecordReader>>
@@ -260,10 +225,9 @@ MultiTableInputFormat::CreateConstituentReader(
   }
   // Projection lists are per-table for multi-table scans: the conf key is
   // "input.projection.<ordinal>".
-  JobConf per_table = conf;
-  per_table.Set(kConfInputProjection,
-                conf.Get(StrCat(kConfInputProjection, ".", tag)));
-  return ReaderForStorageSplit(cluster, per_table, split, context, tag);
+  return ReaderForStorageSplit(
+      cluster, conf, conf.GetList(StrCat(kConfInputProjection, ".", tag)),
+      split, context, tag);
 }
 
 }  // namespace mr

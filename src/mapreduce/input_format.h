@@ -72,6 +72,8 @@ inline constexpr const char kConfMultiSplitSize[] = "multicif.splits.per.multisp
 inline constexpr const char kConfInputTables[] = "input.tables";
 
 /// Scans one stored table (any format); value = (projected) row, key = {}.
+/// CreateReader concatenates CreateConstituentReader over the split's
+/// constituents, so subclasses override only what differs.
 class TableInputFormat : public InputFormat {
  public:
   TableInputFormat() = default;
@@ -90,32 +92,23 @@ class TableInputFormat : public InputFormat {
 /// multi-threaded map task can read constituents in parallel without a
 /// synchronized RecordReader bottleneck. Locality-aware: only splits sharing
 /// a preferred node are packed together.
-class MultiCifInputFormat : public InputFormat {
+class MultiCifInputFormat final : public TableInputFormat {
  public:
   MultiCifInputFormat() = default;
 
   Result<std::vector<std::shared_ptr<InputSplit>>> GetSplits(
       MrCluster* cluster, const JobConf& conf) override;
-  Result<std::unique_ptr<RecordReader>> CreateReader(
-      MrCluster* cluster, const JobConf& conf, const InputSplit& split,
-      TaskContext* context) override;
-  Result<std::unique_ptr<RecordReader>> CreateConstituentReader(
-      MrCluster* cluster, const JobConf& conf,
-      const storage::StorageSplit& split, TaskContext* context) override;
 };
 
 /// Scans several tables; each value row is prefixed with an int32 table
 /// ordinal (field 0) so the mapper can tell the sides of a repartition join
 /// apart (Hive's tagged common join, paper §6.1).
-class MultiTableInputFormat : public InputFormat {
+class MultiTableInputFormat final : public TableInputFormat {
  public:
   MultiTableInputFormat() = default;
 
   Result<std::vector<std::shared_ptr<InputSplit>>> GetSplits(
       MrCluster* cluster, const JobConf& conf) override;
-  Result<std::unique_ptr<RecordReader>> CreateReader(
-      MrCluster* cluster, const JobConf& conf, const InputSplit& split,
-      TaskContext* context) override;
   Result<std::unique_ptr<RecordReader>> CreateConstituentReader(
       MrCluster* cluster, const JobConf& conf,
       const storage::StorageSplit& split, TaskContext* context) override;

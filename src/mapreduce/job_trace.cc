@@ -51,6 +51,13 @@ double PhaseSeconds(const JobReport& report, const char* name,
 
 }  // namespace
 
+void ApplyObsConf(bool trace, const std::string& trace_dir, bool profile,
+                  JobConf* conf) {
+  if (trace) conf->SetBool(kConfTraceEnabled, true);
+  if (!trace_dir.empty()) conf->Set(kConfTraceDir, trace_dir);
+  if (profile) conf->SetBool(kConfProfileEnabled, true);
+}
+
 CriticalPathReport CriticalPath(const JobReport& report) {
   CriticalPathReport out;
   out.wall_seconds = report.wall_seconds;

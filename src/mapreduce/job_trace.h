@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "mapreduce/job_conf.h"
 #include "mapreduce/job_report.h"
 
 namespace clydesdale {
@@ -22,6 +23,12 @@ inline constexpr const char kConfTraceDir[] = "obs.trace.dir";
 /// kConfTraceDir is also set, the engine writes the EXPLAIN ANALYZE report
 /// as `<dir>/<job_name>-<instance>.profile.{json,txt}`.
 inline constexpr const char kConfProfileEnabled[] = "obs.profile.enabled";
+
+/// Forwards an engine's observability options (span tracing, the trace and
+/// profile output directory, the profiler) into one stage job's conf. Every
+/// engine's stage jobs go through this, so their traces stay comparable.
+void ApplyObsConf(bool trace, const std::string& trace_dir, bool profile,
+                  JobConf* conf);
 
 // Standard histogram names maintained by the engine (JobReport::histograms).
 inline constexpr const char kHistMapTaskMicros[] = "MAP_TASK_MICROS";

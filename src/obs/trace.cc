@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace clydesdale {
 namespace obs {
@@ -48,17 +47,16 @@ std::vector<SpanRecord> TraceRecorder::Drain() {
       buffer->spans.clear();
     }
   }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const SpanRecord& a, const SpanRecord& b) {
-                     if (a.start_us != b.start_us) return a.start_us < b.start_us;
-                     // Parents before children; depth breaks the tie when a
-                     // parent and its zero-length children share a start_us
-                     // (records land in the buffer at span *end*, so buffer
-                     // order alone would put children first).
-                     if (a.dur_us != b.dur_us) return a.dur_us > b.dur_us;
-                     return a.depth < b.depth;
-                   });
+  SortByStart(&all);
   return all;
+}
+
+void SortByStart(std::vector<SpanRecord>* spans) {
+  std::sort(spans->begin(), spans->end(),
+            [](const SpanRecord& a, const SpanRecord& b) {
+              if (a.start_us != b.start_us) return a.start_us < b.start_us;
+              return a.seq < b.seq;
+            });
 }
 
 size_t TraceRecorder::num_spans() const {
@@ -79,6 +77,7 @@ Span::Span(TraceRecorder* recorder, std::string name, const char* category,
   record_.node = node;
   record_.tid = buffer_->tid;
   record_.depth = buffer_->depth++;
+  record_.seq = recorder_->next_seq_.fetch_add(1, std::memory_order_relaxed);
   record_.start_us = recorder_->NowMicros();
 }
 

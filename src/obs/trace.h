@@ -1,6 +1,7 @@
 #ifndef CLYDESDALE_OBS_TRACE_H_
 #define CLYDESDALE_OBS_TRACE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -22,6 +23,7 @@ struct SpanRecord {
   int node = -1;                ///< node id, -1 when not node-bound
   int tid = 0;                  ///< recorder-assigned dense thread id
   int depth = 0;                ///< nesting depth within the thread at start
+  uint64_t seq = 0;             ///< recorder-wide start order (construction)
 
   int64_t end_us() const { return start_us + dur_us; }
 };
@@ -44,9 +46,9 @@ class TraceRecorder {
   /// Microseconds since this recorder was created (steady clock).
   int64_t NowMicros() const;
 
-  /// Moves out every recorded span, sorted by (start, longer-first) so
-  /// parents precede their children. Call only after all span-producing
-  /// threads have finished (joined); concurrent Drain is not supported.
+  /// Moves out every recorded span in start order (SortByStart). Call only
+  /// after all span-producing threads have finished (joined); concurrent
+  /// Drain is not supported.
   std::vector<SpanRecord> Drain();
 
   /// Spans recorded so far. Like Drain, only meaningful at quiescence.
@@ -70,9 +72,15 @@ class TraceRecorder {
   /// reused — same idiom as mr::ShardedCollector).
   const uint64_t id_;
   const std::chrono::steady_clock::time_point epoch_;
+  /// Next SpanRecord::seq; one relaxed increment per span start.
+  std::atomic<uint64_t> next_seq_{0};
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
 };
+
+/// Sorts spans by (start_us, seq): a parent starts before its children and
+/// a sibling before the later ones, even within one microsecond.
+void SortByStart(std::vector<SpanRecord>* spans);
 
 /// RAII span: records [construction, destruction) into `recorder`, or does
 /// nothing when `recorder` is null. Must be started and ended on the same

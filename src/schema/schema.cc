@@ -47,6 +47,24 @@ std::shared_ptr<Schema> Schema::Project(const std::vector<int>& indexes) const {
   return Schema::Make(std::move(out));
 }
 
+Result<std::shared_ptr<Schema>> Schema::ProjectByName(
+    const std::vector<std::string>& names) const {
+  std::vector<int> indexes;
+  indexes.reserve(names.size());
+  for (const std::string& name : names) {
+    CLY_ASSIGN_OR_RETURN(int i, Require(name));
+    indexes.push_back(i);
+  }
+  return Project(indexes);
+}
+
+std::vector<std::string> Schema::FieldNames() const {
+  std::vector<std::string> names;
+  names.reserve(fields_.size());
+  for (const Field& f : fields_) names.push_back(f.name);
+  return names;
+}
+
 double Schema::AvgRowWidth() const {
   double total = 0;
   for (const Field& f : fields_) total += f.avg_width;

@@ -42,6 +42,13 @@ class Schema {
 
   /// Schema containing just the given field indexes, in that order.
   std::shared_ptr<Schema> Project(const std::vector<int>& indexes) const;
+  /// Schema containing just the named fields, in that order, or
+  /// InvalidArgument for a name that is not a field.
+  Result<std::shared_ptr<Schema>> ProjectByName(
+      const std::vector<std::string>& names) const;
+
+  /// Field names, in field order.
+  std::vector<std::string> FieldNames() const;
 
   /// Sum of avg_width over all fields (estimated bytes per encoded row).
   double AvgRowWidth() const;

@@ -287,7 +287,8 @@ Status ParseFramedBlock(const std::vector<uint8_t>& data, BlockView* out) {
 Status ParseDictRlePayload(const uint8_t* payload, size_t len, uint32_t nrows,
                            std::vector<std::string_view>* dict,
                            const uint8_t** run_codes,
-                           const uint32_t** run_lengths, uint32_t* nruns) {
+                           std::vector<uint32_t>* run_lengths,
+                           uint32_t* nruns) {
   ByteReader reader(payload, len);
   uint16_t dict_size = 0;
   CLY_RETURN_IF_ERROR(reader.GetU16(&dict_size));
@@ -311,8 +312,11 @@ Status ParseDictRlePayload(const uint8_t* payload, size_t len, uint32_t nrows,
   }
   *run_codes = payload + reader.position();
   CLY_RETURN_IF_ERROR(reader.Skip(*nruns));
-  *run_lengths =
-      reinterpret_cast<const uint32_t*>(payload + reader.position());
+  // The u32 lengths follow the one-byte codes, so they are unaligned in
+  // the payload: copy them out rather than read through a uint32_t*.
+  run_lengths->resize(*nruns);
+  std::memcpy(run_lengths->data(), payload + reader.position(),
+              static_cast<size_t>(*nruns) * sizeof(uint32_t));
   uint64_t total = 0;
   for (uint32_t r = 0; r < *nruns; ++r) {
     if ((*run_codes)[r] >= dict->size()) {
@@ -730,7 +734,7 @@ struct SplitColumn {
   std::vector<std::string_view> dict;  // dictionary entries, in code order
   const uint8_t* codes = nullptr;      // nrows codes (dictionary mode)
   const uint8_t* run_codes = nullptr;  // dict-RLE: one code per run
-  const uint32_t* str_run_lengths = nullptr;
+  std::vector<uint32_t> str_run_lengths;  // dict-RLE: one length per run
   uint32_t str_nruns = 0;
   std::vector<int32_t> str_run_starts;  // dict-RLE row prefix
   std::vector<uint32_t> offsets;        // end offsets (plain mode, realigned)
@@ -899,7 +903,8 @@ Status ParseColumnPayload(SplitColumn* c) {
                                             nrows, &c->dict, &c->run_codes,
                                             &c->str_run_lengths,
                                             &c->str_nruns));
-    BuildRunStarts(c->str_run_lengths, c->str_nruns, &c->str_run_starts);
+    BuildRunStarts(c->str_run_lengths.data(), c->str_nruns,
+                   &c->str_run_starts);
     c->raw_bytes = 1 + 4ull * nrows;
     for (uint32_t r = 0; r < c->str_nruns; ++r) {
       c->raw_bytes += static_cast<uint64_t>(c->str_run_lengths[r]) *

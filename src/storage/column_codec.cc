@@ -283,7 +283,8 @@ void DecodeIntView(const IntBlockView& view, TypeKind type,
     v->resize(n);
     switch (view.encoding) {
       case kEncPlain:
-        std::memcpy(v->data(), view.plain, n * sizeof(int32_t));
+        // An empty block leaves both pointers possibly null.
+        if (n > 0) std::memcpy(v->data(), view.plain, n * sizeof(int32_t));
         break;
       case kEncRle: {
         uint32_t i = 0;
@@ -306,7 +307,7 @@ void DecodeIntView(const IntBlockView& view, TypeKind type,
   v->resize(n);
   switch (view.encoding) {
     case kEncPlain:
-      std::memcpy(v->data(), view.plain, n * sizeof(int64_t));
+      if (n > 0) std::memcpy(v->data(), view.plain, n * sizeof(int64_t));
       break;
     case kEncRle: {
       uint32_t i = 0;

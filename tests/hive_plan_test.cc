@@ -65,7 +65,7 @@ TEST_F(HivePlanTest, StagesChainThroughIntermediateTables) {
 TEST_F(HivePlanTest, StageOneReadsOnlyNeededFactColumns) {
   const HivePlan plan = Compile("Q2.1");
   // FKs + lo_revenue; no predicate columns for Q2.1.
-  EXPECT_EQ(plan.joins[0].fact_cols,
+  EXPECT_EQ(plan.joins[0].fact_schema->FieldNames(),
             (std::vector<std::string>{"lo_orderdate", "lo_partkey",
                                       "lo_suppkey", "lo_revenue"}));
 }
@@ -96,9 +96,9 @@ TEST_F(HivePlanTest, PredicateOnlyColumnsDropAfterStageOne) {
   // lo_discount is both a predicate and an aggregate input: kept. But
   // lo_quantity is predicate-only: read in stage 1, dropped afterwards.
   const auto& stage = plan.joins[0];
-  EXPECT_NE(std::find(stage.fact_cols.begin(), stage.fact_cols.end(),
-                      "lo_quantity"),
-            stage.fact_cols.end());
+  const std::vector<std::string> fact_cols = stage.fact_schema->FieldNames();
+  EXPECT_NE(std::find(fact_cols.begin(), fact_cols.end(), "lo_quantity"),
+            fact_cols.end());
   EXPECT_EQ(std::find(stage.fact_out_cols.begin(), stage.fact_out_cols.end(),
                       "lo_quantity"),
             stage.fact_out_cols.end());
@@ -111,15 +111,14 @@ TEST_F(HivePlanTest, DimProjectionIncludesPkPredicateAndAux) {
   const HivePlan plan = Compile("Q3.1");
   const auto& customer_stage = plan.joins[0];
   EXPECT_EQ(customer_stage.dim_table, "/ssb/customer");
-  EXPECT_NE(std::find(customer_stage.dim_cols.begin(),
-                      customer_stage.dim_cols.end(), "c_custkey"),
-            customer_stage.dim_cols.end());
-  EXPECT_NE(std::find(customer_stage.dim_cols.begin(),
-                      customer_stage.dim_cols.end(), "c_region"),
-            customer_stage.dim_cols.end());
-  EXPECT_NE(std::find(customer_stage.dim_cols.begin(),
-                      customer_stage.dim_cols.end(), "c_nation"),
-            customer_stage.dim_cols.end());
+  const std::vector<std::string> dim_cols =
+      customer_stage.dim_schema->FieldNames();
+  EXPECT_NE(std::find(dim_cols.begin(), dim_cols.end(), "c_custkey"),
+            dim_cols.end());
+  EXPECT_NE(std::find(dim_cols.begin(), dim_cols.end(), "c_region"),
+            dim_cols.end());
+  EXPECT_NE(std::find(dim_cols.begin(), dim_cols.end(), "c_nation"),
+            dim_cols.end());
 }
 
 TEST_F(HivePlanTest, AggStageDeclaresGroupsAndAggregates) {

@@ -204,6 +204,32 @@ TEST(TraceTest, RecordsNestedSpans) {
   }
 }
 
+TEST(TraceTest, SortByStartOrdersTiesByStartSequence) {
+  // A parent and two siblings that all start in one microsecond, the later
+  // sibling running longer than the earlier one, plus a span that starts
+  // later but began its construction first. Start time decides, then start
+  // order; duration and depth play no part.
+  auto make = [](const char* name, int64_t start, int64_t dur, int depth,
+                 uint64_t seq) {
+    SpanRecord r;
+    r.name = name;
+    r.start_us = start;
+    r.dur_us = dur;
+    r.depth = depth;
+    r.seq = seq;
+    return r;
+  };
+  std::vector<SpanRecord> spans = {
+      make("aggregate", 5, 3, 1, 3), make("later", 6, 1, 0, 0),
+      make("probe", 5, 1, 1, 2), make("map-task", 5, 4, 0, 1)};
+  SortByStart(&spans);
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_EQ(spans[0].name, "map-task");
+  EXPECT_EQ(spans[1].name, "probe");
+  EXPECT_EQ(spans[2].name, "aggregate");
+  EXPECT_EQ(spans[3].name, "later");
+}
+
 TEST(TraceTest, NullRecorderIsInertAndEndIdempotent) {
   Span span(nullptr, "never-recorded", "stage");
   span.End();

@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "core/clydesdale.h"
+#include "core/staged_join.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/input_format.h"
 #include "ssb/reference_executor.h"
@@ -257,7 +258,8 @@ TEST(RobustnessTest, CorruptRcFileMagicIsIoError) {
 
 // --- randomized star-join consistency ---------------------------------------------
 // Property: for ANY small star schema, data, and query, Clydesdale (in all
-// ablation modes) agrees with the single-threaded reference executor.
+// ablation modes, and staged under a tight memory budget) agrees with the
+// single-threaded reference executor.
 
 struct RandomStar {
   core::StarSchema star;
@@ -360,6 +362,9 @@ RandomStar MakeRandomStar(mr::MrCluster* cluster, uint64_t seed) {
       {"agg", rng.Bernoulli(0.5)
                   ? Expr::Col("f_m1")
                   : Expr::Mul(Expr::Col("f_m1"), Expr::Col("f_m2"))});
+  // A fact-column group key (drawn last so earlier draws keep each seed's
+  // schema).
+  if (rng.Bernoulli(0.5)) query.group_by.push_back("f_m2");
 
   RandomStar out{core::StarSchema(*loaded, std::move(dims)), std::move(query)};
   return out;
@@ -388,6 +393,22 @@ TEST_P(RandomStarJoinTest, EnginesAgreeWithReference) {
     for (size_t i = 0; i < expected->size(); ++i) {
       EXPECT_EQ(result->rows[i], (*expected)[i]) << "mode " << mode;
     }
+  }
+
+  // Staged plans: every join a repartition join (budget 1), and hash
+  // stages packed within the largest single-dimension estimate.
+  uint64_t max_single = 0;
+  for (const core::DimJoinSpec& join : rand.query.dims) {
+    auto dim = rand.star.dim(join.dimension);
+    ASSERT_TRUE(dim.ok());
+    max_single = std::max(max_single, core::EstimateDimHashBytes(**dim, join));
+  }
+  auto star = std::make_shared<const core::StarSchema>(rand.star);
+  for (uint64_t budget : {uint64_t{1}, max_single}) {
+    auto result =
+        core::ExecuteStagedStarJoin(&cluster, star, rand.query, {}, budget);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows, *expected) << "budget " << budget;
   }
 }
 

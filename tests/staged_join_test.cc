@@ -3,6 +3,8 @@
 #include "common/strings.h"
 #include "core/clydesdale.h"
 #include "core/staged_join.h"
+#include "hive/hive_engine.h"
+#include "sql/parser.h"
 #include "ssb/loader.h"
 #include "ssb/queries.h"
 #include "ssb/reference_executor.h"
@@ -233,6 +235,61 @@ TEST_F(StagedJoinTest, StagedWorksWithAblationsToo) {
       ExecuteStagedStarJoin(cluster_, star, *spec, options, max_single);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows, Reference(*spec));
+}
+
+TEST_F(StagedJoinTest, FactColumnGroupByAgreesOnEveryEngine) {
+  // lo_shipmode is no dimension's aux column: the group key comes from the
+  // fact row, so every plan must carry it through its joins.
+  auto spec = sql::ParseStarQuery(
+      "SELECT lo_shipmode, SUM(lo_revenue) AS revenue "
+      "FROM lineorder, date, supplier "
+      "WHERE lo_orderdate = d_datekey AND lo_suppkey = s_suppkey "
+      "AND s_region = 'ASIA' "
+      "GROUP BY lo_shipmode ORDER BY lo_shipmode",
+      dataset_->star);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto expected = ssb::ExecuteReference(cluster_, dataset_->star, *spec);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_FALSE(expected->empty());
+
+  for (int mode = 0; mode < 3; ++mode) {
+    ClydesdaleOptions options;
+    if (mode == 1) options.multithreaded = false;
+    if (mode == 2) {
+      options.block_iteration = false;
+      options.map_side_agg = false;
+    }
+    ClydesdaleEngine engine(cluster_, dataset_->star, options);
+    auto result = engine.Execute(*spec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows, *expected) << "mode " << mode;
+  }
+
+  uint64_t max_single = 0;
+  for (const DimJoinSpec& join : spec->dims) {
+    auto dim = dataset_->star.dim(join.dimension);
+    ASSERT_TRUE(dim.ok());
+    max_single = std::max(max_single, EstimateDimHashBytes(**dim, join));
+  }
+  auto star = std::make_shared<const StarSchema>(dataset_->star);
+  for (uint64_t budget : {uint64_t{1}, max_single}) {
+    auto result = ExecuteStagedStarJoin(cluster_, star, *spec, {}, budget);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GE(result->stage_reports.size(), 2u) << "budget " << budget;
+    EXPECT_EQ(result->rows, *expected) << "budget " << budget;
+  }
+
+  StarSchema hive_star = dataset_->star;
+  *hive_star.mutable_fact() = dataset_->fact_rcfile;
+  for (auto strategy :
+       {hive::JoinStrategy::kRepartition, hive::JoinStrategy::kMapJoin}) {
+    hive::HiveOptions options;
+    options.strategy = strategy;
+    hive::HiveEngine engine(cluster_, hive_star, options);
+    auto result = engine.Execute(*spec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows, *expected) << hive::JoinStrategyName(strategy);
+  }
 }
 
 }  // namespace
