@@ -314,18 +314,11 @@ Status HashAggregator::Emit(mr::OutputCollector* out) const {
   return Status::OK();
 }
 
-Status AggReducer::Setup(mr::TaskContext* context) {
-  profiled_ = context->profile_enabled();
-  return Status::OK();
-}
-
 Status AggReducer::Reduce(const Row& key, const std::vector<Row>& values,
                           mr::TaskContext*, mr::OutputCollector* out) {
   if (values.empty()) return Status::OK();
-  if (profiled_) {
-    rows_in_ += values.size();
-    ++rows_out_;
-  }
+  rows_in_ += values.size();
+  ++rows_out_;
   const int n = layout_.num_accumulators();
   std::vector<int64_t> accs(static_cast<size_t>(n));
   for (int a = 0; a < n; ++a) {
@@ -354,7 +347,7 @@ Status AggReducer::Cleanup(mr::TaskContext* context, mr::OutputCollector* out) {
   // Combiner use runs a Setup/Cleanup pair per map-output partition on the
   // same instance, so emit the delta since the last flush (batches counts
   // the flushes; the task itself is counted once).
-  if (profiled_ && (rows_in_ > 0 || !emitted_)) {
+  if (rows_in_ > 0 || !emitted_) {
     obs::OperatorProfile node;
     node.name = profile_name_;
     node.kind = "aggregate";

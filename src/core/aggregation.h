@@ -187,16 +187,14 @@ class AggReducer final : public mr::Reducer {
                       const char* profile_name = "aggregate")
       : layout_(std::move(layout)), profile_name_(profile_name) {}
 
-  Status Setup(mr::TaskContext* context) override;
   Status Reduce(const Row& key, const std::vector<Row>& values,
                 mr::TaskContext* context, mr::OutputCollector* out) override;
   Status Cleanup(mr::TaskContext* context, mr::OutputCollector* out) override;
 
  private:
   AggLayout layout_;
-  // Per-operator profiler cells (obs.profile.enabled tasks only).
+  // Per-operator profile cells.
   const char* profile_name_;
-  bool profiled_ = false;
   bool emitted_ = false;
   uint64_t rows_in_ = 0;
   uint64_t rows_out_ = 0;

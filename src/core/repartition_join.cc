@@ -26,8 +26,7 @@ obs::OperatorProfile CountingProfileNode(const char* name, const char* kind,
 }
 }  // namespace
 
-Status RepartitionJoinMapper::Setup(mr::TaskContext* context) {
-  profiled_ = context->profile_enabled();
+Status RepartitionJoinMapper::Setup(mr::TaskContext*) {
   CLY_ASSIGN_OR_RETURN(fact_pred_,
                        spec_.fact_predicate->Bind(*spec_.fact_schema));
   CLY_ASSIGN_OR_RETURN(dim_pred_, spec_.dim_predicate->Bind(*spec_.dim_schema));
@@ -48,7 +47,7 @@ Status RepartitionJoinMapper::Setup(mr::TaskContext* context) {
 Status RepartitionJoinMapper::Map(const Row& key, const Row& value,
                                   mr::TaskContext*, mr::OutputCollector* out) {
   (void)key;
-  if (profiled_) ++rows_in_;
+  ++rows_in_;
   // MultiTableInputFormat prefixed the source-table ordinal as field 0
   // (0 = fact side, 1 = dimension side; see MakeRepartitionJoinJob).
   const int32_t tag = value.Get(0).i32();
@@ -64,7 +63,7 @@ Status RepartitionJoinMapper::Map(const Row& key, const Row& value,
     out_value.Reserve(1 + static_cast<int>(fact_out_idx_.size()));
     out_value.Append(Value(kFactTag));
     for (int i : fact_out_idx_) out_value.Append(row.Get(i));
-    if (profiled_) ++rows_out_;
+    ++rows_out_;
     return out->Collect(out_key, out_value);
   }
   // Dimension side: filter, key by pk, carry the aux columns.
@@ -74,22 +73,15 @@ Status RepartitionJoinMapper::Map(const Row& key, const Row& value,
   out_value.Reserve(1 + static_cast<int>(dim_aux_idx_.size()));
   out_value.Append(Value(kDimTag));
   for (int i : dim_aux_idx_) out_value.Append(row.Get(i));
-  if (profiled_) ++rows_out_;
+  ++rows_out_;
   return out->Collect(out_key, out_value);
 }
 
 Status RepartitionJoinMapper::Cleanup(mr::TaskContext* context,
                                       mr::OutputCollector* out) {
   (void)out;
-  if (profiled_) {
-    context->AddProfileOperator(
-        CountingProfileNode("tag-partition", "partition", rows_in_, rows_out_));
-  }
-  return Status::OK();
-}
-
-Status RepartitionJoinReducer::Setup(mr::TaskContext* context) {
-  profiled_ = context->profile_enabled();
+  context->AddProfileOperator(
+      CountingProfileNode("tag-partition", "partition", rows_in_, rows_out_));
   return Status::OK();
 }
 
@@ -98,7 +90,7 @@ Status RepartitionJoinReducer::Reduce(const Row& key,
                                       mr::TaskContext*,
                                       mr::OutputCollector* out) {
   (void)key;
-  if (profiled_) rows_in_ += values.size();
+  rows_in_ += values.size();
   // Find the dimension row (0 or 1 of them: pk side).
   const Row* dim_row = nullptr;
   for (const Row& v : values) {
@@ -118,7 +110,7 @@ Status RepartitionJoinReducer::Reduce(const Row& key,
     joined.Reserve(v.size() - 1 + dim_row->size() - 1);
     for (int i = 1; i < v.size(); ++i) joined.Append(v.Get(i));
     for (int i = 1; i < dim_row->size(); ++i) joined.Append(dim_row->Get(i));
-    if (profiled_) ++rows_out_;
+    ++rows_out_;
     CLY_RETURN_IF_ERROR(out->Collect(empty_key, joined));
   }
   return Status::OK();
@@ -127,10 +119,8 @@ Status RepartitionJoinReducer::Reduce(const Row& key,
 Status RepartitionJoinReducer::Cleanup(mr::TaskContext* context,
                                        mr::OutputCollector* out) {
   (void)out;
-  if (profiled_) {
-    context->AddProfileOperator(
-        CountingProfileNode("join", "join", rows_in_, rows_out_));
-  }
+  context->AddProfileOperator(
+      CountingProfileNode("join", "join", rows_in_, rows_out_));
   return Status::OK();
 }
 

@@ -52,8 +52,7 @@ class RepartitionJoinMapper final : public mr::Mapper {
   int dim_pk_index_ = -1;
   std::vector<int> fact_out_idx_;
   std::vector<int> dim_aux_idx_;
-  // Per-operator profiler cells (obs.profile.enabled tasks only).
-  bool profiled_ = false;
+  // Per-operator profile cells.
   uint64_t rows_in_ = 0;
   uint64_t rows_out_ = 0;
 };
@@ -63,14 +62,12 @@ class RepartitionJoinMapper final : public mr::Mapper {
 /// then aux_cols.
 class RepartitionJoinReducer final : public mr::Reducer {
  public:
-  Status Setup(mr::TaskContext* context) override;
   Status Reduce(const Row& key, const std::vector<Row>& values,
                 mr::TaskContext* context, mr::OutputCollector* out) override;
   Status Cleanup(mr::TaskContext* context, mr::OutputCollector* out) override;
 
  private:
-  // Per-operator profiler cells (obs.profile.enabled tasks only).
-  bool profiled_ = false;
+  // Per-operator profile cells.
   uint64_t rows_in_ = 0;
   uint64_t rows_out_ = 0;
 };

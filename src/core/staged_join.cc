@@ -9,7 +9,6 @@
 #include "core/repartition_join.h"
 #include "core/star_join_job.h"
 #include "mapreduce/input_format.h"
-#include "storage/scan_spec.h"
 
 namespace clydesdale {
 namespace core {
@@ -74,28 +73,21 @@ Result<mr::JobConf> MakeHashJoinStage(std::shared_ptr<const StarSchema> star,
   conf.Set(mr::kConfInputTable, star->fact().path);
   conf.SetList(mr::kConfInputProjection, projection);
   conf.SetInt(mr::kConfMultiSplitSize, options.multisplit_size);
-  // Fact-predicate pushdown for the generic reader path (the
-  // single-threaded ablation); the MT runner builds a richer spec with
-  // dimension key filters once its hash tables exist.
-  auto scan = std::make_shared<storage::ScanSpec>();
-  scan->conjuncts = CollectScanConjuncts(sub.fact_predicate);
-  if (!scan->empty()) conf.scan_spec = std::move(scan);
-
+  // Multithreaded: one multi-split task per node, its slots as probe
+  // threads. Off: one-split tasks on one slot each, through the same runner,
+  // so the ablation switches off the threading and nothing else.
   if (options.multithreaded) {
     conf.input_format_factory = [] {
       return std::make_unique<mr::MultiCifInputFormat>();
-    };
-    conf.map_runner_factory = [star, sub, options] {
-      return std::make_unique<StarJoinMapRunner>(star, sub, options);
     };
   } else {
     conf.input_format_factory = [] {
       return std::make_unique<mr::TableInputFormat>();
     };
-    conf.mapper_factory = [star, sub, options] {
-      return std::make_unique<StarJoinMapper>(star, sub, options);
-    };
   }
+  conf.map_runner_factory = [star, sub, options] {
+    return std::make_unique<StarJoinMapRunner>(star, sub, options);
+  };
 
   if (output != nullptr) {
     conf.SetList(kConfJoinEmitColumns, output->columns);

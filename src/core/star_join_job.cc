@@ -5,7 +5,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/aggregation.h"
 #include "core/vector_probe.h"
@@ -84,10 +83,14 @@ Row GatherSources(const std::vector<GroupSource>& sources, const Row& row,
   return out;
 }
 
-/// Probe/aggregate state of one thread (or one single-threaded task).
+/// Probe/aggregate state of one probe thread.
 struct ProbeSink {
-  explicit ProbeSink(AggLayout layout) : agg(std::move(layout)) {}
+  explicit ProbeSink(AggLayout layout)
+      : agg(layout),
+        acc_inputs(static_cast<size_t>(layout.num_accumulators())) {}
   HashAggregator agg;
+  /// One row's accumulator inputs, sized from the layout.
+  std::vector<int64_t> acc_inputs;
   uint64_t probe_rows = 0;
   uint64_t join_output_rows = 0;
   uint64_t probe_batches = 0;
@@ -145,9 +148,7 @@ Status JoinAndAggregateRow(const BoundPlan& plan, const QueryHashTables& tables,
     }
     return sink->direct_out->Collect(group_key, value);
   }
-  // Small fixed-size stack buffer; queries have a handful of accumulators.
-  int64_t values[16];
-  CLY_CHECK(plan.acc_exprs.size() <= 16);
+  int64_t* values = sink->acc_inputs.data();
   for (size_t a = 0; a < plan.acc_exprs.size(); ++a) {
     values[a] = plan.acc_exprs[a] == nullptr
                     ? 1
@@ -268,7 +269,8 @@ void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf) {
 
 Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
     mr::TaskContext* context, const StarSchema& star,
-    const StarQuerySpec& spec, const ClydesdaleOptions& options) {
+    const StarQuerySpec& spec, const ClydesdaleOptions& options,
+    obs::OperatorProfile* build_node) {
   obs::Span build_span(context->trace(), "hash-build", "stage",
                        context->task_index(), context->node());
   DimTableCache* cache = options.dim_cache.get();
@@ -296,6 +298,8 @@ Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
                                static_cast<int64_t>(built->stats().entries));
       context->counters()->Add(
           kCounterHashBytes, static_cast<int64_t>(built->stats().memory_bytes));
+      build_node->rows_in += built->stats().input_rows;
+      build_node->rows_out += built->stats().entries;
       return built;
     };
     if (cache != nullptr) {
@@ -329,28 +333,39 @@ Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
 
 Result<std::shared_ptr<QueryHashTables>> GetOrBuildHashTables(
     mr::TaskContext* context, const StarSchema& star,
-    const StarQuerySpec& spec, const ClydesdaleOptions& options) {
+    const StarQuerySpec& spec, const ClydesdaleOptions& options,
+    obs::OperatorProfile* build_node) {
   // The JVM-reuse amortisation, made visible: the first task on a node pays
   // a nested "hash-build"; later tasks' "hash-tables" spans are near-zero.
   obs::Span amortise_span(context->trace(), "hash-tables", "stage",
                           context->task_index(), context->node());
+  build_node->name = "build";
+  build_node->kind = "build";
+  build_node->tasks = 1;
   Status build_status;
   std::shared_ptr<QueryHashTables> tables =
       context->shared_state()->GetOrCreate<QueryHashTables>(
           StrCat("clydesdale.hash.", spec.id),
           [&]() -> std::shared_ptr<QueryHashTables> {
-            auto built = BuildQueryHashTables(context, star, spec, options);
+            auto built =
+                BuildQueryHashTables(context, star, spec, options, build_node);
             if (!built.ok()) {
               build_status = built.status();
               return nullptr;
             }
             return *built;
           });
+  amortise_span.End();
   if (tables == nullptr) {
     return build_status.ok()
                ? Status::Internal("hash-table build failed on another task")
                : build_status;
   }
+  build_node->wall_ns = static_cast<uint64_t>(amortise_span.wall_ns());
+  build_node->wall_max_ns = build_node->wall_ns;
+  build_node->cpu_ns = static_cast<uint64_t>(amortise_span.cpu_ns());
+  build_node->mem_current_bytes = tables->total_memory_bytes;
+  build_node->mem_peak_bytes = tables->total_memory_bytes;
   return tables;
 }
 
@@ -365,8 +380,10 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
   (void)input_format;
   const mr::JobConf& conf = context->conf();
   // buildHashTables(conf) — once per node thanks to the shared state.
-  CLY_ASSIGN_OR_RETURN(std::shared_ptr<QueryHashTables> tables,
-                       GetOrBuildHashTables(context, *star_, spec_, options_));
+  obs::OperatorProfile build;
+  CLY_ASSIGN_OR_RETURN(
+      std::shared_ptr<QueryHashTables> tables,
+      GetOrBuildHashTables(context, *star_, spec_, options_, &build));
 
   CLY_ASSIGN_OR_RETURN(storage::TableDesc fact_desc,
                        context->cluster()->GetTable(star_->fact().path));
@@ -405,10 +422,8 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
     }
   }
 
-  // Per-thread profiler cells (filled only when profiling is on): the CIF
-  // open is the scan (the split loads and decodes at open), the Process*
-  // loop is the probe.
-  const bool profiled = context->profile_enabled();
+  // Per-thread profile cells: the CIF open is the scan (the split loads and
+  // decodes at open); the rest of the thread's probe span is the probe.
   struct ThreadProfile {
     uint64_t scan_wall_ns = 0, scan_cpu_ns = 0, scan_opens = 0;
     uint64_t probe_wall_ns = 0, probe_cpu_ns = 0;
@@ -440,37 +455,24 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
       scan.scan_stats = &scan_stats[static_cast<size_t>(t)];
       scan.mem_reporter = context->mem_tracker();
       Status st;
-      Stopwatch split_timer;
-      int64_t cpu0 = profiled ? obs::ThreadCpuNanos() : 0;
-      auto mark_scan_done = [&] {
-        if (!profiled) return;
-        const int64_t cpu1 = obs::ThreadCpuNanos();
-        prof->scan_wall_ns += static_cast<uint64_t>(split_timer.ElapsedNanos());
-        prof->scan_cpu_ns += static_cast<uint64_t>(cpu1 - cpu0);
-        ++prof->scan_opens;
-        split_timer.Restart();
-        cpu0 = cpu1;
-      };
+      obs::Timer open_timer;
       if (options_.block_iteration) {
         auto reader = storage::OpenSplitBatchReader(
             *context->cluster()->dfs(), fact_desc, *constituents[mine], scan);
-        mark_scan_done();
+        open_timer.Stop();
         st = reader.ok()
                  ? ProcessBatches(plan, reader->get(), sink, vec.get())
                  : reader.status();
       } else {
         auto reader = storage::OpenSplitRowReader(
             *context->cluster()->dfs(), fact_desc, *constituents[mine], scan);
-        mark_scan_done();
+        open_timer.Stop();
         st = reader.ok() ? ProcessRows(plan, *tables, reader->get(), sink)
                          : reader.status();
       }
-      if (profiled) {
-        prof->probe_wall_ns +=
-            static_cast<uint64_t>(split_timer.ElapsedNanos());
-        prof->probe_cpu_ns +=
-            static_cast<uint64_t>(obs::ThreadCpuNanos() - cpu0);
-      }
+      prof->scan_wall_ns += static_cast<uint64_t>(open_timer.wall_ns());
+      prof->scan_cpu_ns += static_cast<uint64_t>(open_timer.cpu_ns());
+      ++prof->scan_opens;
       if (!st.ok()) {
         statuses[static_cast<size_t>(t)] = st;
         break;
@@ -481,6 +483,11 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
       sink->join_output_rows += vec->stats().join_rows;
       sink->probe_batches += vec->stats().batches;
     }
+    probe_span.End();
+    prof->probe_wall_ns = static_cast<uint64_t>(std::max<int64_t>(
+        0, probe_span.wall_ns() - static_cast<int64_t>(prof->scan_wall_ns)));
+    prof->probe_cpu_ns = static_cast<uint64_t>(std::max<int64_t>(
+        0, probe_span.cpu_ns() - static_cast<int64_t>(prof->scan_cpu_ns)));
   };
 
   if (num_threads == 1) {
@@ -505,12 +512,6 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
     probe_batches += sink->probe_batches;
     agg_groups += sink->agg.num_groups();
     agg_bytes += sink->agg.memory_bytes();
-    if (context->histograms() != nullptr && sink->probe_rows > 0) {
-      context->histograms()
-          ->Get(kHistProbeHitPct)
-          ->Record(static_cast<int64_t>(100 * sink->join_output_rows /
-                                        sink->probe_rows));
-    }
   }
   context->counters()->Add(kCounterProbeRows,
                            static_cast<int64_t>(probe_rows));
@@ -537,143 +538,70 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
     // Merge the per-thread partial aggregates and emit once.
     obs::Span agg_span(context->trace(), "aggregate", "stage",
                        context->task_index(), context->node());
-    Stopwatch agg_timer;
-    const int64_t agg_cpu0 = profiled ? obs::ThreadCpuNanos() : 0;
     for (int t = 1; t < num_threads; ++t) {
       sinks[0]->agg.MergeFrom(sinks[static_cast<size_t>(t)]->agg);
     }
     merged_groups = static_cast<uint64_t>(sinks[0]->agg.num_groups());
     merged_agg_bytes = sinks[0]->agg.memory_bytes();
     CLY_RETURN_IF_ERROR(sinks[0]->agg.Emit(out));
-    if (profiled) {
-      agg_wall_ns = static_cast<uint64_t>(agg_timer.ElapsedNanos());
-      agg_cpu_ns = static_cast<uint64_t>(obs::ThreadCpuNanos() - agg_cpu0);
-    }
+    agg_span.End();
+    agg_wall_ns = static_cast<uint64_t>(agg_span.wall_ns());
+    agg_cpu_ns = static_cast<uint64_t>(agg_span.cpu_ns());
   }
 
-  if (profiled) {
-    // aggregate → probe → scan: the attempt's plan subtree. Wall sums over
-    // worker threads (total work); wall_max keeps the slowest thread's
-    // pipeline (critical path within the attempt).
-    obs::OperatorProfile scan;
-    obs::OperatorProfile probe;
-    {
-      uint64_t scan_wall = 0, scan_wall_max = 0, scan_cpu = 0, opens = 0;
-      uint64_t probe_wall = 0, probe_wall_max = 0, probe_cpu = 0;
-      for (const ThreadProfile& tp : thread_profiles) {
-        scan_wall += tp.scan_wall_ns;
-        scan_wall_max = std::max(scan_wall_max, tp.scan_wall_ns);
-        scan_cpu += tp.scan_cpu_ns;
-        opens += tp.scan_opens;
-        probe_wall += tp.probe_wall_ns;
-        probe_wall_max = std::max(probe_wall_max, tp.probe_wall_ns);
-        probe_cpu += tp.probe_cpu_ns;
-      }
-      scan = mr::ScanProfileNode(StrCat("scan:", star_->fact().path),
-                                 scan_totals, scan_wall, scan_cpu);
-      scan.wall_max_ns = scan_wall_max;
-      scan.batches = opens;
-      probe.name = "probe";
-      probe.kind = "probe";
-      probe.rows_in = probe_rows;
-      probe.rows_out = join_rows;
-      probe.batches = probe_batches;
-      probe.wall_ns = probe_wall;
-      probe.wall_max_ns = probe_wall_max;
-      probe.cpu_ns = probe_cpu;
-      // The probe holds the node's dimension hash tables resident for the
-      // whole task; shared across threads, so current == peak.
-      probe.mem_current_bytes = tables->total_memory_bytes;
-      probe.mem_peak_bytes = tables->total_memory_bytes;
-      probe.tasks = 1;
-    }
-    probe.children.push_back(std::move(scan));
-    if (aggregated) {
-      obs::OperatorProfile aggregate;
-      aggregate.name = "aggregate";
-      aggregate.kind = "aggregate";
-      aggregate.rows_in = join_rows;
-      aggregate.rows_out = merged_groups;
-      aggregate.wall_ns = agg_wall_ns;
-      aggregate.wall_max_ns = agg_wall_ns;
-      aggregate.cpu_ns = agg_cpu_ns;
-      // Peak: every thread's partial table resident at once (pre-merge);
-      // current: the single merged table that Emit walked.
-      aggregate.mem_current_bytes = merged_agg_bytes;
-      aggregate.mem_peak_bytes = std::max(agg_bytes, merged_agg_bytes);
-      aggregate.tasks = 1;
-      aggregate.children.push_back(std::move(probe));
-      context->AddProfileOperator(std::move(aggregate));
-    } else {
-      context->AddProfileOperator(std::move(probe));
-    }
+  // aggregate → probe → {build, scan}: the attempt's plan subtree. Wall sums
+  // over worker threads (total work); wall_max keeps the slowest thread's
+  // pipeline (critical path within the attempt).
+  uint64_t scan_wall = 0, scan_wall_max = 0, scan_cpu = 0, opens = 0;
+  uint64_t probe_wall = 0, probe_wall_max = 0, probe_cpu = 0;
+  for (const ThreadProfile& tp : thread_profiles) {
+    scan_wall += tp.scan_wall_ns;
+    scan_wall_max = std::max(scan_wall_max, tp.scan_wall_ns);
+    scan_cpu += tp.scan_cpu_ns;
+    opens += tp.scan_opens;
+    probe_wall += tp.probe_wall_ns;
+    probe_wall_max = std::max(probe_wall_max, tp.probe_wall_ns);
+    probe_cpu += tp.probe_cpu_ns;
   }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// StarJoinMapper (single-threaded ablation path)
-// ---------------------------------------------------------------------------
-
-struct StarJoinMapper::TaskState {
-  explicit TaskState(AggLayout layout) : sink(std::move(layout)) {}
-  std::shared_ptr<QueryHashTables> tables;
-  BoundPlan plan;
-  ProbeSink sink;
-  std::vector<const Row*> matched;
-};
-
-Status StarJoinMapper::Setup(mr::TaskContext* context) {
-  state_ = std::make_shared<TaskState>(AggLayout::For(spec_.aggregates));
-  if (context->mem_tracker() != nullptr) {
-    state_->sink.agg.AttachMemTracker(context->mem_tracker());
+  obs::OperatorProfile scan = mr::ScanProfileNode(
+      StrCat("scan:", star_->fact().path), scan_totals, scan_wall, scan_cpu);
+  scan.wall_max_ns = scan_wall_max;
+  scan.batches = opens;
+  obs::OperatorProfile probe;
+  probe.name = "probe";
+  probe.kind = "probe";
+  probe.rows_in = probe_rows;
+  probe.rows_out = join_rows;
+  probe.batches = probe_batches;
+  probe.wall_ns = probe_wall;
+  probe.wall_max_ns = probe_wall_max;
+  probe.cpu_ns = probe_cpu;
+  // The probe holds the node's dimension hash tables resident for the
+  // whole task; shared across threads, so current == peak.
+  probe.mem_current_bytes = tables->total_memory_bytes;
+  probe.mem_peak_bytes = tables->total_memory_bytes;
+  probe.tasks = 1;
+  probe.children.push_back(std::move(build));
+  probe.children.push_back(std::move(scan));
+  if (!aggregated) {
+    context->AddProfileOperator(std::move(probe));
+    return Status::OK();
   }
-  CLY_ASSIGN_OR_RETURN(state_->tables,
-                       GetOrBuildHashTables(context, *star_, spec_, options_));
-  CLY_ASSIGN_OR_RETURN(storage::TableDesc fact_desc,
-                       context->cluster()->GetTable(star_->fact().path));
-  CLY_ASSIGN_OR_RETURN(std::vector<std::string> projection,
-                       ProjectionFromConf(context->conf()));
-  CLY_ASSIGN_OR_RETURN(SchemaPtr projected,
-                       fact_desc.schema->ProjectByName(projection));
-  CLY_ASSIGN_OR_RETURN(
-      state_->plan,
-      BindPlan(spec_, projected,
-               context->conf().GetList(kConfJoinEmitColumns)));
-  state_->matched.resize(spec_.dims.size());
-  return Status::OK();
-}
-
-Status StarJoinMapper::Map(const Row& key, const Row& value,
-                           mr::TaskContext* context, mr::OutputCollector* out) {
-  (void)key;
-  (void)context;
-  TaskState* s = state_.get();
-  if (!options_.map_side_agg || s->plan.emit_joined_rows) {
-    s->sink.direct_out = out;
-  }
-  ++s->sink.probe_rows;
-  if (!s->plan.fact_pred->Eval(value)) return Status::OK();
-  return JoinAndAggregateRow(s->plan, *s->tables, value, &s->matched,
-                             &s->sink);
-}
-
-Status StarJoinMapper::Cleanup(mr::TaskContext* context,
-                               mr::OutputCollector* out) {
-  TaskState* s = state_.get();
-  context->counters()->Add(kCounterProbeRows,
-                           static_cast<int64_t>(s->sink.probe_rows));
-  context->counters()->Add(kCounterJoinOutputRows,
-                           static_cast<int64_t>(s->sink.join_output_rows));
-  if (context->histograms() != nullptr && s->sink.probe_rows > 0) {
-    context->histograms()
-        ->Get(kHistProbeHitPct)
-        ->Record(static_cast<int64_t>(100 * s->sink.join_output_rows /
-                                      s->sink.probe_rows));
-  }
-  if (options_.map_side_agg && !s->plan.emit_joined_rows) {
-    CLY_RETURN_IF_ERROR(s->sink.agg.Emit(out));
-  }
+  obs::OperatorProfile aggregate;
+  aggregate.name = "aggregate";
+  aggregate.kind = "aggregate";
+  aggregate.rows_in = join_rows;
+  aggregate.rows_out = merged_groups;
+  aggregate.wall_ns = agg_wall_ns;
+  aggregate.wall_max_ns = agg_wall_ns;
+  aggregate.cpu_ns = agg_cpu_ns;
+  // Peak: every thread's partial table resident at once (pre-merge);
+  // current: the single merged table that Emit walked.
+  aggregate.mem_current_bytes = merged_agg_bytes;
+  aggregate.mem_peak_bytes = std::max(agg_bytes, merged_agg_bytes);
+  aggregate.tasks = 1;
+  aggregate.children.push_back(std::move(probe));
+  context->AddProfileOperator(std::move(aggregate));
   return Status::OK();
 }
 

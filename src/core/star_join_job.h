@@ -19,8 +19,8 @@ class DimTableCache;
 /// Engine knobs; the three paper §6.5 ablation switches plus tuning.
 struct ClydesdaleOptions {
   /// Multi-threaded map tasks sharing one hash-table copy per node
-  /// (MTMapRunner, paper §5.1). Off = stock single-threaded mappers that
-  /// each build their own tables.
+  /// (MTMapRunner, paper §5.1). Off = one single-threaded task per split,
+  /// every other switch unchanged.
   bool multithreaded = true;
   /// Block iteration (B-CIF, §5.3). Off = row-at-a-time record loop.
   bool block_iteration = true;
@@ -39,17 +39,18 @@ struct ClydesdaleOptions {
   /// CIF splits packed per multi-split; 0 = all of a node's splits at once.
   int64_t multisplit_size = 0;
   /// Span tracing for every stage job (obs.trace.enabled). Counters and
-  /// histograms are always maintained; only span recording is gated.
+  /// task wall times are always maintained; only span records are gated.
   bool trace = false;
   /// When tracing, write <job>-<instance>.trace.json/.timeline.txt into
   /// this directory (obs.trace.dir). Empty = keep spans in-memory only.
   std::string trace_dir;
-  /// Per-operator query profiler (obs.profile.enabled): scan/probe/aggregate
-  /// nodes accumulated per task attempt, merged into JobReport::profile and
-  /// rendered as EXPLAIN ANALYZE (written as <job>-<instance>.profile.json/
-  /// .profile.txt into trace_dir when that is set). Off = zero
-  /// instrumentation overhead. Memory accounting (the obs::MemTracker tree
-  /// behind the MEM_* counters) needs no switch: it is always on.
+  /// Per-operator query profiler (obs.profile.enabled): the scan, build,
+  /// probe and aggregate nodes of every task attempt, merged into
+  /// JobReport::profile and rendered as EXPLAIN ANALYZE (written as
+  /// <job>-<instance>.profile.json/.profile.txt into trace_dir when that is
+  /// set). Operators time and count either way; off = the engine drops each
+  /// attempt's tree. Memory accounting (the obs::MemTracker tree behind the
+  /// MEM_* counters) needs no switch: it is always on.
   bool profile = false;
   /// Per-job memory budget (JobConf::mem_budget_bytes): admission control
   /// rejects a query whose estimated dimension tables exceed it, and a
@@ -94,11 +95,6 @@ inline constexpr const char kCounterAggBytes[] = "CLY_AGG_MEMORY_BYTES";
 /// scripts/check_counters.sh audit that covers the engine counters.
 std::vector<std::string> ClydesdaleCounterNames();
 
-/// Histogram (JobReport::histograms): per-probe-thread join hit rate as a
-/// percentage (100 * join output rows / probed rows) — the paper's
-/// predicate+join selectivity, distributionally.
-inline constexpr const char kHistProbeHitPct[] = "CLY_PROBE_HIT_PCT";
-
 /// The dimension hash tables of one query on one node.
 struct QueryHashTables {
   std::vector<std::shared_ptr<const DimHashTable>> tables;
@@ -107,22 +103,30 @@ struct QueryHashTables {
 
 /// Builds every dimension hash table of `spec` from the node-local replicas
 /// (fetching from HDFS if a replica is missing). Updates the CLY_HASH_*
-/// counters for tables actually built. With options.dim_cache set, each
-/// table is a cross-query cache lookup instead: cache-warm dimensions skip
-/// the replica read and build entirely (flushing CACHE_DIM_HITS/MISSES).
+/// counters, and adds the input rows and entries to `build_node`, for
+/// tables actually built. With options.dim_cache set, each table is a
+/// cross-query cache lookup instead: cache-warm dimensions skip the replica
+/// read and build entirely (flushing CACHE_DIM_HITS/MISSES).
 Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
     mr::TaskContext* context, const StarSchema& star,
-    const StarQuerySpec& spec, const ClydesdaleOptions& options);
+    const StarQuerySpec& spec, const ClydesdaleOptions& options,
+    obs::OperatorProfile* build_node);
 
 /// Returns the node's shared tables, building on first use (JVM reuse: one
-/// build per node per query when tasks share state).
+/// build per node per query when tasks share state). Fills `build_node`,
+/// the task's EXPLAIN ANALYZE "build" node: the "hash-tables" span's wall
+/// and CPU time, the rows of builds this task ran (0 for reused tables) and
+/// the tables' bytes.
 Result<std::shared_ptr<QueryHashTables>> GetOrBuildHashTables(
     mr::TaskContext* context, const StarSchema& star,
-    const StarQuerySpec& spec, const ClydesdaleOptions& options);
+    const StarQuerySpec& spec, const ClydesdaleOptions& options,
+    obs::OperatorProfile* build_node);
 
 /// Clydesdale's MTMapRunner (paper Figure 5): builds the hash tables once,
 /// then runs the probe over the multi-split's constituents with one thread
-/// per granted slot, each with its own reader and partial aggregator.
+/// per granted slot, each with its own reader and partial aggregator. With
+/// options.multithreaded off the same runner gets one-split tasks and one
+/// slot each: the stock single-threaded mapper of paper Figure 4.
 class StarJoinMapRunner final : public mr::MapRunner {
  public:
   StarJoinMapRunner(std::shared_ptr<const StarSchema> star,
@@ -136,29 +140,6 @@ class StarJoinMapRunner final : public mr::MapRunner {
   std::shared_ptr<const StarSchema> star_;
   StarQuerySpec spec_;
   ClydesdaleOptions options_;
-};
-
-/// Single-threaded mapper (paper Figure 4's QMapper); used when
-/// options.multithreaded is off. Each task obtains (or, without JVM reuse,
-/// builds) the hash tables in Setup.
-class StarJoinMapper final : public mr::Mapper {
- public:
-  StarJoinMapper(std::shared_ptr<const StarSchema> star, StarQuerySpec spec,
-                 ClydesdaleOptions options)
-      : star_(std::move(star)), spec_(std::move(spec)), options_(options) {}
-
-  Status Setup(mr::TaskContext* context) override;
-  Status Map(const Row& key, const Row& value, mr::TaskContext* context,
-             mr::OutputCollector* out) override;
-  Status Cleanup(mr::TaskContext* context, mr::OutputCollector* out) override;
-
- private:
-  std::shared_ptr<const StarSchema> star_;
-  StarQuerySpec spec_;
-  ClydesdaleOptions options_;
-
-  struct TaskState;
-  std::shared_ptr<TaskState> state_;
 };
 
 }  // namespace core

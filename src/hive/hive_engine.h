@@ -26,7 +26,7 @@ struct HiveOptions {
   /// profiling, the per-stage EXPLAIN ANALYZE files as well.
   std::string trace_dir;
   /// Per-operator query profiling per stage job (obs.profile.enabled),
-  /// mirroring ClydesdaleOptions::profile. Off = zero instrumentation cost.
+  /// mirroring ClydesdaleOptions::profile. Off = the trees are dropped.
   bool profile = false;
   /// Serving-mode cross-query dim-table cache, mirroring
   /// ClydesdaleOptions::dim_cache: mapjoin stages share built broadcast

@@ -1,6 +1,5 @@
 #include "hive/map_join.h"
 
-#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/input_format.h"
@@ -78,9 +77,6 @@ Status MapJoinMapper::Setup(mr::TaskContext* context) {
   // repeated cost directly comparable to Clydesdale's "hash-tables" spans.
   obs::Span load_span(context->trace(), "hash-load", "stage",
                       context->task_index(), context->node());
-  profiled_ = context->profile_enabled();
-  Stopwatch load_timer;
-  const int64_t load_cpu0 = profiled_ ? obs::ThreadCpuNanos() : 0;
   // Deserializing the broadcast copy and building the table; counters fire
   // only when the load actually runs, so a cache-warm task carries none.
   auto load = [&](const std::shared_ptr<obs::MemTracker>& tracker)
@@ -124,11 +120,9 @@ Status MapJoinMapper::Setup(mr::TaskContext* context) {
   } else {
     CLY_ASSIGN_OR_RETURN(table_, load(context->mem_tracker()));
   }
-  if (profiled_) {
-    hash_load_wall_ns_ = static_cast<uint64_t>(load_timer.ElapsedNanos());
-    hash_load_cpu_ns_ =
-        static_cast<uint64_t>(obs::ThreadCpuNanos() - load_cpu0);
-  }
+  load_span.End();
+  hash_load_wall_ns_ = static_cast<uint64_t>(load_span.wall_ns());
+  hash_load_cpu_ns_ = static_cast<uint64_t>(load_span.cpu_ns());
 
   CLY_ASSIGN_OR_RETURN(fact_pred_,
                        spec_.fact_predicate->Bind(*spec_.fact_schema));
@@ -144,11 +138,11 @@ Status MapJoinMapper::Setup(mr::TaskContext* context) {
 Status MapJoinMapper::Map(const Row& key, const Row& value, mr::TaskContext*,
                           mr::OutputCollector* out) {
   (void)key;
-  if (profiled_) ++probe_rows_;
+  ++probe_rows_;
   if (!fact_pred_->Eval(value)) return Status::OK();
   const Row* aux = table_->Probe(value.Get(fact_fk_index_).AsInt64());
   if (aux == nullptr) return Status::OK();
-  if (profiled_) ++join_rows_;
+  ++join_rows_;
   Row joined;
   joined.Reserve(static_cast<int>(fact_out_idx_.size()) + aux->size());
   for (int i : fact_out_idx_) joined.Append(value.Get(i));
@@ -160,7 +154,6 @@ Status MapJoinMapper::Map(const Row& key, const Row& value, mr::TaskContext*,
 Status MapJoinMapper::Cleanup(mr::TaskContext* context,
                               mr::OutputCollector* out) {
   (void)out;
-  if (!profiled_) return Status::OK();
   // probe ← hash-load: Hive pays the broadcast-table deserialization in
   // every task, so the load node's per-attempt wall makes the reload cost
   // the paper charges to the baseline (§6.3) directly visible.

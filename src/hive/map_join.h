@@ -56,8 +56,7 @@ class MapJoinMapper final : public mr::Mapper {
   BoundPredicatePtr fact_pred_;
   int fact_fk_index_ = -1;
   std::vector<int> fact_out_idx_;
-  // Per-operator profiler cells (obs.profile.enabled tasks only).
-  bool profiled_ = false;
+  // Per-operator profile cells.
   uint64_t probe_rows_ = 0;
   uint64_t join_rows_ = 0;
   uint64_t hash_load_wall_ns_ = 0;

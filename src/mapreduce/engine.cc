@@ -286,7 +286,7 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
                         &report.counters);
   if (!report.profile.empty()) {
     // Stamp the whole-job wall clock onto the merged profile (the renderer
-    // reports profiled-span coverage against it) and surface the headline
+    // reports the attempts' coverage against it) and surface the headline
     // PROF_* counters.
     report.profile.wall_seconds = report.wall_seconds;
     AddQueryProfileCounters(report.profile, &report.counters);
@@ -304,7 +304,7 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
     }
   }
 
-  // EXPLAIN ANALYZE artifacts for profiled runs, next to the trace files
+  // EXPLAIN ANALYZE artifacts when profiling is on, next to the trace files
   // (ExplainAnalyzeJson / ExplainAnalyzeText of report.profile).
   if (!report.profile.empty() && !trace_dir.empty()) {
     const std::string base =

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <map>
 
-#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "mapreduce/engine.h"
 #include "obs/query_profile.h"
+#include "obs/trace.h"
 
 namespace clydesdale {
 namespace mr {
@@ -75,16 +75,14 @@ Result<std::vector<std::shared_ptr<InputSplit>>> SplitsForTable(
 }
 
 Result<std::unique_ptr<RecordReader>> ReaderForStorageSplit(
-    MrCluster* cluster, const JobConf& conf,
-    std::vector<std::string> projection, const storage::StorageSplit& split,
-    TaskContext* context, int32_t tag) {
+    MrCluster* cluster, std::vector<std::string> projection,
+    const storage::StorageSplit& split, TaskContext* context, int32_t tag) {
   CLY_ASSIGN_OR_RETURN(storage::TableDesc desc,
                        cluster->GetTable(split.table_path));
   storage::ScanOptions options;
   options.projection = std::move(projection);
   options.reader_node = context->node();
   options.stats = context->io_stats();
-  options.scan_spec = conf.scan_spec;
   // Charge decode arenas to the attempt's tracker; the shared_ptr-deleter
   // wrapper keeps the charge alive exactly as long as the arena itself, even
   // when a block's string views outlive this reader.
@@ -93,23 +91,19 @@ Result<std::unique_ptr<RecordReader>> ReaderForStorageSplit(
   // (and safe to drop) as soon as the reader exists.
   storage::ScanStats scan_stats;
   options.scan_stats = &scan_stats;
-  const bool profiled = context->profile_enabled();
-  const int64_t cpu0 = profiled ? obs::ThreadCpuNanos() : 0;
-  Stopwatch open_timer;
+  // The open window covers the whole CIF load (a split decodes at open);
+  // for row-format tables that stream through Next(), the node still pins
+  // the scan in the plan tree even though its timings stay near zero.
+  obs::Timer open_timer;
   CLY_ASSIGN_OR_RETURN(
       std::unique_ptr<storage::RowReader> reader,
       storage::OpenSplitRowReader(*cluster->dfs(), desc, split, options));
+  open_timer.Stop();
   AddCifScanCounters(scan_stats, context->counters());
-  if (profiled) {
-    // The open-time window covers the whole CIF load (a split decodes at
-    // open); for row-format tables that stream through Next(), the node
-    // still pins the scan in the plan tree even though its timings stay
-    // near zero.
-    context->AddProfileOperator(ScanProfileNode(
-        StrCat("scan:", split.table_path), scan_stats,
-        static_cast<uint64_t>(open_timer.ElapsedNanos()),
-        static_cast<uint64_t>(obs::ThreadCpuNanos() - cpu0)));
-  }
+  context->AddProfileOperator(ScanProfileNode(
+      StrCat("scan:", split.table_path), scan_stats,
+      static_cast<uint64_t>(open_timer.wall_ns()),
+      static_cast<uint64_t>(open_timer.cpu_ns())));
   return std::unique_ptr<RecordReader>(
       new TableRecordReader(std::move(reader), tag));
 }
@@ -143,7 +137,7 @@ Result<std::unique_ptr<RecordReader>> TableInputFormat::CreateReader(
 Result<std::unique_ptr<RecordReader>> TableInputFormat::CreateConstituentReader(
     MrCluster* cluster, const JobConf& conf,
     const storage::StorageSplit& split, TaskContext* context) {
-  return ReaderForStorageSplit(cluster, conf, conf.GetList(kConfInputProjection),
+  return ReaderForStorageSplit(cluster, conf.GetList(kConfInputProjection),
                                split, context, /*tag=*/-1);
 }
 
@@ -226,8 +220,8 @@ MultiTableInputFormat::CreateConstituentReader(
   // Projection lists are per-table for multi-table scans: the conf key is
   // "input.projection.<ordinal>".
   return ReaderForStorageSplit(
-      cluster, conf, conf.GetList(StrCat(kConfInputProjection, ".", tag)),
-      split, context, tag);
+      cluster, conf.GetList(StrCat(kConfInputProjection, ".", tag)), split,
+      context, tag);
 }
 
 }  // namespace mr

@@ -12,10 +12,6 @@
 
 namespace clydesdale {
 
-namespace storage {
-struct ScanSpec;
-}  // namespace storage
-
 namespace mr {
 
 class InputFormat;
@@ -61,11 +57,6 @@ class JobConf {
   /// DFS paths broadcast to every node's local disk before the job starts
   /// (Hive's mapjoin hash-table dissemination path, paper §6.1).
   std::vector<std::string> distributed_cache;
-  /// Predicates pushed into the storage scan by the stock input formats
-  /// (the typed analogue of Hive's serialized filter-expression property).
-  /// Scans treat it as advisory: every returned row is still re-checked by
-  /// the consumer, so a null or partial spec is always correct.
-  std::shared_ptr<const storage::ScanSpec> scan_spec;
   /// Per-job memory budget enforced by the obs::MemTracker tree: the job's
   /// per-node trackers are created with this limit, so any tracked consumer
   /// (dim hash tables, shuffle runs, scan arenas) that would push the job

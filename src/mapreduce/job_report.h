@@ -7,7 +7,6 @@
 
 #include "hdfs/block.h"
 #include "mapreduce/counters.h"
-#include "obs/histogram.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
 
@@ -47,9 +46,6 @@ struct JobReport {
   std::vector<TaskReport> map_tasks;
   std::vector<TaskReport> reduce_tasks;
   Counters counters;
-  /// Distribution metrics (map time, shuffle bytes, group sizes, ...) keyed
-  /// by the kHist* names in job_trace.h. Always populated.
-  obs::HistogramRegistry histograms;
   /// Spans drained from the job's TraceRecorder, sorted by start time.
   /// Empty unless the job ran with kConfTraceEnabled.
   std::vector<obs::SpanRecord> spans;
@@ -62,6 +58,10 @@ struct JobReport {
   uint64_t TotalShuffleBytes() const;
   uint64_t TotalOutputRecords() const;
   int DataLocalMaps() const;
+  /// Exact nearest-rank p50/p95/p99 of the map tasks' wall times and of the
+  /// reduce tasks' shuffle input, one "<what> p50/p95/p99=a/b/c<unit>"
+  /// entry each (absent when the job has no such tasks).
+  std::vector<std::string> TaskPercentiles() const;
   std::string Summary() const;
 };
 

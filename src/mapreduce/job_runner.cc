@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/engine.h"
@@ -40,6 +39,8 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
       output_format_(output_format),
       report_(report),
       trace_(trace),
+      epoch_(std::chrono::steady_clock::now()),
+      profile_(conf->GetBool(kConfProfileEnabled)),
       num_reduces_(std::max(conf->num_reduce_tasks, 0)),
       map_only_(num_reduces_ == 0),
       map_cap_per_node_(conf->single_task_per_node
@@ -206,27 +207,51 @@ void JobRunner::FinishAttempt(TaskAttempt* attempt, Status status) {
   done_cv_.notify_all();
 }
 
+void JobRunner::MergeAttemptProfile(
+    const char* root_name, const obs::Span& task_span,
+    const obs::MemTracker& tracker, uint64_t rows_in, uint64_t rows_out,
+    std::vector<obs::OperatorProfile> children) {
+  obs::OperatorProfile root;
+  root.name = root_name;
+  root.kind = "task";
+  root.rows_in = rows_in;
+  root.rows_out = rows_out;
+  root.wall_ns = static_cast<uint64_t>(task_span.wall_ns());
+  root.wall_max_ns = root.wall_ns;
+  root.cpu_ns = static_cast<uint64_t>(task_span.cpu_ns());
+  root.tasks = 1;
+  root.mem_current_bytes =
+      static_cast<uint64_t>(std::max<int64_t>(0, tracker.consumed()));
+  root.mem_peak_bytes =
+      static_cast<uint64_t>(std::max<int64_t>(0, tracker.peak()));
+  root.children = std::move(children);
+  auto micros = [this](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
+        .count();
+  };
+  std::lock_guard<std::mutex> lock(mu_);
+  report_->profile.MergeAttempt(root, micros(task_span.timer().start()),
+                                micros(task_span.timer().end()));
+}
+
 Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
-  Stopwatch timer;
-  const bool profiled = conf_->GetBool(kConfProfileEnabled);
-  const int64_t prof_start_us = profiled ? clock_.ElapsedMicros() : 0;
-  const int64_t prof_cpu0 = profiled ? obs::ThreadCpuNanos() : 0;
   const int index = attempt->task_index();
   const hdfs::NodeId node = attempt->node;
+  // The attempt's one timer: its readings are the span, the task report's
+  // wall time and the profile root alike.
+  obs::Span task_span(trace_, "map-task", "task", index, node);
 
   std::shared_ptr<SharedJvmState> shared =
       conf_->jvm_reuse ? cluster_->SharedStateFor(instance_, node)
                        : std::make_shared<SharedJvmState>();
   TaskContext context(conf_, cluster_, index, node, task_threads_, shared,
-                      &report_->counters, trace_, &report_->histograms,
-                      attempt->attempt());
+                      &report_->counters, trace_, attempt->attempt());
   const std::shared_ptr<obs::MemTracker>& job_tracker =
       job_mem_trackers_[static_cast<size_t>(node)];
   std::shared_ptr<obs::MemTracker> attempt_tracker = obs::MemTracker::Create(
       StrCat("m-", index, ".", attempt->attempt()), job_tracker);
   context.set_mem_trackers(attempt_tracker, job_tracker);
   ScopedLogContext task_log_context(context.DebugLabel(/*is_map=*/true));
-  obs::Span task_span(trace_, "map-task", "task", index, node);
 
   std::unique_ptr<MapRunner> runner =
       conf_->map_runner_factory ? conf_->map_runner_factory()
@@ -303,12 +328,7 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
   tr.output_records = out_records;
   tr.output_bytes = out_bytes;
   task_span.End();
-  tr.wall_seconds = timer.ElapsedSeconds();
-  report_->histograms.Get(kHistMapTaskMicros)->Record(timer.ElapsedMicros());
-  if (context.io_stats()->read_ops > 0) {
-    report_->histograms.Get(kHistHdfsReadMicros)
-        ->Record(static_cast<int64_t>(context.io_stats()->read_micros()));
-  }
+  tr.wall_seconds = static_cast<double>(task_span.wall_ns()) * 1e-9;
 
   report_->counters.Add(kCounterHdfsReadOps,
                         static_cast<int64_t>(context.io_stats()->read_ops));
@@ -328,44 +348,26 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
 
   // Failed attempts are dropped from the profile: their retry contributes
   // instead, keeping merged counters loss-free per *completed* task.
-  if (profiled && status.ok()) {
-    obs::OperatorProfile root;
-    root.name = "map";
-    root.kind = "task";
-    root.rows_out = out_records;
-    const uint64_t attempt_ns = static_cast<uint64_t>(timer.ElapsedNanos());
-    root.wall_ns = attempt_ns;
-    root.wall_max_ns = attempt_ns;
-    root.cpu_ns = static_cast<uint64_t>(obs::ThreadCpuNanos() - prof_cpu0);
-    root.tasks = 1;
-    root.mem_current_bytes =
-        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
-    root.mem_peak_bytes =
-        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
-    root.children = context.TakeProfileOperators();
-    std::lock_guard<std::mutex> lock(mu_);
-    report_->profile.MergeAttempt(root, prof_start_us, clock_.ElapsedMicros());
+  if (profile_ && status.ok()) {
+    MergeAttemptProfile("map", task_span, *attempt_tracker, /*rows_in=*/0,
+                        out_records, context.TakeProfileOperators());
   }
   return status;
 }
 
 Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
-  Stopwatch timer;
-  const bool profiled = conf_->GetBool(kConfProfileEnabled);
-  const int64_t prof_start_us = profiled ? clock_.ElapsedMicros() : 0;
-  const int64_t prof_cpu0 = profiled ? obs::ThreadCpuNanos() : 0;
   const int r = attempt->task_index();
   const hdfs::NodeId node = attempt->node;
+  obs::Span task_span(trace_, "reduce-task", "task", r, node);
   TaskContext context(conf_, cluster_, r, node, /*allowed_threads=*/1,
                       std::make_shared<SharedJvmState>(), &report_->counters,
-                      trace_, &report_->histograms, attempt->attempt());
+                      trace_, attempt->attempt());
   const std::shared_ptr<obs::MemTracker>& job_tracker =
       job_mem_trackers_[static_cast<size_t>(node)];
   std::shared_ptr<obs::MemTracker> attempt_tracker = obs::MemTracker::Create(
       StrCat("r-", r, ".", attempt->attempt()), job_tracker);
   context.set_mem_trackers(attempt_tracker, job_tracker);
   ScopedLogContext task_log_context(context.DebugLabel(/*is_map=*/false));
-  obs::Span task_span(trace_, "reduce-task", "task", r, node);
 
   TaskReport& tr = attempt->report;
   tr.index = r;
@@ -373,10 +375,10 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
   tr.is_map = false;
   tr.node = node;
 
-  obs::Histogram* fetch_bytes = report_->histograms.Get(kHistShuffleFetchBytes);
   ShuffleMerger merger;
   uint64_t shuffle_batches = 0;
   uint64_t shuffle_wall_ns = 0;
+  uint64_t shuffle_cpu_ns = 0;
   // Fetched runs live in the merger until the reduce ends; charge them to
   // this attempt (released wholesale when the consumer goes out of scope).
   obs::ScopedMemConsumer fetch_mem(attempt_tracker);
@@ -389,7 +391,6 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
       tr.shuffle_bytes_total += run.encoded_bytes;
       fetch_mem.Add(static_cast<int64_t>(run.encoded_bytes));
       if (run.map_node != node) tr.shuffle_bytes_remote += run.encoded_bytes;
-      fetch_bytes->Record(static_cast<int64_t>(run.encoded_bytes));
       if (!run.local_path.empty() && run.map_node != hdfs::kNoNode) {
         CLY_RETURN_IF_ERROR(
             cluster_->local_store(run.map_node)->Read(run.local_path).status());
@@ -408,17 +409,15 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
     if (!shuffle_.AwaitNewRuns(r, &batch)) break;
     if (aborted()) return Status::Internal("job aborted");
     const size_t batch_runs = batch.size();
-    Stopwatch fetch_timer;
     obs::Span fetch_span(trace_, "shuffle-fetch", "stage", r, node);
     CLY_RETURN_IF_ERROR(fetch_batch(std::move(batch)));
     fetch_span.End();
     // Tagged by the ambient ScopedLogContext above: "[job/r-N@nodeM] ...".
     CLY_LOG(Debug) << "fetched " << batch_runs << " shuffle run(s), "
                    << merger.input_records() << " records merged";
-    report_->histograms.Get(kHistShuffleFetchMicros)
-        ->Record(fetch_timer.ElapsedMicros());
     ++shuffle_batches;
-    shuffle_wall_ns += static_cast<uint64_t>(fetch_timer.ElapsedNanos());
+    shuffle_wall_ns += static_cast<uint64_t>(fetch_span.wall_ns());
+    shuffle_cpu_ns += static_cast<uint64_t>(fetch_span.cpu_ns());
   }
   if (aborted()) return Status::Internal("job aborted");
 
@@ -434,8 +433,7 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
   tr.hdfs_local_bytes = context.io_stats()->local_bytes_read;
   tr.hdfs_remote_bytes = context.io_stats()->remote_bytes_read;
   task_span.End();
-  tr.wall_seconds = timer.ElapsedSeconds();
-  report_->histograms.Get(kHistReduceTaskMicros)->Record(timer.ElapsedMicros());
+  tr.wall_seconds = static_cast<double>(task_span.wall_ns()) * 1e-9;
 
   report_->counters.Add(kCounterReduceInputRecords,
                         static_cast<int64_t>(tr.input_records));
@@ -453,21 +451,8 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
       kCounterHdfsReadMicros,
       static_cast<int64_t>(context.io_stats()->read_micros()));
 
-  if (profiled && status.ok()) {
-    obs::OperatorProfile root;
-    root.name = "reduce";
-    root.kind = "task";
-    root.rows_in = tr.input_records;
-    root.rows_out = out.records();
-    const uint64_t attempt_ns = static_cast<uint64_t>(timer.ElapsedNanos());
-    root.wall_ns = attempt_ns;
-    root.wall_max_ns = attempt_ns;
-    root.cpu_ns = static_cast<uint64_t>(obs::ThreadCpuNanos() - prof_cpu0);
-    root.tasks = 1;
-    root.mem_current_bytes =
-        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
-    root.mem_peak_bytes =
-        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
+  if (profile_ && status.ok()) {
+    std::vector<obs::OperatorProfile> children;
     obs::OperatorProfile shuffle;
     shuffle.name = "shuffle";
     shuffle.kind = "shuffle";
@@ -476,18 +461,17 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
     shuffle.batches = shuffle_batches;
     shuffle.wall_ns = shuffle_wall_ns;
     shuffle.wall_max_ns = shuffle_wall_ns;
+    shuffle.cpu_ns = shuffle_cpu_ns;
     // All fetched runs were resident in the merger at once.
     shuffle.mem_current_bytes = tr.shuffle_bytes_total;
     shuffle.mem_peak_bytes = tr.shuffle_bytes_total;
     shuffle.tasks = 1;
-    root.children.push_back(std::move(shuffle));
-    std::vector<obs::OperatorProfile> reducer_ops =
-        context.TakeProfileOperators();
-    for (obs::OperatorProfile& op : reducer_ops) {
-      root.children.push_back(std::move(op));
+    children.push_back(std::move(shuffle));
+    for (obs::OperatorProfile& op : context.TakeProfileOperators()) {
+      children.push_back(std::move(op));
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    report_->profile.MergeAttempt(root, prof_start_us, clock_.ElapsedMicros());
+    MergeAttemptProfile("reduce", task_span, *attempt_tracker,
+                        tr.input_records, out.records(), std::move(children));
   }
   return status;
 }

@@ -2,13 +2,13 @@
 #define CLYDESDALE_MAPREDUCE_JOB_RUNNER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "mapreduce/input_format.h"
 #include "mapreduce/job_conf.h"
 #include "mapreduce/job_report.h"
@@ -94,6 +94,13 @@ class JobRunner {
   std::vector<bool> SaturationLocked() const;
   Status RunMapAttempt(TaskAttempt* attempt);
   Status RunReduceAttempt(TaskAttempt* attempt);
+  /// Merges one succeeded attempt's tree into JobReport::profile (callers
+  /// check profile_). The root's wall, CPU and envelope are `task_span`'s
+  /// readings; its memory is `tracker`'s.
+  void MergeAttemptProfile(const char* root_name, const obs::Span& task_span,
+                           const obs::MemTracker& tracker, uint64_t rows_in,
+                           uint64_t rows_out,
+                           std::vector<obs::OperatorProfile> children);
   void FinishAttempt(TaskAttempt* attempt, Status status);
   bool aborted() const;
 
@@ -105,8 +112,12 @@ class JobRunner {
   OutputFormat* const output_format_;
   JobReport* const report_;
   obs::TraceRecorder* const trace_;
-  /// The runner's own clock: the timebase of profiled attempt envelopes.
-  const Stopwatch clock_;
+  /// The runner's creation time: the timebase of the profile's envelope.
+  const std::chrono::steady_clock::time_point epoch_;
+  /// kConfProfileEnabled, read here and nowhere else: attempts always build
+  /// their operator trees, and only a job with profiling on merges them into
+  /// JobReport::profile.
+  const bool profile_;
 
   const int num_reduces_;
   const bool map_only_;

@@ -150,12 +150,8 @@ std::string TimelineText(const JobReport& report) {
     }
   }
 
-  const auto histograms = report.histograms.Snapshot();
-  if (!histograms.empty()) {
-    out << "  histograms:\n";
-    for (const auto& [name, histogram] : histograms) {
-      out << "    " << name << ": " << histogram.ToString() << "\n";
-    }
+  for (const std::string& entry : report.TaskPercentiles()) {
+    out << "  " << entry << "\n";
   }
   out << "  " << CriticalPath(report).ToString() << "\n";
   return out.str();

@@ -12,8 +12,8 @@ namespace mr {
 
 // Tracing configuration (JobConf string properties). Engines forward these
 // from their options; see ClydesdaleOptions / HiveOptions.
-/// "true" turns span recording on for the job (histograms and counters are
-/// always maintained; only spans are gated, to keep the hot path free).
+/// "true" turns span recording on for the job (counters and task wall times
+/// are always maintained; only span records are gated).
 inline constexpr const char kConfTraceEnabled[] = "obs.trace.enabled";
 /// When set (and tracing is on), the engine writes
 /// `<dir>/<job_name>-<instance>.trace.json` (Chrome trace_event format) and
@@ -29,14 +29,6 @@ inline constexpr const char kConfProfileEnabled[] = "obs.profile.enabled";
 /// engine's stage jobs go through this, so their traces stay comparable.
 void ApplyObsConf(bool trace, const std::string& trace_dir, bool profile,
                   JobConf* conf);
-
-// Standard histogram names maintained by the engine (JobReport::histograms).
-inline constexpr const char kHistMapTaskMicros[] = "MAP_TASK_MICROS";
-inline constexpr const char kHistReduceTaskMicros[] = "REDUCE_TASK_MICROS";
-inline constexpr const char kHistShuffleFetchBytes[] = "SHUFFLE_FETCH_BYTES";
-inline constexpr const char kHistShuffleFetchMicros[] = "SHUFFLE_FETCH_MICROS";
-inline constexpr const char kHistReduceGroupSize[] = "REDUCE_GROUP_SIZE";
-inline constexpr const char kHistHdfsReadMicros[] = "HDFS_READ_MICROS";
 
 /// The straggler chain of one job: the slowest map feeds the shuffle
 /// barrier, which gates the slowest reduce (the classic MapReduce
@@ -72,7 +64,7 @@ struct CriticalPathReport {
 CriticalPathReport CriticalPath(const JobReport& report);
 
 /// Human-readable per-job timeline: one line per phase/task span with a
-/// proportional bar, plus histogram summaries and the critical path.
+/// proportional bar, plus the task percentiles and the critical path.
 std::string TimelineText(const JobReport& report);
 
 /// Writes `<dir>/<base>.trace.json` + `<dir>/<base>.timeline.txt` where

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "mapreduce/counters.h"
-#include "mapreduce/job_trace.h"
 #include "storage/row_codec.h"
 
 namespace clydesdale {
@@ -270,10 +269,6 @@ Status ReduceMergedRecords(std::vector<MergedRecord> records, Reducer* reducer,
                        context->task_index(), context->node());
   *input_groups = 0;
 
-  // Group sizes go into a task-local histogram first: the registry's mutex
-  // must not be touched once per key group on this hot path.
-  obs::Histogram group_sizes;
-
   CLY_RETURN_IF_ERROR(reducer->Setup(context));
   Row group_key;
   std::vector<Row> values;
@@ -281,7 +276,6 @@ Status ReduceMergedRecords(std::vector<MergedRecord> records, Reducer* reducer,
     if (!values.empty() && record.kv.key.Compare(group_key) != 0) {
       CLY_RETURN_IF_ERROR(reducer->Reduce(group_key, values, context, out));
       ++*input_groups;
-      group_sizes.Record(static_cast<int64_t>(values.size()));
       values.clear();
     }
     if (values.empty()) group_key = record.kv.key;
@@ -290,10 +284,6 @@ Status ReduceMergedRecords(std::vector<MergedRecord> records, Reducer* reducer,
   if (!values.empty()) {
     CLY_RETURN_IF_ERROR(reducer->Reduce(group_key, values, context, out));
     ++*input_groups;
-    group_sizes.Record(static_cast<int64_t>(values.size()));
-  }
-  if (context->histograms() != nullptr) {
-    context->histograms()->Get(kHistReduceGroupSize)->MergeFrom(group_sizes);
   }
   return reducer->Cleanup(context, out);
 }

@@ -163,7 +163,7 @@ class ShuffleMerger {
 };
 
 /// Streams the merged sequence's key groups to `reducer` (Setup / Reduce per
-/// group / Cleanup), recording group sizes into kHistReduceGroupSize.
+/// group / Cleanup), counting the groups into `input_groups`.
 Status ReduceMergedRecords(std::vector<MergedRecord> records, Reducer* reducer,
                            TaskContext* context, OutputCollector* out,
                            uint64_t* input_groups);

@@ -1,7 +1,6 @@
 #include "mapreduce/task_context.h"
 
 #include "common/strings.h"
-#include "mapreduce/job_trace.h"
 #include "mapreduce/engine.h"
 
 namespace clydesdale {
@@ -11,7 +10,7 @@ TaskContext::TaskContext(const JobConf* conf, MrCluster* cluster,
                          int task_index, hdfs::NodeId node, int allowed_threads,
                          std::shared_ptr<SharedJvmState> shared,
                          Counters* counters, obs::TraceRecorder* trace,
-                         obs::HistogramRegistry* histograms, int attempt)
+                         int attempt)
     : conf_(conf),
       cluster_(cluster),
       task_index_(task_index),
@@ -20,9 +19,7 @@ TaskContext::TaskContext(const JobConf* conf, MrCluster* cluster,
       shared_(std::move(shared)),
       counters_(counters),
       trace_(trace),
-      histograms_(histograms),
-      attempt_(attempt),
-      profile_enabled_(conf->GetBool(kConfProfileEnabled)) {}
+      attempt_(attempt) {}
 
 void TaskContext::AddProfileOperator(obs::OperatorProfile op) {
   std::lock_guard<std::mutex> lock(profile_mu_);

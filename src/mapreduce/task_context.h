@@ -15,7 +15,6 @@
 #include "hdfs/local_store.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/job_conf.h"
-#include "obs/histogram.h"
 #include "obs/mem_tracker.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
@@ -65,8 +64,7 @@ class TaskContext {
   TaskContext(const JobConf* conf, MrCluster* cluster, int task_index,
               hdfs::NodeId node, int allowed_threads,
               std::shared_ptr<SharedJvmState> shared, Counters* counters,
-              obs::TraceRecorder* trace = nullptr,
-              obs::HistogramRegistry* histograms = nullptr, int attempt = 0);
+              obs::TraceRecorder* trace = nullptr, int attempt = 0);
 
   const JobConf& conf() const { return *conf_; }
   MrCluster* cluster() { return cluster_; }
@@ -94,21 +92,12 @@ class TaskContext {
   /// obs::Span, which treats null as "record nothing".
   obs::TraceRecorder* trace() { return trace_; }
 
-  /// The job's distribution metrics, or null outside a real engine run.
-  /// Hot loops should record into a task-local obs::Histogram and merge
-  /// once at task end rather than hitting the registry per record.
-  obs::HistogramRegistry* histograms() { return histograms_; }
-
-  /// True when the job runs with kConfProfileEnabled: runners should build
-  /// OperatorProfile nodes and hand them over via AddProfileOperator. When
-  /// false, instrumentation must be skipped entirely (zero overhead off).
-  bool profile_enabled() const { return profile_enabled_; }
-
   /// Hands an operator subtree produced by this attempt's runner to the
-  /// engine, which assembles the attempt root and merges it into the job's
-  /// QueryProfile. Thread-safe (multi-threaded map runners call this from
-  /// worker threads). No-op recording when profiling is off would be a bug
-  /// in the caller — gate on profile_enabled() first.
+  /// engine, which assembles the attempt root and, when the job runs with
+  /// kConfProfileEnabled, merges it into the job's QueryProfile. Runners
+  /// always count and always call this (a few nodes per attempt); the
+  /// engine alone reads the switch. Thread-safe (multi-threaded map runners
+  /// call this from worker threads).
   void AddProfileOperator(obs::OperatorProfile op);
 
   /// Drains the operators recorded so far (engine-side, after the runner
@@ -162,12 +151,10 @@ class TaskContext {
   std::shared_ptr<SharedJvmState> shared_;
   Counters* counters_;
   obs::TraceRecorder* trace_;
-  obs::HistogramRegistry* histograms_;
   int attempt_;
   hdfs::IoStats io_stats_;
   std::mutex io_mu_;
   std::atomic<uint64_t> local_disk_bytes_{0};
-  bool profile_enabled_ = false;
   std::mutex profile_mu_;
   std::vector<obs::OperatorProfile> profile_ops_;
   std::shared_ptr<obs::MemTracker> mem_tracker_;

@@ -1,7 +1,5 @@
 #include "obs/query_profile.h"
 
-#include <time.h>
-
 #include <algorithm>
 
 #include "common/strings.h"
@@ -210,12 +208,6 @@ std::string ExplainAnalyzeJson(const QueryProfile& profile) {
   }
   out.append("]}");
   return out;
-}
-
-int64_t ThreadCpuNanos() {
-  struct timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
 }  // namespace obs

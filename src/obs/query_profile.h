@@ -105,9 +105,6 @@ std::string ExplainAnalyzeText(const QueryProfile& profile);
 /// %.17g) — the payload of a profiled, traced job's <job>-<n>.profile.json.
 std::string ExplainAnalyzeJson(const QueryProfile& profile);
 
-/// Calling thread's CPU time (user + system) in nanoseconds.
-int64_t ThreadCpuNanos();
-
 }  // namespace obs
 }  // namespace clydesdale
 

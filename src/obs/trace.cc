@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <time.h>
+
 #include <algorithm>
 
 namespace clydesdale {
@@ -15,9 +17,31 @@ uint64_t NextRecorderId() {
 TraceRecorder::TraceRecorder()
     : id_(NextRecorderId()), epoch_(std::chrono::steady_clock::now()) {}
 
-int64_t TraceRecorder::NowMicros() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
+int64_t ThreadCpuNanos() {
+  struct timespec ts;
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+void Timer::Stop() {
+  if (stopped_) return;
+  end_ = Clock::now();
+  cpu_end_ns_ = ThreadCpuNanos();
+  stopped_ = true;
+}
+
+int64_t Timer::wall_ns() const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             (stopped_ ? end_ : Clock::now()) - start_)
+      .count();
+}
+
+int64_t Timer::cpu_ns() const {
+  return (stopped_ ? cpu_end_ns_ : ThreadCpuNanos()) - cpu_start_ns_;
+}
+
+int64_t TraceRecorder::MicrosAt(std::chrono::steady_clock::time_point t) const {
+  return std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
       .count();
 }
 
@@ -78,12 +102,14 @@ Span::Span(TraceRecorder* recorder, std::string name, const char* category,
   record_.tid = buffer_->tid;
   record_.depth = buffer_->depth++;
   record_.seq = recorder_->next_seq_.fetch_add(1, std::memory_order_relaxed);
-  record_.start_us = recorder_->NowMicros();
+  record_.start_us = recorder_->MicrosAt(timer_.start());
 }
 
 void Span::End() {
+  if (timer_.stopped()) return;
+  timer_.Stop();
   if (recorder_ == nullptr) return;
-  record_.dur_us = recorder_->NowMicros() - record_.start_us;
+  record_.dur_us = recorder_->MicrosAt(timer_.end()) - record_.start_us;
   --buffer_->depth;
   buffer_->spans.push_back(std::move(record_));
   recorder_ = nullptr;

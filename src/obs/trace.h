@@ -33,9 +33,9 @@ struct SpanRecord {
 /// recorder mutex is held once per thread, at buffer registration). Spans
 /// are unbounded in-memory; Drain() after all producers stopped.
 ///
-/// Disabled tracing is represented by a null recorder: Span's constructor
-/// against nullptr is a couple of stores, so instrumentation can stay in
-/// place unconditionally.
+/// Disabled tracing is represented by a null recorder: a Span against
+/// nullptr only reads its clocks, so instrumentation stays in place
+/// unconditionally.
 class TraceRecorder {
  public:
   TraceRecorder();
@@ -43,8 +43,8 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Microseconds since this recorder was created (steady clock).
-  int64_t NowMicros() const;
+  /// Microseconds from this recorder's creation to `t` (steady clock).
+  int64_t MicrosAt(std::chrono::steady_clock::time_point t) const;
 
   /// Moves out every recorded span in start order (SortByStart). Call only
   /// after all span-producing threads have finished (joined); concurrent
@@ -82,8 +82,44 @@ class TraceRecorder {
 /// a sibling before the later ones, even within one microsecond.
 void SortByStart(std::vector<SpanRecord>* spans);
 
-/// RAII span: records [construction, destruction) into `recorder`, or does
-/// nothing when `recorder` is null. Must be started and ended on the same
+/// Calling thread's CPU time (user + system) in nanoseconds.
+int64_t ThreadCpuNanos();
+
+/// The one timer behind every instrumented step: reads the steady clock and
+/// the calling thread's CPU clock once at construction and once at Stop().
+/// Every report of the step (span duration, task wall time, profile node)
+/// derives from these two readings. Must be started and stopped on the same
+/// thread (the CPU clock is per thread).
+class Timer {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  Timer() : start_(Clock::now()), cpu_start_ns_(ThreadCpuNanos()) {}
+
+  /// Takes the end readings. Idempotent: later calls keep the first.
+  void Stop();
+  bool stopped() const { return stopped_; }
+
+  /// Wall and thread-CPU nanoseconds from construction to Stop() (to now
+  /// while still running).
+  int64_t wall_ns() const;
+  int64_t cpu_ns() const;
+
+  Clock::time_point start() const { return start_; }
+  /// The Stop() reading (the start reading while still running).
+  Clock::time_point end() const { return stopped_ ? end_ : start_; }
+
+ private:
+  Clock::time_point start_;
+  Clock::time_point end_;
+  int64_t cpu_start_ns_;
+  int64_t cpu_end_ns_ = 0;
+  bool stopped_ = false;
+};
+
+/// RAII span: times [construction, End()) with a Timer, and records that
+/// window into `recorder` — or records nothing when `recorder` is null, so
+/// the timing is there either way. Must be started and ended on the same
 /// thread (the span lives in that thread's buffer).
 class Span {
  public:
@@ -97,10 +133,16 @@ class Span {
   /// Ends the span early; the destructor becomes a no-op. Idempotent.
   void End();
 
+  /// The span's Timer readings (final once End() ran).
+  int64_t wall_ns() const { return timer_.wall_ns(); }
+  int64_t cpu_ns() const { return timer_.cpu_ns(); }
+  const Timer& timer() const { return timer_; }
+
  private:
   TraceRecorder* recorder_;
   TraceRecorder::ThreadBuffer* buffer_ = nullptr;
   SpanRecord record_;
+  Timer timer_;
 };
 
 }  // namespace obs

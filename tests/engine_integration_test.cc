@@ -14,6 +14,7 @@
 #include "mapreduce/counters.h"
 #include "mapreduce/job_trace.h"
 #include "obs/query_profile.h"
+#include "sql/parser.h"
 #include "ssb/loader.h"
 #include "ssb/queries.h"
 #include "ssb/reference_executor.h"
@@ -367,9 +368,15 @@ TEST_F(EngineIntegrationTest, TracingOffRecordsNoSpans) {
   ASSERT_TRUE(result.ok());
   for (const mr::JobReport& report : result->stage_reports) {
     EXPECT_TRUE(report.spans.empty());
-    // Histograms stay on regardless: they feed Summary() percentiles.
-    ASSERT_NE(report.histograms.Find(mr::kHistMapTaskMicros), nullptr);
-    EXPECT_GT(report.histograms.Find(mr::kHistMapTaskMicros)->Count(), 0);
+    EXPECT_TRUE(report.profile.empty()) << "profile off: no tree is merged";
+    // Task wall times stay on regardless: they feed Summary() percentiles.
+    ASSERT_FALSE(report.map_tasks.empty());
+    for (const auto* tasks : {&report.map_tasks, &report.reduce_tasks}) {
+      for (const mr::TaskReport& task : *tasks) {
+        EXPECT_GT(task.wall_seconds, 0) << report.job_name << " #"
+                                        << task.index;
+      }
+    }
   }
 }
 
@@ -479,6 +486,25 @@ TEST_F(EngineIntegrationTest, ProfiledRunSurfacesPerOperatorMemory) {
   ASSERT_NE(scan, nullptr);
   ASSERT_NE(probe, nullptr);
   EXPECT_EQ(scan->rows_out, probe->rows_in);
+
+  // The probe's build child: the hash-tables span's time, the rows of the
+  // builds that ran (JVM reuse: one per node), and the tables' bytes.
+  const obs::OperatorProfile* build = nullptr;
+  for (const obs::OperatorProfile& child : probe->children) {
+    if (child.name == "build") build = &child;
+  }
+  ASSERT_NE(build, nullptr) << obs::ExplainAnalyzeText(profile);
+  EXPECT_EQ(build->kind, "build");
+  EXPECT_EQ(build->tasks, result->stage_reports[0].map_tasks.size());
+  EXPECT_EQ(static_cast<int64_t>(build->rows_in),
+            result->Counter(core::kCounterHashBuildRows));
+  EXPECT_EQ(static_cast<int64_t>(build->rows_out),
+            result->Counter(core::kCounterHashEntries));
+  EXPECT_GT(build->rows_out, 0u);
+  EXPECT_GT(build->wall_ns, 0u);
+  EXPECT_GT(build->mem_peak_bytes, 0u);
+  EXPECT_EQ(build->mem_peak_bytes, probe->mem_peak_bytes)
+      << "the build's tables are the ones the probe holds";
   EXPECT_LE(profile.ProfiledSpanSeconds(),
             result->stage_reports[0].wall_seconds + 1e-6);
 
@@ -490,6 +516,103 @@ TEST_F(EngineIntegrationTest, ProfiledRunSurfacesPerOperatorMemory) {
   EXPECT_GT(result->Counter(mr::kCounterMemJobPeakBytes), 0);
   // With the query done, nothing is left charged against the cluster.
   EXPECT_EQ(cluster_->mem_tracker()->consumed(), 0);
+}
+
+TEST_F(EngineIntegrationTest, EachAttemptIsTimedOnce) {
+  auto spec = ssb::QueryById("Q2.1");
+  ASSERT_TRUE(spec.ok());
+  core::ClydesdaleOptions options;
+  options.trace = true;
+  options.profile = true;
+  options.multisplit_size = 2;  // several map attempts per node
+  core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
+  auto result = engine.Execute(*spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->stage_reports.size(), 1u);
+  const mr::JobReport& report = result->stage_reports[0];
+
+  // The task report, the map-task span and the merged "map" root all read
+  // the attempt's one timer: they agree to the span's microsecond rounding.
+  double report_us = 0;
+  for (const mr::TaskReport& task : report.map_tasks) {
+    report_us += task.wall_seconds * 1e6;
+  }
+  double span_us = 0;
+  size_t task_spans = 0;
+  for (const obs::SpanRecord& span : report.spans) {
+    if (span.name != "map-task") continue;
+    span_us += static_cast<double>(span.dur_us);
+    ++task_spans;
+  }
+  const obs::OperatorProfile* map_root = nullptr;
+  for (const obs::OperatorProfile& root : report.profile.roots) {
+    if (root.name == "map") map_root = &root;
+  }
+  ASSERT_NE(map_root, nullptr);
+  const size_t attempts = report.map_tasks.size();
+  ASSERT_GT(attempts, static_cast<size_t>(cluster_->num_nodes()));
+  ASSERT_EQ(task_spans, attempts);
+  ASSERT_EQ(map_root->tasks, attempts);
+  const double root_us = static_cast<double>(map_root->wall_ns) / 1e3;
+  const double slack_us = static_cast<double>(attempts);
+  EXPECT_NEAR(report_us, span_us, slack_us);
+  EXPECT_NEAR(report_us, root_us, slack_us);
+  EXPECT_NEAR(span_us, root_us, slack_us);
+}
+
+TEST_F(EngineIntegrationTest, ManyAccumulatorsMatchEveryEngine) {
+  // More accumulators than any SSB query: 17 SUMs, and 9 AVGs (each a sum
+  // and a count, so 18 accumulators).
+  const std::vector<std::string> columns = {
+      "lo_quantity", "lo_extendedprice", "lo_ordtotalprice", "lo_discount",
+      "lo_revenue",  "lo_supplycost",    "lo_tax"};
+  std::string sums;
+  for (size_t i = 0; i < 17; ++i) {
+    const std::string& col = columns[i % columns.size()];
+    sums += StrCat(", SUM(", col, i < columns.size() ? "" : " * lo_quantity",
+                   ") AS r", i);
+  }
+  std::string avgs;
+  for (size_t i = 0; i < 9; ++i) {
+    const std::string& col = columns[i % columns.size()];
+    avgs += StrCat(", AVG(", col, i < columns.size() ? "" : " * lo_discount",
+                   ") AS a", i);
+  }
+  for (const std::string& select : {sums, avgs}) {
+    const std::string sql =
+        StrCat("SELECT d_year", select,
+               " FROM lineorder, date WHERE lo_orderdate = d_datekey "
+               "GROUP BY d_year");
+    auto spec = sql::ParseStarQuery(sql, dataset_->star);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString() << ": " << sql;
+    const std::vector<Row> expected = Reference(*spec);
+    ASSERT_FALSE(expected.empty());
+
+    core::ClydesdaleOptions row_at_a_time;
+    row_at_a_time.block_iteration = false;
+    core::ClydesdaleOptions single_threaded;
+    single_threaded.multithreaded = false;
+    const std::pair<const char*, core::ClydesdaleOptions> modes[] = {
+        {"default", {}},
+        {"block_iteration off", row_at_a_time},
+        {"multithreaded off", single_threaded}};
+    for (const auto& [label, options] : modes) {
+      core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
+      auto result = engine.Execute(*spec);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      ExpectRowsEqual(expected, result->rows, StrCat("clydesdale ", label));
+    }
+    for (hive::JoinStrategy strategy :
+         {hive::JoinStrategy::kRepartition, hive::JoinStrategy::kMapJoin}) {
+      hive::HiveOptions options;
+      options.strategy = strategy;
+      hive::HiveEngine engine(cluster_, HiveStar(), options);
+      auto result = engine.Execute(*spec);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ExpectRowsEqual(expected, result->rows,
+                      StrCat("hive ", hive::JoinStrategyName(strategy)));
+    }
+  }
 }
 
 /// Reads a whole real-filesystem file (the engine's profile artifacts).

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -8,107 +9,12 @@
 
 #include "mapreduce/job_trace.h"
 #include "obs/chrome_trace.h"
-#include "obs/histogram.h"
 #include "obs/json_util.h"
 #include "obs/trace.h"
 
 namespace clydesdale {
 namespace obs {
 namespace {
-
-TEST(HistogramTest, EmptyHistogram) {
-  Histogram h;
-  EXPECT_EQ(h.Count(), 0);
-  EXPECT_EQ(h.Sum(), 0);
-  EXPECT_EQ(h.Min(), 0);
-  EXPECT_EQ(h.Max(), 0);
-  EXPECT_EQ(h.Mean(), 0.0);
-  EXPECT_EQ(h.Percentile(0.5), 0);
-  EXPECT_EQ(h.ToString(), "count=0");
-}
-
-TEST(HistogramTest, SmallValuesAreExact) {
-  Histogram h;
-  for (int64_t v = 1; v <= 10; ++v) h.Record(v);
-  EXPECT_EQ(h.Count(), 10);
-  EXPECT_EQ(h.Sum(), 55);
-  EXPECT_EQ(h.Min(), 1);
-  EXPECT_EQ(h.Max(), 10);
-  EXPECT_DOUBLE_EQ(h.Mean(), 5.5);
-  // Values < 32 land in unit buckets, so quantiles are exact.
-  EXPECT_EQ(h.Percentile(0.5), 5);
-  EXPECT_EQ(h.Percentile(1.0), 10);
-  EXPECT_EQ(h.Percentile(0.0), 1);
-}
-
-TEST(HistogramTest, LargeValuesBoundedRelativeError) {
-  Histogram h;
-  for (int64_t v = 1000; v <= 100000; v += 1000) h.Record(v);
-  // Sub-bucketing guarantees <= 1/32 relative error on quantile bounds.
-  const int64_t p50 = h.Percentile(0.5);
-  EXPECT_GE(p50, 46000);
-  EXPECT_LE(p50, 52000);
-  EXPECT_LE(h.Percentile(0.5), h.Percentile(0.95));
-  EXPECT_LE(h.Percentile(0.95), h.Percentile(0.99));
-  EXPECT_LE(h.Percentile(0.99), h.Max());
-}
-
-TEST(HistogramTest, PercentileClampedToObservedRange) {
-  Histogram h;
-  h.Record(1'000'000);  // single value: every quantile is that value
-  EXPECT_EQ(h.Percentile(0.0), 1'000'000);
-  EXPECT_EQ(h.Percentile(0.5), 1'000'000);
-  EXPECT_EQ(h.Percentile(1.0), 1'000'000);
-}
-
-TEST(HistogramTest, NegativeValuesClampToZero) {
-  Histogram h;
-  h.Record(-5);
-  EXPECT_EQ(h.Count(), 1);
-  EXPECT_EQ(h.Min(), 0);
-}
-
-TEST(HistogramTest, MergeFromAccumulates) {
-  Histogram a, b;
-  a.Record(1);
-  a.Record(100);
-  b.Record(50);
-  b.Record(7000);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Count(), 4);
-  EXPECT_EQ(a.Sum(), 7151);
-  EXPECT_EQ(a.Min(), 1);
-  EXPECT_EQ(a.Max(), 7000);
-  Histogram empty;
-  a.MergeFrom(empty);  // merging an empty histogram is a no-op
-  EXPECT_EQ(a.Count(), 4);
-}
-
-TEST(HistogramTest, ToStringShowsPercentiles) {
-  Histogram h;
-  for (int64_t v = 1; v <= 12; ++v) h.Record(v);
-  const std::string s = h.ToString();
-  EXPECT_NE(s.find("count=12"), std::string::npos) << s;
-  EXPECT_NE(s.find("p50="), std::string::npos) << s;
-  EXPECT_NE(s.find("p95="), std::string::npos) << s;
-  EXPECT_NE(s.find("p99="), std::string::npos) << s;
-  EXPECT_NE(s.find("max=12"), std::string::npos) << s;
-}
-
-TEST(HistogramTest, ConcurrentRecordsAllLand) {
-  Histogram h;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&h] {
-      for (int i = 0; i < kPerThread; ++i) h.Record(i);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(h.Count(), kThreads * kPerThread);
-  EXPECT_EQ(h.Max(), kPerThread - 1);
-}
 
 TEST(JsonUtilTest, EscapesQuotesBackslashesAndControlChars) {
   EXPECT_EQ(JsonQuote("plain"), "\"plain\"");
@@ -128,51 +34,6 @@ TEST(JsonUtilTest, JsonDoubleRoundTripsExactly) {
     const std::string s = JsonDouble(v);
     EXPECT_EQ(strtod(s.c_str(), nullptr), v) << s;
   }
-}
-
-TEST(HistogramRegistryTest, GetCreatesFindDoesNot) {
-  HistogramRegistry registry;
-  EXPECT_EQ(registry.Find("absent"), nullptr);
-  Histogram* h = registry.Get("map_micros");
-  ASSERT_NE(h, nullptr);
-  h->Record(42);
-  EXPECT_EQ(registry.Get("map_micros"), h) << "stable pointer";
-  ASSERT_NE(registry.Find("map_micros"), nullptr);
-  EXPECT_EQ(registry.Find("map_micros")->Count(), 1);
-
-  HistogramRegistry copy = registry;
-  ASSERT_NE(copy.Find("map_micros"), nullptr);
-  EXPECT_EQ(copy.Find("map_micros")->Count(), 1);
-  const auto snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot.at("map_micros").Count(), 1);
-}
-
-/// Task-local histograms merging into one shared registry concurrently —
-/// the hot-path pattern the Histogram doc comment prescribes. Run under
-/// TSan via the tsan CMake preset.
-TEST(HistogramRegistryTest, ConcurrentMergeFromDropsNothing) {
-  HistogramRegistry registry;
-  constexpr int kThreads = 4;
-  constexpr int kTasksPerThread = 25;
-  constexpr int kRecordsPerTask = 100;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&registry] {
-      for (int task = 0; task < kTasksPerThread; ++task) {
-        Histogram local;
-        for (int i = 0; i < kRecordsPerTask; ++i) local.Record(i);
-        registry.Get("map_micros")->MergeFrom(local);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  const Histogram* merged = registry.Find("map_micros");
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->Count(), kThreads * kTasksPerThread * kRecordsPerTask);
-  EXPECT_EQ(merged->Max(), kRecordsPerTask - 1);
-  EXPECT_EQ(merged->Sum(), static_cast<int64_t>(kThreads) * kTasksPerThread *
-                               (kRecordsPerTask * (kRecordsPerTask - 1) / 2));
 }
 
 TEST(TraceTest, RecordsNestedSpans) {
@@ -242,6 +103,33 @@ TEST(TraceTest, NullRecorderIsInertAndEndIdempotent) {
     real.End();
   }
   EXPECT_EQ(recorder.num_spans(), 1u) << "End is idempotent";
+}
+
+TEST(TraceTest, SpanTimesWithOrWithoutRecorder) {
+  Span untraced(nullptr, "untraced", "stage");
+  volatile uint64_t spin = 0;
+  for (int i = 0; i < 200'000; ++i) spin = spin + 1;
+  untraced.End();
+  EXPECT_GT(untraced.wall_ns(), 0);
+  EXPECT_GT(untraced.cpu_ns(), 0);
+  const int64_t wall = untraced.wall_ns();
+  const int64_t cpu = untraced.cpu_ns();
+  untraced.End();
+  EXPECT_EQ(untraced.wall_ns(), wall) << "End freezes the readings";
+  EXPECT_EQ(untraced.cpu_ns(), cpu);
+
+  // A recorded span's duration is the same reading, rounded to microseconds.
+  TraceRecorder recorder;
+  int64_t traced_wall_ns = 0;
+  {
+    Span traced(&recorder, "traced", "stage");
+    for (int i = 0; i < 200'000; ++i) spin = spin + 1;
+    traced.End();
+    traced_wall_ns = traced.wall_ns();
+  }
+  const std::vector<SpanRecord> spans = recorder.Drain();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_LE(std::abs(spans[0].dur_us * 1000 - traced_wall_ns), 1000);
 }
 
 TEST(TraceTest, DrainMovesSpansOut) {
@@ -451,28 +339,40 @@ TEST(TimelineTest, ShowsBarsHistogramsAndCriticalPath) {
   stage.category = "stage";
   stage.dur_us = 1000;
   report.spans = {job, task, stage};
-  report.histograms.Get(kHistMapTaskMicros)->Record(400'000);
 
   const std::string text = TimelineText(report);
   EXPECT_NE(text.find("synthetic timeline"), std::string::npos) << text;
   EXPECT_NE(text.find("map-task #1 @node2"), std::string::npos) << text;
   EXPECT_EQ(text.find("probe"), std::string::npos)
       << "stage spans stay out of the timeline: " << text;
-  EXPECT_NE(text.find(kHistMapTaskMicros), std::string::npos) << text;
+  // The task percentiles come from the task reports, one line each.
+  EXPECT_NE(text.find("\n  map p50/p95/p99=100000/400000/400000us\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\n  reduce shuffle p50/p95/p99="), std::string::npos)
+      << text;
   EXPECT_NE(text.find("critical path"), std::string::npos) << text;
   EXPECT_NE(text.find('#'), std::string::npos) << "proportional bars";
 }
 
 TEST(SummaryTest, ShowsPercentileTriples) {
   JobReport report = SyntheticReport();
-  for (int64_t v : {1000, 2000, 3000}) {
-    report.histograms.Get(kHistMapTaskMicros)->Record(v);
-  }
-  report.histograms.Get(kHistShuffleFetchBytes)->Record(4096);
+  report.reduce_tasks[0].shuffle_bytes_total = 4096;
+  report.reduce_tasks[1].shuffle_bytes_total = 1024;
   const std::string summary = report.Summary();
-  EXPECT_NE(summary.find("map p50/p95/p99="), std::string::npos) << summary;
-  EXPECT_NE(summary.find("shuffle-fetch p50/p95/p99="), std::string::npos)
+  // Exact nearest-rank percentiles over the three map tasks' wall times
+  // (0.1 s, 0.4 s, 0.1 s) and the two reduce tasks' shuffle input.
+  EXPECT_NE(summary.find(", map p50/p95/p99=100000/400000/400000us"),
+            std::string::npos)
       << summary;
+  EXPECT_NE(summary.find(", reduce shuffle p50/p95/p99=1024/4096/4096B"),
+            std::string::npos)
+      << summary;
+
+  report.map_tasks.clear();
+  report.reduce_tasks.clear();
+  EXPECT_EQ(report.Summary().find("p50"), std::string::npos)
+      << "no tasks, no percentiles";
 }
 
 TEST(JobTraceFilesTest, WritesTraceAndTimeline) {
