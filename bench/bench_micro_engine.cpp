@@ -68,17 +68,6 @@ void BM_Q31_CombinerOnly(benchmark::State& state) {
 BENCHMARK(BM_Q31_MapSideAgg)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Q31_CombinerOnly)->Unit(benchmark::kMillisecond);
 
-void BM_Q21_MultiSplitPacking(benchmark::State& state) {
-  core::ClydesdaleOptions options;
-  options.multisplit_size = state.range(0);  // 0 = whole node in one task
-  RunQuery(state, options, "Q2.1");
-}
-BENCHMARK(BM_Q21_MultiSplitPacking)
-    ->Arg(0)
-    ->Arg(4)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Q41_SingleJob(benchmark::State& state) {
   RunQuery(state, {}, "Q4.1");
 }
@@ -95,10 +84,12 @@ void BM_Q41_StagedFallback(benchmark::State& state) {
     max_single = std::max(max_single,
                           core::EstimateDimHashBytes(**dim, join));
   }
+  core::ClydesdaleOptions options;
+  options.max_hash_memory_bytes = max_single;
   auto star = std::make_shared<const core::StarSchema>(env.dataset->star);
   for (auto _ : state) {
     auto result = core::ExecuteStagedStarJoin(env.cluster.get(), star, *spec,
-                                              {}, max_single);
+                                              options);
     CLY_CHECK(result.ok());
     benchmark::DoNotOptimize(result->rows.size());
   }

@@ -1,7 +1,6 @@
 #ifndef CLYDESDALE_COMMON_MEM_H_
 #define CLYDESDALE_COMMON_MEM_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -23,60 +22,6 @@ class MemReporter {
   virtual void Release(int64_t bytes) = 0;
 };
 
-/// RAII charge against a reporter: releases exactly what it consumed when it
-/// goes out of scope, so early returns can never leak tracked bytes. A
-/// default-constructed (or null-reporter) charge is a no-op everywhere.
-class ScopedMemCharge {
- public:
-  ScopedMemCharge() = default;
-  explicit ScopedMemCharge(std::shared_ptr<MemReporter> reporter)
-      : reporter_(std::move(reporter)) {}
-  ~ScopedMemCharge() { ReleaseAll(); }
-
-  ScopedMemCharge(const ScopedMemCharge&) = delete;
-  ScopedMemCharge& operator=(const ScopedMemCharge&) = delete;
-  ScopedMemCharge(ScopedMemCharge&& other) noexcept
-      : reporter_(std::move(other.reporter_)), charged_(other.charged_) {
-    other.reporter_ = nullptr;
-    other.charged_ = 0;
-  }
-  ScopedMemCharge& operator=(ScopedMemCharge&& other) noexcept {
-    if (this != &other) {
-      ReleaseAll();
-      reporter_ = std::move(other.reporter_);
-      charged_ = other.charged_;
-      other.reporter_ = nullptr;
-      other.charged_ = 0;
-    }
-    return *this;
-  }
-
-  void Add(int64_t bytes) {
-    if (reporter_ == nullptr || bytes == 0) return;
-    reporter_->Consume(bytes);
-    charged_ += bytes;
-  }
-
-  /// Consume or release whatever delta moves the charge to `target_bytes` —
-  /// the natural call for consumers that only know their current footprint
-  /// (container capacities) rather than individual allocations.
-  void SyncTo(int64_t target_bytes) { Add(target_bytes - charged_); }
-
-  void ReleaseAll() {
-    if (reporter_ != nullptr && charged_ != 0) {
-      reporter_->Release(charged_);
-    }
-    charged_ = 0;
-  }
-
-  int64_t charged() const { return charged_; }
-  const std::shared_ptr<MemReporter>& reporter() const { return reporter_; }
-
- private:
-  std::shared_ptr<MemReporter> reporter_;
-  int64_t charged_ = 0;
-};
-
 /// Wraps a shared byte arena so its bytes stay attributed to `reporter` for
 /// exactly as long as *any* reference to the arena lives. CIF scans hand
 /// string arenas to RowBatches that outlive the reader; charging at wrap
@@ -93,49 +38,6 @@ inline std::shared_ptr<const std::vector<uint8_t>> TrackSharedArena(
       raw, [arena = std::move(arena), reporter = std::move(reporter),
             bytes](const std::vector<uint8_t>*) { reporter->Release(bytes); });
 }
-
-/// Minimal std allocator adapter charging every allocation to a reporter —
-/// for containers whose element churn should be tracked allocation-accurate
-/// rather than via SyncTo snapshots. The reporter must outlive every
-/// container using the allocator; a null reporter degrades to std::allocator.
-template <typename T>
-class TrackingAllocator {
- public:
-  using value_type = T;
-
-  TrackingAllocator() = default;
-  explicit TrackingAllocator(MemReporter* reporter) : reporter_(reporter) {}
-  template <typename U>
-  TrackingAllocator(const TrackingAllocator<U>& other)  // NOLINT(runtime/explicit)
-      : reporter_(other.reporter()) {}
-
-  T* allocate(size_t n) {
-    if (reporter_ != nullptr) {
-      reporter_->Consume(static_cast<int64_t>(n * sizeof(T)));
-    }
-    return std::allocator<T>().allocate(n);
-  }
-  void deallocate(T* p, size_t n) {
-    if (reporter_ != nullptr) {
-      reporter_->Release(static_cast<int64_t>(n * sizeof(T)));
-    }
-    std::allocator<T>().deallocate(p, n);
-  }
-
-  MemReporter* reporter() const { return reporter_; }
-
-  friend bool operator==(const TrackingAllocator& a,
-                         const TrackingAllocator& b) {
-    return a.reporter_ == b.reporter_;
-  }
-  friend bool operator!=(const TrackingAllocator& a,
-                         const TrackingAllocator& b) {
-    return !(a == b);
-  }
-
- private:
-  MemReporter* reporter_ = nullptr;
-};
 
 }  // namespace clydesdale
 

@@ -23,8 +23,7 @@ Result<QueryResult> ClydesdaleEngine::Execute(const StarQuerySpec& spec) {
   // With an unlimited budget (0) the plan is one stage: the single job of
   // paper §4.2. Otherwise dimensions whose hash tables do not fit together
   // are joined in stages (paper §5.1, "Discussion").
-  return ExecuteStagedStarJoin(cluster_, star_, spec, options_,
-                               options_.max_hash_memory_bytes);
+  return ExecuteStagedStarJoin(cluster_, star_, spec, options_);
 }
 
 }  // namespace core

@@ -15,6 +15,10 @@ namespace core {
 
 namespace {
 
+/// Reducers of the aggregating stage. The map side has already aggregated
+/// each node's rows, so one reducer finishes the few partial groups.
+constexpr int kAggReduceTasks = 1;
+
 /// True when `column` is an aux column of spec.dims[d].
 bool IsAuxOf(const StarQuerySpec& spec, int d, const std::string& column) {
   const auto& aux = spec.dims[static_cast<size_t>(d)].aux_columns;
@@ -54,7 +58,7 @@ Result<mr::JobConf> MakeHashJoinStage(std::shared_ptr<const StarSchema> star,
                                       const StageOutput* output) {
   mr::JobConf conf;
   conf.job_name = StrCat("clydesdale-", sub.id);
-  conf.num_reduce_tasks = options.reduce_tasks;
+  conf.num_reduce_tasks = kAggReduceTasks;
   conf.jvm_reuse = options.jvm_reuse;
   conf.single_task_per_node = options.multithreaded;
   ApplyTraceConf(options, &conf);
@@ -72,7 +76,6 @@ Result<mr::JobConf> MakeHashJoinStage(std::shared_ptr<const StarSchema> star,
 
   conf.Set(mr::kConfInputTable, star->fact().path);
   conf.SetList(mr::kConfInputProjection, projection);
-  conf.SetInt(mr::kConfMultiSplitSize, options.multisplit_size);
   // Multithreaded: one multi-split task per node, its slots as probe
   // threads. Off: one-split tasks on one slot each, through the same runner,
   // so the ablation switches off the threading and nothing else.
@@ -169,11 +172,11 @@ Result<std::vector<StagedGroup>> PlanDimGroups(const StarSchema& star,
 
 Result<QueryResult> ExecuteStagedStarJoin(
     mr::MrCluster* cluster, std::shared_ptr<const StarSchema> star,
-    const StarQuerySpec& spec, const ClydesdaleOptions& options,
-    uint64_t budget_bytes) {
+    const StarQuerySpec& spec, const ClydesdaleOptions& options) {
   Stopwatch timer;
-  CLY_ASSIGN_OR_RETURN(std::vector<StagedGroup> groups,
-                       PlanDimGroups(*star, spec, budget_bytes));
+  CLY_ASSIGN_OR_RETURN(
+      std::vector<StagedGroup> groups,
+      PlanDimGroups(*star, spec, options.max_hash_memory_bytes));
   // The last stage aggregates, so it must be a hash-join group: after a
   // trailing repartition group (or with no dimension at all) a
   // zero-dimension group aggregates the fully joined intermediate.
@@ -181,7 +184,7 @@ Result<QueryResult> ExecuteStagedStarJoin(
   const std::vector<std::string> keep = KeptFactColumns(spec);
 
   QueryResult result;
-  std::vector<std::string> intermediates;
+  mr::QueryScratch scratch(cluster);
 
   // Columns stage j > 0 reads, given groups >= j are still unjoined.
   auto projection_for = [&](size_t j, const Schema& input_schema) {
@@ -248,7 +251,7 @@ Result<QueryResult> ExecuteStagedStarJoin(
       output.decl.push_back(StrCat(c, ":", TypeKindToString(field->type)));
     }
     CLY_RETURN_IF_ERROR(cluster->DropTable(output.table));
-    intermediates.push_back(output.table);
+    scratch.Add(output.table);
     return output;
   };
 
@@ -303,9 +306,9 @@ Result<QueryResult> ExecuteStagedStarJoin(
       CLY_ASSIGN_OR_RETURN(join.dim_schema,
                            dim->desc.schema->ProjectByName(dim_cols));
 
-      conf = MakeRepartitionJoinJob(
-          join, stage_star->fact().path, dim->desc.path,
-          std::max(options.reduce_tasks, cluster->num_nodes()));
+      // One reducer per node spreads the shuffled fact table.
+      conf = MakeRepartitionJoinJob(join, stage_star->fact().path,
+                                    dim->desc.path, cluster->num_nodes());
       conf.job_name = StrCat("clydesdale-", stage_id);
       ApplyTraceConf(options, &conf);
       // Output order mirrors the reducer: fact_out_cols then aux_cols.
@@ -354,9 +357,7 @@ Result<QueryResult> ExecuteStagedStarJoin(
   // ORDER BY is a single-process sort (Figure 4, line 33).
   CLY_RETURN_IF_ERROR(FinalizeAggRows(spec, &result.rows));
   CLY_RETURN_IF_ERROR(SortResultRows(spec, &result.rows));
-  for (const std::string& table : intermediates) {
-    CLY_RETURN_IF_ERROR(cluster->DropTable(table));
-  }
+  CLY_RETURN_IF_ERROR(scratch.Drop());
   result.wall_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -44,12 +44,12 @@ Result<std::vector<StagedGroup>> PlanDimGroups(const StarSchema& star,
                                                uint64_t budget_bytes);
 
 /// Executes `spec` as a chain of star-join jobs, one per dimension group
-/// (plus a zero-dimension aggregating stage after a trailing repartition
-/// group). Every budget produces the same rows.
+/// under options.max_hash_memory_bytes (plus a zero-dimension aggregating
+/// stage after a trailing repartition group). Every budget produces the same
+/// rows. The intermediate tables are dropped on success and on error.
 Result<QueryResult> ExecuteStagedStarJoin(
     mr::MrCluster* cluster, std::shared_ptr<const StarSchema> star,
-    const StarQuerySpec& spec, const ClydesdaleOptions& options,
-    uint64_t budget_bytes);
+    const StarQuerySpec& spec, const ClydesdaleOptions& options);
 
 }  // namespace core
 }  // namespace clydesdale

@@ -16,7 +16,11 @@ namespace core {
 
 class DimTableCache;
 
-/// Engine knobs; the three paper §6.5 ablation switches plus tuning.
+/// Engine knobs. The first five fields are the paper's ablation switches
+/// (§6.5): multithreaded, block_iteration, columnar, jvm_reuse and
+/// map_side_agg. Every other field is a memory budget
+/// (max_hash_memory_bytes, mem_budget_bytes), an observability path (trace,
+/// trace_dir, profile) or the serving hook (dim_cache).
 struct ClydesdaleOptions {
   /// Multi-threaded map tasks sharing one hash-table copy per node
   /// (MTMapRunner, paper §5.1). Off = one single-threaded task per split,
@@ -31,13 +35,10 @@ struct ClydesdaleOptions {
   /// Aggregate partially in the map task (the paper's combiner note, §4.2).
   /// Off = emit one record per joined row and combine before the shuffle.
   bool map_side_agg = true;
-  int reduce_tasks = 1;
   /// Per-node memory budget for the dimension hash tables; 0 = unlimited.
   /// When the query's estimated tables exceed it, the engine falls back to
   /// the staged multi-pass join of paper §5.1 ("Discussion").
   uint64_t max_hash_memory_bytes = 0;
-  /// CIF splits packed per multi-split; 0 = all of a node's splits at once.
-  int64_t multisplit_size = 0;
   /// Span tracing for every stage job (obs.trace.enabled). Counters and
   /// task wall times are always maintained; only span records are gated.
   bool trace = false;

@@ -11,6 +11,11 @@
 namespace clydesdale {
 namespace hive {
 
+namespace {
+/// Reducers of the repartition-join and group-by stages.
+constexpr int kReduceTasks = 4;
+}  // namespace
+
 HiveEngine::HiveEngine(mr::MrCluster* cluster, core::StarSchema star,
                        HiveOptions options)
     : cluster_(cluster), star_(std::move(star)), options_(std::move(options)) {}
@@ -22,24 +27,23 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
   CLY_ASSIGN_OR_RETURN(HivePlan plan, CompileHivePlan(star_, spec, scratch));
 
   core::QueryResult result;
+  mr::QueryScratch intermediates(cluster_);
 
   // --- join stages, one MapReduce job per dimension ---------------------------
   for (const JoinStageSpec& stage : plan.joins) {
     CLY_RETURN_IF_ERROR(cluster_->DropTable(stage.output_table));
+    intermediates.Add(stage.output_table);
     mr::JobConf conf;
     if (options_.strategy == JoinStrategy::kRepartition) {
       conf = core::MakeRepartitionJoinJob(stage, stage.fact_table,
-                                          stage.dim_table,
-                                          options_.reduce_tasks);
+                                          stage.dim_table, kReduceTasks);
       conf.job_name = StrCat("hive-repartition-join", stage.stage_index + 1);
     } else {
-      uint64_t hash_bytes = 0;
       CLY_ASSIGN_OR_RETURN(
           std::string hash_file,
-          BuildMapJoinHashFile(cluster_, stage, StrCat(scratch, "/", spec.id),
-                               &hash_bytes));
-      CLY_ASSIGN_OR_RETURN(conf,
-                           MakeMapJoinJob(stage, hash_file, options_.dim_cache));
+          BuildMapJoinHashFile(cluster_, stage, StrCat(scratch, "/", spec.id)));
+      intermediates.Add(hash_file);
+      CLY_ASSIGN_OR_RETURN(conf, MakeMapJoinJob(stage, hash_file));
     }
     conf.job_name = StrCat("hive-", spec.id, "-", conf.job_name);
     conf.Set(mr::kConfOutputTable, stage.output_table);
@@ -58,9 +62,10 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
 
   // --- group-by stage ----------------------------------------------------------
   CLY_RETURN_IF_ERROR(cluster_->DropTable(plan.agg.output_table));
+  intermediates.Add(plan.agg.output_table);
   {
     CLY_ASSIGN_OR_RETURN(mr::JobConf conf,
-                         MakeGroupByJob(plan.agg, options_.reduce_tasks));
+                         MakeGroupByJob(plan.agg, kReduceTasks));
     conf.job_name = StrCat("hive-", spec.id, "-groupby");
     mr::ApplyObsConf(options_.trace, options_.trace_dir, options_.profile,
                      &conf);
@@ -80,14 +85,7 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
   }
   CLY_RETURN_IF_ERROR(core::FinalizeAggRows(spec, &result.rows));
   CLY_RETURN_IF_ERROR(core::SortResultRows(spec, &result.rows));
-
-  // --- cleanup -------------------------------------------------------------------
-  if (options_.cleanup_intermediates) {
-    for (const JoinStageSpec& stage : plan.joins) {
-      CLY_RETURN_IF_ERROR(cluster_->DropTable(stage.output_table));
-    }
-    CLY_RETURN_IF_ERROR(cluster_->DropTable(plan.agg.output_table));
-  }
+  CLY_RETURN_IF_ERROR(intermediates.Drop());
 
   result.wall_seconds = timer.ElapsedSeconds();
   return result;

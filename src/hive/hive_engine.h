@@ -13,11 +13,10 @@ namespace hive {
 
 struct HiveOptions {
   JoinStrategy strategy = JoinStrategy::kRepartition;
-  /// Reducers for join and group-by stages.
-  int reduce_tasks = 4;
+  /// DFS directory of the intermediate tables and mapjoin hash files; the
+  /// engine drops what a query wrote there when the query ends, on success
+  /// and on error.
   std::string scratch_root = "/tmp/hive";
-  /// Drop intermediate tables after the query finishes.
-  bool cleanup_intermediates = true;
   /// Span tracing for every stage job, mirroring ClydesdaleOptions::trace —
   /// a traced Hive run and a traced Clydesdale run of the same query yield
   /// directly comparable Chrome traces.
@@ -28,11 +27,6 @@ struct HiveOptions {
   /// Per-operator query profiling per stage job (obs.profile.enabled),
   /// mirroring ClydesdaleOptions::profile. Off = the trees are dropped.
   bool profile = false;
-  /// Serving-mode cross-query dim-table cache, mirroring
-  /// ClydesdaleOptions::dim_cache: mapjoin stages share built broadcast
-  /// tables across queries instead of reloading them per task. Null (the
-  /// default) keeps the paper's per-task reload baseline.
-  std::shared_ptr<core::DimTableCache> dim_cache;
 };
 
 /// The Hive baseline (paper §6.1): compiles a star query into a chain of

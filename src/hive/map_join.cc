@@ -27,8 +27,7 @@ Result<SchemaPtr> HashFileSchema(const JoinStageSpec& spec) {
 
 Result<std::string> BuildMapJoinHashFile(mr::MrCluster* cluster,
                                          const JoinStageSpec& spec,
-                                         const std::string& scratch_root,
-                                         uint64_t* serialized_bytes) {
+                                         const std::string& scratch_root) {
   // Master-side scan of the dimension with the predicate applied.
   CLY_ASSIGN_OR_RETURN(storage::TableDesc dim_desc,
                        cluster->GetTable(spec.dim_table));
@@ -56,7 +55,6 @@ Result<std::string> BuildMapJoinHashFile(mr::MrCluster* cluster,
   }
 
   std::vector<uint8_t> bytes = storage::EncodeRowStream(filtered);
-  if (serialized_bytes != nullptr) *serialized_bytes = bytes.size();
   const std::string path = StrCat(scratch_root, "/hash_stage",
                                   spec.stage_index + 1, "_",
                                   JoinStrategyName(JoinStrategy::kMapJoin));
@@ -77,49 +75,23 @@ Status MapJoinMapper::Setup(mr::TaskContext* context) {
   // repeated cost directly comparable to Clydesdale's "hash-tables" spans.
   obs::Span load_span(context->trace(), "hash-load", "stage",
                       context->task_index(), context->node());
-  // Deserializing the broadcast copy and building the table; counters fire
-  // only when the load actually runs, so a cache-warm task carries none.
-  auto load = [&](const std::shared_ptr<obs::MemTracker>& tracker)
-      -> Result<std::shared_ptr<const core::DimHashTable>> {
-    CLY_ASSIGN_OR_RETURN(std::string local_path,
-                         context->CacheFilePath(hash_file_));
-    CLY_ASSIGN_OR_RETURN(hdfs::BlockBuffer bytes,
-                         context->local_store()->Read(local_path));
-    context->AddLocalDiskBytes(bytes->size());
+  CLY_ASSIGN_OR_RETURN(std::string local_path,
+                       context->CacheFilePath(hash_file_));
+  CLY_ASSIGN_OR_RETURN(hdfs::BlockBuffer bytes,
+                       context->local_store()->Read(local_path));
+  context->AddLocalDiskBytes(bytes->size());
 
-    CLY_ASSIGN_OR_RETURN(SchemaPtr hash_schema, HashFileSchema(spec_));
-    std::vector<std::string> aux = spec_.aux_cols;
-    CLY_ASSIGN_OR_RETURN(
-        std::shared_ptr<const core::DimHashTable> built,
-        core::DimHashTable::Build(*hash_schema, bytes->data(), bytes->size(),
-                                  *Predicate::True(),
-                                  hash_schema->field(0).name, aux, tracker));
-    context->counters()->Add(kCounterMapJoinHashLoads, 1);
-    context->counters()->Add(kCounterMapJoinHashEntries,
-                             static_cast<int64_t>(built->entries()));
-    context->counters()->Add(
-        kCounterMapJoinHashBytes,
-        static_cast<int64_t>(built->stats().memory_bytes));
-    return built;
-  };
-  if (cache_ != nullptr) {
-    // The broadcast file's contents are a pure function of (dimension table,
-    // its version, the stage's filter shape), so the cache keys on those —
-    // a repeated Hive query shares the table across jobs and skips the
-    // per-task reload the paper charges to the baseline.
-    core::DimCacheKey key;
-    key.table_path = spec_.dim_table;
-    key.version = context->cluster()->table_version(spec_.dim_table);
-    key.filter_fingerprint = core::FilterFingerprint(
-        *spec_.dim_predicate, spec_.dim_pk, spec_.aux_cols);
-    bool hit = false;
-    CLY_ASSIGN_OR_RETURN(table_, cache_->GetOrBuild(key, load, &hit));
-    mr::AddDimCacheCounters(hit ? 1 : 0, hit ? 0 : 1, /*evictions=*/0,
-                            cache_->stats().resident_bytes,
-                            context->counters());
-  } else {
-    CLY_ASSIGN_OR_RETURN(table_, load(context->mem_tracker()));
-  }
+  CLY_ASSIGN_OR_RETURN(SchemaPtr hash_schema, HashFileSchema(spec_));
+  CLY_ASSIGN_OR_RETURN(
+      table_,
+      core::DimHashTable::Build(*hash_schema, bytes->data(), bytes->size(),
+                                *Predicate::True(), hash_schema->field(0).name,
+                                spec_.aux_cols, context->mem_tracker()));
+  context->counters()->Add(kCounterMapJoinHashLoads, 1);
+  context->counters()->Add(kCounterMapJoinHashEntries,
+                           static_cast<int64_t>(table_->entries()));
+  context->counters()->Add(kCounterMapJoinHashBytes,
+                           static_cast<int64_t>(table_->stats().memory_bytes));
   load_span.End();
   hash_load_wall_ns_ = static_cast<uint64_t>(load_span.wall_ns());
   hash_load_cpu_ns_ = static_cast<uint64_t>(load_span.cpu_ns());
@@ -184,8 +156,7 @@ Status MapJoinMapper::Cleanup(mr::TaskContext* context,
 }
 
 Result<mr::JobConf> MakeMapJoinJob(const JoinStageSpec& spec,
-                                   const std::string& hash_file,
-                                   std::shared_ptr<core::DimTableCache> cache) {
+                                   const std::string& hash_file) {
   mr::JobConf conf;
   conf.job_name = StrCat("hive-mapjoin", spec.stage_index + 1);
   conf.num_reduce_tasks = 0;  // map-only
@@ -198,8 +169,8 @@ Result<mr::JobConf> MakeMapJoinJob(const JoinStageSpec& spec,
   };
   const JoinStageSpec captured = spec;
   const std::string captured_hash = hash_file;
-  conf.mapper_factory = [captured, captured_hash, cache] {
-    return std::make_unique<MapJoinMapper>(captured, captured_hash, cache);
+  conf.mapper_factory = [captured, captured_hash] {
+    return std::make_unique<MapJoinMapper>(captured, captured_hash);
   };
   return conf;
 }

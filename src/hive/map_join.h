@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/dim_hash_table.h"
-#include "core/dim_table_cache.h"
 #include "hive/hive_plan.h"
 #include "mapreduce/engine.h"
 
@@ -23,25 +22,16 @@ inline constexpr const char kCounterMapJoinHashEntries[] = "HIVE_MAPJOIN_HASH_EN
 /// Returns the DFS path of the serialized hash table.
 Result<std::string> BuildMapJoinHashFile(mr::MrCluster* cluster,
                                          const JoinStageSpec& spec,
-                                         const std::string& scratch_root,
-                                         uint64_t* serialized_bytes);
+                                         const std::string& scratch_root);
 
 /// Map-side of the mapjoin: every task deserializes the broadcast hash table
 /// in Setup (Hive reloads it per task — no JVM reuse; paper §6.3/§6.4) and
 /// probes it while scanning its fact split. Map-only; joined rows go
 /// straight to the stage's output table.
-///
-/// With a serving-mode `cache`, the per-task reload becomes the same
-/// cross-query lookup Clydesdale's build path uses — keyed on the dimension
-/// table (not the broadcast file), its catalog version, and the stage's
-/// dimension filter — so repeated Hive queries skip the deserialization too.
 class MapJoinMapper final : public mr::Mapper {
  public:
-  MapJoinMapper(JoinStageSpec spec, std::string hash_file,
-                std::shared_ptr<core::DimTableCache> cache = nullptr)
-      : spec_(std::move(spec)),
-        hash_file_(std::move(hash_file)),
-        cache_(std::move(cache)) {}
+  MapJoinMapper(JoinStageSpec spec, std::string hash_file)
+      : spec_(std::move(spec)), hash_file_(std::move(hash_file)) {}
 
   Status Setup(mr::TaskContext* context) override;
   Status Map(const Row& key, const Row& value, mr::TaskContext* context,
@@ -51,7 +41,6 @@ class MapJoinMapper final : public mr::Mapper {
  private:
   JoinStageSpec spec_;
   std::string hash_file_;
-  std::shared_ptr<core::DimTableCache> cache_;
   std::shared_ptr<const core::DimHashTable> table_;
   BoundPredicatePtr fact_pred_;
   int fact_fk_index_ = -1;
@@ -65,11 +54,9 @@ class MapJoinMapper final : public mr::Mapper {
 
 /// Configures the map-only MapReduce job for one mapjoin stage; the output
 /// is the caller's. The hash file must have been produced by
-/// BuildMapJoinHashFile first. `cache` (optional) is the serving-mode
-/// cross-query dim-table cache.
-Result<mr::JobConf> MakeMapJoinJob(
-    const JoinStageSpec& spec, const std::string& hash_file,
-    std::shared_ptr<core::DimTableCache> cache = nullptr);
+/// BuildMapJoinHashFile first.
+Result<mr::JobConf> MakeMapJoinJob(const JoinStageSpec& spec,
+                                   const std::string& hash_file);
 
 }  // namespace hive
 }  // namespace clydesdale

@@ -82,6 +82,19 @@ Status MrCluster::DropTable(const std::string& path) {
   return Status::OK();
 }
 
+Status QueryScratch::Drop() {
+  Status first = Status::OK();
+  for (const std::string& path : paths_) {
+    Status status = cluster_->DropTable(path);
+    if (status.ok() && cluster_->dfs()->Exists(path)) {
+      status = cluster_->dfs()->Delete(path);
+    }
+    if (first.ok()) first = std::move(status);
+  }
+  paths_.clear();
+  return first;
+}
+
 int64_t MrCluster::table_version(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = table_versions_.find(path);

@@ -116,6 +116,26 @@ class MrCluster {
   std::vector<std::unique_ptr<TaskTracker>> trackers_;
 };
 
+/// A multi-job query's DFS scratch: the intermediate tables and files its
+/// stages write. Drop() removes everything added so far and reports the
+/// first error; the destructor drops whatever is left and ignores errors,
+/// so a query that fails mid-plan returns its own error and leaks nothing.
+class QueryScratch {
+ public:
+  explicit QueryScratch(MrCluster* cluster) : cluster_(cluster) {}
+  ~QueryScratch() { (void)Drop(); }
+  QueryScratch(const QueryScratch&) = delete;
+  QueryScratch& operator=(const QueryScratch&) = delete;
+
+  /// `path` is a table (DropTable) or a plain DFS file.
+  void Add(std::string path) { paths_.push_back(std::move(path)); }
+  Status Drop();
+
+ private:
+  MrCluster* cluster_;
+  std::vector<std::string> paths_;
+};
+
 /// The outcome of RunJob: execution report plus, for memory-output jobs, the
 /// collected result rows.
 struct JobResult {

@@ -1,6 +1,5 @@
 #include "mapreduce/input_format.h"
 
-#include <algorithm>
 #include <map>
 
 #include "common/strings.h"
@@ -34,15 +33,29 @@ class ConcatRecordReader final : public RecordReader {
   size_t current_ = 0;
 };
 
-/// Adapts a storage RowReader to the MapReduce record model.
+/// Adapts a storage RowReader to the MapReduce record model. Counts the rows
+/// it streams and adds the split's scan node to the attempt's profile when
+/// the split is exhausted: row-format tables decode in Next(), so only then
+/// is the row count known.
 class TableRecordReader final : public RecordReader {
  public:
-  TableRecordReader(std::unique_ptr<storage::RowReader> reader, int32_t tag)
-      : reader_(std::move(reader)), tag_(tag) {}
+  TableRecordReader(std::unique_ptr<storage::RowReader> reader, int32_t tag,
+                    obs::OperatorProfile scan, TaskContext* context)
+      : reader_(std::move(reader)),
+        tag_(tag),
+        scan_(std::move(scan)),
+        context_(context) {}
 
   Result<bool> Next(Row* key, Row* value) override {
     CLY_ASSIGN_OR_RETURN(bool more, reader_->Next(&scratch_));
-    if (!more) return false;
+    if (!more) {
+      if (context_ != nullptr) {
+        context_->AddProfileOperator(std::move(scan_));
+        context_ = nullptr;
+      }
+      return false;
+    }
+    ++scan_.rows_out;
     key->Clear();
     if (tag_ >= 0) {
       value->Clear();
@@ -59,6 +72,9 @@ class TableRecordReader final : public RecordReader {
   std::unique_ptr<storage::RowReader> reader_;
   int32_t tag_;
   Row scratch_;
+  obs::OperatorProfile scan_;
+  /// Null once the scan node has been added.
+  TaskContext* context_;
 };
 
 Result<std::vector<std::shared_ptr<InputSplit>>> SplitsForTable(
@@ -100,12 +116,13 @@ Result<std::unique_ptr<RecordReader>> ReaderForStorageSplit(
       storage::OpenSplitRowReader(*cluster->dfs(), desc, split, options));
   open_timer.Stop();
   AddCifScanCounters(scan_stats, context->counters());
-  context->AddProfileOperator(ScanProfileNode(
+  obs::OperatorProfile scan = ScanProfileNode(
       StrCat("scan:", split.table_path), scan_stats,
       static_cast<uint64_t>(open_timer.wall_ns()),
-      static_cast<uint64_t>(open_timer.cpu_ns())));
+      static_cast<uint64_t>(open_timer.cpu_ns()));
+  scan.rows_out = 0;  // the reader counts the rows it streams
   return std::unique_ptr<RecordReader>(
-      new TableRecordReader(std::move(reader), tag));
+      new TableRecordReader(std::move(reader), tag, std::move(scan), context));
 }
 
 }  // namespace
@@ -157,29 +174,20 @@ Result<std::vector<std::shared_ptr<InputSplit>>> MultiCifInputFormat::GetSplits(
   CLY_ASSIGN_OR_RETURN(std::vector<storage::StorageSplit> splits,
                        storage::ListTableSplits(*cluster->dfs(), desc));
 
-  // Bucket splits by their first preferred node, then pack each bucket into
-  // multi-splits of the configured size (0 = the whole bucket at once, i.e.
-  // one map task per node).
+  // Bucket splits by their first preferred node; each bucket becomes one
+  // multi-split, i.e. one map task per node.
   std::map<hdfs::NodeId, std::vector<storage::StorageSplit>> buckets;
   for (storage::StorageSplit& s : splits) {
     const hdfs::NodeId home =
         s.preferred_nodes.empty() ? hdfs::kNoNode : s.preferred_nodes[0];
     buckets[home].push_back(std::move(s));
   }
-  const int64_t pack = conf.GetInt(kConfMultiSplitSize, 0);
   std::vector<std::shared_ptr<InputSplit>> out;
   for (auto& [node, bucket] : buckets) {
-    const size_t group = pack <= 0 ? bucket.size() : static_cast<size_t>(pack);
-    for (size_t start = 0; start < bucket.size(); start += group) {
-      const size_t end = std::min(bucket.size(), start + group);
-      std::vector<storage::StorageSplit> chunk(
-          std::make_move_iterator(bucket.begin() + static_cast<long>(start)),
-          std::make_move_iterator(bucket.begin() + static_cast<long>(end)));
-      std::vector<hdfs::NodeId> locations;
-      if (node != hdfs::kNoNode) locations.push_back(node);
-      out.push_back(std::make_shared<MultiSplit>(std::move(chunk),
-                                                 std::move(locations)));
-    }
+    std::vector<hdfs::NodeId> locations;
+    if (node != hdfs::kNoNode) locations.push_back(node);
+    out.push_back(
+        std::make_shared<MultiSplit>(std::move(bucket), std::move(locations)));
   }
   return out;
 }

@@ -64,9 +64,6 @@ class InputFormat {
 inline constexpr const char kConfInputTable[] = "input.table";
 /// Comma-separated projection pushed into the storage layer.
 inline constexpr const char kConfInputProjection[] = "input.projection";
-/// For MultiCifInputFormat: how many storage splits to pack per multi-split.
-/// 0 (default) packs each node's local splits into a single multi-split.
-inline constexpr const char kConfMultiSplitSize[] = "multicif.splits.per.multisplit";
 /// For MultiTableInputFormat: comma-separated list of table paths. Values are
 /// tagged with an int32 table ordinal as field 0.
 inline constexpr const char kConfInputTables[] = "input.tables";
@@ -88,10 +85,10 @@ class TableInputFormat : public InputFormat {
       const storage::StorageSplit& split, TaskContext* context) override;
 };
 
-/// MultiCIF (paper §5.1): packs several CIF splits into one multi-split so a
-/// multi-threaded map task can read constituents in parallel without a
-/// synchronized RecordReader bottleneck. Locality-aware: only splits sharing
-/// a preferred node are packed together.
+/// MultiCIF (paper §5.1): packs each node's local CIF splits into one
+/// multi-split so a multi-threaded map task can read constituents in
+/// parallel without a synchronized RecordReader bottleneck. Locality-aware:
+/// only splits sharing a preferred node are packed together.
 class MultiCifInputFormat final : public TableInputFormat {
  public:
   MultiCifInputFormat() = default;

@@ -18,15 +18,26 @@ std::string Millis(uint64_t ns) {
   return StrCat(FormatDouble(static_cast<double>(ns) / 1e6, 3), "ms");
 }
 
+/// The sibling named `name`, inserting an empty one before the first
+/// sibling whose name sorts after it. A tree merged from empty therefore
+/// keeps its siblings in name order, whatever order the attempts finish in.
+OperatorProfile* FindOrInsertSibling(std::vector<OperatorProfile>* siblings,
+                                     std::string_view name) {
+  for (OperatorProfile& node : *siblings) {
+    if (node.name == name) return &node;
+  }
+  auto it = std::find_if(
+      siblings->begin(), siblings->end(),
+      [name](const OperatorProfile& node) { return node.name > name; });
+  it = siblings->emplace(it);
+  it->name = std::string(name);
+  return &*it;
+}
+
 }  // namespace
 
 OperatorProfile* OperatorProfile::Child(std::string_view child_name) {
-  for (OperatorProfile& child : children) {
-    if (child.name == child_name) return &child;
-  }
-  children.emplace_back();
-  children.back().name = std::string(child_name);
-  return &children.back();
+  return FindOrInsertSibling(&children, child_name);
 }
 
 void OperatorProfile::MergeFrom(const OperatorProfile& other) {
@@ -51,12 +62,7 @@ void OperatorProfile::MergeFrom(const OperatorProfile& other) {
 }
 
 OperatorProfile* QueryProfile::Root(std::string_view root_name) {
-  for (OperatorProfile& root : roots) {
-    if (root.name == root_name) return &root;
-  }
-  roots.emplace_back();
-  roots.back().name = std::string(root_name);
-  return &roots.back();
+  return FindOrInsertSibling(&roots, root_name);
 }
 
 void QueryProfile::MergeAttempt(const OperatorProfile& attempt_root,

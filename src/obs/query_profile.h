@@ -54,12 +54,14 @@ struct OperatorProfile {
     return static_cast<double>(rows_out) / static_cast<double>(rows_in);
   }
 
-  /// Child with the given name, creating an empty one if absent.
+  /// Child with the given name, creating an empty one if absent. A new child
+  /// goes before the first sibling whose name sorts after it; names are
+  /// unique among siblings, so a tree merged from empty is in name order.
   OperatorProfile* Child(std::string_view child_name);
 
   /// Adds `other`'s counters into this node and recursively merges its
-  /// children by name (unmatched children are appended). Loss-free: every
-  /// counter of `other` lands exactly once.
+  /// children by name (unmatched children are inserted in name order).
+  /// Loss-free: every counter of `other` lands exactly once.
   void MergeFrom(const OperatorProfile& other);
 };
 
@@ -81,7 +83,8 @@ struct QueryProfile {
                : 0.0;
   }
 
-  /// Root with the given name, creating an empty one if absent.
+  /// Root with the given name, creating an empty one if absent; roots keep
+  /// name order like OperatorProfile::Child.
   OperatorProfile* Root(std::string_view root_name);
 
   /// Merges one attempt's tree (root matched by name) and widens the

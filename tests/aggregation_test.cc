@@ -404,8 +404,9 @@ TEST_F(MixedAggTest, HiveBothStrategies) {
 TEST_F(MixedAggTest, StagedJoin) {
   auto star = std::make_shared<const core::StarSchema>(*star_);
   // Budget of 1 forces the repartition path + final aggregation stage.
-  auto result =
-      ExecuteStagedStarJoin(cluster_, star, MixedQuery(), {}, 1);
+  core::ClydesdaleOptions options;
+  options.max_hash_memory_bytes = 1;
+  auto result = ExecuteStagedStarJoin(cluster_, star, MixedQuery(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   CheckRows(result->rows, "staged");
 }

@@ -463,14 +463,6 @@ TEST(MultiCifTest, PacksSplitsByNode) {
     }
   }
   EXPECT_EQ(constituents, plain->size());
-
-  // A configured pack size caps constituents per multi-split.
-  conf.SetInt(kConfMultiSplitSize, 2);
-  auto packed = format.GetSplits(&cluster, conf);
-  ASSERT_TRUE(packed.ok());
-  for (const auto& split : *packed) {
-    EXPECT_LE(split->Constituents().size(), 2u);
-  }
 }
 
 TEST(MapReduceTest, SingleTaskPerNodeGrantsAllSlots) {

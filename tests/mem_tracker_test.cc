@@ -119,17 +119,6 @@ TEST(ScopedMemConsumerTest, NullTrackerIsANoOpEverywhere) {
   EXPECT_EQ(consumer.peak(), 0);
 }
 
-TEST(ScopedMemChargeTest, WorksThroughTheAbstractReporter) {
-  auto t = MemTracker::Create("t");
-  std::shared_ptr<MemReporter> reporter = t;  // the storage-layer view
-  {
-    ScopedMemCharge charge(reporter);
-    charge.Add(4096);
-    EXPECT_EQ(t->consumed(), 4096);
-  }
-  EXPECT_EQ(t->consumed(), 0);
-}
-
 TEST(TrackSharedArenaTest, ChargeLivesExactlyAsLongAsTheLastReference) {
   auto t = MemTracker::Create("t");
   auto arena = std::make_shared<const std::vector<uint8_t>>(
@@ -147,19 +136,6 @@ TEST(TrackSharedArenaTest, ChargeLivesExactlyAsLongAsTheLastReference) {
   EXPECT_EQ(t->consumed(), 0) << "last reference drop releases the bytes";
   // The original shared_ptr held by the wrapper does not double-release.
   arena.reset();
-  EXPECT_EQ(t->consumed(), 0);
-}
-
-TEST(TrackingAllocatorTest, ChargesContainerChurnAllocationAccurate) {
-  auto t = MemTracker::Create("t");
-  {
-    std::vector<int64_t, TrackingAllocator<int64_t>> v{
-        TrackingAllocator<int64_t>(t.get())};
-    for (int i = 0; i < 1000; ++i) v.push_back(i);
-    EXPECT_EQ(t->consumed(),
-              static_cast<int64_t>(v.capacity() * sizeof(int64_t)));
-    EXPECT_GE(t->peak(), t->consumed());
-  }
   EXPECT_EQ(t->consumed(), 0);
 }
 

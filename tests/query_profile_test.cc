@@ -90,11 +90,12 @@ TEST(OperatorProfileTest, MergeMatchesChildrenByNameAndAppendsNew) {
 
   a.MergeFrom(b);
   ASSERT_EQ(a.children.size(), 2u);
-  EXPECT_EQ(a.children[0].name, "probe");
-  EXPECT_EQ(a.children[0].rows_in, 30u);
-  EXPECT_EQ(a.children[0].rows_out, 10u);
-  EXPECT_EQ(a.children[1].name, "combine") << "unmatched child appended";
-  EXPECT_EQ(a.children[1].rows_in, 6u);
+  EXPECT_EQ(a.children[0].name, "combine")
+      << "unmatched child inserted in name order";
+  EXPECT_EQ(a.children[0].rows_in, 6u);
+  EXPECT_EQ(a.children[1].name, "probe");
+  EXPECT_EQ(a.children[1].rows_in, 30u);
+  EXPECT_EQ(a.children[1].rows_out, 10u);
 }
 
 TEST(QueryProfileTest, MergeAttemptCollapsesDuplicateChildrenAndWidensSpan) {
@@ -128,6 +129,37 @@ TEST(QueryProfileTest, FirstAttemptSetsEnvelopeEvenAtTimeZero) {
                        /*end_us=*/8);
   EXPECT_EQ(profile.first_start_us, 0);
   EXPECT_EQ(profile.last_end_us, 10);
+}
+
+TEST(QueryProfileTest, SiblingOrderIsIndependentOfAttemptOrder) {
+  // Two Hive repartition-join attempts, each scanning one side of the join:
+  // the merged tree must not depend on which one finishes first.
+  OperatorProfile fact_side = Node("map", "task", 0, 5);
+  fact_side.children.push_back(Node("tag-partition", "partition", 5, 5));
+  fact_side.children.push_back(Node("scan:/ssb/lineorder_rc", "scan", 0, 5));
+  OperatorProfile dim_side = Node("map", "task", 0, 3);
+  dim_side.children.push_back(Node("scan:/ssb/date", "scan", 0, 3));
+  dim_side.children.push_back(Node("tag-partition", "partition", 3, 3));
+  OperatorProfile reduce = Node("reduce", "task", 8, 2);
+  reduce.children.push_back(Node("shuffle", "shuffle", 8, 8));
+  reduce.children.push_back(Node("join", "join", 8, 2));
+
+  QueryProfile forward;
+  forward.MergeAttempt(fact_side, 0, 10);
+  forward.MergeAttempt(dim_side, 0, 10);
+  forward.MergeAttempt(reduce, 0, 10);
+  QueryProfile backward;
+  backward.MergeAttempt(reduce, 0, 10);
+  backward.MergeAttempt(dim_side, 0, 10);
+  backward.MergeAttempt(fact_side, 0, 10);
+  EXPECT_EQ(ExplainAnalyzeText(forward), ExplainAnalyzeText(backward));
+  EXPECT_EQ(ExplainAnalyzeJson(forward), ExplainAnalyzeJson(backward));
+  ASSERT_EQ(forward.roots.size(), 2u);
+  EXPECT_EQ(forward.roots[0].name, "map");
+  ASSERT_EQ(forward.roots[0].children.size(), 3u);
+  EXPECT_EQ(forward.roots[0].children[0].name, "scan:/ssb/date");
+  EXPECT_EQ(forward.roots[0].children[1].name, "scan:/ssb/lineorder_rc");
+  EXPECT_EQ(forward.roots[0].children[2].name, "tag-partition");
 }
 
 QueryProfile SampleProfile() {

@@ -405,8 +405,10 @@ TEST_P(RandomStarJoinTest, EnginesAgreeWithReference) {
   }
   auto star = std::make_shared<const core::StarSchema>(rand.star);
   for (uint64_t budget : {uint64_t{1}, max_single}) {
+    core::ClydesdaleOptions options;
+    options.max_hash_memory_bytes = budget;
     auto result =
-        core::ExecuteStagedStarJoin(&cluster, star, rand.query, {}, budget);
+        core::ExecuteStagedStarJoin(&cluster, star, rand.query, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->rows, *expected) << "budget " << budget;
   }

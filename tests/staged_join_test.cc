@@ -13,6 +13,13 @@ namespace clydesdale {
 namespace core {
 namespace {
 
+/// Default options with a per-node hash-memory budget.
+ClydesdaleOptions WithBudget(uint64_t budget_bytes) {
+  ClydesdaleOptions options;
+  options.max_hash_memory_bytes = budget_bytes;
+  return options;
+}
+
 class StagedJoinTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -123,7 +130,8 @@ TEST_F(StagedJoinTest, RepartitionFallbackMatchesReference) {
   ASSERT_TRUE(any_repartition) << "test needs an oversized dimension";
 
   auto star = std::make_shared<const StarSchema>(dataset_->star);
-  auto result = ExecuteStagedStarJoin(cluster_, star, *spec, {}, budget);
+  auto result =
+      ExecuteStagedStarJoin(cluster_, star, *spec, WithBudget(budget));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows, Reference(*spec));
 }
@@ -134,7 +142,7 @@ TEST_F(StagedJoinTest, AllRepartitionPlanMatchesReference) {
   auto spec = ssb::QueryById("Q4.1");
   ASSERT_TRUE(spec.ok());
   auto star = std::make_shared<const StarSchema>(dataset_->star);
-  auto result = ExecuteStagedStarJoin(cluster_, star, *spec, {}, 1);
+  auto result = ExecuteStagedStarJoin(cluster_, star, *spec, WithBudget(1));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows, Reference(*spec));
   // 4 repartition joins + 1 aggregation job.
@@ -154,7 +162,8 @@ TEST_P(StagedQueriesTest, MatchesReferenceWithOneDimPerStage) {
     max_single = std::max(max_single, EstimateDimHashBytes(**dim, join));
   }
   auto star = std::make_shared<const StarSchema>(dataset_->star);
-  auto result = ExecuteStagedStarJoin(cluster_, star, *spec, {}, max_single);
+  auto result =
+      ExecuteStagedStarJoin(cluster_, star, *spec, WithBudget(max_single));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const std::vector<Row> expected = Reference(*spec);
   ASSERT_EQ(result->rows.size(), expected.size());
@@ -230,9 +239,9 @@ TEST_F(StagedJoinTest, StagedWorksWithAblationsToo) {
   ClydesdaleOptions options;
   options.multithreaded = false;
   options.block_iteration = false;
+  options.max_hash_memory_bytes = max_single;
   auto star = std::make_shared<const StarSchema>(dataset_->star);
-  auto result =
-      ExecuteStagedStarJoin(cluster_, star, *spec, options, max_single);
+  auto result = ExecuteStagedStarJoin(cluster_, star, *spec, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows, Reference(*spec));
 }
@@ -273,7 +282,8 @@ TEST_F(StagedJoinTest, FactColumnGroupByAgreesOnEveryEngine) {
   }
   auto star = std::make_shared<const StarSchema>(dataset_->star);
   for (uint64_t budget : {uint64_t{1}, max_single}) {
-    auto result = ExecuteStagedStarJoin(cluster_, star, *spec, {}, budget);
+    auto result =
+      ExecuteStagedStarJoin(cluster_, star, *spec, WithBudget(budget));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_GE(result->stage_reports.size(), 2u) << "budget " << budget;
     EXPECT_EQ(result->rows, *expected) << "budget " << budget;
