@@ -43,10 +43,6 @@ void SetLogThreshold(LogLevel level) {
   g_threshold.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogThreshold() {
-  return static_cast<LogLevel>(g_threshold.load(std::memory_order_relaxed));
-}
-
 const std::string& LogContext() { return ThreadLogContext(); }
 
 ScopedLogContext::ScopedLogContext(std::string context) {

@@ -10,7 +10,6 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFa
 
 /// Sets the minimum level that is actually emitted (default kInfo).
 void SetLogThreshold(LogLevel level);
-LogLevel GetLogThreshold();
 
 /// The calling thread's ambient log context ("" when unset). Non-empty
 /// context is prepended to every CLY_LOG line the thread emits, e.g.

@@ -16,12 +16,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
-  }
-
   int64_t ElapsedNanos() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                 start_)

@@ -108,15 +108,9 @@ class HashAggregator {
       : layout_(std::move(layout)),
         num_accs_(static_cast<size_t>(layout_.num_accumulators())) {}
 
-  /// Row-key convenience path (row readers, merges, tests).
-  void Add(const Row& group_key, const int64_t* inputs) {
-    key_scratch_.clear();
-    group_key::AppendRow(group_key, &key_scratch_);
-    AddEncoded(key_scratch_.data(), key_scratch_.size(), inputs);
-  }
-
-  /// Hot path: the caller already holds the encoded key (the vectorized
-  /// probe loop encodes straight from column data).
+  /// Adds one row's inputs under an encoded group key (group_key::AppendRow
+  /// encodes a Row; the vectorized probe loop encodes straight from column
+  /// data).
   void AddEncoded(const uint8_t* key, size_t len, const int64_t* inputs) {
     int64_t* accs = FindOrCreate(key, len, group_key::Hash(key, len));
     layout_.Merge(accs, inputs);
@@ -169,7 +163,6 @@ class HashAggregator {
   std::vector<Slot> slots_;
   std::vector<int64_t> accs_;       // capacity * num_accs_, slot-indexed
   std::vector<uint8_t> key_arena_;  // encoded keys, append-only
-  std::vector<uint8_t> key_scratch_;
   obs::ScopedMemConsumer mem_;
   /// key_arena_ capacity at the last mem_ sync (regrowth detection).
   size_t synced_arena_capacity_ = 0;

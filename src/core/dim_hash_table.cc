@@ -167,14 +167,10 @@ Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
   table->stats_.entries = table->payloads_.size();
   table->stats_.memory_bytes =
       table->capacity_ * (sizeof(int64_t) + sizeof(int32_t)) + payload_bytes;
-  if (tracker != nullptr) {
-    // The budget trip point: a table that would blow the job's
-    // mem_budget_bytes fails here with ResourceExhausted before anyone
-    // probes it, and the charge lives exactly as long as the table.
-    table->mem_ = obs::ScopedMemConsumer(std::move(tracker));
-    CLY_RETURN_IF_ERROR(table->mem_.TryAdd(
-        static_cast<int64_t>(table->stats_.memory_bytes)));
-  }
+  // The charge lives exactly as long as the table (a null tracker makes
+  // the consumer a no-op).
+  table->mem_ = obs::ScopedMemConsumer(std::move(tracker));
+  table->mem_.Add(static_cast<int64_t>(table->stats_.memory_bytes));
   return std::shared_ptr<const DimHashTable>(table);
 }
 

@@ -42,10 +42,9 @@ class DimHashTable {
   /// Builds from an encoded row stream (the node-local dimension replica):
   /// applies `predicate`, keys by `pk_column`, stores `aux_columns`.
   ///
-  /// `tracker` (optional) charges the finished table's memory_bytes against
-  /// the job's memory budget: a TryConsume failure aborts the build with
-  /// ResourceExhausted (nothing stays consumed), otherwise the table holds
-  /// the charge until it is destroyed — exact-byte, release-on-drop.
+  /// `tracker` (optional) is charged the finished table's memory_bytes; the
+  /// table holds the charge until it is destroyed — exact-byte,
+  /// release-on-drop.
   static Result<std::shared_ptr<const DimHashTable>> Build(
       const Schema& dim_schema, const uint8_t* row_stream, size_t len,
       const Predicate& predicate, const std::string& pk_column,

@@ -76,8 +76,8 @@ struct DimTableCacheStats {
 /// concurrent jobs probe them with no synchronization.
 ///
 /// Memory: every build charges the cache's dedicated MemTracker (a child of
-/// the parent passed in — typically the cluster root, so cache + running
-/// jobs answer to one budget). Eviction drops the cache's reference when the
+/// the parent passed in — typically the cluster root, so cache and running
+/// jobs share one ledger). Eviction drops the cache's reference when the
 /// resident ledger exceeds capacity_bytes, but the bytes leave the tracker
 /// only when the last in-flight query drops its shared_ptr: DimHashTable
 /// holds its charge in a ScopedMemConsumer released on destruction.

@@ -51,28 +51,17 @@ void ConfigureIntermediateOutput(const StageOutput& output,
 /// `star->fact()`, the stage's input table, reading `projection`. With no
 /// `output` the stage aggregates and its rows come back in memory;
 /// otherwise it is map-only and writes the joined rows to `output`.
-Result<mr::JobConf> MakeHashJoinStage(std::shared_ptr<const StarSchema> star,
-                                      const StarQuerySpec& sub,
-                                      const ClydesdaleOptions& options,
-                                      const std::vector<std::string>& projection,
-                                      const StageOutput* output) {
+mr::JobConf MakeHashJoinStage(std::shared_ptr<const StarSchema> star,
+                              const StarQuerySpec& sub,
+                              const ClydesdaleOptions& options,
+                              const std::vector<std::string>& projection,
+                              const StageOutput* output) {
   mr::JobConf conf;
   conf.job_name = StrCat("clydesdale-", sub.id);
   conf.num_reduce_tasks = kAggReduceTasks;
   conf.jvm_reuse = options.jvm_reuse;
   conf.single_task_per_node = options.multithreaded;
   ApplyTraceConf(options, &conf);
-  if (options.mem_budget_bytes > 0) {
-    // Admission control: hand the engine the same dimension-table estimate
-    // the staged planner uses, so RunJob can reject the query up front
-    // instead of failing mid-build on the job tracker's limit.
-    uint64_t estimate = 0;
-    for (const DimJoinSpec& join : sub.dims) {
-      CLY_ASSIGN_OR_RETURN(const DimTableInfo* dim, star->dim(join.dimension));
-      estimate += EstimateDimHashBytes(*dim, join);
-    }
-    conf.SetInt(mr::kConfMemEstimateBytes, static_cast<int64_t>(estimate));
-  }
 
   conf.Set(mr::kConfInputTable, star->fact().path);
   conf.SetList(mr::kConfInputProjection, projection);
@@ -330,13 +319,13 @@ Result<QueryResult> ExecuteStagedStarJoin(
         sub.aggregates = spec.aggregates;
         sub.group_by = spec.group_by;
         sub.order_by = spec.order_by;
-        CLY_ASSIGN_OR_RETURN(conf, MakeHashJoinStage(stage_star, sub, options,
-                                                     projection, nullptr));
+        conf = MakeHashJoinStage(stage_star, sub, options, projection,
+                                 nullptr);
       } else {
         CLY_ASSIGN_OR_RETURN(StageOutput output,
                              stage_output(j, emit_for(j), input_schema));
-        CLY_ASSIGN_OR_RETURN(conf, MakeHashJoinStage(stage_star, sub, options,
-                                                     projection, &output));
+        conf = MakeHashJoinStage(stage_star, sub, options, projection,
+                                 &output);
         output_table = output.table;
       }
     }

@@ -69,35 +69,6 @@ Result<BoundPlan> BindPlan(const StarQuerySpec& spec,
   return plan;
 }
 
-/// Builds one output row from resolved sources (fact row + matched aux).
-Row GatherSources(const std::vector<GroupSource>& sources, const Row& row,
-                  const std::vector<const Row*>& matched) {
-  Row out;
-  out.Reserve(static_cast<int>(sources.size()));
-  for (const GroupSource& src : sources) {
-    out.Append(src.from_fact
-                   ? row.Get(src.fact_index)
-                   : matched[static_cast<size_t>(src.dim_index)]->Get(
-                         src.aux_index));
-  }
-  return out;
-}
-
-/// Probe/aggregate state of one probe thread.
-struct ProbeSink {
-  explicit ProbeSink(AggLayout layout)
-      : agg(layout),
-        acc_inputs(static_cast<size_t>(layout.num_accumulators())) {}
-  HashAggregator agg;
-  /// One row's accumulator inputs, sized from the layout.
-  std::vector<int64_t> acc_inputs;
-  uint64_t probe_rows = 0;
-  uint64_t join_output_rows = 0;
-  uint64_t probe_batches = 0;
-  /// Non-null when map-side aggregation is off: emit per joined row.
-  mr::OutputCollector* direct_out = nullptr;
-};
-
 /// One thread's vectorized pipeline over the bound plan (scratch buffers are
 /// per-instance, so per-thread).
 std::unique_ptr<VectorizedProbe> MakeVectorizedProbe(
@@ -114,87 +85,29 @@ std::unique_ptr<VectorizedProbe> MakeVectorizedProbe(
                                            std::move(acc_exprs));
 }
 
-/// The inner join+aggregate step for one fact row that already passed the
-/// fact predicate. `matched` is scratch of size dims.
-Status JoinAndAggregateRow(const BoundPlan& plan, const QueryHashTables& tables,
-                           const Row& row, std::vector<const Row*>* matched,
-                           ProbeSink* sink) {
-  for (size_t d = 0; d < tables.tables.size(); ++d) {
-    const Row* aux =
-        tables.tables[d]->Probe(row.Get(plan.fk_index[d]).AsInt64());
-    if (aux == nullptr) return Status::OK();  // early-out (paper §4.2)
-    (*matched)[d] = aux;
-  }
-  ++sink->join_output_rows;
-
-  if (plan.emit_joined_rows) {
-    Row empty_key;
-    return sink->direct_out->Collect(
-        empty_key, GatherSources(plan.emit_sources, row, *matched));
-  }
-  Row group_key;
-  group_key.Reserve(static_cast<int>(plan.group_sources.size()));
-  for (const GroupSource& src : plan.group_sources) {
-    group_key.Append(src.from_fact
-                         ? row.Get(src.fact_index)
-                         : (*matched)[static_cast<size_t>(src.dim_index)]->Get(
-                               src.aux_index));
-  }
-  if (sink->direct_out != nullptr) {
-    Row value;
-    value.Reserve(static_cast<int>(plan.acc_exprs.size()));
-    for (const BoundScalarPtr& e : plan.acc_exprs) {
-      value.Append(Value(e == nullptr ? int64_t{1} : e->Eval(row).AsInt64()));
-    }
-    return sink->direct_out->Collect(group_key, value);
-  }
-  int64_t* values = sink->acc_inputs.data();
-  for (size_t a = 0; a < plan.acc_exprs.size(); ++a) {
-    values[a] = plan.acc_exprs[a] == nullptr
-                    ? 1
-                    : plan.acc_exprs[a]->Eval(row).AsInt64();
-  }
-  sink->agg.Add(group_key, values);
-  return Status::OK();
-}
-
 /// Rows per B-CIF block handed to the probe loop.
 constexpr int64_t kProbeBatchRows = 4096;
 
-/// Block-iteration probe (B-CIF): the whole filter→probe→aggregate pipeline
-/// stays columnar inside VectorizedProbe; this loop just pulls batches and
-/// routes them to the sink mode the plan asked for.
+/// The probe loop: the whole filter→probe→aggregate pipeline stays columnar
+/// inside VectorizedProbe; this loop just pulls batches of up to
+/// `batch_rows` rows and routes them to the sink the plan asked for: the
+/// thread's partial aggregate, or (`direct_out` non-null: staged emit or
+/// map-side aggregation off) one record per joined row.
 Status ProcessBatches(const BoundPlan& plan, storage::BatchReader* reader,
-                      ProbeSink* sink, VectorizedProbe* probe) {
+                      int64_t batch_rows, mr::OutputCollector* direct_out,
+                      HashAggregator* agg, VectorizedProbe* probe) {
   RowBatch batch(plan.fact_schema);
   while (true) {
-    CLY_ASSIGN_OR_RETURN(bool more,
-                         reader->NextBatch(&batch, kProbeBatchRows));
+    CLY_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch, batch_rows));
     if (!more) break;
     if (plan.emit_joined_rows) {
-      CLY_RETURN_IF_ERROR(probe->ProcessBatchEmitJoined(
-          batch, plan.emit_sources, sink->direct_out));
-    } else if (sink->direct_out != nullptr) {
-      CLY_RETURN_IF_ERROR(probe->ProcessBatchCollect(batch, sink->direct_out));
+      CLY_RETURN_IF_ERROR(
+          probe->ProcessBatchEmitJoined(batch, plan.emit_sources, direct_out));
+    } else if (direct_out != nullptr) {
+      CLY_RETURN_IF_ERROR(probe->ProcessBatchCollect(batch, direct_out));
     } else {
-      CLY_RETURN_IF_ERROR(probe->ProcessBatchAgg(batch, &sink->agg));
+      CLY_RETURN_IF_ERROR(probe->ProcessBatchAgg(batch, agg));
     }
-  }
-  return Status::OK();
-}
-
-/// Row-at-a-time probe (plain CIF iteration).
-Status ProcessRows(const BoundPlan& plan, const QueryHashTables& tables,
-                   storage::RowReader* reader, ProbeSink* sink) {
-  Row row;
-  std::vector<const Row*> matched(tables.tables.size());
-  while (true) {
-    CLY_ASSIGN_OR_RETURN(bool more, reader->Next(&row));
-    if (!more) break;
-    ++sink->probe_rows;
-    if (!plan.fact_pred->Eval(row)) continue;
-    CLY_RETURN_IF_ERROR(
-        JoinAndAggregateRow(plan, tables, row, &matched, sink));
   }
   return Status::OK();
 }
@@ -262,9 +175,6 @@ std::vector<std::string> ClydesdaleCounterNames() {
 
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf) {
   mr::ApplyObsConf(options.trace, options.trace_dir, options.profile, conf);
-  if (options.mem_budget_bytes > 0) {
-    conf->mem_budget_bytes = options.mem_budget_bytes;
-  }
 }
 
 Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
@@ -316,8 +226,7 @@ Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
       ++(hit ? cache_hits : cache_misses);
     } else {
       // Tables outlive this attempt (JVM reuse shares them across tasks), so
-      // they charge the per-(job, node) tracker, not the attempt's. A budget
-      // breach surfaces here as ResourceExhausted, failing the build cleanly.
+      // they charge the per-(job, node) tracker, not the attempt's.
       CLY_ASSIGN_OR_RETURN(table, build(context->job_mem_tracker()));
     }
     tables->total_memory_bytes += table->stats().memory_bytes;
@@ -411,15 +320,18 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
 
   std::atomic<size_t> next{0};
   std::vector<Status> statuses(static_cast<size_t>(num_threads));
-  std::vector<std::unique_ptr<ProbeSink>> sinks;
   std::vector<hdfs::IoStats> io(static_cast<size_t>(num_threads));
   std::vector<storage::ScanStats> scan_stats(static_cast<size_t>(num_threads));
+  // Block iteration (B-CIF, §5.3) is the batch size: off, the reader and the
+  // whole pipeline run once per record.
+  const int64_t batch_rows = options_.block_iteration ? kProbeBatchRows : 1;
+  const bool aggregated = options_.map_side_agg && !plan.emit_joined_rows;
+  mr::OutputCollector* const direct_out = aggregated ? nullptr : out;
+  // One partial aggregate per thread.
   const AggLayout layout = AggLayout::For(spec_.aggregates);
+  std::vector<std::unique_ptr<HashAggregator>> aggs;
   for (int t = 0; t < num_threads; ++t) {
-    sinks.push_back(std::make_unique<ProbeSink>(layout));
-    if (!options_.map_side_agg || plan.emit_joined_rows) {
-      sinks.back()->direct_out = out;
-    }
+    aggs.push_back(std::make_unique<HashAggregator>(layout));
   }
 
   // Per-thread profile cells: the CIF open is the scan (the split loads and
@@ -429,21 +341,22 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
     uint64_t probe_wall_ns = 0, probe_cpu_ns = 0;
   };
   std::vector<ThreadProfile> thread_profiles(static_cast<size_t>(num_threads));
+  std::vector<VectorizedProbe::Stats> probe_stats(
+      static_cast<size_t>(num_threads));
 
   auto worker = [&](int t) {
     // One probe span per worker thread: the fused scan/filter/probe/agg
     // pipeline over this thread's share of the constituents.
     obs::Span probe_span(context->trace(), "probe", "stage",
                          context->task_index(), context->node());
-    ProbeSink* sink = sinks[static_cast<size_t>(t)].get();
+    HashAggregator* agg = aggs[static_cast<size_t>(t)].get();
     // Partial-aggregate tables are attempt-scoped: charge this attempt's
     // tracker (synced on container growth, released at task end).
     if (context->mem_tracker() != nullptr) {
-      sink->agg.AttachMemTracker(context->mem_tracker());
+      agg->AttachMemTracker(context->mem_tracker());
     }
     ThreadProfile* prof = &thread_profiles[static_cast<size_t>(t)];
-    std::unique_ptr<VectorizedProbe> vec;
-    if (options_.block_iteration) vec = MakeVectorizedProbe(plan, *tables);
+    std::unique_ptr<VectorizedProbe> vec = MakeVectorizedProbe(plan, *tables);
     while (true) {
       const size_t mine = next.fetch_add(1, std::memory_order_relaxed);
       if (mine >= constituents.size()) break;
@@ -454,22 +367,14 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
       scan.scan_spec = scan_spec;
       scan.scan_stats = &scan_stats[static_cast<size_t>(t)];
       scan.mem_reporter = context->mem_tracker();
-      Status st;
       obs::Timer open_timer;
-      if (options_.block_iteration) {
-        auto reader = storage::OpenSplitBatchReader(
-            *context->cluster()->dfs(), fact_desc, *constituents[mine], scan);
-        open_timer.Stop();
-        st = reader.ok()
-                 ? ProcessBatches(plan, reader->get(), sink, vec.get())
-                 : reader.status();
-      } else {
-        auto reader = storage::OpenSplitRowReader(
-            *context->cluster()->dfs(), fact_desc, *constituents[mine], scan);
-        open_timer.Stop();
-        st = reader.ok() ? ProcessRows(plan, *tables, reader->get(), sink)
-                         : reader.status();
-      }
+      auto reader = storage::OpenSplitBatchReader(
+          *context->cluster()->dfs(), fact_desc, *constituents[mine], scan);
+      open_timer.Stop();
+      const Status st = reader.ok()
+                            ? ProcessBatches(plan, reader->get(), batch_rows,
+                                             direct_out, agg, vec.get())
+                            : reader.status();
       prof->scan_wall_ns += static_cast<uint64_t>(open_timer.wall_ns());
       prof->scan_cpu_ns += static_cast<uint64_t>(open_timer.cpu_ns());
       ++prof->scan_opens;
@@ -478,11 +383,7 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
         break;
       }
     }
-    if (vec != nullptr) {
-      sink->probe_rows += vec->stats().rows_in;
-      sink->join_output_rows += vec->stats().join_rows;
-      sink->probe_batches += vec->stats().batches;
-    }
+    probe_stats[static_cast<size_t>(t)] = vec->stats();
     probe_span.End();
     prof->probe_wall_ns = static_cast<uint64_t>(std::max<int64_t>(
         0, probe_span.wall_ns() - static_cast<int64_t>(prof->scan_wall_ns)));
@@ -506,12 +407,12 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
     CLY_RETURN_IF_ERROR(statuses[static_cast<size_t>(t)]);
     context->MergeIoStats(io[static_cast<size_t>(t)]);
     scan_totals.MergeFrom(scan_stats[static_cast<size_t>(t)]);
-    ProbeSink* sink = sinks[static_cast<size_t>(t)].get();
-    probe_rows += sink->probe_rows;
-    join_rows += sink->join_output_rows;
-    probe_batches += sink->probe_batches;
-    agg_groups += sink->agg.num_groups();
-    agg_bytes += sink->agg.memory_bytes();
+    const VectorizedProbe::Stats& stats = probe_stats[static_cast<size_t>(t)];
+    probe_rows += stats.rows_in;
+    join_rows += stats.join_rows;
+    probe_batches += stats.batches;
+    agg_groups += aggs[static_cast<size_t>(t)]->num_groups();
+    agg_bytes += aggs[static_cast<size_t>(t)]->memory_bytes();
   }
   context->counters()->Add(kCounterProbeRows,
                            static_cast<int64_t>(probe_rows));
@@ -519,12 +420,10 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
                            static_cast<int64_t>(join_rows));
   context->counters()->Add(mr::kCounterMapInputRecords,
                            static_cast<int64_t>(probe_rows));
-  if (probe_batches > 0) {
-    context->counters()->Add(kCounterProbeBatches,
-                             static_cast<int64_t>(probe_batches));
-  }
+  context->counters()->Add(kCounterProbeBatches,
+                           static_cast<int64_t>(probe_batches));
   mr::AddCifScanCounters(scan_totals, context->counters());
-  if (options_.map_side_agg && !plan.emit_joined_rows) {
+  if (aggregated) {
     context->counters()->Add(kCounterAggGroups,
                              static_cast<int64_t>(agg_groups));
     context->counters()->Add(kCounterAggBytes,
@@ -533,17 +432,16 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
 
   uint64_t agg_wall_ns = 0, agg_cpu_ns = 0, merged_groups = 0;
   uint64_t merged_agg_bytes = 0;
-  const bool aggregated = options_.map_side_agg && !plan.emit_joined_rows;
   if (aggregated) {
     // Merge the per-thread partial aggregates and emit once.
     obs::Span agg_span(context->trace(), "aggregate", "stage",
                        context->task_index(), context->node());
     for (int t = 1; t < num_threads; ++t) {
-      sinks[0]->agg.MergeFrom(sinks[static_cast<size_t>(t)]->agg);
+      aggs[0]->MergeFrom(*aggs[static_cast<size_t>(t)]);
     }
-    merged_groups = static_cast<uint64_t>(sinks[0]->agg.num_groups());
-    merged_agg_bytes = sinks[0]->agg.memory_bytes();
-    CLY_RETURN_IF_ERROR(sinks[0]->agg.Emit(out));
+    merged_groups = static_cast<uint64_t>(aggs[0]->num_groups());
+    merged_agg_bytes = aggs[0]->memory_bytes();
+    CLY_RETURN_IF_ERROR(aggs[0]->Emit(out));
     agg_span.End();
     agg_wall_ns = static_cast<uint64_t>(agg_span.wall_ns());
     agg_cpu_ns = static_cast<uint64_t>(agg_span.cpu_ns());

@@ -18,15 +18,17 @@ class DimTableCache;
 
 /// Engine knobs. The first five fields are the paper's ablation switches
 /// (§6.5): multithreaded, block_iteration, columnar, jvm_reuse and
-/// map_side_agg. Every other field is a memory budget
-/// (max_hash_memory_bytes, mem_budget_bytes), an observability path (trace,
-/// trace_dir, profile) or the serving hook (dim_cache).
+/// map_side_agg. Every other field is the hash-table memory budget
+/// (max_hash_memory_bytes), an observability path (trace, trace_dir,
+/// profile) or the serving hook (dim_cache).
 struct ClydesdaleOptions {
   /// Multi-threaded map tasks sharing one hash-table copy per node
   /// (MTMapRunner, paper §5.1). Off = one single-threaded task per split,
   /// every other switch unchanged.
   bool multithreaded = true;
-  /// Block iteration (B-CIF, §5.3). Off = row-at-a-time record loop.
+  /// Block iteration (B-CIF, §5.3): the probe pipeline's batch size, 4096
+  /// rows (kProbeBatchRows) per reader call. Off = one-row batches, so the
+  /// reader and the whole pipeline run once per record.
   bool block_iteration = true;
   /// Columnar projection pushdown (§4.1). Off = read every fact column.
   bool columnar = true;
@@ -53,12 +55,6 @@ struct ClydesdaleOptions {
   /// attempt's tree. Memory accounting (the obs::MemTracker tree behind the
   /// MEM_* counters) needs no switch: it is always on.
   bool profile = false;
-  /// Per-job memory budget (JobConf::mem_budget_bytes): admission control
-  /// rejects a query whose estimated dimension tables exceed it, and a
-  /// runtime breach fails the attempt with ResourceExhausted. 0 = unlimited.
-  /// Distinct from max_hash_memory_bytes, which *re-plans* (staged
-  /// fallback) instead of rejecting.
-  uint64_t mem_budget_bytes = 0;
   /// Cross-query dimension hash-table cache (serving mode, DESIGN.md §15).
   /// When set, the build path becomes a cluster-wide cache lookup keyed by
   /// (table path, table version, filter fingerprint): repeated queries probe
@@ -68,9 +64,9 @@ struct ClydesdaleOptions {
   std::shared_ptr<DimTableCache> dim_cache;
 };
 
-/// Forwards the options' observability knobs (mr::ApplyObsConf) and memory
-/// budget into a stage job's conf; every Clydesdale stage job goes through
-/// this so traces stay comparable across plans.
+/// Forwards the options' observability knobs (mr::ApplyObsConf) into a stage
+/// job's conf; every Clydesdale stage job goes through this so traces stay
+/// comparable across plans.
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf);
 
 /// Conf key: comma-separated output columns for staged-join stages. When

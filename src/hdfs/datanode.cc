@@ -53,11 +53,6 @@ void DataNode::DropReplica(BlockId block) {
   replicas_.erase(block);
 }
 
-size_t DataNode::NumReplicas() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return replicas_.size();
-}
-
 uint64_t DataNode::StoredBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;

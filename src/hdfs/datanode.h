@@ -31,8 +31,6 @@ class DataNode {
   bool HasReplica(BlockId block) const;
   void DropReplica(BlockId block);
 
-  /// Number of replicas hosted.
-  size_t NumReplicas() const;
   /// Total bytes of replica data hosted.
   uint64_t StoredBytes() const;
 

@@ -128,12 +128,5 @@ Status NameNode::UpdateReplicas(const std::string& path, int block_index,
   return Status::OK();
 }
 
-uint64_t NameNode::TotalBlocks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t n = 0;
-  for (const auto& [path, state] : files_) n += state.info.blocks.size();
-  return n;
-}
-
 }  // namespace hdfs
 }  // namespace clydesdale

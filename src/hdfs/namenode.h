@@ -43,8 +43,6 @@ class NameNode {
   Status UpdateReplicas(const std::string& path, int block_index,
                         std::vector<NodeId> replicas);
 
-  uint64_t TotalBlocks() const;
-
  private:
   struct FileState {
     FileInfo info;

@@ -68,13 +68,5 @@ Result<std::vector<NodeId>> ColocatingPlacementPolicy::ChooseReplicas(
   return chosen;
 }
 
-void ColocatingPlacementPolicy::ForgetGroup(const std::string& group) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = assignments_.lower_bound({group, 0});
-  while (it != assignments_.end() && it->first.first == group) {
-    it = assignments_.erase(it);
-  }
-}
-
 }  // namespace hdfs
 }  // namespace clydesdale

@@ -63,10 +63,6 @@ class ColocatingPlacementPolicy : public BlockPlacementPolicy {
   Result<std::vector<NodeId>> ChooseReplicas(
       const PlacementRequest& req) override;
 
-  /// Forgets remembered placements for a group (called when a table is
-  /// dropped so a re-created table can be placed afresh).
-  void ForgetGroup(const std::string& group);
-
  private:
   DefaultPlacementPolicy fallback_;
   std::mutex mu_;

@@ -41,7 +41,6 @@ std::vector<std::string> SituationalCounterNames() {
       kCounterProfTasksProfiled,
       kCounterMemJobPeakBytes,
       kCounterMemNodePeakBytes,
-      kCounterMemBudgetBytes,
       kCounterCacheDimHits,
       kCounterCacheDimMisses,
       kCounterCacheDimEvictions,
@@ -114,7 +113,7 @@ void AddQueryProfileCounters(const obs::QueryProfile& profile,
 
 void AddMemTrackerCounters(
     const std::vector<std::shared_ptr<obs::MemTracker>>& job_trackers,
-    uint64_t budget_bytes, Counters* counters) {
+    Counters* counters) {
   int64_t job_peak = 0;
   int64_t node_peak = 0;
   for (const auto& tracker : job_trackers) {
@@ -124,9 +123,6 @@ void AddMemTrackerCounters(
   }
   if (job_peak > 0) counters->Add(kCounterMemJobPeakBytes, job_peak);
   if (node_peak > 0) counters->Add(kCounterMemNodePeakBytes, node_peak);
-  if (budget_bytes > 0) {
-    counters->Set(kCounterMemBudgetBytes, static_cast<int64_t>(budget_bytes));
-  }
 }
 
 void AddDimCacheCounters(int64_t hits, int64_t misses, int64_t evictions,

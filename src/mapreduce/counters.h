@@ -55,12 +55,10 @@ inline constexpr const char kCounterProfOperators[] = "PROF_OPERATORS";
 inline constexpr const char kCounterProfTasksProfiled[] =
     "PROF_TASKS_PROFILED";
 // Hierarchical memory accounting (obs::MemTracker, always on): the job's
-// high-water tracked bytes summed across its per-node trackers, the highest
-// single-node high-water mark, and the configured budget (set only when
-// JobConf::mem_budget_bytes > 0).
+// high-water tracked bytes summed across its per-node trackers, and the
+// highest single-node high-water mark.
 inline constexpr const char kCounterMemJobPeakBytes[] = "MEM_JOB_PEAK_BYTES";
 inline constexpr const char kCounterMemNodePeakBytes[] = "MEM_NODE_PEAK_BYTES";
-inline constexpr const char kCounterMemBudgetBytes[] = "MEM_BUDGET_BYTES";
 // Serving-mode cross-query dim-table cache (core/dim_table_cache.h; only
 // queries running with a ClydesdaleOptions::dim_cache carry these):
 // per-dimension lookups served from a resident or in-flight entry vs builds
@@ -156,12 +154,11 @@ void AddQueryProfileCounters(const obs::QueryProfile& profile,
 
 /// Folds the job's MemTracker high-water marks into `counters` at job end:
 /// MEM_JOB_PEAK_BYTES (sum of the job's per-node tracker peaks),
-/// MEM_NODE_PEAK_BYTES (largest single per-node peak) and MEM_BUDGET_BYTES
-/// (the configured limit). Zero values are not added, so jobs that never
-/// charged a tracker carry no MEM_* counters.
+/// and MEM_NODE_PEAK_BYTES (largest single per-node peak). Zero values are
+/// not added, so jobs that never charged a tracker carry no MEM_* counters.
 void AddMemTrackerCounters(
     const std::vector<std::shared_ptr<obs::MemTracker>>& job_trackers,
-    uint64_t budget_bytes, Counters* counters);
+    Counters* counters);
 
 /// Folds serving-mode dim-table cache activity into `counters` — the only
 /// place the CACHE_* counters are populated (scripts/check_counters.sh

@@ -233,21 +233,6 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
         "job has reduce tasks but no reducer factory");
   }
 
-  // Admission control: reject a job whose estimated dimension hash-table
-  // footprint (engine-computed, typically from table statistics) already
-  // exceeds its memory budget — before any task runs or scratch is written.
-  // A breach discovered only at runtime still fails via the MemTracker's
-  // TryConsume on the job's per-node trackers.
-  if (conf.mem_budget_bytes > 0) {
-    const int64_t estimate = conf.GetInt(kConfMemEstimateBytes, 0);
-    if (estimate > static_cast<int64_t>(conf.mem_budget_bytes)) {
-      return Status::ResourceExhausted(StrCat(
-          "job '", conf.job_name, "' rejected at admission: estimated ",
-          estimate, " bytes of dimension hash tables exceeds mem budget of ",
-          conf.mem_budget_bytes, " bytes"));
-    }
-  }
-
   ScratchGcGuard scratch_gc{cluster, instance};
 
   JobReport report;
@@ -295,8 +280,7 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
       static_cast<int64_t>(cluster->dfs()->TotalIo().bytes_written -
                            dfs_written_before));
   report.wall_seconds = job_timer.ElapsedSeconds();
-  AddMemTrackerCounters(runner->job_mem_trackers(), conf.mem_budget_bytes,
-                        &report.counters);
+  AddMemTrackerCounters(runner->job_mem_trackers(), &report.counters);
   if (!report.profile.empty()) {
     // Stamp the whole-job wall clock onto the merged profile (the renderer
     // reports the attempts' coverage against it) and surface the headline

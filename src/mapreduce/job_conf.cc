@@ -13,10 +13,6 @@ void JobConf::SetBool(const std::string& key, bool value) {
   conf_[key] = value ? "true" : "false";
 }
 
-void JobConf::SetDouble(const std::string& key, double value) {
-  conf_[key] = StrCat(value);
-}
-
 std::string JobConf::Get(const std::string& key, const std::string& def) const {
   auto it = conf_.find(key);
   return it == conf_.end() ? def : it->second;
@@ -32,12 +28,6 @@ bool JobConf::GetBool(const std::string& key, bool def) const {
   auto it = conf_.find(key);
   if (it == conf_.end()) return def;
   return it->second == "true" || it->second == "1";
-}
-
-double JobConf::GetDouble(const std::string& key, double def) const {
-  auto it = conf_.find(key);
-  if (it == conf_.end() || it->second.empty()) return def;
-  return std::stod(it->second);
 }
 
 std::vector<std::string> JobConf::GetList(const std::string& key) const {

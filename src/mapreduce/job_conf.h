@@ -18,10 +18,6 @@ class InputFormat;
 class OutputFormat;
 class MapRunner;
 
-/// Engine-computed estimate of the job's dimension hash-table footprint
-/// (bytes), consulted by admission control against JobConf::mem_budget_bytes.
-inline constexpr const char kConfMemEstimateBytes[] = "obs.mem.estimate_bytes";
-
 /// Job configuration: string properties plus typed component factories (the
 /// C++ stand-in for Hadoop's reflective class-name configuration). Factories
 /// are invoked once per task, so user components may keep per-task state.
@@ -35,11 +31,9 @@ class JobConf {
   }
   void SetInt(const std::string& key, int64_t value);
   void SetBool(const std::string& key, bool value);
-  void SetDouble(const std::string& key, double value);
   std::string Get(const std::string& key, const std::string& def = "") const;
   int64_t GetInt(const std::string& key, int64_t def = 0) const;
   bool GetBool(const std::string& key, bool def = false) const;
-  double GetDouble(const std::string& key, double def = 0) const;
   /// Comma-separated list property.
   std::vector<std::string> GetList(const std::string& key) const;
   void SetList(const std::string& key, const std::vector<std::string>& items);
@@ -57,13 +51,6 @@ class JobConf {
   /// DFS paths broadcast to every node's local disk before the job starts
   /// (Hive's mapjoin hash-table dissemination path, paper §6.1).
   std::vector<std::string> distributed_cache;
-  /// Per-job memory budget enforced by the obs::MemTracker tree: the job's
-  /// per-node trackers are created with this limit, so any tracked consumer
-  /// (dim hash tables, shuffle runs, scan arenas) that would push the job
-  /// past it fails the attempt with ResourceExhausted. Admission control in
-  /// the engine additionally rejects jobs whose estimated dimension
-  /// hash-table footprint already exceeds the budget. 0 = unlimited.
-  uint64_t mem_budget_bytes = 0;
 
   // --- component factories ----------------------------------------------------
   using MapperFactory = std::function<std::unique_ptr<Mapper>()>;

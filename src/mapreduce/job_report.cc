@@ -22,13 +22,6 @@ uint64_t JobReport::TotalShuffleBytes() const {
   return total;
 }
 
-uint64_t JobReport::TotalOutputRecords() const {
-  uint64_t total = 0;
-  const auto& tasks = reduce_tasks.empty() ? map_tasks : reduce_tasks;
-  for (const TaskReport& t : tasks) total += t.output_records;
-  return total;
-}
-
 int JobReport::DataLocalMaps() const {
   int n = 0;
   for (const TaskReport& t : map_tasks) n += t.data_local ? 1 : 0;

@@ -56,7 +56,6 @@ struct JobReport {
 
   uint64_t TotalMapInputBytes() const;
   uint64_t TotalShuffleBytes() const;
-  uint64_t TotalOutputRecords() const;
   int DataLocalMaps() const;
   /// Exact nearest-rank p50/p95/p99 of the map tasks' wall times and of the
   /// reduce tasks' shuffle input, one "<what> p50/p95/p99=a/b/c<unit>"

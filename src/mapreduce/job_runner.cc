@@ -66,14 +66,13 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
         std::make_unique<TaskAttempt>(r, /*attempt=*/0, /*is_map=*/false));
   }
   // The job's memory-tracker layer: one tracker per node, parented under
-  // the cluster's node trackers, carrying the job's budget as its limit.
+  // the cluster's node trackers.
   // Everything a task charges (dim tables, scan arenas, shuffle runs)
   // propagates node -> cluster through these.
   job_mem_trackers_.reserve(static_cast<size_t>(cluster->num_nodes()));
   for (int n = 0; n < cluster->num_nodes(); ++n) {
     job_mem_trackers_.push_back(obs::MemTracker::Create(
-        obs::JobTrackerName(instance, n), cluster->node_mem_tracker(n),
-        static_cast<int64_t>(conf->mem_budget_bytes)));
+        obs::JobTrackerName(instance, n), cluster->node_mem_tracker(n)));
   }
   shuffle_.set_mem_trackers(job_mem_trackers_);
   if (maps_unfinished_ == 0) shuffle_.CloseProducers();

@@ -82,8 +82,8 @@ class JobRunner {
   Status Execute(const std::shared_ptr<JobRunner>& self);
 
   /// The job's per-node MemTrackers ("job<I>@node<N>", children of the
-  /// cluster's node trackers, limited by JobConf::mem_budget_bytes), indexed
-  /// by NodeId. The engine's counter flush reads their peaks at job end.
+  /// cluster's node trackers), indexed by NodeId. The engine's counter
+  /// flush reads their peaks at job end.
   const std::vector<std::shared_ptr<obs::MemTracker>>& job_mem_trackers()
       const {
     return job_mem_trackers_;

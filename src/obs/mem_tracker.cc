@@ -6,11 +6,11 @@ namespace clydesdale {
 namespace obs {
 
 std::shared_ptr<MemTracker> MemTracker::Create(
-    std::string name, std::shared_ptr<MemTracker> parent, int64_t limit) {
+    std::string name, std::shared_ptr<MemTracker> parent) {
   // Not make_shared: the constructor is private and the control block being
   // separate is irrelevant at tracker creation rates (a handful per job).
   return std::shared_ptr<MemTracker>(
-      new MemTracker(std::move(name), std::move(parent), limit));
+      new MemTracker(std::move(name), std::move(parent)));
 }
 
 void MemTracker::Consume(int64_t bytes) {
@@ -20,38 +20,6 @@ void MemTracker::Consume(int64_t bytes) {
         t->consumed_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
     if (bytes > 0) t->UpdatePeak(now);
   }
-}
-
-Status MemTracker::TryConsume(int64_t bytes) {
-  if (bytes <= 0) {
-    Consume(bytes);
-    return Status::OK();
-  }
-  // Optimistically commit level by level; on the first limit breach, undo
-  // the prefix (including the breaching level). Concurrent TryConsume calls
-  // may transiently overshoot and both roll back — that conservative race
-  // only ever rejects, never silently exceeds a budget.
-  MemTracker* failed = nullptr;
-  int64_t failed_total = 0;
-  for (MemTracker* t = this; t != nullptr; t = t->parent_.get()) {
-    const int64_t now =
-        t->consumed_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    if (t->limit_ > 0 && now > t->limit_) {
-      failed = t;
-      failed_total = now;
-      break;
-    }
-    t->UpdatePeak(now);
-  }
-  if (failed == nullptr) return Status::OK();
-  for (MemTracker* t = this;; t = t->parent_.get()) {
-    t->consumed_.fetch_sub(bytes, std::memory_order_relaxed);
-    if (t == failed) break;
-  }
-  return Status::ResourceExhausted(StrCat(
-      "memory budget exceeded: tracker '", failed->name_, "' needs ",
-      failed_total, " bytes (request ", bytes, ") but is limited to ",
-      failed->limit_, " bytes"));
 }
 
 std::string NodeTrackerName(int node) { return StrCat("node", node); }

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/mem.h"
-#include "common/status.h"
 
 namespace clydesdale {
 namespace obs {
@@ -17,10 +16,9 @@ namespace obs {
 /// Hierarchical memory accounting (cluster → node → job@node → attempt),
 /// modeled on Impala's MemTracker. Consume/Release walk the parent chain
 /// with relaxed atomics — no locks on the hot path — and every level keeps
-/// a high-water mark. A tracker with limit > 0 turns TryConsume into
-/// budget enforcement: the request is checked against every limited level
-/// up the chain and rolled back completely on a breach, so a rejected
-/// consumer observes the same tracked totals as if it never asked.
+/// a high-water mark. Trackers only account; they never reject. Memory
+/// pressure is handled by planning (the staged fallback under
+/// ClydesdaleOptions::max_hash_memory_bytes), not by failing consumers.
 ///
 /// Ownership: trackers are shared_ptr-only (Create) and each child holds a
 /// strong reference to its parent. Consumers that charge a tracker keep it
@@ -30,29 +28,22 @@ namespace obs {
 class MemTracker final : public MemReporter {
  public:
   static std::shared_ptr<MemTracker> Create(
-      std::string name, std::shared_ptr<MemTracker> parent = nullptr,
-      int64_t limit = 0);
+      std::string name, std::shared_ptr<MemTracker> parent = nullptr);
 
   /// Adds `bytes` (may be negative) to this tracker and every ancestor.
   void Consume(int64_t bytes) override;
   void Release(int64_t bytes) override { Consume(-bytes); }
 
-  /// Consume that respects limits: commits on every level or on none.
-  /// Returns ResourceExhausted naming the limiting tracker on a breach.
-  Status TryConsume(int64_t bytes);
-
   int64_t consumed() const {
     return consumed_.load(std::memory_order_relaxed);
   }
   int64_t peak() const { return peak_.load(std::memory_order_relaxed); }
-  int64_t limit() const { return limit_; }
   const std::string& name() const { return name_; }
   const std::shared_ptr<MemTracker>& parent() const { return parent_; }
 
  private:
-  MemTracker(std::string name, std::shared_ptr<MemTracker> parent,
-             int64_t limit)
-      : name_(std::move(name)), parent_(std::move(parent)), limit_(limit) {}
+  MemTracker(std::string name, std::shared_ptr<MemTracker> parent)
+      : name_(std::move(name)), parent_(std::move(parent)) {}
 
   void UpdatePeak(int64_t observed) {
     int64_t p = peak_.load(std::memory_order_relaxed);
@@ -64,7 +55,6 @@ class MemTracker final : public MemReporter {
 
   const std::string name_;
   const std::shared_ptr<MemTracker> parent_;
-  const int64_t limit_;
   std::atomic<int64_t> consumed_{0};
   std::atomic<int64_t> peak_{0};
 };
@@ -108,14 +98,6 @@ class ScopedMemConsumer {
     if (tracker_ == nullptr || bytes == 0) return;
     tracker_->Consume(bytes);
     consumed_ += bytes;
-  }
-
-  /// Limit-checked Add: on ResourceExhausted nothing was consumed.
-  Status TryAdd(int64_t bytes) {
-    if (tracker_ == nullptr || bytes == 0) return Status::OK();
-    CLY_RETURN_IF_ERROR(tracker_->TryConsume(bytes));
-    consumed_ += bytes;
-    return Status::OK();
   }
 
   /// Consume or release the delta that moves this consumer's charge to

@@ -22,7 +22,6 @@ class Row {
   bool empty() const { return values_.empty(); }
 
   const Value& Get(int i) const { return values_[static_cast<size_t>(i)]; }
-  Value& GetMutable(int i) { return values_[static_cast<size_t>(i)]; }
   void Set(int i, Value v) { values_[static_cast<size_t>(i)] = std::move(v); }
   void Append(Value v) { values_.push_back(std::move(v)); }
   void Reserve(int n) { values_.reserve(static_cast<size_t>(n)); }

@@ -34,13 +34,7 @@ class ColumnVector {
   void Append(const Value& v);
   void AppendInt32(int32_t v) { i32_.push_back(v); }
   void AppendInt64(int64_t v) { i64_.push_back(v); }
-  void AppendDouble(double v) { f64_.push_back(v); }
   void AppendString(std::string v) { str_.push_back(std::move(v)); }
-  /// View mode only: the bytes must outlive this column (see string_arena).
-  void AppendStringView(std::string_view v) {
-    is_view_ = true;
-    str_views_.push_back(v);
-  }
 
   Value GetValue(int64_t i) const;
 
@@ -90,14 +84,11 @@ class ColumnVector {
   const std::vector<int64_t>& run_values() const { return run_values_; }
   const std::vector<int32_t>& run_starts() const { return run_starts_; }
   /// Attaches run metadata; `starts` must be ascending, start at 0, and end
-  /// at size(). Callers that mutate values afterwards must ClearRuns().
+  /// at size(). The runs describe the values as they are now; Clear() drops
+  /// them with the values.
   void SetRuns(std::vector<int64_t> values, std::vector<int32_t> starts) {
     run_values_ = std::move(values);
     run_starts_ = std::move(starts);
-  }
-  void ClearRuns() {
-    run_values_.clear();
-    run_starts_.clear();
   }
 
  private:

@@ -1,6 +1,5 @@
 #include "serving/query_server.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/hash.h"
@@ -27,22 +26,7 @@ QueryServer::QueryServer(mr::MrCluster* cluster, core::StarSchema star,
           core::DimTableCache::Options{options_.dim_cache_bytes},
           cluster->mem_tracker())),
       engine_(cluster, std::move(star),
-              WithCache(options_.engine, dim_cache_)) {
-  const int threads = std::max(1, options_.worker_threads);
-  workers_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-QueryServer::~QueryServer() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
+              WithCache(options_.engine, dim_cache_)) {}
 
 uint64_t QueryServer::ResultCacheKey(const core::StarQuerySpec& spec) {
   uint64_t h = HashString(spec.id);
@@ -121,34 +105,6 @@ Result<core::QueryResult> QueryServer::Execute(
     }
   }
   return result;
-}
-
-std::future<Result<core::QueryResult>> QueryServer::Submit(
-    core::StarQuerySpec spec) {
-  auto pending = std::make_unique<PendingQuery>();
-  pending->spec = std::move(spec);
-  std::future<Result<core::QueryResult>> future =
-      pending->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.push_back(std::move(pending));
-  }
-  queue_cv_.notify_one();
-  return future;
-}
-
-void QueryServer::WorkerLoop() {
-  while (true) {
-    std::unique_ptr<PendingQuery> job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping, and the queue has drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    job->promise.set_value(Execute(job->spec));
-  }
 }
 
 void QueryServer::Invalidate(const std::string& table_path) {

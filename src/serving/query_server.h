@@ -1,16 +1,11 @@
 #ifndef CLYDESDALE_SERVING_QUERY_SERVER_H_
 #define CLYDESDALE_SERVING_QUERY_SERVER_H_
 
-#include <condition_variable>
-#include <deque>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "core/clydesdale.h"
 #include "core/dim_table_cache.h"
@@ -29,9 +24,6 @@ struct QueryServerOptions {
   uint64_t dim_cache_bytes = 256ull << 20;
   /// Exact-repeat result cache capacity (entries); 0 disables it.
   size_t result_cache_entries = 64;
-  /// Executor threads draining Submit()'s queue. Execute() callers are
-  /// additional concurrency on top — both paths are thread-safe.
-  int worker_threads = 2;
 };
 
 struct QueryServerStats {
@@ -57,26 +49,22 @@ struct QueryServerStats {
 /// stale entries are unreachable the moment the bump lands. Invalidate()
 /// additionally drops them eagerly.
 ///
-/// Concurrency: N clients may call Execute() (or Submit(), which queues onto
-/// the worker pool) at once; concurrent jobs share the cluster's persistent
-/// pull-based trackers, and concurrent builds of the same cache entry are
-/// single-flighted. The dim cache's bytes live in a dedicated MemTracker
-/// child of the cluster root, so cache + running jobs answer to one budget.
+/// Concurrency: N client threads may call Execute() at once; the server
+/// starts no threads of its own. Concurrent jobs share the cluster's
+/// persistent pull-based trackers, and concurrent builds of the same cache
+/// entry are single-flighted. The dim cache's bytes live in a dedicated
+/// MemTracker child of the cluster root, so cache and running jobs share
+/// one ledger.
 class QueryServer {
  public:
   QueryServer(mr::MrCluster* cluster, core::StarSchema star,
               QueryServerOptions options = {});
-  ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
   /// Runs (or answers from cache) one query. Thread-safe; blocking.
   Result<core::QueryResult> Execute(const core::StarQuerySpec& spec);
-
-  /// Queues the query onto the worker pool; the future resolves when a
-  /// worker finishes it.
-  std::future<Result<core::QueryResult>> Submit(core::StarQuerySpec spec);
 
   /// Explicit invalidation: bumps the table's catalog version (dropping the
   /// cluster's cached TableDesc) and eagerly evicts both caches' entries
@@ -97,15 +85,10 @@ class QueryServer {
     uint64_t key = 0;
     core::QueryResult result;
   };
-  struct PendingQuery {
-    core::StarQuerySpec spec;
-    std::promise<Result<core::QueryResult>> promise;
-  };
 
   /// Fingerprint of the full query spec plus the current catalog versions of
   /// every table it touches — equal keys imply byte-identical results.
   uint64_t ResultCacheKey(const core::StarQuerySpec& spec);
-  void WorkerLoop();
 
   mr::MrCluster* const cluster_;
   QueryServerOptions options_;
@@ -120,12 +103,6 @@ class QueryServer {
   /// Cache evictions already surfaced into some query's counters, so each
   /// eviction is reported exactly once across the stream.
   int64_t evictions_flushed_ = 0;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<std::unique_ptr<PendingQuery>> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace serving

@@ -5,7 +5,9 @@ namespace sim {
 
 ClusterSpec ClusterSpec::ClusterA() {
   ClusterSpec spec;
-  spec.name = "A";
+  // Move-assigned: GCC 12 at -O3 reports a false -Wrestrict on assigning a
+  // string literal here (operator=(const char*) inlined into _M_replace).
+  spec.name = std::string("A");
   spec.worker_nodes = 8;
   spec.cores_per_node = 8;
   spec.map_slots = 6;
@@ -20,7 +22,7 @@ ClusterSpec ClusterSpec::ClusterA() {
 
 ClusterSpec ClusterSpec::ClusterB() {
   ClusterSpec spec;
-  spec.name = "B";
+  spec.name = std::string("B");
   spec.worker_nodes = 40;
   spec.cores_per_node = 8;
   spec.map_slots = 6;

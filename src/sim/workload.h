@@ -58,11 +58,6 @@ struct QueryMeasurement {
   std::vector<double> hash_payload_per_entry;
   /// Width of one shuffled fact record in join stage i (key + value).
   std::vector<double> hive_stage_shuffle_width;
-
-  uint64_t JoinSurvivors() const {
-    return survivors_after.empty() ? predicate_survivors
-                                   : survivors_after.back();
-  }
 };
 
 /// Measures `spec` against a loaded dataset: one projected fact scan with

@@ -42,8 +42,10 @@ class ByteWriter {
 
  private:
   void PutRaw(const void* data, size_t len) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + len);
+    if (len == 0) return;
+    const size_t at = buf_.size();
+    buf_.resize(at + len);
+    std::memcpy(buf_.data() + at, data, len);
   }
 
   std::vector<uint8_t> buf_;

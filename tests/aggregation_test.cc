@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "core/aggregation.h"
 #include "core/clydesdale.h"
@@ -118,6 +119,13 @@ class VectorCollector final : public mr::OutputCollector {
   std::vector<std::pair<Row, Row>> pairs_;
 };
 
+/// Adds one row under a Row group key, encoded as the probe loop encodes.
+void AddRow(HashAggregator* agg, const Row& key, const int64_t* inputs) {
+  std::vector<uint8_t> key_bytes;
+  group_key::AppendRow(key, &key_bytes);
+  agg->AddEncoded(key_bytes.data(), key_bytes.size(), inputs);
+}
+
 AggLayout FourAccLayout() {
   return AggLayout::For({{"s", Expr::Col("x"), AggKind::kSum},
                          {"lo", Expr::Col("x"), AggKind::kMin},
@@ -144,8 +152,8 @@ TEST(HashAggregatorTest, MergeFromMatchesSingleAggregator) {
                    Value(static_cast<int32_t>(next() % 11))});
     const int64_t x = static_cast<int64_t>(next() % 2000) - 1000;
     const int64_t inputs[4] = {x, x, x, 1};
-    single.Add(key, inputs);
-    partials[i % 3].Add(key, inputs);
+    AddRow(&single, key, inputs);
+    AddRow(&partials[static_cast<size_t>(i % 3)], key, inputs);
   }
 
   HashAggregator merged(layout);
@@ -169,7 +177,7 @@ TEST(HashAggregatorTest, MergeFromEmptyIsANoOp) {
   const AggLayout layout = FourAccLayout();
   HashAggregator agg(layout);
   const int64_t inputs[4] = {5, 5, 5, 1};
-  agg.Add(Row({Value("g")}), inputs);
+  AddRow(&agg, Row({Value("g")}), inputs);
 
   HashAggregator empty(layout);
   agg.MergeFrom(empty);        // empty -> populated: no change
@@ -188,28 +196,39 @@ TEST(HashAggregatorTest, MergeFromEmptyIsANoOp) {
 }
 
 TEST(HashAggregatorTest, AddEncodedMatchesRowAdd) {
+  // Encoded-key adds against a per-row reference: each group's
+  // accumulators merged one row at a time, keyed by the Row itself.
   const AggLayout layout = FourAccLayout();
-  HashAggregator via_row(layout);
   HashAggregator via_encoded(layout);
+  std::map<int32_t, std::vector<int64_t>> reference;
   std::vector<uint8_t> key_bytes;
   for (int i = 0; i < 50; ++i) {
     const Row key({Value(static_cast<int32_t>(i % 7))});
     const int64_t inputs[4] = {i, i, i, 1};
-    via_row.Add(key, inputs);
+    auto [it, fresh] = reference.try_emplace(key.Get(0).i32());
+    if (fresh) {
+      for (AccKind kind : layout.accs()) {
+        it->second.push_back(AggLayout::InitValue(kind));
+      }
+    }
+    layout.Merge(it->second.data(), inputs);
     key_bytes.clear();
     group_key::AppendRow(key, &key_bytes);
     via_encoded.AddEncoded(key_bytes.data(), key_bytes.size(), inputs);
   }
-  EXPECT_EQ(via_encoded.num_groups(), via_row.num_groups());
-  VectorCollector a, b;
-  ASSERT_TRUE(via_row.Emit(&a).ok());
-  ASSERT_TRUE(via_encoded.Emit(&b).ok());
-  const auto ea = a.Sorted();
-  const auto eb = b.Sorted();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (size_t i = 0; i < ea.size(); ++i) {
-    EXPECT_EQ(ea[i].first.Compare(eb[i].first), 0);
-    EXPECT_EQ(ea[i].second.Compare(eb[i].second), 0);
+  EXPECT_EQ(via_encoded.num_groups(), reference.size());
+  VectorCollector out;
+  ASSERT_TRUE(via_encoded.Emit(&out).ok());
+  const auto emitted = out.Sorted();
+  ASSERT_EQ(emitted.size(), reference.size());
+  size_t i = 0;
+  for (const auto& [group, accs] : reference) {
+    EXPECT_EQ(emitted[i].first.Get(0).i32(), group);
+    for (size_t a = 0; a < accs.size(); ++a) {
+      EXPECT_EQ(emitted[i].second.Get(static_cast<int>(a)).i64(), accs[a])
+          << "group " << group << " accumulator " << a;
+    }
+    ++i;
   }
 }
 

@@ -690,31 +690,40 @@ TEST_F(EngineIntegrationTest, ProfiledTracedRunWritesProfileNextToTrace) {
   EXPECT_EQ(ReadFile(text_path), obs::ExplainAnalyzeText(report.profile));
 }
 
-TEST_F(EngineIntegrationTest, MemBudgetRejectsOversizedQueryAtAdmission) {
-  auto spec = ssb::QueryById("Q2.1");
-  ASSERT_TRUE(spec.ok());
-  core::ClydesdaleOptions options;
-  options.mem_budget_bytes = 64;  // far below any dim-table estimate
-  core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
-  auto result = engine.Execute(*spec);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-      << result.status().ToString();
-  EXPECT_NE(result.status().message().find("admission"), std::string::npos)
-      << result.status().ToString();
-  EXPECT_EQ(cluster_->mem_tracker()->consumed(), 0)
-      << "rejected queries never charge the cluster";
-
-  // A generous budget admits and completes the same query, and drains.
-  core::ClydesdaleOptions roomy;
-  roomy.mem_budget_bytes = uint64_t{1} << 32;
-  core::ClydesdaleEngine ok_engine(cluster_, dataset_->star, roomy);
-  auto ok = ok_engine.Execute(*spec);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  ExpectRowsEqual(Reference(*spec), ok->rows, "budgeted Q2.1");
-  EXPECT_EQ(cluster_->mem_tracker()->consumed(), 0);
-  EXPECT_EQ(ok->Counter(mr::kCounterMemBudgetBytes),
-            static_cast<int64_t>(roomy.mem_budget_bytes));
+TEST_F(EngineIntegrationTest, BlockIterationOffProbesOneRecordPerBatch) {
+  // The block-iteration ablation turns off per-block amortisation and
+  // nothing else: the same vectorized pipeline runs on one-row batches over
+  // the same pruned scan. The scan's key filters leave Q3.3 and Q3.4 no
+  // probe rows at this scale, so "some rows" is checked over the stream.
+  int64_t per_record_rows = 0, blocked_rows = 0, blocked_batches = 0;
+  for (const core::StarQuerySpec& spec : ssb::AllQueries()) {
+    const std::vector<Row> expected = Reference(spec);
+    core::ClydesdaleEngine blocked(cluster_, dataset_->star, {});
+    auto blocked_result = blocked.Execute(spec);
+    ASSERT_TRUE(blocked_result.ok())
+        << spec.id << ": " << blocked_result.status().ToString();
+    const int64_t rows = blocked_result->Counter(core::kCounterProbeRows);
+    const int64_t batches = blocked_result->Counter(core::kCounterProbeBatches);
+    EXPECT_LE(batches, rows) << spec.id;
+    blocked_rows += rows;
+    blocked_batches += batches;
+    for (const bool map_side_agg : {true, false}) {
+      const std::string label =
+          StrCat(spec.id, map_side_agg ? "" : " map_side_agg off");
+      core::ClydesdaleOptions per_record;
+      per_record.block_iteration = false;
+      per_record.map_side_agg = map_side_agg;
+      core::ClydesdaleEngine engine(cluster_, dataset_->star, per_record);
+      auto result = engine.Execute(spec);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      ExpectRowsEqual(expected, result->rows, label);
+      EXPECT_EQ(result->Counter(core::kCounterProbeRows), rows) << label;
+      EXPECT_EQ(result->Counter(core::kCounterProbeBatches), rows) << label;
+      per_record_rows += result->Counter(core::kCounterProbeRows);
+    }
+  }
+  EXPECT_GT(per_record_rows, 0);
+  EXPECT_LT(blocked_batches, blocked_rows);
 }
 
 TEST_F(EngineIntegrationTest, ConcurrentQueriesShareTheCluster) {

@@ -1,9 +1,8 @@
 // Hierarchical memory accounting tests: MemTracker tree semantics
-// (consume/release/peak propagation, TryConsume all-or-nothing budget
-// enforcement), the RAII consumer/charge adapters, exact-byte accounting
-// for the big consumers (DimHashTable, HashAggregator, CIF scan arenas),
-// budget-enforced job admission and mid-job breach, and concurrent
-// consume/release (the tsan preset includes this file).
+// (consume/release/peak propagation), the RAII consumer/charge adapters,
+// exact-byte accounting for the big consumers (DimHashTable,
+// HashAggregator, CIF scan arenas), a failed job draining every tracker,
+// and concurrent consume/release (the tsan preset includes this file).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -57,33 +56,6 @@ TEST(MemTrackerTest, PeakIsHighWaterMarkNotLastValue) {
   EXPECT_EQ(t->peak(), 500);
 }
 
-TEST(MemTrackerTest, TryConsumeEnforcesLimitAllOrNothing) {
-  auto root = MemTracker::Create("root");
-  auto limited = MemTracker::Create("limited", root, /*limit=*/1000);
-  auto child = MemTracker::Create("child", limited);
-
-  ASSERT_TRUE(child->TryConsume(800).ok());
-  Status breach = child->TryConsume(300);
-  EXPECT_EQ(breach.code(), StatusCode::kResourceExhausted);
-  // Rollback: the failed request left no residue anywhere in the chain.
-  EXPECT_EQ(child->consumed(), 800);
-  EXPECT_EQ(limited->consumed(), 800);
-  EXPECT_EQ(root->consumed(), 800);
-  // The breach names the limiting tracker, not the asking one.
-  EXPECT_NE(breach.message().find("limited"), std::string::npos)
-      << breach.ToString();
-
-  // A request that still fits goes through after the rejection.
-  EXPECT_TRUE(child->TryConsume(200).ok());
-  EXPECT_EQ(limited->consumed(), 1000);
-}
-
-TEST(MemTrackerTest, UnlimitedTrackersNeverReject) {
-  auto t = MemTracker::Create("t");  // limit 0 = unlimited
-  EXPECT_TRUE(t->TryConsume(int64_t{1} << 60).ok());
-  t->Release(int64_t{1} << 60);
-}
-
 TEST(ScopedMemConsumerTest, ReleasesExactlyWhatItConsumed) {
   auto t = MemTracker::Create("t");
   {
@@ -101,20 +73,10 @@ TEST(ScopedMemConsumerTest, ReleasesExactlyWhatItConsumed) {
   EXPECT_EQ(t->peak(), 250);
 }
 
-TEST(ScopedMemConsumerTest, TryAddLeavesNothingOnRejection) {
-  auto limited = MemTracker::Create("limited", nullptr, /*limit=*/100);
-  ScopedMemConsumer consumer(limited);
-  ASSERT_TRUE(consumer.TryAdd(90).ok());
-  EXPECT_EQ(consumer.TryAdd(20).code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(consumer.consumed(), 90);
-  EXPECT_EQ(limited->consumed(), 90);
-}
-
 TEST(ScopedMemConsumerTest, NullTrackerIsANoOpEverywhere) {
   ScopedMemConsumer consumer;
   consumer.Add(100);
   consumer.SyncTo(50);
-  EXPECT_TRUE(consumer.TryAdd(10).ok());
   EXPECT_EQ(consumer.consumed(), 0);
   EXPECT_EQ(consumer.peak(), 0);
 }
@@ -156,7 +118,7 @@ TEST(MemTrackerConcurrencyTest, ConcurrentConsumeReleaseIsExact) {
       auto attempt = MemTracker::Create("attempt", node);
       for (int j = 0; j < kIters; ++j) {
         attempt->Consume(64);
-        (void)attempt->TryConsume(32);
+        attempt->Consume(32);
         attempt->Release(96);
       }
     });
@@ -165,27 +127,6 @@ TEST(MemTrackerConcurrencyTest, ConcurrentConsumeReleaseIsExact) {
   EXPECT_EQ(root->consumed(), 0);
   EXPECT_EQ(node->consumed(), 0);
   EXPECT_GE(root->peak(), 64);
-}
-
-TEST(MemTrackerConcurrencyTest, ConcurrentTryConsumeNeverOverCommits) {
-  auto limited = MemTracker::Create("limited", nullptr, /*limit=*/1 << 20);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<int64_t> granted(kThreads, 0);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&limited, &granted, i] {
-      for (int j = 0; j < 2000; ++j) {
-        if (limited->TryConsume(4096).ok()) granted[i] += 4096;
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  int64_t total = 0;
-  for (int64_t g : granted) total += g;
-  EXPECT_LE(total, int64_t{1} << 20) << "grants never exceed the limit";
-  EXPECT_EQ(limited->consumed(), total);
-  limited->Release(total);
-  EXPECT_EQ(limited->consumed(), 0);
 }
 
 }  // namespace
@@ -225,18 +166,6 @@ TEST(DimHashTableMemTest, BuildChargesExactBytesAndReleasesOnDrop) {
   EXPECT_GT(tracker->peak(), 0);
 }
 
-TEST(DimHashTableMemTest, BudgetBreachAbortsBuildWithNothingConsumed) {
-  auto limited = obs::MemTracker::Create("job", nullptr, /*limit=*/64);
-  auto stream = DimStream(500);
-  auto table =
-      DimHashTable::Build(*DimSchema(), stream.data(), stream.size(),
-                          *Predicate::True(), "pk", {"nation"}, limited);
-  ASSERT_FALSE(table.ok());
-  EXPECT_EQ(table.status().code(), StatusCode::kResourceExhausted)
-      << table.status().ToString();
-  EXPECT_EQ(limited->consumed(), 0) << "failed build leaves no residue";
-}
-
 TEST(HashAggregatorMemTest, GrowthIsTrackedAndReleasedExactly) {
   auto tracker = obs::MemTracker::Create("attempt");
   const AggLayout layout = AggLayout::For({{"s", Expr::Col("x"), AggKind::kSum},
@@ -248,10 +177,13 @@ TEST(HashAggregatorMemTest, GrowthIsTrackedAndReleasedExactly) {
     EXPECT_EQ(empty_bytes, static_cast<int64_t>(agg.memory_bytes()));
 
     // Enough distinct groups to force several rehashes and arena growth.
+    std::vector<uint8_t> key_bytes;
     for (int i = 0; i < 4000; ++i) {
       const Row key({Value(std::string("grp") + std::to_string(i))});
       const int64_t inputs[2] = {i, 1};
-      agg.Add(key, inputs);
+      key_bytes.clear();
+      group_key::AppendRow(key, &key_bytes);
+      agg.AddEncoded(key_bytes.data(), key_bytes.size(), inputs);
     }
     EXPECT_GT(agg.memory_bytes(), static_cast<uint64_t>(empty_bytes));
     // The synced charge is allowed to lag the arena's tail block but must
@@ -335,17 +267,44 @@ TEST(ScanArenaMemTest, TrackedBytesAgreeWithScanStatsArenaBytes) {
       << "dropping the reader (the last arena reference) drains the charge";
 }
 
-/// Mapper that builds a dimension hash table against the attempt's tracker —
-/// the runtime-breach half of budget enforcement.
+/// The node's dimension table as the star-join map task holds it: in the
+/// job's shared state, charged to the job's per-node tracker.
+struct SharedDimTable {
+  std::shared_ptr<const core::DimHashTable> table;
+};
+
+/// Mapper that builds a dimension hash table into the node's shared state
+/// against the job tracker. With `fail_after_build` it then fails the
+/// attempt, so the charge is live when the job errors out.
 class HashBuildingMapper final : public Mapper {
  public:
+  explicit HashBuildingMapper(bool fail_after_build)
+      : fail_after_build_(fail_after_build) {}
+
   Status Setup(TaskContext* context) override {
-    auto stream = core::DimStream(2000);
-    auto table = core::DimHashTable::Build(
-        *core::DimSchema(), stream.data(), stream.size(), *Predicate::True(),
-        "pk", {"nation"}, context->mem_tracker());
-    CLY_RETURN_IF_ERROR(table.status());
-    table_ = std::move(*table);
+    Status build_status;
+    std::shared_ptr<SharedDimTable> shared =
+        context->shared_state()->GetOrCreate<SharedDimTable>(
+            "mem-test.dim", [&]() -> std::shared_ptr<SharedDimTable> {
+              auto stream = core::DimStream(2000);
+              auto table = core::DimHashTable::Build(
+                  *core::DimSchema(), stream.data(), stream.size(),
+                  *Predicate::True(), "pk", {"nation"},
+                  context->job_mem_tracker());
+              if (!table.ok()) {
+                build_status = table.status();
+                return nullptr;
+              }
+              return std::make_shared<SharedDimTable>(
+                  SharedDimTable{std::move(*table)});
+            });
+    CLY_RETURN_IF_ERROR(build_status);
+    if (fail_after_build_) {
+      if (context->job_mem_tracker()->consumed() <= 0) {
+        return Status::Internal("the build charged nothing");
+      }
+      return Status::Internal("injected failure after the hash build");
+    }
     return Status::OK();
   }
   Status Map(const Row&, const Row&, TaskContext*, OutputCollector*) override {
@@ -353,7 +312,7 @@ class HashBuildingMapper final : public Mapper {
   }
 
  private:
-  std::shared_ptr<const core::DimHashTable> table_;
+  const bool fail_after_build_;
 };
 
 storage::TableDesc WriteTinyFact(MrCluster* cluster) {
@@ -372,55 +331,41 @@ storage::TableDesc WriteTinyFact(MrCluster* cluster) {
   return *loaded;
 }
 
-JobConf HashBuildJob() {
+JobConf HashBuildJob(bool fail_after_build) {
   JobConf conf;
   conf.job_name = "hash-build";
   conf.num_reduce_tasks = 0;
+  conf.jvm_reuse = true;
   conf.Set(kConfInputTable, "/fact");
   conf.input_format_factory = [] {
     return std::make_unique<TableInputFormat>();
   };
-  conf.mapper_factory = [] { return std::make_unique<HashBuildingMapper>(); };
+  conf.mapper_factory = [fail_after_build] {
+    return std::make_unique<HashBuildingMapper>(fail_after_build);
+  };
   conf.output_format_factory = [] {
     return std::make_unique<MemoryOutputFormat>();
   };
   return conf;
 }
 
-TEST(MemBudgetTest, AdmissionRejectsJobsWhoseEstimateExceedsBudget) {
-  MrCluster cluster(TinyCluster());
-  WriteTinyFact(&cluster);
-  JobConf conf = HashBuildJob();
-  conf.mem_budget_bytes = 1000;
-  conf.SetInt(kConfMemEstimateBytes, 5000);
-  auto result = RunJob(&cluster, conf);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-      << result.status().ToString();
-  EXPECT_NE(result.status().message().find("admission"), std::string::npos)
-      << result.status().ToString();
-  EXPECT_EQ(cluster.mem_tracker()->consumed(), 0)
-      << "a rejected job never touched cluster memory";
-}
-
-TEST(MemBudgetTest, MidJobBreachFailsCleanlyAndClusterRecovers) {
+TEST(MemTrackerJobTest, FailedJobDrainsEveryTrackerAndClusterRecovers) {
   MrCluster cluster(TinyCluster());
   WriteTinyFact(&cluster);
 
-  // No estimate conf key, so admission passes; the build's TryConsume
-  // against the 1 KiB job tracker is what trips.
-  JobConf breach = HashBuildJob();
-  breach.mem_budget_bytes = 1024;
-  auto failed = RunJob(&cluster, breach);
+  // The attempt fails while its node's table still charges the job tracker.
+  auto failed = RunJob(&cluster, HashBuildJob(/*fail_after_build=*/true));
   ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted)
+  EXPECT_NE(failed.status().message().find("injected failure"),
+            std::string::npos)
       << failed.status().ToString();
+  EXPECT_GT(cluster.mem_tracker()->peak(), 0) << "the build was charged";
   EXPECT_EQ(cluster.mem_tracker()->consumed(), 0)
       << "the failed job's charges all drained";
 
-  // The cluster is healthy: the same job without a budget runs to
+  // The cluster is healthy: the same job without the failure runs to
   // completion and also drains to zero.
-  auto ok = RunJob(&cluster, HashBuildJob());
+  auto ok = RunJob(&cluster, HashBuildJob(/*fail_after_build=*/false));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(cluster.mem_tracker()->consumed(), 0);
   EXPECT_GT(cluster.mem_tracker()->peak(), 0);

@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -411,23 +411,34 @@ TEST_F(ServingTest, ExplicitInvalidateForcesRebuildAndBumpsVersion) {
 
 TEST_F(ServingTest, ConcurrentClientsShareOneCache) {
   serving::QueryServerOptions options;
-  options.worker_threads = 4;
   options.result_cache_entries = 0;  // every query really executes
   serving::QueryServer server(cluster_, dataset_->star, options);
 
   const char* ids[] = {"Q1.1", "Q2.1", "Q3.1", "Q2.1", "Q1.1", "Q3.1",
                        "Q2.1", "Q3.1", "Q1.1", "Q2.1", "Q3.1", "Q1.1"};
-  std::vector<std::future<Result<core::QueryResult>>> futures;
+  std::vector<core::StarQuerySpec> specs;
   for (const char* id : ids) {
     auto spec = ssb::QueryById(id);
     ASSERT_TRUE(spec.ok());
-    futures.push_back(server.Submit(*spec));
+    specs.push_back(std::move(*spec));
   }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    auto result = futures[i].get();
+  // Four client threads, each executing every fourth query of the stream.
+  constexpr size_t kClients = 4;
+  std::vector<std::optional<Result<core::QueryResult>>> results(specs.size());
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = c; i < specs.size(); i += kClients) {
+        results[i].emplace(server.Execute(specs[i]));
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].has_value()) << ids[i];
+    const Result<core::QueryResult>& result = *results[i];
     ASSERT_TRUE(result.ok()) << ids[i] << ": " << result.status().ToString();
-    auto spec = ssb::QueryById(ids[i]);
-    ExpectRowsEqual(Reference(*spec), result->rows,
+    ExpectRowsEqual(Reference(specs[i]), result->rows,
                     std::string("concurrent ") + ids[i]);
   }
 
