@@ -34,7 +34,7 @@ uint64_t FactBytesOnDisk(mr::MrCluster* cluster, const std::string& path) {
   uint64_t total = 0;
   for (const std::string& file : cluster->dfs()->List(path + "/")) {
     auto info = cluster->dfs()->Stat(file);
-    if (info.ok()) total += info->length;
+    if (info.ok()) total += (*info)->length;
   }
   return total;
 }

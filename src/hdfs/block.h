@@ -30,7 +30,9 @@ struct BlockInfo {
   std::vector<NodeId> replicas;
 };
 
-/// Namenode-side description of a file.
+/// Namenode-side description of a file. The namenode hands it out as an
+/// immutable `std::shared_ptr<const FileInfo>` snapshot; later changes to the
+/// file never show in a snapshot already handed out.
 struct FileInfo {
   std::string path;
   uint64_t length = 0;
@@ -39,6 +41,9 @@ struct FileInfo {
   /// colocating placement policy (the CIF contract, paper §4.1).
   std::string colocation_group;
   std::vector<BlockInfo> blocks;
+  /// Starting file offset of each block (prefix sums of `blocks[i].length`),
+  /// one entry per block, appended with the block.
+  std::vector<uint64_t> block_offsets;
 };
 
 /// Byte-level I/O accounting attributed to one reader or writer. The

@@ -37,18 +37,21 @@ Result<std::unique_ptr<DfsWriter>> MiniDfs::Create(
 Result<std::unique_ptr<DfsReader>> MiniDfs::Open(const std::string& path,
                                                  NodeId reader_node,
                                                  IoStats* stats) const {
-  CLY_ASSIGN_OR_RETURN(FileInfo info, name_node_.Stat(path));
+  CLY_ASSIGN_OR_RETURN(std::shared_ptr<const FileInfo> info,
+                       name_node_.Stat(path));
   return std::unique_ptr<DfsReader>(
       new DfsReader(this, std::move(info), reader_node, stats));
 }
 
-Result<FileInfo> MiniDfs::Stat(const std::string& path) const {
+Result<std::shared_ptr<const FileInfo>> MiniDfs::Stat(
+    const std::string& path) const {
   return name_node_.Stat(path);
 }
 
 Status MiniDfs::Delete(const std::string& path) {
-  CLY_ASSIGN_OR_RETURN(FileInfo info, name_node_.Stat(path));
-  for (const BlockInfo& block : info.blocks) {
+  CLY_ASSIGN_OR_RETURN(std::shared_ptr<const FileInfo> info,
+                       name_node_.Stat(path));
+  for (const BlockInfo& block : info->blocks) {
     for (NodeId n : block.replicas) {
       nodes_[static_cast<size_t>(n)]->DropReplica(block.id);
     }
@@ -67,13 +70,18 @@ Result<int> MiniDfs::DeleteRecursive(const std::string& prefix) {
 
 Result<std::vector<NodeId>> MiniDfs::BlockLocations(const std::string& path,
                                                     int block_index) const {
-  CLY_ASSIGN_OR_RETURN(FileInfo info, name_node_.Stat(path));
-  if (block_index < 0 || block_index >= static_cast<int>(info.blocks.size())) {
+  CLY_ASSIGN_OR_RETURN(std::shared_ptr<const FileInfo> info,
+                       name_node_.Stat(path));
+  if (block_index < 0 || block_index >= static_cast<int>(info->blocks.size())) {
     return Status::InvalidArgument(
         StrCat("bad block index ", block_index, " for ", path));
   }
+  return AliveReplicas(info->blocks[static_cast<size_t>(block_index)]);
+}
+
+std::vector<NodeId> MiniDfs::AliveReplicas(const BlockInfo& block) const {
   std::vector<NodeId> alive;
-  for (NodeId n : info.blocks[static_cast<size_t>(block_index)].replicas) {
+  for (NodeId n : block.replicas) {
     if (nodes_[static_cast<size_t>(n)]->alive()) alive.push_back(n);
   }
   return alive;
@@ -106,9 +114,10 @@ std::vector<NodeId> MiniDfs::AliveNodes() const {
 Result<uint64_t> MiniDfs::ReReplicate() {
   uint64_t copied = 0;
   for (const std::string& path : name_node_.List("/")) {
-    CLY_ASSIGN_OR_RETURN(FileInfo info, name_node_.Stat(path));
-    for (size_t b = 0; b < info.blocks.size(); ++b) {
-      const BlockInfo& block = info.blocks[b];
+    CLY_ASSIGN_OR_RETURN(std::shared_ptr<const FileInfo> info,
+                         name_node_.Stat(path));
+    for (size_t b = 0; b < info->blocks.size(); ++b) {
+      const BlockInfo& block = info->blocks[b];
       std::vector<NodeId> live;
       for (NodeId n : block.replicas) {
         if (nodes_[static_cast<size_t>(n)]->HasReplica(block.id)) {
@@ -119,14 +128,14 @@ Result<uint64_t> MiniDfs::ReReplicate() {
         return Status::IoError(
             StrCat("block ", block.id, " of ", path, " lost all replicas"));
       }
-      if (static_cast<int>(live.size()) >= info.replication) continue;
+      if (static_cast<int>(live.size()) >= info->replication) continue;
 
       // Copy from the first survivor to alive nodes not yet holding it.
       CLY_ASSIGN_OR_RETURN(
           BlockBuffer data,
           nodes_[static_cast<size_t>(live[0])]->ReadReplica(block.id));
       for (const auto& node : nodes_) {
-        if (static_cast<int>(live.size()) >= info.replication) break;
+        if (static_cast<int>(live.size()) >= info->replication) break;
         if (!node->alive()) continue;
         if (std::find(live.begin(), live.end(), node->id()) != live.end()) {
           continue;
@@ -245,22 +254,14 @@ Status DfsWriter::Close() {
 // DfsReader
 // ---------------------------------------------------------------------------
 
-DfsReader::DfsReader(const MiniDfs* dfs, FileInfo info, NodeId reader_node,
-                     IoStats* stats)
+DfsReader::DfsReader(const MiniDfs* dfs, std::shared_ptr<const FileInfo> info,
+                     NodeId reader_node, IoStats* stats)
     : dfs_(dfs), info_(std::move(info)), reader_node_(reader_node),
-      stats_(stats) {
-  block_offsets_.reserve(info_.blocks.size() + 1);
-  uint64_t offset = 0;
-  for (const BlockInfo& block : info_.blocks) {
-    block_offsets_.push_back(offset);
-    offset += block.length;
-  }
-  block_offsets_.push_back(offset);
-}
+      stats_(stats) {}
 
 Status DfsReader::FetchBlock(int block_index) {
   if (block_index == cached_block_) return Status::OK();
-  const BlockInfo& block = info_.blocks[static_cast<size_t>(block_index)];
+  const BlockInfo& block = info_->blocks[static_cast<size_t>(block_index)];
 
   // Prefer the local replica; otherwise the first alive one.
   NodeId source = kNoNode;
@@ -280,7 +281,7 @@ Status DfsReader::FetchBlock(int block_index) {
   }
   if (source == kNoNode) {
     return Status::IoError(StrCat("no alive replica for block ", block.id,
-                                  " of ", info_.path));
+                                  " of ", info_->path));
   }
   Stopwatch fetch_timer;
   CLY_ASSIGN_OR_RETURN(cached_data_, dfs_->data_node(source)->ReadReplica(block.id));
@@ -294,28 +295,28 @@ Status DfsReader::FetchBlock(int block_index) {
 }
 
 Result<size_t> DfsReader::Read(void* out, size_t len) {
-  if (position_ >= info_.length) return size_t{0};
+  if (position_ >= info_->length) return size_t{0};
   const size_t want =
-      std::min<uint64_t>(len, info_.length - position_);
+      std::min<uint64_t>(len, info_->length - position_);
   CLY_RETURN_IF_ERROR(PRead(position_, out, want));
   position_ += want;
   return want;
 }
 
 Status DfsReader::PRead(uint64_t offset, void* out, size_t len) {
-  if (offset + len > info_.length) {
+  // Written so `offset + len` cannot wrap past UINT64_MAX.
+  if (len > info_->length || offset > info_->length - len) {
     return Status::InvalidArgument(
-        StrCat("read past EOF: ", offset, "+", len, " > ", info_.length));
+        StrCat("read past EOF: ", offset, "+", len, " > ", info_->length));
   }
+  const std::vector<uint64_t>& offsets = info_->block_offsets;
   auto* dst = static_cast<uint8_t*>(out);
   while (len > 0) {
     // Locate the block containing `offset`.
-    const auto it = std::upper_bound(block_offsets_.begin(),
-                                     block_offsets_.end(), offset);
-    const int block_index =
-        static_cast<int>(it - block_offsets_.begin()) - 1;
+    const auto it = std::upper_bound(offsets.begin(), offsets.end(), offset);
+    const int block_index = static_cast<int>(it - offsets.begin()) - 1;
     CLY_RETURN_IF_ERROR(FetchBlock(block_index));
-    const uint64_t block_start = block_offsets_[static_cast<size_t>(block_index)];
+    const uint64_t block_start = offsets[static_cast<size_t>(block_index)];
     const uint64_t within = offset - block_start;
     const size_t avail = cached_data_->size() - static_cast<size_t>(within);
     const size_t take = std::min(len, avail);
@@ -336,7 +337,7 @@ Status DfsReader::PRead(uint64_t offset, void* out, size_t len) {
 }
 
 Status DfsReader::Seek(uint64_t offset) {
-  if (offset > info_.length) {
+  if (offset > info_->length) {
     return Status::InvalidArgument(StrCat("seek past EOF: ", offset));
   }
   position_ = offset;

@@ -54,7 +54,8 @@ class MiniDfs {
                                           NodeId reader_node = kNoNode,
                                           IoStats* stats = nullptr) const;
 
-  Result<FileInfo> Stat(const std::string& path) const;
+  /// The file's metadata snapshot, shared with every reader of the file.
+  Result<std::shared_ptr<const FileInfo>> Stat(const std::string& path) const;
   bool Exists(const std::string& path) const { return name_node_.Exists(path); }
   std::vector<std::string> List(const std::string& prefix) const {
     return name_node_.List(prefix);
@@ -68,6 +69,9 @@ class MiniDfs {
   /// Nodes hosting a replica of the given block of the file (alive only).
   Result<std::vector<NodeId>> BlockLocations(const std::string& path,
                                              int block_index) const;
+  /// The alive nodes among `block`'s replicas: BlockLocations for a caller
+  /// that already holds the file's snapshot.
+  std::vector<NodeId> AliveReplicas(const BlockInfo& block) const;
 
   /// Fault injection: kills a datanode (its replicas vanish).
   Status KillDataNode(NodeId node);
@@ -161,25 +165,24 @@ class DfsReader {
 
   Status Seek(uint64_t offset);
   uint64_t Tell() const { return position_; }
-  uint64_t Length() const { return info_.length; }
-  const FileInfo& file_info() const { return info_; }
+  uint64_t Length() const { return info_->length; }
+  const FileInfo& file_info() const { return *info_; }
 
  private:
   friend class MiniDfs;
-  DfsReader(const MiniDfs* dfs, FileInfo info, NodeId reader_node,
-            IoStats* stats);
+  DfsReader(const MiniDfs* dfs, std::shared_ptr<const FileInfo> info,
+            NodeId reader_node, IoStats* stats);
 
   /// Fetches the block covering `offset`, preferring a local replica.
   Status FetchBlock(int block_index);
 
   const MiniDfs* dfs_;
-  FileInfo info_;
+  /// The namenode's snapshot as of Open; shared, never copied.
+  std::shared_ptr<const FileInfo> info_;
   NodeId reader_node_;
   IoStats* stats_;
   uint64_t position_ = 0;
 
-  /// Block index -> starting file offset (prefix sums).
-  std::vector<uint64_t> block_offsets_;
   int cached_block_ = -1;
   bool cached_local_ = false;
   BlockBuffer cached_data_;

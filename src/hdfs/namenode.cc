@@ -22,9 +22,10 @@ Status NameNode::CreateFile(const std::string& path, int replication,
     return Status::AlreadyExists(StrCat("dfs file exists: ", path));
   }
   FileState state;
-  state.info.path = path;
-  state.info.replication = replication;
-  state.info.colocation_group = colocation_group;
+  state.info = std::make_shared<FileInfo>();
+  state.info->path = path;
+  state.info->replication = replication;
+  state.info->colocation_group = colocation_group;
   files_.emplace(path, std::move(state));
   return Status::OK();
 }
@@ -45,9 +46,9 @@ Result<BlockInfo> NameNode::AllocateBlock(
           StrCat("dfs file already finalized: ", path));
     }
     req.path = path;
-    req.colocation_group = it->second.info.colocation_group;
-    req.block_index = static_cast<int>(it->second.info.blocks.size());
-    req.replication = it->second.info.replication;
+    req.colocation_group = it->second.info->colocation_group;
+    req.block_index = static_cast<int>(it->second.info->blocks.size());
+    req.replication = it->second.info->replication;
     id = next_block_id_++;
   }
   req.alive_nodes = alive_nodes;
@@ -66,8 +67,10 @@ Result<BlockInfo> NameNode::AllocateBlock(
   if (it == files_.end()) {
     return Status::NotFound(StrCat("dfs file deleted mid-write: ", path));
   }
-  it->second.info.blocks.push_back(info);
-  it->second.info.length += length;
+  FileInfo* file = MutableInfo(&it->second);
+  file->blocks.push_back(info);
+  file->block_offsets.push_back(file->length);
+  file->length += length;
   return info;
 }
 
@@ -81,13 +84,15 @@ Status NameNode::FinalizeFile(const std::string& path) {
   return Status::OK();
 }
 
-Result<FileInfo> NameNode::Stat(const std::string& path) const {
+Result<std::shared_ptr<const FileInfo>> NameNode::Stat(
+    const std::string& path) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) {
     return Status::NotFound(StrCat("dfs file not found: ", path));
   }
-  return it->second.info;
+  it->second.handed_out = true;
+  return std::shared_ptr<const FileInfo>(it->second.info);
 }
 
 bool NameNode::Exists(const std::string& path) const {
@@ -120,12 +125,21 @@ Status NameNode::UpdateReplicas(const std::string& path, int block_index,
   if (it == files_.end()) {
     return Status::NotFound(StrCat("dfs file not found: ", path));
   }
-  auto& blocks = it->second.info.blocks;
-  if (block_index < 0 || block_index >= static_cast<int>(blocks.size())) {
+  if (block_index < 0 ||
+      block_index >= static_cast<int>(it->second.info->blocks.size())) {
     return Status::InvalidArgument(StrCat("bad block index ", block_index));
   }
-  blocks[static_cast<size_t>(block_index)].replicas = std::move(replicas);
+  MutableInfo(&it->second)->blocks[static_cast<size_t>(block_index)].replicas =
+      std::move(replicas);
   return Status::OK();
+}
+
+FileInfo* NameNode::MutableInfo(FileState* state) {
+  if (state->handed_out) {
+    state->info = std::make_shared<FileInfo>(*state->info);
+    state->handed_out = false;
+  }
+  return state->info.get();
 }
 
 }  // namespace hdfs

@@ -16,6 +16,13 @@ namespace hdfs {
 
 /// File-system metadata master: the path -> blocks -> replica-locations map,
 /// block id allocation, and placement policy invocation. Thread-safe.
+///
+/// Each file's metadata is one FileInfo, handed to readers as a
+/// `shared_ptr<const FileInfo>` snapshot: the mutex covers only the map
+/// lookup and the refcount bump, never a copy of the block list. Changes are
+/// copy-on-write: a FileInfo no reader has been handed is changed in place
+/// (so the writer's block appends stay O(1)); a handed-out one is copied
+/// first and the copy replaces it, so a snapshot never changes.
 class NameNode {
  public:
   NameNode(int num_nodes, std::shared_ptr<BlockPlacementPolicy> policy);
@@ -33,7 +40,8 @@ class NameNode {
   /// Marks a file complete (no further blocks may be added).
   Status FinalizeFile(const std::string& path);
 
-  Result<FileInfo> Stat(const std::string& path) const;
+  /// The file's current metadata snapshot (shared, never copied).
+  Result<std::shared_ptr<const FileInfo>> Stat(const std::string& path) const;
   bool Exists(const std::string& path) const;
   Status Delete(const std::string& path);
   /// All finalized file paths with the given prefix, sorted.
@@ -45,9 +53,17 @@ class NameNode {
 
  private:
   struct FileState {
-    FileInfo info;
+    std::shared_ptr<FileInfo> info;
     bool finalized = false;
+    /// Set when Stat hands `info` out. `info.use_count() == 1` would not do:
+    /// it is a relaxed load, so it does not order a reader's last accesses
+    /// before an in-place write (why shared_ptr::unique() was removed).
+    mutable bool handed_out = false;
   };
+
+  /// `state`'s FileInfo, ready to change: itself if never handed out, else a
+  /// copy that replaces it. Call with `mu_` held.
+  static FileInfo* MutableInfo(FileState* state);
 
   const int num_nodes_;
   std::shared_ptr<BlockPlacementPolicy> policy_;

@@ -18,10 +18,10 @@ Result<double> CifWidth(mr::MrCluster* cluster, const storage::TableDesc& cif,
                         const std::vector<std::string>& columns) {
   double total = 0;
   for (const std::string& column : columns) {
-    CLY_ASSIGN_OR_RETURN(hdfs::FileInfo info,
+    CLY_ASSIGN_OR_RETURN(std::shared_ptr<const hdfs::FileInfo> info,
                          cluster->dfs()->Stat(
                              StrCat(cif.path, "/", column, ".col")));
-    total += static_cast<double>(info.length);
+    total += static_cast<double>(info->length);
   }
   return total / static_cast<double>(std::max<uint64_t>(cif.num_rows, 1));
 }

@@ -1556,8 +1556,9 @@ Result<std::vector<StorageSplit>> ListCifSplits(const hdfs::MiniDfs& dfs,
     // block i live on the same nodes.
     const std::string anchor =
         ColumnFilePath(desc, desc.schema->field(0).name, seg);
-    CLY_ASSIGN_OR_RETURN(hdfs::FileInfo info, dfs.Stat(anchor));
-    for (size_t b = 0; b < info.blocks.size(); ++b) {
+    CLY_ASSIGN_OR_RETURN(std::shared_ptr<const hdfs::FileInfo> info,
+                         dfs.Stat(anchor));
+    for (size_t b = 0; b < info->blocks.size(); ++b) {
       StorageSplit split;
       split.table_path = desc.path;
       split.format = desc.format;
@@ -1569,8 +1570,7 @@ Result<std::vector<StorageSplit>> ListCifSplits(const hdfs::MiniDfs& dfs,
                                          row_base + desc.rows_per_split * (b + 1));
       split.length_bytes = static_cast<uint64_t>(
           static_cast<double>(split.row_end - split.row_begin) * row_width);
-      CLY_ASSIGN_OR_RETURN(split.preferred_nodes,
-                           dfs.BlockLocations(anchor, static_cast<int>(b)));
+      split.preferred_nodes = dfs.AliveReplicas(info->blocks[b]);
       splits.push_back(std::move(split));
     }
     row_base += rows_in_segment;

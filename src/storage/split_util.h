@@ -1,6 +1,7 @@
 #ifndef CLYDESDALE_STORAGE_SPLIT_UTIL_H_
 #define CLYDESDALE_STORAGE_SPLIT_UTIL_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,17 +16,17 @@ namespace internal {
 inline Result<std::vector<StorageSplit>> BuildBlockSplits(
     const hdfs::MiniDfs& dfs, const TableDesc& desc,
     const std::string& data_path) {
-  CLY_ASSIGN_OR_RETURN(hdfs::FileInfo info, dfs.Stat(data_path));
+  CLY_ASSIGN_OR_RETURN(std::shared_ptr<const hdfs::FileInfo> info,
+                       dfs.Stat(data_path));
   std::vector<StorageSplit> splits;
-  splits.reserve(info.blocks.size());
-  for (size_t b = 0; b < info.blocks.size(); ++b) {
+  splits.reserve(info->blocks.size());
+  for (size_t b = 0; b < info->blocks.size(); ++b) {
     StorageSplit split;
     split.table_path = desc.path;
     split.format = desc.format;
     split.index = static_cast<int>(b);
-    split.length_bytes = info.blocks[b].length;
-    CLY_ASSIGN_OR_RETURN(split.preferred_nodes,
-                         dfs.BlockLocations(data_path, static_cast<int>(b)));
+    split.length_bytes = info->blocks[b].length;
+    split.preferred_nodes = dfs.AliveReplicas(info->blocks[b]);
     splits.push_back(std::move(split));
   }
   return splits;
@@ -34,12 +35,9 @@ inline Result<std::vector<StorageSplit>> BuildBlockSplits(
 /// Byte range [begin, end) of block `index` within `info`.
 inline void BlockByteRange(const hdfs::FileInfo& info, int index,
                            uint64_t* begin, uint64_t* end) {
-  uint64_t offset = 0;
-  for (int b = 0; b < index; ++b) {
-    offset += info.blocks[static_cast<size_t>(b)].length;
-  }
-  *begin = offset;
-  *end = offset + info.blocks[static_cast<size_t>(index)].length;
+  const auto b = static_cast<size_t>(index);
+  *begin = info.block_offsets[b];
+  *end = *begin + info.blocks[b].length;
 }
 
 }  // namespace internal

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "hdfs/dfs.h"
 #include "hdfs/local_store.h"
@@ -45,10 +51,10 @@ TEST(DfsTest, MultiBlockFileSplitsAtBlockSize) {
   ASSERT_TRUE(dfs.WriteFile("/big", Bytes(2500)).ok());
   auto info = dfs.Stat("/big");
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->length, 2500u);
-  ASSERT_EQ(info->blocks.size(), 3u);
-  EXPECT_EQ(info->blocks[0].length, 1024u);
-  EXPECT_EQ(info->blocks[2].length, 452u);
+  EXPECT_EQ((*info)->length, 2500u);
+  ASSERT_EQ((*info)->blocks.size(), 3u);
+  EXPECT_EQ((*info)->blocks[0].length, 1024u);
+  EXPECT_EQ((*info)->blocks[2].length, 452u);
 }
 
 TEST(DfsTest, ReplicationFactorHonored) {
@@ -56,10 +62,10 @@ TEST(DfsTest, ReplicationFactorHonored) {
   ASSERT_TRUE(dfs.WriteFile("/r", Bytes(100)).ok());
   auto info = dfs.Stat("/r");
   ASSERT_TRUE(info.ok());
-  ASSERT_EQ(info->blocks.size(), 1u);
-  EXPECT_EQ(info->blocks[0].replicas.size(), 3u);
-  std::set<NodeId> distinct(info->blocks[0].replicas.begin(),
-                            info->blocks[0].replicas.end());
+  ASSERT_EQ((*info)->blocks.size(), 1u);
+  EXPECT_EQ((*info)->blocks[0].replicas.size(), 3u);
+  std::set<NodeId> distinct((*info)->blocks[0].replicas.begin(),
+                            (*info)->blocks[0].replicas.end());
   EXPECT_EQ(distinct.size(), 3u);
 }
 
@@ -68,7 +74,7 @@ TEST(DfsTest, ReplicationCappedByClusterSize) {
   ASSERT_TRUE(dfs.WriteFile("/r", Bytes(10)).ok());
   auto info = dfs.Stat("/r");
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->blocks[0].replicas.size(), 2u);
+  EXPECT_EQ((*info)->blocks[0].replicas.size(), 2u);
 }
 
 TEST(DfsTest, PReadAcrossBlockBoundary) {
@@ -108,11 +114,11 @@ TEST(DfsTest, IoStatsAttributeLocality) {
   ASSERT_TRUE(dfs.WriteFile("/d", Bytes(100)).ok());
   auto info = dfs.Stat("/d");
   ASSERT_TRUE(info.ok());
-  const NodeId holder = info->blocks[0].replicas[0];
+  const NodeId holder = (*info)->blocks[0].replicas[0];
   NodeId outsider = 0;
-  while (std::find(info->blocks[0].replicas.begin(),
-                   info->blocks[0].replicas.end(),
-                   outsider) != info->blocks[0].replicas.end()) {
+  while (std::find((*info)->blocks[0].replicas.begin(),
+                   (*info)->blocks[0].replicas.end(),
+                   outsider) != (*info)->blocks[0].replicas.end()) {
     ++outsider;
   }
 
@@ -167,7 +173,7 @@ TEST(DfsTest, KilledNodeFallsBackToSurvivingReplica) {
   ASSERT_TRUE(dfs.WriteFile("/d", Bytes(64, 'z')).ok());
   auto info = dfs.Stat("/d");
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE(dfs.KillDataNode(info->blocks[0].replicas[0]).ok());
+  ASSERT_TRUE(dfs.KillDataNode((*info)->blocks[0].replicas[0]).ok());
   auto contents = dfs.ReadFileToString("/d");
   ASSERT_TRUE(contents.ok());
   EXPECT_EQ(*contents, Bytes(64, 'z'));
@@ -178,7 +184,7 @@ TEST(DfsTest, AllReplicasLostIsAnError) {
   ASSERT_TRUE(dfs.WriteFile("/d", Bytes(64)).ok());
   auto info = dfs.Stat("/d");
   ASSERT_TRUE(info.ok());
-  for (NodeId n : info->blocks[0].replicas) {
+  for (NodeId n : (*info)->blocks[0].replicas) {
     ASSERT_TRUE(dfs.KillDataNode(n).ok());
   }
   EXPECT_FALSE(dfs.ReadFileToString("/d").ok());
@@ -189,7 +195,7 @@ TEST(DfsTest, ReReplicateRestoresFactor) {
   ASSERT_TRUE(dfs.WriteFile("/d", Bytes(200)).ok());
   auto info = dfs.Stat("/d");
   ASSERT_TRUE(info.ok());
-  const NodeId victim = info->blocks[0].replicas[0];
+  const NodeId victim = (*info)->blocks[0].replicas[0];
   ASSERT_TRUE(dfs.KillDataNode(victim).ok());
   ASSERT_TRUE(dfs.ReviveDataNode(victim).ok());  // comes back empty
 
@@ -199,10 +205,171 @@ TEST(DfsTest, ReReplicateRestoresFactor) {
   auto info2 = dfs.Stat("/d");
   ASSERT_TRUE(info2.ok());
   int live = 0;
-  for (NodeId n : info2->blocks[0].replicas) {
-    if (dfs.data_node(n)->HasReplica(info2->blocks[0].id)) ++live;
+  for (NodeId n : (*info2)->blocks[0].replicas) {
+    if (dfs.data_node(n)->HasReplica((*info2)->blocks[0].id)) ++live;
   }
   EXPECT_EQ(live, 3);
+}
+
+TEST(DfsTest, PReadWithWrappingOffsetIsInvalidArgument) {
+  MiniDfs dfs(SmallDfs(4, 16));
+  ASSERT_TRUE(dfs.WriteFile("/d", Bytes(40)).ok());
+  auto reader = dfs.Open("/d");
+  ASSERT_TRUE(reader.ok());
+  char buf[8];
+  // offset + len wraps past UINT64_MAX to 4, which is inside the file.
+  EXPECT_EQ((*reader)->PRead(UINT64_MAX - 3, buf, sizeof(buf)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*reader)->PRead(36, buf, sizeof(buf)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE((*reader)->PRead(32, buf, sizeof(buf)).ok());
+}
+
+TEST(DfsTest, OpensShareOneSnapshot) {
+  MiniDfs dfs(SmallDfs(4, 16));
+  ASSERT_TRUE(dfs.WriteFile("/d", Bytes(100)).ok());
+  auto first = dfs.Open("/d");
+  auto second = dfs.Open("/d");
+  auto info = dfs.Stat("/d");
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(&(*first)->file_info(), info->get());
+  EXPECT_EQ(&(*second)->file_info(), info->get());
+}
+
+TEST(DfsTest, ReReplicationIsCopyOnWrite) {
+  MiniDfs dfs(SmallDfs(4, 16, 3));
+  std::string data;
+  for (int i = 0; i < 64; ++i) data.push_back(static_cast<char>('a' + i % 26));
+  ASSERT_TRUE(dfs.WriteFile("/d", data).ok());
+  auto reader = dfs.Open("/d");
+  ASSERT_TRUE(reader.ok());
+  const FileInfo& held = (*reader)->file_info();
+  std::vector<std::vector<NodeId>> before;
+  for (const BlockInfo& block : held.blocks) before.push_back(block.replicas);
+  const NodeId victim = before[0][0];
+
+  ASSERT_TRUE(dfs.KillDataNode(victim).ok());
+  auto copied = dfs.ReReplicate();
+  ASSERT_TRUE(copied.ok());
+  EXPECT_GT(*copied, 0u);
+
+  // The reader's snapshot is untouched and still reads the same bytes.
+  std::string read(data.size(), '\0');
+  ASSERT_TRUE((*reader)->PRead(0, read.data(), read.size()).ok());
+  EXPECT_EQ(read, data);
+  ASSERT_EQ(held.blocks.size(), before.size());
+  for (size_t b = 0; b < before.size(); ++b) {
+    EXPECT_EQ(held.blocks[b].replicas, before[b]) << "block " << b;
+  }
+
+  // A Stat after re-replication sees every block back at 3 live replicas.
+  auto after = dfs.Stat("/d");
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(after->get(), &held);
+  for (const BlockInfo& block : (*after)->blocks) {
+    EXPECT_EQ(dfs.AliveReplicas(block).size(), 3u) << "block " << block.id;
+    EXPECT_EQ(std::count(block.replicas.begin(), block.replicas.end(), victim),
+              0);
+  }
+}
+
+TEST(DfsTest, StatMidWriteIsStable) {
+  MiniDfs dfs(SmallDfs(4, 16));
+  auto writer = dfs.Create("/d");
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->AppendString(Bytes(10)).ok());
+  ASSERT_TRUE((*writer)->CloseBlock().ok());
+  auto mid = dfs.Stat("/d");
+  ASSERT_TRUE(mid.ok());
+  ASSERT_EQ((*mid)->blocks.size(), 1u);
+  EXPECT_EQ((*mid)->length, 10u);
+
+  ASSERT_TRUE((*writer)->AppendString(Bytes(12)).ok());
+  ASSERT_TRUE((*writer)->CloseBlock().ok());
+  ASSERT_TRUE((*writer)->AppendString(Bytes(20)).ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+
+  EXPECT_EQ((*mid)->blocks.size(), 1u);
+  EXPECT_EQ((*mid)->block_offsets.size(), 1u);
+  EXPECT_EQ((*mid)->length, 10u);
+  auto done = dfs.Stat("/d");
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ((*done)->blocks.size(), 4u);
+  EXPECT_EQ((*done)->length, 42u);
+  EXPECT_EQ((*done)->block_offsets, (std::vector<uint64_t>{0, 10, 22, 38}));
+}
+
+TEST(DfsConcurrencyTest, ReadersRaceReReplication) {
+  constexpr int kBlocks = 64;
+  constexpr uint64_t kBlockSize = 64;
+  MiniDfs dfs(SmallDfs(4, kBlockSize, 3));
+  std::string data;
+  for (uint64_t i = 0; i < kBlocks * kBlockSize; ++i) {
+    data.push_back(static_cast<char>((i * 131 + 7) % 251));
+  }
+  {
+    auto writer = dfs.Create("/tbl/a.col", "/tbl");
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->AppendString(data).ok());
+    ASSERT_TRUE((*writer)->Close().ok());
+  }
+  auto info = dfs.Stat("/tbl/a.col");
+  ASSERT_TRUE(info.ok());
+  const NodeId victim = (*info)->blocks[0].replicas[0];
+
+  constexpr int kReaders = 8;
+  constexpr int kIterations = 200;
+  std::atomic<int> started{0};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> untyped_errors{0};  // any failure but IoError
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::string buf(data.size(), '\0');
+      for (int i = 0; i < kIterations; ++i) {
+        if (i == 1) started.fetch_add(1);
+        auto count = [&](const Status& st) {
+          if (st.code() != StatusCode::kIoError) untyped_errors.fetch_add(1);
+        };
+        auto locations = dfs.BlockLocations("/tbl/a.col", (t + i) % kBlocks);
+        if (!locations.ok()) count(locations.status());
+        auto reader = dfs.Open("/tbl/a.col", t % dfs.num_nodes());
+        if (!reader.ok()) {
+          count(reader.status());
+          continue;
+        }
+        // A different range each time: whole blocks, block-straddling tails.
+        const uint64_t offset = static_cast<uint64_t>((t * 37 + i * 53) %
+                                                      (data.size() / 2));
+        const size_t len = data.size() - offset;
+        Status st = (*reader)->PRead(offset, buf.data(), len);
+        if (!st.ok()) {
+          count(st);
+        } else if (buf.compare(0, len, data, offset, len) != 0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  const Status killed = dfs.KillDataNode(victim);
+  auto copied = dfs.ReReplicate();
+  for (std::thread& reader : readers) reader.join();
+
+  ASSERT_TRUE(killed.ok()) << killed.ToString();
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(untyped_errors.load(), 0);
+  auto after = dfs.Stat("/tbl/a.col");
+  ASSERT_TRUE(after.ok());
+  for (const BlockInfo& block : (*after)->blocks) {
+    EXPECT_EQ(dfs.AliveReplicas(block).size(), 3u) << "block " << block.id;
+  }
+  auto contents = dfs.ReadFileToString("/tbl/a.col");
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(*contents, data);
 }
 
 TEST(PlacementTest, ColocationGroupsAlignAcrossFiles) {

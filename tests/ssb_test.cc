@@ -337,7 +337,7 @@ TEST(LoaderTest, LoadsAllTablesAndReplicas) {
     for (const std::string& path : cluster.dfs()->List(dir + "/")) {
       auto info = cluster.dfs()->Stat(path);
       EXPECT_TRUE(info.ok()) << path;
-      if (info.ok()) bytes += info->length;
+      if (info.ok()) bytes += (*info)->length;
     }
     return bytes;
   };
@@ -395,7 +395,7 @@ uint64_t HashLoad(mr::MrCluster* cluster, const SsbDataset& dataset,
     if (!bytes.ok() || !info.ok()) return 0;
     h.Str(path);
     h.Str(*bytes);
-    for (const hdfs::BlockInfo& block : info->blocks) {
+    for (const hdfs::BlockInfo& block : (*info)->blocks) {
       h.U64(block.id);
       h.U64(block.length);
       h.U64(block.replicas.size());

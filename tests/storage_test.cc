@@ -382,8 +382,8 @@ TEST(CifDictionaryTest, LowCardinalityStringsRoundTripCompactly) {
   auto unique_info = dfs.Stat("/dict/unique.col");
   ASSERT_TRUE(mode_info.ok());
   ASSERT_TRUE(unique_info.ok());
-  EXPECT_LT(mode_info->length, 2000u * 2);
-  EXPECT_GT(unique_info->length, 2000u * 15);
+  EXPECT_LT((*mode_info)->length, 2000u * 2);
+  EXPECT_GT((*unique_info)->length, 2000u * 15);
 }
 
 TEST(CifDictionaryTest, MoreThan256DistinctFallsBackToPlain) {
