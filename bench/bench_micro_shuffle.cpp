@@ -1,7 +1,10 @@
 // Micro-benchmarks for the MapReduce substrate's shuffle path: map-output
-// partitioning + sort, combiner folding, and row codec throughput.
+// partitioning + sort, combiner folding, the reducer's k-way run merge, and
+// row codec throughput.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -44,8 +47,7 @@ void SortAndMaybeCombine(benchmark::State& state, bool combine) {
   const auto records = MakeRecords(static_cast<int>(state.range(0)),
                                    static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    HashPartitioner partitioner;
-    MapOutputBuffer buffer(&partitioner, 4);
+    ShardedCollector buffer(4);
     for (const KeyValue& kv : records) {
       CLY_CHECK_OK(buffer.Collect(kv.key, kv.value));
     }
@@ -76,6 +78,38 @@ BENCHMARK(BM_MapOutputSortCombine)
     ->Args({100000, 64})
     ->Args({100000, 100000})
     ->Unit(benchmark::kMillisecond);
+
+// One reducer's merge of R sorted runs holding N records in all (arg 0 = R).
+// N is fixed, so the time per record shows how the merge scales with R.
+void BM_ReduceMerge(benchmark::State& state) {
+  constexpr int kTotalRecords = 100000;
+  const int num_runs = static_cast<int>(state.range(0));
+  auto records = MakeRecords(kTotalRecords, kTotalRecords);
+  std::vector<ShuffleRun> runs(static_cast<size_t>(num_runs));
+  for (size_t i = 0; i < records.size(); ++i) {
+    const size_t r = i % runs.size();
+    runs[r].map_task = static_cast<int>(r);
+    runs[r].records.push_back(std::move(records[i]));
+  }
+  for (ShuffleRun& run : runs) {
+    std::stable_sort(run.records.begin(), run.records.end(),
+                     [](const KeyValue& a, const KeyValue& b) {
+                       return a.key.Compare(b.key) < 0;
+                     });
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<ShuffleRun> copy = runs;
+    state.ResumeTiming();
+    ShuffleMerger merger;
+    merger.Add(std::move(copy));
+    auto merged = merger.Take();
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kTotalRecords);
+}
+BENCHMARK(BM_ReduceMerge)->Arg(4)->Arg(64)->Arg(512)->Unit(
+    benchmark::kMillisecond);
 
 void BM_RowEncodeDecode(benchmark::State& state) {
   auto schema = Schema::Make({{"a", TypeKind::kInt32, 4},

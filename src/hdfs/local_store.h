@@ -32,7 +32,7 @@ class LocalStore {
   bool Exists(const std::string& path) const;
   Status Delete(const std::string& path);
   /// Deletes every file whose path starts with `prefix` and returns how many
-  /// were removed (job-scratch GC: "/shuffle/<instance>/", "/dcache/...").
+  /// were removed (job-scratch GC: "/dcache/<instance>/").
   uint64_t DeleteWithPrefix(const std::string& prefix);
   /// Drops everything (simulates a local disk failure; paper §4: nodes that
   /// lost their dimension copy re-fetch from HDFS).

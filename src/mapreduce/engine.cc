@@ -144,15 +144,13 @@ Status DistributeCache(MrCluster* cluster, const JobConf& conf,
   return Status::OK();
 }
 
-/// Deletes the job's scratch from every node — encoded shuffle runs and
-/// distributed-cache copies — and drops its JVM-reuse registry entries.
-/// Without this, back-to-back jobs (an SSB sweep) leak simulated local disk.
+/// Deletes the job's distributed-cache copies from every node and drops its
+/// JVM-reuse registry entries. Without this, back-to-back jobs (an SSB
+/// sweep) leak simulated local disk.
 void GarbageCollectJobScratch(MrCluster* cluster, int64_t instance) {
-  const std::string shuffle_prefix = StrCat("/shuffle/", instance, "/");
   const std::string dcache_prefix = StrCat("/dcache/", instance, "/");
   uint64_t removed = 0;
   for (int n = 0; n < cluster->num_nodes(); ++n) {
-    removed += cluster->local_store(n)->DeleteWithPrefix(shuffle_prefix);
     removed += cluster->local_store(n)->DeleteWithPrefix(dcache_prefix);
   }
   cluster->ReleaseJobState(instance);

@@ -146,7 +146,7 @@ struct JobResult {
 /// Runs one MapReduce job to completion on the cluster: splits, pull-based
 /// locality scheduling over the persistent tracker pools, combiner, sorted
 /// shuffle (pipelined with the map phase), reduce, output commit,
-/// and job-scratch GC (shuffle runs + dcache files) on every exit path.
+/// and job-scratch GC (dcache files) on every exit path.
 Result<JobResult> RunJob(MrCluster* cluster, const JobConf& conf);
 
 }  // namespace mr

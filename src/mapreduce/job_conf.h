@@ -55,7 +55,6 @@ class JobConf {
   // --- component factories ----------------------------------------------------
   using MapperFactory = std::function<std::unique_ptr<Mapper>()>;
   using ReducerFactory = std::function<std::unique_ptr<Reducer>()>;
-  using PartitionerFactory = std::function<std::unique_ptr<Partitioner>()>;
   using InputFormatFactory = std::function<std::unique_ptr<InputFormat>()>;
   using OutputFormatFactory = std::function<std::unique_ptr<OutputFormat>()>;
   using MapRunnerFactory = std::function<std::unique_ptr<MapRunner>()>;
@@ -64,8 +63,6 @@ class JobConf {
   ReducerFactory reducer_factory;
   /// Optional; runs on sorted map output before the shuffle.
   ReducerFactory combiner_factory;
-  /// Defaults to HashPartitioner when unset.
-  PartitionerFactory partitioner_factory;
   InputFormatFactory input_format_factory;
   OutputFormatFactory output_format_factory;
   /// Defaults to the single-threaded DefaultMapRunner when unset.

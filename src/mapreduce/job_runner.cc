@@ -12,20 +12,9 @@
 #include "mapreduce/task_context.h"
 #include "mapreduce/task_tracker.h"
 #include "obs/query_profile.h"
-#include "storage/byte_io.h"
-#include "storage/row_codec.h"
 
 namespace clydesdale {
 namespace mr {
-
-namespace {
-/// LocalStore path of one map task's encoded run for one partition. The
-/// instance prefix scopes the job's scratch so commit-time GC can delete it
-/// wholesale (and concurrent jobs never collide).
-std::string ShuffleRunPath(int64_t instance, int map_task, int partition) {
-  return StrCat("/shuffle/", instance, "/m-", map_task, ".p", partition);
-}
-}  // namespace
 
 JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
                      std::vector<std::shared_ptr<InputSplit>> splits,
@@ -50,7 +39,6 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
                         ? cluster->options().map_slots_per_node
                         : 1),
       shuffle_(std::max(num_reduces_, 1)),
-      direct_out_(output_format),
       policy_(splits_, cluster->num_nodes()),
       running_maps_(static_cast<size_t>(cluster->num_nodes()), 0),
       maps_unfinished_(static_cast<int>(splits_.size())),
@@ -260,18 +248,16 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
   uint64_t out_records = 0;
   uint64_t out_bytes = 0;
   if (map_only_) {
-    const uint64_t before_r = direct_out_.records();
-    const uint64_t before_b = direct_out_.bytes();
-    status = runner->Run(*attempt->split, input_format_, &context, &direct_out_);
-    out_records = direct_out_.records() - before_r;
-    out_bytes = direct_out_.bytes() - before_b;
+    // One collector per attempt: its counts are this attempt's alone, even
+    // with other map attempts writing the same OutputFormat beside it.
+    OutputFormatCollector out(output_format_);
+    status = runner->Run(*attempt->split, input_format_, &context, &out);
+    out_records = out.records();
+    out_bytes = out.bytes();
   } else {
-    std::unique_ptr<Partitioner> partitioner =
-        conf_->partitioner_factory ? conf_->partitioner_factory()
-                                   : std::make_unique<HashPartitioner>();
     // Sharded per-thread buffers: no lock on the per-record collect path
     // even when the map runner collects from many threads at once.
-    ShardedCollector buffer(partitioner.get(), num_reduces_);
+    ShardedCollector buffer(num_reduces_);
     status = runner->Run(*attempt->split, input_format_, &context, &buffer);
     if (status.ok()) {
       std::unique_ptr<Reducer> combiner =
@@ -281,33 +267,20 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
       if (!finished.ok()) {
         status = finished.status();
       } else {
-        // Stage every partition's run (encoded spill on this node's disk)
-        // before publishing any, so a failure can't leak half a task into
-        // the shuffle.
-        std::vector<std::pair<int, ShuffleRun>> pending;
-        for (int p = 0; p < num_reduces_ && status.ok(); ++p) {
+        // Publish immediately: the partition's reducer may fetch these runs
+        // before this task's siblings have even started.
+        for (int p = 0; p < num_reduces_; ++p) {
           auto& partition = (*finished)[static_cast<size_t>(p)];
           if (partition.empty()) continue;
           ShuffleRun run;
           run.map_task = index;
           run.map_node = node;
-          storage::ByteWriter encoded;
           for (const KeyValue& kv : partition) {
             run.encoded_bytes += EncodedKeyValueBytes(kv.key, kv.value);
-            storage::EncodeRow(kv.key, &encoded);
-            storage::EncodeRow(kv.value, &encoded);
           }
           out_bytes += run.encoded_bytes;
           run.records = std::move(partition);
-          run.local_path = ShuffleRunPath(instance_, index, p);
-          status = cluster_->local_store(node)->Write(run.local_path,
-                                                      encoded.Release());
-          if (status.ok()) pending.emplace_back(p, std::move(run));
-        }
-        if (status.ok()) {
-          // Publish immediately: the partition's reducer may fetch these
-          // runs before this task's siblings have even started.
-          for (auto& [p, run] : pending) shuffle_.PublishRun(p, std::move(run));
+          shuffle_.PublishRun(p, std::move(run));
         }
       }
     }
@@ -382,50 +355,45 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
   // this attempt (released wholesale when the consumer goes out of scope).
   obs::ScopedMemConsumer fetch_mem(attempt_tracker);
 
-  // Simulated HTTP fetch of one batch of runs: read each encoded run file
-  // from its map node's disk (charging that node's read ledger) and fold
-  // the records into the merge.
-  auto fetch_batch = [&](std::vector<ShuffleRun> batch) -> Status {
-    for (const ShuffleRun& run : batch) {
-      tr.shuffle_bytes_total += run.encoded_bytes;
-      fetch_mem.Add(static_cast<int64_t>(run.encoded_bytes));
-      if (run.map_node != node) tr.shuffle_bytes_remote += run.encoded_bytes;
-      if (!run.local_path.empty() && run.map_node != hdfs::kNoNode) {
-        CLY_RETURN_IF_ERROR(
-            cluster_->local_store(run.map_node)->Read(run.local_path).status());
-      }
-    }
-    merger.Add(std::move(batch));
-    return Status::OK();
-  };
-
-  // Fetch-as-published: drain run batches while the map phase is still
-  // producing them. ShuffleMerger's (key, map task) order makes the merged
-  // sequence independent of arrival order, so the interleaving never shows
-  // in the output.
+  // Fetch-as-published: take run batches while the map phase is still
+  // producing them. Each fetch charges the shuffle ledgers; the merge runs
+  // once, after the last batch, in (key, map task) order, so the
+  // interleaving never shows in the output.
   while (true) {
     std::vector<ShuffleRun> batch;
     if (!shuffle_.AwaitNewRuns(r, &batch)) break;
     if (aborted()) return Status::Internal("job aborted");
-    const size_t batch_runs = batch.size();
     obs::Span fetch_span(trace_, "shuffle-fetch", "stage", r, node);
-    CLY_RETURN_IF_ERROR(fetch_batch(std::move(batch)));
+    for (const ShuffleRun& run : batch) {
+      tr.shuffle_bytes_total += run.encoded_bytes;
+      fetch_mem.Add(static_cast<int64_t>(run.encoded_bytes));
+      if (run.map_node != node) tr.shuffle_bytes_remote += run.encoded_bytes;
+    }
+    const size_t batch_runs = batch.size();
+    merger.Add(std::move(batch));
     fetch_span.End();
     // Tagged by the ambient ScopedLogContext above: "[job/r-N@nodeM] ...".
     CLY_LOG(Debug) << "fetched " << batch_runs << " shuffle run(s), "
-                   << merger.input_records() << " records merged";
+                   << merger.input_records() << " records in all";
     ++shuffle_batches;
     shuffle_wall_ns += static_cast<uint64_t>(fetch_span.wall_ns());
     shuffle_cpu_ns += static_cast<uint64_t>(fetch_span.cpu_ns());
   }
   if (aborted()) return Status::Internal("job aborted");
+  // The merge is the shuffle's last step, so its span and profile time are
+  // the shuffle's too.
+  obs::Span merge_span(trace_, "shuffle-fetch", "stage", r, node);
+  std::vector<KeyValue> merged = merger.Take();
+  merge_span.End();
+  shuffle_wall_ns += static_cast<uint64_t>(merge_span.wall_ns());
+  shuffle_cpu_ns += static_cast<uint64_t>(merge_span.cpu_ns());
 
   std::unique_ptr<Reducer> reducer = conf_->reducer_factory();
   OutputFormatCollector out(output_format_);
   tr.input_records = merger.input_records();
   uint64_t in_groups = 0;
-  Status status = ReduceMergedRecords(merger.Take(), reducer.get(), &context,
-                                      &out, &in_groups);
+  Status status = ReduceMergedRecords(std::move(merged), reducer.get(),
+                                      &context, &out, &in_groups);
 
   tr.output_records = out.records();
   tr.output_bytes = out.bytes();

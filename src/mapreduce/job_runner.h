@@ -51,8 +51,8 @@ class OutputFormatCollector final : public OutputCollector {
 /// pull API: a tracker slot that frees up asks "anything runnable for me?"
 /// and the scheduling policy answers with a late-binding locality-aware
 /// choice. Map completions publish shuffle runs immediately, so reducers
-/// (claimed by reduce slots from the start) fetch and merge completed runs
-/// while the remaining maps run.
+/// (claimed by reduce slots from the start) fetch completed runs while the
+/// remaining maps run, and merge them once the last map is done.
 ///
 /// Held as shared_ptr: trackers keep the runner alive while any of its
 /// attempts is in flight, even after Execute returned the job's result.
@@ -132,7 +132,6 @@ class JobRunner {
   std::vector<std::shared_ptr<obs::MemTracker>> job_mem_trackers_;
 
   ShuffleStore shuffle_;
-  OutputFormatCollector direct_out_;
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;

@@ -60,21 +60,6 @@ class Reducer {
   }
 };
 
-/// Routes a map-output key to one of `num_partitions` reducers.
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-  virtual int Partition(const Row& key, int num_partitions) = 0;
-};
-
-/// Default: hash of the whole key.
-class HashPartitioner final : public Partitioner {
- public:
-  int Partition(const Row& key, int num_partitions) override {
-    return static_cast<int>(key.Hash() % static_cast<uint64_t>(num_partitions));
-  }
-};
-
 }  // namespace mr
 }  // namespace clydesdale
 

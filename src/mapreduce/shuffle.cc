@@ -30,8 +30,7 @@ class VectorCollector final : public OutputCollector {
 };
 
 /// Sorts one partition by key and, when a combiner is given, folds it over
-/// each key group in place. Shared by MapOutputBuffer::Finish and
-/// ShardedCollector::Finish.
+/// each key group in place.
 Status SortAndCombinePartition(std::vector<KeyValue>* partition,
                                Reducer* combiner, TaskContext* context) {
   std::stable_sort(partition->begin(), partition->end(), KeyLess);
@@ -72,71 +71,41 @@ uint64_t EncodedKeyValueBytes(const Row& key, const Row& value) {
   return storage::EncodedRowSize(key) + storage::EncodedRowSize(value) + 8;
 }
 
-MapOutputBuffer::MapOutputBuffer(Partitioner* partitioner, int num_partitions)
-    : partitioner_(partitioner),
-      partitions_(static_cast<size_t>(std::max(num_partitions, 1))) {}
-
-Status MapOutputBuffer::Collect(const Row& key, const Row& value) {
-  const int p = partitions_.size() == 1
-                    ? 0
-                    : partitioner_->Partition(key, static_cast<int>(partitions_.size()));
-  if (p < 0 || p >= static_cast<int>(partitions_.size())) {
-    return Status::Internal("partitioner returned out-of-range partition");
-  }
-  partitions_[static_cast<size_t>(p)].push_back(KeyValue{key, value});
-  ++records_;
-  return Status::OK();
-}
-
-Result<std::vector<std::vector<KeyValue>>> MapOutputBuffer::Finish(
-    Reducer* combiner, TaskContext* context) {
-  obs::Span sort_span(context->trace(), "sort", "stage", context->task_index(),
-                      context->node());
-  for (auto& partition : partitions_) {
-    CLY_RETURN_IF_ERROR(SortAndCombinePartition(&partition, combiner, context));
-  }
-  return std::move(partitions_);
-}
-
-ShardedCollector::ShardedCollector(Partitioner* partitioner,
-                                   int num_partitions)
+ShardedCollector::ShardedCollector(int num_partitions)
     : id_([] {
         static std::atomic<uint64_t> next{1};
         return next.fetch_add(1, std::memory_order_relaxed);
       }()),
-      partitioner_(partitioner),
-      num_partitions_(num_partitions) {}
+      num_partitions_(static_cast<size_t>(std::max(num_partitions, 1))) {}
 
-MapOutputBuffer* ShardedCollector::ShardForThisThread() {
+ShardedCollector::Shard* ShardedCollector::ShardForThisThread() {
   // Cache the (collector id, shard) pair per thread: repeat Collects from
   // the same thread bypass the mutex entirely. The id check guards against
   // a stale entry left by a previous collector this thread fed.
   thread_local uint64_t cached_id = 0;
-  thread_local MapOutputBuffer* cached_shard = nullptr;
+  thread_local Shard* cached_shard = nullptr;
   if (cached_id == id_) return cached_shard;
 
   std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(
-      std::make_unique<MapOutputBuffer>(partitioner_, num_partitions_));
+  shards_.push_back(std::make_unique<Shard>(num_partitions_));
   cached_id = id_;
   cached_shard = shards_.back().get();
   return cached_shard;
 }
 
 Status ShardedCollector::Collect(const Row& key, const Row& value) {
-  return ShardForThisThread()->Collect(key, value);
+  const size_t p = num_partitions_ == 1 ? 0 : key.Hash() % num_partitions_;
+  (*ShardForThisThread())[p].push_back(KeyValue{key, value});
+  return Status::OK();
 }
 
 uint64_t ShardedCollector::records() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->records();
+  for (const auto& shard : shards_) {
+    for (const auto& partition : *shard) total += partition.size();
+  }
   return total;
-}
-
-int ShardedCollector::num_shards() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(shards_.size());
 }
 
 Result<std::vector<std::vector<KeyValue>>> ShardedCollector::Finish(
@@ -146,15 +115,18 @@ Result<std::vector<std::vector<KeyValue>>> ShardedCollector::Finish(
   obs::Span sort_span(context->trace(), "sort", "stage", context->task_index(),
                       context->node());
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::vector<KeyValue>> merged(
-      static_cast<size_t>(std::max(num_partitions_, 1)));
+  std::vector<std::vector<KeyValue>> merged(num_partitions_);
   for (auto& shard : shards_) {
     for (size_t p = 0; p < merged.size(); ++p) {
-      auto& from = shard->partitions_[p];
-      merged[p].insert(merged[p].end(),
-                       std::make_move_iterator(from.begin()),
-                       std::make_move_iterator(from.end()));
-      from.clear();
+      auto& from = (*shard)[p];
+      if (merged[p].empty()) {
+        merged[p].swap(from);  // the one-shard case copies nothing
+      } else {
+        merged[p].insert(merged[p].end(),
+                         std::make_move_iterator(from.begin()),
+                         std::make_move_iterator(from.end()));
+        from.clear();
+      }
     }
   }
   for (auto& partition : merged) {
@@ -234,35 +206,56 @@ uint64_t ShuffleStore::total_bytes() const {
   return total_bytes_;
 }
 
-namespace {
-/// The merge's total order: key, then producing map task. In-run position
-/// never needs comparing — equivalent records always come from the same run
-/// (one run per map task per partition), and both the per-run sort and the
-/// stable inplace_merge below preserve in-run order among equivalents.
-bool MergedLess(const MergedRecord& a, const MergedRecord& b) {
-  const int c = a.kv.key.Compare(b.kv.key);
-  if (c != 0) return c < 0;
-  return a.map_task < b.map_task;
-}
-}  // namespace
-
 void ShuffleMerger::Add(std::vector<ShuffleRun> runs) {
   for (ShuffleRun& run : runs) {
     input_records_ += run.records.size();
-    const size_t old_size = merged_.size();
-    merged_.reserve(old_size + run.records.size());
-    for (KeyValue& kv : run.records) {
-      merged_.push_back(MergedRecord{std::move(kv), run.map_task});
-    }
-    // Each run arrives key-sorted with a single map_task, so it is already
-    // sorted under MergedLess; one stable merge folds it in.
-    std::inplace_merge(merged_.begin(),
-                       merged_.begin() + static_cast<ptrdiff_t>(old_size),
-                       merged_.end(), MergedLess);
+    runs_.push_back(std::move(run));
   }
 }
 
-Status ReduceMergedRecords(std::vector<MergedRecord> records, Reducer* reducer,
+std::vector<KeyValue> ShuffleMerger::Take() {
+  std::vector<ShuffleRun> runs = std::move(runs_);
+  runs_.clear();
+  // With the runs in map-task order, (key, run index) is the merge's total
+  // order: equivalent records from one run keep their in-run order because
+  // a run's next record enters the heap only after the previous one left.
+  std::stable_sort(runs.begin(), runs.end(),
+                   [](const ShuffleRun& a, const ShuffleRun& b) {
+                     return a.map_task < b.map_task;
+                   });
+  std::vector<size_t> next(runs.size(), 0);
+  // Heap over run heads; the comparator is "comes later", so the front is
+  // the smallest head.
+  auto later = [&](size_t a, size_t b) {
+    const int c =
+        runs[a].records[next[a]].key.Compare(runs[b].records[next[b]].key);
+    return c != 0 ? c > 0 : a > b;
+  };
+  std::vector<size_t> heap;
+  size_t total = 0;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    total += runs[r].records.size();
+    if (!runs[r].records.empty()) heap.push_back(r);
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+
+  std::vector<KeyValue> merged;
+  merged.reserve(total);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const size_t r = heap.back();
+    merged.push_back(std::move(runs[r].records[next[r]]));
+    if (++next[r] < runs[r].records.size()) {
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+      std::vector<KeyValue>().swap(runs[r].records);  // drained: free it now
+    }
+  }
+  return merged;
+}
+
+Status ReduceMergedRecords(std::vector<KeyValue> records, Reducer* reducer,
                            TaskContext* context, OutputCollector* out,
                            uint64_t* input_groups) {
   obs::Span merge_span(context->trace(), "merge-reduce", "stage",
@@ -272,14 +265,14 @@ Status ReduceMergedRecords(std::vector<MergedRecord> records, Reducer* reducer,
   CLY_RETURN_IF_ERROR(reducer->Setup(context));
   Row group_key;
   std::vector<Row> values;
-  for (MergedRecord& record : records) {
-    if (!values.empty() && record.kv.key.Compare(group_key) != 0) {
+  for (KeyValue& record : records) {
+    if (!values.empty() && record.key.Compare(group_key) != 0) {
       CLY_RETURN_IF_ERROR(reducer->Reduce(group_key, values, context, out));
       ++*input_groups;
       values.clear();
     }
-    if (values.empty()) group_key = record.kv.key;
-    values.push_back(std::move(record.kv.value));
+    if (values.empty()) group_key = record.key;
+    values.push_back(std::move(record.value));
   }
   if (!values.empty()) {
     CLY_RETURN_IF_ERROR(reducer->Reduce(group_key, values, context, out));

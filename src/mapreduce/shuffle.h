@@ -17,61 +17,40 @@ namespace clydesdale {
 namespace mr {
 
 
-/// Map-side output buffer: partitions records, sorts each partition by key
-/// at task end, and optionally applies a combiner — Hadoop's spill path,
-/// collapsed to one in-memory spill.
-class MapOutputBuffer final : public OutputCollector {
- public:
-  MapOutputBuffer(Partitioner* partitioner, int num_partitions);
-
-  Status Collect(const Row& key, const Row& value) override;
-
-  /// Sorts each partition and, when a combiner is given, folds it over each
-  /// key group. Returns the finished partitions (indexed by partition id).
-  Result<std::vector<std::vector<KeyValue>>> Finish(Reducer* combiner,
-                                                    TaskContext* context);
-
-  uint64_t records() const { return records_; }
-
- private:
-  friend class ShardedCollector;
-
-  Partitioner* partitioner_;
-  std::vector<std::vector<KeyValue>> partitions_;
-  uint64_t records_ = 0;
-};
-
-/// Collector for multi-threaded map runners: every calling thread gets its
-/// own MapOutputBuffer shard on first Collect, so the hot path touches only
-/// thread-private state — no global lock per record (the old LockedCollector
-/// serialised every Collect). The mutex is taken once per thread, at shard
-/// creation. Finish concatenates the shards per partition and then sorts and
-/// combines once. Requires a thread-safe (stateless) Partitioner; the stock
-/// HashPartitioner qualifies.
+/// Map-side collector, Hadoop's spill path collapsed to one in-memory spill.
+/// Each record goes to partition key.Hash() % num_partitions of the calling
+/// thread's own shard, created on the thread's first Collect, so the hot
+/// path touches only thread-private state even when a multi-threaded map
+/// runner collects from many threads at once. The mutex is taken once per
+/// thread, at shard creation. Finish concatenates the shards per partition,
+/// sorts each partition by key and, when a combiner is given, folds it over
+/// each key group.
 class ShardedCollector final : public OutputCollector {
  public:
-  ShardedCollector(Partitioner* partitioner, int num_partitions);
+  explicit ShardedCollector(int num_partitions);
 
   Status Collect(const Row& key, const Row& value) override;
 
-  /// Same contract as MapOutputBuffer::Finish, over the union of all shards.
+  /// Returns the finished partitions (indexed by partition id).
   Result<std::vector<std::vector<KeyValue>>> Finish(Reducer* combiner,
                                                     TaskContext* context);
 
+  /// Records collected so far (before Finish).
   uint64_t records() const;
-  int num_shards() const;
 
  private:
-  MapOutputBuffer* ShardForThisThread();
+  /// One thread's records, indexed by partition.
+  using Shard = std::vector<std::vector<KeyValue>>;
+
+  Shard* ShardForThisThread();
 
   /// Distinguishes this collector from any earlier one whose shard a thread
   /// may still have cached in its thread_local slot (monotone, never reused,
   /// so a recycled address can't alias a stale cache entry).
   const uint64_t id_;
-  Partitioner* const partitioner_;
-  const int num_partitions_;
+  const size_t num_partitions_;
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<MapOutputBuffer>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 /// One map task's sorted output for one partition.
@@ -80,9 +59,6 @@ struct ShuffleRun {
   hdfs::NodeId map_node = hdfs::kNoNode;
   std::vector<KeyValue> records;
   uint64_t encoded_bytes = 0;
-  /// LocalStore path of the encoded run on the map node ("" for runs built
-  /// directly in tests). Reducers fetch it to charge the map node's disk.
-  std::string local_path;
 };
 
 /// In-memory stand-in for the map-output files + HTTP fetch path. Thread-safe
@@ -136,35 +112,30 @@ class ShuffleStore {
   bool closed_ = false;
 };
 
-/// One record in merge order, tagged with its producing map task — the
-/// tie-break that makes the merge independent of run arrival order.
-struct MergedRecord {
-  KeyValue kv;
-  int map_task = 0;
-};
-
-/// Incrementally merges sorted runs as they arrive. Total order is (key,
-/// map task, in-run position): the order a stable sort over the by-task
+/// Gathers a reducer's sorted runs as they arrive and merges them once,
+/// k-way, in O(N log R) for N records in R runs. Total order is (key, map
+/// task, in-run position): the order a stable sort by key over the by-task
 /// concatenation would produce, so a reducer fed run-by-run produces
 /// byte-identical output no matter how publish and fetch interleave.
 class ShuffleMerger {
  public:
-  /// Folds a batch of runs into the merged sequence (any arrival order).
+  /// Adds a batch of runs (any arrival order).
   void Add(std::vector<ShuffleRun> runs);
 
   uint64_t input_records() const { return input_records_; }
 
-  /// The fully merged sequence; the merger is empty afterwards.
-  std::vector<MergedRecord> Take() { return std::move(merged_); }
+  /// Merges every added run into one sequence; the merger holds no runs
+  /// afterwards.
+  std::vector<KeyValue> Take();
 
  private:
-  std::vector<MergedRecord> merged_;
+  std::vector<ShuffleRun> runs_;
   uint64_t input_records_ = 0;
 };
 
 /// Streams the merged sequence's key groups to `reducer` (Setup / Reduce per
 /// group / Cleanup), counting the groups into `input_groups`.
-Status ReduceMergedRecords(std::vector<MergedRecord> records, Reducer* reducer,
+Status ReduceMergedRecords(std::vector<KeyValue> records, Reducer* reducer,
                            TaskContext* context, OutputCollector* out,
                            uint64_t* input_groups);
 

@@ -91,9 +91,6 @@ class ColumnScalar final : public BoundScalar {
  public:
   explicit ColumnScalar(int index) : index_(index) {}
   Value Eval(const Row& row) const override { return row.Get(index_); }
-  double EvalDouble(const Row& row) const override {
-    return row.Get(index_).AsDouble();
-  }
 
   void EvalBatch(const RowBatch& batch, const int32_t* sel_idx, int64_t n,
                  int64_t* out) const override {
@@ -140,7 +137,6 @@ class LiteralScalar final : public BoundScalar {
  public:
   explicit LiteralScalar(Value v) : value_(std::move(v)) {}
   Value Eval(const Row&) const override { return value_; }
-  double EvalDouble(const Row&) const override { return value_.AsDouble(); }
 
   void EvalBatch(const RowBatch&, const int32_t*, int64_t n,
                  int64_t* out) const override {
@@ -197,21 +193,6 @@ class ArithmeticScalar final : public BoundScalar {
         break;
     }
     return Value();
-  }
-
-  double EvalDouble(const Row& row) const override {
-    const double x = left_->EvalDouble(row);
-    const double y = right_->EvalDouble(row);
-    switch (op_) {
-      case Expr::Kind::kAdd:
-        return x + y;
-      case Expr::Kind::kSub:
-        return x - y;
-      case Expr::Kind::kMul:
-        return x * y;
-      default:
-        return 0;
-    }
   }
 
   void EvalBatch(const RowBatch& batch, const int32_t* sel_idx, int64_t n,

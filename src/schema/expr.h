@@ -131,8 +131,6 @@ class BoundScalar {
  public:
   virtual ~BoundScalar() = default;
   virtual Value Eval(const Row& row) const = 0;
-  /// Numeric fast path used by aggregation (widens to double).
-  virtual double EvalDouble(const Row& row) const { return Eval(row).AsDouble(); }
 
   /// Column-wise evaluation over a selection vector (mirrors
   /// BoundPredicate::EvalBatch): for each of the `n` selected row indexes

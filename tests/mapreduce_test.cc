@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
+#include "common/random.h"
 #include "common/strings.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/input_format.h"
@@ -299,12 +301,20 @@ TEST(SchedulerPolicyTest, LargestFirstBalancesSkewedSplitSizes) {
   EXPECT_EQ(policy.assigned_bytes(1), 1030u);
 }
 
-TEST(ShuffleTest, MapOutputBufferSortsAndCombines) {
-  HashPartitioner partitioner;
-  MapOutputBuffer buffer(&partitioner, 1);
-  ASSERT_TRUE(buffer.Collect(Row({Value("b")}), Row({Value(int64_t{1})})).ok());
-  ASSERT_TRUE(buffer.Collect(Row({Value("a")}), Row({Value(int64_t{2})})).ok());
-  ASSERT_TRUE(buffer.Collect(Row({Value("b")}), Row({Value(int64_t{3})})).ok());
+TEST(ShuffleTest, ShardedCollectorSortsAndCombines) {
+  ShardedCollector buffer(1);
+  // One record per thread, each thread into its own shard.
+  const std::vector<std::pair<std::string, int64_t>> records = {
+      {"b", 1}, {"a", 2}, {"b", 3}, {"a", 0}};
+  std::vector<std::thread> threads;
+  for (const auto& [key, value] : records) {
+    threads.emplace_back([&buffer, key = key, value = value] {
+      ASSERT_TRUE(
+          buffer.Collect(Row({Value(key)}), Row({Value(int64_t{value})})).ok());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(buffer.records(), 4u);
 
   JobConf conf;
   Counters counters;
@@ -324,9 +334,9 @@ TEST(ShuffleTest, MapOutputBufferSortsAndCombines) {
 
 TEST(ShuffleTest, MergedRunsReduceInKeyOrder) {
   ShuffleRun run1{0, 0, {{Row({Value("a")}), Row({Value(int64_t{1})})},
-                         {Row({Value("c")}), Row({Value(int64_t{1})})}}, 0, ""};
+                         {Row({Value("c")}), Row({Value(int64_t{1})})}}, 0};
   ShuffleRun run2{1, 1, {{Row({Value("b")}), Row({Value(int64_t{1})})},
-                         {Row({Value("c")}), Row({Value(int64_t{2})})}}, 0, ""};
+                         {Row({Value("c")}), Row({Value(int64_t{2})})}}, 0};
   JobConf conf;
   Counters counters;
   MrCluster cluster(SmallCluster());
@@ -393,16 +403,18 @@ TEST(ShuffleTest, MergeIsIndependentOfRunArrivalOrder) {
     return merger.Take();
   };
 
-  const std::vector<MergedRecord> expected = merge({{0, 1, 2, 3, 4}});
+  // The value tags each record with (map task * 100 + in-run position).
+  auto task_of = [](const KeyValue& kv) { return kv.value.Get(0).i64() / 100; };
+  const std::vector<KeyValue> expected = merge({{0, 1, 2, 3, 4}});
   ASSERT_EQ(expected.size(), size_t{kMaps * kRunLength});
   for (size_t i = 1; i < expected.size(); ++i) {
-    const int c = expected[i - 1].kv.key.Compare(expected[i].kv.key);
+    const int c = expected[i - 1].key.Compare(expected[i].key);
     ASSERT_LE(c, 0) << "record " << i << " out of key order";
     if (c == 0) {
-      ASSERT_LE(expected[i - 1].map_task, expected[i].map_task) << i;
-      if (expected[i - 1].map_task == expected[i].map_task) {
-        ASSERT_LT(expected[i - 1].kv.value.Get(0).i64(),
-                  expected[i].kv.value.Get(0).i64())
+      ASSERT_LE(task_of(expected[i - 1]), task_of(expected[i])) << i;
+      if (task_of(expected[i - 1]) == task_of(expected[i])) {
+        ASSERT_LT(expected[i - 1].value.Get(0).i64(),
+                  expected[i].value.Get(0).i64())
             << "in-run order lost at record " << i;
       }
     }
@@ -415,14 +427,69 @@ TEST(ShuffleTest, MergeIsIndependentOfRunArrivalOrder) {
       {{1}, {3, 4, 0}, {2}},
   };
   for (size_t a = 0; a < arrivals.size(); ++a) {
-    const std::vector<MergedRecord> got = merge(arrivals[a]);
+    const std::vector<KeyValue> got = merge(arrivals[a]);
     ASSERT_EQ(got.size(), expected.size()) << "arrival " << a;
     for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].map_task, expected[i].map_task)
+      EXPECT_TRUE(got[i].key == expected[i].key &&
+                  got[i].value == expected[i].value)
           << "arrival " << a << " record " << i;
-      EXPECT_TRUE(got[i].kv.key == expected[i].kv.key &&
-                  got[i].kv.value == expected[i].kv.value)
-          << "arrival " << a << " record " << i;
+    }
+  }
+
+  // Many short runs with overlapping keys, as a reducer sees from a map
+  // stage of hundreds of small splits, arriving shuffled in batches of 1 to
+  // 16: the merge must equal a stable sort by key over the by-task
+  // concatenation.
+  {
+    constexpr int kShortRuns = 320;
+    Random rng(24);
+    std::vector<ShuffleRun> short_runs;
+    std::vector<KeyValue> sorted;  // the by-task concatenation, then sorted
+    for (int m = 0; m < kShortRuns; ++m) {
+      ShuffleRun run;
+      run.map_task = m;
+      const int length = static_cast<int>(rng.Uniform(0, 6));
+      for (int i = 0; i < length; ++i) {
+        run.records.push_back({Row({Value(int64_t{rng.Uniform(0, 40)})}),
+                               Row({Value(int64_t{m * 100 + i})})});
+      }
+      std::stable_sort(run.records.begin(), run.records.end(),
+                       [](const KeyValue& a, const KeyValue& b) {
+                         return a.key.Compare(b.key) < 0;
+                       });
+      sorted.insert(sorted.end(), run.records.begin(), run.records.end());
+      short_runs.push_back(std::move(run));
+    }
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const KeyValue& a, const KeyValue& b) {
+                       return a.key.Compare(b.key) < 0;
+                     });
+
+    // Arrive in a shuffled order, in batches of 1 to 16 runs.
+    std::vector<ShuffleRun> arrival = short_runs;
+    for (size_t i = arrival.size(); i > 1; --i) {
+      std::swap(arrival[i - 1],
+                arrival[static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(i) - 1))]);
+    }
+    ShuffleMerger merger;
+    for (size_t i = 0; i < arrival.size();) {
+      const size_t n = std::min(arrival.size() - i,
+                                static_cast<size_t>(rng.Uniform(1, 16)));
+      std::vector<ShuffleRun> batch(
+          std::make_move_iterator(arrival.begin() + static_cast<ptrdiff_t>(i)),
+          std::make_move_iterator(arrival.begin() +
+                                  static_cast<ptrdiff_t>(i + n)));
+      merger.Add(std::move(batch));
+      i += n;
+    }
+    EXPECT_EQ(merger.input_records(), sorted.size());
+    const std::vector<KeyValue> merged = merger.Take();
+    ASSERT_EQ(merged.size(), sorted.size());
+    for (size_t i = 0; i < merged.size(); ++i) {
+      ASSERT_TRUE(merged[i].key == sorted[i].key &&
+                  merged[i].value == sorted[i].value)
+          << "record " << i << ": got " << merged[i].value.Get(0).i64()
+          << ", want " << sorted[i].value.Get(0).i64();
     }
   }
 }

@@ -177,11 +177,45 @@ TEST(TaskTrackerTest, ShuffleScratchIsGarbageCollectedAfterCommit) {
   conf.distributed_cache.push_back("/cache/gc-probe");
   auto result = RunJob(&cluster, conf);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  // Encoded shuffle runs and dcache copies were staged on local disks during
-  // the job; commit-time GC must leave every node's LocalStore empty.
+  // Shuffle runs live only in memory; the dcache copies are the job's only
+  // local-disk scratch, and commit-time GC must leave every node's
+  // LocalStore empty.
   for (int n = 0; n < cluster.num_nodes(); ++n) {
     EXPECT_EQ(cluster.local_store(n)->file_count(), 0u) << "node " << n;
   }
+}
+
+TEST(TaskTrackerTest, MapOnlyOutputCountsAreExactUnderConcurrentMaps) {
+  // Slow maps on every slot at once: each attempt's output counts must be
+  // its own, not whatever its neighbours wrote to the shared OutputFormat
+  // while it ran.
+  MrCluster cluster(SmallCluster());
+  WriteWordTable(&cluster, 600);
+  JobConf conf = WordCountJob("/words", 0);
+  conf.reducer_factory = nullptr;
+  conf.mapper_factory = [] {
+    class SlowIdentityMapper final : public Mapper {
+     public:
+      Status Map(const Row& key, const Row& value, TaskContext*,
+                 OutputCollector* out) override {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return out->Collect(key, value);
+      }
+    };
+    return std::make_unique<SlowIdentityMapper>();
+  };
+  auto result = RunJob(&cluster, conf);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->report.map_tasks.size(),
+            static_cast<size_t>(cluster.options().map_slots_per_node))
+      << "test needs concurrent map attempts";
+  ASSERT_EQ(result->output_rows.size(), 600u);
+  uint64_t task_records = 0;
+  for (const TaskReport& task : result->report.map_tasks) {
+    task_records += task.output_records;
+  }
+  EXPECT_EQ(task_records, 600u);
+  EXPECT_EQ(result->report.counters.Get(kCounterMapOutputRecords), 600);
 }
 
 TEST(TaskTrackerTest, FailingMapAbortsPipelinedJobWithoutHanging) {
