@@ -230,13 +230,13 @@ Shape MakeQ4Shape() {
   return s;
 }
 
-/// The pre-vectorization inner loop, reproduced verbatim from the seed:
-/// byte-mask predicate, then per-row scalar probes, Row materialization for
-/// survivors, Row group keys into an unordered_map aggregator.
+/// The pre-vectorization inner loop: byte-mask predicate, then per-row
+/// scalar probes, Row materialization for survivors, Row group keys (one
+/// Value per payload column read) into an unordered_map aggregator.
 uint64_t RunBaseline(const Shape& s) {
   std::unordered_map<Row, std::vector<int64_t>, RowHasher> groups;
   std::vector<uint8_t> sel;
-  std::vector<const Row*> matched(s.tables.size());
+  std::vector<int32_t> matched(s.tables.size());
   uint64_t join_rows = 0;
   for (const RowBatch& batch : s.batches) {
     const int64_t n = batch.num_rows();
@@ -248,7 +248,7 @@ uint64_t RunBaseline(const Shape& s) {
       for (size_t d = 0; d < s.tables.size(); ++d) {
         matched[d] =
             s.tables[d]->Probe(batch.column(s.fk_index[d]).KeyAt(i));
-        if (matched[d] == nullptr) {
+        if (matched[d] == core::DimHashTable::kMiss) {
           ok = false;
           break;
         }
@@ -262,8 +262,9 @@ uint64_t RunBaseline(const Shape& s) {
         group_key.Append(
             src.from_fact
                 ? row.Get(src.fact_index)
-                : matched[static_cast<size_t>(src.dim_index)]->Get(
-                      src.aux_index));
+                : s.tables[static_cast<size_t>(src.dim_index)]
+                      ->aux_column(src.aux_index)
+                      .GetValue(matched[static_cast<size_t>(src.dim_index)]));
       }
       int64_t values[16];
       for (size_t a = 0; a < s.acc_exprs.size(); ++a) {

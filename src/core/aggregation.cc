@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string_view>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -166,6 +167,11 @@ T ReadScalar(const uint8_t* p) {
   return v;
 }
 
+void AppendString(std::string_view s, std::vector<uint8_t>* out) {
+  AppendScalar(static_cast<uint32_t>(s.size()), out);
+  out->insert(out->end(), s.begin(), s.end());
+}
+
 }  // namespace
 
 void AppendValue(const Value& v, std::vector<uint8_t>* out) {
@@ -180,12 +186,29 @@ void AppendValue(const Value& v, std::vector<uint8_t>* out) {
     case TypeKind::kDouble:
       AppendScalar(v.f64(), out);
       return;
-    case TypeKind::kString: {
-      const std::string& s = v.str();
-      AppendScalar(static_cast<uint32_t>(s.size()), out);
-      out->insert(out->end(), s.begin(), s.end());
+    case TypeKind::kString:
+      AppendString(v.str(), out);
       return;
-    }
+  }
+}
+
+void AppendColumnValue(const ColumnVector& col, int64_t i,
+                       std::vector<uint8_t>* out) {
+  out->push_back(static_cast<uint8_t>(col.type()));
+  const size_t r = static_cast<size_t>(i);
+  switch (col.type()) {
+    case TypeKind::kInt32:
+      AppendScalar(col.i32()[r], out);
+      return;
+    case TypeKind::kInt64:
+      AppendScalar(col.i64()[r], out);
+      return;
+    case TypeKind::kDouble:
+      AppendScalar(col.f64()[r], out);
+      return;
+    case TypeKind::kString:
+      AppendString(col.StringViewAt(i), out);
+      return;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "mapreduce/mr_types.h"
 #include "obs/mem_tracker.h"
 #include "schema/row.h"
+#include "schema/row_batch.h"
 
 namespace clydesdale {
 namespace core {
@@ -80,6 +81,12 @@ namespace group_key {
 
 /// Appends the encoding of one value.
 void AppendValue(const Value& v, std::vector<uint8_t>* out);
+
+/// Appends the encoding of value `i` of `col`: the bytes
+/// AppendValue(col.GetValue(i)) would write, with no Value or string copy
+/// (fact columns and dimension payload columns alike).
+void AppendColumnValue(const ColumnVector& col, int64_t i,
+                       std::vector<uint8_t>* out);
 
 /// Appends every column of `row` (the full group key).
 void AppendRow(const Row& row, std::vector<uint8_t>* out);

@@ -12,6 +12,7 @@
 #include "obs/mem_tracker.h"
 #include "core/star_query.h"
 #include "schema/row.h"
+#include "schema/row_batch.h"
 #include "schema/schema.h"
 
 namespace clydesdale {
@@ -23,24 +24,34 @@ namespace core {
 /// synchronization because the table never changes after Build.
 ///
 /// Open addressing with linear probing over power-of-two capacity. Keys and
-/// payload indexes live in separate parallel arrays (structure of arrays):
-/// a probe walks only the 8-byte key lane, so misses — half of all probes in
-/// a selective star join — touch half the random-access footprint an
-/// interleaved {key, index} slot would cost, and the payload-index lane is
-/// read only on hits. Empty slots are marked in the key lane itself with
+/// payload slots live in separate parallel bucket arrays (structure of
+/// arrays): a probe walks only the 8-byte key lane, so misses — half of all
+/// probes in a selective star join — touch half the random-access footprint
+/// an interleaved {key, slot} bucket would cost, and the slot lane is read
+/// only on hits. Empty buckets are marked in the key lane itself with
 /// kEmptySlotKey; an entry whose key equals the sentinel is stored out of
-/// line (sentinel_payload_index_).
+/// line (sentinel_slot_).
+///
+/// Payloads are columnar: entry i (in scan order of the qualifying rows)
+/// owns payload slot i, and each auxiliary column is one typed ColumnVector
+/// indexed by slot. String payloads are views into one arena the table
+/// owns. Probes return slots, never rows, so the join loop gathers group-key
+/// values straight from the typed arrays.
 class DimHashTable {
  public:
   struct BuildStats {
     uint64_t input_rows = 0;
     uint64_t entries = 0;
-    /// Estimated resident bytes (slots + payload values).
+    /// Resident bytes: both bucket lanes, the payload arrays and the string
+    /// arena.
     uint64_t memory_bytes = 0;
   };
 
   /// Builds from an encoded row stream (the node-local dimension replica):
-  /// applies `predicate`, keys by `pk_column`, stores `aux_columns`.
+  /// applies `predicate`, keys by `pk_column`, stores `aux_columns`. Only
+  /// the columns these name are decoded; every other field is stepped over.
+  /// Each row must end exactly at its length prefix, or the build fails
+  /// with IoError.
   ///
   /// `tracker` (optional) is charged the finished table's memory_bytes; the
   /// table holds the charge until it is destroyed — exact-byte,
@@ -51,51 +62,57 @@ class DimHashTable {
       const std::vector<std::string>& aux_columns,
       std::shared_ptr<obs::MemTracker> tracker = nullptr);
 
-  /// Key-lane value marking an empty slot.
+  /// Key-lane value marking an empty bucket.
   static constexpr int64_t kEmptySlotKey =
       std::numeric_limits<int64_t>::min();
+  /// Probe result for a key that does not qualify.
+  static constexpr int32_t kMiss = -1;
 
-  /// The auxiliary row for `key`, or nullptr when the key does not qualify.
-  const Row* Probe(int64_t key) const {
-    if (capacity_ == 0) return nullptr;
-    if (key == kEmptySlotKey) {
-      return sentinel_payload_index_ < 0
-                 ? nullptr
-                 : &payloads_[static_cast<size_t>(sentinel_payload_index_)];
-    }
-    size_t slot = HomeSlot(key);
+  /// The payload slot of `key`, or kMiss when the key does not qualify.
+  int32_t Probe(int64_t key) const {
+    if (capacity_ == 0) return kMiss;
+    if (key == kEmptySlotKey) return sentinel_slot_;
+    size_t bucket = HomeBucket(key);
     while (true) {
-      const int64_t k = keys_[slot];
-      if (k == key) {
-        return &payloads_[static_cast<size_t>(payload_index_[slot])];
-      }
-      if (k == kEmptySlotKey) return nullptr;
-      slot = (slot + 1) & (capacity_ - 1);
+      const int64_t k = keys_[bucket];
+      if (k == key) return slots_[bucket];
+      if (k == kEmptySlotKey) return kMiss;
+      bucket = (bucket + 1) & (capacity_ - 1);
     }
   }
 
   /// Membership-only probe: walks the key lane alone, never touching
-  /// payload indexes or rows (the storage scan's semi-join filter path).
+  /// the slot lane (the storage scan's semi-join filter path).
   bool ContainsKey(int64_t key) const {
     if (capacity_ == 0) return false;
-    if (key == kEmptySlotKey) return sentinel_payload_index_ >= 0;
-    size_t slot = HomeSlot(key);
+    if (key == kEmptySlotKey) return sentinel_slot_ != kMiss;
+    size_t bucket = HomeBucket(key);
     while (true) {
-      const int64_t k = keys_[slot];
+      const int64_t k = keys_[bucket];
       if (k == key) return true;
       if (k == kEmptySlotKey) return false;
-      slot = (slot + 1) & (capacity_ - 1);
+      bucket = (bucket + 1) & (capacity_ - 1);
     }
   }
 
   /// Batch probe over a gathered key column: out[i] = Probe(keys[i]), but
   /// restructured for selection-vector joins. Per stride of keys it hashes
-  /// and software-prefetches every home slot up front, then resolves all
+  /// and software-prefetches every home bucket up front, then resolves all
   /// lanes with conditional moves, compacting the unresolved lanes and
   /// advancing them together round by round — the hit/miss/continue
   /// decisions never become branches, so random keys cost no branch
   /// mispredictions (the dominant cost of the scalar probe loop).
-  void ProbeBatch(const int64_t* keys, int64_t n, const Row** out) const;
+  void ProbeBatch(const int64_t* keys, int64_t n, int32_t* out) const;
+
+  /// Auxiliary column `a` (in aux_columns order), indexed by payload slot.
+  const ColumnVector& aux_column(int a) const {
+    return aux_[static_cast<size_t>(a)];
+  }
+  int num_aux_columns() const { return static_cast<int>(aux_.size()); }
+
+  /// Appends every auxiliary value of payload `slot` to `out` (the
+  /// row-at-a-time callers: Hive's map join and the simulator's scan).
+  void AppendPayload(int32_t slot, Row* out) const;
 
   uint64_t entries() const { return stats_.entries; }
   const BuildStats& stats() const { return stats_; }
@@ -107,14 +124,16 @@ class DimHashTable {
 
  private:
   DimHashTable() = default;
-  void Insert(int64_t key, Row payload);
+  /// Sizes the bucket lanes for `entries` keys and inserts them; keys[i]
+  /// gets payload slot i.
+  void InsertKeys(const std::vector<int64_t>& keys);
 
   /// Fibonacci (multiply-shift) hashing: one multiply and a shift, taking
   /// the product's high bits. Half the dependent-latency of a full
   /// finalizer like Mix64, which is what the probe loop waits on when the
   /// table is cache-resident; the golden-ratio constant still disperses
   /// the dense sequential keys dimension PKs actually have.
-  size_t HomeSlot(int64_t key) const {
+  size_t HomeBucket(int64_t key) const {
     return static_cast<size_t>(
         (static_cast<uint64_t>(key) * UINT64_C(0x9E3779B97F4A7C15)) >>
         shift_);
@@ -122,10 +141,12 @@ class DimHashTable {
 
   size_t capacity_ = 0;  // power of two
   int shift_ = 63;       // 64 - log2(capacity_)
-  std::vector<int64_t> keys_;          // kEmptySlotKey marks empties
-  std::vector<int32_t> payload_index_;  // parallel to keys_, hits only
-  int32_t sentinel_payload_index_ = -1;  // entry keyed kEmptySlotKey, if any
-  std::vector<Row> payloads_;
+  std::vector<int64_t> keys_;   // kEmptySlotKey marks empties
+  std::vector<int32_t> slots_;  // parallel to keys_, read on hits only
+  int32_t sentinel_slot_ = kMiss;  // entry keyed kEmptySlotKey, if any
+  /// One per aux column, slot-indexed; string columns are views into one
+  /// arena they all pin.
+  std::vector<ColumnVector> aux_;
   int64_t min_key_ = std::numeric_limits<int64_t>::max();
   int64_t max_key_ = std::numeric_limits<int64_t>::min();
   BuildStats stats_;

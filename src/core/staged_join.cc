@@ -112,8 +112,11 @@ uint64_t EstimateDimHashBytes(const DimTableInfo& dim,
     const int i = dim.desc.schema->IndexOf(aux);
     payload += i >= 0 ? dim.desc.schema->field(i).avg_width : 16.0;
   }
-  // Slot (key + index) + Row header + value headers + payload bytes. Upper
-  // bound: assumes every dimension row qualifies the predicate.
+  // Per row: 40 bytes for the bucket lanes (key + slot, 24-48 bytes per
+  // entry at the table's 2-4x headroom), and per aux column 32 bytes plus
+  // 1.5x its average width (a typed array entry is at most a 16-byte string
+  // view, plus the string's arena bytes). Assumes every dimension row
+  // qualifies; DimHashEstimateTest checks it bounds every SSB build.
   const double per_entry = 16.0 + 24.0 +
                            32.0 * static_cast<double>(join.aux_columns.size()) +
                            payload * 1.5;

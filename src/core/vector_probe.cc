@@ -47,14 +47,14 @@ int64_t VectorizedProbe::FilterAndProbe(const RowBatch& batch) {
   // runs are both ascending, so a single cursor walks them in tandem.
   for (size_t d = 0; d < tables_.size() && m > 0; ++d) {
     const ColumnVector& col = batch.column(fk_index_[d]);
-    std::vector<const Row*>& hits = matched_[d];
+    std::vector<int32_t>& hits = matched_[d];
     hits.resize(static_cast<size_t>(m));
     if (col.has_runs()) {
       const std::vector<int64_t>& run_values = col.run_values();
       const std::vector<int32_t>& run_starts = col.run_starts();
       size_t r = 0;
       int64_t probed_run = -1;
-      const Row* hit = nullptr;
+      int32_t hit = DimHashTable::kMiss;
       for (int64_t j = 0; j < m; ++j) {
         const int32_t idx = sel_idx_[static_cast<size_t>(j)];
         while (run_starts[r + 1] <= idx) ++r;
@@ -83,7 +83,7 @@ int64_t VectorizedProbe::FilterAndProbe(const RowBatch& batch) {
 
     int64_t k = 0;
     for (int64_t j = 0; j < m; ++j) {
-      if (hits[static_cast<size_t>(j)] == nullptr) continue;
+      if (hits[static_cast<size_t>(j)] == DimHashTable::kMiss) continue;
       sel_idx_[static_cast<size_t>(k)] = sel_idx_[static_cast<size_t>(j)];
       for (size_t e = 0; e <= d; ++e) {
         matched_[e][static_cast<size_t>(k)] = matched_[e][static_cast<size_t>(j)];
@@ -108,53 +108,22 @@ void VectorizedProbe::EvalAccumulators(const RowBatch& batch, int64_t n) {
   }
 }
 
-Value VectorizedProbe::SourceValue(const GroupSource& src,
-                                   const RowBatch& batch, int64_t j) const {
-  if (src.from_fact) {
-    return batch.column(src.fact_index)
-        .GetValue(sel_idx_[static_cast<size_t>(j)]);
+void VectorizedProbe::EncodeGroupKey(const RowBatch& batch, int64_t j) {
+  key_scratch_.clear();
+  for (const GroupSource& src : group_sources_) {
+    const auto [col, row] = SourceAt(src, batch, j);
+    group_key::AppendColumnValue(*col, row, &key_scratch_);
   }
-  return matched_[static_cast<size_t>(src.dim_index)][static_cast<size_t>(j)]
-      ->Get(src.aux_index);
 }
 
-void VectorizedProbe::EncodeSource(const GroupSource& src,
-                                   const RowBatch& batch, int64_t j,
-                                   std::vector<uint8_t>* out) const {
-  if (!src.from_fact) {
-    // Dimension aux value: encode from the matched payload by reference.
-    group_key::AppendValue(
-        matched_[static_cast<size_t>(src.dim_index)][static_cast<size_t>(j)]
-            ->Get(src.aux_index),
-        out);
-    return;
+std::pair<const ColumnVector*, int64_t> VectorizedProbe::SourceAt(
+    const GroupSource& src, const RowBatch& batch, int64_t j) const {
+  const size_t pos = static_cast<size_t>(j);
+  if (src.from_fact) {
+    return {&batch.column(src.fact_index), sel_idx_[pos]};
   }
-  // Fact column: encode straight off the column vector — strings are
-  // referenced in place, not copied into a temporary Value.
-  const ColumnVector& col = batch.column(src.fact_index);
-  const size_t i = static_cast<size_t>(sel_idx_[static_cast<size_t>(j)]);
-  switch (col.type()) {
-    case TypeKind::kInt32:
-      group_key::AppendValue(Value(col.i32()[i]), out);
-      return;
-    case TypeKind::kInt64:
-      group_key::AppendValue(Value(col.i64()[i]), out);
-      return;
-    case TypeKind::kDouble:
-      group_key::AppendValue(Value(col.f64()[i]), out);
-      return;
-    case TypeKind::kString: {
-      // StringViewAt covers both owned strings and the CIF scan's
-      // arena-backed views without a copy in either case.
-      const std::string_view s = col.StringViewAt(static_cast<int64_t>(i));
-      out->push_back(static_cast<uint8_t>(TypeKind::kString));
-      const uint32_t len = static_cast<uint32_t>(s.size());
-      const uint8_t* p = reinterpret_cast<const uint8_t*>(&len);
-      out->insert(out->end(), p, p + sizeof(uint32_t));
-      out->insert(out->end(), s.begin(), s.end());
-      return;
-    }
-  }
+  const size_t d = static_cast<size_t>(src.dim_index);
+  return {&tables_[d]->aux_column(src.aux_index), matched_[d][pos]};
 }
 
 Status VectorizedProbe::ProcessBatchAgg(const RowBatch& batch,
@@ -163,7 +132,7 @@ Status VectorizedProbe::ProcessBatchAgg(const RowBatch& batch,
   if (m == 0) return Status::OK();
   // Weighted fast path: when every accumulator input is the constant 1
   // (COUNT) and every group column comes from a dimension payload, a stretch
-  // of consecutive selection positions with pointer-identical matched tuples
+  // of consecutive selection positions with equal matched payload slots
   // shares both key and inputs, so one weighted table update covers it. RLE
   // foreign-key columns produce exactly such stretches.
   bool weighted = true;
@@ -188,10 +157,7 @@ Status VectorizedProbe::ProcessBatchAgg(const RowBatch& batch,
     while (j < m) {
       int64_t k = j + 1;
       while (k < m && same_groups(j, k)) ++k;
-      key_scratch_.clear();
-      for (const GroupSource& src : group_sources_) {
-        EncodeSource(src, batch, j, &key_scratch_);
-      }
+      EncodeGroupKey(batch, j);
       agg->AddEncodedWeighted(key_scratch_.data(), key_scratch_.size(),
                               acc_inputs_.data(), k - j);
       j = k;
@@ -200,10 +166,7 @@ Status VectorizedProbe::ProcessBatchAgg(const RowBatch& batch,
   }
   EvalAccumulators(batch, m);
   for (int64_t j = 0; j < m; ++j) {
-    key_scratch_.clear();
-    for (const GroupSource& src : group_sources_) {
-      EncodeSource(src, batch, j, &key_scratch_);
-    }
+    EncodeGroupKey(batch, j);
     for (size_t a = 0; a < acc_columns_.size(); ++a) {
       acc_inputs_[a] = acc_columns_[a][static_cast<size_t>(j)];
     }
@@ -222,7 +185,8 @@ Status VectorizedProbe::ProcessBatchCollect(const RowBatch& batch,
     Row group_key;
     group_key.Reserve(static_cast<int>(group_sources_.size()));
     for (const GroupSource& src : group_sources_) {
-      group_key.Append(SourceValue(src, batch, j));
+      const auto [col, row] = SourceAt(src, batch, j);
+      group_key.Append(col->GetValue(row));
     }
     Row value;
     value.Reserve(static_cast<int>(acc_columns_.size()));
@@ -242,7 +206,8 @@ Status VectorizedProbe::ProcessBatchEmitJoined(
     Row joined;
     joined.Reserve(static_cast<int>(emit_sources.size()));
     for (const GroupSource& src : emit_sources) {
-      joined.Append(SourceValue(src, batch, j));
+      const auto [col, row] = SourceAt(src, batch, j);
+      joined.Append(col->GetValue(row));
     }
     Row empty_key;
     CLY_RETURN_IF_ERROR(out->Collect(empty_key, joined));

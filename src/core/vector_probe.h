@@ -2,6 +2,7 @@
 #define CLYDESDALE_CORE_VECTOR_PROBE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -61,7 +62,7 @@ class VectorizedProbe {
 
  private:
   /// Front half shared by all sinks: fills sel_idx_ with the row indexes
-  /// surviving predicate + all probes and matched_[d] with the payload row
+  /// surviving predicate + all probes and matched_[d] with the payload slot
   /// of dimension d, aligned with sel_idx_. Returns the survivor count.
   int64_t FilterAndProbe(const RowBatch& batch);
 
@@ -69,11 +70,16 @@ class VectorizedProbe {
   /// acc_columns_ (one int64 column per accumulator).
   void EvalAccumulators(const RowBatch& batch, int64_t n);
 
-  /// Appends the value of `src` for selection position j to `out`.
-  void EncodeSource(const GroupSource& src, const RowBatch& batch, int64_t j,
-                    std::vector<uint8_t>* out) const;
-  Value SourceValue(const GroupSource& src, const RowBatch& batch,
-                    int64_t j) const;
+  /// The column `src` reads and its row there for selection position j:
+  /// a fact column at the selected row, or a dimension's payload column at
+  /// the matched slot.
+  std::pair<const ColumnVector*, int64_t> SourceAt(const GroupSource& src,
+                                                   const RowBatch& batch,
+                                                   int64_t j) const;
+
+  /// Encodes selection position j's group key into key_scratch_, straight
+  /// from the fact and payload columns.
+  void EncodeGroupKey(const RowBatch& batch, int64_t j);
 
   const BoundPredicate* fact_pred_;
   std::vector<int> fk_index_;
@@ -87,7 +93,7 @@ class VectorizedProbe {
   std::vector<uint8_t> sel_bytes_;
   std::vector<int32_t> sel_idx_;
   std::vector<int64_t> keys_;
-  std::vector<std::vector<const Row*>> matched_;
+  std::vector<std::vector<int32_t>> matched_;
   std::vector<std::vector<int64_t>> acc_columns_;
   std::vector<int64_t> acc_inputs_;
   std::vector<uint8_t> key_scratch_;

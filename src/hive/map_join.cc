@@ -112,13 +112,14 @@ Status MapJoinMapper::Map(const Row& key, const Row& value, mr::TaskContext*,
   (void)key;
   ++probe_rows_;
   if (!fact_pred_->Eval(value)) return Status::OK();
-  const Row* aux = table_->Probe(value.Get(fact_fk_index_).AsInt64());
-  if (aux == nullptr) return Status::OK();
+  const int32_t slot = table_->Probe(value.Get(fact_fk_index_).AsInt64());
+  if (slot == core::DimHashTable::kMiss) return Status::OK();
   ++join_rows_;
   Row joined;
-  joined.Reserve(static_cast<int>(fact_out_idx_.size()) + aux->size());
+  joined.Reserve(static_cast<int>(fact_out_idx_.size()) +
+                 table_->num_aux_columns());
   for (int i : fact_out_idx_) joined.Append(value.Get(i));
-  joined.Extend(*aux);
+  table_->AppendPayload(slot, &joined);
   Row empty_key;
   return out->Collect(empty_key, joined);
 }

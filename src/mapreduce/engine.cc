@@ -249,11 +249,15 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
 
   std::unique_ptr<InputFormat> input_format = conf.input_format_factory();
   std::unique_ptr<OutputFormat> output_format = conf.output_format_factory();
-  CLY_RETURN_IF_ERROR(output_format->Open(cluster, conf));
   CLY_RETURN_IF_ERROR(DistributeCache(cluster, conf, &report.counters));
 
   CLY_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<InputSplit>> splits,
                        input_format->GetSplits(cluster, conf));
+  // Reduce tasks write the output, or the map tasks of a map-only job.
+  const int output_tasks = conf.num_reduce_tasks > 0
+                               ? conf.num_reduce_tasks
+                               : static_cast<int>(splits.size());
+  CLY_RETURN_IF_ERROR(output_format->Open(cluster, conf, output_tasks));
 
   // Map and reduce phases both run inside the runner: trackers pull attempts
   // (late-binding locality), maps publish shuffle runs as they finish, and

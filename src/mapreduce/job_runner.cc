@@ -250,7 +250,7 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
   if (map_only_) {
     // One collector per attempt: its counts are this attempt's alone, even
     // with other map attempts writing the same OutputFormat beside it.
-    OutputFormatCollector out(output_format_);
+    OutputFormatCollector out(output_format_, index);
     status = runner->Run(*attempt->split, input_format_, &context, &out);
     out_records = out.records();
     out_bytes = out.bytes();
@@ -389,7 +389,7 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
   shuffle_cpu_ns += static_cast<uint64_t>(merge_span.cpu_ns());
 
   std::unique_ptr<Reducer> reducer = conf_->reducer_factory();
-  OutputFormatCollector out(output_format_);
+  OutputFormatCollector out(output_format_, r);
   tr.input_records = merger.input_records();
   uint64_t in_groups = 0;
   Status status = ReduceMergedRecords(std::move(merged), reducer.get(),

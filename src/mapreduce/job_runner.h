@@ -25,16 +25,17 @@ namespace mr {
 class MrCluster;
 
 /// Thread-safe counting collector for records that go straight to the job's
-/// OutputFormat (map-only map output, reduce output).
+/// OutputFormat (map-only map output, reduce output) on behalf of task
+/// `task`.
 class OutputFormatCollector final : public OutputCollector {
  public:
-  explicit OutputFormatCollector(OutputFormat* out) : out_(out) {}
+  OutputFormatCollector(OutputFormat* out, int task) : out_(out), task_(task) {}
 
   Status Collect(const Row& key, const Row& value) override {
     records_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(EncodedKeyValueBytes(key, value),
                      std::memory_order_relaxed);
-    return out_->Write(key, value);
+    return out_->Write(task_, key, value);
   }
 
   uint64_t records() const { return records_.load(std::memory_order_relaxed); }
@@ -42,6 +43,7 @@ class OutputFormatCollector final : public OutputCollector {
 
  private:
   OutputFormat* out_;
+  const int task_;
   std::atomic<uint64_t> records_{0};
   std::atomic<uint64_t> bytes_{0};
 };

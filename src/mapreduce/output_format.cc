@@ -1,5 +1,7 @@
 #include "mapreduce/output_format.h"
 
+#include <iterator>
+
 #include "common/strings.h"
 #include "mapreduce/engine.h"
 
@@ -34,18 +36,55 @@ Result<SchemaPtr> ParseColumnsDecl(const std::string& decl) {
   return Schema::Make(std::move(fields));
 }
 
-// --- MemoryOutputFormat ------------------------------------------------------
+// --- TaskRowBuffers ----------------------------------------------------------
 
-Status MemoryOutputFormat::Open(MrCluster*, const JobConf&) {
+void TaskRowBuffers::Reset(int num_tasks) {
+  buffers_.clear();
+  for (int t = 0; t < num_tasks; ++t) {
+    buffers_.push_back(std::make_unique<Buffer>());
+  }
+}
+
+Status TaskRowBuffers::Append(int task, const Row& key, const Row& value) {
+  if (task < 0 || static_cast<size_t>(task) >= buffers_.size()) {
+    return Status::Internal(StrCat("output from task ", task, " of ",
+                                   buffers_.size()));
+  }
+  Row combined = key;
+  combined.Extend(value);
+  Buffer& buffer = *buffers_[static_cast<size_t>(task)];
+  std::lock_guard<std::mutex> lock(buffer.mu);
+  buffer.rows.push_back(std::move(combined));
   return Status::OK();
 }
 
-Status MemoryOutputFormat::Write(const Row& key, const Row& value) {
-  Row combined = key;
-  combined.Extend(value);
-  std::lock_guard<std::mutex> lock(mu_);
-  rows_.push_back(std::move(combined));
+std::vector<Row> TaskRowBuffers::TakeInTaskOrder() {
+  // Called once the tasks have finished, so the buffers hold still.
+  size_t total = 0;
+  for (const std::unique_ptr<Buffer>& buffer : buffers_) {
+    std::lock_guard<std::mutex> lock(buffer->mu);
+    total += buffer->rows.size();
+  }
+  std::vector<Row> rows;
+  rows.reserve(total);
+  for (const std::unique_ptr<Buffer>& buffer : buffers_) {
+    std::lock_guard<std::mutex> lock(buffer->mu);
+    rows.insert(rows.end(), std::make_move_iterator(buffer->rows.begin()),
+                std::make_move_iterator(buffer->rows.end()));
+    std::vector<Row>().swap(buffer->rows);
+  }
+  return rows;
+}
+
+// --- MemoryOutputFormat ------------------------------------------------------
+
+Status MemoryOutputFormat::Open(MrCluster*, const JobConf&, int num_tasks) {
+  rows_.Reset(num_tasks);
   return Status::OK();
+}
+
+Status MemoryOutputFormat::Write(int task, const Row& key, const Row& value) {
+  return rows_.Append(task, key, value);
 }
 
 Status MemoryOutputFormat::Commit(MrCluster*, const JobConf&) {
@@ -53,27 +92,24 @@ Status MemoryOutputFormat::Commit(MrCluster*, const JobConf&) {
 }
 
 std::vector<Row> MemoryOutputFormat::TakeRows() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::move(rows_);
+  return rows_.TakeInTaskOrder();
 }
 
 // --- TableOutputFormat -------------------------------------------------------
 
-Status TableOutputFormat::Open(MrCluster*, const JobConf& conf) {
+Status TableOutputFormat::Open(MrCluster*, const JobConf& conf,
+                               int num_tasks) {
   const std::string table = conf.Get(kConfOutputTable);
   if (table.empty()) {
     return Status::InvalidArgument("output.table is not set");
   }
+  rows_.Reset(num_tasks);
   // Validate the declaration early so misconfiguration fails before work.
   return ParseColumnsDecl(conf.Get(kConfOutputColumns)).status();
 }
 
-Status TableOutputFormat::Write(const Row& key, const Row& value) {
-  Row combined = key;
-  combined.Extend(value);
-  std::lock_guard<std::mutex> lock(mu_);
-  rows_.push_back(std::move(combined));
-  return Status::OK();
+Status TableOutputFormat::Write(int task, const Row& key, const Row& value) {
+  return rows_.Append(task, key, value);
 }
 
 Status TableOutputFormat::Commit(MrCluster* cluster, const JobConf& conf) {
@@ -86,11 +122,7 @@ Status TableOutputFormat::Commit(MrCluster* cluster, const JobConf& conf) {
   desc.rows_per_split = static_cast<uint64_t>(
       conf.GetInt("output.rows_per_split", 64 * 1024));
 
-  std::vector<Row> rows;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rows = std::move(rows_);
-  }
+  const std::vector<Row> rows = rows_.TakeInTaskOrder();
   CLY_ASSIGN_OR_RETURN(std::unique_ptr<storage::TableWriter> writer,
                        storage::OpenTableWriter(cluster->dfs(), desc));
   for (const Row& row : rows) {

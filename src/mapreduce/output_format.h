@@ -17,16 +17,21 @@ class MrCluster;
 
 /// The Hadoop OutputFormat extensibility point: turns final key/value pairs
 /// into an on-disk (or in-memory) artifact. Writers here are created once
-/// per job and must be thread-safe, because reduce tasks run concurrently.
+/// per job; reduce tasks (or a map-only job's map tasks) write concurrently,
+/// each naming itself by task index.
 class OutputFormat {
  public:
   virtual ~OutputFormat() = default;
 
-  /// Called once before tasks emit; may create DFS files.
-  virtual Status Open(MrCluster* cluster, const JobConf& conf) = 0;
+  /// Called once before tasks emit, with the number of tasks that will
+  /// write (reduce tasks, or map tasks for a map-only job).
+  virtual Status Open(MrCluster* cluster, const JobConf& conf,
+                      int num_tasks) = 0;
 
-  /// Thread-safe emit of one final record.
-  virtual Status Write(const Row& key, const Row& value) = 0;
+  /// Emits one final record from task `task` (in [0, num_tasks)).
+  /// Thread-safe: different tasks, and the threads of one task, may write
+  /// at once.
+  virtual Status Write(int task, const Row& key, const Row& value) = 0;
 
   /// Called once after all tasks finish; finalizes the artifact.
   virtual Status Commit(MrCluster* cluster, const JobConf& conf) = 0;
@@ -34,6 +39,25 @@ class OutputFormat {
   /// Collected result rows, for formats that keep them in memory (empty for
   /// on-disk formats). Valid after Commit; moves the rows out.
   virtual std::vector<Row> TakeRows() { return {}; }
+};
+
+/// `key ++ value` rows buffered per emitting task and handed over in task
+/// order, so a job's output order does not depend on which task finished
+/// first. Each task's buffer has its own lock: different tasks never
+/// contend; only the threads of one multithreaded map task share one.
+class TaskRowBuffers {
+ public:
+  void Reset(int num_tasks);
+  Status Append(int task, const Row& key, const Row& value);
+  /// Every buffered row, task 0's first; empties the buffers.
+  std::vector<Row> TakeInTaskOrder();
+
+ private:
+  struct Buffer {
+    std::mutex mu;
+    std::vector<Row> rows;
+  };
+  std::vector<std::unique_ptr<Buffer>> buffers_;
 };
 
 // --- Configuration keys ------------------------------------------------------
@@ -50,27 +74,25 @@ inline constexpr const char kConfOutputFormat[] = "output.format";
 /// final answer returns to the client.
 class MemoryOutputFormat final : public OutputFormat {
  public:
-  Status Open(MrCluster* cluster, const JobConf& conf) override;
-  Status Write(const Row& key, const Row& value) override;
+  Status Open(MrCluster* cluster, const JobConf& conf, int num_tasks) override;
+  Status Write(int task, const Row& key, const Row& value) override;
   Status Commit(MrCluster* cluster, const JobConf& conf) override;
   std::vector<Row> TakeRows() override;
 
  private:
-  std::mutex mu_;
-  std::vector<Row> rows_;
+  TaskRowBuffers rows_;
 };
 
 /// Writes `key ++ value` rows as a stored table (Hive's inter-job
 /// intermediate results; paper §6.3 notes these round-trips through HDFS).
 class TableOutputFormat final : public OutputFormat {
  public:
-  Status Open(MrCluster* cluster, const JobConf& conf) override;
-  Status Write(const Row& key, const Row& value) override;
+  Status Open(MrCluster* cluster, const JobConf& conf, int num_tasks) override;
+  Status Write(int task, const Row& key, const Row& value) override;
   Status Commit(MrCluster* cluster, const JobConf& conf) override;
 
  private:
-  std::mutex mu_;
-  std::vector<Row> rows_;  // buffered; written sequentially at Commit
+  TaskRowBuffers rows_;  // written in task order at Commit
 };
 
 /// Parses a kConfOutputColumns declaration into a schema.

@@ -1,6 +1,7 @@
 #include "schema/expr.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/strings.h"
 
@@ -429,6 +430,17 @@ class ComparePredicate final : public BoundPredicate {
       }
       return;
     }
+    // String column against a string literal: compare in place, in either
+    // storage mode, without copying each row's string into a Value.
+    if (col.type() == TypeKind::kString && lo_.kind() == TypeKind::kString &&
+        (op_ != Predicate::Kind::kBetween || hi_.kind() == TypeKind::kString)) {
+      for (int64_t i = 0; i < n; ++i) {
+        auto& bit = (*sel)[static_cast<size_t>(i)];
+        if (bit == 0) continue;
+        bit = TestString(col.StringViewAt(i)) ? 1 : 0;
+      }
+      return;
+    }
     for (int64_t i = 0; i < n; ++i) {
       auto& bit = (*sel)[static_cast<size_t>(i)];
       if (bit == 0) continue;
@@ -459,22 +471,34 @@ class ComparePredicate final : public BoundPredicate {
   }
 
   bool Test(const Value& v) const {
-    const int c = v.Compare(lo_);
+    return Holds(v.Compare(lo_), [&] { return v.Compare(hi_); });
+  }
+
+  /// Test() for a string value: std::string_view::compare orders exactly
+  /// as Value::Compare does for two strings.
+  bool TestString(std::string_view v) const {
+    return Holds(v.compare(lo_.str()), [&] { return v.compare(hi_.str()); });
+  }
+
+  /// Applies op_ to a value's comparison with lo_ (`vs_lo`); BETWEEN also
+  /// calls `vs_hi` for its comparison with hi_.
+  template <typename CompareHi>
+  bool Holds(int vs_lo, CompareHi vs_hi) const {
     switch (op_) {
       case Predicate::Kind::kEq:
-        return c == 0;
+        return vs_lo == 0;
       case Predicate::Kind::kNe:
-        return c != 0;
+        return vs_lo != 0;
       case Predicate::Kind::kLt:
-        return c < 0;
+        return vs_lo < 0;
       case Predicate::Kind::kLe:
-        return c <= 0;
+        return vs_lo <= 0;
       case Predicate::Kind::kGt:
-        return c > 0;
+        return vs_lo > 0;
       case Predicate::Kind::kGe:
-        return c >= 0;
+        return vs_lo >= 0;
       case Predicate::Kind::kBetween:
-        return c >= 0 && v.Compare(hi_) <= 0;
+        return vs_lo >= 0 && vs_hi() <= 0;
       default:
         return false;
     }
@@ -490,15 +514,41 @@ class InPredicate final : public BoundPredicate {
   InPredicate(int index, std::vector<Value> values)
       : index_(index), values_(std::move(values)) {}
 
-  bool Eval(const Row& row) const override {
-    const Value& v = row.Get(index_);
+  bool Eval(const Row& row) const override { return Matches(row.Get(index_)); }
+
+  void EvalBatch(const RowBatch& batch,
+                 std::vector<uint8_t>* sel) const override {
+    const ColumnVector& col = batch.column(index_);
+    // A string column against string candidates matches views in place;
+    // anything else reads each value out (no heap copy for numbers).
+    bool views = col.type() == TypeKind::kString;
+    for (const Value& cand : values_) {
+      views = views && cand.kind() == TypeKind::kString;
+    }
+    const int64_t n = batch.num_rows();
+    for (int64_t i = 0; i < n; ++i) {
+      auto& bit = (*sel)[static_cast<size_t>(i)];
+      if (bit == 0) continue;
+      const bool match = views ? Matches(col.StringViewAt(i))
+                               : Matches(col.GetValue(i));
+      bit = match ? 1 : 0;
+    }
+  }
+
+ private:
+  bool Matches(const Value& v) const {
     for (const Value& cand : values_) {
       if (v.Compare(cand) == 0) return true;
     }
     return false;
   }
+  bool Matches(std::string_view v) const {
+    for (const Value& cand : values_) {
+      if (v == cand.str()) return true;
+    }
+    return false;
+  }
 
- private:
   int index_;
   std::vector<Value> values_;
 };
@@ -536,6 +586,21 @@ class OrPredicate final : public BoundPredicate {
     return false;
   }
 
+  /// Each child filters only the rows no earlier child accepted; a row
+  /// survives when any child keeps it.
+  void EvalBatch(const RowBatch& batch,
+                 std::vector<uint8_t>* sel) const override {
+    std::vector<uint8_t> accepted(sel->size(), 0);
+    std::vector<uint8_t> trial;
+    for (const auto& c : children_) {
+      trial = *sel;
+      for (size_t i = 0; i < trial.size(); ++i) trial[i] &= !accepted[i];
+      c->EvalBatch(batch, &trial);
+      for (size_t i = 0; i < trial.size(); ++i) accepted[i] |= trial[i];
+    }
+    *sel = std::move(accepted);
+  }
+
  private:
   std::vector<BoundPredicatePtr> children_;
 };
@@ -544,6 +609,13 @@ class NotPredicate final : public BoundPredicate {
  public:
   explicit NotPredicate(BoundPredicatePtr child) : child_(std::move(child)) {}
   bool Eval(const Row& row) const override { return !child_->Eval(row); }
+
+  void EvalBatch(const RowBatch& batch,
+                 std::vector<uint8_t>* sel) const override {
+    std::vector<uint8_t> child = *sel;
+    child_->EvalBatch(batch, &child);
+    for (size_t i = 0; i < sel->size(); ++i) (*sel)[i] &= !child[i];
+  }
 
  private:
   BoundPredicatePtr child_;

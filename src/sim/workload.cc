@@ -185,7 +185,7 @@ Result<QueryMeasurement> MeasureQuery(mr::MrCluster* cluster,
                        storage::ListTableSplits(*cluster->dfs(), cif));
   storage::ScanOptions scan;
   scan.projection = fact_columns;
-  std::vector<const Row*> matched(tables.size());
+  std::vector<Row> matched(tables.size());
   for (const storage::StorageSplit& split : splits) {
     CLY_ASSIGN_OR_RETURN(
         std::unique_ptr<storage::RowReader> reader,
@@ -198,11 +198,14 @@ Result<QueryMeasurement> MeasureQuery(mr::MrCluster* cluster,
       ++m.predicate_survivors;
       bool all = true;
       for (size_t d = 0; d < tables.size(); ++d) {
-        matched[d] = tables[d]->Probe(row.Get(fk_index[d]).AsInt64());
-        if (matched[d] == nullptr) {
+        const int32_t slot =
+            tables[d]->Probe(row.Get(fk_index[d]).AsInt64());
+        if (slot == core::DimHashTable::kMiss) {
           all = false;
           break;
         }
+        matched[d].Clear();
+        tables[d]->AppendPayload(slot, &matched[d]);
         ++m.survivors_after[d];
       }
       if (!all) continue;
@@ -210,7 +213,7 @@ Result<QueryMeasurement> MeasureQuery(mr::MrCluster* cluster,
       for (const core::GroupSource& src : group_sources) {
         group_key.Append(src.from_fact
                              ? row.Get(src.fact_index)
-                             : matched[static_cast<size_t>(src.dim_index)]->Get(
+                             : matched[static_cast<size_t>(src.dim_index)].Get(
                                    src.aux_index));
       }
       groups.try_emplace(std::move(group_key), 1);

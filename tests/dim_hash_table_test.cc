@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/hash.h"
 #include "core/dim_hash_table.h"
 #include "storage/binary_row_format.h"
+#include "storage/byte_io.h"
 
 namespace clydesdale {
 namespace core {
@@ -25,18 +28,27 @@ std::vector<uint8_t> MakeStream(int rows) {
   return storage::EncodeRowStream(data);
 }
 
+/// The payload row `key` probes to, or nullopt on a miss.
+std::optional<Row> Payload(const DimHashTable& table, int64_t key) {
+  const int32_t slot = table.Probe(key);
+  if (slot == DimHashTable::kMiss) return std::nullopt;
+  Row row;
+  table.AppendPayload(slot, &row);
+  return row;
+}
+
 TEST(DimHashTableTest, BuildsAndProbes) {
   auto stream = MakeStream(100);
   auto table = DimHashTable::Build(*DimSchema(), stream.data(), stream.size(),
                                    *Predicate::True(), "pk", {"nation"});
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->entries(), 100u);
-  const Row* aux = (*table)->Probe(7);
-  ASSERT_NE(aux, nullptr);
+  const std::optional<Row> aux = Payload(**table, 7);
+  ASSERT_TRUE(aux.has_value());
   EXPECT_EQ(aux->Get(0).str(), "nation2");
-  EXPECT_EQ((*table)->Probe(101), nullptr);
-  EXPECT_EQ((*table)->Probe(0), nullptr);
-  EXPECT_EQ((*table)->Probe(-5), nullptr);
+  EXPECT_EQ((*table)->Probe(101), DimHashTable::kMiss);
+  EXPECT_EQ((*table)->Probe(0), DimHashTable::kMiss);
+  EXPECT_EQ((*table)->Probe(-5), DimHashTable::kMiss);
 }
 
 TEST(DimHashTableTest, PredicateFiltersEntries) {
@@ -48,8 +60,8 @@ TEST(DimHashTableTest, PredicateFiltersEntries) {
   EXPECT_EQ((*table)->entries(), 50u);
   EXPECT_EQ((*table)->stats().input_rows, 100u);
   // Even pks have region ASIA (regions[i % 2]).
-  EXPECT_EQ((*table)->Probe(3), nullptr);
-  EXPECT_NE((*table)->Probe(4), nullptr);
+  EXPECT_EQ((*table)->Probe(3), DimHashTable::kMiss);
+  EXPECT_NE((*table)->Probe(4), DimHashTable::kMiss);
 }
 
 TEST(DimHashTableTest, ZeroAuxColumnsYieldEmptyPayload) {
@@ -57,8 +69,8 @@ TEST(DimHashTableTest, ZeroAuxColumnsYieldEmptyPayload) {
   auto table = DimHashTable::Build(*DimSchema(), stream.data(), stream.size(),
                                    *Predicate::True(), "pk", {});
   ASSERT_TRUE(table.ok());
-  const Row* aux = (*table)->Probe(1);
-  ASSERT_NE(aux, nullptr);
+  const std::optional<Row> aux = Payload(**table, 1);
+  ASSERT_TRUE(aux.has_value());
   EXPECT_TRUE(aux->empty());
 }
 
@@ -69,7 +81,7 @@ TEST(DimHashTableTest, EmptyQualifyingSetProbesCleanly) {
                                    "pk", {});
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->entries(), 0u);
-  EXPECT_EQ((*table)->Probe(1), nullptr);
+  EXPECT_EQ((*table)->Probe(1), DimHashTable::kMiss);
 }
 
 TEST(DimHashTableTest, MemoryEstimateGrowsWithEntries) {
@@ -96,12 +108,74 @@ TEST(DimHashTableTest, UnknownColumnsFailCleanly) {
                    .ok());
 }
 
+/// A stream of: one valid row, the row whose body is `body` under a length
+/// prefix of body.size(), then one more valid row — so a field that
+/// overruns its row would land in the next row's bytes, not off the end.
+std::vector<uint8_t> StreamAround(const std::vector<uint8_t>& body) {
+  storage::ByteWriter out;
+  auto valid_row = [&out](int32_t pk) {
+    storage::ByteWriter row;
+    row.PutI32(pk);
+    row.PutString("nation1");
+    row.PutString("ASIA");
+    out.PutU32(static_cast<uint32_t>(row.size()));
+    out.PutBytes(row.bytes().data(), row.size());
+  };
+  valid_row(1);
+  out.PutU32(static_cast<uint32_t>(body.size()));
+  out.PutBytes(body.data(), body.size());
+  valid_row(3);
+  return out.Release();
+}
+
+/// Builds over `stream` reading nation (aux) but never region.
+Status BuildNationOnly(const std::vector<uint8_t>& stream) {
+  return DimHashTable::Build(*DimSchema(), stream.data(), stream.size(),
+                             *Predicate::True(), "pk", {"nation"})
+      .status();
+}
+
 TEST(DimHashTableTest, CorruptStreamFails) {
   auto stream = MakeStream(10);
   stream.resize(stream.size() - 3);  // truncate mid-row
-  EXPECT_FALSE(DimHashTable::Build(*DimSchema(), stream.data(), stream.size(),
-                                   *Predicate::True(), "pk", {})
-                   .ok());
+  EXPECT_EQ(BuildNationOnly(stream).code(), StatusCode::kIoError);
+
+  // Each row must end exactly at its u32 length prefix.
+  storage::ByteWriter half_length;  // the nation length is cut to one byte
+  half_length.PutI32(2);
+  half_length.PutU8(7);
+  EXPECT_EQ(BuildNationOnly(StreamAround(half_length.bytes())).code(),
+            StatusCode::kIoError);
+
+  storage::ByteWriter overrun;  // nation claims 10 bytes, the row holds 3
+  overrun.PutI32(2);
+  overrun.PutU16(10);
+  overrun.PutBytes("abc", 3);
+  EXPECT_EQ(BuildNationOnly(StreamAround(overrun.bytes())).code(),
+            StatusCode::kIoError);
+
+  storage::ByteWriter skipped;  // region is never read, and is cut short
+  skipped.PutI32(2);
+  skipped.PutString("nation2");
+  skipped.PutU16(6);
+  skipped.PutBytes("AS", 2);
+  EXPECT_EQ(BuildNationOnly(StreamAround(skipped.bytes())).code(),
+            StatusCode::kIoError);
+
+  storage::ByteWriter short_row;  // every field fits; 3 bytes are left over
+  short_row.PutI32(2);
+  short_row.PutString("nation2");
+  short_row.PutString("ASIA");
+  short_row.PutBytes("xyz", 3);
+  EXPECT_EQ(BuildNationOnly(StreamAround(short_row.bytes())).code(),
+            StatusCode::kIoError);
+
+  // The same framing around a well-formed row builds.
+  storage::ByteWriter good;
+  good.PutI32(2);
+  good.PutString("nation2");
+  good.PutString("ASIA");
+  EXPECT_TRUE(BuildNationOnly(StreamAround(good.bytes())).ok());
 }
 
 TEST(DimHashTableTest, NegativeKeysProbeBack) {
@@ -117,12 +191,12 @@ TEST(DimHashTableTest, NegativeKeysProbeBack) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->entries(), 10u);
   for (int i = 0; i < 10; ++i) {
-    const Row* aux = (*table)->Probe(-100 + i * 7);
-    ASSERT_NE(aux, nullptr) << "key " << -100 + i * 7;
+    const std::optional<Row> aux = Payload(**table, -100 + i * 7);
+    ASSERT_TRUE(aux.has_value()) << "key " << -100 + i * 7;
     EXPECT_EQ(aux->Get(0).str(), std::string("n") + std::to_string(i));
   }
-  EXPECT_EQ((*table)->Probe(-101), nullptr);
-  EXPECT_EQ((*table)->Probe(100), nullptr);
+  EXPECT_EQ((*table)->Probe(-101), DimHashTable::kMiss);
+  EXPECT_EQ((*table)->Probe(100), DimHashTable::kMiss);
 }
 
 TEST(DimHashTableTest, DuplicatePrimaryKeysKeepFirstInScanOrder) {
@@ -139,8 +213,8 @@ TEST(DimHashTableTest, DuplicatePrimaryKeysKeepFirstInScanOrder) {
                                    *Predicate::True(), "pk", {"nation"});
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->entries(), 3u);
-  const Row* aux = (*table)->Probe(7);
-  ASSERT_NE(aux, nullptr);
+  const std::optional<Row> aux = Payload(**table, 7);
+  ASSERT_TRUE(aux.has_value());
   EXPECT_EQ(aux->Get(0).str(), "first");
 }
 
@@ -168,17 +242,17 @@ TEST(DimHashTableTest, CollisionChainMissWalksToEmptySlot) {
   ASSERT_TRUE(table.ok());
   ASSERT_EQ((*table)->entries(), 8u);
   for (size_t i = 0; i < 8; ++i) {
-    const Row* aux = (*table)->Probe(colliding[i]);
-    ASSERT_NE(aux, nullptr) << "key " << colliding[i];
+    const std::optional<Row> aux = Payload(**table, colliding[i]);
+    ASSERT_TRUE(aux.has_value()) << "key " << colliding[i];
     EXPECT_EQ(aux->Get(0).str(), std::string("n") + std::to_string(i));
   }
   // The 9th key shares the home slot but was never inserted: the chain walk
   // must pass every occupied slot and stop at the empty one with a miss.
-  EXPECT_EQ((*table)->Probe(colliding[8]), nullptr);
+  EXPECT_EQ((*table)->Probe(colliding[8]), DimHashTable::kMiss);
 
   // The batch probe walks the same chains branchlessly.
   std::vector<int64_t> keys(colliding.begin(), colliding.end());
-  std::vector<const Row*> out(keys.size());
+  std::vector<int32_t> out(keys.size());
   (*table)->ProbeBatch(keys.data(), static_cast<int64_t>(keys.size()),
                        out.data());
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -203,7 +277,7 @@ TEST(DimHashTableTest, ProbeBatchMatchesScalarProbe) {
       default: keys.push_back(499 - i % 499); break;     // hit
     }
   }
-  std::vector<const Row*> out(keys.size(), nullptr);
+  std::vector<int32_t> out(keys.size(), 0);
   (*table)->ProbeBatch(keys.data(), static_cast<int64_t>(keys.size()),
                        out.data());
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -220,11 +294,10 @@ TEST(DimHashTableTest, ProbeBatchOnEmptyTableReturnsAllNull) {
   ASSERT_TRUE(table.ok());
   ASSERT_EQ((*table)->entries(), 0u);
   std::vector<int64_t> keys = {1, 2, 3, -4, 0};
-  std::vector<const Row*> out(keys.size(),
-                              reinterpret_cast<const Row*>(0x1));
+  std::vector<int32_t> out(keys.size(), 1);
   (*table)->ProbeBatch(keys.data(), static_cast<int64_t>(keys.size()),
                        out.data());
-  for (const Row* r : out) EXPECT_EQ(r, nullptr);
+  for (int32_t slot : out) EXPECT_EQ(slot, DimHashTable::kMiss);
 }
 
 // Property-style sweep: every inserted key must probe back to its payload,
@@ -239,12 +312,12 @@ TEST_P(DimHashTableSizeTest, AllKeysProbeBack) {
   ASSERT_TRUE(table.ok());
   ASSERT_EQ((*table)->entries(), static_cast<uint64_t>(n));
   for (int i = 1; i <= n; ++i) {
-    const Row* aux = (*table)->Probe(i);
-    ASSERT_NE(aux, nullptr) << "key " << i;
+    const std::optional<Row> aux = Payload(**table, i);
+    ASSERT_TRUE(aux.has_value()) << "key " << i;
     EXPECT_EQ(aux->Get(0).str(), i % 2 == 0 ? "ASIA" : "EUROPE");
   }
   for (int i = n + 1; i <= n + 100; ++i) {
-    EXPECT_EQ((*table)->Probe(i), nullptr);
+    EXPECT_EQ((*table)->Probe(i), DimHashTable::kMiss);
   }
 }
 

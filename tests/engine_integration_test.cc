@@ -871,5 +871,59 @@ TEST_F(ScratchCleanupTest, HiveScanNodesCountTheRowsTheyStream) {
   EXPECT_EQ(join_jobs, spec->dims.size());
 }
 
+/// Hive writes each intermediate table in task order, so the rows every
+/// downstream map task reads — and with them every record counter of every
+/// stage, map-side combining included — repeat exactly from run to run.
+/// Small DFS blocks give each intermediate several splits, so the group-by
+/// stage runs several map tasks, each combining only its own split.
+TEST(HiveDeterminismTest, RepartitionStageCountersRepeatAcrossRuns) {
+  mr::ClusterOptions cluster_options;
+  cluster_options.dfs_block_size = 32 * 1024;
+  mr::MrCluster cluster(cluster_options);
+  ssb::SsbLoadOptions load_options;
+  load_options.scale_factor = 0.01;
+  auto dataset = ssb::LoadSsb(&cluster, load_options);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  core::StarSchema star = dataset->star;
+  *star.mutable_fact() = dataset->fact_rcfile;
+  auto spec = ssb::QueryById("Q3.1");
+  ASSERT_TRUE(spec.ok());
+
+  const char* const kRecordCounters[] = {
+      mr::kCounterMapInputRecords,     mr::kCounterMapOutputRecords,
+      mr::kCounterCombineInputRecords, mr::kCounterCombineOutputRecords,
+      mr::kCounterReduceInputRecords,  mr::kCounterReduceInputGroups,
+      mr::kCounterReduceOutputRecords, mr::kCounterShuffleBytes,
+      mr::kCounterHdfsBytesWritten};
+  // Per stage: its job name, map task count and record counters.
+  auto run = [&]() -> std::vector<std::string> {
+    hive::HiveEngine engine(&cluster, star, {});
+    auto result = engine.Execute(*spec);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::string> stages;
+    if (!result.ok()) return stages;
+    for (const mr::JobReport& report : result->stage_reports) {
+      std::string line = StrCat(report.job_name, " maps=",
+                                report.map_tasks.size());
+      for (const char* name : kRecordCounters) {
+        line += StrCat(" ", name, "=", report.counters.Get(name));
+      }
+      stages.push_back(std::move(line));
+    }
+    return stages;
+  };
+  const std::vector<std::string> first = run();
+  ASSERT_EQ(first.size(), spec->dims.size() + 2);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    EXPECT_EQ(run(), first) << "repeat " << repeat;
+  }
+  // The group-by stage reads a multi-split intermediate and combines.
+  const std::string& group_by = first[spec->dims.size()];
+  EXPECT_EQ(group_by.find(" maps=1 "), std::string::npos) << group_by;
+  EXPECT_EQ(group_by.find(StrCat(mr::kCounterCombineOutputRecords, "=0")),
+            std::string::npos)
+      << group_by;
+}
+
 }  // namespace
 }  // namespace clydesdale

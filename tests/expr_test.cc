@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "schema/expr.h"
 
 namespace clydesdale {
@@ -139,6 +143,77 @@ TEST(PredicateTest, EvalBatchRespectsExistingSelection) {
   std::vector<uint8_t> sel = {0, 1};
   (*bound)->EvalBatch(batch, &sel);
   EXPECT_EQ(sel, (std::vector<uint8_t>{0, 1}));
+}
+
+/// String predicate leaves evaluate batches in place (views compared, no
+/// Value copies). Every leaf kind, and NOT / OR over them, must agree with
+/// row-wise Eval on both string storage modes, including over a selection
+/// that already dropped rows.
+TEST(PredicateTest, StringLeavesEvalBatchMatchesRowEval) {
+  const std::vector<std::string> values = {"ASIA", "",     "AS",   "ASIAN",
+                                           "EUROPE", "asia", "AFRICA", "ASIA",
+                                           "MIDDLE EAST", "AMERICA"};
+  auto schema = Schema::Make({{"owned", TypeKind::kString, 6},
+                              {"view", TypeKind::kString, 6}});
+  // The view column points into one arena holding every value back to back.
+  auto arena = std::make_shared<std::vector<uint8_t>>();
+  for (const std::string& v : values) arena->insert(arena->end(), v.begin(), v.end());
+  RowBatch batch(schema);
+  size_t offset = 0;
+  for (const std::string& v : values) {
+    batch.mutable_column(0)->AppendString(v);
+    batch.mutable_column(1)->mutable_str_views()->emplace_back(
+        reinterpret_cast<const char*>(arena->data()) + offset, v.size());
+    offset += v.size();
+  }
+  batch.mutable_column(1)->set_string_arena(arena);
+  ASSERT_TRUE(batch.SealRowCount().ok());
+  ASSERT_TRUE(batch.column(1).is_string_view());
+
+  for (const char* col : {"owned", "view"}) {
+    const std::vector<Predicate::Ptr> leaves = {
+        Predicate::Eq(col, Value("ASIA")),
+        Predicate::Ne(col, Value("ASIA")),
+        Predicate::Lt(col, Value("ASIA")),
+        Predicate::Le(col, Value("ASIA")),
+        Predicate::Gt(col, Value("AS")),
+        Predicate::Ge(col, Value("")),
+        Predicate::Between(col, Value("AFRICA"), Value("ASIAN")),
+        Predicate::In(col, {Value("EUROPE"), Value(""), Value("ASIA")}),
+        Predicate::In(col, {}),
+    };
+    std::vector<Predicate::Ptr> preds = leaves;
+    for (const Predicate::Ptr& leaf : leaves) {
+      preds.push_back(Predicate::Not(leaf));
+    }
+    preds.push_back(Predicate::Or({leaves[0], leaves[4], leaves[7]}));
+    preds.push_back(Predicate::Or({leaves[2], Predicate::Not(leaves[6])}));
+    preds.push_back(Predicate::Not(Predicate::Or({leaves[1], leaves[5]})));
+    preds.push_back(
+        Predicate::And({Predicate::Or({leaves[3], leaves[4]}), leaves[1]}));
+
+    for (const Predicate::Ptr& pred : preds) {
+      auto bound = pred->Bind(*schema);
+      ASSERT_TRUE(bound.ok()) << pred->ToString();
+      for (const bool thinned : {false, true}) {
+        // The thinned selection has already dropped every third row.
+        std::vector<uint8_t> sel(values.size(), 1);
+        if (thinned) {
+          for (size_t i = 0; i < sel.size(); i += 3) sel[i] = 0;
+        }
+        const std::vector<uint8_t> before = sel;
+        (*bound)->EvalBatch(batch, &sel);
+        for (size_t i = 0; i < values.size(); ++i) {
+          const bool expected =
+              before[i] != 0 &&
+              (*bound)->Eval(batch.GetRow(static_cast<int64_t>(i)));
+          EXPECT_EQ(sel[i] != 0, expected)
+              << pred->ToString() << " row " << i << " ('" << values[i]
+              << "')" << (thinned ? " thinned" : "");
+        }
+      }
+    }
+  }
 }
 
 TEST(PredicateTest, ToStringReadable) {

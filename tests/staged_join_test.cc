@@ -2,6 +2,7 @@
 
 #include "common/strings.h"
 #include "core/clydesdale.h"
+#include "core/dim_hash_table.h"
 #include "core/staged_join.h"
 #include "hive/hive_engine.h"
 #include "sql/parser.h"
@@ -67,6 +68,34 @@ TEST_F(StagedJoinTest, EstimateGrowsWithRowsAndAux) {
   // make date (2557) the larger table; just check both are positive.
   EXPECT_GT(EstimateDimHashBytes(**dim, no_aux), 0u);
   EXPECT_GT(EstimateDimHashBytes(**date_dim, no_aux), 0u);
+}
+
+/// The planner packs dimensions into stages by EstimateDimHashBytes, so the
+/// estimate must not undercount what a build really holds: for every
+/// dimension join of every SSB query, the table built from node 0's replica
+/// stays within it.
+TEST(DimHashEstimateTest, EstimateBoundsEveryBuiltSsbTable) {
+  mr::MrCluster cluster(mr::ClusterOptions{});
+  ssb::SsbLoadOptions load;
+  load.scale_factor = 0.01;
+  auto dataset = ssb::LoadSsb(&cluster, load);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  for (const StarQuerySpec& spec : ssb::AllQueries()) {
+    for (const DimJoinSpec& join : spec.dims) {
+      auto dim = dataset->star.dim(join.dimension);
+      ASSERT_TRUE(dim.ok());
+      auto replica = cluster.local_store(0)->Read((*dim)->local_path);
+      ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+      auto table = DimHashTable::Build(
+          *(*dim)->desc.schema, (*replica)->data(), (*replica)->size(),
+          *join.predicate, join.dim_pk, join.aux_columns);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      EXPECT_GE(EstimateDimHashBytes(**dim, join),
+                (*table)->stats().memory_bytes)
+          << spec.id << " " << join.dimension << ": "
+          << (*table)->entries() << " entries";
+    }
+  }
 }
 
 TEST_F(StagedJoinTest, PlanPacksGreedilyWithinBudget) {
