@@ -10,12 +10,6 @@ namespace core {
 
 namespace {
 
-size_t CapacityFor(size_t entries) {
-  size_t cap = 16;
-  while (cap < entries * 2) cap <<= 1;
-  return cap;
-}
-
 /// Dimension rows decoded and filtered per batch during a build.
 constexpr int64_t kBuildBatchRows = 4096;
 
@@ -82,15 +76,57 @@ const uint8_t* DecodeRowFields(const std::vector<FieldSink>& fields,
   return p;
 }
 
-/// Bytes held by a payload column's typed array.
-uint64_t ColumnBytes(const ColumnVector& col) {
-  return col.i32().capacity() * sizeof(int32_t) +
-         col.i64().capacity() * sizeof(int64_t) +
-         col.f64().capacity() * sizeof(double) +
-         col.str_views().capacity() * sizeof(std::string_view);
+}  // namespace
+
+size_t DimHashTable::CapacityFor(size_t entries) {
+  size_t cap = 16;
+  while (cap < entries * 2) cap <<= 1;
+  return cap;
 }
 
-}  // namespace
+int DimHashTable::ResolveStride(const int64_t* keys, int m, size_t* bucket,
+                                int32_t* hit) const {
+  const int64_t* const key_data = keys_.data();
+  const size_t mask = capacity_ - 1;
+  // Hash every lane and prefetch its home bucket before touching any of
+  // them: by resolve time the key loads are in flight or done.
+  for (int i = 0; i < m; ++i) {
+    bucket[i] = HomeBucket(keys[i]);
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(&key_data[bucket[i]], /*rw=*/0, /*locality=*/1);
+#endif
+  }
+  // Resolve every lane against the key lane only; hit/miss/keep-scanning
+  // are computed as data (compaction counters), never as branches, so
+  // random keys cost no branch mispredictions. A probe key equal to
+  // kEmptySlotKey cannot match here (empty buckets hold that value).
+  int32_t todo[256];
+  int live = 0;
+  int nhits = 0;
+  for (int i = 0; i < m; ++i) {
+    const int64_t k = key_data[bucket[i]];
+    const bool match = (k == keys[i]) & (keys[i] != kEmptySlotKey);
+    hit[nhits] = i;
+    nhits += static_cast<int>(match);
+    todo[live] = i;
+    live += static_cast<int>(!((k == kEmptySlotKey) | match));
+  }
+  while (live > 0) {
+    int next_live = 0;
+    for (int t = 0; t < live; ++t) {
+      const int i = todo[t];
+      bucket[i] = (bucket[i] + 1) & mask;
+      const int64_t k = key_data[bucket[i]];
+      const bool match = (k == keys[i]) & (keys[i] != kEmptySlotKey);
+      hit[nhits] = i;
+      nhits += static_cast<int>(match);
+      todo[next_live] = i;
+      next_live += static_cast<int>(!((k == kEmptySlotKey) | match));
+    }
+    live = next_live;
+  }
+  return nhits;
+}
 
 void DimHashTable::ProbeBatch(const int64_t* keys, int64_t n,
                               int32_t* out) const {
@@ -98,67 +134,20 @@ void DimHashTable::ProbeBatch(const int64_t* keys, int64_t n,
     std::fill(out, out + n, kMiss);
     return;
   }
-  const int64_t* const key_data = keys_.data();
-  const int32_t* const slot_data = slots_.data();
-  const size_t mask = capacity_ - 1;
-
   constexpr int kStride = 256;
   size_t bucket[kStride];
-  int32_t todo[kStride];
   int32_t hit[kStride];
   for (int64_t base = 0; base < n; base += kStride) {
     const int m = static_cast<int>(std::min<int64_t>(kStride, n - base));
     const int64_t* stride_keys = keys + base;
     int32_t* stride_out = out + base;
-    // Hash every lane and prefetch its home bucket before touching any of
-    // them: by resolve time the key loads are in flight or done.
-    for (int i = 0; i < m; ++i) {
-      bucket[i] = HomeBucket(stride_keys[i]);
-#if defined(__GNUC__) || defined(__clang__)
-      __builtin_prefetch(&key_data[bucket[i]], /*rw=*/0, /*locality=*/1);
-#endif
-    }
-    // Resolve every lane against the key lane only; hit/miss/keep-scanning
-    // are computed as data (compaction counters), never as branches. Hits
-    // are compacted into `hit` and their slots fetched in a second pass, so
-    // the slot lane is never loaded for misses — that second random access
-    // per lane is exactly what an interleaved-bucket layout would pay. A
-    // probe key equal to kEmptySlotKey cannot match here (empty buckets hold
-    // that value); the rare table that actually stores it is patched scalar
-    // at the end.
-    int live = 0;
-    int nhits = 0;
-    for (int i = 0; i < m; ++i) {
-      const int64_t k = key_data[bucket[i]];
-      const bool match = (k == stride_keys[i]) &
-                         (stride_keys[i] != kEmptySlotKey);
-      const bool empty = k == kEmptySlotKey;
-      stride_out[i] = kMiss;
-      hit[nhits] = i;
-      nhits += static_cast<int>(match);
-      todo[live] = i;
-      live += static_cast<int>(!(empty | match));
-    }
-    while (live > 0) {
-      int next_live = 0;
-      for (int t = 0; t < live; ++t) {
-        const int i = todo[t];
-        const size_t advanced = (bucket[i] + 1) & mask;
-        bucket[i] = advanced;
-        const int64_t k = key_data[advanced];
-        const bool match = (k == stride_keys[i]) &
-                           (stride_keys[i] != kEmptySlotKey);
-        const bool empty = k == kEmptySlotKey;
-        hit[nhits] = i;
-        nhits += static_cast<int>(match);
-        todo[next_live] = i;
-        next_live += static_cast<int>(!(empty | match));
-      }
-      live = next_live;
-    }
+    std::fill(stride_out, stride_out + m, kMiss);
+    // Slots are fetched for the hits only, so the slot lane is never loaded
+    // for misses — the second random access per lane an interleaved-bucket
+    // layout would pay.
+    const int nhits = ResolveStride(stride_keys, m, bucket, hit);
     for (int t = 0; t < nhits; ++t) {
-      const int i = hit[t];
-      stride_out[i] = slot_data[bucket[i]];
+      stride_out[hit[t]] = slots_[bucket[hit[t]]];
     }
     if (sentinel_slot_ != kMiss) {
       for (int i = 0; i < m; ++i) {
@@ -166,6 +155,51 @@ void DimHashTable::ProbeBatch(const int64_t* keys, int64_t n,
       }
     }
   }
+}
+
+int64_t DimHashTable::FilterSelection(const int64_t* keys, int32_t* sel,
+                                      int64_t n) const {
+  if (entries() == 0) return 0;
+  int64_t kept = 0;
+  if (!bitmap_.empty()) {
+    // One test per row: a key outside [min_key_, max_key_] reads word 0
+    // and is masked off, so no row takes a branch.
+    const uint64_t* const bits = bitmap_.data();
+    const auto lo = static_cast<uint64_t>(min_key_);
+    const uint64_t span = static_cast<uint64_t>(max_key_) - lo;
+    for (int64_t j = 0; j < n; ++j) {
+      const int32_t row = sel[j];
+      const uint64_t off = static_cast<uint64_t>(keys[row]) - lo;
+      const uint64_t in = static_cast<uint64_t>(off <= span);
+      const uint64_t word = bits[(off >> 6) * in];
+      sel[kept] = row;
+      kept += static_cast<int64_t>((word >> (off & 63)) & in);
+    }
+    return kept;
+  }
+  constexpr int kStride = 256;
+  int64_t stride_keys[kStride];
+  int32_t rows[kStride];
+  size_t bucket[kStride];
+  int32_t hit[kStride];
+  uint8_t member[kStride];
+  const bool sentinel = sentinel_slot_ != kMiss;
+  for (int64_t base = 0; base < n; base += kStride) {
+    const int m = static_cast<int>(std::min<int64_t>(kStride, n - base));
+    for (int i = 0; i < m; ++i) {
+      rows[i] = sel[base + i];
+      stride_keys[i] = keys[rows[i]];
+      member[i] = static_cast<uint8_t>(sentinel &
+                                       (stride_keys[i] == kEmptySlotKey));
+    }
+    const int nhits = ResolveStride(stride_keys, m, bucket, hit);
+    for (int t = 0; t < nhits; ++t) member[hit[t]] = 1;
+    for (int i = 0; i < m; ++i) {
+      sel[kept] = rows[i];
+      kept += member[i];
+    }
+  }
+  return kept;
 }
 
 void DimHashTable::AppendPayload(int32_t slot, Row* out) const {
@@ -193,6 +227,15 @@ void DimHashTable::InsertKeys(const std::vector<int64_t>& keys) {
     }
     keys_[bucket] = key;
     slots_[bucket] = slot;
+  }
+  if (keys.empty()) return;
+  const auto lo = static_cast<uint64_t>(min_key_);
+  const uint64_t span = static_cast<uint64_t>(max_key_) - lo;
+  if (span / 64 >= capacity_) return;  // more bits than 64 x capacity_
+  bitmap_.assign(span / 64 + 1, 0);
+  for (const int64_t key : keys) {
+    const uint64_t off = static_cast<uint64_t>(key) - lo;
+    bitmap_[off >> 6] |= uint64_t{1} << (off & 63);
   }
 }
 
@@ -333,7 +376,7 @@ Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
     col.mutable_i32()->shrink_to_fit();
     col.mutable_i64()->shrink_to_fit();
     col.mutable_f64()->shrink_to_fit();
-    payload_bytes += ColumnBytes(col);
+    payload_bytes += col.ByteCapacity();
   }
 
   table->InsertKeys(keys);
@@ -341,6 +384,7 @@ Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
   table->stats_.entries = keys.size();
   table->stats_.memory_bytes = table->keys_.capacity() * sizeof(int64_t) +
                                table->slots_.capacity() * sizeof(int32_t) +
+                               table->bitmap_.capacity() * sizeof(uint64_t) +
                                payload_bytes;
   // The charge lives exactly as long as the table (a null tracker makes
   // the consumer a no-op).

@@ -14,6 +14,7 @@
 #include "schema/row.h"
 #include "schema/row_batch.h"
 #include "schema/schema.h"
+#include "storage/scan_spec.h"
 
 namespace clydesdale {
 namespace core {
@@ -37,15 +38,25 @@ namespace core {
 /// indexed by slot. String payloads are views into one arena the table
 /// owns. Probes return slots, never rows, so the join loop gathers group-key
 /// values straight from the typed arrays.
-class DimHashTable {
+///
+/// The table is also the CIF scan's semi-join key filter. Membership alone
+/// has a second, exact structure: a bitmap over [min_key, max_key], built
+/// whenever that range spans at most 64 x capacity bits, so the bitmap
+/// never outgrows the key lane. Dense dimension keys (SSB's are 1..N)
+/// always get one; a sparse key set falls back to the key lane.
+class DimHashTable final : public storage::ScanKeyFilter {
  public:
   struct BuildStats {
     uint64_t input_rows = 0;
     uint64_t entries = 0;
-    /// Resident bytes: both bucket lanes, the payload arrays and the string
-    /// arena.
+    /// Resident bytes: both bucket lanes, the membership bitmap, the payload
+    /// arrays and the string arena.
     uint64_t memory_bytes = 0;
   };
+
+  /// Bucket count for `entries` keys: the smallest power of two >= 16 that
+  /// keeps the load factor at or below one half.
+  static size_t CapacityFor(size_t entries);
 
   /// Builds from an encoded row stream (the node-local dimension replica):
   /// applies `predicate`, keys by `pk_column`, stores `aux_columns`. Only
@@ -81,20 +92,6 @@ class DimHashTable {
     }
   }
 
-  /// Membership-only probe: walks the key lane alone, never touching
-  /// the slot lane (the storage scan's semi-join filter path).
-  bool ContainsKey(int64_t key) const {
-    if (capacity_ == 0) return false;
-    if (key == kEmptySlotKey) return sentinel_slot_ != kMiss;
-    size_t bucket = HomeBucket(key);
-    while (true) {
-      const int64_t k = keys_[bucket];
-      if (k == key) return true;
-      if (k == kEmptySlotKey) return false;
-      bucket = (bucket + 1) & (capacity_ - 1);
-    }
-  }
-
   /// Batch probe over a gathered key column: out[i] = Probe(keys[i]), but
   /// restructured for selection-vector joins. Per stride of keys it hashes
   /// and software-prefetches every home bucket up front, then resolves all
@@ -103,6 +100,20 @@ class DimHashTable {
   /// decisions never become branches, so random keys cost no branch
   /// mispredictions (the dominant cost of the scalar probe loop).
   void ProbeBatch(const int64_t* keys, int64_t n, int32_t* out) const;
+
+  /// Semi-join filter over a selection (storage::ScanKeyFilter): compacts
+  /// `sel` to the rows whose key is stored. Branch-free either way: one
+  /// bitmap test per row when has_key_bitmap(), else the ProbeBatch walk
+  /// over the key lane alone.
+  int64_t FilterSelection(const int64_t* keys, int32_t* sel,
+                          int64_t n) const override;
+  /// Zone-map test against [min_key, max_key].
+  bool RangeMightMatch(int64_t lo, int64_t hi) const override {
+    return entries() > 0 && !(hi < min_key_ || lo > max_key_);
+  }
+
+  /// Whether FilterSelection tests the [min_key, max_key] bitmap.
+  bool has_key_bitmap() const { return !bitmap_.empty(); }
 
   /// Auxiliary column `a` (in aux_columns order), indexed by payload slot.
   const ColumnVector& aux_column(int a) const {
@@ -125,8 +136,18 @@ class DimHashTable {
  private:
   DimHashTable() = default;
   /// Sizes the bucket lanes for `entries` keys and inserts them; keys[i]
-  /// gets payload slot i.
+  /// gets payload slot i. Builds the membership bitmap when the key range
+  /// allows it.
   void InsertKeys(const std::vector<int64_t>& keys);
+
+  /// Resolves `m` <= 256 keys against the key lane: hashes and prefetches
+  /// every home bucket first, then advances all unresolved lanes round by
+  /// round with branch-free compaction. Returns the number of hits; hit[0,
+  /// nhits) are the hit lanes and bucket[lane] where each one's key sits. A
+  /// key equal to kEmptySlotKey never hits here (callers patch it from
+  /// sentinel_slot_).
+  int ResolveStride(const int64_t* keys, int m, size_t* bucket,
+                    int32_t* hit) const;
 
   /// Fibonacci (multiply-shift) hashing: one multiply and a shift, taking
   /// the product's high bits. Half the dependent-latency of a full
@@ -144,6 +165,9 @@ class DimHashTable {
   std::vector<int64_t> keys_;   // kEmptySlotKey marks empties
   std::vector<int32_t> slots_;  // parallel to keys_, read on hits only
   int32_t sentinel_slot_ = kMiss;  // entry keyed kEmptySlotKey, if any
+  /// Bit (key - min_key_) is set for every stored key; empty when the key
+  /// range is too wide (see the class comment).
+  std::vector<uint64_t> bitmap_;
   /// One per aux column, slot-indexed; string columns are views into one
   /// arena they all pin.
   std::vector<ColumnVector> aux_;

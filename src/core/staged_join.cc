@@ -6,6 +6,7 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/aggregation.h"
+#include "core/dim_hash_table.h"
 #include "core/repartition_join.h"
 #include "core/star_join_job.h"
 #include "mapreduce/input_format.h"
@@ -112,15 +113,17 @@ uint64_t EstimateDimHashBytes(const DimTableInfo& dim,
     const int i = dim.desc.schema->IndexOf(aux);
     payload += i >= 0 ? dim.desc.schema->field(i).avg_width : 16.0;
   }
-  // Per row: 40 bytes for the bucket lanes (key + slot, 24-48 bytes per
-  // entry at the table's 2-4x headroom), and per aux column 32 bytes plus
-  // 1.5x its average width (a typed array entry is at most a 16-byte string
-  // view, plus the string's arena bytes). Assumes every dimension row
-  // qualifies; DimHashEstimateTest checks it bounds every SSB build.
-  const double per_entry = 16.0 + 24.0 +
-                           32.0 * static_cast<double>(join.aux_columns.size()) +
-                           payload * 1.5;
-  return static_cast<uint64_t>(static_cast<double>(dim.desc.num_rows) *
+  // The bucket lanes are sized as the table sizes them: per bucket an
+  // 8-byte key, a 4-byte slot and at most 8 bytes of membership bitmap. Per
+  // row, each aux column adds 32 bytes plus 1.5x its average width (a typed
+  // array entry is at most a 16-byte string view, plus the string's arena
+  // bytes). Assumes every dimension row qualifies, which makes it an upper
+  // bound; DimHashEstimateTest checks it against every SSB build.
+  const uint64_t buckets = DimHashTable::CapacityFor(dim.desc.num_rows);
+  const double per_entry =
+      32.0 * static_cast<double>(join.aux_columns.size()) + payload * 1.5;
+  return buckets * (8 + 4 + 8) +
+         static_cast<uint64_t>(static_cast<double>(dim.desc.num_rows) *
                                per_entry);
 }
 

@@ -88,6 +88,19 @@ std::unique_ptr<VectorizedProbe> MakeVectorizedProbe(
 /// Rows per B-CIF block handed to the probe loop.
 constexpr int64_t kProbeBatchRows = 4096;
 
+/// One worker thread's profile cells. The scan is every split open plus
+/// every NextBatch (where a CIF split decodes); the probe is the rest of the
+/// thread's probe span.
+struct ThreadProfile {
+  uint64_t scan_wall_ns = 0, scan_cpu_ns = 0, scan_opens = 0;
+  uint64_t probe_wall_ns = 0, probe_cpu_ns = 0;
+
+  void AddScan(const obs::Timer& timer) {
+    scan_wall_ns += static_cast<uint64_t>(timer.wall_ns());
+    scan_cpu_ns += static_cast<uint64_t>(timer.cpu_ns());
+  }
+};
+
 /// The probe loop: the whole filter→probe→aggregate pipeline stays columnar
 /// inside VectorizedProbe; this loop just pulls batches of up to
 /// `batch_rows` rows and routes them to the sink the plan asked for: the
@@ -95,10 +108,15 @@ constexpr int64_t kProbeBatchRows = 4096;
 /// map-side aggregation off) one record per joined row.
 Status ProcessBatches(const BoundPlan& plan, storage::BatchReader* reader,
                       int64_t batch_rows, mr::OutputCollector* direct_out,
-                      HashAggregator* agg, VectorizedProbe* probe) {
+                      HashAggregator* agg, VectorizedProbe* probe,
+                      ThreadProfile* prof) {
   RowBatch batch(plan.fact_schema);
   while (true) {
-    CLY_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch, batch_rows));
+    obs::Timer scan_timer;
+    Result<bool> next = reader->NextBatch(&batch, batch_rows);
+    scan_timer.Stop();
+    prof->AddScan(scan_timer);
+    CLY_ASSIGN_OR_RETURN(bool more, std::move(next));
     if (!more) break;
     if (plan.emit_joined_rows) {
       CLY_RETURN_IF_ERROR(
@@ -112,42 +130,22 @@ Status ProcessBatches(const BoundPlan& plan, storage::BatchReader* reader,
   return Status::OK();
 }
 
-/// Adapts a built dimension hash table to the storage scan's semi-join
-/// filter interface: a fact row whose foreign key misses the table cannot
-/// survive the inner join, so the scan may drop it (and zone maps may drop
-/// whole blocks whose key range misses the table's [min_key, max_key]).
-/// The table is immutable after Build, so Contains is safe from any thread.
-class DimKeyFilter final : public storage::ScanKeyFilter {
- public:
-  explicit DimKeyFilter(std::shared_ptr<const DimHashTable> table)
-      : table_(std::move(table)) {}
-
-  bool Contains(int64_t key) const override {
-    return table_->ContainsKey(key);
-  }
-  bool RangeMightMatch(int64_t lo, int64_t hi) const override {
-    return table_->entries() > 0 &&
-           !(hi < table_->min_key() || lo > table_->max_key());
-  }
-
- private:
-  std::shared_ptr<const DimHashTable> table_;
-};
-
 /// The scan spec for one query given its built hash tables: the fact
-/// predicate's pushable conjuncts plus a key filter per *filtered*
-/// dimension. Unfiltered dimensions keep (nearly) every key, so testing
-/// them per row at scan time is pure overhead — their misses are cheap to
-/// drop in the probe instead. Returns nullptr when nothing is pushable.
+/// predicate's pushable conjuncts plus, per *filtered* dimension, its table
+/// as the key filter. A fact row whose foreign key misses the table cannot
+/// survive the inner join, so the scan may drop it (and zone maps may drop
+/// whole blocks whose key range misses [min_key, max_key]); the tables are
+/// immutable after Build, so every scan thread may share them. Unfiltered
+/// dimensions keep (nearly) every key, so testing them per row at scan time
+/// is pure overhead — their misses are cheap to drop in the probe instead.
+/// Returns nullptr when nothing is pushable.
 std::shared_ptr<const storage::ScanSpec> BuildScanSpec(
     const StarQuerySpec& spec, const QueryHashTables& tables) {
   auto scan = std::make_shared<storage::ScanSpec>();
   scan->conjuncts = CollectScanConjuncts(spec.fact_predicate);
   for (size_t d = 0; d < spec.dims.size(); ++d) {
     if (spec.dims[d].predicate->IsTrue()) continue;
-    scan->key_filters.push_back(
-        {spec.dims[d].fact_fk,
-         std::make_shared<DimKeyFilter>(tables.tables[d])});
+    scan->key_filters.push_back({spec.dims[d].fact_fk, tables.tables[d]});
   }
   if (scan->empty()) return nullptr;
   return scan;
@@ -334,12 +332,6 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
     aggs.push_back(std::make_unique<HashAggregator>(layout));
   }
 
-  // Per-thread profile cells: the CIF open is the scan (the split loads and
-  // decodes at open); the rest of the thread's probe span is the probe.
-  struct ThreadProfile {
-    uint64_t scan_wall_ns = 0, scan_cpu_ns = 0, scan_opens = 0;
-    uint64_t probe_wall_ns = 0, probe_cpu_ns = 0;
-  };
   std::vector<ThreadProfile> thread_profiles(static_cast<size_t>(num_threads));
   std::vector<VectorizedProbe::Stats> probe_stats(
       static_cast<size_t>(num_threads));
@@ -371,13 +363,12 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
       auto reader = storage::OpenSplitBatchReader(
           *context->cluster()->dfs(), fact_desc, *constituents[mine], scan);
       open_timer.Stop();
+      prof->AddScan(open_timer);
+      ++prof->scan_opens;
       const Status st = reader.ok()
                             ? ProcessBatches(plan, reader->get(), batch_rows,
-                                             direct_out, agg, vec.get())
+                                             direct_out, agg, vec.get(), prof)
                             : reader.status();
-      prof->scan_wall_ns += static_cast<uint64_t>(open_timer.wall_ns());
-      prof->scan_cpu_ns += static_cast<uint64_t>(open_timer.cpu_ns());
-      ++prof->scan_opens;
       if (!st.ok()) {
         statuses[static_cast<size_t>(t)] = st;
         break;

@@ -28,15 +28,14 @@ int64_t VectorizedProbe::FilterAndProbe(const RowBatch& batch) {
   sel_bytes_.assign(static_cast<size_t>(n), 1);
   fact_pred_->EvalBatch(batch, &sel_bytes_);
 
-  // Compact the byte mask into a selection vector of row indexes.
-  sel_idx_.clear();
-  sel_idx_.reserve(static_cast<size_t>(n));
+  // Compact the byte mask into a selection vector of row indexes, writing
+  // every row and advancing past the kept ones (no branch per row).
+  sel_idx_.resize(static_cast<size_t>(n));
+  int64_t m = 0;
   for (int64_t i = 0; i < n; ++i) {
-    if (sel_bytes_[static_cast<size_t>(i)] != 0) {
-      sel_idx_.push_back(static_cast<int32_t>(i));
-    }
+    sel_idx_[static_cast<size_t>(m)] = static_cast<int32_t>(i);
+    m += static_cast<int64_t>(sel_bytes_[static_cast<size_t>(i)] != 0);
   }
-  int64_t m = static_cast<int64_t>(sel_idx_.size());
   stats_.rows_selected += static_cast<uint64_t>(m);
 
   // Per-dimension: gather the FK column over the selection, batch-probe with
@@ -83,12 +82,12 @@ int64_t VectorizedProbe::FilterAndProbe(const RowBatch& batch) {
 
     int64_t k = 0;
     for (int64_t j = 0; j < m; ++j) {
-      if (hits[static_cast<size_t>(j)] == DimHashTable::kMiss) continue;
       sel_idx_[static_cast<size_t>(k)] = sel_idx_[static_cast<size_t>(j)];
       for (size_t e = 0; e <= d; ++e) {
         matched_[e][static_cast<size_t>(k)] = matched_[e][static_cast<size_t>(j)];
       }
-      ++k;
+      k += static_cast<int64_t>(hits[static_cast<size_t>(j)] !=
+                                DimHashTable::kMiss);
     }
     m = k;
   }

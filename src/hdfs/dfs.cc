@@ -321,19 +321,34 @@ Status DfsReader::PRead(uint64_t offset, void* out, size_t len) {
     const size_t avail = cached_data_->size() - static_cast<size_t>(within);
     const size_t take = std::min(len, avail);
     std::memcpy(dst, cached_data_->data() + within, take);
-    // Charge the bytes actually transferred. This models column skipping
-    // within PAX blocks (RCFile) and projection in CIF faithfully: only bytes
-    // a reader touches count toward I/O.
-    if (stats_ != nullptr) {
-      (cached_local_ ? stats_->local_bytes_read : stats_->remote_bytes_read) +=
-          take;
-    }
-    dfs_->AccountRead(cached_local_ ? take : 0, cached_local_ ? 0 : take);
+    AccountCachedRead(take);
     dst += take;
     offset += take;
     len -= take;
   }
   return Status::OK();
+}
+
+Result<BlockBuffer> DfsReader::ReadBlock(int block_index) {
+  if (block_index < 0 ||
+      block_index >= static_cast<int>(info_->blocks.size())) {
+    return Status::IoError(StrCat("no block ", block_index, " in ",
+                                  info_->path));
+  }
+  CLY_RETURN_IF_ERROR(FetchBlock(block_index));
+  AccountCachedRead(cached_data_->size());
+  return cached_data_;
+}
+
+void DfsReader::AccountCachedRead(uint64_t bytes) {
+  // Charge the bytes actually transferred. This models column skipping
+  // within PAX blocks (RCFile) and projection in CIF faithfully: only bytes
+  // a reader touches count toward I/O.
+  if (stats_ != nullptr) {
+    (cached_local_ ? stats_->local_bytes_read : stats_->remote_bytes_read) +=
+        bytes;
+  }
+  dfs_->AccountRead(cached_local_ ? bytes : 0, cached_local_ ? 0 : bytes);
 }
 
 Status DfsReader::Seek(uint64_t offset) {

@@ -163,6 +163,11 @@ class DfsReader {
   /// Reads exactly [offset, offset+len) or fails.
   Status PRead(uint64_t offset, void* out, size_t len);
 
+  /// Block `block_index` whole, as the datanode's own immutable buffer: no
+  /// copy. Its bytes are accounted exactly as a PRead of the block would
+  /// account them.
+  Result<BlockBuffer> ReadBlock(int block_index);
+
   Status Seek(uint64_t offset);
   uint64_t Tell() const { return position_; }
   uint64_t Length() const { return info_->length; }
@@ -175,6 +180,8 @@ class DfsReader {
 
   /// Fetches the block covering `offset`, preferring a local replica.
   Status FetchBlock(int block_index);
+  /// Charges `bytes` transferred from the cached block.
+  void AccountCachedRead(uint64_t bytes);
 
   const MiniDfs* dfs_;
   /// The namenode's snapshot as of Open; shared, never copied.

@@ -151,11 +151,11 @@ obs::OperatorProfile ScanProfileNode(const std::string& name,
   for (int i = 0; i < 6; ++i) {
     scan.blocks_by_encoding[i] = stats.blocks_by_encoding[i];
   }
-  // Arena bytes the scan delivered downstream: for a finished scan the
-  // arenas are this operator's whole footprint, so current == peak here and
-  // the profile merge (max) keeps the largest single-task value.
-  scan.mem_current_bytes = stats.arena_bytes;
-  scan.mem_peak_bytes = stats.arena_bytes;
+  // The reader's scratch and its batch are the scan's whole footprint, and
+  // it holds them until it is dropped, so current == peak here; the profile
+  // merge (max) keeps the largest single-task value.
+  scan.mem_current_bytes = stats.mem_peak_bytes;
+  scan.mem_peak_bytes = stats.mem_peak_bytes;
   scan.tasks = 1;
   return scan;
 }

@@ -33,29 +33,40 @@ class ConcatRecordReader final : public RecordReader {
   size_t current_ = 0;
 };
 
-/// Adapts a storage RowReader to the MapReduce record model. Counts the rows
-/// it streams and adds the split's scan node to the attempt's profile when
-/// the split is exhausted: row-format tables decode in Next(), so only then
-/// is the row count known.
+/// Adapts a storage RowReader to the MapReduce record model. Owns the
+/// ScanStats the reader fills as it streams (a CIF split decodes batch by
+/// batch in Next()), and when the split is exhausted folds them into the
+/// counters and adds the split's scan node to the attempt's profile.
 class TableRecordReader final : public RecordReader {
  public:
-  TableRecordReader(std::unique_ptr<storage::RowReader> reader, int32_t tag,
-                    obs::OperatorProfile scan, TaskContext* context)
-      : reader_(std::move(reader)),
+  TableRecordReader(std::unique_ptr<storage::ScanStats> scan_stats,
+                    int32_t tag, std::string name, TaskContext* context)
+      : scan_stats_(std::move(scan_stats)),
         tag_(tag),
-        scan_(std::move(scan)),
+        name_(std::move(name)),
         context_(context) {}
+
+  void Start(std::unique_ptr<storage::RowReader> reader,
+             const obs::Timer& open_timer) {
+    reader_ = std::move(reader);
+    open_wall_ns_ = static_cast<uint64_t>(open_timer.wall_ns());
+    open_cpu_ns_ = static_cast<uint64_t>(open_timer.cpu_ns());
+  }
 
   Result<bool> Next(Row* key, Row* value) override {
     CLY_ASSIGN_OR_RETURN(bool more, reader_->Next(&scratch_));
     if (!more) {
       if (context_ != nullptr) {
-        context_->AddProfileOperator(std::move(scan_));
+        AddCifScanCounters(*scan_stats_, context_->counters());
+        obs::OperatorProfile scan = ScanProfileNode(
+            name_, *scan_stats_, open_wall_ns_, open_cpu_ns_);
+        scan.rows_out = rows_;  // every format, CIF or not
+        context_->AddProfileOperator(std::move(scan));
         context_ = nullptr;
       }
       return false;
     }
-    ++scan_.rows_out;
+    ++rows_;
     key->Clear();
     if (tag_ >= 0) {
       value->Clear();
@@ -69,10 +80,14 @@ class TableRecordReader final : public RecordReader {
   }
 
  private:
+  std::unique_ptr<storage::ScanStats> scan_stats_;
   std::unique_ptr<storage::RowReader> reader_;
   int32_t tag_;
+  std::string name_;
+  uint64_t open_wall_ns_ = 0;
+  uint64_t open_cpu_ns_ = 0;
+  uint64_t rows_ = 0;
   Row scratch_;
-  obs::OperatorProfile scan_;
   /// Null once the scan node has been added.
   TaskContext* context_;
 };
@@ -99,30 +114,22 @@ Result<std::unique_ptr<RecordReader>> ReaderForStorageSplit(
   options.projection = std::move(projection);
   options.reader_node = context->node();
   options.stats = context->io_stats();
-  // Charge decode arenas to the attempt's tracker; the shared_ptr-deleter
-  // wrapper keeps the charge alive exactly as long as the arena itself, even
-  // when a block's string views outlive this reader.
+  // Charge the reader's decode scratch and batch to the attempt's tracker.
   options.mem_reporter = context->mem_tracker();
-  // CIF splits load eagerly at open, so the stack-local stats are complete
-  // (and safe to drop) as soon as the reader exists.
-  storage::ScanStats scan_stats;
-  options.scan_stats = &scan_stats;
-  // The open window covers the whole CIF load (a split decodes at open);
-  // for row-format tables that stream through Next(), the node still pins
-  // the scan in the plan tree even though its timings stay near zero.
+  auto scan_stats = std::make_unique<storage::ScanStats>();
+  options.scan_stats = scan_stats.get();
+  auto record_reader = std::make_unique<TableRecordReader>(
+      std::move(scan_stats), tag, StrCat("scan:", split.table_path), context);
+  // The open window: for CIF it reads the column blocks and their zone
+  // maps; decoding happens batch by batch in Next(), as it does for the
+  // row formats.
   obs::Timer open_timer;
   CLY_ASSIGN_OR_RETURN(
       std::unique_ptr<storage::RowReader> reader,
       storage::OpenSplitRowReader(*cluster->dfs(), desc, split, options));
   open_timer.Stop();
-  AddCifScanCounters(scan_stats, context->counters());
-  obs::OperatorProfile scan = ScanProfileNode(
-      StrCat("scan:", split.table_path), scan_stats,
-      static_cast<uint64_t>(open_timer.wall_ns()),
-      static_cast<uint64_t>(open_timer.cpu_ns()));
-  scan.rows_out = 0;  // the reader counts the rows it streams
-  return std::unique_ptr<RecordReader>(
-      new TableRecordReader(std::move(reader), tag, std::move(scan), context));
+  record_reader->Start(std::move(reader), open_timer);
+  return std::unique_ptr<RecordReader>(std::move(record_reader));
 }
 
 }  // namespace

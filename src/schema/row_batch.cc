@@ -30,6 +30,15 @@ void ColumnVector::Clear() {
   is_view_ = false;
 }
 
+uint64_t ColumnVector::ByteCapacity() const {
+  return i32_.capacity() * sizeof(int32_t) + i64_.capacity() * sizeof(int64_t) +
+         f64_.capacity() * sizeof(double) +
+         str_.capacity() * sizeof(std::string) +
+         str_views_.capacity() * sizeof(std::string_view) +
+         run_values_.capacity() * sizeof(int64_t) +
+         run_starts_.capacity() * sizeof(int32_t);
+}
+
 void ColumnVector::Reserve(int64_t n) {
   switch (type_) {
     case TypeKind::kInt32:

@@ -72,6 +72,10 @@ class ColumnVector {
   /// Key column view: value at i widened to int64 (numeric columns only).
   int64_t KeyAt(int64_t i) const;
 
+  /// Bytes the column's arrays hold (their capacity): values, string views
+  /// and run metadata, but not the arena string views point into.
+  uint64_t ByteCapacity() const;
+
   // --- Run metadata (compressed-domain scan, CIF RLE blocks) ---
   // Optional overlay on an integer column whose source block was
   // run-length encoded: run k covers rows [run_starts()[k],

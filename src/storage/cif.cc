@@ -12,7 +12,6 @@
 #include "common/strings.h"
 #include "storage/byte_io.h"
 #include "storage/column_codec.h"
-#include "storage/split_util.h"
 
 namespace clydesdale {
 namespace storage {
@@ -281,14 +280,20 @@ Status ParseFramedBlock(const std::vector<uint8_t>& data, BlockView* out) {
   return Status::OK();
 }
 
+uint32_t LoadU32(const uint8_t* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
 /// Parses a dict-RLE string payload in place: dictionary entries as
-/// views over the payload, then the run arrays. Validates codes and run
-/// totals so every later access is in range.
+/// views over the payload, then the run arrays. The u32 run lengths follow
+/// the one-byte codes, so they are unaligned and read with LoadU32.
+/// Validates codes and run totals so every later access is in range.
 Status ParseDictRlePayload(const uint8_t* payload, size_t len, uint32_t nrows,
                            std::vector<std::string_view>* dict,
                            const uint8_t** run_codes,
-                           std::vector<uint32_t>* run_lengths,
-                           uint32_t* nruns) {
+                           const uint8_t** run_lengths, uint32_t* nruns) {
   ByteReader reader(payload, len);
   uint16_t dict_size = 0;
   CLY_RETURN_IF_ERROR(reader.GetU16(&dict_size));
@@ -311,19 +316,15 @@ Status ParseDictRlePayload(const uint8_t* payload, size_t len, uint32_t nrows,
     return Status::IoError("truncated dict-RLE runs");
   }
   *run_codes = payload + reader.position();
-  CLY_RETURN_IF_ERROR(reader.Skip(*nruns));
-  // The u32 lengths follow the one-byte codes, so they are unaligned in
-  // the payload: copy them out rather than read through a uint32_t*.
-  run_lengths->resize(*nruns);
-  std::memcpy(run_lengths->data(), payload + reader.position(),
-              static_cast<size_t>(*nruns) * sizeof(uint32_t));
+  *run_lengths = *run_codes + *nruns;
   uint64_t total = 0;
   for (uint32_t r = 0; r < *nruns; ++r) {
     if ((*run_codes)[r] >= dict->size()) {
       return Status::IoError("dictionary code out of range");
     }
-    if ((*run_lengths)[r] == 0) return Status::IoError("empty dict-RLE run");
-    total += (*run_lengths)[r];
+    const uint32_t length = LoadU32(*run_lengths + 4 * r);
+    if (length == 0) return Status::IoError("empty dict-RLE run");
+    total += length;
   }
   if (total != nrows) {
     return Status::IoError("dict-RLE run lengths disagree with row count");
@@ -706,7 +707,7 @@ bool PackedRangeZone(const IntBlockView& v, ZoneMap* zone) {
   return true;
 }
 
-// --- Split loader -----------------------------------------------------------
+// --- Split reader -----------------------------------------------------------
 
 // SplitColumn string representations (the int representations live in the
 // codec's IntBlockView).
@@ -714,31 +715,32 @@ constexpr uint8_t kStrRepPlain = 0;
 constexpr uint8_t kStrRepDict = 1;
 constexpr uint8_t kStrRepDictRle = 2;
 
-/// One column of a split: raw block bytes plus borrowed typed views.
-/// Fixed-width arrays are read in place (the payload starts 8-aligned);
-/// strings and encoded integers stay compressed until gather time — the
-/// selection phases below work per run / per packed code, so a filtered-out
-/// row is never decoded at all.
+/// One column of a split, read in place from the datanode's block buffer:
+/// fixed-width arrays directly (the payload starts 8-aligned), strings and
+/// encoded integers through their codes and runs, so a filtered-out row is
+/// never decoded at all. Run-encoded columns keep a cursor on the run that
+/// holds the current batch's first row; batches advance it, so the runs are
+/// walked once per split.
 struct SplitColumn {
-  bool loaded = false;
   const Field* field = nullptr;
-  std::shared_ptr<const std::vector<uint8_t>> arena;
+  hdfs::BlockBuffer block;
   BlockView view;
   /// Validated integer payload view.
   IntBlockView iview;
-  std::vector<int32_t> run_starts;  // RLE row prefix: nruns + 1 entries
   /// Plain-encoding equivalent byte size (compression accounting).
   uint64_t raw_bytes = 0;
   // String sub-state.
   uint8_t str_rep = kStrRepPlain;
-  std::vector<std::string_view> dict;  // dictionary entries, in code order
-  const uint8_t* codes = nullptr;      // nrows codes (dictionary mode)
-  const uint8_t* run_codes = nullptr;  // dict-RLE: one code per run
-  std::vector<uint32_t> str_run_lengths;  // dict-RLE: one length per run
+  std::vector<std::string_view> dict;     // dictionary entries, in code order
+  const uint8_t* codes = nullptr;         // nrows codes (dictionary mode)
+  const uint8_t* run_codes = nullptr;     // dict-RLE: one code per run
+  const uint8_t* run_lengths = nullptr;   // dict-RLE: unaligned u32 per run
   uint32_t str_nruns = 0;
-  std::vector<int32_t> str_run_starts;  // dict-RLE row prefix
-  std::vector<uint32_t> offsets;        // end offsets (plain mode, realigned)
-  const char* plain_base = nullptr;     // string bytes (plain mode)
+  const uint8_t* offsets = nullptr;       // plain: unaligned u32 end offsets
+  const char* plain_base = nullptr;       // string bytes (plain mode)
+  // Run cursor: run `run` starts at row `run_row`.
+  uint32_t run = 0;
+  uint32_t run_row = 0;
 
   const int32_t* i32() const {
     return reinterpret_cast<const int32_t*>(iview.plain);
@@ -751,115 +753,76 @@ struct SplitColumn {
   }
   std::string_view StringAt(uint32_t i) const {
     if (str_rep == kStrRepDict) return dict[codes[i]];
-    const uint32_t begin = i == 0 ? 0 : offsets[i - 1];
-    return std::string_view(plain_base + begin, offsets[i] - begin);
+    const uint32_t begin = i == 0 ? 0 : LoadU32(offsets + 4 * (i - 1));
+    return std::string_view(plain_base + begin,
+                            LoadU32(offsets + 4 * i) - begin);
   }
-  int64_t KeyAt(uint32_t i) const {
-    return field->type == TypeKind::kInt32 ? i32()[i] : i64()[i];
+  bool has_runs() const {
+    return iview.encoding == kEncRle || str_rep == kStrRepDictRle;
+  }
+  uint32_t RunLength(uint32_t r) const {
+    return str_rep == kStrRepDictRle ? LoadU32(run_lengths + 4 * r)
+                                     : iview.run_lengths[r];
+  }
+  /// Moves the cursor forward to the run holding `row` (< nrows).
+  void SeekRun(uint32_t row) {
+    while (run_row + RunLength(run) <= row) run_row += RunLength(run++);
   }
 };
 
-/// Builds the row-prefix array for a run list: starts[k] is the first row
-/// of run k, with one trailing entry equal to nrows.
-template <typename LenT>
-void BuildRunStarts(const LenT* lengths, uint32_t nruns,
-                    std::vector<int32_t>* starts) {
-  starts->resize(nruns + 1);
-  int32_t row = 0;
-  for (uint32_t r = 0; r < nruns; ++r) {
-    (*starts)[r] = row;
-    row += static_cast<int32_t>(lengths[r]);
+/// Calls f(run, lo, hi) for every run overlapping the rows [begin, end),
+/// with [lo, hi) the run's rows clamped to the batch and relative to
+/// `begin`. The column's cursor must already hold `begin`.
+template <typename F>
+void ForEachRun(const SplitColumn& c, uint32_t begin, uint32_t end, F f) {
+  uint32_t r = c.run;
+  for (uint32_t start = c.run_row; start < end; ++r) {
+    const uint32_t stop = start + c.RunLength(r);
+    f(r, std::max(start, begin) - begin, std::min(stop, end) - begin);
+    start = stop;
   }
-  (*starts)[nruns] = row;
 }
 
-/// Selection update for an integer leaf over an encoded column, working in
-/// the compressed domain wherever the encoding allows:
-///   RLE       one leaf evaluation per run (all rows of a run share a value),
-///             then a fill per refuted run — never per surviving row.
-///   bit-pack/ small widths precompute a per-code verdict table and test
-///   FoR       packed codes against it; the values never materialize. Wide
-///             codes (> 12 bits, where the table stops paying) decode into a
-///             reused scratch buffer and run the plain vector kernel.
-void ApplyIntLeafEncoded(const Predicate& p, const SplitColumn& c,
-                         uint32_t nrows, uint8_t* sel,
-                         std::vector<int64_t>* scratch) {
+/// Unpacks the packed codes of rows [begin, begin + n), without the FoR
+/// base. Whole groups of 64 go through BitUnpackAll when the first row
+/// starts a word, which every batch starting at a multiple of 64 rows does.
+void UnpackCodes(const IntBlockView& v, uint32_t begin, uint32_t n,
+                 uint64_t* out) {
+  const uint64_t bit = uint64_t{begin} * static_cast<uint64_t>(v.width);
+  if (bit % 64 == 0) {
+    BitUnpackAll(v.words + bit / 64, n, v.width, out);
+  } else {
+    for (uint32_t i = 0; i < n; ++i) {
+      out[i] = BitUnpackOne(v.words, begin + i, v.width);
+    }
+  }
+}
+
+/// Decodes the integer rows [begin, begin + n) into `out`, widened to
+/// int64.
+void DecodeInts(const SplitColumn& c, uint32_t begin, uint32_t n,
+                int64_t* out) {
   const IntBlockView& v = c.iview;
   switch (v.encoding) {
     case kEncPlain:
       if (c.field->type == TypeKind::kInt32) {
-        ApplyIntegerLeaf(p, c.i32(), nrows, sel);
+        std::copy(c.i32() + begin, c.i32() + begin + n, out);
       } else {
-        ApplyIntegerLeaf(p, c.i64(), nrows, sel);
+        std::memcpy(out, c.i64() + begin, n * sizeof(int64_t));
       }
       return;
-    case kEncRle: {
-      std::vector<uint8_t> run_sel(v.nruns, 1);
-      ApplyIntegerLeaf(p, v.run_values, v.nruns, run_sel.data());
-      for (uint32_t r = 0; r < v.nruns; ++r) {
-        if (run_sel[r] == 0) {
-          std::fill(sel + c.run_starts[r], sel + c.run_starts[r + 1],
-                    uint8_t{0});
-        }
-      }
+    case kEncRle:
+      ForEachRun(c, begin, begin + n, [&](uint32_t r, uint32_t lo, uint32_t hi) {
+        std::fill(out + lo, out + hi, v.run_values[r]);
+      });
       return;
-    }
-    case kEncBitPack:
-    case kEncFor: {
-      if (v.width <= 12) {
-        const uint32_t ncodes = 1u << v.width;
-        std::vector<uint8_t> code_ok(ncodes);
-        for (uint32_t code = 0; code < ncodes; ++code) {
-          code_ok[code] = static_cast<uint8_t>(
-              TestIntLeaf(v.base + static_cast<int64_t>(code), p));
-        }
-        for (uint32_t i = 0; i < nrows; ++i) {
-          sel[i] &= code_ok[BitUnpackOne(v.words, i, v.width)];
-        }
-        return;
-      }
-      scratch->resize(nrows);
-      BitUnpackAll(v.words, nrows, v.width,
-                   reinterpret_cast<uint64_t*>(scratch->data()));
-      if (v.base != 0) {
-        for (uint32_t i = 0; i < nrows; ++i) (*scratch)[i] += v.base;
-      }
-      ApplyIntegerLeaf(p, scratch->data(), nrows, sel);
-      return;
-    }
     default:
+      UnpackCodes(v, begin, n, reinterpret_cast<uint64_t*>(out));
+      if (v.base != 0) {
+        for (uint32_t i = 0; i < n; ++i) out[i] += v.base;
+      }
       return;
   }
-}
-
-/// Gathers the selected rows of a non-plain integer column through `push`
-/// (ascending sel_idx; values widened to int64). For RLE the run cursor
-/// advances in tandem with the selection and also rebuilds run metadata over
-/// the gathered rows — one output run per touched source run, which is valid
-/// (though not maximal) run coverage.
-template <typename Push>
-void GatherIntEncoded(const SplitColumn& c, const std::vector<int32_t>& sel_idx,
-                      std::vector<int64_t>* run_values,
-                      std::vector<int32_t>* run_starts, Push push) {
-  const IntBlockView& v = c.iview;
-  if (v.encoding == kEncRle) {
-    uint32_t r = 0;
-    int64_t last_run = -1;
-    int32_t out_row = 0;
-    for (int32_t idx : sel_idx) {
-      while (c.run_starts[r + 1] <= idx) ++r;
-      if (static_cast<int64_t>(r) != last_run) {
-        last_run = static_cast<int64_t>(r);
-        run_values->push_back(v.run_values[r]);
-        run_starts->push_back(out_row);
-      }
-      push(v.run_values[r]);
-      ++out_row;
-    }
-    run_starts->push_back(out_row);
-    return;
-  }
-  for (int32_t idx : sel_idx) push(v.PackedAt(static_cast<uint64_t>(idx)));
 }
 
 /// Validates the payload framing for in-place access and, for strings,
@@ -873,17 +836,11 @@ Status ParseColumnPayload(SplitColumn* c) {
   ByteReader reader(payload, c->view.payload_len);
   switch (c->field->type) {
     case TypeKind::kInt32:
-    case TypeKind::kInt64: {
-      CLY_RETURN_IF_ERROR(ParseIntPayload(payload, c->view.payload_len, nrows,
-                                          c->field->type, block_enc,
-                                          &c->iview));
+    case TypeKind::kInt64:
       c->raw_bytes =
           nrows * (c->field->type == TypeKind::kInt32 ? 4ull : 8ull);
-      if (c->iview.encoding == kEncRle) {
-        BuildRunStarts(c->iview.run_lengths, c->iview.nruns, &c->run_starts);
-      }
-      return Status::OK();
-    }
+      return ParseIntPayload(payload, c->view.payload_len, nrows,
+                             c->field->type, block_enc, &c->iview);
     case TypeKind::kDouble:
       if (block_enc != kEncPlain) {
         return Status::IoError("double column block with non-plain encoding");
@@ -901,13 +858,10 @@ Status ParseColumnPayload(SplitColumn* c) {
     c->str_rep = kStrRepDictRle;
     CLY_RETURN_IF_ERROR(ParseDictRlePayload(payload, c->view.payload_len,
                                             nrows, &c->dict, &c->run_codes,
-                                            &c->str_run_lengths,
-                                            &c->str_nruns));
-    BuildRunStarts(c->str_run_lengths.data(), c->str_nruns,
-                   &c->str_run_starts);
+                                            &c->run_lengths, &c->str_nruns));
     c->raw_bytes = 1 + 4ull * nrows;
     for (uint32_t r = 0; r < c->str_nruns; ++r) {
-      c->raw_bytes += static_cast<uint64_t>(c->str_run_lengths[r]) *
+      c->raw_bytes += static_cast<uint64_t>(c->RunLength(r)) *
                       c->dict[c->run_codes[r]].size();
     }
     return Status::OK();
@@ -956,72 +910,213 @@ Status ParseColumnPayload(SplitColumn* c) {
   if (reader.remaining() < nrows * sizeof(uint32_t)) {
     return Status::IoError("truncated string offsets");
   }
-  c->offsets.resize(nrows);
-  std::memcpy(c->offsets.data(), payload + reader.position(),
-              nrows * sizeof(uint32_t));
+  c->offsets = payload + reader.position();
   CLY_RETURN_IF_ERROR(reader.Skip(nrows * sizeof(uint32_t)));
   c->plain_base = reinterpret_cast<const char*>(payload) + reader.position();
-  const uint32_t total = c->offsets.back();
+  const uint32_t total = LoadU32(c->offsets + 4 * (nrows - 1));
   if (reader.remaining() < total) {
     return Status::IoError("truncated string bytes");
   }
   uint32_t prev = 0;
   for (uint32_t i = 0; i < nrows; ++i) {
-    if (c->offsets[i] < prev || c->offsets[i] > total) {
+    const uint32_t end = LoadU32(c->offsets + 4 * i);
+    if (end < prev || end > total) {
       return Status::IoError("corrupt string offsets in column block");
     }
-    prev = c->offsets[i];
+    prev = end;
   }
   return Status::OK();
 }
 
-Result<std::shared_ptr<const std::vector<uint8_t>>> ReadColumnBlockBytes(
-    const hdfs::MiniDfs& dfs, const TableDesc& desc, const StorageSplit& split,
-    const std::string& column, const ScanOptions& options) {
-  CLY_ASSIGN_OR_RETURN(std::unique_ptr<hdfs::DfsReader> reader,
-                       dfs.Open(ColumnFilePath(desc, column, split.segment),
-                                options.reader_node, options.stats));
-  uint64_t begin = 0, end = 0;
-  internal::BlockByteRange(reader->file_info(), split.block_in_segment, &begin,
-                           &end);
-  auto data = std::make_shared<std::vector<uint8_t>>(end - begin);
-  if (!data->empty()) {
-    CLY_RETURN_IF_ERROR(reader->PRead(begin, data->data(), data->size()));
+/// A pushed leaf bound to its column. Leaves over small-width packed codes
+/// and over dictionary codes carry a per-code verdict table, built once per
+/// split, so a batch tests codes and never materializes values.
+struct BoundLeaf {
+  const Predicate* pred;
+  int field;
+  std::vector<uint8_t> code_ok;
+};
+
+struct BoundKeyFilter {
+  const ScanKeyFilter* filter;
+  int field;
+};
+
+/// Selection update of one leaf over the rows [begin, begin + n), in the
+/// compressed domain wherever the encoding allows:
+///   RLE        one leaf test per run, then a fill per refuted run;
+///   bit-pack/  the per-code table on packed codes; wide codes (> 12 bits,
+///   FoR        where the table stops paying) decode into `scratch` and run
+///              the plain vector kernel;
+///   dictionary the per-code table, per run for dict-RLE.
+void ApplyLeaf(const BoundLeaf& l, const SplitColumn& c, uint32_t begin,
+               uint32_t n, uint8_t* sel, std::vector<int64_t>* scratch) {
+  const Predicate& p = *l.pred;
+  const IntBlockView& v = c.iview;
+  switch (c.field->type) {
+    case TypeKind::kDouble:
+      ApplyDoubleLeaf(p, c.f64() + begin, n, sel);
+      return;
+    case TypeKind::kInt32:
+    case TypeKind::kInt64:
+      if (v.encoding == kEncRle) {
+        ForEachRun(c, begin, begin + n,
+                   [&](uint32_t r, uint32_t lo, uint32_t hi) {
+                     if (!TestIntLeaf(v.run_values[r], p)) {
+                       std::fill(sel + lo, sel + hi, uint8_t{0});
+                     }
+                   });
+      } else if (!l.code_ok.empty()) {
+        scratch->resize(n);
+        auto* codes = reinterpret_cast<uint64_t*>(scratch->data());
+        UnpackCodes(v, begin, n, codes);
+        for (uint32_t i = 0; i < n; ++i) sel[i] &= l.code_ok[codes[i]];
+      } else if (v.encoding == kEncPlain &&
+                 c.field->type == TypeKind::kInt32) {
+        ApplyIntegerLeaf(p, c.i32() + begin, n, sel);
+      } else if (v.encoding == kEncPlain) {
+        ApplyIntegerLeaf(p, c.i64() + begin, n, sel);
+      } else {
+        scratch->resize(n);
+        DecodeInts(c, begin, n, scratch->data());
+        ApplyIntegerLeaf(p, scratch->data(), n, sel);
+      }
+      return;
+    case TypeKind::kString:
+      if (c.str_rep == kStrRepDictRle) {
+        ForEachRun(c, begin, begin + n,
+                   [&](uint32_t r, uint32_t lo, uint32_t hi) {
+                     if (l.code_ok[c.run_codes[r]] == 0) {
+                       std::fill(sel + lo, sel + hi, uint8_t{0});
+                     }
+                   });
+      } else if (c.str_rep == kStrRepDict) {
+        for (uint32_t i = 0; i < n; ++i) sel[i] &= l.code_ok[c.codes[begin + i]];
+      } else {
+        for (uint32_t i = 0; i < n; ++i) {
+          if (sel[i] != 0 && !TestStringLeaf(c.StringAt(begin + i), p)) {
+            sel[i] = 0;
+          }
+        }
+      }
+      return;
   }
-  return std::shared_ptr<const std::vector<uint8_t>>(std::move(data));
 }
 
-/// Loads the projected columns of one split into a columnar batch (late
-/// materialization): decodes the filter columns first, derives a selection
-/// vector on encoded/raw data, and only then materializes the projection for
-/// the surviving rows — strings as arena-backed views, never per-row copies.
-Result<RowBatch> LoadCifSplit(const hdfs::MiniDfs& dfs, const TableDesc& desc,
-                              const StorageSplit& split,
-                              const std::vector<int>& projection,
-                              const SchemaPtr& out_schema,
-                              const ScanOptions& options) {
-  const ScanSpec* spec = options.scan_spec.get();
-  ScanStats local_stats;
-  ScanStats* stats =
-      options.scan_stats != nullptr ? options.scan_stats : &local_stats;
+/// Gathers the selected rows (`sel[0, m)`, ascending, relative to `begin`)
+/// of an integer column into `out`. RLE columns walk their runs in tandem
+/// and give the batch a run overlay, one output run per touched source
+/// run; dense selections of packed columns unpack the batch once.
+template <typename T>
+void GatherInts(const SplitColumn& c, uint32_t begin, uint32_t n,
+                const int32_t* sel, int64_t m, std::vector<int64_t>* scratch,
+                ColumnVector* col, std::vector<T>* out) {
+  const IntBlockView& v = c.iview;
+  out->resize(static_cast<size_t>(m));
+  if (v.encoding == kEncPlain) {
+    const T* vals = reinterpret_cast<const T*>(v.plain) + begin;
+    for (int64_t j = 0; j < m; ++j) (*out)[j] = vals[sel[j]];
+  } else if (v.encoding == kEncRle) {
+    std::vector<int64_t> run_values;
+    std::vector<int32_t> run_starts;
+    uint32_t r = c.run;
+    uint32_t stop = c.run_row + c.RunLength(r);
+    for (int64_t j = 0; j < m; ++j) {
+      const uint32_t row = begin + static_cast<uint32_t>(sel[j]);
+      const bool new_run = j == 0 || stop <= row;
+      while (stop <= row) stop += c.RunLength(++r);
+      if (new_run) {
+        run_values.push_back(v.run_values[r]);
+        run_starts.push_back(static_cast<int32_t>(j));
+      }
+      (*out)[j] = static_cast<T>(v.run_values[r]);
+    }
+    run_starts.push_back(static_cast<int32_t>(m));
+    if (m > 0) col->SetRuns(std::move(run_values), std::move(run_starts));
+  } else if (m * 4 >= n) {
+    scratch->resize(n);
+    DecodeInts(c, begin, n, scratch->data());
+    for (int64_t j = 0; j < m; ++j) {
+      (*out)[j] = static_cast<T>((*scratch)[sel[j]]);
+    }
+  } else {
+    for (int64_t j = 0; j < m; ++j) {
+      (*out)[j] = static_cast<T>(
+          v.PackedAt(begin + static_cast<uint32_t>(sel[j])));
+    }
+  }
+}
 
+/// Block-at-a-time CIF reader (B-CIF, paper §5.3). Open reads each needed
+/// column block as the datanode's own buffer, with no copy, parses its
+/// framing, and consults the zone maps. Each NextBatch then runs the late-
+/// materialization pipeline on that batch's rows alone: the pushed leaves
+/// in the compressed domain into a byte mask, a branch-free compaction into
+/// a selection vector, the key filters over the unpacked key columns, and
+/// one gather of the projection. String views pin the block buffer.
+class CifSplitBatchReader final : public BatchReader {
+ public:
+  CifSplitBatchReader(SchemaPtr out_schema, const ScanOptions& options)
+      : out_schema_(std::move(out_schema)),
+        stats_(options.scan_stats != nullptr ? options.scan_stats
+                                             : &local_stats_),
+        mem_reporter_(options.mem_reporter) {}
+
+  ~CifSplitBatchReader() override {
+    if (mem_reporter_ != nullptr && charged_ > 0) {
+      mem_reporter_->Release(static_cast<int64_t>(charged_));
+    }
+  }
+
+  Status Open(const hdfs::MiniDfs& dfs, const TableDesc& desc,
+              const StorageSplit& split, const ScanOptions& options,
+              std::vector<int> projection);
+
+  Result<bool> NextBatch(RowBatch* out, int64_t max_rows) override;
+
+  const SchemaPtr& output_schema() const override { return out_schema_; }
+
+ private:
+  /// Selects the survivors of the rows [begin, begin + n) into sel_idx_
+  /// (relative to `begin`) and returns how many there are.
+  int64_t FilterBatch(uint32_t begin, uint32_t n);
+  void Gather(uint32_t begin, uint32_t n, int64_t m, RowBatch* out);
+  /// Charges the reporter for what the reader now holds.
+  void TrackMemory(const RowBatch& out);
+
+  SchemaPtr out_schema_;
+  ScanStats local_stats_;
+  ScanStats* stats_;
+  std::shared_ptr<MemReporter> mem_reporter_;
+  uint64_t charged_ = 0;
+
+  std::vector<SplitColumn> cols_;
+  std::vector<int> projection_;
+  std::vector<BoundLeaf> leaves_;
+  std::vector<BoundKeyFilter> key_filters_;
+  uint32_t nrows_ = 0;
+  uint32_t next_ = 0;
+
+  // Per-batch scratch, sized to the batch.
+  std::vector<uint8_t> sel_;
+  std::vector<int32_t> sel_idx_;
+  std::vector<int64_t> keys_;
+  std::vector<int64_t> scratch_;
+};
+
+Status CifSplitBatchReader::Open(const hdfs::MiniDfs& dfs,
+                                 const TableDesc& desc,
+                                 const StorageSplit& split,
+                                 const ScanOptions& options,
+                                 std::vector<int> projection) {
+  projection_ = std::move(projection);
   // Resolve the spec against the table schema. Unknown columns and
   // non-leaf shapes are simply not pushed (the engine re-checks).
-  struct BoundLeaf {
-    const Predicate* pred;
-    int field;
-  };
-  std::vector<BoundLeaf> leaves;
-  struct BoundKeyFilter {
-    const ScanKeyFilter* filter;
-    int field;
-  };
-  std::vector<BoundKeyFilter> key_filters;
-  if (spec != nullptr) {
+  if (const ScanSpec* spec = options.scan_spec.get()) {
     for (const Predicate::Ptr& p : spec->conjuncts) {
       if (p == nullptr || !IsScanLeaf(*p)) continue;
       const int idx = desc.schema->IndexOf(p->column_name());
-      if (idx >= 0) leaves.push_back({p.get(), idx});
+      if (idx >= 0) leaves_.push_back({p.get(), idx, {}});
     }
     for (const ScanSpec::KeyFilterEntry& kf : spec->key_filters) {
       if (kf.filter == nullptr) continue;
@@ -1029,38 +1124,24 @@ Result<RowBatch> LoadCifSplit(const hdfs::MiniDfs& dfs, const TableDesc& desc,
       if (idx < 0) continue;
       const TypeKind t = desc.schema->field(idx).type;
       if (t == TypeKind::kInt32 || t == TypeKind::kInt64) {
-        key_filters.push_back({kf.filter.get(), idx});
+        key_filters_.push_back({kf.filter.get(), idx});
       }
     }
   }
 
-  // Filter columns load first (phases 1-2, in field order), then the
-  // remaining projected columns (phase 3).
-  std::vector<int> filter_fields;
-  for (const BoundLeaf& l : leaves) filter_fields.push_back(l.field);
-  for (const BoundKeyFilter& kf : key_filters) {
-    filter_fields.push_back(kf.field);
-  }
-  std::sort(filter_fields.begin(), filter_fields.end());
-  filter_fields.erase(
-      std::unique(filter_fields.begin(), filter_fields.end()),
-      filter_fields.end());
-
-  std::vector<SplitColumn> cols(static_cast<size_t>(desc.schema->num_fields()));
-  uint32_t nrows = 0;
+  cols_.resize(static_cast<size_t>(desc.schema->num_fields()));
   bool nrows_known = false;
+  uint32_t nrows = 0;
   auto load_column = [&](int field_index) -> Status {
-    SplitColumn& c = cols[static_cast<size_t>(field_index)];
-    if (c.loaded) return Status::OK();
+    SplitColumn& c = cols_[static_cast<size_t>(field_index)];
+    if (c.field != nullptr) return Status::OK();
     c.field = &desc.schema->field(field_index);
-    CLY_ASSIGN_OR_RETURN(c.arena, ReadColumnBlockBytes(dfs, desc, split,
-                                                       c.field->name, options));
-    stats->arena_bytes += c.arena->size();
-    // Charge the arena to the scan's tracker for exactly as long as any
-    // reference lives — string columns hand it to the output batch, which
-    // outlives this reader (the bytes EXPLAIN ANALYZE must still account).
-    c.arena = TrackSharedArena(std::move(c.arena), options.mem_reporter);
-    CLY_RETURN_IF_ERROR(ParseFramedBlock(*c.arena, &c.view));
+    CLY_ASSIGN_OR_RETURN(
+        std::unique_ptr<hdfs::DfsReader> reader,
+        dfs.Open(ColumnFilePath(desc, c.field->name, split.segment),
+                 options.reader_node, options.stats));
+    CLY_ASSIGN_OR_RETURN(c.block, reader->ReadBlock(split.block_in_segment));
+    CLY_RETURN_IF_ERROR(ParseFramedBlock(*c.block, &c.view));
     if (nrows_known && c.view.nrows != nrows) {
       return Status::IoError(
           StrCat("CIF split columns disagree on row count: ", c.view.nrows,
@@ -1069,260 +1150,216 @@ Result<RowBatch> LoadCifSplit(const hdfs::MiniDfs& dfs, const TableDesc& desc,
     nrows = c.view.nrows;
     nrows_known = true;
     CLY_RETURN_IF_ERROR(ParseColumnPayload(&c));
-    c.loaded = true;
-    stats->bytes_encoded += c.view.payload_len;
-    stats->bytes_raw += c.raw_bytes;
-    stats->blocks_by_encoding[c.view.encoding] += 1;
+    stats_->bytes_encoded += c.view.payload_len;
+    stats_->bytes_raw += c.raw_bytes;
+    stats_->blocks_by_encoding[c.view.encoding] += 1;
     return Status::OK();
   };
 
-  // Phase 1: load only the filter columns and consult their zone maps. A
+  // Filter columns load first and their zone maps may skip the split. A
   // packed block's representable range [base, base + 2^width) acts as a
   // second, implicit zone map and composes with the explicit one.
-  for (int f : filter_fields) CLY_RETURN_IF_ERROR(load_column(f));
-
-  bool skip_block = false;
-  for (const BoundLeaf& l : leaves) {
-    const SplitColumn& c = cols[static_cast<size_t>(l.field)];
+  for (const BoundLeaf& l : leaves_) CLY_RETURN_IF_ERROR(load_column(l.field));
+  for (const BoundKeyFilter& kf : key_filters_) {
+    CLY_RETURN_IF_ERROR(load_column(kf.field));
+  }
+  for (const BoundLeaf& l : leaves_) {
+    const SplitColumn& c = cols_[static_cast<size_t>(l.field)];
     ZoneMap packed;
     if (ZoneRefutesLeaf(c.view.zone, c.field->type, *l.pred) ||
         (PackedRangeZone(c.iview, &packed) &&
          ZoneRefutesLeaf(packed, c.field->type, *l.pred))) {
-      skip_block = true;
-      break;
+      stats_->blocks_skipped += 1;
+      stats_->rows_pruned += nrows;
+      return Status::OK();
     }
   }
-  if (!skip_block) {
-    for (const BoundKeyFilter& kf : key_filters) {
-      const SplitColumn& c = cols[static_cast<size_t>(kf.field)];
-      const ZoneMap& zone = c.view.zone;
-      ZoneMap packed;
-      if ((zone.kind == kZoneInt &&
-           !kf.filter->RangeMightMatch(zone.min_i64, zone.max_i64)) ||
-          (PackedRangeZone(c.iview, &packed) &&
-           !kf.filter->RangeMightMatch(packed.min_i64, packed.max_i64))) {
-        skip_block = true;
-        break;
-      }
+  for (const BoundKeyFilter& kf : key_filters_) {
+    const SplitColumn& c = cols_[static_cast<size_t>(kf.field)];
+    const ZoneMap& zone = c.view.zone;
+    ZoneMap packed;
+    if ((zone.kind == kZoneInt &&
+         !kf.filter->RangeMightMatch(zone.min_i64, zone.max_i64)) ||
+        (PackedRangeZone(c.iview, &packed) &&
+         !kf.filter->RangeMightMatch(packed.min_i64, packed.max_i64))) {
+      stats_->blocks_skipped += 1;
+      stats_->rows_pruned += nrows;
+      return Status::OK();
     }
-  }
-  RowBatch batch(out_schema);
-  if (skip_block) {
-    stats->blocks_skipped += 1;
-    stats->rows_pruned += nrows;
-    CLY_RETURN_IF_ERROR(batch.SealRowCount());
-    return batch;
   }
 
-  // Phase 2: per-row selection over the filter columns alone, evaluated in
-  // the compressed domain where the encoding allows it: numeric leaves run
-  // per run / per packed code (ApplyIntLeafEncoded); dictionary and dict-RLE
-  // leaves collapse to a code test; key filters probe only rows that
-  // survived the cheaper predicate passes — and RLE key columns pay one
-  // membership probe per touched run, not per row.
-  const bool any_filter = !leaves.empty() || !key_filters.empty();
-  std::vector<uint8_t> sel;
-  std::vector<int32_t> sel_idx;
-  std::vector<int64_t> scratch;
-  if (any_filter) {
-    sel.assign(nrows, 1);
-    for (const BoundLeaf& l : leaves) {
-      const SplitColumn& c = cols[static_cast<size_t>(l.field)];
-      switch (c.field->type) {
-        case TypeKind::kInt32:
-        case TypeKind::kInt64:
-          ApplyIntLeafEncoded(*l.pred, c, nrows, sel.data(), &scratch);
-          break;
-        case TypeKind::kDouble:
-          ApplyDoubleLeaf(*l.pred, c.f64(), nrows, sel.data());
-          break;
-        case TypeKind::kString:
-          if (nrows == 0) break;
-          if (c.str_rep == kStrRepDictRle) {
-            uint8_t code_ok[256];
-            const size_t dsize = c.dict.size();
-            for (size_t d = 0; d < dsize; ++d) {
-              code_ok[d] =
-                  static_cast<uint8_t>(TestStringLeaf(c.dict[d], *l.pred));
-            }
-            for (uint32_t r = 0; r < c.str_nruns; ++r) {
-              if (code_ok[c.run_codes[r]] == 0) {
-                std::fill(sel.data() + c.str_run_starts[r],
-                          sel.data() + c.str_run_starts[r + 1], uint8_t{0});
-              }
-            }
-          } else if (c.str_rep == kStrRepDict) {
-            uint8_t code_ok[256];
-            const size_t dsize = c.dict.size();
-            for (size_t d = 0; d < dsize; ++d) {
-              code_ok[d] =
-                  static_cast<uint8_t>(TestStringLeaf(c.dict[d], *l.pred));
-            }
-            for (uint32_t i = 0; i < nrows; ++i) {
-              sel[i] &= code_ok[c.codes[i]];
-            }
-          } else {
-            for (uint32_t i = 0; i < nrows; ++i) {
-              if (sel[i] != 0 && !TestStringLeaf(c.StringAt(i), *l.pred)) {
-                sel[i] = 0;
-              }
-            }
-          }
-          break;
+  for (BoundLeaf& l : leaves_) {
+    const SplitColumn& c = cols_[static_cast<size_t>(l.field)];
+    const IntBlockView& v = c.iview;
+    if (c.field->type == TypeKind::kString) {
+      for (std::string_view entry : c.dict) {
+        l.code_ok.push_back(
+            static_cast<uint8_t>(TestStringLeaf(entry, *l.pred)));
+      }
+    } else if ((v.encoding == kEncBitPack || v.encoding == kEncFor) &&
+               v.width <= 12) {
+      l.code_ok.resize(size_t{1} << v.width);
+      for (size_t code = 0; code < l.code_ok.size(); ++code) {
+        l.code_ok[code] = static_cast<uint8_t>(
+            TestIntLeaf(v.base + static_cast<int64_t>(code), *l.pred));
       }
     }
-    sel_idx.reserve(nrows);
-    for (uint32_t i = 0; i < nrows; ++i) {
-      if (sel[i] != 0) sel_idx.push_back(static_cast<int32_t>(i));
-    }
-    for (const BoundKeyFilter& kf : key_filters) {
-      const SplitColumn& c = cols[static_cast<size_t>(kf.field)];
-      const IntBlockView& v = c.iview;
-      size_t kept = 0;
-      if (v.encoding == kEncRle) {
-        uint32_t r = 0;
-        int64_t probed_run = -1;
-        bool run_ok = false;
-        for (int32_t idx : sel_idx) {
-          while (c.run_starts[r + 1] <= idx) ++r;
-          if (static_cast<int64_t>(r) != probed_run) {
-            probed_run = static_cast<int64_t>(r);
-            run_ok = kf.filter->Contains(v.run_values[r]);
-          }
-          if (run_ok) sel_idx[kept++] = idx;
-        }
-      } else if (v.encoding == kEncBitPack || v.encoding == kEncFor) {
-        for (int32_t idx : sel_idx) {
-          if (kf.filter->Contains(v.PackedAt(static_cast<uint64_t>(idx)))) {
-            sel_idx[kept++] = idx;
-          }
-        }
-      } else {
-        for (int32_t idx : sel_idx) {
-          if (kf.filter->Contains(c.KeyAt(static_cast<uint32_t>(idx)))) {
-            sel_idx[kept++] = idx;
-          }
-        }
-      }
-      sel_idx.resize(kept);
-    }
-    stats->rows_pruned += nrows - sel_idx.size();
   }
+  for (int f : projection_) CLY_RETURN_IF_ERROR(load_column(f));
+  nrows_ = nrows;
+  return Status::OK();
+}
 
-  // Phase 3: materialize the projection for the surviving rows. RLE columns
-  // carry their run structure into the batch so the probe layer can keep
-  // working per run.
-  for (size_t p = 0; p < projection.size(); ++p) {
-    CLY_RETURN_IF_ERROR(load_column(projection[p]));
-    const SplitColumn& c = cols[static_cast<size_t>(projection[p])];
-    const IntBlockView& iv = c.iview;
-    ColumnVector* out = batch.mutable_column(static_cast<int>(p));
-    const bool is_int = c.field->type == TypeKind::kInt32 ||
-                       c.field->type == TypeKind::kInt64;
-    if (!any_filter) {
-      switch (c.field->type) {
-        case TypeKind::kInt32:
-        case TypeKind::kInt64:
-          DecodeIntView(iv, c.field->type, out);
-          if (iv.encoding == kEncRle) {
-            out->SetRuns(
-                std::vector<int64_t>(iv.run_values, iv.run_values + iv.nruns),
-                c.run_starts);
-          }
-          break;
-        case TypeKind::kDouble: {
-          auto* v = out->mutable_f64();
-          v->resize(nrows);
-          std::memcpy(v->data(), c.f64(), nrows * sizeof(double));
-          break;
-        }
-        case TypeKind::kString: {
-          auto* views = out->mutable_str_views();
-          views->reserve(nrows);
-          if (c.str_rep == kStrRepDictRle) {
-            for (uint32_t r = 0; r < c.str_nruns; ++r) {
-              const std::string_view s = c.dict[c.run_codes[r]];
-              for (uint32_t k = 0; k < c.str_run_lengths[r]; ++k) {
-                views->push_back(s);
-              }
-            }
-          } else {
-            for (uint32_t i = 0; i < nrows; ++i) {
-              views->push_back(c.StringAt(i));
-            }
-          }
-          out->set_string_arena(c.arena);
-          break;
-        }
-      }
-      continue;
+int64_t CifSplitBatchReader::FilterBatch(uint32_t begin, uint32_t n) {
+  sel_idx_.resize(n);
+  int64_t m = n;
+  if (leaves_.empty()) {
+    for (uint32_t i = 0; i < n; ++i) sel_idx_[i] = static_cast<int32_t>(i);
+  } else {
+    sel_.assign(n, 1);
+    for (const BoundLeaf& l : leaves_) {
+      ApplyLeaf(l, cols_[static_cast<size_t>(l.field)], begin, n, sel_.data(),
+                &scratch_);
     }
-    const size_t selected = sel_idx.size();
-    if (is_int && iv.encoding != kEncPlain) {
-      std::vector<int64_t> run_values;
-      std::vector<int32_t> run_starts;
-      if (c.field->type == TypeKind::kInt32) {
-        auto* v = out->mutable_i32();
-        v->reserve(selected);
-        GatherIntEncoded(c, sel_idx, &run_values, &run_starts,
-                         [&](int64_t x) {
-                           v->push_back(static_cast<int32_t>(x));
-                         });
-      } else {
-        auto* v = out->mutable_i64();
-        v->reserve(selected);
-        GatherIntEncoded(c, sel_idx, &run_values, &run_starts,
-                         [&](int64_t x) { v->push_back(x); });
-      }
-      if (iv.encoding == kEncRle) {
-        out->SetRuns(std::move(run_values), std::move(run_starts));
-      }
-      continue;
+    m = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      sel_idx_[static_cast<size_t>(m)] = static_cast<int32_t>(i);
+      m += sel_[i];
     }
+  }
+  for (const BoundKeyFilter& kf : key_filters_) {
+    if (m == 0) break;
+    keys_.resize(n);
+    DecodeInts(cols_[static_cast<size_t>(kf.field)], begin, n, keys_.data());
+    m = kf.filter->FilterSelection(keys_.data(), sel_idx_.data(), m);
+  }
+  return m;
+}
+
+void CifSplitBatchReader::Gather(uint32_t begin, uint32_t n, int64_t m,
+                                 RowBatch* out) {
+  const int32_t* sel = sel_idx_.data();
+  for (size_t p = 0; p < projection_.size(); ++p) {
+    const SplitColumn& c = cols_[static_cast<size_t>(projection_[p])];
+    ColumnVector* col = out->mutable_column(static_cast<int>(p));
     switch (c.field->type) {
-      case TypeKind::kInt32: {
-        auto* v = out->mutable_i32();
-        v->reserve(selected);
-        const int32_t* vals = c.i32();
-        for (int32_t idx : sel_idx) v->push_back(vals[idx]);
+      case TypeKind::kInt32:
+        GatherInts(c, begin, n, sel, m, &scratch_, col, col->mutable_i32());
         break;
-      }
-      case TypeKind::kInt64: {
-        auto* v = out->mutable_i64();
-        v->reserve(selected);
-        const int64_t* vals = c.i64();
-        for (int32_t idx : sel_idx) v->push_back(vals[idx]);
+      case TypeKind::kInt64:
+        GatherInts(c, begin, n, sel, m, &scratch_, col, col->mutable_i64());
         break;
-      }
       case TypeKind::kDouble: {
-        auto* v = out->mutable_f64();
-        v->reserve(selected);
-        const double* vals = c.f64();
-        for (int32_t idx : sel_idx) v->push_back(vals[idx]);
+        std::vector<double>* v = col->mutable_f64();
+        v->resize(static_cast<size_t>(m));
+        const double* vals = c.f64() + begin;
+        for (int64_t j = 0; j < m; ++j) (*v)[j] = vals[sel[j]];
         break;
       }
       case TypeKind::kString: {
-        auto* views = out->mutable_str_views();
-        views->reserve(selected);
+        std::vector<std::string_view>* views = col->mutable_str_views();
+        views->resize(static_cast<size_t>(m));
         if (c.str_rep == kStrRepDictRle) {
-          uint32_t r = 0;
-          for (int32_t idx : sel_idx) {
-            while (c.str_run_starts[r + 1] <= idx) ++r;
-            views->push_back(c.dict[c.run_codes[r]]);
+          uint32_t r = c.run;
+          uint32_t stop = c.run_row + c.RunLength(r);
+          for (int64_t j = 0; j < m; ++j) {
+            const uint32_t row = begin + static_cast<uint32_t>(sel[j]);
+            while (stop <= row) stop += c.RunLength(++r);
+            (*views)[j] = c.dict[c.run_codes[r]];
           }
         } else {
-          for (int32_t idx : sel_idx) {
-            views->push_back(c.StringAt(static_cast<uint32_t>(idx)));
+          for (int64_t j = 0; j < m; ++j) {
+            (*views)[j] = c.StringAt(begin + static_cast<uint32_t>(sel[j]));
           }
         }
-        out->set_string_arena(c.arena);
+        col->set_string_arena(c.block);
         break;
       }
     }
   }
-  CLY_RETURN_IF_ERROR(batch.SealRowCount());
-  stats->rows_read += static_cast<uint64_t>(batch.num_rows());
-  return batch;
+}
+
+Result<bool> CifSplitBatchReader::NextBatch(RowBatch* out, int64_t max_rows) {
+  out->Clear();
+  // Batches with no survivor are skipped, so a batch handed out is empty
+  // only at the end of the split.
+  while (next_ < nrows_) {
+    const uint32_t begin = next_;
+    const auto n = static_cast<uint32_t>(
+        std::min<int64_t>(std::max<int64_t>(max_rows, 1), nrows_ - begin));
+    next_ += n;
+    for (SplitColumn& c : cols_) {
+      if (c.field != nullptr && c.has_runs()) c.SeekRun(begin);
+    }
+    const int64_t m = FilterBatch(begin, n);
+    stats_->rows_pruned += n - static_cast<uint64_t>(m);
+    if (m == 0) continue;
+    Gather(begin, n, m, out);
+    CLY_RETURN_IF_ERROR(out->SealRowCount());
+    stats_->rows_read += static_cast<uint64_t>(m);
+    TrackMemory(*out);
+    return true;
+  }
+  return false;
+}
+
+void CifSplitBatchReader::TrackMemory(const RowBatch& out) {
+  uint64_t bytes = sel_.capacity() + sel_idx_.capacity() * sizeof(int32_t) +
+                   (keys_.capacity() + scratch_.capacity()) * sizeof(int64_t);
+  for (int c = 0; c < out.num_columns(); ++c) {
+    bytes += out.column(c).ByteCapacity();
+  }
+  stats_->mem_peak_bytes = std::max(stats_->mem_peak_bytes, bytes);
+  if (mem_reporter_ == nullptr || bytes == charged_) return;
+  if (bytes > charged_) {
+    mem_reporter_->Consume(static_cast<int64_t>(bytes - charged_));
+  } else {
+    mem_reporter_->Release(static_cast<int64_t>(charged_ - bytes));
+  }
+  charged_ = bytes;
+}
+
+/// Rows per batch behind the row-at-a-time view.
+constexpr int64_t kRowViewBatchRows = 4096;
+
+/// Row-at-a-time view over the batch reader: one batch at a time,
+/// materialized row by row.
+class CifSplitRowReader final : public RowReader {
+ public:
+  explicit CifSplitRowReader(std::unique_ptr<CifSplitBatchReader> batches)
+      : batches_(std::move(batches)), batch_(batches_->output_schema()) {}
+
+  Result<bool> Next(Row* out) override {
+    while (next_ >= batch_.num_rows()) {
+      CLY_ASSIGN_OR_RETURN(bool more,
+                           batches_->NextBatch(&batch_, kRowViewBatchRows));
+      if (!more) return false;
+      next_ = 0;
+    }
+    *out = batch_.GetRow(next_++);
+    return true;
+  }
+
+  const SchemaPtr& output_schema() const override {
+    return batches_->output_schema();
+  }
+
+ private:
+  std::unique_ptr<CifSplitBatchReader> batches_;
+  RowBatch batch_;
+  int64_t next_ = 0;
+};
+
+Result<std::unique_ptr<CifSplitBatchReader>> OpenCifSplit(
+    const hdfs::MiniDfs& dfs, const TableDesc& desc, const StorageSplit& split,
+    const ScanOptions& options) {
+  CLY_ASSIGN_OR_RETURN(std::vector<int> projection,
+                       ResolveProjection(*desc.schema, options));
+  auto reader = std::make_unique<CifSplitBatchReader>(
+      desc.schema->Project(projection), options);
+  CLY_RETURN_IF_ERROR(
+      reader->Open(dfs, desc, split, options, std::move(projection)));
+  return reader;
 }
 
 class CifTableWriter final : public SplitTableWriter {
@@ -1378,106 +1415,6 @@ class CifTableWriter final : public SplitTableWriter {
  private:
   const int segment_;
   std::vector<std::unique_ptr<hdfs::DfsWriter>> writers_;
-};
-
-class CifSplitRowReader final : public RowReader {
- public:
-  CifSplitRowReader(RowBatch batch, SchemaPtr out_schema)
-      : batch_(std::move(batch)), out_schema_(std::move(out_schema)) {}
-
-  Result<bool> Next(Row* out) override {
-    if (next_ >= batch_.num_rows()) return false;
-    *out = batch_.GetRow(next_++);
-    return true;
-  }
-
-  const SchemaPtr& output_schema() const override { return out_schema_; }
-
- private:
-  RowBatch batch_;
-  SchemaPtr out_schema_;
-  int64_t next_ = 0;
-};
-
-/// Carries a column's run overlay into a row slice [begin, begin + take):
-/// the overlapping runs, clamped to the slice and rebased to row 0.
-void SliceRuns(const ColumnVector& src, int64_t begin, int64_t take,
-               ColumnVector* dst) {
-  if (!src.has_runs() || take <= 0) return;
-  const std::vector<int64_t>& rv = src.run_values();
-  const std::vector<int32_t>& rs = src.run_starts();
-  std::vector<int64_t> nv;
-  std::vector<int32_t> ns;
-  size_t r = static_cast<size_t>(
-                 std::upper_bound(rs.begin(), rs.end(),
-                                  static_cast<int32_t>(begin)) -
-                 rs.begin()) -
-             1;
-  const int64_t end = begin + take;
-  for (; r + 1 < rs.size() && rs[r] < end; ++r) {
-    nv.push_back(rv[r]);
-    ns.push_back(
-        static_cast<int32_t>(std::max<int64_t>(rs[r], begin) - begin));
-  }
-  ns.push_back(static_cast<int32_t>(take));
-  dst->SetRuns(std::move(nv), std::move(ns));
-}
-
-class CifSplitBatchReader final : public BatchReader {
- public:
-  CifSplitBatchReader(RowBatch batch, SchemaPtr out_schema)
-      : batch_(std::move(batch)), out_schema_(std::move(out_schema)) {}
-
-  Result<bool> NextBatch(RowBatch* out, int64_t max_rows) override {
-    out->Clear();
-    if (next_ >= batch_.num_rows()) return false;
-    const int64_t take = std::min(max_rows, batch_.num_rows() - next_);
-    // Columnar copy of the slice: one memcpy-ish loop per column instead of
-    // per-row materialization. View-mode string columns stay zero-copy: the
-    // slice shares the source's arena; run overlays are clamped to the slice.
-    for (int c = 0; c < batch_.num_columns(); ++c) {
-      const ColumnVector& src = batch_.column(c);
-      ColumnVector* dst = out->mutable_column(c);
-      dst->Reserve(take);
-      switch (src.type()) {
-        case TypeKind::kInt32:
-          dst->mutable_i32()->assign(
-              src.i32().begin() + next_, src.i32().begin() + next_ + take);
-          SliceRuns(src, next_, take, dst);
-          break;
-        case TypeKind::kInt64:
-          dst->mutable_i64()->assign(
-              src.i64().begin() + next_, src.i64().begin() + next_ + take);
-          SliceRuns(src, next_, take, dst);
-          break;
-        case TypeKind::kDouble:
-          dst->mutable_f64()->assign(
-              src.f64().begin() + next_, src.f64().begin() + next_ + take);
-          break;
-        case TypeKind::kString:
-          if (src.is_string_view()) {
-            dst->mutable_str_views()->assign(
-                src.str_views().begin() + next_,
-                src.str_views().begin() + next_ + take);
-            dst->set_string_arena(src.string_arena());
-          } else {
-            dst->mutable_str()->assign(
-                src.str().begin() + next_, src.str().begin() + next_ + take);
-          }
-          break;
-      }
-    }
-    CLY_RETURN_IF_ERROR(out->SealRowCount());
-    next_ += take;
-    return true;
-  }
-
-  const SchemaPtr& output_schema() const override { return out_schema_; }
-
- private:
-  RowBatch batch_;
-  SchemaPtr out_schema_;
-  int64_t next_ = 0;
 };
 
 }  // namespace
@@ -1581,27 +1518,17 @@ Result<std::vector<StorageSplit>> ListCifSplits(const hdfs::MiniDfs& dfs,
 Result<std::unique_ptr<RowReader>> OpenCifSplitRowReader(
     const hdfs::MiniDfs& dfs, const TableDesc& desc, const StorageSplit& split,
     const ScanOptions& options) {
-  CLY_ASSIGN_OR_RETURN(std::vector<int> projection,
-                       ResolveProjection(*desc.schema, options));
-  SchemaPtr out_schema = desc.schema->Project(projection);
-  CLY_ASSIGN_OR_RETURN(
-      RowBatch batch,
-      LoadCifSplit(dfs, desc, split, projection, out_schema, options));
-  return std::unique_ptr<RowReader>(
-      new CifSplitRowReader(std::move(batch), std::move(out_schema)));
+  CLY_ASSIGN_OR_RETURN(std::unique_ptr<CifSplitBatchReader> batches,
+                       OpenCifSplit(dfs, desc, split, options));
+  return std::unique_ptr<RowReader>(new CifSplitRowReader(std::move(batches)));
 }
 
 Result<std::unique_ptr<BatchReader>> OpenCifSplitBatchReader(
     const hdfs::MiniDfs& dfs, const TableDesc& desc, const StorageSplit& split,
     const ScanOptions& options) {
-  CLY_ASSIGN_OR_RETURN(std::vector<int> projection,
-                       ResolveProjection(*desc.schema, options));
-  SchemaPtr out_schema = desc.schema->Project(projection);
-  CLY_ASSIGN_OR_RETURN(
-      RowBatch batch,
-      LoadCifSplit(dfs, desc, split, projection, out_schema, options));
-  return std::unique_ptr<BatchReader>(
-      new CifSplitBatchReader(std::move(batch), std::move(out_schema)));
+  CLY_ASSIGN_OR_RETURN(std::unique_ptr<CifSplitBatchReader> batches,
+                       OpenCifSplit(dfs, desc, split, options));
+  return std::unique_ptr<BatchReader>(std::move(batches));
 }
 
 }  // namespace storage

@@ -30,20 +30,23 @@ namespace storage {
 /// fixed-width payloads aligned for in-place scanning. The table's `_meta`
 /// records the layout version; LoadTableDesc refuses any other.
 ///
-/// Readers late-materialize: filter columns are read first, predicates and
-/// semi-join key filters run in the compressed domain (once per RLE run, via
-/// code-set tests on packed codes) to form a selection vector, and only
-/// surviving rows of the remaining projection are materialized — strings as
-/// arena-backed views (ColumnVector view mode), never per-row copies.
-/// Integer columns read from RLE blocks carry their run structure
-/// (ColumnVector runs) so the probe can work per run. Corrupt blocks are an
-/// IoError.
+/// Readers work one batch at a time, straight from the datanode's block
+/// buffers (no copy): open reads the needed column blocks and lets their
+/// zone maps skip the split; each batch then runs the predicates in the
+/// compressed domain (once per RLE run, via code-set tests on packed codes),
+/// compacts a selection vector, tests the semi-join key filters on it, and
+/// materializes only the surviving rows of the projection — strings as
+/// views that pin the block buffer (ColumnVector view mode), never per-row
+/// copies. Integer columns read from RLE blocks carry a run overlay
+/// (ColumnVector runs) so the probe can work per run. What a reader holds
+/// is O(batch). Corrupt blocks are an IoError.
 Result<std::unique_ptr<SplitTableWriter>> OpenCifTableWriter(
     hdfs::MiniDfs* dfs, const TableDesc& desc);
 Result<std::vector<StorageSplit>> ListCifSplits(const hdfs::MiniDfs& dfs,
                                                 const TableDesc& desc);
 
-/// Row-at-a-time reader (plain CIF iteration; pays per-row materialization).
+/// Row-at-a-time reader (plain CIF iteration): a row view over the batch
+/// reader that pays per-row materialization.
 Result<std::unique_ptr<RowReader>> OpenCifSplitRowReader(
     const hdfs::MiniDfs& dfs, const TableDesc& desc, const StorageSplit& split,
     const ScanOptions& options);

@@ -1,8 +1,10 @@
 #include "storage/column_codec.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 namespace clydesdale {
 namespace storage {
@@ -180,18 +182,47 @@ void BitPack(const uint64_t* vals, uint32_t n, int width, uint64_t* words) {
   }
 }
 
+namespace {
+
+/// Unpacks 64 values of width W. They fill exactly W words, so once the
+/// loop unrolls every word index and shift is a compile-time constant.
+template <int W>
+void Unpack64(const uint64_t* in, uint64_t* out) {
+  constexpr uint64_t kMask = (uint64_t{1} << W) - 1;
+#pragma GCC unroll 64
+  for (int i = 0; i < 64; ++i) {
+    const int bit = i * W;
+    const int shift = bit & 63;
+    uint64_t v = in[bit >> 6] >> shift;
+    if (shift + W > 64) v |= in[(bit >> 6) + 1] << (64 - shift);
+    out[i] = v & kMask;
+  }
+}
+
+using Unpack64Fn = void (*)(const uint64_t*, uint64_t*);
+
+/// kUnpack64[w] unpacks 64 values of width w, for w in [1, 63].
+template <int... W>
+constexpr std::array<Unpack64Fn, 64> MakeUnpack64(
+    std::integer_sequence<int, W...>) {
+  return {nullptr, &Unpack64<W + 1>...};
+}
+constexpr std::array<Unpack64Fn, 64> kUnpack64 =
+    MakeUnpack64(std::make_integer_sequence<int, 63>{});
+
+}  // namespace
+
 void BitUnpackAll(const uint64_t* words, uint32_t n, int width,
                   uint64_t* out) {
-  const uint64_t mask =
-      width == 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
   uint32_t i = 0;
-  // Unrolled by 4: the bit/word/shift arithmetic is independent across
-  // lanes, so the loads pipeline instead of serializing on one accumulator.
-  for (; i + 4 <= n; i += 4) {
-    out[i] = BitUnpackOne(words, i, width) & mask;
-    out[i + 1] = BitUnpackOne(words, i + 1, width) & mask;
-    out[i + 2] = BitUnpackOne(words, i + 2, width) & mask;
-    out[i + 3] = BitUnpackOne(words, i + 3, width) & mask;
+  if (width >= 1 && width < 64) {
+    // Value 64k starts word k * width, so whole groups of 64 need no
+    // per-value index math; only the tail does.
+    const Unpack64Fn unpack = kUnpack64[static_cast<size_t>(width)];
+    for (; i + 64 <= n; i += 64) {
+      unpack(words + static_cast<size_t>(i / 64) * static_cast<size_t>(width),
+             out + i);
+    }
   }
   for (; i < n; ++i) out[i] = BitUnpackOne(words, i, width);
 }

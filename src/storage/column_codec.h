@@ -75,7 +75,8 @@ inline uint64_t BitUnpackOne(const uint64_t* words, uint64_t i, int width) {
   return v & mask;
 }
 
-/// Unpacks all n values (unrolled inner loop; the decode hot path).
+/// Unpacks all n values: groups of 64 through a kernel specialized for the
+/// width (the decode hot path), then the tail value by value.
 void BitUnpackAll(const uint64_t* words, uint32_t n, int width, uint64_t* out);
 
 // --- Integer block views -----------------------------------------------------

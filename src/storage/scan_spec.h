@@ -12,16 +12,19 @@ namespace clydesdale {
 namespace storage {
 
 /// A membership filter over an integer key column, pushed into the scan by a
-/// join layer (the star-join runner wraps its built DimHashTables in these so
-/// the CIF reader can drop fact rows whose foreign key has no dimension
-/// match — a semi-join below the scan). Implementations must be immutable
-/// and thread-safe: one filter is shared by every scan thread.
+/// join layer (core::DimHashTable is one: the star-join runner pushes its
+/// built tables so the CIF reader can drop fact rows whose foreign key has
+/// no dimension match — a semi-join below the scan). Implementations must
+/// be immutable and thread-safe: one filter is shared by every scan thread.
 class ScanKeyFilter {
  public:
   virtual ~ScanKeyFilter() = default;
 
-  /// Exact membership test for one key.
-  virtual bool Contains(int64_t key) const = 0;
+  /// Exact semi-join over one batch's selection: `sel[0, n)` are ascending
+  /// row indexes into `keys`. Compacts `sel` in place, in order, to the rows
+  /// whose key is a member and returns how many remain.
+  virtual int64_t FilterSelection(const int64_t* keys, int32_t* sel,
+                                  int64_t n) const = 0;
 
   /// Conservative block-level test: may the inclusive range [lo, hi] contain
   /// any member? Used against zone maps; false skips the whole block, so
@@ -56,6 +59,9 @@ struct ScanSpec {
 /// plain-encoding equivalent (so bytes_raw / bytes_encoded is the observed
 /// compression ratio), and blocks_by_encoding[tag] counts loaded blocks per
 /// encoding tag (storage/column_codec.h).
+///
+/// A CIF reader fills these as it goes: the block and byte members at open,
+/// the row members per batch. The stats must outlive the reader.
 struct ScanStats {
   uint64_t blocks_skipped = 0;
   uint64_t rows_pruned = 0;
@@ -65,15 +71,17 @@ struct ScanStats {
   /// Rows actually materialized by the reader (post zone-skip, post
   /// pushdown selection).
   uint64_t rows_read = 0;
-  /// Bytes of shared column-block arenas delivered to this scan. String
-  /// columns keep these arenas alive past the reader via
-  /// RowBatch::string_arena, so this — not bytes_encoded — is what the scan
-  /// operator's memory attribution and the MemTracker charge
-  /// (ScanOptions::mem_reporter) must agree on.
-  uint64_t arena_bytes = 0;
+  /// The most bytes a reader held at once: its per-batch decode scratch and
+  /// the batch it filled. Column blocks are the datanode's own buffers, read
+  /// in place, so they are not counted. A reader raises this to its own
+  /// peak (readers sharing one ScanStats run one after another), and it is
+  /// what the reader charges ScanOptions::mem_reporter.
+  uint64_t mem_peak_bytes = 0;
 
   /// Adds every counter of `other` into this — the one fold point, so a new
   /// member can never silently go missing from per-thread/per-task merges.
+  /// Peaks add too: the stats merged here come from threads that scanned
+  /// side by side.
   void MergeFrom(const ScanStats& other) {
     blocks_skipped += other.blocks_skipped;
     rows_pruned += other.rows_pruned;
@@ -83,7 +91,7 @@ struct ScanStats {
       blocks_by_encoding[i] += other.blocks_by_encoding[i];
     }
     rows_read += other.rows_read;
-    arena_bytes += other.arena_bytes;
+    mem_peak_bytes += other.mem_peak_bytes;
   }
 };
 

@@ -75,11 +75,10 @@ struct ScanOptions {
   std::shared_ptr<const ScanSpec> scan_spec;
   /// Optional pruning-effectiveness output (CIF only).
   ScanStats* scan_stats = nullptr;
-  /// Memory attribution for column-block arenas (CIF only): every delivered
-  /// arena is charged here and released when its last reference drops —
-  /// which for string columns is when the consuming RowBatch dies, not when
-  /// the reader does. Typically the task attempt's obs::MemTracker; null
-  /// disables tracking.
+  /// Memory attribution for the reader's decode scratch and batch (CIF
+  /// only): charged as the reader grows them and released when it is
+  /// dropped. Typically the task attempt's obs::MemTracker; null disables
+  /// tracking.
   std::shared_ptr<MemReporter> mem_reporter;
 };
 

@@ -1,16 +1,18 @@
 // CIF scan tests: per-block encoding selection end to end, zone-map block
 // skipping, predicate/key-filter pushdown evaluated in the compressed domain,
 // compression accounting, run-metadata exposure, zero-copy string views and
-// their arena lifetime, roll-in segments, and the corruption cases the
-// reader must reject with IoError (never undefined behaviour — the asan
-// preset runs this suite). Every scan is checked against the rows the test
-// wrote.
+// their arena lifetime, roll-in segments, a differential test of the
+// batch-at-a-time scan against decode-everything-then-filter, and the
+// corruption cases the reader must reject with IoError (never undefined
+// behaviour — the asan preset runs this suite). Every scan is checked
+// against the rows the test wrote.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -18,7 +20,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "core/dim_hash_table.h"
 #include "hdfs/dfs.h"
+#include "storage/binary_row_format.h"
 #include "storage/cif.h"
 #include "storage/column_codec.h"
 #include "storage/scan_spec.h"
@@ -220,7 +225,14 @@ TEST_F(CifV3Test, PackedZoneSkipsDisjointBlocks) {
 class SetKeyFilter final : public ScanKeyFilter {
  public:
   explicit SetKeyFilter(std::set<int64_t> keys) : keys_(std::move(keys)) {}
-  bool Contains(int64_t key) const override { return keys_.count(key) > 0; }
+  int64_t FilterSelection(const int64_t* keys, int32_t* sel,
+                          int64_t n) const override {
+    int64_t kept = 0;
+    for (int64_t j = 0; j < n; ++j) {
+      if (keys_.count(keys[sel[j]]) > 0) sel[kept++] = sel[j];
+    }
+    return kept;
+  }
   bool RangeMightMatch(int64_t lo, int64_t hi) const override {
     return !keys_.empty() && !(hi < *keys_.begin() || lo > *keys_.rbegin());
   }
@@ -467,6 +479,271 @@ TEST_F(CifV3Test, AppendedSegmentKeepsVersionAndScans) {
   ASSERT_EQ(rows->size(), 150u);
   for (size_t i = 0; i < rows->size(); ++i) {
     EXPECT_EQ((*rows)[i], MakeCyclicRow(static_cast<int32_t>(i)));
+  }
+}
+
+// --- differential: batch scan vs decode-then-filter --------------------------
+// Random tables whose column blocks cover every encoding, random pushed
+// leaves and dimension key filters, scanned at batch sizes whose edges fall
+// inside runs and packed words. The oracle filters the written rows.
+
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+
+/// A dimension key set as the star join pushes it — its DimHashTable, so
+/// the scan runs the table's own bitmap or key-lane path — plus the set the
+/// oracle tests.
+struct DimKeys {
+  explicit DimKeys(const std::vector<int64_t>& keys)
+      : set(keys.begin(), keys.end()) {
+    std::vector<Row> rows;
+    for (int64_t k : keys) rows.push_back(Row({Value(k)}));
+    const std::vector<uint8_t> stream = EncodeRowStream(rows);
+    auto built = core::DimHashTable::Build(
+        *Schema::Make({{"pk", TypeKind::kInt64, 8}}), stream.data(),
+        stream.size(), *Predicate::True(), "pk", {});
+    CLY_CHECK(built.ok());
+    table = std::move(*built);
+  }
+  std::set<int64_t> set;
+  std::shared_ptr<const core::DimHashTable> table;
+};
+
+SchemaPtr DiffSchema() {
+  return Schema::Make({{"a", TypeKind::kInt64, 8},
+                       {"b", TypeKind::kInt32, 4},
+                       {"c", TypeKind::kDouble, 8},
+                       {"s", TypeKind::kString, 6}});
+}
+
+// Dense dimension keys live in [kDenseLo, kDenseHi]; the pool column "a"
+// draws from adds both ends, one past each, and the int64 extremes.
+constexpr int64_t kDenseLo = -40;
+constexpr int64_t kDenseHi = 260;
+const std::vector<int64_t>& SpecialKeys() {
+  static const std::vector<int64_t> keys = {
+      kI64Min, kI64Min + 1, kI64Min + 2, kDenseLo - 1, kDenseLo, -1, 0,
+      kDenseHi, kDenseHi + 1, int64_t{1} << 40, kI64Max};
+  return keys;
+}
+
+/// Rows of `splits` splits of `rows_per_split` rows. Each split picks, per
+/// column, a value shape that steers the writer to one encoding family.
+std::vector<Row> DiffRows(uint64_t seed, int splits, int rows_per_split) {
+  Random rng(seed);
+  std::vector<Row> rows;
+  for (int sp = 0; sp < splits; ++sp) {
+    const int64_t a_mode = rng.Uniform(0, 3);
+    const int64_t b_mode = rng.Uniform(0, 3);
+    const int64_t s_mode = rng.Uniform(0, 2);
+    int64_t a_run = 0, b_run = 0, s_run = 0;
+    int64_t a = 0, b = 0, s = 0;
+    for (int i = 0; i < rows_per_split; ++i) {
+      const std::vector<int64_t>& pool = SpecialKeys();
+      switch (a_mode) {
+        case 0:  // plain: the extremes leave no packable range
+          a = rng.Bernoulli(0.5)
+                  ? pool[static_cast<size_t>(rng.Uniform(0, 10))]
+                  : rng.Uniform(kDenseLo - 2, kDenseHi + 2);
+          break;
+        case 1:  // RLE
+          if (a_run-- <= 0) {
+            a_run = rng.Uniform(0, 300);
+            a = rng.Bernoulli(0.3)
+                    ? pool[static_cast<size_t>(rng.Uniform(0, 10))]
+                    : rng.Uniform(kDenseLo - 2, kDenseHi + 2);
+          }
+          break;
+        case 2:  // bit-packed
+          a = rng.Uniform(0, kDenseHi + 2);
+          break;
+        default:  // frame of reference
+          a = rng.Uniform(kDenseLo - 2, kDenseHi + 2);
+          break;
+      }
+      switch (b_mode) {
+        case 0:
+          b = rng.Uniform(-2000000000, 2000000000);
+          break;
+        case 1:
+          if (b_run-- <= 0) {
+            b_run = rng.Uniform(0, 200);
+            b = rng.Uniform(kDenseLo - 2, kDenseHi + 2);
+          }
+          break;
+        case 2:
+          b = rng.Uniform(0, 5000);
+          break;
+        default:
+          b = rng.Uniform(kDenseLo - 2, kDenseHi + 2);
+          break;
+      }
+      if (s_mode == 0) {
+        s = rng.Uniform(0, 399);  // > 256 distinct: plain
+      } else if (s_mode == 1) {
+        s = rng.Uniform(0, 4);  // dictionary
+      } else if (s_run-- <= 0) {
+        s_run = rng.Uniform(0, 100);
+        s = rng.Uniform(0, 4);  // dict-RLE
+      }
+      rows.push_back(Row({Value(a), Value(static_cast<int32_t>(b)),
+                          Value(static_cast<double>(rng.Uniform(-200, 200)) / 2),
+                          Value("v" + std::to_string(s))}));
+    }
+  }
+  return rows;
+}
+
+/// One random pushed leaf over the differential schema.
+Predicate::Ptr RandomLeaf(Random* rng) {
+  const auto a = [&] {
+    return Value(SpecialKeys()[static_cast<size_t>(rng->Uniform(0, 10))]);
+  };
+  const auto b = [&] {
+    return Value(static_cast<int32_t>(rng->Uniform(kDenseLo, kDenseHi)));
+  };
+  const auto str = [&] { return Value("v" + std::to_string(rng->Uniform(0, 5))); };
+  switch (rng->Uniform(0, 9)) {
+    case 0: return Predicate::Lt("a", a());
+    case 1: return Predicate::Ge("a", a());
+    case 2: return Predicate::Between("b", b(), b());
+    case 3: return Predicate::Ne("b", b());
+    case 4: return Predicate::In("b", {b(), b(), b()});
+    case 5: return Predicate::Le("c", Value(static_cast<double>(rng->Uniform(-100, 100))));
+    case 6: return Predicate::Eq("s", str());
+    case 7: return Predicate::In("s", {str(), str()});
+    case 8: return Predicate::Gt("s", str());
+    default: return Predicate::Eq("a", a());
+  }
+}
+
+/// Key sets: dense ones get a bitmap, sparse ones the key-lane fallback.
+std::vector<int64_t> DenseKeys(Random* rng) {
+  std::vector<int64_t> keys = {kDenseLo, kDenseHi};
+  for (int64_t k = kDenseLo; k <= kDenseHi; ++k) {
+    if (rng->Bernoulli(0.3)) keys.push_back(k);
+  }
+  return keys;
+}
+
+std::vector<int64_t> SparseKeys(Random* rng) {
+  std::vector<int64_t> keys = {kI64Min, kI64Max, -1, int64_t{1} << 40};
+  for (int i = 0; i < 60; ++i) keys.push_back(rng->Uniform(kDenseLo, kDenseHi));
+  return keys;
+}
+
+TEST_F(CifV3Test, BatchScanMatchesDecodeThenFilter) {
+  constexpr int kSplits = 3;
+  constexpr int kRowsPerSplit = 5000;
+  ScanStats encodings;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::vector<Row> rows = DiffRows(seed, kSplits, kRowsPerSplit);
+    TableDesc desc;
+    desc.path = "/diff" + std::to_string(seed);
+    desc.format = kFormatCif;
+    desc.schema = DiffSchema();
+    desc.rows_per_split = kRowsPerSplit;
+    {
+      auto writer = OpenTableWriter(&dfs_, desc);
+      ASSERT_TRUE(writer.ok());
+      for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
+      ASSERT_TRUE((*writer)->Close().ok());
+    }
+    auto loaded = LoadTableDesc(dfs_, desc.path);
+    ASSERT_TRUE(loaded.ok());
+    auto splits = ListTableSplits(dfs_, *loaded);
+    ASSERT_TRUE(splits.ok());
+    ASSERT_EQ(splits->size(), static_cast<size_t>(kSplits));
+
+    Random rng(seed * 7919);
+    for (int trial = 0; trial < 8; ++trial) {
+      auto spec = std::make_shared<ScanSpec>();
+      const int64_t nleaves = rng.Uniform(0, 2);
+      for (int64_t i = 0; i < nleaves; ++i) {
+        spec->conjuncts.push_back(RandomLeaf(&rng));
+      }
+      std::vector<std::pair<int, DimKeys>> filters;
+      switch (trial % 4) {
+        case 0:
+          filters.push_back({0, DimKeys(DenseKeys(&rng))});
+          break;
+        case 1:
+          filters.push_back({0, DimKeys(SparseKeys(&rng))});
+          filters.push_back({1, DimKeys(DenseKeys(&rng))});
+          break;
+        case 2:  // the sentinel key itself, in a range narrow enough for a bitmap
+          filters.push_back({0, DimKeys({kI64Min, kI64Min + 2})});
+          break;
+        default:
+          break;
+      }
+      for (const auto& [field, keys] : filters) {
+        EXPECT_EQ(keys.table->has_key_bitmap(), trial % 4 != 1 || field == 1);
+        spec->key_filters.push_back({desc.schema->field(field).name, keys.table});
+      }
+
+      std::vector<Row> expected;
+      std::vector<BoundPredicatePtr> bound;
+      for (const Predicate::Ptr& leaf : spec->conjuncts) {
+        auto b = leaf->Bind(*desc.schema);
+        ASSERT_TRUE(b.ok());
+        bound.push_back(std::move(*b));
+      }
+      for (const Row& row : rows) {
+        bool keep = true;
+        for (const BoundPredicatePtr& b : bound) keep = keep && b->Eval(row);
+        for (const auto& [field, keys] : filters) {
+          const Value& key = row.Get(field);
+          keep = keep && keys.set.count(key.kind() == TypeKind::kInt32
+                                            ? key.i32()
+                                            : key.i64()) > 0;
+        }
+        if (keep) expected.push_back(row);
+      }
+
+      for (int64_t batch_rows : {int64_t{1}, int64_t{7}, int64_t{4096},
+                                 int64_t{4 * kRowsPerSplit}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " trial " << trial << " batch "
+                     << batch_rows);
+        ScanOptions scan;
+        scan.scan_spec = spec;
+        scan.scan_stats = &encodings;
+        std::vector<Row> got;
+        for (const StorageSplit& split : *splits) {
+          auto reader = OpenSplitBatchReader(dfs_, *loaded, split, scan);
+          ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+          RowBatch batch((*reader)->output_schema());
+          while (true) {
+            auto more = (*reader)->NextBatch(&batch, batch_rows);
+            ASSERT_TRUE(more.ok()) << more.status().ToString();
+            if (!*more) break;
+            ASSERT_GT(batch.num_rows(), 0);
+            ASSERT_LE(batch.num_rows(), batch_rows);
+            for (int c = 0; c < 2; ++c) {
+              const ColumnVector& col = batch.column(c);
+              if (!col.has_runs()) continue;
+              ASSERT_EQ(col.run_starts().back(), col.size());
+              for (size_t k = 0; k + 1 < col.run_starts().size(); ++k) {
+                for (int32_t r = col.run_starts()[k];
+                     r < col.run_starts()[k + 1]; ++r) {
+                  ASSERT_EQ(col.KeyAt(r), col.run_values()[k]);
+                }
+              }
+            }
+            for (int64_t i = 0; i < batch.num_rows(); ++i) {
+              got.push_back(batch.GetRow(i));
+            }
+          }
+        }
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], expected[i]);
+      }
+    }
+  }
+  // Across the seeds every block encoding was read.
+  for (int e = 0; e < kEncCount; ++e) {
+    EXPECT_GT(encodings.blocks_by_encoding[e], 0u) << EncodingName(e);
   }
 }
 

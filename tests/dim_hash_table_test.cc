@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "common/hash.h"
+#include "common/random.h"
 #include "core/dim_hash_table.h"
 #include "storage/binary_row_format.h"
 #include "storage/byte_io.h"
@@ -298,6 +300,130 @@ TEST(DimHashTableTest, ProbeBatchOnEmptyTableReturnsAllNull) {
   (*table)->ProbeBatch(keys.data(), static_cast<int64_t>(keys.size()),
                        out.data());
   for (int32_t slot : out) EXPECT_EQ(slot, DimHashTable::kMiss);
+}
+
+// --- FilterSelection: the scan's semi-join filter ---------------------------
+
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+
+/// An aux-free table over int64 keys.
+std::shared_ptr<const DimHashTable> KeyTable(const std::vector<int64_t>& keys) {
+  std::vector<Row> rows;
+  for (int64_t k : keys) rows.push_back(Row({Value(k)}));
+  const std::vector<uint8_t> stream = storage::EncodeRowStream(rows);
+  auto table = DimHashTable::Build(
+      *Schema::Make({{"pk", TypeKind::kInt64, 8}}), stream.data(),
+      stream.size(), *Predicate::True(), "pk", {});
+  CLY_CHECK(table.ok());
+  return *table;
+}
+
+/// FilterSelection over a random ascending selection of `probes` must keep
+/// exactly the rows Probe finds, in order.
+void ExpectFilterAgreesWithProbe(const DimHashTable& table,
+                                 const std::vector<int64_t>& probes,
+                                 Random* rng) {
+  std::vector<int32_t> sel;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    if (rng->Bernoulli(0.8)) sel.push_back(static_cast<int32_t>(i));
+  }
+  std::vector<int32_t> expected;
+  for (int32_t row : sel) {
+    if (table.Probe(probes[static_cast<size_t>(row)]) != DimHashTable::kMiss) {
+      expected.push_back(row);
+    }
+  }
+  const int64_t kept = table.FilterSelection(
+      probes.data(), sel.data(), static_cast<int64_t>(sel.size()));
+  sel.resize(static_cast<size_t>(kept));
+  EXPECT_EQ(sel, expected);
+}
+
+/// Probe keys around a key set: every key, its neighbours, both ends of
+/// the range and one past them, the int64 extremes, and random keys.
+std::vector<int64_t> ProbesAround(const std::vector<int64_t>& keys,
+                                  Random* rng) {
+  std::vector<int64_t> probes = {kI64Min, kI64Min + 1, kI64Max, 0, -1};
+  for (int64_t k : keys) {
+    probes.push_back(k);
+    if (k != kI64Min) probes.push_back(k - 1);
+    if (k != kI64Max) probes.push_back(k + 1);
+  }
+  for (int i = 0; i < 300; ++i) {
+    probes.push_back(static_cast<int64_t>(rng->Next()));
+  }
+  return probes;
+}
+
+TEST(DimHashTableTest, FilterSelectionAgreesWithProbeOnBothPaths) {
+  Random rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    const bool dense = trial % 2 == 0;
+    std::vector<int64_t> keys;
+    const int64_t n = rng.Uniform(1, 2000);
+    const int64_t base = rng.Uniform(-100000, 100000);
+    for (int64_t i = 0; i < n; ++i) {
+      // Dense: a random subset of a range at most 2n wide. Sparse: keys
+      // spread over all of int64.
+      keys.push_back(dense ? base + rng.Uniform(0, 2 * n)
+                           : static_cast<int64_t>(rng.Next()));
+    }
+    if (!dense) keys.push_back(kI64Max);
+    const auto table = KeyTable(keys);
+    ASSERT_EQ(table->has_key_bitmap(), dense) << "trial " << trial;
+    ExpectFilterAgreesWithProbe(*table, ProbesAround(keys, &rng), &rng);
+  }
+}
+
+TEST(DimHashTableTest, FilterSelectionOnEmptyTableKeepsNothing) {
+  const auto table = KeyTable({});
+  ASSERT_EQ(table->entries(), 0u);
+  EXPECT_FALSE(table->has_key_bitmap());
+  std::vector<int64_t> keys = {kI64Min, 0, 1, kI64Max};
+  std::vector<int32_t> sel = {0, 1, 2, 3};
+  EXPECT_EQ(table->FilterSelection(keys.data(), sel.data(), 4), 0);
+}
+
+TEST(DimHashTableTest, SentinelKeyIsAMemberOnBothPaths) {
+  // kEmptySlotKey marks empty buckets, so a stored INT64_MIN lives out of
+  // line; both filter paths must still find it, and only it.
+  Random rng(5);
+  const std::vector<int64_t> narrow = {kI64Min, kI64Min + 3};
+  const std::vector<int64_t> wide = {kI64Min, -7, 0, kI64Max};
+  for (const auto& keys : {narrow, wide}) {
+    const auto table = KeyTable(keys);
+    EXPECT_EQ(table->has_key_bitmap(), keys.size() == 2);
+    EXPECT_NE(table->Probe(kI64Min), DimHashTable::kMiss);
+    ExpectFilterAgreesWithProbe(*table, ProbesAround(keys, &rng), &rng);
+  }
+  // Without the sentinel stored, probing INT64_MIN misses on both paths.
+  for (const auto& keys : {std::vector<int64_t>{kI64Min + 1, kI64Min + 2},
+                           std::vector<int64_t>{kI64Min + 1, kI64Max}}) {
+    const auto table = KeyTable(keys);
+    std::vector<int64_t> probes = {kI64Min};
+    std::vector<int32_t> sel = {0};
+    EXPECT_EQ(table->FilterSelection(probes.data(), sel.data(), 1), 0);
+  }
+}
+
+TEST(DimHashTableTest, MemoryBytesIncludeTheBitmap) {
+  // Same entry count, so the same bucket lanes: the dense table differs by
+  // exactly its bitmap words, and those never outgrow the key lane.
+  std::vector<int64_t> dense, sparse;
+  for (int64_t i = 0; i < 1000; ++i) {
+    dense.push_back(i * 3);
+    sparse.push_back(i << 40);
+  }
+  const auto with_bitmap = KeyTable(dense);
+  const auto without = KeyTable(sparse);
+  ASSERT_TRUE(with_bitmap->has_key_bitmap());
+  ASSERT_FALSE(without->has_key_bitmap());
+  const uint64_t bitmap_bytes = (999 * 3 / 64 + 1) * sizeof(uint64_t);
+  EXPECT_EQ(with_bitmap->stats().memory_bytes,
+            without->stats().memory_bytes + bitmap_bytes);
+  EXPECT_LE(bitmap_bytes,
+            DimHashTable::CapacityFor(dense.size()) * sizeof(int64_t));
 }
 
 // Property-style sweep: every inserted key must probe back to its payload,

@@ -1,7 +1,8 @@
 // Hierarchical memory accounting tests: MemTracker tree semantics
 // (consume/release/peak propagation), the RAII consumer/charge adapters,
 // exact-byte accounting for the big consumers (DimHashTable,
-// HashAggregator, CIF scan arenas), a failed job draining every tracker,
+// HashAggregator), the CIF scan's O(batch) footprint, a failed job draining
+// every tracker,
 // and concurrent consume/release (the tsan preset includes this file).
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "core/dim_hash_table.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/input_format.h"
+#include "mapreduce/job_trace.h"
 #include "obs/mem_tracker.h"
 #include "storage/binary_row_format.h"
 #include "storage/scan_spec.h"
@@ -79,26 +81,6 @@ TEST(ScopedMemConsumerTest, NullTrackerIsANoOpEverywhere) {
   consumer.SyncTo(50);
   EXPECT_EQ(consumer.consumed(), 0);
   EXPECT_EQ(consumer.peak(), 0);
-}
-
-TEST(TrackSharedArenaTest, ChargeLivesExactlyAsLongAsTheLastReference) {
-  auto t = MemTracker::Create("t");
-  auto arena = std::make_shared<const std::vector<uint8_t>>(
-      std::vector<uint8_t>(1024, 0xAB));
-  auto tracked = TrackSharedArena(arena, t);
-  ASSERT_NE(tracked, nullptr);
-  EXPECT_EQ(tracked->size(), 1024u);
-  EXPECT_EQ(t->consumed(), 1024);
-
-  // A second consumer (a RowBatch outliving the reader) keeps the charge.
-  auto second = tracked;
-  tracked.reset();
-  EXPECT_EQ(t->consumed(), 1024);
-  second.reset();
-  EXPECT_EQ(t->consumed(), 0) << "last reference drop releases the bytes";
-  // The original shared_ptr held by the wrapper does not double-release.
-  arena.reset();
-  EXPECT_EQ(t->consumed(), 0);
 }
 
 TEST(TrackerNamesTest, CanonicalLevelNames) {
@@ -209,13 +191,13 @@ ClusterOptions TinyCluster() {
 }
 
 storage::TableDesc WriteCifStrings(MrCluster* cluster, const std::string& path,
-                                   int rows) {
+                                   int rows, int64_t rows_per_split) {
   storage::TableDesc desc;
   desc.path = path;
   desc.format = storage::kFormatCif;
   desc.schema = Schema::Make(
       {{"id", TypeKind::kInt32, 4}, {"mode", TypeKind::kString, 6}});
-  desc.rows_per_split = 256;
+  desc.rows_per_split = rows_per_split;
   auto writer = storage::OpenTableWriter(cluster->dfs(), desc);
   CLY_CHECK(writer.ok());
   const char* modes[] = {"AIR", "RAIL", "SHIP", "TRUCK"};
@@ -228,43 +210,118 @@ storage::TableDesc WriteCifStrings(MrCluster* cluster, const std::string& path,
   return *loaded;
 }
 
-TEST(ScanArenaMemTest, TrackedBytesAgreeWithScanStatsArenaBytes) {
-  MrCluster cluster(TinyCluster());
-  const storage::TableDesc desc = WriteCifStrings(&cluster, "/arena", 1000);
-  auto splits = storage::ListTableSplits(*cluster.dfs(), desc);
-  ASSERT_TRUE(splits.ok());
-  ASSERT_FALSE(splits->empty());
+constexpr int64_t kScanBatchRows = 4096;
+/// What one batch of the test table's projection holds: an int32 and a
+/// string view per row.
+constexpr uint64_t kOneBatchBytes =
+    kScanBatchRows * (sizeof(int32_t) + sizeof(std::string_view));
 
+/// Mapper that reads its split and emits nothing, so the attempt's memory
+/// is the scan's alone.
+class DrainMapper final : public Mapper {
+ public:
+  Status Map(const Row&, const Row&, TaskContext*, OutputCollector*) override {
+    return Status::OK();
+  }
+};
+
+/// The scan's memory, read three ways, at one split size: the reader's
+/// ScanStats and tracker peak, and the MEM_* counter and profile scan node
+/// of a map-only job over the same table.
+struct ScanMemory {
+  uint64_t stats_peak = 0;
+  int64_t tracker_peak = 0;
+  int64_t node_peak_counter = 0;
+  uint64_t profile_peak = 0;
+};
+
+ScanMemory MeasureScanMemory(int64_t rows_per_split) {
+  ClusterOptions options;
+  options.num_nodes = 1;
+  options.map_slots_per_node = 1;
+  MrCluster cluster(options);
+  const storage::TableDesc desc =
+      WriteCifStrings(&cluster, "/scanmem", 4 * 16384, rows_per_split);
+  auto splits = storage::ListTableSplits(*cluster.dfs(), desc);
+  CLY_CHECK(splits.ok());
+
+  ScanMemory mem;
   auto tracker = obs::MemTracker::Create("attempt");
   storage::ScanStats stats;
-  storage::ScanOptions options;
-  // String-only projection: every loaded arena is retained by the batch
-  // (zero-copy string views), so the live charge must equal arena_bytes
-  // exactly. Numeric arenas are dropped once decoded and release early.
-  options.projection = {"mode"};
-  options.scan_stats = &stats;
-  options.mem_reporter = tracker;
-  {
-    auto reader = storage::OpenSplitRowReader(*cluster.dfs(), desc,
-                                              (*splits)[0], options);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_GT(stats.arena_bytes, 0u) << "string columns decode into arenas";
-    EXPECT_EQ(tracker->consumed(), static_cast<int64_t>(stats.arena_bytes))
-        << "EXPLAIN ANALYZE's arena_bytes and the tracker charge agree";
-    Row row;
-    int rows = 0;
+  storage::ScanOptions scan;
+  scan.scan_stats = &stats;
+  scan.mem_reporter = tracker;
+  for (const storage::StorageSplit& split : *splits) {
+    auto reader =
+        storage::OpenSplitBatchReader(*cluster.dfs(), desc, split, scan);
+    CLY_CHECK(reader.ok());
+    RowBatch batch((*reader)->output_schema());
     while (true) {
-      auto more = (*reader)->Next(&row);
-      ASSERT_TRUE(more.ok());
+      auto more = (*reader)->NextBatch(&batch, kScanBatchRows);
+      CLY_CHECK(more.ok());
       if (!*more) break;
-      ++rows;
     }
-    EXPECT_GT(rows, 0);
-    EXPECT_EQ(tracker->consumed(), static_cast<int64_t>(stats.arena_bytes))
-        << "reading does not change the arena-held footprint";
   }
-  EXPECT_EQ(tracker->consumed(), 0)
-      << "dropping the reader (the last arena reference) drains the charge";
+  EXPECT_EQ(tracker->consumed(), 0) << "dropped readers release their charge";
+  mem.stats_peak = stats.mem_peak_bytes;
+  mem.tracker_peak = tracker->peak();
+
+  JobConf conf;
+  conf.job_name = "scan-mem";
+  conf.num_reduce_tasks = 0;
+  conf.Set(kConfInputTable, desc.path);
+  conf.SetBool(kConfProfileEnabled, true);
+  conf.input_format_factory = [] {
+    return std::make_unique<TableInputFormat>();
+  };
+  conf.mapper_factory = [] { return std::make_unique<DrainMapper>(); };
+  conf.output_format_factory = [] {
+    return std::make_unique<MemoryOutputFormat>();
+  };
+  auto job = RunJob(&cluster, conf);
+  CLY_CHECK(job.ok());
+  mem.node_peak_counter = job->report.counters.Get(kCounterMemNodePeakBytes);
+  std::vector<const obs::OperatorProfile*> pending;
+  for (const obs::OperatorProfile& root : job->report.profile.roots) {
+    pending.push_back(&root);
+  }
+  while (!pending.empty()) {
+    const obs::OperatorProfile* node = pending.back();
+    pending.pop_back();
+    if (node->kind == "scan") {
+      mem.profile_peak = std::max(mem.profile_peak, node->mem_peak_bytes);
+    }
+    for (const obs::OperatorProfile& child : node->children) {
+      pending.push_back(&child);
+    }
+  }
+  return mem;
+}
+
+/// The scan reads column blocks in place and decodes one batch at a time,
+/// so what it holds is O(batch): a 4x larger split must not move its peak
+/// by more than one batch's bytes, on any of the three instruments.
+TEST(ScanMemTest, PeakIsOneBatchAtAnySplitSize) {
+  const ScanMemory small = MeasureScanMemory(16384);
+  const ScanMemory big = MeasureScanMemory(4 * 16384);
+  for (const ScanMemory* m : {&small, &big}) {
+    EXPECT_GT(m->stats_peak, kOneBatchBytes / 2);
+    EXPECT_EQ(m->tracker_peak, static_cast<int64_t>(m->stats_peak))
+        << "the tracker charge is what ScanStats reports";
+    EXPECT_EQ(m->profile_peak, m->stats_peak);
+    EXPECT_GT(m->node_peak_counter, 0);
+    EXPECT_LT(m->node_peak_counter, static_cast<int64_t>(4 * kOneBatchBytes));
+  }
+  auto near = [](uint64_t a, uint64_t b) {
+    return (a > b ? a - b : b - a) <= kOneBatchBytes;
+  };
+  EXPECT_TRUE(near(small.stats_peak, big.stats_peak))
+      << small.stats_peak << " vs " << big.stats_peak;
+  EXPECT_TRUE(near(static_cast<uint64_t>(small.node_peak_counter),
+                   static_cast<uint64_t>(big.node_peak_counter)))
+      << small.node_peak_counter << " vs " << big.node_peak_counter;
+  EXPECT_TRUE(near(small.profile_peak, big.profile_peak))
+      << small.profile_peak << " vs " << big.profile_peak;
 }
 
 /// The node's dimension table as the star-join map task holds it: in the

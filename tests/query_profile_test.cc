@@ -268,7 +268,7 @@ TEST(ScanStatsTest, MergeFromFoldsEveryCounter) {
   a.bytes_encoded = 30;
   a.bytes_raw = 120;
   a.blocks_by_encoding[2] = 4;
-  a.arena_bytes = 64;
+  a.mem_peak_bytes = 64;
 
   ScanStats b = a;
   b.blocks_by_encoding[5] = 9;
@@ -281,7 +281,7 @@ TEST(ScanStatsTest, MergeFromFoldsEveryCounter) {
   EXPECT_EQ(a.bytes_raw, 240u);
   EXPECT_EQ(a.blocks_by_encoding[2], 8u);
   EXPECT_EQ(a.blocks_by_encoding[5], 9u);
-  EXPECT_EQ(a.arena_bytes, 128u);
+  EXPECT_EQ(a.mem_peak_bytes, 128u);
 }
 
 }  // namespace

@@ -98,6 +98,30 @@ TEST(DimHashEstimateTest, EstimateBoundsEveryBuiltSsbTable) {
   }
 }
 
+/// The worst case for the bucket lanes: every row qualifies and no aux
+/// column adds slack. Customer at SF 0.01 (300 rows, 1,024 buckets) is
+/// the case a per-row charge missed.
+TEST(DimHashEstimateTest, EstimateBoundsEveryUnfilteredAuxFreeBuild) {
+  mr::MrCluster cluster(mr::ClusterOptions{});
+  ssb::SsbLoadOptions load;
+  load.scale_factor = 0.01;
+  auto dataset = ssb::LoadSsb(&cluster, load);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  ASSERT_EQ(dataset->star.dims().size(), 4u);
+  for (const auto& [name, dim] : dataset->star.dims()) {
+    auto replica = cluster.local_store(0)->Read(dim.local_path);
+    ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+    const DimJoinSpec join{name, "", dim.pk, Predicate::True(), {}};
+    auto table = DimHashTable::Build(*dim.desc.schema, (*replica)->data(),
+                                     (*replica)->size(), *join.predicate,
+                                     join.dim_pk, join.aux_columns);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ((*table)->entries(), dim.desc.num_rows) << name;
+    EXPECT_GE(EstimateDimHashBytes(dim, join), (*table)->stats().memory_bytes)
+        << name << ": " << (*table)->entries() << " entries";
+  }
+}
+
 TEST_F(StagedJoinTest, PlanPacksGreedilyWithinBudget) {
   auto spec = ssb::QueryById("Q4.1");
   ASSERT_TRUE(spec.ok());
