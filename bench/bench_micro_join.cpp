@@ -9,7 +9,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/dim_hash_table.h"
-#include "storage/binary_row_format.h"
+#include "storage/cif.h"
 
 namespace clydesdale {
 namespace {
@@ -20,7 +20,8 @@ SchemaPtr DimSchema() {
                        {"region", TypeKind::kString, 9}});
 }
 
-std::vector<uint8_t> DimStream(int entries) {
+/// A column image (the replica format) of `entries` dimension rows.
+std::vector<uint8_t> DimImage(int entries) {
   std::vector<Row> rows;
   rows.reserve(static_cast<size_t>(entries));
   for (int i = 1; i <= entries; ++i) {
@@ -28,16 +29,16 @@ std::vector<uint8_t> DimStream(int entries) {
                         Value(std::string("nation") + std::to_string(i % 25)),
                         Value(i % 2 == 0 ? "ASIA" : "EUROPE")}));
   }
-  return storage::EncodeRowStream(rows);
+  return storage::EncodeColumnImage(DimSchema(), rows);
 }
 
 void BM_DimHashBuild(benchmark::State& state) {
   const int entries = static_cast<int>(state.range(0));
-  const auto stream = DimStream(entries);
+  const auto image = DimImage(entries);
   const auto schema = DimSchema();
   for (auto _ : state) {
-    auto table = core::DimHashTable::Build(*schema, stream.data(),
-                                           stream.size(), *Predicate::True(),
+    auto table = core::DimHashTable::Build(*schema, image.data(),
+                                           image.size(), *Predicate::True(),
                                            "pk", {"nation"});
     CLY_CHECK(table.ok());
     benchmark::DoNotOptimize((*table)->entries());
@@ -46,10 +47,19 @@ void BM_DimHashBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DimHashBuild)->Arg(2000)->Arg(30000)->Arg(200000);
 
-/// SSB `part` at SF 1 (200k rows, 9 columns, 7 of them strings), built as
-/// Q2.1 builds it: one string predicate, one string aux column. Most of the
-/// row is never read, and 1 row in 25 qualifies.
-std::vector<uint8_t> PartStream(int entries) {
+SchemaPtr PartSchema() {
+  return Schema::Make(
+      {{"p_partkey", TypeKind::kInt32, 4}, {"p_name", TypeKind::kString, 22},
+       {"p_mfgr", TypeKind::kString, 6},   {"p_category", TypeKind::kString, 7},
+       {"p_brand1", TypeKind::kString, 9}, {"p_color", TypeKind::kString, 6},
+       {"p_type", TypeKind::kString, 21},  {"p_size", TypeKind::kInt32, 4},
+       {"p_container", TypeKind::kString, 6}});
+}
+
+/// SSB `part` at SF 1 (200k rows, 9 columns, 7 of them strings) as a column
+/// image: p_mfgr and p_category are dictionaries; p_brand1, with 1,000
+/// values, stays plain strings.
+std::vector<uint8_t> PartImage(int entries) {
   Random rng(11);
   const char* colors[] = {"almond", "blue", "coral", "khaki", "navy"};
   std::vector<Row> rows;
@@ -69,35 +79,42 @@ std::vector<uint8_t> PartStream(int entries) {
                         Value(static_cast<int32_t>(rng.Uniform(1, 50))),
                         Value("SM BOX")}));
   }
-  return storage::EncodeRowStream(rows);
+  return storage::EncodeColumnImage(PartSchema(), rows);
 }
 
-void BM_DimHashBuildPartShaped(benchmark::State& state) {
+/// Part builds as the SSB queries run them. Q2.1: one string predicate and
+/// one string aux column; 1 row in 25 qualifies. Q4.1: p_mfgr IN
+/// ('MFGR#1','MFGR#2') with aux p_category; 2 rows in 5 qualify. Either way
+/// most of the row is never read.
+void BM_DimHashBuildPartShaped(benchmark::State& state,
+                               const Predicate::Ptr& pred,
+                               const std::string& aux) {
   const int entries = static_cast<int>(state.range(0));
-  const auto stream = PartStream(entries);
-  const auto schema = Schema::Make(
-      {{"p_partkey", TypeKind::kInt32, 4}, {"p_name", TypeKind::kString, 22},
-       {"p_mfgr", TypeKind::kString, 6},   {"p_category", TypeKind::kString, 7},
-       {"p_brand1", TypeKind::kString, 9}, {"p_color", TypeKind::kString, 6},
-       {"p_type", TypeKind::kString, 21},  {"p_size", TypeKind::kInt32, 4},
-       {"p_container", TypeKind::kString, 6}});
-  const Predicate::Ptr pred = Predicate::Eq("p_category", Value("MFGR#12"));
+  const auto image = PartImage(entries);
+  const auto schema = PartSchema();
   for (auto _ : state) {
-    auto table = core::DimHashTable::Build(*schema, stream.data(),
-                                           stream.size(), *pred, "p_partkey",
-                                           {"p_brand1"});
+    auto table = core::DimHashTable::Build(*schema, image.data(), image.size(),
+                                           *pred, "p_partkey", {aux});
     CLY_CHECK(table.ok());
     benchmark::DoNotOptimize((*table)->entries());
   }
   state.SetItemsProcessed(state.iterations() * entries);
 }
-BENCHMARK(BM_DimHashBuildPartShaped)->Arg(200000)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DimHashBuildPartShaped, Q21,
+                  Predicate::Eq("p_category", Value("MFGR#12")), "p_brand1")
+    ->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DimHashBuildPartShaped, Q41,
+                  Predicate::In("p_mfgr", {Value("MFGR#1"), Value("MFGR#2")}),
+                  "p_category")
+    ->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DimHashProbe(benchmark::State& state) {
   const int entries = static_cast<int>(state.range(0));
-  const auto stream = DimStream(entries);
+  const auto image = DimImage(entries);
   const auto schema = DimSchema();
-  auto table = core::DimHashTable::Build(*schema, stream.data(), stream.size(),
+  auto table = core::DimHashTable::Build(*schema, image.data(), image.size(),
                                          *Predicate::True(), "pk", {"nation"});
   CLY_CHECK(table.ok());
   Random rng(7);
@@ -147,9 +164,9 @@ RowBatch FactBatch(int64_t rows) {
 }
 
 void BM_ProbeRowAtATime(benchmark::State& state) {
-  const auto stream = DimStream(30000);
+  const auto image = DimImage(30000);
   const auto schema = DimSchema();
-  auto table = core::DimHashTable::Build(*schema, stream.data(), stream.size(),
+  auto table = core::DimHashTable::Build(*schema, image.data(), image.size(),
                                          *Predicate::Eq("region", Value("ASIA")),
                                          "pk", {"nation"});
   CLY_CHECK(table.ok());
@@ -169,9 +186,9 @@ void BM_ProbeRowAtATime(benchmark::State& state) {
 BENCHMARK(BM_ProbeRowAtATime)->Unit(benchmark::kMillisecond);
 
 void BM_ProbeBlockIteration(benchmark::State& state) {
-  const auto stream = DimStream(30000);
+  const auto image = DimImage(30000);
   const auto schema = DimSchema();
-  auto table = core::DimHashTable::Build(*schema, stream.data(), stream.size(),
+  auto table = core::DimHashTable::Build(*schema, image.data(), image.size(),
                                          *Predicate::Eq("region", Value("ASIA")),
                                          "pk", {"nation"});
   CLY_CHECK(table.ok());

@@ -19,7 +19,7 @@
 #include "core/vector_probe.h"
 #include "schema/expr.h"
 #include "schema/row_batch.h"
-#include "storage/binary_row_format.h"
+#include "storage/cif.h"
 
 namespace clydesdale {
 namespace {
@@ -54,8 +54,8 @@ std::shared_ptr<const core::DimHashTable> BuildDim(
     const SchemaPtr& schema, const std::vector<Row>& rows,
     const Predicate& pred, const std::string& pk,
     const std::vector<std::string>& aux) {
-  const std::vector<uint8_t> stream = storage::EncodeRowStream(rows);
-  auto table = core::DimHashTable::Build(*schema, stream.data(), stream.size(),
+  const std::vector<uint8_t> image = storage::EncodeColumnImage(schema, rows);
+  auto table = core::DimHashTable::Build(*schema, image.data(), image.size(),
                                          pred, pk, aux);
   CLY_CHECK(table.ok());
   return *table;

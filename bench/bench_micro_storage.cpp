@@ -12,7 +12,6 @@
 #include "hdfs/dfs.h"
 #include "ssb/dbgen.h"
 #include "ssb/ssb_schema.h"
-#include "storage/binary_row_format.h"
 #include "storage/byte_io.h"
 #include "storage/cif.h"
 #include "storage/column_codec.h"
@@ -146,8 +145,8 @@ BENCHMARK(BM_ScanRcFileProjected)->Unit(benchmark::kMillisecond);
 std::shared_ptr<const core::DimHashTable> DimTable(
     const SchemaPtr& schema, const std::vector<Row>& rows,
     const Predicate& predicate, const std::string& pk) {
-  const std::vector<uint8_t> stream = storage::EncodeRowStream(rows);
-  auto table = core::DimHashTable::Build(*schema, stream.data(), stream.size(),
+  const std::vector<uint8_t> image = storage::EncodeColumnImage(schema, rows);
+  auto table = core::DimHashTable::Build(*schema, image.data(), image.size(),
                                          predicate, pk, {});
   CLY_CHECK(table.ok());
   return std::move(*table);

@@ -4,76 +4,43 @@
 #include <cstring>
 
 #include "common/strings.h"
+#include "storage/cif.h"
 
 namespace clydesdale {
 namespace core {
 
 namespace {
 
-/// Dimension rows decoded and filtered per batch during a build.
+/// Dimension rows scanned and filtered per batch during a build.
 constexpr int64_t kBuildBatchRows = 4096;
 
-/// One field of the replica's binary rows: its type, and the batch column
-/// it decodes into (null when the build never reads it).
-struct FieldSink {
-  TypeKind type;
-  ColumnVector* column;
-};
-
-/// Decodes the binary row [p, end) field by field into `fields`' sinks,
-/// stepping over unread fields, with every read bounds-checked against
-/// `end`. Returns where the fields end, or null when one runs past `end`.
-/// Strings stay views into the row bytes.
-const uint8_t* DecodeRowFields(const std::vector<FieldSink>& fields,
-                               const uint8_t* p, const uint8_t* end) {
-  for (const FieldSink& f : fields) {
-    const size_t left = static_cast<size_t>(end - p);
-    switch (f.type) {
-      case TypeKind::kInt32: {
-        if (left < sizeof(int32_t)) return nullptr;
-        if (f.column != nullptr) {
-          int32_t v = 0;
-          std::memcpy(&v, p, sizeof(v));
-          f.column->AppendInt32(v);
-        }
-        p += sizeof(int32_t);
-        break;
-      }
-      case TypeKind::kInt64: {
-        if (left < sizeof(int64_t)) return nullptr;
-        if (f.column != nullptr) {
-          int64_t v = 0;
-          std::memcpy(&v, p, sizeof(v));
-          f.column->AppendInt64(v);
-        }
-        p += sizeof(int64_t);
-        break;
-      }
-      case TypeKind::kDouble: {
-        if (left < sizeof(double)) return nullptr;
-        if (f.column != nullptr) {
-          double v = 0;
-          std::memcpy(&v, p, sizeof(v));
-          f.column->mutable_f64()->push_back(v);
-        }
-        p += sizeof(double);
-        break;
-      }
-      case TypeKind::kString: {
-        uint16_t n = 0;
-        if (left < sizeof(n)) return nullptr;
-        std::memcpy(&n, p, sizeof(n));
-        if (left - sizeof(n) < n) return nullptr;
-        if (f.column != nullptr) {
-          f.column->mutable_str_views()->emplace_back(
-              reinterpret_cast<const char*>(p + sizeof(n)), n);
-        }
-        p += sizeof(n) + n;
-        break;
-      }
-    }
+/// Appends from[sel[j]], j in [0, m), to `to`, converted to U.
+template <typename T, typename U>
+void AppendSelected(const std::vector<T>& from, const int32_t* sel, int64_t m,
+                    std::vector<U>* to) {
+  const size_t base = to->size();
+  to->resize(base + static_cast<size_t>(m));
+  U* const out = to->data() + base;
+  for (int64_t j = 0; j < m; ++j) {
+    out[j] = static_cast<U>(from[static_cast<size_t>(sel[j])]);
   }
-  return p;
+}
+
+/// Copies the selected strings of `from` to the end of `arena`, recording
+/// where each one ends.
+void AppendSelectedStrings(const ColumnVector& from, const int32_t* sel,
+                           int64_t m, std::vector<uint8_t>* arena,
+                           std::vector<size_t>* ends) {
+  size_t at = arena->size();
+  size_t bytes = 0;
+  for (int64_t j = 0; j < m; ++j) bytes += from.StringViewAt(sel[j]).size();
+  arena->resize(at + bytes);
+  for (int64_t j = 0; j < m; ++j) {
+    const std::string_view v = from.StringViewAt(sel[j]);
+    std::memcpy(arena->data() + at, v.data(), v.size());
+    at += v.size();
+    ends->push_back(at);
+  }
 }
 
 }  // namespace
@@ -240,12 +207,12 @@ void DimHashTable::InsertKeys(const std::vector<int64_t>& keys) {
 }
 
 Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
-    const Schema& dim_schema, const uint8_t* row_stream, size_t len,
+    const Schema& dim_schema, const uint8_t* image, size_t len,
     const Predicate& predicate, const std::string& pk_column,
     const std::vector<std::string>& aux_columns,
     std::shared_ptr<obs::MemTracker> tracker) {
-  // The columns this build reads — pk, aux, predicate — decode into a
-  // narrow batch (in schema order); every other field is skipped.
+  // The scan reads the columns this build needs — pk, aux, predicate — in
+  // schema order; no other column of the image is touched.
   std::vector<std::string> read_names = aux_columns;
   read_names.push_back(pk_column);
   predicate.CollectColumns(&read_names);
@@ -254,11 +221,30 @@ Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
     CLY_ASSIGN_OR_RETURN(int i, dim_schema.Require(name));
     read[static_cast<size_t>(i)] = true;
   }
-  std::vector<int> narrow_fields;
+  storage::ScanOptions options;
   for (int i = 0; i < dim_schema.num_fields(); ++i) {
-    if (read[static_cast<size_t>(i)]) narrow_fields.push_back(i);
+    if (read[static_cast<size_t>(i)]) {
+      options.projection.push_back(dim_schema.field(i).name);
+    }
   }
-  const SchemaPtr narrow = dim_schema.Project(narrow_fields);
+  // The predicate's top-level leaves run in the scan, string leaves as
+  // per-dictionary-code tests, so only their survivors are gathered. The
+  // spec only borrows `predicate` (a non-owning pointer): the reader that
+  // holds it does not outlive this call.
+  auto spec = std::make_shared<storage::ScanSpec>();
+  spec->conjuncts =
+      CollectScanConjuncts(Predicate::Ptr(Predicate::Ptr(), &predicate));
+  if (!spec->empty()) options.scan_spec = std::move(spec);
+
+  auto table = std::shared_ptr<DimHashTable>(new DimHashTable());
+  storage::ScanStats& scan = table->stats_.scan;
+  hdfs::IoStats io;
+  options.stats = &io;
+  options.scan_stats = &scan;
+  CLY_ASSIGN_OR_RETURN(
+      std::unique_ptr<storage::BatchReader> reader,
+      storage::OpenColumnImageReader(dim_schema, image, len, options));
+  const SchemaPtr narrow = reader->output_schema();
   CLY_ASSIGN_OR_RETURN(BoundPredicatePtr pred, predicate.Bind(*narrow));
   CLY_ASSIGN_OR_RETURN(int pk, narrow->Require(pk_column));
   if (narrow->field(pk).type == TypeKind::kString) {
@@ -272,98 +258,78 @@ Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
     aux_src.push_back(i);
   }
 
-  RowBatch batch(narrow);
-  std::vector<FieldSink> fields;
-  fields.reserve(static_cast<size_t>(dim_schema.num_fields()));
-  for (const Field& f : dim_schema.fields()) fields.push_back({f.type, nullptr});
-  for (size_t c = 0; c < narrow_fields.size(); ++c) {
-    fields[static_cast<size_t>(narrow_fields[c])].column =
-        batch.mutable_column(static_cast<int>(c));
-  }
-
-  auto table = std::shared_ptr<DimHashTable>(new DimHashTable());
   for (int src : aux_src) table->aux_.emplace_back(narrow->field(src).type);
-  // Qualifying keys (keys[i] owns payload slot i), and for string aux
-  // columns the arena end offset of each slot's value.
+  // Qualifying keys (keys[i] owns payload slot i), and for each string aux
+  // column its own arena and the arena end offset of each slot's value.
   std::vector<int64_t> keys;
-  std::vector<uint8_t> arena;
+  std::vector<std::vector<uint8_t>> arenas(aux_columns.size());
   std::vector<std::vector<size_t>> string_ends(aux_columns.size());
-  uint64_t input_rows = 0;
+  RowBatch batch(narrow);
   std::vector<uint8_t> sel;
-  const uint8_t* p = row_stream;
-  const uint8_t* const stream_end = row_stream + len;
-  while (p != stream_end) {
-    batch.Clear();
-    int64_t rows = 0;
-    for (; rows < kBuildBatchRows && p != stream_end; ++rows) {
-      uint32_t n = 0;
-      if (static_cast<size_t>(stream_end - p) < sizeof(n)) {
-        return Status::IoError("truncated dimension row stream");
-      }
-      std::memcpy(&n, p, sizeof(n));
-      p += sizeof(n);
-      if (static_cast<size_t>(stream_end - p) < n) {
-        return Status::IoError("truncated dimension row stream");
-      }
-      // Each row must end exactly at its length prefix: a field that runs
-      // past it, or fields that stop short of it, mean a corrupt replica.
-      const uint8_t* const row_end = p + n;
-      const uint8_t* const fields_end = DecodeRowFields(fields, p, row_end);
-      if (fields_end != row_end) {
-        const uint64_t index = input_rows + static_cast<uint64_t>(rows);
-        return Status::IoError(
-            fields_end == nullptr
-                ? StrCat("dimension row ", index, " overruns its ", n,
-                         "-byte length prefix")
-                : StrCat("dimension row ", index, " ends ",
-                         row_end - fields_end, " bytes before its ", n,
-                         "-byte length prefix"));
-      }
-      p = row_end;
-    }
-    CLY_RETURN_IF_ERROR(batch.SealRowCount());
-    input_rows += static_cast<uint64_t>(rows);
+  std::vector<int32_t> survivors;
+  while (true) {
+    CLY_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch, kBuildBatchRows));
+    if (!more) break;
+    // The scan ran only the pushed leaves; the whole predicate decides.
+    const int64_t rows = batch.num_rows();
     sel.assign(static_cast<size_t>(rows), 1);
     pred->EvalBatch(batch, &sel);
-
-    const ColumnVector& pk_col = batch.column(pk);
+    survivors.resize(static_cast<size_t>(rows));
+    int64_t m = 0;
     for (int64_t i = 0; i < rows; ++i) {
-      if (sel[static_cast<size_t>(i)] == 0) continue;
-      keys.push_back(pk_col.KeyAt(i));
-      for (size_t a = 0; a < aux_src.size(); ++a) {
-        const ColumnVector& from = batch.column(aux_src[a]);
-        ColumnVector& to = table->aux_[a];
-        const size_t r = static_cast<size_t>(i);
-        switch (from.type()) {
-          case TypeKind::kInt32:
-            to.AppendInt32(from.i32()[r]);
-            break;
-          case TypeKind::kInt64:
-            to.AppendInt64(from.i64()[r]);
-            break;
-          case TypeKind::kDouble:
-            to.mutable_f64()->push_back(from.f64()[r]);
-            break;
-          case TypeKind::kString: {
-            const std::string_view v = from.StringViewAt(i);
-            arena.insert(arena.end(), v.begin(), v.end());
-            string_ends[a].push_back(arena.size());
-            break;
-          }
-        }
+      survivors[static_cast<size_t>(m)] = static_cast<int32_t>(i);
+      m += sel[static_cast<size_t>(i)];
+    }
+
+    // Keys and payloads are appended column by column, in scan order.
+    const int32_t* const rows_kept = survivors.data();
+    const ColumnVector& pk_col = batch.column(pk);
+    switch (pk_col.type()) {
+      case TypeKind::kInt32:
+        AppendSelected(pk_col.i32(), rows_kept, m, &keys);
+        break;
+      case TypeKind::kInt64:
+        AppendSelected(pk_col.i64(), rows_kept, m, &keys);
+        break;
+      case TypeKind::kDouble:
+        AppendSelected(pk_col.f64(), rows_kept, m, &keys);
+        break;
+      case TypeKind::kString:
+        break;  // rejected above
+    }
+    for (size_t a = 0; a < aux_src.size(); ++a) {
+      const ColumnVector& from = batch.column(aux_src[a]);
+      ColumnVector& to = table->aux_[a];
+      switch (from.type()) {
+        case TypeKind::kInt32:
+          AppendSelected(from.i32(), rows_kept, m, to.mutable_i32());
+          break;
+        case TypeKind::kInt64:
+          AppendSelected(from.i64(), rows_kept, m, to.mutable_i64());
+          break;
+        case TypeKind::kDouble:
+          AppendSelected(from.f64(), rows_kept, m, to.mutable_f64());
+          break;
+        case TypeKind::kString:
+          AppendSelectedStrings(from, rows_kept, m, &arenas[a],
+                                &string_ends[a]);
+          break;
       }
     }
   }
 
-  // The arena is complete: pin it and point the string payloads into it.
-  arena.shrink_to_fit();
-  const auto shared_arena =
-      std::make_shared<const std::vector<uint8_t>>(std::move(arena));
-  const char* const base = reinterpret_cast<const char*>(shared_arena->data());
-  uint64_t payload_bytes = shared_arena->capacity();
+  // The arenas are complete: pin each one and point its column's string
+  // payloads into it.
+  uint64_t payload_bytes = 0;
   for (size_t a = 0; a < table->aux_.size(); ++a) {
     ColumnVector& col = table->aux_[a];
     if (col.type() == TypeKind::kString) {
+      arenas[a].shrink_to_fit();
+      const auto shared_arena =
+          std::make_shared<const std::vector<uint8_t>>(std::move(arenas[a]));
+      const char* const base =
+          reinterpret_cast<const char*>(shared_arena->data());
+      payload_bytes += shared_arena->capacity();
       std::vector<std::string_view>* views = col.mutable_str_views();
       views->reserve(string_ends[a].size());
       size_t begin = 0;
@@ -380,7 +346,8 @@ Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
   }
 
   table->InsertKeys(keys);
-  table->stats_.input_rows = input_rows;
+  table->stats_.input_rows = scan.rows_read + scan.rows_pruned;
+  table->stats_.bytes_read = io.local_bytes_read;
   table->stats_.entries = keys.size();
   table->stats_.memory_bytes = table->keys_.capacity() * sizeof(int64_t) +
                                table->slots_.capacity() * sizeof(int32_t) +

@@ -35,8 +35,8 @@ namespace core {
 ///
 /// Payloads are columnar: entry i (in scan order of the qualifying rows)
 /// owns payload slot i, and each auxiliary column is one typed ColumnVector
-/// indexed by slot. String payloads are views into one arena the table
-/// owns. Probes return slots, never rows, so the join loop gathers group-key
+/// indexed by slot. A string column's payloads are views into an arena of
+/// its own that it pins. Probes return slots, never rows, so the join loop gathers group-key
 /// values straight from the typed arrays.
 ///
 /// The table is also the CIF scan's semi-join key filter. Membership alone
@@ -50,25 +50,34 @@ class DimHashTable final : public storage::ScanKeyFilter {
     uint64_t input_rows = 0;
     uint64_t entries = 0;
     /// Resident bytes: both bucket lanes, the membership bitmap, the payload
-    /// arrays and the string arena.
+    /// arrays and the string arenas.
     uint64_t memory_bytes = 0;
+    /// Image bytes the build read: the directory and the column blocks of
+    /// the pk, aux and predicate columns, nothing else.
+    uint64_t bytes_read = 0;
+    /// The image scan's stats: decoded/raw bytes, blocks per encoding, and
+    /// the rows the pushed predicate leaves pruned.
+    storage::ScanStats scan;
   };
 
   /// Bucket count for `entries` keys: the smallest power of two >= 16 that
   /// keeps the load factor at or below one half.
   static size_t CapacityFor(size_t entries);
 
-  /// Builds from an encoded row stream (the node-local dimension replica):
-  /// applies `predicate`, keys by `pk_column`, stores `aux_columns`. Only
-  /// the columns these name are decoded; every other field is stepped over.
-  /// Each row must end exactly at its length prefix, or the build fails
-  /// with IoError.
+  /// Builds from a column image of a `dim_schema` table (the node-local
+  /// dimension replica, storage::EncodeColumnImage bytes): applies
+  /// `predicate`, keys by `pk_column`, stores `aux_columns`. The image is
+  /// read through storage::OpenColumnImageReader, projected to the pk, aux
+  /// and predicate columns; the predicate's top-level leaves run inside the
+  /// scan (string leaves once per dictionary code) and the whole predicate
+  /// is re-checked on every batch. Entries take payload slots in scan order.
+  /// A corrupt image fails with IoError.
   ///
   /// `tracker` (optional) is charged the finished table's memory_bytes; the
   /// table holds the charge until it is destroyed — exact-byte,
   /// release-on-drop.
   static Result<std::shared_ptr<const DimHashTable>> Build(
-      const Schema& dim_schema, const uint8_t* row_stream, size_t len,
+      const Schema& dim_schema, const uint8_t* image, size_t len,
       const Predicate& predicate, const std::string& pk_column,
       const std::vector<std::string>& aux_columns,
       std::shared_ptr<obs::MemTracker> tracker = nullptr);
@@ -168,8 +177,8 @@ class DimHashTable final : public storage::ScanKeyFilter {
   /// Bit (key - min_key_) is set for every stored key; empty when the key
   /// range is too wide (see the class comment).
   std::vector<uint64_t> bitmap_;
-  /// One per aux column, slot-indexed; string columns are views into one
-  /// arena they all pin.
+  /// One per aux column, slot-indexed; a string column's views point into
+  /// the arena it pins.
   std::vector<ColumnVector> aux_;
   int64_t min_key_ = std::numeric_limits<int64_t>::max();
   int64_t max_key_ = std::numeric_limits<int64_t>::min();

@@ -199,6 +199,7 @@ Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
           DimHashTable::Build(*dim->desc.schema, bytes->data(), bytes->size(),
                               *join.predicate, join.dim_pk, join.aux_columns,
                               tracker));
+      context->AddLocalDiskBytes(built->stats().bytes_read);
       context->counters()->Add(kCounterHashBuilds, 1);
       context->counters()->Add(kCounterHashBuildRows,
                                static_cast<int64_t>(built->stats().input_rows));
@@ -208,6 +209,7 @@ Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
           kCounterHashBytes, static_cast<int64_t>(built->stats().memory_bytes));
       build_node->rows_in += built->stats().input_rows;
       build_node->rows_out += built->stats().entries;
+      mr::AddScanDetail(built->stats().scan, build_node);
       return built;
     };
     if (cache != nullptr) {

@@ -112,8 +112,9 @@ Result<std::shared_ptr<QueryHashTables>> BuildQueryHashTables(
 /// Returns the node's shared tables, building on first use (JVM reuse: one
 /// build per node per query when tasks share state). Fills `build_node`,
 /// the task's EXPLAIN ANALYZE "build" node: the "hash-tables" span's wall
-/// and CPU time, the rows of builds this task ran (0 for reused tables) and
-/// the tables' bytes.
+/// and CPU time, the rows of builds this task ran (0 for reused tables),
+/// those builds' replica scan detail (decoded/raw bytes, blocks per
+/// encoding, rows their pushed leaves pruned) and the tables' bytes.
 Result<std::shared_ptr<QueryHashTables>> GetOrBuildHashTables(
     mr::TaskContext* context, const StarSchema& star,
     const StarQuerySpec& spec, const ClydesdaleOptions& options,

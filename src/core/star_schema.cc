@@ -1,7 +1,7 @@
 #include "core/star_schema.h"
 
 #include "common/strings.h"
-#include "storage/binary_row_format.h"
+#include "storage/cif.h"
 
 namespace clydesdale {
 namespace core {
@@ -24,7 +24,7 @@ void StarSchema::AddDimension(DimTableInfo info) {
 }
 
 namespace {
-/// Reads the dimension master from HDFS into row-stream bytes.
+/// Reads the dimension master from HDFS and encodes it as a column image.
 Result<std::vector<uint8_t>> FetchDimensionMaster(mr::MrCluster* cluster,
                                                   const DimTableInfo& dim,
                                                   hdfs::IoStats* stats,
@@ -35,7 +35,7 @@ Result<std::vector<uint8_t>> FetchDimensionMaster(mr::MrCluster* cluster,
   CLY_ASSIGN_OR_RETURN(
       std::vector<Row> rows,
       storage::ScanTableToVector(*cluster->dfs(), dim.desc, options));
-  return storage::EncodeRowStream(rows);
+  return storage::EncodeColumnImage(dim.desc.schema, rows);
 }
 }  // namespace
 
@@ -50,10 +50,10 @@ Status ReplicateDimensionToAllNodes(mr::MrCluster* cluster,
 }
 
 Status InstallDimensionReplicas(mr::MrCluster* cluster, const DimTableInfo& dim,
-                                const hdfs::BlockBuffer& bytes) {
+                                const hdfs::BlockBuffer& image) {
   for (int n = 0; n < cluster->num_nodes(); ++n) {
     CLY_RETURN_IF_ERROR(
-        cluster->local_store(n)->WriteShared(dim.local_path, bytes));
+        cluster->local_store(n)->WriteShared(dim.local_path, image));
   }
   return Status::OK();
 }
@@ -62,10 +62,7 @@ Result<hdfs::BlockBuffer> ReadDimensionReplica(mr::TaskContext* context,
                                                const DimTableInfo& dim) {
   hdfs::LocalStore* store = context->local_store();
   Result<hdfs::BlockBuffer> local = store->Read(dim.local_path);
-  if (local.ok()) {
-    context->AddLocalDiskBytes((*local)->size());
-    return local;
-  }
+  if (local.ok()) return local;
   // Local copy lost (disk failure / fresh node): restore from the master
   // copy in HDFS (paper §4), then serve it.
   CLY_ASSIGN_OR_RETURN(
@@ -74,7 +71,6 @@ Result<hdfs::BlockBuffer> ReadDimensionReplica(mr::TaskContext* context,
                            context->node()));
   const hdfs::BlockBuffer shared = hdfs::MakeBlockBuffer(std::move(bytes));
   CLY_RETURN_IF_ERROR(store->WriteShared(dim.local_path, shared));
-  context->AddLocalDiskBytes(shared->size());
   return shared;
 }
 

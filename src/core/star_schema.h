@@ -17,7 +17,10 @@ namespace core {
 struct DimTableInfo {
   std::string name;
   storage::TableDesc desc;
-  /// LocalStore path of the per-node replica (EncodeRowStream bytes).
+  /// LocalStore path of the per-node replica: a column image of the table
+  /// (storage::EncodeColumnImage), one CIF column block per field, which
+  /// DimHashTable::Build reads column by column. The HDFS master stays in
+  /// binary rows.
   std::string local_path;
   /// Primary key column name.
   std::string pk;
@@ -43,20 +46,21 @@ class StarSchema {
   std::map<std::string, DimTableInfo> dims_;
 };
 
-/// Copies a dimension's master data from HDFS onto every node's local disk
-/// (the install step in paper §4; new nodes or nodes with failed disks call
-/// it again).
+/// Encodes a dimension's master data from HDFS as a column image and
+/// installs it on every node's local disk (the install step in paper §4;
+/// new nodes or nodes with failed disks call it again).
 Status ReplicateDimensionToAllNodes(mr::MrCluster* cluster,
                                     const DimTableInfo& dim);
 
-/// Installs `bytes` — the dimension's row stream, byte-identical to its
-/// master's data file — as the local replica on every node.
+/// Installs `image` — the dimension's column image — as the local replica
+/// on every node. Every node shares the one buffer.
 Status InstallDimensionReplicas(mr::MrCluster* cluster, const DimTableInfo& dim,
-                                const hdfs::BlockBuffer& bytes);
+                                const hdfs::BlockBuffer& image);
 
 /// Task-side access to a dimension replica: reads the node-local copy, or —
-/// if this node lost it — re-fetches from HDFS and restores the local copy.
-/// Returns the raw row-stream bytes and accounts the local read to `context`.
+/// if this node lost it — re-fetches the master from HDFS (accounted to the
+/// task's I/O stats) and restores the local copy. Returns the column image;
+/// the caller accounts the local bytes it actually reads from it.
 Result<hdfs::BlockBuffer> ReadDimensionReplica(mr::TaskContext* context,
                                                const DimTableInfo& dim);
 

@@ -5,7 +5,7 @@
 #include "mapreduce/input_format.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
-#include "storage/binary_row_format.h"
+#include "storage/cif.h"
 #include "storage/table_format.h"
 
 namespace clydesdale {
@@ -54,7 +54,8 @@ Result<std::string> BuildMapJoinHashFile(mr::MrCluster* cluster,
     filtered.push_back(std::move(entry));
   }
 
-  std::vector<uint8_t> bytes = storage::EncodeRowStream(filtered);
+  CLY_ASSIGN_OR_RETURN(SchemaPtr hash_schema, HashFileSchema(spec));
+  std::vector<uint8_t> bytes = storage::EncodeColumnImage(hash_schema, filtered);
   const std::string path = StrCat(scratch_root, "/hash_stage",
                                   spec.stage_index + 1, "_",
                                   JoinStrategyName(JoinStrategy::kMapJoin));
@@ -79,7 +80,6 @@ Status MapJoinMapper::Setup(mr::TaskContext* context) {
                        context->CacheFilePath(hash_file_));
   CLY_ASSIGN_OR_RETURN(hdfs::BlockBuffer bytes,
                        context->local_store()->Read(local_path));
-  context->AddLocalDiskBytes(bytes->size());
 
   CLY_ASSIGN_OR_RETURN(SchemaPtr hash_schema, HashFileSchema(spec_));
   CLY_ASSIGN_OR_RETURN(
@@ -87,6 +87,7 @@ Status MapJoinMapper::Setup(mr::TaskContext* context) {
       core::DimHashTable::Build(*hash_schema, bytes->data(), bytes->size(),
                                 *Predicate::True(), hash_schema->field(0).name,
                                 spec_.aux_cols, context->mem_tracker()));
+  context->AddLocalDiskBytes(table_->stats().bytes_read);
   context->counters()->Add(kCounterMapJoinHashLoads, 1);
   context->counters()->Add(kCounterMapJoinHashEntries,
                            static_cast<int64_t>(table_->entries()));

@@ -134,23 +134,29 @@ void AddDimCacheCounters(int64_t hits, int64_t misses, int64_t evictions,
   if (resident_bytes >= 0) counters->Set(kCounterCacheBytes, resident_bytes);
 }
 
+void AddScanDetail(const storage::ScanStats& stats, obs::OperatorProfile* node) {
+  node->bytes_decoded += stats.bytes_encoded;
+  node->bytes_raw += stats.bytes_raw;
+  node->blocks_skipped += stats.blocks_skipped;
+  node->rows_pruned += stats.rows_pruned;
+  for (int i = 0; i < 6; ++i) {
+    node->blocks_by_encoding[i] += stats.blocks_by_encoding[i];
+  }
+}
+
 obs::OperatorProfile ScanProfileNode(const std::string& name,
                                      const storage::ScanStats& stats,
                                      uint64_t wall_ns, uint64_t cpu_ns) {
   obs::OperatorProfile scan;
   scan.name = name;
   scan.kind = "scan";
+  // Every row the scan covered was either handed out or pruned.
+  scan.rows_in = stats.rows_read + stats.rows_pruned;
   scan.rows_out = stats.rows_read;
   scan.wall_ns = wall_ns;
   scan.wall_max_ns = wall_ns;
   scan.cpu_ns = cpu_ns;
-  scan.bytes_decoded = stats.bytes_encoded;
-  scan.bytes_raw = stats.bytes_raw;
-  scan.blocks_skipped = stats.blocks_skipped;
-  scan.rows_pruned = stats.rows_pruned;
-  for (int i = 0; i < 6; ++i) {
-    scan.blocks_by_encoding[i] = stats.blocks_by_encoding[i];
-  }
+  AddScanDetail(stats, &scan);
   // The reader's scratch and its batch are the scan's whole footprint, and
   // it holds them until it is dropped, so current == peak here; the profile
   // merge (max) keeps the largest single-task value.

@@ -169,9 +169,13 @@ void AddMemTrackerCounters(
 void AddDimCacheCounters(int64_t hits, int64_t misses, int64_t evictions,
                          int64_t resident_bytes, Counters* counters);
 
+/// Adds a scan's decoded/raw bytes, skip/prune counts and per-encoding block
+/// histogram to `node` (a scan node, or a dimension build's node).
+void AddScanDetail(const storage::ScanStats& stats, obs::OperatorProfile* node);
+
 /// Builds one "scan" OperatorProfile node (tasks=1) from a completed scan's
-/// stats: rows out, decoded/raw bytes, skip/prune counts, per-encoding block
-/// histogram, plus the caller-measured timings.
+/// stats: rows in (read + pruned) and out, the AddScanDetail fields, plus
+/// the caller-measured timings.
 obs::OperatorProfile ScanProfileNode(const std::string& name,
                                      const storage::ScanStats& stats,
                                      uint64_t wall_ns, uint64_t cpu_ns);

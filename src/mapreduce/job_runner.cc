@@ -196,12 +196,13 @@ void JobRunner::FinishAttempt(TaskAttempt* attempt, Status status) {
 
 void JobRunner::MergeAttemptProfile(
     const char* root_name, const obs::Span& task_span,
-    const obs::MemTracker& tracker, uint64_t rows_in, uint64_t rows_out,
-    std::vector<obs::OperatorProfile> children) {
+    const obs::MemTracker& tracker, std::optional<uint64_t> rows_in,
+    uint64_t rows_out, std::vector<obs::OperatorProfile> children) {
   obs::OperatorProfile root;
   root.name = root_name;
   root.kind = "task";
-  root.rows_in = rows_in;
+  root.rows_in = rows_in.value_or(0);
+  root.rows_in_counted = rows_in.has_value();
   root.rows_out = rows_out;
   root.wall_ns = static_cast<uint64_t>(task_span.wall_ns());
   root.wall_max_ns = root.wall_ns;
@@ -321,7 +322,7 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
   // Failed attempts are dropped from the profile: their retry contributes
   // instead, keeping merged counters loss-free per *completed* task.
   if (profile_ && status.ok()) {
-    MergeAttemptProfile("map", task_span, *attempt_tracker, /*rows_in=*/0,
+    MergeAttemptProfile("map", task_span, *attempt_tracker, std::nullopt,
                         out_records, context.TakeProfileOperators());
   }
   return status;

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -98,10 +99,11 @@ class JobRunner {
   Status RunReduceAttempt(TaskAttempt* attempt);
   /// Merges one succeeded attempt's tree into JobReport::profile (callers
   /// check profile_). The root's wall, CPU and envelope are `task_span`'s
-  /// readings; its memory is `tracker`'s.
+  /// readings; its memory is `tracker`'s. `rows_in` is nullopt when the
+  /// attempt counts no input (a map task: its scan children do).
   void MergeAttemptProfile(const char* root_name, const obs::Span& task_span,
-                           const obs::MemTracker& tracker, uint64_t rows_in,
-                           uint64_t rows_out,
+                           const obs::MemTracker& tracker,
+                           std::optional<uint64_t> rows_in, uint64_t rows_out,
                            std::vector<obs::OperatorProfile> children);
   void FinishAttempt(TaskAttempt* attempt, Status status);
   bool aborted() const;

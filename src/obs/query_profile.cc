@@ -43,6 +43,7 @@ OperatorProfile* OperatorProfile::Child(std::string_view child_name) {
 void OperatorProfile::MergeFrom(const OperatorProfile& other) {
   if (kind.empty()) kind = other.kind;
   rows_in += other.rows_in;
+  rows_in_counted = rows_in_counted && other.rows_in_counted;
   rows_out += other.rows_out;
   batches += other.batches;
   wall_ns += other.wall_ns;
@@ -103,7 +104,9 @@ void RenderNodeText(const OperatorProfile& node, const std::string& indent,
   if (is_child) out->append("└─ ");
   out->append(node.name);
   out->append(StrCat(" [", node.kind.empty() ? "op" : node.kind, "]"));
-  out->append(StrCat("  rows_in=", node.rows_in, " rows_out=", node.rows_out));
+  out->append("  ");
+  if (node.rows_in_counted) out->append(StrCat("rows_in=", node.rows_in, " "));
+  out->append(StrCat("rows_out=", node.rows_out));
   if (node.rows_in > 0) {
     out->append(StrCat(" sel=", FormatDouble(node.selectivity(), 4)));
   }
@@ -147,8 +150,9 @@ void RenderNodeJson(const OperatorProfile& node, std::string* out) {
   out->append(JsonQuote(node.name));
   out->append(",\"kind\":");
   out->append(JsonQuote(node.kind));
-  out->append(StrCat(",\"rows_in\":", node.rows_in,
-                     ",\"rows_out\":", node.rows_out));
+  out->append(",\"rows_in\":");
+  out->append(node.rows_in_counted ? StrCat(node.rows_in) : "null");
+  out->append(StrCat(",\"rows_out\":", node.rows_out));
   out->append(",\"selectivity\":");
   out->append(node.rows_in > 0 ? JsonDouble(node.selectivity()) : "null");
   out->append(StrCat(",\"batches\":", node.batches, ",\"wall_ns\":",

@@ -22,6 +22,9 @@ struct OperatorProfile {
   std::string kind;  ///< "scan" | "probe" | "aggregate" | "shuffle" | ...
 
   uint64_t rows_in = 0;
+  /// False for a node that counts no input (a map task's root: its scans
+  /// count it). Renderers then omit rows_in rather than print a 0.
+  bool rows_in_counted = true;
   uint64_t rows_out = 0;
   uint64_t batches = 0;
   uint64_t wall_ns = 0;      ///< Summed across attempts (total work).
@@ -61,7 +64,8 @@ struct OperatorProfile {
 
   /// Adds `other`'s counters into this node and recursively merges its
   /// children by name (unmatched children are inserted in name order).
-  /// Loss-free: every counter of `other` lands exactly once.
+  /// Loss-free: every counter of `other` lands exactly once. rows_in stays
+  /// counted only while every merged node counted it.
   void MergeFrom(const OperatorProfile& other);
 };
 

@@ -4,7 +4,7 @@
 
 #include "common/strings.h"
 #include "core/dim_hash_table.h"
-#include "storage/binary_row_format.h"
+#include "storage/cif.h"
 #include "storage/row_codec.h"
 #include "storage/table_format.h"
 
@@ -134,11 +134,12 @@ Result<QueryMeasurement> MeasureQuery(mr::MrCluster* cluster,
     CLY_ASSIGN_OR_RETURN(
         std::vector<Row> rows,
         storage::ScanTableToVector(*cluster->dfs(), dim->desc, scan));
-    std::vector<uint8_t> stream = storage::EncodeRowStream(rows);
+    const std::vector<uint8_t> image =
+        storage::EncodeColumnImage(dim->desc.schema, rows);
     CLY_ASSIGN_OR_RETURN(
         std::shared_ptr<const core::DimHashTable> table,
-        core::DimHashTable::Build(*dim->desc.schema, stream.data(),
-                                  stream.size(), *join.predicate, join.dim_pk,
+        core::DimHashTable::Build(*dim->desc.schema, image.data(),
+                                  image.size(), *join.predicate, join.dim_pk,
                                   join.aux_columns));
     DimStat stat;
     stat.name = join.dimension;
@@ -146,7 +147,12 @@ Result<QueryMeasurement> MeasureQuery(mr::MrCluster* cluster,
     stat.rows = dim->desc.num_rows;
     stat.entries = table->entries();
     stat.hash_memory_bytes = table->stats().memory_bytes;
-    stat.replica_bytes = stream.size();
+    // The modelled system keeps its replicas in the HDFS master's binary
+    // rows (paper §6.2), so the model reads their size, not the image's.
+    stat.replica_bytes = 0;
+    for (const Row& row : rows) {
+      stat.replica_bytes += storage::EncodedRowSize(row) + 4;
+    }
     // Serialized broadcast entry: pk + aux values of qualifying rows.
     {
       CLY_ASSIGN_OR_RETURN(BoundPredicatePtr pred,

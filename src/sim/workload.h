@@ -22,7 +22,7 @@ struct DimStat {
   uint64_t entries = 0;          // rows qualifying the query's predicate
   uint64_t hash_memory_bytes = 0;  // in-memory hash size (measured build)
   uint64_t hash_serialized_bytes = 0;  // mapjoin broadcast file size
-  uint64_t replica_bytes = 0;    // full local-replica row-stream size
+  uint64_t replica_bytes = 0;    // the dimension's size in binary rows
 };
 
 /// Everything the cost model needs about one query, measured by actually

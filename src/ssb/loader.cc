@@ -192,8 +192,9 @@ std::vector<uint8_t> EncodeDimension(int64_t rows,
   return stream;
 }
 
-/// Writes one dimension to HDFS (binary rows) and installs the same row
-/// stream as its local replica on every node.
+/// Writes one dimension to HDFS (binary rows) and installs its column image,
+/// its columns encoded in parallel on the pool, as the local replica on
+/// every node.
 Result<core::DimTableInfo> LoadDimension(
     mr::MrCluster* cluster, const std::string& root, const std::string& name,
     const SchemaPtr& schema, const std::string& pk, int64_t rows,
@@ -214,8 +215,14 @@ Result<core::DimTableInfo> LoadDimension(
   // caches never probe a table built from the previous load.
   cluster->InvalidateTable(dim.desc.path);
 
+  CLY_ASSIGN_OR_RETURN(
+      const RowBatch columns,
+      storage::DecodeRowStreamColumns(schema, stream.data(), stream.size()));
+  std::vector<uint8_t> image = storage::EncodeColumnImage(
+      columns,
+      [pool](int n, const std::function<void(int)>& fn) { pool->Run(n, fn); });
   CLY_RETURN_IF_ERROR(core::InstallDimensionReplicas(
-      cluster, dim, hdfs::MakeBlockBuffer(std::move(stream))));
+      cluster, dim, hdfs::MakeBlockBuffer(std::move(image))));
   return dim;
 }
 

@@ -179,5 +179,56 @@ Result<std::vector<Row>> DecodeRowStream(const Schema& schema,
   return rows;
 }
 
+Result<RowBatch> DecodeRowStreamColumns(const SchemaPtr& schema,
+                                        const uint8_t* data, size_t len) {
+  RowBatch batch(schema);
+  std::vector<ColumnVector*> columns;
+  for (int c = 0; c < batch.num_columns(); ++c) {
+    columns.push_back(batch.mutable_column(c));
+  }
+  ByteReader reader(data, len);
+  while (!reader.AtEnd()) {
+    uint32_t n = 0;
+    CLY_RETURN_IF_ERROR(reader.GetU32(&n));
+    const size_t row_end = reader.position() + n;
+    for (ColumnVector* col : columns) {
+      switch (col->type()) {
+        case TypeKind::kInt32: {
+          int32_t v = 0;
+          CLY_RETURN_IF_ERROR(reader.GetI32(&v));
+          col->AppendInt32(v);
+          break;
+        }
+        case TypeKind::kInt64: {
+          int64_t v = 0;
+          CLY_RETURN_IF_ERROR(reader.GetI64(&v));
+          col->AppendInt64(v);
+          break;
+        }
+        case TypeKind::kDouble: {
+          double v = 0;
+          CLY_RETURN_IF_ERROR(reader.GetF64(&v));
+          col->mutable_f64()->push_back(v);
+          break;
+        }
+        case TypeKind::kString: {
+          uint16_t size = 0;
+          CLY_RETURN_IF_ERROR(reader.GetU16(&size));
+          const size_t at = reader.position();
+          CLY_RETURN_IF_ERROR(reader.Skip(size));
+          col->mutable_str_views()->emplace_back(
+              reinterpret_cast<const char*>(data + at), size);
+          break;
+        }
+      }
+    }
+    if (reader.position() != row_end) {
+      return Status::IoError("row stream row does not end at its length");
+    }
+  }
+  CLY_RETURN_IF_ERROR(batch.SealRowCount());
+  return batch;
+}
+
 }  // namespace storage
 }  // namespace clydesdale

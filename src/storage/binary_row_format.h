@@ -36,6 +36,13 @@ Status WriteBinaryRowTable(hdfs::MiniDfs* dfs, const TableDesc& desc,
 Result<std::vector<Row>> DecodeRowStream(const Schema& schema,
                                          const uint8_t* data, size_t len);
 
+/// Decodes a full row stream into columns, for re-encoding it in another
+/// layout. Strings are views into [data, data + len), which must outlive
+/// the batch. A row that does not end exactly at its length prefix is an
+/// IoError.
+Result<RowBatch> DecodeRowStreamColumns(const SchemaPtr& schema,
+                                        const uint8_t* data, size_t len);
+
 }  // namespace storage
 }  // namespace clydesdale
 

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string_view>
 #include <unordered_map>
 
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/strings.h"
 #include "storage/byte_io.h"
 #include "storage/column_codec.h"
@@ -112,21 +115,26 @@ uint8_t EncodeColumnPayload(const ColumnVector& col, ByteWriter* out,
     case TypeKind::kString:
       break;
   }
-  // Strings: try the dictionary, then let RLE-of-codes compete with
-  // one-code-per-row on estimated size.
+  // Strings: try the dictionary, coding each row as it is looked up, then
+  // let RLE-of-codes compete with one-code-per-row on estimated size.
   std::unordered_map<std::string_view, uint8_t> dict;
   std::vector<std::string_view> order;
+  std::vector<uint8_t> codes(nrows);
   bool dictionary_ok = nrows > 0;
   size_t dict_section = 2;  // u16 dict size + entries
   for (uint32_t i = 0; i < nrows && dictionary_ok; ++i) {
     const std::string_view s = col.StringViewAt(i);
     auto it = dict.find(s);
-    if (it != dict.end()) continue;
+    if (it != dict.end()) {
+      codes[i] = it->second;
+      continue;
+    }
     if (dict.size() == 256 || s.size() > 255) {
       dictionary_ok = false;
       break;
     }
-    dict.emplace(s, static_cast<uint8_t>(dict.size()));
+    codes[i] = static_cast<uint8_t>(dict.size());
+    dict.emplace(s, codes[i]);
     order.push_back(s);
     dict_section += 1 + s.size();
   }
@@ -146,10 +154,8 @@ uint8_t EncodeColumnPayload(const ColumnVector& col, ByteWriter* out,
   }
   zone->kind = kZoneDict;
   for (std::string_view s : order) zone->fingerprint |= DictFingerprintBit(s);
-  std::vector<uint8_t> codes(nrows);
   uint32_t nruns = 0;
   for (uint32_t i = 0; i < nrows; ++i) {
-    codes[i] = dict.find(col.StringViewAt(i))->second;
     nruns += static_cast<uint32_t>(i == 0 || codes[i] != codes[i - 1]);
   }
   const size_t dict_bytes = 1 + dict_section + nrows;
@@ -223,33 +229,33 @@ struct BlockView {
   ZoneMap zone;
 };
 
-/// Parses a block's framing and footer.
-Status ParseFramedBlock(const std::vector<uint8_t>& data, BlockView* out) {
+/// Parses the framing and footer of the block [data, data + size).
+Status ParseFramedBlock(const uint8_t* data, size_t size, BlockView* out) {
   // Minimum block: header (8) + footer (encoding tag, zone kind, zone_len,
   // magic).
-  if (data.size() < 18u) {
+  if (size < 18u) {
     return Status::IoError("truncated CIF column block");
   }
   uint32_t magic = 0;
-  std::memcpy(&magic, data.data(), sizeof(magic));
+  std::memcpy(&magic, data, sizeof(magic));
   if (magic != kCifMagic) {
     return Status::IoError("CIF block magic mismatch");
   }
-  std::memcpy(&out->nrows, data.data() + 4, sizeof(uint32_t));
+  std::memcpy(&out->nrows, data + 4, sizeof(uint32_t));
   uint32_t footer_magic = 0;
   uint32_t zone_len = 0;
-  std::memcpy(&footer_magic, data.data() + data.size() - 4, sizeof(uint32_t));
-  std::memcpy(&zone_len, data.data() + data.size() - 8, sizeof(uint32_t));
+  std::memcpy(&footer_magic, data + size - 4, sizeof(uint32_t));
+  std::memcpy(&zone_len, data + size - 8, sizeof(uint32_t));
   if (footer_magic != kCifFooterMagic) {
     return Status::IoError("bad CIF footer magic");
   }
-  if (zone_len < 2u || zone_len > data.size() - 16) {
+  if (zone_len < 2u || zone_len > size - 16) {
     return Status::IoError("truncated CIF zone-map footer");
   }
-  const size_t zone_begin = data.size() - 8 - zone_len;
-  out->payload = data.data() + 8;
+  const size_t zone_begin = size - 8 - zone_len;
+  out->payload = data + 8;
   out->payload_len = zone_begin - 8;
-  ByteReader zone(data.data() + zone_begin, zone_len);
+  ByteReader zone(data + zone_begin, zone_len);
   CLY_RETURN_IF_ERROR(zone.GetU8(&out->encoding));
   if (out->encoding >= kEncCount) {
     return Status::IoError("unknown CIF block encoding tag");
@@ -723,6 +729,8 @@ constexpr uint8_t kStrRepDictRle = 2;
 /// walked once per split.
 struct SplitColumn {
   const Field* field = nullptr;
+  /// Keeps the block bytes alive; null for a column image, whose bytes the
+  /// caller keeps alive.
   hdfs::BlockBuffer block;
   BlockView view;
   /// Validated integer payload view.
@@ -1047,13 +1055,26 @@ void GatherInts(const SplitColumn& c, uint32_t begin, uint32_t n,
   }
 }
 
-/// Block-at-a-time CIF reader (B-CIF, paper §5.3). Open reads each needed
-/// column block as the datanode's own buffer, with no copy, parses its
-/// framing, and consults the zone maps. Each NextBatch then runs the late-
-/// materialization pipeline on that batch's rows alone: the pushed leaves
-/// in the compressed domain into a byte mask, a branch-free compaction into
-/// a selection vector, the key filters over the unpacked key columns, and
-/// one gather of the projection. String views pin the block buffer.
+/// One column block as the reader receives it: its bytes, and the buffer
+/// that owns them (null when the caller guarantees their lifetime).
+struct ColumnBlockBytes {
+  hdfs::BlockBuffer pin;
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+};
+
+/// Hands the reader the block of one field (a schema index): the split's
+/// block in that column's DFS file, or that column's block of an image.
+using BlockFetch = std::function<Result<ColumnBlockBytes>(int field)>;
+
+/// Block-at-a-time CIF reader (B-CIF, paper §5.3). Open fetches each needed
+/// column block in place, with no copy (a datanode's own buffer, or a slice
+/// of a column image), parses its framing, and consults the zone maps. Each
+/// NextBatch then runs the late-materialization pipeline on that batch's
+/// rows alone: the pushed leaves in the compressed domain into a byte mask,
+/// a branch-free compaction into a selection vector, the key filters over
+/// the unpacked key columns, and one gather of the projection. String views
+/// pin the block buffer when there is one.
 class CifSplitBatchReader final : public BatchReader {
  public:
   CifSplitBatchReader(SchemaPtr out_schema, const ScanOptions& options)
@@ -1068,9 +1089,8 @@ class CifSplitBatchReader final : public BatchReader {
     }
   }
 
-  Status Open(const hdfs::MiniDfs& dfs, const TableDesc& desc,
-              const StorageSplit& split, const ScanOptions& options,
-              std::vector<int> projection);
+  Status Open(const Schema& schema, const ScanOptions& options,
+              std::vector<int> projection, const BlockFetch& fetch);
 
   Result<bool> NextBatch(RowBatch* out, int64_t max_rows) override;
 
@@ -1104,44 +1124,40 @@ class CifSplitBatchReader final : public BatchReader {
   std::vector<int64_t> scratch_;
 };
 
-Status CifSplitBatchReader::Open(const hdfs::MiniDfs& dfs,
-                                 const TableDesc& desc,
-                                 const StorageSplit& split,
+Status CifSplitBatchReader::Open(const Schema& schema,
                                  const ScanOptions& options,
-                                 std::vector<int> projection) {
+                                 std::vector<int> projection,
+                                 const BlockFetch& fetch) {
   projection_ = std::move(projection);
   // Resolve the spec against the table schema. Unknown columns and
   // non-leaf shapes are simply not pushed (the engine re-checks).
   if (const ScanSpec* spec = options.scan_spec.get()) {
     for (const Predicate::Ptr& p : spec->conjuncts) {
       if (p == nullptr || !IsScanLeaf(*p)) continue;
-      const int idx = desc.schema->IndexOf(p->column_name());
+      const int idx = schema.IndexOf(p->column_name());
       if (idx >= 0) leaves_.push_back({p.get(), idx, {}});
     }
     for (const ScanSpec::KeyFilterEntry& kf : spec->key_filters) {
       if (kf.filter == nullptr) continue;
-      const int idx = desc.schema->IndexOf(kf.column);
+      const int idx = schema.IndexOf(kf.column);
       if (idx < 0) continue;
-      const TypeKind t = desc.schema->field(idx).type;
+      const TypeKind t = schema.field(idx).type;
       if (t == TypeKind::kInt32 || t == TypeKind::kInt64) {
         key_filters_.push_back({kf.filter.get(), idx});
       }
     }
   }
 
-  cols_.resize(static_cast<size_t>(desc.schema->num_fields()));
+  cols_.resize(static_cast<size_t>(schema.num_fields()));
   bool nrows_known = false;
   uint32_t nrows = 0;
   auto load_column = [&](int field_index) -> Status {
     SplitColumn& c = cols_[static_cast<size_t>(field_index)];
     if (c.field != nullptr) return Status::OK();
-    c.field = &desc.schema->field(field_index);
-    CLY_ASSIGN_OR_RETURN(
-        std::unique_ptr<hdfs::DfsReader> reader,
-        dfs.Open(ColumnFilePath(desc, c.field->name, split.segment),
-                 options.reader_node, options.stats));
-    CLY_ASSIGN_OR_RETURN(c.block, reader->ReadBlock(split.block_in_segment));
-    CLY_RETURN_IF_ERROR(ParseFramedBlock(*c.block, &c.view));
+    c.field = &schema.field(field_index);
+    CLY_ASSIGN_OR_RETURN(ColumnBlockBytes bytes, fetch(field_index));
+    c.block = std::move(bytes.pin);
+    CLY_RETURN_IF_ERROR(ParseFramedBlock(bytes.data, bytes.size, &c.view));
     if (nrows_known && c.view.nrows != nrows) {
       return Status::IoError(
           StrCat("CIF split columns disagree on row count: ", c.view.nrows,
@@ -1350,16 +1366,35 @@ class CifSplitRowReader final : public RowReader {
   int64_t next_ = 0;
 };
 
+/// Opens a batch reader over `schema`'s column blocks as `fetch` hands
+/// them out.
+Result<std::unique_ptr<CifSplitBatchReader>> OpenCifReader(
+    const Schema& schema, const ScanOptions& options, const BlockFetch& fetch) {
+  CLY_ASSIGN_OR_RETURN(std::vector<int> projection,
+                       ResolveProjection(schema, options));
+  auto reader = std::make_unique<CifSplitBatchReader>(
+      schema.Project(projection), options);
+  CLY_RETURN_IF_ERROR(
+      reader->Open(schema, options, std::move(projection), fetch));
+  return reader;
+}
+
 Result<std::unique_ptr<CifSplitBatchReader>> OpenCifSplit(
     const hdfs::MiniDfs& dfs, const TableDesc& desc, const StorageSplit& split,
     const ScanOptions& options) {
-  CLY_ASSIGN_OR_RETURN(std::vector<int> projection,
-                       ResolveProjection(*desc.schema, options));
-  auto reader = std::make_unique<CifSplitBatchReader>(
-      desc.schema->Project(projection), options);
-  CLY_RETURN_IF_ERROR(
-      reader->Open(dfs, desc, split, options, std::move(projection)));
-  return reader;
+  return OpenCifReader(
+      *desc.schema, options, [&](int field) -> Result<ColumnBlockBytes> {
+        CLY_ASSIGN_OR_RETURN(
+            std::unique_ptr<hdfs::DfsReader> reader,
+            dfs.Open(ColumnFilePath(desc, desc.schema->field(field).name,
+                                    split.segment),
+                     options.reader_node, options.stats));
+        CLY_ASSIGN_OR_RETURN(hdfs::BlockBuffer block,
+                             reader->ReadBlock(split.block_in_segment));
+        const uint8_t* data = block->data();
+        const size_t size = block->size();
+        return ColumnBlockBytes{std::move(block), data, size};
+      });
 }
 
 class CifTableWriter final : public SplitTableWriter {
@@ -1529,6 +1564,154 @@ Result<std::unique_ptr<BatchReader>> OpenCifSplitBatchReader(
   CLY_ASSIGN_OR_RETURN(std::unique_ptr<CifSplitBatchReader> batches,
                        OpenCifSplit(dfs, desc, split, options));
   return std::unique_ptr<BatchReader>(std::move(batches));
+}
+
+// --- Column images -----------------------------------------------------------
+// A whole table in one buffer:
+//   [u32 "CIMG"][u32 nfields]
+//   [nfields x {u64 offset, u64 length, u64 sum, u64 weighted_sum}]
+//   [field 0's CIF block][pad to 8] ... [field n-1's CIF block]
+// Every block starts 8-aligned, so a reader scans it in place exactly as it
+// scans a DFS block. The two sums cover the block's bytes: any single
+// changed byte changes the first, and the second is position-sensitive.
+
+namespace {
+
+constexpr uint32_t kImageMagic = 0x474D4943u;  // "CIMG"
+constexpr size_t kImageHeaderBytes = 8;
+constexpr size_t kImageEntryBytes = 32;
+
+/// Fletcher-style sums over the block's little-endian words (the tail word
+/// zero-padded): two adds per 8 bytes.
+void BlockSums(const uint8_t* p, size_t n, uint64_t* sum, uint64_t* weighted) {
+  uint64_t s1 = 0;
+  uint64_t s2 = 0;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t w = 0;
+    std::memcpy(&w, p + i, sizeof(w));
+    s1 += w;
+    s2 += s1;
+  }
+  uint64_t tail = 0;
+  std::memcpy(&tail, p + i, n - i);
+  s1 += tail;
+  s2 += s1;
+  *sum = s1;
+  *weighted = s2;
+}
+
+uint64_t LoadU64(const uint8_t* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeColumnImage(const RowBatch& table,
+                                       const ParallelFor& parallel_for) {
+  CLY_CHECK(static_cast<uint64_t>(table.num_rows()) <= UINT32_MAX);
+  const int nfields = table.num_columns();
+  std::vector<std::vector<uint8_t>> blocks(static_cast<size_t>(nfields));
+  const std::function<void(int)> encode = [&](int c) {
+    ByteWriter out;
+    EncodeColumnBlock(table.column(c), &out);
+    blocks[static_cast<size_t>(c)] = out.Release();
+  };
+  if (parallel_for) {
+    parallel_for(nfields, encode);
+  } else {
+    for (int c = 0; c < nfields; ++c) encode(c);
+  }
+  size_t size = kImageHeaderBytes + kImageEntryBytes * blocks.size();
+  std::vector<size_t> offsets;
+  for (const std::vector<uint8_t>& block : blocks) {
+    offsets.push_back(size);
+    size += (block.size() + 7) & ~size_t{7};
+  }
+  std::vector<uint8_t> image(size, 0);
+  uint8_t* const base = image.data();
+  const auto store = [](uint8_t* at, auto v) {
+    std::memcpy(at, &v, sizeof(v));
+  };
+  store(base, kImageMagic);
+  store(base + 4, static_cast<uint32_t>(nfields));
+  for (size_t c = 0; c < blocks.size(); ++c) {
+    const std::vector<uint8_t>& block = blocks[c];
+    uint64_t sum = 0;
+    uint64_t weighted = 0;
+    BlockSums(block.data(), block.size(), &sum, &weighted);
+    uint8_t* const entry = base + kImageHeaderBytes + kImageEntryBytes * c;
+    store(entry, static_cast<uint64_t>(offsets[c]));
+    store(entry + 8, static_cast<uint64_t>(block.size()));
+    store(entry + 16, sum);
+    store(entry + 24, weighted);
+    std::memcpy(base + offsets[c], block.data(), block.size());
+  }
+  return image;
+}
+
+std::vector<uint8_t> EncodeColumnImage(const SchemaPtr& schema,
+                                       const std::vector<Row>& rows) {
+  RowBatch table(schema);
+  for (const Row& row : rows) table.AppendRow(row);
+  return EncodeColumnImage(table);
+}
+
+Result<std::unique_ptr<BatchReader>> OpenColumnImageReader(
+    const Schema& schema, const uint8_t* image, size_t len,
+    const ScanOptions& options) {
+  if (len < kImageHeaderBytes) {
+    return Status::IoError("truncated column image header");
+  }
+  if (LoadU32(image) != kImageMagic) {
+    return Status::IoError("column image magic mismatch");
+  }
+  const uint32_t nfields = LoadU32(image + 4);
+  if (nfields != static_cast<uint32_t>(schema.num_fields())) {
+    return Status::IoError(StrCat("column image holds ", nfields,
+                                  " columns; the schema has ",
+                                  schema.num_fields()));
+  }
+  const size_t directory_end =
+      kImageHeaderBytes + kImageEntryBytes * size_t{nfields};
+  if (len < directory_end) {
+    return Status::IoError("truncated column image directory");
+  }
+  if (options.stats != nullptr) {
+    options.stats->local_bytes_read += directory_end;
+  }
+  CLY_ASSIGN_OR_RETURN(
+      std::unique_ptr<CifSplitBatchReader> reader,
+      OpenCifReader(schema, options, [&](int field) -> Result<ColumnBlockBytes> {
+        const uint8_t* const entry =
+            image + kImageHeaderBytes +
+            kImageEntryBytes * static_cast<size_t>(field);
+        const uint64_t offset = LoadU64(entry);
+        const uint64_t length = LoadU64(entry + 8);
+        if (offset < directory_end || offset > len || length > len - offset) {
+          return Status::IoError(StrCat("column image block ", field,
+                                        " lies outside the ", len,
+                                        "-byte image"));
+        }
+        const uint8_t* const block = image + offset;
+        if (reinterpret_cast<uintptr_t>(block) % 8 != 0) {
+          return Status::IoError(
+              StrCat("column image block ", field, " is not 8-aligned"));
+        }
+        const auto size = static_cast<size_t>(length);
+        uint64_t sum = 0;
+        uint64_t weighted = 0;
+        BlockSums(block, size, &sum, &weighted);
+        if (sum != LoadU64(entry + 16) || weighted != LoadU64(entry + 24)) {
+          return Status::IoError(
+              StrCat("column image block ", field, " fails its checksum"));
+        }
+        if (options.stats != nullptr) options.stats->local_bytes_read += size;
+        return ColumnBlockBytes{nullptr, block, size};
+      }));
+  return std::unique_ptr<BatchReader>(std::move(reader));
 }
 
 }  // namespace storage

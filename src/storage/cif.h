@@ -1,6 +1,7 @@
 #ifndef CLYDESDALE_STORAGE_CIF_H_
 #define CLYDESDALE_STORAGE_CIF_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -55,6 +56,40 @@ Result<std::unique_ptr<RowReader>> OpenCifSplitRowReader(
 /// amortizes the per-record framework cost over a block of rows.
 Result<std::unique_ptr<BatchReader>> OpenCifSplitBatchReader(
     const hdfs::MiniDfs& dfs, const TableDesc& desc, const StorageSplit& split,
+    const ScanOptions& options);
+
+// --- Column images (node-local dimension replicas, paper §4) -----------------
+// A column image is a whole table in one buffer: one CIF column block per
+// field — the same blocks, encodings and zone maps as a CIF split — each
+// 8-aligned behind a small directory of {offset, length, checksum} entries.
+// Dimension replicas are column images, so a hash build reads only the
+// columns it needs, through the same batch reader as the fact scan.
+
+/// Runs fn(0) .. fn(n - 1), possibly concurrently, and returns when every
+/// call is done.
+using ParallelFor =
+    std::function<void(int n, const std::function<void(int)>& fn)>;
+
+/// Encodes `table` (at most 2^32 - 1 rows) as a column image. Columns are
+/// encoded independently, through `parallel_for` when one is given.
+std::vector<uint8_t> EncodeColumnImage(const RowBatch& table,
+                                       const ParallelFor& parallel_for = {});
+/// The same for rows of `schema`.
+std::vector<uint8_t> EncodeColumnImage(const SchemaPtr& schema,
+                                       const std::vector<Row>& rows);
+
+/// Batch reader over the column image [image, image + len) of a `schema`
+/// table. It honours ScanOptions like a CIF split reader: the projection,
+/// the scan spec's leaves (string leaves as per-dictionary-code tests) and
+/// key filters, scan_stats, mem_reporter; the image bytes it reads (the
+/// directory and the needed blocks) count into stats->local_bytes_read.
+/// Nothing is copied: the image must outlive the reader and every batch it
+/// returns, whose string views point into it. `image` must be 8-aligned.
+/// A header, directory entry or block that is out of bounds, misaligned,
+/// fails its checksum or disagrees with another on the row count is an
+/// IoError.
+Result<std::unique_ptr<BatchReader>> OpenColumnImageReader(
+    const Schema& schema, const uint8_t* image, size_t len,
     const ScanOptions& options);
 
 // --- Roll-in / roll-out (paper §2) -------------------------------------------

@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "core/dim_hash_table.h"
 #include "hdfs/dfs.h"
-#include "storage/binary_row_format.h"
 #include "storage/cif.h"
 #include "storage/column_codec.h"
 #include "storage/scan_spec.h"
@@ -498,10 +498,10 @@ struct DimKeys {
       : set(keys.begin(), keys.end()) {
     std::vector<Row> rows;
     for (int64_t k : keys) rows.push_back(Row({Value(k)}));
-    const std::vector<uint8_t> stream = EncodeRowStream(rows);
-    auto built = core::DimHashTable::Build(
-        *Schema::Make({{"pk", TypeKind::kInt64, 8}}), stream.data(),
-        stream.size(), *Predicate::True(), "pk", {});
+    const SchemaPtr schema = Schema::Make({{"pk", TypeKind::kInt64, 8}});
+    const std::vector<uint8_t> image = EncodeColumnImage(schema, rows);
+    auto built = core::DimHashTable::Build(*schema, image.data(), image.size(),
+                                           *Predicate::True(), "pk", {});
     CLY_CHECK(built.ok());
     table = std::move(*built);
   }
@@ -588,7 +588,7 @@ std::vector<Row> DiffRows(uint64_t seed, int splits, int rows_per_split) {
       }
       rows.push_back(Row({Value(a), Value(static_cast<int32_t>(b)),
                           Value(static_cast<double>(rng.Uniform(-200, 200)) / 2),
-                          Value("v" + std::to_string(s))}));
+                          Value(StrCat("v", s))}));
     }
   }
   return rows;

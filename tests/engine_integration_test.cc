@@ -509,6 +509,14 @@ TEST_F(EngineIntegrationTest, ProfiledRunSurfacesPerOperatorMemory) {
   EXPECT_GT(build->rows_out, 0u);
   EXPECT_GT(build->wall_ns, 0u);
   EXPECT_GT(build->mem_peak_bytes, 0u);
+  // The builds' replica scans: decoded and raw bytes and the encoding
+  // histogram of the column blocks they read, as on the fact scan node.
+  EXPECT_GT(build->bytes_decoded, 0u);
+  EXPECT_GE(build->bytes_raw, build->bytes_decoded);
+  uint64_t build_blocks = 0;
+  for (uint64_t n : build->blocks_by_encoding) build_blocks += n;
+  EXPECT_GT(build_blocks, 0u);
+  EXPECT_EQ(scan->rows_in, scan->rows_out + scan->rows_pruned);
   EXPECT_EQ(build->mem_peak_bytes, probe->mem_peak_bytes)
       << "the build's tables are the ones the probe holds";
   EXPECT_LE(profile.ProfiledSpanSeconds(),

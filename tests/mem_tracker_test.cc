@@ -18,7 +18,7 @@
 #include "mapreduce/input_format.h"
 #include "mapreduce/job_trace.h"
 #include "obs/mem_tracker.h"
-#include "storage/binary_row_format.h"
+#include "storage/cif.h"
 #include "storage/scan_spec.h"
 #include "storage/table_format.h"
 
@@ -128,7 +128,7 @@ std::vector<uint8_t> DimStream(int rows) {
     data.push_back(Row({Value(int32_t{i}),
                         Value(std::string("nation") + std::to_string(i % 5))}));
   }
-  return storage::EncodeRowStream(data);
+  return storage::EncodeColumnImage(DimSchema(), data);
 }
 
 TEST(DimHashTableMemTest, BuildChargesExactBytesAndReleasesOnDrop) {

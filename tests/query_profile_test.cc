@@ -240,6 +240,30 @@ TEST(ExplainAnalyzeTest, JsonIsBalancedAndMarksSourcesNullSelectivity) {
   EXPECT_EQ(brackets, 0);
 }
 
+TEST(ExplainAnalyzeTest, UncountedRowsInIsOmittedNotZero) {
+  OperatorProfile map = Node("map", "task", 0, 40);
+  map.rows_in_counted = false;
+  map.children.push_back(Node("scan:/t", "scan", 0, 40));
+  QueryProfile profile;
+  profile.MergeAttempt(map, 0, 10);
+  profile.MergeAttempt(map, 5, 20);
+  ASSERT_EQ(profile.roots.size(), 1u);
+  EXPECT_FALSE(profile.roots[0].rows_in_counted) << "stays uncounted merged";
+  EXPECT_TRUE(profile.roots[0].children[0].rows_in_counted);
+
+  const std::string text = ExplainAnalyzeText(profile);
+  EXPECT_NE(text.find("map [task]  rows_out=80"), std::string::npos) << text;
+  EXPECT_NE(text.find("scan:/t [scan]  rows_in=0 rows_out=80"),
+            std::string::npos)
+      << text;
+  const std::string json = ExplainAnalyzeJson(profile);
+  EXPECT_NE(json.find("\"name\":\"map\",\"kind\":\"task\",\"rows_in\":null"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"kind\":\"scan\",\"rows_in\":0,"), std::string::npos)
+      << json;
+}
+
 TEST(ThreadCpuNanosTest, AdvancesWithWork) {
   const int64_t before = ThreadCpuNanos();
   uint64_t sink = 0;
@@ -370,6 +394,11 @@ TEST(ProfiledScanTest, CifScanStatsMergeLossFree) {
   EXPECT_EQ(scan.name, StrCat("scan:", table));
   EXPECT_EQ(scan.kind, "scan");
   EXPECT_EQ(scan.rows_out, 1000u) << "merged rows must add up exactly";
+  EXPECT_EQ(scan.rows_in, scan.rows_out + scan.rows_pruned);
+  EXPECT_FALSE(map.rows_in_counted) << "a map root counts no input";
+  const std::string text = obs::ExplainAnalyzeText(profile);
+  EXPECT_EQ(text.find("map [task]  rows_in="), std::string::npos) << text;
+  EXPECT_NE(text.find("map [task]  rows_out="), std::string::npos) << text;
   EXPECT_GT(scan.bytes_decoded, 0u);
   EXPECT_GT(scan.wall_ns, 0u);
   EXPECT_GE(scan.wall_ns, scan.wall_max_ns);

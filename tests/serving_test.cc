@@ -13,7 +13,7 @@
 #include "ssb/loader.h"
 #include "ssb/queries.h"
 #include "ssb/reference_executor.h"
-#include "storage/binary_row_format.h"
+#include "storage/cif.h"
 
 namespace clydesdale {
 namespace {
@@ -33,7 +33,7 @@ std::vector<uint8_t> CacheDimStream(int rows) {
     data.push_back(Row(
         {Value(int32_t{i}), Value(std::string("n") + std::to_string(i % 7))}));
   }
-  return storage::EncodeRowStream(data);
+  return storage::EncodeColumnImage(CacheDimSchema(), data);
 }
 
 /// Builder over an in-memory stream that counts real invocations.

@@ -384,8 +384,9 @@ class LoadHasher {
   uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-uint64_t HashLoad(mr::MrCluster* cluster, const SsbDataset& dataset,
-                  const std::string& root, int* files) {
+/// Hashes every DFS file under `root`: path, bytes and block placement.
+uint64_t HashHdfs(mr::MrCluster* cluster, const std::string& root,
+                  int* files) {
   LoadHasher h;
   *files = 0;
   for (const std::string& path : cluster->dfs()->List(root + "/")) {
@@ -403,6 +404,12 @@ uint64_t HashLoad(mr::MrCluster* cluster, const SsbDataset& dataset,
     }
     ++*files;
   }
+  return h.value();
+}
+
+/// Hashes every node's dimension replicas.
+uint64_t HashReplicas(mr::MrCluster* cluster, const SsbDataset& dataset) {
+  LoadHasher h;
   for (const auto& [name, dim] : dataset.star.dims()) {
     for (int n = 0; n < cluster->num_nodes(); ++n) {
       auto replica = cluster->local_store(n)->Read(dim.local_path);
@@ -415,19 +422,21 @@ uint64_t HashLoad(mr::MrCluster* cluster, const SsbDataset& dataset,
   return h.value();
 }
 
-// The loader's output is pinned byte for byte: the hashes below were taken
-// from the serial row-at-a-time loader, so any change to generation,
-// encoding, DFS write order (the shared placement RNG) or the dimension
-// replicas shows up here. Each shape is loaded twice on fresh clusters so a
-// scheduling-dependent result cannot pass by luck.
+// The loader's output is pinned byte for byte, in two hashes. The HDFS hash
+// was taken from the serial row-at-a-time loader, so any change to
+// generation, encoding or DFS write order (the shared placement RNG) shows
+// up there. The replica hash pins the dimensions' column images, taken when
+// replicas became column images. Each shape is loaded twice on fresh
+// clusters so a scheduling-dependent result cannot pass by luck.
 TEST(LoaderTest, GoldenBytesOnTwoClusterShapes) {
   struct Shape {
     uint64_t block_size;
-    uint64_t golden;
+    uint64_t hdfs_golden;
+    uint64_t replica_golden;
   };
   const Shape shapes[] = {
-      {64ull << 20, 0x73d7476cb1cc40aaull},
-      {256ull << 10, 0x5ae557d998e86bceull},
+      {64ull << 20, 0xc1328842bb2d2f92ull, 0x28526a5d6c381155ull},
+      {256ull << 10, 0xebffa2a350f457d6ull, 0x28526a5d6c381155ull},
   };
   for (const Shape& shape : shapes) {
     for (int attempt = 0; attempt < 2; ++attempt) {
@@ -444,12 +453,16 @@ TEST(LoaderTest, GoldenBytesOnTwoClusterShapes) {
       EXPECT_NE(dataset->lineorder_rows % dataset->star.fact().rows_per_split,
                 0u);
       int files = 0;
-      const uint64_t hash = HashLoad(&cluster, *dataset, options.root, &files);
+      const uint64_t hdfs = HashHdfs(&cluster, options.root, &files);
       // 17 CIF columns + _meta, data.rc + _meta, 4 x (data.bin + _meta).
       EXPECT_EQ(files, 28);
-      EXPECT_EQ(hash, shape.golden)
+      EXPECT_EQ(hdfs, shape.hdfs_golden)
           << "block size " << shape.block_size << ", attempt " << attempt
-          << ": 0x" << std::hex << hash;
+          << ": HDFS 0x" << std::hex << hdfs;
+      const uint64_t replicas = HashReplicas(&cluster, *dataset);
+      EXPECT_EQ(replicas, shape.replica_golden)
+          << "block size " << shape.block_size << ", attempt " << attempt
+          << ": replicas 0x" << std::hex << replicas;
     }
   }
 }

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 
 #include "common/random.h"
 #include "hdfs/dfs.h"
 #include "storage/binary_row_format.h"
 #include "storage/byte_io.h"
+#include "storage/cif.h"
 #include "storage/rcfile.h"
 #include "storage/row_codec.h"
 #include "storage/table_format.h"
@@ -279,6 +281,96 @@ TEST(RowStreamTest, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ((*decoded)[i], rows[i]);
+}
+
+TEST(RowStreamTest, ColumnsViewTheStream) {
+  auto schema = TestSchema();
+  const std::vector<Row> rows = MakeRows(20);
+  std::vector<uint8_t> bytes = EncodeRowStream(rows);
+  auto columns = DecodeRowStreamColumns(schema, bytes.data(), bytes.size());
+  ASSERT_TRUE(columns.ok()) << columns.status().ToString();
+  ASSERT_EQ(columns->num_rows(), 20);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(columns->GetRow(i), rows[static_cast<size_t>(i)]);
+  }
+  const std::string_view name = columns->column(3).StringViewAt(7);
+  EXPECT_GE(reinterpret_cast<const uint8_t*>(name.data()), bytes.data());
+  EXPECT_LT(reinterpret_cast<const uint8_t*>(name.data()),
+            bytes.data() + bytes.size());
+
+  // A row whose length prefix claims more or fewer bytes than its fields.
+  for (const int delta : {-1, 1}) {
+    std::vector<uint8_t> bad = bytes;
+    uint32_t n = 0;
+    std::memcpy(&n, bad.data(), sizeof(n));
+    n = static_cast<uint32_t>(static_cast<int64_t>(n) + delta);
+    std::memcpy(bad.data(), &n, sizeof(n));
+    EXPECT_EQ(DecodeRowStreamColumns(schema, bad.data(), bad.size())
+                  .status()
+                  .code(),
+              StatusCode::kIoError)
+        << delta;
+  }
+  bytes.resize(bytes.size() - 3);
+  EXPECT_EQ(
+      DecodeRowStreamColumns(schema, bytes.data(), bytes.size()).status().code(),
+      StatusCode::kIoError);
+}
+
+TEST(ColumnImageTest, ReaderProjectsFiltersAndCountsTheBytesItReads) {
+  auto schema = TestSchema();
+  const std::vector<Row> rows = MakeRows(5000);
+  const std::vector<uint8_t> image = EncodeColumnImage(schema, rows);
+  ScanOptions options;
+  options.projection = {"name", "id"};
+  auto spec = std::make_shared<ScanSpec>();
+  spec->conjuncts = {Predicate::Lt("id", Value(int32_t{1000}))};
+  options.scan_spec = spec;
+  ScanStats stats;
+  hdfs::IoStats io;
+  options.scan_stats = &stats;
+  options.stats = &io;
+  auto reader = OpenColumnImageReader(*schema, image.data(), image.size(),
+                                      options);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  RowBatch batch((*reader)->output_schema());
+  int64_t next = 0;
+  while (true) {
+    auto more = (*reader)->NextBatch(&batch, 700);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    for (int64_t i = 0; i < batch.num_rows(); ++i, ++next) {
+      const Row& row = rows[static_cast<size_t>(next)];
+      EXPECT_EQ(batch.GetRow(i), Row({row.Get(3), row.Get(0)}));
+    }
+  }
+  EXPECT_EQ(next, 1000);
+  EXPECT_EQ(stats.rows_read, 1000u);
+  EXPECT_EQ(stats.rows_pruned, 4000u);
+  // The directory and two of the four blocks: more than id's alone, less
+  // than all four.
+  EXPECT_GT(io.local_bytes_read, stats.bytes_encoded);
+  auto bytes_read = [&](std::vector<std::string> projection) {
+    ScanOptions o;
+    o.projection = std::move(projection);
+    hdfs::IoStats counted;
+    o.stats = &counted;
+    CLY_CHECK(OpenColumnImageReader(*schema, image.data(), image.size(), o)
+                  .ok());
+    return counted.local_bytes_read;
+  };
+  EXPECT_LT(bytes_read({"id"}), io.local_bytes_read);
+  EXPECT_LT(io.local_bytes_read, bytes_read({}));
+  EXPECT_LE(bytes_read({}), image.size());
+
+  // An empty table is a valid image with no rows.
+  const std::vector<uint8_t> empty = EncodeColumnImage(schema, {});
+  auto none = OpenColumnImageReader(*schema, empty.data(), empty.size(), {});
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  RowBatch out((*none)->output_schema());
+  auto more = (*none)->NextBatch(&out, 10);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(*more);
 }
 
 TEST(CifTest, ColumnProjectionReadsFewerBytes) {
