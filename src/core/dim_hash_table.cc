@@ -227,14 +227,12 @@ Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
       options.projection.push_back(dim_schema.field(i).name);
     }
   }
-  // The predicate's top-level leaves run in the scan, string leaves as
-  // per-dictionary-code tests, so only their survivors are gathered. The
-  // spec only borrows `predicate` (a non-owning pointer): the reader that
-  // holds it does not outlive this call.
-  auto spec = std::make_shared<storage::ScanSpec>();
-  spec->conjuncts =
-      CollectScanConjuncts(Predicate::Ptr(Predicate::Ptr(), &predicate));
-  if (!spec->empty()) options.scan_spec = std::move(spec);
+  // The image reader is a CIF reader: the predicate's top-level leaves run
+  // in the scan, string leaves as per-dictionary-code tests, and are final,
+  // so only the residual is left to evaluate here.
+  Predicate::LeafSplit split = predicate.SplitLeaves();
+  options.scan_spec = std::make_shared<storage::ScanSpec>(
+      storage::ScanSpec{std::move(split.leaves), {}});
 
   auto table = std::shared_ptr<DimHashTable>(new DimHashTable());
   storage::ScanStats& scan = table->stats_.scan;
@@ -245,7 +243,10 @@ Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
       std::unique_ptr<storage::BatchReader> reader,
       storage::OpenColumnImageReader(dim_schema, image, len, options));
   const SchemaPtr narrow = reader->output_schema();
-  CLY_ASSIGN_OR_RETURN(BoundPredicatePtr pred, predicate.Bind(*narrow));
+  BoundPredicatePtr residual;
+  if (!split.residual->IsTrue()) {
+    CLY_ASSIGN_OR_RETURN(residual, split.residual->Bind(*narrow));
+  }
   CLY_ASSIGN_OR_RETURN(int pk, narrow->Require(pk_column));
   if (narrow->field(pk).type == TypeKind::kString) {
     return Status::InvalidArgument(
@@ -270,16 +271,8 @@ Result<std::shared_ptr<const DimHashTable>> DimHashTable::Build(
   while (true) {
     CLY_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch, kBuildBatchRows));
     if (!more) break;
-    // The scan ran only the pushed leaves; the whole predicate decides.
-    const int64_t rows = batch.num_rows();
-    sel.assign(static_cast<size_t>(rows), 1);
-    pred->EvalBatch(batch, &sel);
-    survivors.resize(static_cast<size_t>(rows));
-    int64_t m = 0;
-    for (int64_t i = 0; i < rows; ++i) {
-      survivors[static_cast<size_t>(m)] = static_cast<int32_t>(i);
-      m += sel[static_cast<size_t>(i)];
-    }
+    // Every row passed the leaves; the residual, if any, decides.
+    const int64_t m = SelectRows(residual.get(), batch, &sel, &survivors);
 
     // Keys and payloads are appended column by column, in scan order.
     const int32_t* const rows_kept = survivors.data();

@@ -69,9 +69,9 @@ class DimHashTable final : public storage::ScanKeyFilter {
   /// `predicate`, keys by `pk_column`, stores `aux_columns`. The image is
   /// read through storage::OpenColumnImageReader, projected to the pk, aux
   /// and predicate columns; the predicate's top-level leaves run inside the
-  /// scan (string leaves once per dictionary code) and the whole predicate
-  /// is re-checked on every batch. Entries take payload slots in scan order.
-  /// A corrupt image fails with IoError.
+  /// scan (string leaves once per dictionary code), and only the residual
+  /// (OR and NOT subtrees) is evaluated on the batches it returns. Entries
+  /// take payload slots in scan order. A corrupt image fails with IoError.
   ///
   /// `tracker` (optional) is charged the finished table's memory_bytes; the
   /// table holds the charge until it is destroyed — exact-byte,

@@ -13,7 +13,7 @@
 #include "mapreduce/job_trace.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
-#include "storage/scan_spec.h"
+#include "storage/table_format.h"
 
 namespace clydesdale {
 namespace core {
@@ -23,7 +23,10 @@ namespace {
 /// The query plan bound to the projected fact schema a task reads.
 struct BoundPlan {
   SchemaPtr fact_schema;
-  BoundPredicatePtr fact_pred;
+  /// The top-level leaves of the fact predicate the scan applies, and the
+  /// bound residual the probe evaluates: null when it is TRUE.
+  std::vector<Predicate::Ptr> scan_leaves;
+  BoundPredicatePtr fact_residual;
   AggLayout agg_layout = AggLayout::For({});
   /// One evaluator per accumulator; null means the constant 1 (COUNT).
   std::vector<BoundScalarPtr> acc_exprs;
@@ -36,11 +39,18 @@ struct BoundPlan {
 };
 
 Result<BoundPlan> BindPlan(const StarQuerySpec& spec,
+                           const std::string& fact_format,
                            const SchemaPtr& fact_schema,
                            const std::vector<std::string>& emit_columns) {
   BoundPlan plan;
   plan.fact_schema = fact_schema;
-  CLY_ASSIGN_OR_RETURN(plan.fact_pred, spec.fact_predicate->Bind(*fact_schema));
+  Predicate::LeafSplit split =
+      storage::SplitForScan(fact_format, *spec.fact_predicate);
+  plan.scan_leaves = std::move(split.leaves);
+  if (!split.residual->IsTrue()) {
+    CLY_ASSIGN_OR_RETURN(plan.fact_residual,
+                         split.residual->Bind(*fact_schema));
+  }
   plan.agg_layout = AggLayout::For(spec.aggregates);
   for (int expr_index : plan.agg_layout.expr_index()) {
     if (expr_index < 0) {
@@ -79,7 +89,7 @@ std::unique_ptr<VectorizedProbe> MakeVectorizedProbe(
   std::vector<const BoundScalar*> acc_exprs;
   acc_exprs.reserve(plan.acc_exprs.size());
   for (const auto& e : plan.acc_exprs) acc_exprs.push_back(e.get());
-  return std::make_unique<VectorizedProbe>(plan.fact_pred.get(),
+  return std::make_unique<VectorizedProbe>(plan.fact_residual.get(),
                                            plan.fk_index, std::move(dim_tables),
                                            plan.group_sources,
                                            std::move(acc_exprs));
@@ -131,23 +141,22 @@ Status ProcessBatches(const BoundPlan& plan, storage::BatchReader* reader,
 }
 
 /// The scan spec for one query given its built hash tables: the fact
-/// predicate's pushable conjuncts plus, per *filtered* dimension, its table
-/// as the key filter. A fact row whose foreign key misses the table cannot
-/// survive the inner join, so the scan may drop it (and zone maps may drop
-/// whole blocks whose key range misses [min_key, max_key]); the tables are
-/// immutable after Build, so every scan thread may share them. Unfiltered
+/// predicate's leaves the scan applies plus, per *filtered* dimension, its
+/// table as the key filter. A fact row whose foreign key misses the table
+/// cannot survive the inner join, so the scan may drop it (and zone maps may
+/// drop whole blocks whose key range misses [min_key, max_key]); the tables
+/// are immutable after Build, so every scan thread may share them. Unfiltered
 /// dimensions keep (nearly) every key, so testing them per row at scan time
 /// is pure overhead — their misses are cheap to drop in the probe instead.
-/// Returns nullptr when nothing is pushable.
 std::shared_ptr<const storage::ScanSpec> BuildScanSpec(
-    const StarQuerySpec& spec, const QueryHashTables& tables) {
+    const StarQuerySpec& spec, const BoundPlan& plan,
+    const QueryHashTables& tables) {
   auto scan = std::make_shared<storage::ScanSpec>();
-  scan->conjuncts = CollectScanConjuncts(spec.fact_predicate);
+  scan->conjuncts = plan.scan_leaves;
   for (size_t d = 0; d < spec.dims.size(); ++d) {
     if (spec.dims[d].predicate->IsTrue()) continue;
     scan->key_filters.push_back({spec.dims[d].fact_fk, tables.tables[d]});
   }
-  if (scan->empty()) return nullptr;
   return scan;
 }
 
@@ -300,9 +309,9 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
                        ProjectionFromConf(conf));
   CLY_ASSIGN_OR_RETURN(SchemaPtr projected,
                        fact_desc.schema->ProjectByName(projection));
-  CLY_ASSIGN_OR_RETURN(
-      BoundPlan plan,
-      BindPlan(spec_, projected, conf.GetList(kConfJoinEmitColumns)));
+  CLY_ASSIGN_OR_RETURN(BoundPlan plan,
+                       BindPlan(spec_, fact_desc.format, projected,
+                                conf.GetList(kConfJoinEmitColumns)));
 
   // input.getMultipleReaders(): every thread pulls constituents off a queue
   // and opens its own reader — no shared RecordReader bottleneck (§5.1).
@@ -312,11 +321,11 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
       static_cast<size_t>(std::max(context->allowed_threads(), 1)),
       std::max<size_t>(constituents.size(), 1)));
 
-  // Hand the scan the fact conjuncts and the filtered dimensions' key sets
-  // so CIF blocks can be pruned before decode. The probe re-evaluates the
-  // full predicate, so results don't depend on it.
+  // Hand the scan the fact predicate's leaves and the filtered dimensions'
+  // key sets, so CIF blocks are pruned before decode. What the scan applies
+  // is final: the probe evaluates only the residual.
   const std::shared_ptr<const storage::ScanSpec> scan_spec =
-      BuildScanSpec(spec_, *tables);
+      BuildScanSpec(spec_, plan, *tables);
 
   std::atomic<size_t> next{0};
   std::vector<Status> statuses(static_cast<size_t>(num_threads));

@@ -91,42 +91,6 @@ std::vector<std::string> OutputColumnsOf(const StarQuerySpec& spec) {
   return out;
 }
 
-namespace {
-bool IsScanLeafKind(Predicate::Kind kind) {
-  switch (kind) {
-    case Predicate::Kind::kEq:
-    case Predicate::Kind::kNe:
-    case Predicate::Kind::kLt:
-    case Predicate::Kind::kLe:
-    case Predicate::Kind::kGt:
-    case Predicate::Kind::kGe:
-    case Predicate::Kind::kBetween:
-    case Predicate::Kind::kIn:
-      return true;
-    default:
-      return false;
-  }
-}
-
-void CollectScanConjunctsInto(const Predicate::Ptr& pred,
-                              std::vector<Predicate::Ptr>* out) {
-  if (pred == nullptr) return;
-  if (pred->kind() == Predicate::Kind::kAnd) {
-    for (const Predicate::Ptr& child : pred->children()) {
-      CollectScanConjunctsInto(child, out);
-    }
-    return;
-  }
-  if (IsScanLeafKind(pred->kind())) out->push_back(pred);
-}
-}  // namespace
-
-std::vector<Predicate::Ptr> CollectScanConjuncts(const Predicate::Ptr& pred) {
-  std::vector<Predicate::Ptr> out;
-  CollectScanConjunctsInto(pred, &out);
-  return out;
-}
-
 Status SortResultRows(const StarQuerySpec& spec, std::vector<Row>* rows) {
   const std::vector<std::string> output = OutputColumnsOf(spec);
   std::vector<std::pair<int, bool>> sort_keys;  // (column index, ascending)

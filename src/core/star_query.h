@@ -93,13 +93,6 @@ std::vector<std::string> FactColumnsFor(const StarQuerySpec& spec);
 /// Output column names: group-by columns then aggregate names.
 std::vector<std::string> OutputColumnsOf(const StarQuerySpec& spec);
 
-/// Flattens the top-level AND of `pred` into the single-column leaf
-/// comparisons (Eq/Ne/Lt/Le/Gt/Ge/Between/In) a storage scan can evaluate
-/// on encoded data. OR/NOT subtrees and kTrue contribute nothing; dropping
-/// a conjunct here is always sound because the engine re-evaluates the full
-/// predicate on every row the scan returns.
-std::vector<Predicate::Ptr> CollectScanConjuncts(const Predicate::Ptr& pred);
-
 /// Sorts result rows by the query's ORDER BY (output-column references),
 /// with the full row as tiebreak so results are canonical.
 Status SortResultRows(const StarQuerySpec& spec, std::vector<Row>* rows);

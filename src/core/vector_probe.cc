@@ -25,17 +25,7 @@ int64_t VectorizedProbe::FilterAndProbe(const RowBatch& batch) {
   ++stats_.batches;
   stats_.rows_in += static_cast<uint64_t>(n);
 
-  sel_bytes_.assign(static_cast<size_t>(n), 1);
-  fact_pred_->EvalBatch(batch, &sel_bytes_);
-
-  // Compact the byte mask into a selection vector of row indexes, writing
-  // every row and advancing past the kept ones (no branch per row).
-  sel_idx_.resize(static_cast<size_t>(n));
-  int64_t m = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    sel_idx_[static_cast<size_t>(m)] = static_cast<int32_t>(i);
-    m += static_cast<int64_t>(sel_bytes_[static_cast<size_t>(i)] != 0);
-  }
+  int64_t m = SelectRows(fact_pred_, batch, &sel_bytes_, &sel_idx_);
   stats_.rows_selected += static_cast<uint64_t>(m);
 
   // Per-dimension: gather the FK column over the selection, batch-probe with

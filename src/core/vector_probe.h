@@ -17,11 +17,12 @@ namespace clydesdale {
 namespace core {
 
 /// The columnar probe→aggregate inner loop of the star-join map task
-/// (paper §4.2/§5.3, kept vectorized end to end): evaluate the fact
-/// predicate over the block, compact the survivors into a selection vector,
-/// probe each dimension table per-column with software prefetch, evaluate
-/// accumulator expressions column-wise over the final selection, and feed
-/// the flat hash aggregator with keys encoded straight from column data.
+/// (paper §4.2/§5.3, kept vectorized end to end): evaluate what the scan
+/// left of the fact predicate, compact the survivors into a selection
+/// vector, probe each dimension table per-column with software prefetch,
+/// evaluate accumulator expressions column-wise over the final selection,
+/// and feed the flat hash aggregator with keys encoded straight from column
+/// data.
 /// Rows materialize as `Row` objects only on the non-aggregating emit paths.
 ///
 /// One instance per thread: it owns the scratch buffers (selection vector,
@@ -29,8 +30,10 @@ namespace core {
 /// reuse allocations instead of re-growing them.
 class VectorizedProbe {
  public:
-  /// All pointers must outlive the instance. `acc_exprs` entries may be
-  /// null, meaning the constant 1 (COUNT).
+  /// All pointers must outlive the instance. `fact_pred` is the residual
+  /// the scan left over, null when it is TRUE: every row of a batch then
+  /// goes to the probe, with no predicate call and no mask. `acc_exprs`
+  /// entries may be null, meaning the constant 1 (COUNT).
   VectorizedProbe(const BoundPredicate* fact_pred,
                   std::vector<int> fk_index,
                   std::vector<const DimHashTable*> tables,
@@ -53,7 +56,7 @@ class VectorizedProbe {
   struct Stats {
     uint64_t batches = 0;
     uint64_t rows_in = 0;
-    /// Rows surviving the fact predicate (= probe attempts on dim 0).
+    /// Rows surviving the fact residual (= probe attempts on dim 0).
     uint64_t rows_selected = 0;
     /// Rows surviving every dimension probe.
     uint64_t join_rows = 0;

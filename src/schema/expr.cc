@@ -1,9 +1,10 @@
 #include "schema/expr.h"
 
 #include <algorithm>
-#include <string_view>
+#include <numeric>
 
 #include "common/strings.h"
+#include "schema/compiled_leaf.h"
 
 namespace clydesdale {
 
@@ -329,6 +330,27 @@ Predicate::Ptr Predicate::Not(Ptr child) {
   return p;
 }
 
+namespace {
+void SplitInto(const Predicate::Ptr& pred, std::vector<Predicate::Ptr>* leaves,
+               std::vector<Predicate::Ptr>* rest) {
+  if (pred->kind() == Predicate::Kind::kAnd) {
+    for (const auto& child : pred->children()) SplitInto(child, leaves, rest);
+  } else if (!pred->IsTrue()) {
+    (pred->IsLeaf() ? leaves : rest)->push_back(pred);
+  }
+}
+}  // namespace
+
+Predicate::LeafSplit Predicate::SplitLeaves() const {
+  LeafSplit split;
+  std::vector<Ptr> rest;
+  SplitInto(shared_from_this(), &split.leaves, &rest);
+  split.residual = rest.empty()       ? True()
+                   : rest.size() == 1 ? rest[0]
+                                      : And(std::move(rest));
+  return split;
+}
+
 void Predicate::CollectColumns(std::vector<std::string>* out) const {
   switch (kind_) {
     case Kind::kTrue:
@@ -385,16 +407,6 @@ std::string Predicate::ToString() const {
 // Bound predicate nodes
 // ---------------------------------------------------------------------------
 
-void BoundPredicate::EvalBatch(const RowBatch& batch,
-                               std::vector<uint8_t>* sel) const {
-  const int64_t n = batch.num_rows();
-  CLY_DCHECK(static_cast<int64_t>(sel->size()) == n);
-  for (int64_t i = 0; i < n; ++i) {
-    if ((*sel)[static_cast<size_t>(i)] == 0) continue;
-    if (!Eval(batch.GetRow(i))) (*sel)[static_cast<size_t>(i)] = 0;
-  }
-}
-
 namespace {
 
 class TruePredicate final : public BoundPredicate {
@@ -403,154 +415,73 @@ class TruePredicate final : public BoundPredicate {
   void EvalBatch(const RowBatch&, std::vector<uint8_t>*) const override {}
 };
 
-/// Generic single-column comparison; ops kEq..kBetween.
-class ComparePredicate final : public BoundPredicate {
+/// A bound single-column leaf. The row path compares with Value::Compare,
+/// the reference semantics; the batch path runs the compiled leaf, which
+/// gives the same verdicts.
+class LeafPredicate final : public BoundPredicate {
  public:
-  ComparePredicate(Predicate::Kind op, int index, Value lo, Value hi)
-      : op_(op), index_(index), lo_(std::move(lo)), hi_(std::move(hi)) {}
+  LeafPredicate(Predicate::Ptr leaf, int index, CompiledLeaf compiled)
+      : leaf_(std::move(leaf)), index_(index), compiled_(std::move(compiled)) {}
 
   bool Eval(const Row& row) const override {
-    return Test(row.Get(index_));
-  }
-
-  void EvalBatch(const RowBatch& batch,
-                 std::vector<uint8_t>* sel) const override {
-    const ColumnVector& col = batch.column(index_);
-    const int64_t n = batch.num_rows();
-    // Tight loop for int32 columns (the common fact-table case).
-    if (col.type() == TypeKind::kInt32 && lo_.kind() != TypeKind::kString) {
-      const auto& data = col.i32();
-      const int64_t lo = lo_.AsInt64();
-      const int64_t hi = op_ == Predicate::Kind::kBetween ? hi_.AsInt64() : 0;
-      for (int64_t i = 0; i < n; ++i) {
-        auto& bit = (*sel)[static_cast<size_t>(i)];
-        if (bit == 0) continue;
-        const int64_t v = data[static_cast<size_t>(i)];
-        bit = TestInt(v, lo, hi) ? 1 : 0;
-      }
-      return;
-    }
-    // String column against a string literal: compare in place, in either
-    // storage mode, without copying each row's string into a Value.
-    if (col.type() == TypeKind::kString && lo_.kind() == TypeKind::kString &&
-        (op_ != Predicate::Kind::kBetween || hi_.kind() == TypeKind::kString)) {
-      for (int64_t i = 0; i < n; ++i) {
-        auto& bit = (*sel)[static_cast<size_t>(i)];
-        if (bit == 0) continue;
-        bit = TestString(col.StringViewAt(i)) ? 1 : 0;
-      }
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      auto& bit = (*sel)[static_cast<size_t>(i)];
-      if (bit == 0) continue;
-      bit = Test(col.GetValue(i)) ? 1 : 0;
-    }
-  }
-
- private:
-  bool TestInt(int64_t v, int64_t lo, int64_t hi) const {
-    switch (op_) {
+    const Value& v = row.Get(index_);
+    switch (leaf_->kind()) {
       case Predicate::Kind::kEq:
-        return v == lo;
+        return v.Compare(leaf_->lo()) == 0;
       case Predicate::Kind::kNe:
-        return v != lo;
+        return v.Compare(leaf_->lo()) != 0;
       case Predicate::Kind::kLt:
-        return v < lo;
+        return v.Compare(leaf_->lo()) < 0;
       case Predicate::Kind::kLe:
-        return v <= lo;
+        return v.Compare(leaf_->lo()) <= 0;
       case Predicate::Kind::kGt:
-        return v > lo;
+        return v.Compare(leaf_->lo()) > 0;
       case Predicate::Kind::kGe:
-        return v >= lo;
+        return v.Compare(leaf_->lo()) >= 0;
       case Predicate::Kind::kBetween:
-        return v >= lo && v <= hi;
+        return v.Compare(leaf_->lo()) >= 0 && v.Compare(leaf_->hi()) <= 0;
+      case Predicate::Kind::kIn: {
+        const std::vector<Value>& set = leaf_->in_values();
+        return std::any_of(set.begin(), set.end(), [&](const Value& c) {
+          return v.Compare(c) == 0;
+        });
+      }
       default:
         return false;
     }
   }
 
-  bool Test(const Value& v) const {
-    return Holds(v.Compare(lo_), [&] { return v.Compare(hi_); });
-  }
-
-  /// Test() for a string value: std::string_view::compare orders exactly
-  /// as Value::Compare does for two strings.
-  bool TestString(std::string_view v) const {
-    return Holds(v.compare(lo_.str()), [&] { return v.compare(hi_.str()); });
-  }
-
-  /// Applies op_ to a value's comparison with lo_ (`vs_lo`); BETWEEN also
-  /// calls `vs_hi` for its comparison with hi_.
-  template <typename CompareHi>
-  bool Holds(int vs_lo, CompareHi vs_hi) const {
-    switch (op_) {
-      case Predicate::Kind::kEq:
-        return vs_lo == 0;
-      case Predicate::Kind::kNe:
-        return vs_lo != 0;
-      case Predicate::Kind::kLt:
-        return vs_lo < 0;
-      case Predicate::Kind::kLe:
-        return vs_lo <= 0;
-      case Predicate::Kind::kGt:
-        return vs_lo > 0;
-      case Predicate::Kind::kGe:
-        return vs_lo >= 0;
-      case Predicate::Kind::kBetween:
-        return vs_lo >= 0 && vs_hi() <= 0;
-      default:
-        return false;
-    }
-  }
-
-  Predicate::Kind op_;
-  int index_;
-  Value lo_, hi_;
-};
-
-class InPredicate final : public BoundPredicate {
- public:
-  InPredicate(int index, std::vector<Value> values)
-      : index_(index), values_(std::move(values)) {}
-
-  bool Eval(const Row& row) const override { return Matches(row.Get(index_)); }
-
   void EvalBatch(const RowBatch& batch,
                  std::vector<uint8_t>* sel) const override {
     const ColumnVector& col = batch.column(index_);
-    // A string column against string candidates matches views in place;
-    // anything else reads each value out (no heap copy for numbers).
-    bool views = col.type() == TypeKind::kString;
-    for (const Value& cand : values_) {
-      views = views && cand.kind() == TypeKind::kString;
-    }
-    const int64_t n = batch.num_rows();
-    for (int64_t i = 0; i < n; ++i) {
-      auto& bit = (*sel)[static_cast<size_t>(i)];
-      if (bit == 0) continue;
-      const bool match = views ? Matches(col.StringViewAt(i))
-                               : Matches(col.GetValue(i));
-      bit = match ? 1 : 0;
+    const auto n = static_cast<size_t>(batch.num_rows());
+    CLY_DCHECK(sel->size() == n);
+    uint8_t* const s = sel->data();
+    switch (col.type()) {
+      case TypeKind::kInt32:
+        compiled_.Apply(col.i32().data(), n, s);
+        return;
+      case TypeKind::kInt64:
+        compiled_.Apply(col.i64().data(), n, s);
+        return;
+      case TypeKind::kDouble:
+        compiled_.Apply(col.f64().data(), n, s);
+        return;
+      case TypeKind::kString:
+        // In place, in either storage mode, without a Value per row.
+        for (size_t i = 0; i < n; ++i) {
+          if (s[i] != 0) {
+            s[i] = compiled_.Test(col.StringViewAt(static_cast<int64_t>(i)));
+          }
+        }
+        return;
     }
   }
 
  private:
-  bool Matches(const Value& v) const {
-    for (const Value& cand : values_) {
-      if (v.Compare(cand) == 0) return true;
-    }
-    return false;
-  }
-  bool Matches(std::string_view v) const {
-    for (const Value& cand : values_) {
-      if (v == cand.str()) return true;
-    }
-    return false;
-  }
-
+  Predicate::Ptr leaf_;
   int index_;
-  std::vector<Value> values_;
+  CompiledLeaf compiled_;
 };
 
 class AndPredicate final : public BoundPredicate {
@@ -623,25 +554,40 @@ class NotPredicate final : public BoundPredicate {
 
 }  // namespace
 
+int64_t CompactMask(const uint8_t* mask, size_t n, int32_t* rows) {
+  // Write every row and advance past the kept ones: no branch per row.
+  size_t m = 0;
+  for (size_t i = 0; i < n; ++i) {
+    rows[m] = static_cast<int32_t>(i);
+    m += mask[i] != 0;
+  }
+  return static_cast<int64_t>(m);
+}
+
+int64_t SelectRows(const BoundPredicate* pred, const RowBatch& batch,
+                   std::vector<uint8_t>* mask, std::vector<int32_t>* rows) {
+  const auto n = static_cast<size_t>(batch.num_rows());
+  rows->resize(n);
+  if (pred == nullptr) {
+    std::iota(rows->begin(), rows->end(), 0);
+    return batch.num_rows();
+  }
+  mask->assign(n, 1);
+  pred->EvalBatch(batch, mask);
+  return CompactMask(mask->data(), n, rows->data());
+}
+
 Result<BoundPredicatePtr> Predicate::Bind(const Schema& schema) const {
+  if (IsLeaf()) {
+    CLY_ASSIGN_OR_RETURN(int idx, schema.Require(name_));
+    CLY_ASSIGN_OR_RETURN(CompiledLeaf compiled,
+                         CompiledLeaf::Compile(*this, schema.field(idx).type));
+    return BoundPredicatePtr(std::make_shared<LeafPredicate>(
+        shared_from_this(), idx, std::move(compiled)));
+  }
   switch (kind_) {
     case Kind::kTrue:
       return BoundPredicatePtr(std::make_shared<TruePredicate>());
-    case Kind::kEq:
-    case Kind::kNe:
-    case Kind::kLt:
-    case Kind::kLe:
-    case Kind::kGt:
-    case Kind::kGe:
-    case Kind::kBetween: {
-      CLY_ASSIGN_OR_RETURN(int idx, schema.Require(name_));
-      return BoundPredicatePtr(
-          std::make_shared<ComparePredicate>(kind_, idx, lo_, hi_));
-    }
-    case Kind::kIn: {
-      CLY_ASSIGN_OR_RETURN(int idx, schema.Require(name_));
-      return BoundPredicatePtr(std::make_shared<InPredicate>(idx, set_));
-    }
     case Kind::kAnd:
     case Kind::kOr: {
       std::vector<BoundPredicatePtr> bound;
@@ -660,6 +606,8 @@ Result<BoundPredicatePtr> Predicate::Bind(const Schema& schema) const {
       CLY_ASSIGN_OR_RETURN(BoundPredicatePtr b, children_[0]->Bind(schema));
       return BoundPredicatePtr(std::make_shared<NotPredicate>(std::move(b)));
     }
+    default:  // the leaves, bound above
+      break;
   }
   return Status::Internal("unreachable predicate kind");
 }

@@ -59,8 +59,9 @@ class Expr {
   Ptr right_;
 };
 
-/// A boolean predicate tree over a row.
-class Predicate {
+/// A boolean predicate tree over a row. Always owned by a Ptr (the
+/// factories are the only constructors), so shared_from_this() holds.
+class Predicate : public std::enable_shared_from_this<Predicate> {
  public:
   enum class Kind {
     kTrue,
@@ -94,18 +95,31 @@ class Predicate {
   Kind kind() const { return kind_; }
   const std::string& column_name() const { return name_; }
   bool IsTrue() const { return kind_ == Kind::kTrue; }
+  /// True for the single-column leaves, kEq..kIn.
+  bool IsLeaf() const { return kind_ >= Kind::kEq && kind_ <= Kind::kIn; }
   /// Comparison operands: lo() for kEq..kGe, lo()/hi() for kBetween.
   const Value& lo() const { return lo_; }
   const Value& hi() const { return hi_; }
   /// Candidate values of a kIn predicate.
   const std::vector<Value>& in_values() const { return set_; }
-  /// Children of kAnd/kOr/kNot nodes (empty for leaves). These accessors let
-  /// scan layers interpret predicate trees structurally (zone-map tests,
-  /// encoded-data evaluation) without re-binding against a schema.
+  /// Children of kAnd/kOr/kNot nodes (empty for leaves).
   const std::vector<Ptr>& children() const { return children_; }
 
   void CollectColumns(std::vector<std::string>* out) const;
 
+  /// This predicate split at its top-level AND: the single-column leaves,
+  /// and the residual, everything else (OR and NOT subtrees; TRUE when
+  /// nothing is left). A row passes the predicate exactly when it passes
+  /// every leaf and the residual.
+  struct LeafSplit {
+    std::vector<Ptr> leaves;
+    Ptr residual;
+  };
+  LeafSplit SplitLeaves() const;
+
+  /// Resolves column names to indexes in `schema` and compiles each leaf
+  /// against its column's type (schema/compiled_leaf.h). A leaf comparing a
+  /// string with a number is InvalidArgument.
   Result<std::shared_ptr<const BoundPredicate>> Bind(
       const Schema& schema) const;
 
@@ -158,13 +172,24 @@ class BoundPredicate {
   virtual bool Eval(const Row& row) const = 0;
 
   /// Filters `batch` rows: sets sel[i] &= predicate(row i). `sel` must have
-  /// batch.num_rows() entries. The default loops over rows; leaf comparisons
-  /// on numeric columns override this with tight column loops.
-  virtual void EvalBatch(const RowBatch& batch, std::vector<uint8_t>* sel) const;
+  /// batch.num_rows() entries. Leaves run their compiled leaf's kernel over
+  /// the column's typed array.
+  virtual void EvalBatch(const RowBatch& batch,
+                         std::vector<uint8_t>* sel) const = 0;
 };
 
 using BoundScalarPtr = std::shared_ptr<const BoundScalar>;
 using BoundPredicatePtr = std::shared_ptr<const BoundPredicate>;
+
+/// Writes the indexes i < n with mask[i] != 0 to `rows`, in order, and
+/// returns their count. `rows` must hold n entries.
+int64_t CompactMask(const uint8_t* mask, size_t n, int32_t* rows);
+
+/// Fills `rows` with the indexes of the rows of `batch` that pass `pred`, in
+/// order, and returns their count. A null `pred` (a TRUE residual) passes
+/// every row with no EvalBatch call and no mask; `mask` is scratch.
+int64_t SelectRows(const BoundPredicate* pred, const RowBatch& batch,
+                   std::vector<uint8_t>* mask, std::vector<int32_t>* rows);
 
 }  // namespace clydesdale
 

@@ -1,6 +1,8 @@
 #include "schema/value.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace clydesdale {
 
@@ -54,6 +56,9 @@ int Value::Compare(const Value& other) const {
   if (kind_ == TypeKind::kDouble || other.kind_ == TypeKind::kDouble) {
     const double a = AsDouble();
     const double b = other.AsDouble();
+    if (std::isnan(a) || std::isnan(b)) {
+      return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+    }
     return a < b ? -1 : (a > b ? 1 : 0);
   }
   const int64_t a = AsInt64();
@@ -68,9 +73,13 @@ uint64_t Value::Hash() const {
     case TypeKind::kInt64:
       return Mix64(static_cast<uint64_t>(scalar_.i64));
     case TypeKind::kDouble: {
+      // Values that Compare calls equal hash alike: -0 as +0, every NaN as
+      // one NaN.
+      double v = scalar_.f64 + 0.0;
+      if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
       uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(scalar_.f64));
-      __builtin_memcpy(&bits, &scalar_.f64, sizeof(bits));
+      static_assert(sizeof(bits) == sizeof(v));
+      __builtin_memcpy(&bits, &v, sizeof(bits));
       return Mix64(bits);
     }
     case TypeKind::kString:

@@ -55,8 +55,9 @@ class Value {
   /// Numeric widening view: any numeric kind as double.
   double AsDouble() const;
 
-  /// Total order within a kind; comparing across numeric kinds widens.
-  /// Returns <0, 0, >0.
+  /// Total order within a kind; comparing across numeric kinds widens (to
+  /// double when either side is a double, else to int64). NaN equals only
+  /// NaN and sorts above every number, as in PostgreSQL. Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

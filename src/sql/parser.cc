@@ -1,6 +1,7 @@
 #include "sql/parser.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "common/strings.h"
@@ -142,7 +143,13 @@ class Parser {
       Advance();
       switch (column.type) {
         case TypeKind::kInt32:
-          return Value(static_cast<int32_t>(token.number));
+          // A literal past int32 stays an int64: narrowing it would
+          // change the comparison.
+          if (token.number >= std::numeric_limits<int32_t>::min() &&
+              token.number <= std::numeric_limits<int32_t>::max()) {
+            return Value(static_cast<int32_t>(token.number));
+          }
+          return Value(token.number);
         case TypeKind::kInt64:
           return Value(static_cast<int64_t>(token.number));
         case TypeKind::kDouble:

@@ -7,12 +7,14 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string_view>
 #include <unordered_map>
 
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/strings.h"
+#include "schema/compiled_leaf.h"
 #include "storage/byte_io.h"
 #include "storage/column_codec.h"
 
@@ -353,350 +355,32 @@ Status CheckStringSubFormat(const uint8_t* payload, size_t len, uint32_t nrows,
 }
 
 // --- Predicate pushdown -----------------------------------------------------
-// The scan only understands single-column leaf comparisons from the query's
-// top-level conjunction. Everything it prunes would also be pruned by the
-// engine's own predicate, and anything it does not understand it leaves in
-// place, so acting on a ScanSpec is always sound — provided each test is
-// *exact*: a pushed leaf must never drop a row the full predicate would
-// accept. That is why operand extraction below rejects literals whose kind
-// cannot be compared exactly against the column's type.
-
-bool Int64Operand(const Value& v, int64_t* out) {
-  if (v.kind() == TypeKind::kInt32) {
-    *out = v.i32();
-    return true;
-  }
-  if (v.kind() == TypeKind::kInt64) {
-    *out = v.i64();
-    return true;
-  }
-  return false;
-}
-
-// Exact double view of a literal. int64 literals beyond 2^53 would round,
-// so only int32 and double literals qualify against double columns.
-bool DoubleOperand(const Value& v, double* out) {
-  if (v.kind() == TypeKind::kDouble) {
-    *out = v.f64();
-    return true;
-  }
-  if (v.kind() == TypeKind::kInt32) {
-    *out = static_cast<double>(v.i32());
-    return true;
-  }
-  return false;
-}
-
-const std::string* StringOperand(const Value& v) {
-  return v.kind() == TypeKind::kString ? &v.str() : nullptr;
-}
-
-bool IsScanLeaf(const Predicate& p) {
-  switch (p.kind()) {
-    case Predicate::Kind::kEq:
-    case Predicate::Kind::kNe:
-    case Predicate::Kind::kLt:
-    case Predicate::Kind::kLe:
-    case Predicate::Kind::kGt:
-    case Predicate::Kind::kGe:
-    case Predicate::Kind::kBetween:
-    case Predicate::Kind::kIn:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Expresses an integer range leaf as inclusive [lo, hi] bounds (an empty
-/// range is lo > hi). kNe/kIn are handled separately. Returns false when the
-/// operand kinds are not exactly integer-comparable, in which case the
-/// caller must not prune with this leaf.
-bool IntLeafBounds(const Predicate& p, int64_t* lo, int64_t* hi) {
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  int64_t v = 0;
-  switch (p.kind()) {
-    case Predicate::Kind::kEq:
-      if (!Int64Operand(p.lo(), &v)) return false;
-      *lo = *hi = v;
-      return true;
-    case Predicate::Kind::kLt:
-      if (!Int64Operand(p.lo(), &v)) return false;
-      *lo = kMin;
-      if (v == kMin) {
-        *lo = 0;
-        *hi = -1;  // empty
-      } else {
-        *hi = v - 1;
-      }
-      return true;
-    case Predicate::Kind::kLe:
-      if (!Int64Operand(p.lo(), &v)) return false;
-      *lo = kMin;
-      *hi = v;
-      return true;
-    case Predicate::Kind::kGt:
-      if (!Int64Operand(p.lo(), &v)) return false;
-      *hi = kMax;
-      if (v == kMax) {
-        *lo = 0;
-        *hi = -1;  // empty
-      } else {
-        *lo = v + 1;
-      }
-      return true;
-    case Predicate::Kind::kGe:
-      if (!Int64Operand(p.lo(), &v)) return false;
-      *lo = v;
-      *hi = kMax;
-      return true;
-    case Predicate::Kind::kBetween: {
-      int64_t a = 0, b = 0;
-      if (!Int64Operand(p.lo(), &a) || !Int64Operand(p.hi(), &b)) return false;
-      *lo = a;
-      *hi = b;
-      return true;
-    }
-    default:
-      return false;
-  }
-}
+// Each pushed leaf is compiled once against its column (CompiledLeaf), which
+// carries the comparison semantics; this file only places it on the
+// block's encoding. What the scan drops is final, so every test must be
+// exact.
 
 /// True when the zone map proves no row of the block can satisfy the leaf.
-bool ZoneRefutesLeaf(const ZoneMap& zone, TypeKind type, const Predicate& p) {
+bool ZoneRefutesLeaf(const ZoneMap& zone, const CompiledLeaf& leaf) {
+  const TypeKind type = leaf.column_type();
   switch (zone.kind) {
-    case kZoneInt: {
-      if (type != TypeKind::kInt32 && type != TypeKind::kInt64) return false;
-      int64_t v = 0;
-      switch (p.kind()) {
-        case Predicate::Kind::kNe:
-          // Only refutable when the block is constant at the probed value.
-          return Int64Operand(p.lo(), &v) && zone.min_i64 == v &&
-                 zone.max_i64 == v;
-        case Predicate::Kind::kIn: {
-          for (const Value& cand : p.in_values()) {
-            if (!Int64Operand(cand, &v)) return false;
-            if (v >= zone.min_i64 && v <= zone.max_i64) return false;
-          }
-          return true;
-        }
-        default: {
-          int64_t lo = 0, hi = 0;
-          if (!IntLeafBounds(p, &lo, &hi)) return false;
-          return hi < zone.min_i64 || lo > zone.max_i64;
-        }
-      }
-    }
-    case kZoneDouble: {
-      if (type != TypeKind::kDouble) return false;
-      double a = 0, b = 0;
-      switch (p.kind()) {
-        case Predicate::Kind::kEq:
-          return DoubleOperand(p.lo(), &a) &&
-                 (a < zone.min_f64 || a > zone.max_f64);
-        case Predicate::Kind::kLt:
-          return DoubleOperand(p.lo(), &a) && zone.min_f64 >= a;
-        case Predicate::Kind::kLe:
-          return DoubleOperand(p.lo(), &a) && zone.min_f64 > a;
-        case Predicate::Kind::kGt:
-          return DoubleOperand(p.lo(), &a) && zone.max_f64 <= a;
-        case Predicate::Kind::kGe:
-          return DoubleOperand(p.lo(), &a) && zone.max_f64 < a;
-        case Predicate::Kind::kBetween:
-          return DoubleOperand(p.lo(), &a) && DoubleOperand(p.hi(), &b) &&
-                 (zone.max_f64 < a || zone.min_f64 > b);
-        case Predicate::Kind::kIn: {
-          for (const Value& cand : p.in_values()) {
-            if (!DoubleOperand(cand, &a)) return false;
-            if (a >= zone.min_f64 && a <= zone.max_f64) return false;
-          }
-          return true;
-        }
-        default:
-          return false;
-      }
-    }
+    case kZoneInt:
+      return (type == TypeKind::kInt32 || type == TypeKind::kInt64) &&
+             leaf.Refutes(zone.min_i64, zone.max_i64);
+    case kZoneDouble:
+      return type == TypeKind::kDouble &&
+             leaf.Refutes(zone.min_f64, zone.max_f64);
     case kZoneDict: {
-      if (type != TypeKind::kString) return false;
-      if (p.kind() == Predicate::Kind::kEq) {
-        const std::string* s = StringOperand(p.lo());
-        return s != nullptr &&
-               (zone.fingerprint & DictFingerprintBit(*s)) == 0;
-      }
-      if (p.kind() == Predicate::Kind::kIn) {
-        for (const Value& cand : p.in_values()) {
-          const std::string* s = StringOperand(cand);
-          if (s == nullptr) return false;
-          if ((zone.fingerprint & DictFingerprintBit(*s)) != 0) return false;
-        }
-        return !p.in_values().empty();
-      }
-      return false;
+      // No string the leaf accepts is in the block's dictionary.
+      const std::vector<std::string>* accepted = leaf.string_equalities();
+      if (type != TypeKind::kString || accepted == nullptr) return false;
+      return std::none_of(
+          accepted->begin(), accepted->end(), [&](const std::string& s) {
+            return (zone.fingerprint & DictFingerprintBit(s)) != 0;
+          });
     }
     default:
       return false;
-  }
-}
-
-/// Branchless selection update over a raw integer value array.
-template <typename T>
-void ApplyIntegerLeaf(const Predicate& p, const T* vals, uint32_t n,
-                      uint8_t* sel) {
-  int64_t v = 0;
-  switch (p.kind()) {
-    case Predicate::Kind::kNe:
-      if (!Int64Operand(p.lo(), &v)) return;
-      for (uint32_t i = 0; i < n; ++i) {
-        sel[i] &= static_cast<uint8_t>(static_cast<int64_t>(vals[i]) != v);
-      }
-      return;
-    case Predicate::Kind::kIn: {
-      std::vector<int64_t> set;
-      set.reserve(p.in_values().size());
-      for (const Value& cand : p.in_values()) {
-        if (!Int64Operand(cand, &v)) return;
-        set.push_back(v);
-      }
-      for (uint32_t i = 0; i < n; ++i) {
-        const int64_t x = vals[i];
-        uint8_t hit = 0;
-        for (int64_t s : set) hit |= static_cast<uint8_t>(x == s);
-        sel[i] &= hit;
-      }
-      return;
-    }
-    default: {
-      int64_t lo = 0, hi = 0;
-      if (!IntLeafBounds(p, &lo, &hi)) return;
-      for (uint32_t i = 0; i < n; ++i) {
-        const int64_t x = vals[i];
-        sel[i] &= static_cast<uint8_t>((x >= lo) & (x <= hi));
-      }
-      return;
-    }
-  }
-}
-
-void ApplyDoubleLeaf(const Predicate& p, const double* vals, uint32_t n,
-                     uint8_t* sel) {
-  double a = 0, b = 0;
-  switch (p.kind()) {
-    case Predicate::Kind::kEq:
-      if (!DoubleOperand(p.lo(), &a)) return;
-      for (uint32_t i = 0; i < n; ++i) {
-        sel[i] &= static_cast<uint8_t>(vals[i] == a);
-      }
-      return;
-    case Predicate::Kind::kNe:
-      if (!DoubleOperand(p.lo(), &a)) return;
-      for (uint32_t i = 0; i < n; ++i) {
-        sel[i] &= static_cast<uint8_t>(vals[i] != a);
-      }
-      return;
-    case Predicate::Kind::kLt:
-      if (!DoubleOperand(p.lo(), &a)) return;
-      for (uint32_t i = 0; i < n; ++i) {
-        sel[i] &= static_cast<uint8_t>(vals[i] < a);
-      }
-      return;
-    case Predicate::Kind::kLe:
-      if (!DoubleOperand(p.lo(), &a)) return;
-      for (uint32_t i = 0; i < n; ++i) {
-        sel[i] &= static_cast<uint8_t>(vals[i] <= a);
-      }
-      return;
-    case Predicate::Kind::kGt:
-      if (!DoubleOperand(p.lo(), &a)) return;
-      for (uint32_t i = 0; i < n; ++i) {
-        sel[i] &= static_cast<uint8_t>(vals[i] > a);
-      }
-      return;
-    case Predicate::Kind::kGe:
-      if (!DoubleOperand(p.lo(), &a)) return;
-      for (uint32_t i = 0; i < n; ++i) {
-        sel[i] &= static_cast<uint8_t>(vals[i] >= a);
-      }
-      return;
-    case Predicate::Kind::kBetween:
-      if (!DoubleOperand(p.lo(), &a) || !DoubleOperand(p.hi(), &b)) return;
-      for (uint32_t i = 0; i < n; ++i) {
-        sel[i] &= static_cast<uint8_t>((vals[i] >= a) & (vals[i] <= b));
-      }
-      return;
-    case Predicate::Kind::kIn: {
-      std::vector<double> set;
-      set.reserve(p.in_values().size());
-      for (const Value& cand : p.in_values()) {
-        if (!DoubleOperand(cand, &a)) return;
-        set.push_back(a);
-      }
-      for (uint32_t i = 0; i < n; ++i) {
-        uint8_t hit = 0;
-        for (double s : set) hit |= static_cast<uint8_t>(vals[i] == s);
-        sel[i] &= hit;
-      }
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-/// Scalar string leaf test; `true` keeps the row (conservative on operand
-/// kind mismatch, so pruning stays sound).
-bool TestStringLeaf(std::string_view s, const Predicate& p) {
-  const std::string* a = StringOperand(p.lo());
-  switch (p.kind()) {
-    case Predicate::Kind::kEq:
-      return a == nullptr || s == *a;
-    case Predicate::Kind::kNe:
-      return a == nullptr || s != *a;
-    case Predicate::Kind::kLt:
-      return a == nullptr || s < *a;
-    case Predicate::Kind::kLe:
-      return a == nullptr || s <= *a;
-    case Predicate::Kind::kGt:
-      return a == nullptr || s > *a;
-    case Predicate::Kind::kGe:
-      return a == nullptr || s >= *a;
-    case Predicate::Kind::kBetween: {
-      const std::string* b = StringOperand(p.hi());
-      if (a == nullptr || b == nullptr) return true;
-      return s >= *a && s <= *b;
-    }
-    case Predicate::Kind::kIn: {
-      for (const Value& cand : p.in_values()) {
-        const std::string* t = StringOperand(cand);
-        if (t == nullptr) return true;
-        if (s == *t) return true;
-      }
-      return false;
-    }
-    default:
-      return true;
-  }
-}
-
-/// Scalar integer leaf test with the exact keep/drop semantics of
-/// ApplyIntegerLeaf (operand-kind mismatch keeps the row), so code tables
-/// built from it select the same rows the vector kernel would.
-bool TestIntLeaf(int64_t x, const Predicate& p) {
-  int64_t v = 0;
-  switch (p.kind()) {
-    case Predicate::Kind::kNe:
-      return !Int64Operand(p.lo(), &v) || x != v;
-    case Predicate::Kind::kIn: {
-      for (const Value& cand : p.in_values()) {
-        if (!Int64Operand(cand, &v)) return true;
-        if (x == v) return true;
-      }
-      return false;
-    }
-    default: {
-      int64_t lo = 0, hi = 0;
-      if (!IntLeafBounds(p, &lo, &hi)) return true;
-      return x >= lo && x <= hi;
-    }
   }
 }
 
@@ -940,7 +624,7 @@ Status ParseColumnPayload(SplitColumn* c) {
 /// and over dictionary codes carry a per-code verdict table, built once per
 /// split, so a batch tests codes and never materializes values.
 struct BoundLeaf {
-  const Predicate* pred;
+  CompiledLeaf leaf;
   int field;
   std::vector<uint8_t> code_ok;
 };
@@ -959,18 +643,18 @@ struct BoundKeyFilter {
 ///   dictionary the per-code table, per run for dict-RLE.
 void ApplyLeaf(const BoundLeaf& l, const SplitColumn& c, uint32_t begin,
                uint32_t n, uint8_t* sel, std::vector<int64_t>* scratch) {
-  const Predicate& p = *l.pred;
+  const CompiledLeaf& leaf = l.leaf;
   const IntBlockView& v = c.iview;
   switch (c.field->type) {
     case TypeKind::kDouble:
-      ApplyDoubleLeaf(p, c.f64() + begin, n, sel);
+      leaf.Apply(c.f64() + begin, n, sel);
       return;
     case TypeKind::kInt32:
     case TypeKind::kInt64:
       if (v.encoding == kEncRle) {
         ForEachRun(c, begin, begin + n,
                    [&](uint32_t r, uint32_t lo, uint32_t hi) {
-                     if (!TestIntLeaf(v.run_values[r], p)) {
+                     if (!leaf.Test(v.run_values[r])) {
                        std::fill(sel + lo, sel + hi, uint8_t{0});
                      }
                    });
@@ -981,13 +665,13 @@ void ApplyLeaf(const BoundLeaf& l, const SplitColumn& c, uint32_t begin,
         for (uint32_t i = 0; i < n; ++i) sel[i] &= l.code_ok[codes[i]];
       } else if (v.encoding == kEncPlain &&
                  c.field->type == TypeKind::kInt32) {
-        ApplyIntegerLeaf(p, c.i32() + begin, n, sel);
+        leaf.Apply(c.i32() + begin, n, sel);
       } else if (v.encoding == kEncPlain) {
-        ApplyIntegerLeaf(p, c.i64() + begin, n, sel);
+        leaf.Apply(c.i64() + begin, n, sel);
       } else {
         scratch->resize(n);
         DecodeInts(c, begin, n, scratch->data());
-        ApplyIntegerLeaf(p, scratch->data(), n, sel);
+        leaf.Apply(scratch->data(), n, sel);
       }
       return;
     case TypeKind::kString:
@@ -1002,7 +686,7 @@ void ApplyLeaf(const BoundLeaf& l, const SplitColumn& c, uint32_t begin,
         for (uint32_t i = 0; i < n; ++i) sel[i] &= l.code_ok[c.codes[begin + i]];
       } else {
         for (uint32_t i = 0; i < n; ++i) {
-          if (sel[i] != 0 && !TestStringLeaf(c.StringAt(begin + i), p)) {
+          if (sel[i] != 0 && !leaf.Test(c.StringAt(begin + i))) {
             sel[i] = 0;
           }
         }
@@ -1129,22 +813,23 @@ Status CifSplitBatchReader::Open(const Schema& schema,
                                  std::vector<int> projection,
                                  const BlockFetch& fetch) {
   projection_ = std::move(projection);
-  // Resolve the spec against the table schema. Unknown columns and
-  // non-leaf shapes are simply not pushed (the engine re-checks).
+  // Resolve the spec against the table schema: every conjunct and key
+  // filter is applied, or the open fails.
   if (const ScanSpec* spec = options.scan_spec.get()) {
     for (const Predicate::Ptr& p : spec->conjuncts) {
-      if (p == nullptr || !IsScanLeaf(*p)) continue;
-      const int idx = schema.IndexOf(p->column_name());
-      if (idx >= 0) leaves_.push_back({p.get(), idx, {}});
+      CLY_ASSIGN_OR_RETURN(const int idx, schema.Require(p->column_name()));
+      CLY_ASSIGN_OR_RETURN(CompiledLeaf leaf,
+                           CompiledLeaf::Compile(*p, schema.field(idx).type));
+      leaves_.push_back({std::move(leaf), idx, {}});
     }
     for (const ScanSpec::KeyFilterEntry& kf : spec->key_filters) {
-      if (kf.filter == nullptr) continue;
-      const int idx = schema.IndexOf(kf.column);
-      if (idx < 0) continue;
+      CLY_ASSIGN_OR_RETURN(const int idx, schema.Require(kf.column));
       const TypeKind t = schema.field(idx).type;
-      if (t == TypeKind::kInt32 || t == TypeKind::kInt64) {
-        key_filters_.push_back({kf.filter.get(), idx});
+      if (t != TypeKind::kInt32 && t != TypeKind::kInt64) {
+        return Status::InvalidArgument(
+            StrCat("key filter on non-integer column '", kf.column, "'"));
       }
+      key_filters_.push_back({kf.filter.get(), idx});
     }
   }
 
@@ -1182,9 +867,9 @@ Status CifSplitBatchReader::Open(const Schema& schema,
   for (const BoundLeaf& l : leaves_) {
     const SplitColumn& c = cols_[static_cast<size_t>(l.field)];
     ZoneMap packed;
-    if (ZoneRefutesLeaf(c.view.zone, c.field->type, *l.pred) ||
+    if (ZoneRefutesLeaf(c.view.zone, l.leaf) ||
         (PackedRangeZone(c.iview, &packed) &&
-         ZoneRefutesLeaf(packed, c.field->type, *l.pred))) {
+         ZoneRefutesLeaf(packed, l.leaf))) {
       stats_->blocks_skipped += 1;
       stats_->rows_pruned += nrows;
       return Status::OK();
@@ -1209,15 +894,14 @@ Status CifSplitBatchReader::Open(const Schema& schema,
     const IntBlockView& v = c.iview;
     if (c.field->type == TypeKind::kString) {
       for (std::string_view entry : c.dict) {
-        l.code_ok.push_back(
-            static_cast<uint8_t>(TestStringLeaf(entry, *l.pred)));
+        l.code_ok.push_back(static_cast<uint8_t>(l.leaf.Test(entry)));
       }
     } else if ((v.encoding == kEncBitPack || v.encoding == kEncFor) &&
                v.width <= 12) {
       l.code_ok.resize(size_t{1} << v.width);
       for (size_t code = 0; code < l.code_ok.size(); ++code) {
         l.code_ok[code] = static_cast<uint8_t>(
-            TestIntLeaf(v.base + static_cast<int64_t>(code), *l.pred));
+            l.leaf.Test(v.base + static_cast<int64_t>(code)));
       }
     }
   }
@@ -1230,18 +914,14 @@ int64_t CifSplitBatchReader::FilterBatch(uint32_t begin, uint32_t n) {
   sel_idx_.resize(n);
   int64_t m = n;
   if (leaves_.empty()) {
-    for (uint32_t i = 0; i < n; ++i) sel_idx_[i] = static_cast<int32_t>(i);
+    std::iota(sel_idx_.begin(), sel_idx_.end(), 0);
   } else {
     sel_.assign(n, 1);
     for (const BoundLeaf& l : leaves_) {
       ApplyLeaf(l, cols_[static_cast<size_t>(l.field)], begin, n, sel_.data(),
                 &scratch_);
     }
-    m = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      sel_idx_[static_cast<size_t>(m)] = static_cast<int32_t>(i);
-      m += sel_[i];
-    }
+    m = CompactMask(sel_.data(), n, sel_idx_.data());
   }
   for (const BoundKeyFilter& kf : key_filters_) {
     if (m == 0) break;

@@ -32,11 +32,13 @@ class ScanKeyFilter {
   virtual bool RangeMightMatch(int64_t lo, int64_t hi) const = 0;
 };
 
-/// What a scan should evaluate below decode. Conjuncts are single-column
-/// leaf predicates ANDed together (the scan may evaluate any subset it
-/// understands — evaluating none is always correct since callers re-check);
-/// key_filters are semi-join membership tests, exact per row. Both prune
-/// rows *before* non-filter columns are materialized.
+/// What a scan evaluates below decode, before non-filter columns are
+/// materialized. Conjuncts are single-column leaves ANDed together, each
+/// compiled once against its column (schema/compiled_leaf.h); key_filters
+/// are semi-join membership tests. Both are exact and final: a row the scan
+/// drops fails them, a row it returns passes them, and no caller evaluates
+/// them again. A conjunct that is not a leaf, or names no column of the
+/// table, is InvalidArgument at open.
 struct ScanSpec {
   std::vector<Predicate::Ptr> conjuncts;
 
@@ -45,8 +47,6 @@ struct ScanSpec {
     std::shared_ptr<const ScanKeyFilter> filter;
   };
   std::vector<KeyFilterEntry> key_filters;
-
-  bool empty() const { return conjuncts.empty() && key_filters.empty(); }
 };
 
 /// Pruning effectiveness of one CIF scan. blocks_skipped counts column-block

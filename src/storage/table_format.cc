@@ -32,6 +32,11 @@ Result<T> ParseMetaNumber(const std::string& key, const std::string& s) {
 // The only CIF on-disk layout (storage/cif.h). Recorded in every CIF table's
 // meta so files written in any other layout are refused, not misparsed.
 constexpr uint64_t kCifVersion = 3;
+
+/// The formats whose readers apply ScanSpec conjuncts.
+bool AppliesScanConjuncts(const std::string& format) {
+  return format == kFormatCif;
+}
 }  // namespace
 
 Status SaveTableDesc(hdfs::MiniDfs* dfs, const TableDesc& desc) {
@@ -185,9 +190,20 @@ Result<std::vector<StorageSplit>> ListTableSplits(const hdfs::MiniDfs& dfs,
   return Status::InvalidArgument(StrCat("unknown format '", desc.format, "'"));
 }
 
+Predicate::LeafSplit SplitForScan(const std::string& format,
+                                  const Predicate& predicate) {
+  if (AppliesScanConjuncts(format)) return predicate.SplitLeaves();
+  return {{}, predicate.shared_from_this()};
+}
+
 Result<std::unique_ptr<RowReader>> OpenSplitRowReader(
     const hdfs::MiniDfs& dfs, const TableDesc& desc, const StorageSplit& split,
     const ScanOptions& options) {
+  if (!AppliesScanConjuncts(desc.format) && options.scan_spec != nullptr &&
+      !options.scan_spec->conjuncts.empty()) {
+    return Status::InvalidArgument(
+        StrCat("a ", desc.format, " scan does not apply pushed conjuncts"));
+  }
   if (desc.format == kFormatText) {
     return OpenTextSplitReader(dfs, desc, split, options);
   }

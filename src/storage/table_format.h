@@ -69,9 +69,9 @@ struct ScanOptions {
   std::vector<std::string> projection;
   hdfs::NodeId reader_node = hdfs::kNoNode;
   hdfs::IoStats* stats = nullptr;
-  /// Predicates + semi-join key filters to evaluate below decode. Only the
-  /// CIF scan acts on it; all other formats ignore it (callers must re-check
-  /// predicates, so ignoring is always correct).
+  /// Leaves + semi-join key filters to evaluate below decode. Only the CIF
+  /// scan applies conjuncts (SplitForScan); other formats refuse a spec
+  /// that has any and ignore its key filters.
   std::shared_ptr<const ScanSpec> scan_spec;
   /// Optional pruning-effectiveness output (CIF only).
   ScanStats* scan_stats = nullptr;
@@ -169,6 +169,14 @@ Result<std::unique_ptr<TableWriter>> OpenTableWriter(hdfs::MiniDfs* dfs,
 /// Enumerates the splits of a stored table.
 Result<std::vector<StorageSplit>> ListTableSplits(const hdfs::MiniDfs& dfs,
                                                   const TableDesc& desc);
+
+/// Splits `predicate` between a scan of a `format` table and its caller. A
+/// format that applies ScanSpec conjuncts (only CIF) takes the predicate's
+/// top-level leaves, and the residual is the rest; any other format takes
+/// none, and the residual is the whole predicate. The caller evaluates the
+/// residual on the rows the scan returns, and nothing else.
+Predicate::LeafSplit SplitForScan(const std::string& format,
+                                  const Predicate& predicate);
 
 /// Opens a row reader over one split.
 Result<std::unique_ptr<RowReader>> OpenSplitRowReader(

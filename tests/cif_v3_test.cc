@@ -419,6 +419,99 @@ TEST_F(CifV3Test, DictionaryZoneRefutesAbsentString) {
   EXPECT_EQ(stats.rows_pruned, 128u);  // every row, by zone or by code test
 }
 
+// The NaN table: NaN equals only NaN and sorts above every number, in the
+// row Eval (Value::Compare), in EvalBatch and in the CIF scan alike.
+SchemaPtr NanSchema() { return Schema::Make({{"x", TypeKind::kDouble, 8}}); }
+
+Row MakeNanRow(int32_t i) {
+  const double xs[] = {1.0, std::numeric_limits<double>::quiet_NaN(), 2.0,
+                       0.5};
+  return Row({Value(xs[i % 4])});
+}
+
+constexpr Shape kNan{NanSchema, MakeNanRow};
+
+TEST_F(CifV3Test, NanLeavesAgreeAcrossRowEvalBatchEvalAndScan) {
+  const TableDesc desc = WriteTable("/nan", 4, 4, kNan);
+  RowBatch batch(NanSchema());
+  for (int32_t i = 0; i < 4; ++i) batch.AppendRow(MakeNanRow(i));
+  const std::pair<Predicate::Ptr, size_t> cases[] = {
+      {Predicate::Le("x", Value(1.5)), 2},
+      {Predicate::Eq("x", Value(1.0)), 1},
+      {Predicate::Ge("x", Value(1.0)), 3},
+      {Predicate::Ne("x", Value(1.0)), 3},
+      {Predicate::Eq("x", Value(std::numeric_limits<double>::quiet_NaN())), 1},
+      {Predicate::Gt("x", Value(1e300)), 1},
+  };
+  for (const auto& [leaf, count] : cases) {
+    SCOPED_TRACE(leaf->ToString());
+    auto bound = leaf->Bind(*NanSchema());
+    ASSERT_TRUE(bound.ok());
+    std::vector<uint8_t> sel(4, 1);
+    (*bound)->EvalBatch(batch, &sel);
+    size_t by_row = 0;
+    size_t by_batch = 0;
+    for (int64_t i = 0; i < 4; ++i) {
+      by_row += (*bound)->Eval(batch.GetRow(i)) ? 1 : 0;
+      by_batch += sel[static_cast<size_t>(i)];
+    }
+    EXPECT_EQ(by_row, count);
+    EXPECT_EQ(by_batch, count);
+    ScanOptions scan;
+    scan.scan_spec = SpecWith(leaf);
+    auto rows = Scan(desc, scan);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->size(), count);
+  }
+}
+
+TEST_F(CifV3Test, ConjunctsTheScanCannotApplyAreTypedErrors) {
+  const TableDesc desc = WriteTable("/unplaceable", 64, 64);
+  for (const Predicate::Ptr& conjunct :
+       {Predicate::Eq("nope", Value(int32_t{1})),
+        Predicate::Eq("mode", Value(int32_t{1})),
+        Predicate::Or({Predicate::Eq("id", Value(int32_t{1})),
+                       Predicate::Eq("id", Value(int32_t{2}))})}) {
+    ScanOptions scan;
+    scan.scan_spec = SpecWith(conjunct);
+    auto rows = Scan(desc, scan);
+    ASSERT_FALSE(rows.ok()) << conjunct->ToString();
+    EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // A format whose reader applies no conjunct refuses them, and
+  // SplitForScan hands the caller its whole predicate.
+  TableDesc rows_desc;
+  rows_desc.path = "/unplaceable_rows";
+  rows_desc.format = kFormatBinaryRow;
+  rows_desc.schema = FactSchema();
+  {
+    auto writer = OpenTableWriter(&dfs_, rows_desc);
+    ASSERT_TRUE(writer.ok());
+    for (int32_t i = 0; i < 8; ++i) {
+      ASSERT_TRUE((*writer)->Append(MakeRow(i)).ok());
+    }
+    ASSERT_TRUE((*writer)->Close().ok());
+  }
+  auto loaded = LoadTableDesc(dfs_, rows_desc.path);
+  ASSERT_TRUE(loaded.ok());
+  ScanOptions scan;
+  scan.scan_spec = SpecWith(Predicate::Eq("id", Value(int32_t{1})));
+  auto rows = Scan(*loaded, scan);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+
+  const Predicate::Ptr pred =
+      Predicate::And({Predicate::Eq("id", Value(int32_t{1})),
+                      Predicate::Lt("qty", Value(int32_t{3}))});
+  const Predicate::LeafSplit rows_split = SplitForScan(kFormatBinaryRow, *pred);
+  EXPECT_TRUE(rows_split.leaves.empty());
+  EXPECT_EQ(rows_split.residual, pred);
+  const Predicate::LeafSplit cif_split = SplitForScan(kFormatCif, *pred);
+  EXPECT_EQ(cif_split.leaves.size(), 2u);
+  EXPECT_TRUE(cif_split.residual->IsTrue());
+}
+
 TEST_F(CifV3Test, KeyFiltersPruneRowsAndSkipBlocks) {
   const TableDesc desc = WriteTable("/keys_cyclic", 256, 64, kCyclic);
   auto spec = std::make_shared<ScanSpec>();

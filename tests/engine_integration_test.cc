@@ -11,14 +11,17 @@
 
 #include "common/strings.h"
 #include "core/clydesdale.h"
+#include "core/staged_join.h"
 #include "hive/hive_engine.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/job_trace.h"
 #include "obs/query_profile.h"
+#include "serving/query_server.h"
 #include "sql/parser.h"
 #include "ssb/loader.h"
 #include "ssb/queries.h"
 #include "ssb/reference_executor.h"
+#include "storage/table_format.h"
 
 namespace clydesdale {
 namespace {
@@ -141,6 +144,116 @@ TEST_F(EngineIntegrationTest, AblationTogglesPreserveResults) {
     ExpectRowsEqual(expected, result->rows,
                     "ablation mask " + std::to_string(mask));
   }
+}
+
+/// Q1.1 with `lo_quantity < 24.5`: a double literal on an int32 fact
+/// column, which the scan applies as a compiled leaf and must not truncate.
+core::StarQuerySpec FractionalQ11() {
+  auto spec = ssb::QueryById("Q1.1");
+  CLY_CHECK(spec.ok());
+  spec->id = "Q1.1-fractional";
+  spec->fact_predicate = Predicate::And(
+      {Predicate::Between("lo_discount", Value(int32_t{1}), Value(int32_t{3})),
+       Predicate::Lt("lo_quantity", Value(24.5))});
+  return std::move(*spec);
+}
+
+TEST_F(EngineIntegrationTest, FractionalLiteralMatchesReferenceOnEveryPath) {
+  const core::StarQuerySpec spec = FractionalQ11();
+  const std::vector<Row> expected = Reference(spec);
+  ASSERT_EQ(expected.size(), 1u);
+  // 24 is in, 25 is out: the same query with 24 as an integer literal.
+  core::StarQuerySpec le24 = spec;
+  le24.fact_predicate = Predicate::And(
+      {Predicate::Between("lo_discount", Value(int32_t{1}), Value(int32_t{3})),
+       Predicate::Le("lo_quantity", Value(int32_t{24}))});
+  ExpectRowsEqual(Reference(le24), expected, "reference <= 24");
+
+  std::vector<std::pair<std::string, core::ClydesdaleOptions>> modes = {
+      {"default", {}}};
+  for (bool core::ClydesdaleOptions::*off :
+       {&core::ClydesdaleOptions::multithreaded,
+        &core::ClydesdaleOptions::block_iteration,
+        &core::ClydesdaleOptions::columnar,
+        &core::ClydesdaleOptions::jvm_reuse,
+        &core::ClydesdaleOptions::map_side_agg}) {
+    core::ClydesdaleOptions options;
+    options.*off = false;
+    modes.push_back({StrCat("switch ", modes.size(), " off"), options});
+  }
+  for (const auto& [label, options] : modes) {
+    core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
+    auto result = engine.Execute(spec);
+    ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+    ExpectRowsEqual(expected, result->rows, "clydesdale " + label);
+  }
+
+  auto star = std::make_shared<const core::StarSchema>(dataset_->star);
+  auto date = dataset_->star.dim("date");
+  ASSERT_TRUE(date.ok());
+  const uint64_t single = core::EstimateDimHashBytes(**date, spec.dims[0]);
+  for (uint64_t budget : {uint64_t{1}, single}) {
+    core::ClydesdaleOptions options;
+    options.max_hash_memory_bytes = budget;
+    auto result = core::ExecuteStagedStarJoin(cluster_, star, spec, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectRowsEqual(expected, result->rows, StrCat("staged ", budget));
+  }
+
+  serving::QueryServer server(cluster_, dataset_->star);
+  auto served = server.Execute(spec);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectRowsEqual(expected, served->rows, "query server");
+
+  for (hive::JoinStrategy strategy :
+       {hive::JoinStrategy::kRepartition, hive::JoinStrategy::kMapJoin}) {
+    hive::HiveOptions options;
+    options.strategy = strategy;
+    hive::HiveEngine engine(cluster_, HiveStar(), options);
+    auto result = engine.Execute(spec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectRowsEqual(expected, result->rows,
+                    StrCat("hive ", hive::JoinStrategyName(strategy)));
+  }
+}
+
+TEST_F(EngineIntegrationTest, RowFormatFactEvaluatesWholePredicateInProbe) {
+  // A binary-row copy of the fact table: its reader applies no ScanSpec
+  // conjunct, so the probe evaluates the whole fact predicate. MultiCIF
+  // reads only CIF, so the job runs one split per task.
+  storage::TableDesc rows_desc;
+  rows_desc.path = "/ssb/lineorder_binary_rows";
+  rows_desc.format = storage::kFormatBinaryRow;
+  rows_desc.schema = dataset_->star.fact().schema;
+  {
+    auto rows = storage::ScanTableToVector(*cluster_->dfs(),
+                                           dataset_->star.fact(), {});
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    auto writer = storage::OpenTableWriter(cluster_->dfs(), rows_desc);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const Row& row : *rows) ASSERT_TRUE((*writer)->Append(row).ok());
+    ASSERT_TRUE((*writer)->Close().ok());
+  }
+  auto loaded = cluster_->GetTable(rows_desc.path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  core::StarSchema star = dataset_->star;
+  *star.mutable_fact() = *loaded;
+
+  auto q11 = ssb::QueryById("Q1.1");
+  ASSERT_TRUE(q11.ok());
+  core::ClydesdaleOptions options;
+  options.multithreaded = false;
+  for (const core::StarQuerySpec& spec : {*q11, FractionalQ11()}) {
+    core::ClydesdaleEngine engine(cluster_, star, options);
+    auto result = engine.Execute(spec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectRowsEqual(Reference(spec), result->rows, "binary-row " + spec.id);
+    // Nothing was pruned below decode: every fact row reached the probe.
+    EXPECT_EQ(result->Counter(mr::kCounterCifRowsPruned), 0);
+    EXPECT_EQ(result->Counter(core::kCounterProbeRows),
+              static_cast<int64_t>(dataset_->lineorder_rows));
+  }
+  ASSERT_TRUE(cluster_->dfs()->DeleteRecursive(rows_desc.path).ok());
 }
 
 TEST_F(EngineIntegrationTest, LateMaterializationPrunesAndMatches) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
+#include "schema/compiled_leaf.h"
 #include "schema/expr.h"
 
 namespace clydesdale {
@@ -214,6 +218,115 @@ TEST(PredicateTest, StringLeavesEvalBatchMatchesRowEval) {
       }
     }
   }
+}
+
+/// Every leaf kind over int32, int64 and double columns, against literals
+/// of every numeric kind: the batch kernels agree with the row Eval (the
+/// reference's Value::Compare), and no zone the compiled leaf refutes holds
+/// a passing value.
+TEST(CompiledLeafTest, MixedKindLeavesAgreeWithRowEval) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> literals = {
+      Value(int32_t{24}), Value(int32_t{-3}), Value(int64_t{4294967306}),
+      Value(INT64_MIN), Value(INT64_MAX), Value(24.5), Value(-24.5),
+      Value(-0.0), Value(1e300), Value(-1e300), Value(9.2233720368547758e18),
+      Value(kNan), Value(kInf)};
+  std::vector<Predicate::Ptr> leaves;
+  for (const Value& v : literals) {
+    leaves.push_back(Predicate::Eq("x", v));
+    leaves.push_back(Predicate::Ne("x", v));
+    leaves.push_back(Predicate::Lt("x", v));
+    leaves.push_back(Predicate::Le("x", v));
+    leaves.push_back(Predicate::Gt("x", v));
+    leaves.push_back(Predicate::Ge("x", v));
+    leaves.push_back(Predicate::Between("x", Value(-24.5), v));
+    leaves.push_back(Predicate::In("x", {v, Value(int32_t{25})}));
+  }
+
+  const auto check = [&](TypeKind type, const std::vector<Value>& values) {
+    auto schema = Schema::Make({{"x", type, 8}});
+    RowBatch batch(schema);
+    for (const Value& v : values) batch.AppendRow(Row({v}));
+    for (const Predicate::Ptr& leaf : leaves) {
+      SCOPED_TRACE(StrCat(TypeKindToString(type), " ", leaf->ToString()));
+      auto bound = leaf->Bind(*schema);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      std::vector<uint8_t> sel(values.size(), 1);
+      (*bound)->EvalBatch(batch, &sel);
+      auto compiled = CompiledLeaf::Compile(*leaf, type);
+      ASSERT_TRUE(compiled.ok());
+      for (size_t i = 0; i < values.size(); ++i) {
+        const bool expected =
+            (*bound)->Eval(batch.GetRow(static_cast<int64_t>(i)));
+        EXPECT_EQ(sel[i] != 0, expected) << "value " << values[i].ToString();
+        // A zone of one value is refuted exactly when the value fails, and
+        // a refuted zone over a range holds no passing value.
+        for (size_t j = 0; j < values.size(); ++j) {
+          const Value& lo = values[i];
+          const Value& hi = values[j];
+          if (lo.Compare(hi) > 0) continue;
+          const bool refuted =
+              type == TypeKind::kDouble
+                  ? compiled->Refutes(lo.AsDouble(), hi.AsDouble())
+                  : compiled->Refutes(lo.AsInt64(), hi.AsInt64());
+          if (i == j) {
+            EXPECT_EQ(refuted, !expected) << "zone " << lo.ToString();
+          }
+          if (!refuted) continue;
+          for (size_t k = 0; k < values.size(); ++k) {
+            if (values[k].Compare(lo) >= 0 && values[k].Compare(hi) <= 0) {
+              EXPECT_EQ(sel[k], 0) << "zone [" << lo.ToString() << ", "
+                                   << hi.ToString() << "] refuted";
+            }
+          }
+        }
+      }
+    }
+  };
+  check(TypeKind::kInt32,
+        {Value(int32_t{24}), Value(int32_t{25}), Value(int32_t{-3}),
+         Value(int32_t{-25}), Value(int32_t{0}), Value(INT32_MIN),
+         Value(INT32_MAX)});
+  check(TypeKind::kInt64,
+        {Value(int64_t{24}), Value(int64_t{4294967306}), Value(int64_t{-25}),
+         Value(INT64_MIN), Value(INT64_MAX), Value(INT64_MAX - 1),
+         Value(int64_t{0})});
+  check(TypeKind::kDouble,
+        {Value(24.0), Value(24.5), Value(-24.5), Value(0.0), Value(-0.0),
+         Value(1e300), Value(-kInf), Value(kInf), Value(kNan),
+         Value(9.2233720368547758e18)});
+}
+
+TEST(CompiledLeafTest, StringAgainstNumberIsInvalidArgument) {
+  auto schema = TestSchema();
+  for (const Predicate::Ptr& leaf :
+       {Predicate::Eq("qty", Value("ASIA")),
+        Predicate::In("rate", {Value(0.5), Value("x")}),
+        Predicate::Lt("region", Value(int32_t{3}))}) {
+    auto bound = leaf->Bind(*schema);
+    ASSERT_FALSE(bound.ok()) << leaf->ToString();
+    EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(PredicateTest, SplitLeavesSeparatesTopLevelLeavesFromTheResidual) {
+  auto a = Predicate::Eq("qty", Value(int32_t{1}));
+  auto b = Predicate::Lt("price", Value(int32_t{5}));
+  auto either = Predicate::Or({a, b});
+  auto split =
+      Predicate::And({a, Predicate::And({b, Predicate::True()}), either})
+          ->SplitLeaves();
+  EXPECT_EQ(split.leaves, (std::vector<Predicate::Ptr>{a, b}));
+  EXPECT_EQ(split.residual, either);
+
+  split = Predicate::And({a, b})->SplitLeaves();
+  EXPECT_EQ(split.leaves.size(), 2u);
+  EXPECT_TRUE(split.residual->IsTrue());
+
+  split = Predicate::Not(a)->SplitLeaves();
+  EXPECT_TRUE(split.leaves.empty());
+  EXPECT_EQ(split.residual->kind(), Predicate::Kind::kNot);
 }
 
 TEST(PredicateTest, ToStringReadable) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "mapreduce/engine.h"
 #include "mapreduce/input_format.h"
 #include "ssb/reference_executor.h"
+#include "storage/scan_spec.h"
 #include "storage/table_format.h"
 
 namespace clydesdale {
@@ -419,7 +422,90 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomStarJoinTest,
 
 // --- randomized predicate property -------------------------------------------------
 
+/// Checks `pred` three ways against the row Eval over `rows`: EvalBatch, and
+/// a CIF scan of the same rows that applies the predicate's top-level leaves
+/// as its ScanSpec, after which the caller evaluates only the residual.
+void ExpectPredicatePathsAgree(hdfs::MiniDfs* dfs, const SchemaPtr& schema,
+                               const std::vector<Row>& rows,
+                               const Predicate::Ptr& pred, int trial) {
+  SCOPED_TRACE(StrCat("trial ", trial, " pred ", pred->ToString()));
+  auto bound = pred->Bind(*schema);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  std::vector<Row> expected;
+  RowBatch batch(schema);
+  for (const Row& row : rows) {
+    batch.AppendRow(row);
+    if ((*bound)->Eval(row)) expected.push_back(row);
+  }
+  std::vector<uint8_t> sel(rows.size(), 1);
+  (*bound)->EvalBatch(batch, &sel);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(sel[i] != 0, (*bound)->Eval(rows[i]))
+        << "row " << i << " " << rows[i].ToString();
+  }
+
+  storage::TableDesc desc;
+  desc.path = StrCat("/property/", trial);
+  desc.format = storage::kFormatCif;
+  desc.schema = schema;
+  desc.rows_per_split = 32;
+  auto writer = storage::OpenTableWriter(dfs, desc);
+  ASSERT_TRUE(writer.ok());
+  for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+  auto loaded = storage::LoadTableDesc(*dfs, desc.path);
+  ASSERT_TRUE(loaded.ok());
+
+  Predicate::LeafSplit split = storage::SplitForScan(desc.format, *pred);
+  storage::ScanOptions scan;
+  auto spec = std::make_shared<storage::ScanSpec>();
+  spec->conjuncts = split.leaves;
+  scan.scan_spec = std::move(spec);
+  auto scanned = storage::ScanTableToVector(*dfs, *loaded, scan);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  auto residual = split.residual->Bind(*schema);
+  ASSERT_TRUE(residual.ok());
+  std::vector<Row> got;
+  for (const Row& row : *scanned) {
+    if ((*residual)->Eval(row)) got.push_back(row);
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "row " << i;
+  }
+}
+
+/// A literal of any numeric kind: small integers (as int32 or int64),
+/// fractions of either sign, the int64 extremes, +-1e300 and NaN.
+Value RandomNumericLiteral(Random* rng) {
+  switch (rng->Uniform(0, 7)) {
+    case 0:
+      return Value(static_cast<int32_t>(rng->Uniform(-20, 120)));
+    case 1:
+      return Value(static_cast<int64_t>(rng->Uniform(-20, 120)));
+    case 2:
+      return Value(static_cast<double>(rng->Uniform(-200, 1200)) / 10.0 +
+                   0.5);
+    case 3:
+      return Value(-static_cast<double>(rng->Uniform(0, 500)) / 10.0 - 0.25);
+    case 4:
+      return Value(rng->Bernoulli(0.5) ? INT64_MIN : INT64_MAX);
+    case 5:
+      return Value(rng->Bernoulli(0.5) ? 1e300 : -1e300);
+    case 6:
+      return Value(std::numeric_limits<double>::quiet_NaN());
+    default:
+      return Value(static_cast<double>(rng->Uniform(0, 100)));
+  }
+}
+
 TEST(PredicatePropertyTest, BatchEvalAlwaysMatchesRowEval) {
+  hdfs::DfsOptions dfs_options;
+  dfs_options.num_nodes = 1;
+  dfs_options.block_size = 64 * 1024;
+  dfs_options.replication = 1;
+  hdfs::MiniDfs dfs(dfs_options);
+
   Random rng(4242);
   auto schema = Schema::Make({{"a", TypeKind::kInt32, 4},
                               {"b", TypeKind::kInt32, 4},
@@ -453,23 +539,74 @@ TEST(PredicatePropertyTest, BatchEvalAlwaysMatchesRowEval) {
     Predicate::Ptr pred = rng.Bernoulli(0.5) ? Predicate::And(parts)
                                              : Predicate::Or(parts);
     if (rng.Bernoulli(0.2)) pred = Predicate::Not(pred);
-    auto bound = pred->Bind(*schema);
-    ASSERT_TRUE(bound.ok());
 
-    RowBatch batch(schema);
+    std::vector<Row> rows;
     for (int i = 0; i < 64; ++i) {
-      batch.AppendRow(Row({Value(static_cast<int32_t>(rng.Uniform(0, 100))),
-                           Value(static_cast<int32_t>(rng.Uniform(0, 100))),
-                           Value(StrCat("s", rng.Uniform(0, 3)))}));
+      rows.push_back(Row({Value(static_cast<int32_t>(rng.Uniform(0, 100))),
+                          Value(static_cast<int32_t>(rng.Uniform(0, 100))),
+                          Value(StrCat("s", rng.Uniform(0, 3)))}));
     }
-    std::vector<uint8_t> sel(64, 1);
-    (*bound)->EvalBatch(batch, &sel);
-    for (int64_t i = 0; i < 64; ++i) {
-      EXPECT_EQ(sel[static_cast<size_t>(i)] != 0,
-                (*bound)->Eval(batch.GetRow(i)))
-          << "trial " << trial << " row " << i << " pred "
-          << pred->ToString();
+    ExpectPredicatePathsAgree(&dfs, schema, rows, pred, trial);
+  }
+
+  // Mixed kinds: int32, int64 and double columns against literals of every
+  // numeric kind, where a double literal must never truncate and NaN is one
+  // value above every number.
+  auto mixed = Schema::Make({{"a", TypeKind::kInt32, 4},
+                             {"c", TypeKind::kInt64, 8},
+                             {"d", TypeKind::kDouble, 8}});
+  const char* const columns[] = {"a", "c", "d"};
+  for (int trial = 50; trial < 200; ++trial) {
+    std::vector<Predicate::Ptr> parts;
+    const int n = static_cast<int>(rng.Uniform(1, 4));
+    for (int i = 0; i < n; ++i) {
+      const char* col = columns[rng.Uniform(0, 2)];
+      const Value v = RandomNumericLiteral(&rng);
+      switch (rng.Uniform(0, 7)) {
+        case 0:
+          parts.push_back(Predicate::Eq(col, v));
+          break;
+        case 1:
+          parts.push_back(Predicate::Ne(col, v));
+          break;
+        case 2:
+          parts.push_back(Predicate::Lt(col, v));
+          break;
+        case 3:
+          parts.push_back(Predicate::Le(col, v));
+          break;
+        case 4:
+          parts.push_back(Predicate::Gt(col, v));
+          break;
+        case 5:
+          parts.push_back(Predicate::Ge(col, v));
+          break;
+        case 6:
+          parts.push_back(
+              Predicate::Between(col, v, RandomNumericLiteral(&rng)));
+          break;
+        default:
+          parts.push_back(Predicate::In(
+              col, {v, RandomNumericLiteral(&rng), RandomNumericLiteral(&rng)}));
+      }
     }
+    Predicate::Ptr pred = rng.Bernoulli(0.6) ? Predicate::And(parts)
+                                             : Predicate::Or(parts);
+    if (rng.Bernoulli(0.2)) pred = Predicate::Not(pred);
+
+    std::vector<Row> rows;
+    for (int i = 0; i < 64; ++i) {
+      const bool extreme = rng.Bernoulli(0.1);
+      const int64_t c = extreme ? (rng.Bernoulli(0.5) ? INT64_MIN : INT64_MAX)
+                                : rng.Uniform(-20, 120);
+      double d = static_cast<double>(rng.Uniform(-400, 1200)) / 10.0;
+      if (rng.Bernoulli(0.1)) d = std::numeric_limits<double>::quiet_NaN();
+      if (rng.Bernoulli(0.05)) d = rng.Bernoulli(0.5) ? 1e300 : -0.0;
+      rows.push_back(
+          Row({Value(static_cast<int32_t>(rng.Uniform(-20, 120))),
+               Value(c), Value(d)}));
+    }
+    ExpectPredicatePathsAgree(&dfs, mixed, rows, pred, trial);
   }
 }
 

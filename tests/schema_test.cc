@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "schema/row.h"
 #include "schema/row_batch.h"
 #include "schema/schema.h"
@@ -27,12 +32,33 @@ TEST(ValueTest, CompareWithinAndAcrossNumericKinds) {
   EXPECT_GT(Value(2.5).Compare(Value(int32_t{2})), 0);
   EXPECT_LT(Value("ASIA").Compare(Value("EUROPE")), 0);
   EXPECT_EQ(Value("x"), Value("x"));
+  EXPECT_EQ(Value(-0.0), Value(0.0));
+
+  // NaN equals only NaN and sorts above every number, so std::sort gets a
+  // strict weak order.
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nan.Compare(nan), 0);
+  EXPECT_GT(nan.Compare(Value(std::numeric_limits<double>::infinity())), 0);
+  EXPECT_GT(nan.Compare(Value(int64_t{INT64_MAX})), 0);
+  EXPECT_LT(Value(int32_t{1}).Compare(nan), 0);
+  EXPECT_NE(nan, Value(1.0));
+  std::vector<Value> values = {Value(2.0), nan, Value(-1.0), nan, Value(0.5)};
+  std::sort(values.begin(), values.end(),
+            [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
+  EXPECT_EQ(values[0], Value(-1.0));
+  EXPECT_EQ(values[1], Value(0.5));
+  EXPECT_EQ(values[2], Value(2.0));
+  EXPECT_TRUE(std::isnan(values[3].f64()));
+  EXPECT_TRUE(std::isnan(values[4].f64()));
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(int32_t{42}).Hash(), Value(int32_t{42}).Hash());
   EXPECT_EQ(Value("abc").Hash(), Value("abc").Hash());
   EXPECT_NE(Value("abc").Hash(), Value("abd").Hash());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Value(-0.0).Hash(), Value(0.0).Hash());
+  EXPECT_EQ(Value(nan).Hash(), Value(-nan).Hash());
 }
 
 TEST(ValueTest, ToStringRendering) {

@@ -282,6 +282,32 @@ TEST_F(SqlTest, RejectsBadQueries) {
   }
 }
 
+TEST_F(SqlTest, IntegerLiteralPastInt32IsNotNarrowed) {
+  // 4294967306 is 2^32 + 10: narrowed to int32 it would read as 10. Every
+  // quantity is below it, so the conjunct keeps every row.
+  const std::string base =
+      "SELECT SUM(lo_revenue) AS revenue FROM lineorder, date "
+      "WHERE lo_orderdate = d_datekey AND d_year = 1993";
+  auto wide = ParseStarQuery(base + " AND lo_quantity < 4294967306",
+                             dataset_->star);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  const Value& literal = wide->fact_predicate->lo();
+  EXPECT_EQ(literal.kind(), TypeKind::kInt64);
+  EXPECT_EQ(literal.i64(), int64_t{4294967306});
+
+  auto narrow = ParseStarQuery(base + " AND lo_quantity < 25", dataset_->star);
+  ASSERT_TRUE(narrow.ok());
+  EXPECT_EQ(narrow->fact_predicate->lo().kind(), TypeKind::kInt32);
+
+  auto all = ParseStarQuery(base, dataset_->star);
+  ASSERT_TRUE(all.ok());
+  auto wide_rows = ssb::ExecuteReference(cluster_, dataset_->star, *wide);
+  auto all_rows = ssb::ExecuteReference(cluster_, dataset_->star, *all);
+  ASSERT_TRUE(wide_rows.ok()) << wide_rows.status().ToString();
+  ASSERT_TRUE(all_rows.ok());
+  EXPECT_EQ(*wide_rows, *all_rows);
+}
+
 TEST_F(SqlTest, QualifiedColumnNames) {
   auto spec = ParseStarQuery(
       "SELECT SUM(lineorder.lo_revenue) AS revenue FROM lineorder, date "
